@@ -1386,170 +1386,6 @@ pub fn extsort_scaling_rows(scale: Scale, seed: u64) -> Vec<ExtSortScalingRow> {
     rows
 }
 
-// ---------------------------------------------------------------------------
-// Pipeline speedup — single-pass pipelined out-of-core vs materialize-then-exchange
-// ---------------------------------------------------------------------------
-
-/// One row of the `pipeline_speedup` matrix — cluster shape × memory cap ×
-/// prefetch depth — the distributed out-of-core sorter run once per arm
-/// (materialize-then-exchange vs single-pass pipelined) on identical
-/// inputs and machines, outputs compared bitwise every repetition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PipelineSpeedupRow {
-    /// Simulated ranks.
-    pub ranks: usize,
-    /// Keys per rank.
-    pub keys_per_rank: usize,
-    /// Total keys across the cluster.
-    pub total_keys: u64,
-    /// Bytes per record (8: u64 keys).
-    pub record_bytes: usize,
-    /// Per-rank record-buffer budget in bytes.
-    pub memory_cap_bytes: u64,
-    /// `keys_per_rank * record_bytes / memory_cap_bytes` (the spill severity).
-    pub cap_divisor: usize,
-    /// Pinned prefetch depth for the overlapped merge; `None` = auto-tuned
-    /// from the disk cost model and measured io-wait fraction.
-    pub prefetch_depth: Option<usize>,
-    /// Merge fan-in.
-    pub fan_in: usize,
-    /// Timed repetitions per arm (minimum reported; one untimed warmup;
-    /// arms alternate within each repetition).
-    pub reps: usize,
-    /// Best host wall seconds for the materialize-then-exchange arm.
-    pub materialized_wall_seconds: f64,
-    /// Simulated makespan of the materialized arm (deterministic).
-    pub materialized_makespan_seconds: f64,
-    /// Measured scratch traffic (written + read bytes) of the materialized
-    /// arm, aggregated over every spill.
-    pub materialized_scratch_bytes: u64,
-    /// Modelled disk words charged by the materialized arm.
-    pub materialized_disk_words: u64,
-    /// Seconds the materialized arm's threads spent blocked on disk.
-    pub materialized_io_wait_seconds: f64,
-    /// `io_wait / wall` of the materialized arm's external-sort report.
-    pub materialized_io_wait_fraction: f64,
-    /// Best host wall seconds for the pipelined arm.
-    pub pipelined_wall_seconds: f64,
-    /// Simulated makespan of the pipelined arm (deterministic).
-    pub pipelined_makespan_seconds: f64,
-    /// Measured scratch traffic of the pipelined arm (runs written once,
-    /// probes + drain reads; no merged-file round-trip).
-    pub pipelined_scratch_bytes: u64,
-    /// Modelled disk words charged by the pipelined arm.
-    pub pipelined_disk_words: u64,
-    /// Seconds the pipelined arm's threads spent blocked on disk.
-    pub pipelined_io_wait_seconds: f64,
-    /// `io_wait / wall` of the pipelined arm's external-sort report.
-    pub pipelined_io_wait_fraction: f64,
-    /// `materialized_scratch_bytes - pipelined_scratch_bytes`.
-    pub scratch_bytes_saved: u64,
-    /// `materialized_wall_seconds / pipelined_wall_seconds` (> 1 = win).
-    pub wall_speedup: f64,
-    /// `materialized_makespan_seconds / pipelined_makespan_seconds`.
-    pub makespan_speedup: f64,
-    /// Both arms' per-rank outputs compared bitwise, every repetition.
-    pub verified: bool,
-}
-
-/// The `pipeline_speedup` experiment: distributed out-of-core HSS with and
-/// without the single-pass pipelined drain, across a cluster-shape ×
-/// memory-cap × prefetch-depth matrix.  Both arms sort identical inputs on
-/// identical machines (`SyncModel::Overlapped`, overlapped I/O); the
-/// pipelined arm must be bitwise identical while moving strictly fewer
-/// scratch bytes (no merged-file write + read-back per spilled rank).
-pub fn pipeline_speedup_rows(scale: Scale, seed: u64) -> Vec<PipelineSpeedupRow> {
-    use hss_core::ExtSortPolicy;
-    use hss_extsort::IoMode;
-    use hss_sim::SyncModel;
-    let reps = scale.pipeline_speedup_reps();
-    let fan_in = 16;
-    let run_dir = std::env::temp_dir().join("hss-pipeline-speedup").to_string_lossy().into_owned();
-    let mut rows = Vec::new();
-    for (p, n) in scale.pipeline_speedup_points() {
-        let input = KeyDistribution::Uniform.generate_per_rank(p, n, seed);
-        for d in scale.pipeline_speedup_cap_divisors() {
-            let cap = (n * 8 / d).max(8);
-            for depth in scale.pipeline_speedup_depths() {
-                let make_policy = |pipelined: bool| {
-                    let mut pol = ExtSortPolicy::new(cap, run_dir.clone())
-                        .with_fan_in(fan_in)
-                        .with_io_mode(IoMode::Overlapped);
-                    if pipelined {
-                        pol = pol.with_pipelined();
-                    }
-                    if let Some(dep) = depth {
-                        pol = pol.with_prefetch_depth(dep);
-                    }
-                    pol
-                };
-                let run_arm = |pipelined: bool| {
-                    let mut machine = Machine::flat(p).with_sync_model(SyncModel::Overlapped);
-                    let cfg = HssConfig::default().with_ext_sort(make_policy(pipelined));
-                    let start = std::time::Instant::now();
-                    let (outcome, ext) =
-                        HssSorter::new(cfg).sort_out_of_core(&mut machine, input.clone());
-                    let wall = start.elapsed().as_secs_f64();
-                    let words = machine.metrics().total_disk_words();
-                    (outcome.data, ext, words, machine.simulated_time(), wall)
-                };
-                // Arms alternate within each repetition (rep 0 is an
-                // untimed warmup) so background drift hits both equally;
-                // each arm keeps its minimum wall time.  Scratch bytes,
-                // disk words and makespan are deterministic, so the warmup
-                // repetition's values are the values.
-                let mut mat_wall = f64::INFINITY;
-                let mut pipe_wall = f64::INFINITY;
-                let mut verified = true;
-                let mut mat_stats = None;
-                let mut pipe_stats = None;
-                for rep in 0..=reps {
-                    let (md, me, mwords, mmk, mwall) = run_arm(false);
-                    let (pd, pe, pwords, pmk, pwall) = run_arm(true);
-                    verified &= md == pd;
-                    if rep == 0 {
-                        mat_stats = Some((me, mwords, mmk));
-                        pipe_stats = Some((pe, pwords, pmk));
-                        continue;
-                    }
-                    mat_wall = mat_wall.min(mwall);
-                    pipe_wall = pipe_wall.min(pwall);
-                }
-                let (me, mwords, mmk) = mat_stats.expect("at least the warmup ran");
-                let (pe, pwords, pmk) = pipe_stats.expect("at least the warmup ran");
-                rows.push(PipelineSpeedupRow {
-                    ranks: p,
-                    keys_per_rank: n,
-                    total_keys: (p * n) as u64,
-                    record_bytes: 8,
-                    memory_cap_bytes: cap as u64,
-                    cap_divisor: d,
-                    prefetch_depth: depth,
-                    fan_in,
-                    reps,
-                    materialized_wall_seconds: mat_wall,
-                    materialized_makespan_seconds: mmk,
-                    materialized_scratch_bytes: me.disk_bytes(),
-                    materialized_disk_words: mwords,
-                    materialized_io_wait_seconds: me.io_wait_seconds,
-                    materialized_io_wait_fraction: me.io_wait_fraction(),
-                    pipelined_wall_seconds: pipe_wall,
-                    pipelined_makespan_seconds: pmk,
-                    pipelined_scratch_bytes: pe.disk_bytes(),
-                    pipelined_disk_words: pwords,
-                    pipelined_io_wait_seconds: pe.io_wait_seconds,
-                    pipelined_io_wait_fraction: pe.io_wait_fraction(),
-                    scratch_bytes_saved: me.disk_bytes().saturating_sub(pe.disk_bytes()),
-                    wall_speedup: mat_wall / pipe_wall,
-                    makespan_speedup: mmk / pmk,
-                    verified,
-                });
-            }
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1619,37 +1455,6 @@ mod tests {
         assert!(rows.iter().any(|r| r.record_type == "tera100" && r.record_bytes == 100));
         assert!(rows.iter().any(|r| r.merge_passes == 1));
         assert!(rows.iter().any(|r| r.merge_passes >= 2));
-    }
-
-    #[test]
-    fn pipeline_speedup_rows_verify_and_save_scratch_traffic() {
-        let rows = pipeline_speedup_rows(Scale::Smoke, 13);
-        let expected = Scale::Smoke.pipeline_speedup_points().len()
-            * Scale::Smoke.pipeline_speedup_cap_divisors().len()
-            * Scale::Smoke.pipeline_speedup_depths().len();
-        assert_eq!(rows.len(), expected);
-        for row in &rows {
-            assert!(row.verified, "pipelined output must match materialized bitwise");
-            assert!(
-                row.pipelined_scratch_bytes < row.materialized_scratch_bytes,
-                "pipelined must move strictly fewer scratch bytes ({} !< {})",
-                row.pipelined_scratch_bytes,
-                row.materialized_scratch_bytes
-            );
-            assert!(
-                row.pipelined_disk_words < row.materialized_disk_words,
-                "the cost model must also see fewer disk words"
-            );
-            assert_eq!(
-                row.scratch_bytes_saved,
-                row.materialized_scratch_bytes - row.pipelined_scratch_bytes
-            );
-            assert!(row.materialized_wall_seconds > 0.0 && row.pipelined_wall_seconds > 0.0);
-            assert!(row.materialized_makespan_seconds > 0.0);
-            assert!(row.pipelined_makespan_seconds > 0.0);
-            // The wall/makespan *win* is asserted on the committed
-            // default-scale rows, not at smoke sizes on a noisy CI host.
-        }
     }
 
     #[test]

@@ -310,51 +310,6 @@ impl Scale {
             Scale::Full => 2,
         }
     }
-
-    /// `(ranks, keys per rank)` points for the `pipeline_speedup`
-    /// experiment (single-pass pipelined out-of-core vs
-    /// materialize-then-exchange).  Every point spills under its smallest
-    /// cap divisor, so both arms always exercise the external path.
-    pub fn pipeline_speedup_points(&self) -> Vec<(usize, usize)> {
-        match self {
-            // Large enough that one fence stride (~512 B) is a small
-            // fraction of a run: at microscopic inputs splitter probes
-            // rival the data itself and the comparison is meaningless.
-            Scale::Smoke => vec![(4, 20_000)],
-            Scale::Default => vec![(8, 100_000), (8, 250_000)],
-            Scale::Full => vec![(8, 250_000), (16, 250_000)],
-        }
-    }
-
-    /// Memory-cap divisors for `pipeline_speedup`: the per-rank cap is
-    /// `keys_per_rank * 8 / divisor`, so larger divisors mean harsher
-    /// spills (more runs, deeper merges).
-    pub fn pipeline_speedup_cap_divisors(&self) -> Vec<usize> {
-        match self {
-            Scale::Smoke => vec![4],
-            Scale::Default | Scale::Full => vec![4, 16],
-        }
-    }
-
-    /// Prefetch depths for the pipelined arm's overlapped merge reader
-    /// (`None` = auto-tuned from the machine's disk cost model and the
-    /// measured io-wait fraction of run formation).
-    pub fn pipeline_speedup_depths(&self) -> Vec<Option<usize>> {
-        match self {
-            Scale::Smoke => vec![None],
-            Scale::Default | Scale::Full => vec![None, Some(2), Some(8)],
-        }
-    }
-
-    /// Timed repetitions per `pipeline_speedup` cell (the minimum wall time
-    /// is reported, after one untimed warmup; the two arms alternate within
-    /// each repetition so background drift hits both).
-    pub fn pipeline_speedup_reps(&self) -> usize {
-        match self {
-            Scale::Smoke => 2,
-            Scale::Default | Scale::Full => 2,
-        }
-    }
 }
 
 impl fmt::Display for Scale {

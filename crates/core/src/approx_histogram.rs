@@ -12,9 +12,11 @@
 
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::sampling::random_block_sample;
+use hss_partition::sampling::random_block_sample_positions;
 use hss_partition::{local_ranks_le, local_ranks_work};
 use hss_sim::{Machine, Phase, Work};
+
+use crate::multi_round::SortedSource;
 
 use serde::{Deserialize, Serialize};
 
@@ -100,12 +102,31 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
     where
         K: RadixSortable,
     {
-        let per_rank = machine.map_phase(Phase::Sampling, per_rank_sorted, move |rank, local| {
+        let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
+        Self::build_from(machine, &mut sources, sample_size, seed, local_sort)
+    }
+
+    /// [`Self::build`] over any per-rank [`SortedSource`]: the block
+    /// positions are drawn here, so a spilled rank keeps the sample an
+    /// in-memory rank holding the same keys would keep.
+    pub(crate) fn build_from<S: SortedSource<K>>(
+        machine: &mut Machine,
+        sources: &mut [S],
+        sample_size: usize,
+        seed: u64,
+        local_sort: LocalSortAlgo,
+    ) -> Self
+    where
+        K: RadixSortable,
+    {
+        let per_rank = machine.map_phase_mut(Phase::Sampling, sources, move |rank, source| {
             let mut rng = hss_keygen::rank_rng(seed ^ 0x5A5A, rank);
-            let mut samples = random_block_sample(local, sample_size, &mut rng);
+            let local_len = source.len();
+            let positions = random_block_sample_positions(local_len, sample_size, &mut rng);
+            let mut samples = source.keys_at(&positions);
             local_sort.sort_slice(&mut samples);
-            let work = Work::scan(samples.len());
-            (RepresentativeSample { samples, local_len: local.len() }, work)
+            let work = Work::scan(samples.len()).and(source.take_disk_work());
+            (RepresentativeSample { samples, local_len }, work)
         });
         Self { per_rank }
     }
@@ -210,7 +231,7 @@ mod tests {
     fn representative_sample_estimates_local_rank() {
         let local: Vec<u64> = (0..10_000).collect();
         let mut rng = hss_keygen::rank_rng(3, 0);
-        let mut samples = random_block_sample(&local, 100, &mut rng);
+        let mut samples = hss_partition::sampling::random_block_sample(&local, 100, &mut rng);
         samples.sort_unstable();
         let rs = RepresentativeSample { samples, local_len: local.len() };
         // True local rank of 5000 is 5000; block size is 100, so the

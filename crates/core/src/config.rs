@@ -67,30 +67,23 @@ pub struct ExtSortPolicy {
     pub fan_in: usize,
     /// Synchronous vs. overlapped disk scheduling.
     pub io_mode: IoMode,
-    /// Single-pass pipelined drain: instead of materializing each spilled
-    /// rank's sorted array before the exchange, splitters are determined
-    /// straight from the run files and the draining k-way merge streams
-    /// bucket-by-bucket into staged asynchronous exchange sends — one
-    /// fewer full disk round-trip per spilled rank.  Output stays bitwise
-    /// identical; incompatible with `approximate_histograms`.
-    pub pipelined: bool,
     /// Fixed prefetch depth (blocks in flight per run) for the overlapped
-    /// merge; `None` auto-tunes depth and fan-in per spilled rank from the
-    /// machine's disk cost model and the measured run-formation io-wait
-    /// fraction.
+    /// merge, pinning the merge geometry as configured; `None` keeps the
+    /// double buffer and lets each spilled rank widen `fan_in` to cover its
+    /// runs in one pass when the cap allows
+    /// ([`hss_extsort::choose_fan_in`]).
     pub prefetch_depth: Option<usize>,
 }
 
 impl ExtSortPolicy {
     /// A policy with the given budget and scratch root, fan-in 16,
-    /// overlapped I/O, materialize-then-exchange (non-pipelined).
+    /// overlapped I/O, unpinned prefetch depth.
     pub fn new(memory_cap_bytes: usize, run_dir: impl Into<String>) -> Self {
         Self {
             memory_cap_bytes,
             run_dir: run_dir.into(),
             fan_in: 16,
             io_mode: IoMode::default(),
-            pipelined: false,
             prefetch_depth: None,
         }
     }
@@ -107,13 +100,17 @@ impl ExtSortPolicy {
         self
     }
 
-    /// Enable the single-pass pipelined drain.
-    pub fn with_pipelined(mut self) -> Self {
-        self.pipelined = true;
+    /// Identity.  The out-of-core tier has one path — the single-pass
+    /// drain this used to select — but `benchmark/src/workload.rs` still
+    /// calls it and `benchmark/` was frozen in the PR that removed the
+    /// other arm; the next benchmark PR drops that call and this method.
+    #[doc(hidden)]
+    pub fn with_pipelined(self) -> Self {
         self
     }
 
-    /// Pin the overlapped merge's prefetch depth instead of auto-tuning.
+    /// Pin the overlapped merge's prefetch depth (and with it the
+    /// configured fan-in).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = Some(depth);
         self
@@ -264,15 +261,6 @@ impl HssConfig {
         Self { epsilon, schedule: RoundSchedule::Theoretical { rounds: 2 }, ..Self::default() }
     }
 
-    /// Start a validating builder from the default configuration.  Unlike
-    /// the `with_*` setters (which defer validation to
-    /// [`crate::sorter::HssSorter::sort`]), [`HssConfigBuilder::build`]
-    /// validates once and returns `Result`, so misconfiguration surfaces at
-    /// construction instead of panicking mid-sort.
-    pub fn builder() -> HssConfigBuilder {
-        HssConfigBuilder { config: Self::default() }
-    }
-
     /// Set the load-imbalance threshold ε.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
@@ -381,109 +369,6 @@ impl HssConfig {
     }
 }
 
-/// Fluent, *validating* builder for [`HssConfig`]: collect settings with the
-/// same `with_*` vocabulary as the config itself, then [`Self::build`] runs
-/// [`HssConfig::validate`] once and returns `Err` instead of letting an
-/// invalid configuration panic inside a later `sort` call.
-///
-/// ```
-/// use hss_core::{HssConfig, RoundSchedule};
-///
-/// let config = HssConfig::builder()
-///     .with_epsilon(0.02)
-///     .with_schedule(RoundSchedule::ConstantOversampling { oversampling: 5.0, max_rounds: 64 })
-///     .with_seed(42)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(config.epsilon, 0.02);
-/// assert!(HssConfig::builder().with_epsilon(-1.0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct HssConfigBuilder {
-    config: HssConfig,
-}
-
-impl HssConfigBuilder {
-    /// Set the load-imbalance threshold ε.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.config.epsilon = epsilon;
-        self
-    }
-
-    /// Set the sampling/round schedule.
-    pub fn with_schedule(mut self, schedule: RoundSchedule) -> Self {
-        self.config.schedule = schedule;
-        self
-    }
-
-    /// Set the splitter-finalization rule.
-    pub fn with_splitter_rule(mut self, rule: SplitterRule) -> Self {
-        self.config.splitter_rule = rule;
-        self
-    }
-
-    /// Enable node-level partitioning.
-    pub fn with_node_level(mut self) -> Self {
-        self.config.node_level = true;
-        self
-    }
-
-    /// Set the within-node load-imbalance threshold (node-level mode).
-    pub fn with_within_node_epsilon(mut self, epsilon: f64) -> Self {
-        self.config.within_node_epsilon = epsilon;
-        self
-    }
-
-    /// Enable duplicate tagging.
-    pub fn with_duplicate_tagging(mut self) -> Self {
-        self.config.tag_duplicates = true;
-        self
-    }
-
-    /// Answer histogram rounds from representative samples (§3.4).
-    pub fn with_approximate_histograms(mut self) -> Self {
-        self.config.approximate_histograms = true;
-        self
-    }
-
-    /// Select the all-to-all exchange engine (flat by default).
-    pub fn with_exchange_engine(mut self, engine: ExchangeEngine) -> Self {
-        self.config.exchange_engine = engine;
-        self
-    }
-
-    /// Select the local-sort algorithm (radix by default).
-    pub fn with_local_sort(mut self, algo: LocalSortAlgo) -> Self {
-        self.config.local_sort = algo;
-        self
-    }
-
-    /// Set the minimum fraction of total keys a mid-round exchange stage
-    /// must cover (overlapped execution only).
-    pub fn with_min_stage_fraction(mut self, fraction: f64) -> Self {
-        self.config.min_stage_fraction = fraction;
-        self
-    }
-
-    /// Set the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Enable the out-of-core fallback with the given policy.
-    pub fn with_ext_sort(mut self, policy: ExtSortPolicy) -> Self {
-        self.config.ext_sort = Some(policy);
-        self
-    }
-
-    /// Validate and return the configuration.
-    pub fn build(self) -> Result<HssConfig, String> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,40 +429,6 @@ mod tests {
         assert_eq!(c.schedule, RoundSchedule::Theoretical { rounds: 3 });
         assert_eq!(c.splitter_rule, SplitterRule::Scanning);
         assert_eq!(c.within_node_epsilon, 0.2);
-    }
-
-    #[test]
-    fn builder_validates_at_build_time() {
-        let built = HssConfig::builder()
-            .with_epsilon(0.02)
-            .with_schedule(RoundSchedule::ConstantOversampling { oversampling: 4.0, max_rounds: 8 })
-            .with_splitter_rule(SplitterRule::ClosestRank)
-            .with_node_level()
-            .with_within_node_epsilon(0.1)
-            .with_duplicate_tagging()
-            .with_approximate_histograms()
-            .with_exchange_engine(ExchangeEngine::Nested)
-            .with_local_sort(LocalSortAlgo::Comparison)
-            .with_min_stage_fraction(0.5)
-            .with_seed(99)
-            .build()
-            .expect("valid config");
-        assert_eq!(built.epsilon, 0.02);
-        assert!(built.node_level);
-        assert!(built.tag_duplicates);
-        assert!(built.approximate_histograms);
-        assert_eq!(built.exchange_engine, ExchangeEngine::Nested);
-        assert_eq!(built.local_sort, LocalSortAlgo::Comparison);
-        assert_eq!(built.min_stage_fraction, 0.5);
-        assert_eq!(built.seed, 99);
-
-        // Invalid settings surface at build time, not inside `sort`.
-        assert!(HssConfig::builder().with_epsilon(0.0).build().is_err());
-        assert!(HssConfig::builder().with_min_stage_fraction(2.0).build().is_err());
-        assert!(HssConfig::builder()
-            .with_schedule(RoundSchedule::Theoretical { rounds: 0 })
-            .build()
-            .is_err());
     }
 
     #[test]

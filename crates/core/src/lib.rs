@@ -60,17 +60,15 @@ pub mod report;
 pub mod request;
 pub mod scanning;
 pub mod sorter;
+mod staging;
 pub mod theory;
 
 pub use approx_histogram::{ApproxHistogrammer, RepresentativeSample};
-pub use config::{ExtSortPolicy, HssConfig, HssConfigBuilder, RoundSchedule, SplitterRule};
+pub use config::{ExtSortPolicy, HssConfig, RoundSchedule, SplitterRule};
 pub use duplicates::Tagged;
 pub use hss_lsort::{LocalSortAlgo, RadixSortable};
 pub use local_sort::charged_local_sort;
-pub use multi_round::{
-    determine_splitters, determine_splitters_seeded, determine_splitters_with, RoundProgress,
-    WarmStart,
-};
+pub use multi_round::{determine_splitters, determine_splitters_seeded, RoundProgress, WarmStart};
 pub use overlap::overlapped_exchange_sort;
 pub use report::{RoundStats, SortReport, SplitterReport};
 pub use request::{SortRequest, Sorter};

@@ -34,16 +34,17 @@ use hss_sim::Work;
 /// [`Work`]: [`Work::sort`] for the comparison sort, [`Work::radix_sort`]
 /// (with the item type's byte-pass count) for the radix sort.
 pub fn charged_local_sort<T: RadixSortable>(algo: LocalSortAlgo, data: &mut [T]) -> Work {
-    let n = data.len();
+    algo.sort_slice(data);
+    local_sort_work::<T>(algo, data.len())
+}
+
+/// The modelled [`Work`] of sorting `n` items of type `T` with `algo` —
+/// also what the out-of-core tier charges for run formation, which runs
+/// the same sort over the same items chunk by chunk.
+pub(crate) fn local_sort_work<T: RadixSortable>(algo: LocalSortAlgo, n: usize) -> Work {
     match algo {
-        LocalSortAlgo::Comparison => {
-            data.sort_unstable();
-            Work::sort(n)
-        }
-        LocalSortAlgo::Radix => {
-            hss_lsort::radix_sort(data);
-            Work::radix_sort(n, T::RADIX_BYTES)
-        }
+        LocalSortAlgo::Comparison => Work::sort(n),
+        LocalSortAlgo::Radix => Work::radix_sort(n, T::RADIX_BYTES),
     }
 }
 

@@ -10,10 +10,13 @@
 //! shrinking — splitter intervals, the total sample stays tiny
 //! (Theorems 3.3.1–3.3.4).
 
+use std::ops::Range;
+
 use hss_keygen::{rank_rng, Key, Keyed};
 use hss_lsort::RadixSortable;
 use hss_partition::{
-    global_ranks, merge_key_intervals_with, sampling, SplitterIntervals, SplitterSet,
+    local_ranks, local_ranks_work, merge_key_intervals_with, sampling, SplitterIntervals,
+    SplitterSet,
 };
 use hss_sim::{CostModel, Machine, Phase, Work};
 
@@ -24,7 +27,7 @@ use crate::scanning;
 use crate::theory;
 
 /// What one histogramming round left behind, as seen by a round observer
-/// (see [`determine_splitters_with`]).
+/// (see [`determine_splitters_seeded`]).
 ///
 /// The observer reads the interval bookkeeping directly — in particular
 /// which splitters are newly finalized
@@ -112,34 +115,20 @@ pub fn determine_splitters<T: Keyed>(
 where
     T::K: RadixSortable,
 {
-    determine_splitters_with(machine, per_rank_sorted, buckets, config, |_, _| {})
+    determine_splitters_seeded(machine, per_rank_sorted, buckets, config, None, |_, _| {})
 }
 
-/// [`determine_splitters`] with a round observer: `on_round` is invoked
-/// after every histogramming round's interval update (and bookkeeping),
-/// with machine access so it can charge additional supersteps.  With a
-/// no-op observer this is *exactly* [`determine_splitters`] — same
-/// supersteps, same charges, bitwise — which is what keeps the
-/// [`SyncModel::Bsp`](hss_sim::SyncModel) cost signature identical to the
-/// historical accounting while the overlapped path builds on the same code.
-pub fn determine_splitters_with<T: Keyed, F>(
-    machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
-    buckets: usize,
-    config: &HssConfig,
-    on_round: F,
-) -> (SplitterSet<T::K>, SplitterReport)
-where
-    T::K: RadixSortable,
-    F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
-{
-    determine_splitters_seeded(machine, per_rank_sorted, buckets, config, None, on_round)
-}
-
-/// [`determine_splitters_with`] with an optional [`WarmStart`].
+/// [`determine_splitters`] with a round observer and an optional
+/// [`WarmStart`].
 ///
-/// With `warm: None` (or an empty warm start) this is *exactly*
-/// [`determine_splitters_with`] — same supersteps, same charges, bitwise.
+/// `on_round` is invoked after every histogramming round's interval update
+/// (and bookkeeping), with machine access so it can charge additional
+/// supersteps — the hook the overlapped sorter builds on.  With a no-op
+/// observer and `warm: None` (or an empty warm start) this is *exactly*
+/// [`determine_splitters`] — same supersteps, same charges, bitwise —
+/// which is what keeps the [`SyncModel::Bsp`](hss_sim::SyncModel) cost
+/// signature identical to the historical accounting.
+///
 /// With a non-empty warm start, round 1 becomes a **probe-only** round: the
 /// carried keys are broadcast and ranked against the new keyspace (charged
 /// like any histogramming round) but no sampling happens
@@ -160,121 +149,86 @@ where
     T::K: RadixSortable,
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
-    determine_splitters_from(
-        machine,
-        &mut MemData(per_rank_sorted),
-        buckets,
-        config,
-        warm,
-        on_round,
-    )
+    let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
+    determine_splitters_from(machine, &mut sources, buckets, config, warm, on_round)
 }
 
-/// A distributed per-rank data source splitter determination can sample and
-/// histogram against: fully in-memory sorted vectors ([`MemData`], the
-/// historical path) or the out-of-core tier's mix of in-memory ranks and
-/// spilled run files.
-///
-/// Implementations own the superstep charging: each method runs exactly one
-/// sampling or histogramming superstep against the machine, so the round
-/// structure (and for [`MemData`] the bitwise cost signature) is identical
-/// across sources.
-pub(crate) trait SplitterData<K: Key + RadixSortable> {
-    /// Total number of keys across all ranks.
-    fn total_keys(&self) -> u64;
+/// One rank's locally sorted data as splitter determination sees it: a
+/// sorted slice in memory, or the out-of-core tier's spilled run files
+/// answering the same queries through windowed probes.  *Where the data
+/// lives* is all an implementation decides; [`determine_splitters_from`]
+/// owns the supersteps, the charges and the RNG — sources only ever see
+/// the index positions it drew, so the chosen splitters (and therefore the
+/// output) cannot depend on which ranks spilled.
+pub(crate) trait SortedSource<K: Key>: Send {
+    /// Number of local records.
+    fn len(&self) -> usize;
 
-    /// One sampling superstep ([`Phase::Sampling`]): every rank
-    /// Bernoulli-samples the keys inside `key_intervals` with
-    /// `probability`, its randomness derived from `seed` via
-    /// [`rank_rng`].  Implementations must consume the RNG stream
-    /// identically for identical logical data, so in-memory and spilled
-    /// ranks draw the same sample positions.
-    fn sampling_phase(
+    /// The keys at the positions `draw` picks inside each of the (disjoint,
+    /// sorted, inclusive) key `intervals`: `draw` is called once per
+    /// interval, in order, with the interval's index range in the sorted
+    /// data (`hss_partition::interval_bounds` semantics).
+    fn sample_in_intervals(
         &mut self,
-        machine: &mut Machine,
-        key_intervals: &[(K, K)],
-        probability: f64,
-        seed: u64,
-    ) -> Vec<Vec<K>>;
+        intervals: &[(K, K)],
+        draw: impl FnMut(Range<u64>) -> Vec<u64>,
+    ) -> Vec<K>;
 
-    /// One histogramming superstep: global ranks of the sorted `probes`
-    /// (local counts + reduction), charged to [`Phase::Histogramming`].
-    fn histogram_ranks(&mut self, machine: &mut Machine, probes: &[K]) -> Vec<u64>;
+    /// `count(key < probe)` for every probe (ascending).
+    fn local_ranks(&mut self, probes: &[K]) -> Vec<u64>;
 
-    /// Build the §3.4 approximate-histogram oracle over this data.
-    /// Sources that cannot (spilled runs) panic; callers that dispatch to
-    /// such sources must reject `config.approximate_histograms` up front.
-    fn approx_oracle(&self, machine: &mut Machine, config: &HssConfig) -> ApproxHistogrammer<K>;
+    /// The keys at the given positions of the sorted data.
+    fn keys_at(&mut self, positions: &[u64]) -> Vec<K>;
+
+    /// The disk traffic the queries since the previous call caused, as a
+    /// charge for the superstep that ran them.
+    fn take_disk_work(&mut self) -> Work;
 }
 
-/// The in-memory [`SplitterData`]: per-rank sorted vectors, exactly the
-/// historical supersteps and charges of `determine_splitters_seeded`.
-pub(crate) struct MemData<'a, T: Keyed>(pub(crate) &'a [Vec<T>]);
-
-impl<T: Keyed> SplitterData<T::K> for MemData<'_, T>
-where
-    T::K: RadixSortable,
-{
-    fn total_keys(&self) -> u64 {
-        self.0.iter().map(|v| v.len() as u64).sum()
+impl<T: Keyed> SortedSource<T::K> for &[T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
     }
 
-    fn sampling_phase(
+    fn sample_in_intervals(
         &mut self,
-        machine: &mut Machine,
-        key_intervals: &[(T::K, T::K)],
-        probability: f64,
-        seed: u64,
-    ) -> Vec<Vec<T::K>> {
-        machine.map_phase(Phase::Sampling, self.0, |rank, local| {
-            let mut rng = rank_rng(seed, rank);
-            let sample = sampling::bernoulli_sample_in_intervals(
-                local,
-                key_intervals,
-                probability,
-                &mut rng,
-            );
-            // Charge the strategy `interval_bounds` actually executed
-            // for this shape (binary search / sweep / decision tree)
-            // plus the geometric-skip draw per emitted sample.
-            let work = sampling::interval_bounds_work(local.len(), key_intervals.len())
-                .and(Work::scan(sample.len()));
-            (sample, work)
-        })
+        intervals: &[(T::K, T::K)],
+        mut draw: impl FnMut(Range<u64>) -> Vec<u64>,
+    ) -> Vec<T::K> {
+        let mut sample = Vec::new();
+        for (start, end) in sampling::interval_bounds(self, intervals) {
+            sample
+                .extend(draw(start as u64..end as u64).into_iter().map(|i| self[i as usize].key()));
+        }
+        sample
     }
 
-    fn histogram_ranks(&mut self, machine: &mut Machine, probes: &[T::K]) -> Vec<u64> {
-        global_ranks(machine, self.0, probes, Phase::Histogramming)
+    fn local_ranks(&mut self, probes: &[T::K]) -> Vec<u64> {
+        local_ranks(self, probes)
     }
 
-    fn approx_oracle(&self, machine: &mut Machine, config: &HssConfig) -> ApproxHistogrammer<T::K> {
-        let sample_size = ApproxHistogrammer::<T::K>::prescribed_sample_size(
-            machine.ranks().max(2),
-            config.epsilon,
-        );
-        ApproxHistogrammer::build(
-            machine,
-            self.0,
-            sample_size,
-            config.seed ^ 0xA44A_1970,
-            config.local_sort,
-        )
+    fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
+        positions.iter().map(|&i| self[i as usize].key()).collect()
+    }
+
+    fn take_disk_work(&mut self) -> Work {
+        Work::none()
     }
 }
 
 /// Rank a sorted probe set against the input: exact counting through the
-/// data source or the §3.4 representative-sample oracle, both charged to
-/// the histogramming phase.
-fn ranked<K, D>(
+/// sources (local ranks + reduction) or the §3.4 representative-sample
+/// oracle, both charged to the histogramming phase.
+fn ranked<K, S>(
     machine: &mut Machine,
-    data: &mut D,
+    sources: &mut [S],
     oracle: &Option<ApproxHistogrammer<K>>,
     probes: &[K],
     total_keys: u64,
 ) -> Vec<u64>
 where
     K: Key + RadixSortable,
-    D: SplitterData<K>,
+    S: SortedSource<K>,
 {
     match oracle {
         Some(oracle) => {
@@ -295,19 +249,25 @@ where
                 })
                 .collect()
         }
-        None => data.histogram_ranks(machine, probes),
+        None => {
+            let locals = machine.map_phase_mut(Phase::Histogramming, sources, |_rank, source| {
+                let ranks = source.local_ranks(probes);
+                let work = local_ranks_work(source.len(), probes.len());
+                (ranks, work.and(source.take_disk_work()))
+            });
+            machine.reduce_sum(Phase::Histogramming, &locals)
+        }
     }
 }
 
-/// The generic splitter-determination driver behind
-/// [`determine_splitters_seeded`]: the same rounds, supersteps and
-/// bookkeeping over any [`SplitterData`] source.  With [`MemData`] this is
-/// bitwise the historical algorithm; the out-of-core tier feeds it a
-/// mixed in-memory/spilled source so splitters come straight from run
-/// files without materializing the sorted array.
-pub(crate) fn determine_splitters_from<K, D, F>(
+/// The splitter-determination driver behind [`determine_splitters_seeded`]:
+/// the rounds, supersteps and bookkeeping over one [`SortedSource`] per
+/// rank.  Over slices this is bitwise the historical algorithm; the
+/// out-of-core tier feeds it its rank stores, so splitters come straight
+/// from run files without materializing the sorted array.
+pub(crate) fn determine_splitters_from<K, S, F>(
     machine: &mut Machine,
-    data: &mut D,
+    sources: &mut [S],
     buckets: usize,
     config: &HssConfig,
     warm: Option<&WarmStart<K>>,
@@ -315,12 +275,12 @@ pub(crate) fn determine_splitters_from<K, D, F>(
 ) -> (SplitterSet<K>, SplitterReport)
 where
     K: Key + RadixSortable,
-    D: SplitterData<K>,
+    S: SortedSource<K>,
     F: FnMut(&mut Machine, &RoundProgress<'_, K>),
 {
     config.validate().expect("invalid HSS configuration");
     assert!(buckets >= 1, "need at least one bucket");
-    let total_keys: u64 = data.total_keys();
+    let total_keys: u64 = sources.iter().map(|s| s.len() as u64).sum();
     // With approximate histograms (§3.4) every reported rank can be off by
     // up to εN/p ≈ 2·tol, so the finalization tolerance is widened
     // accordingly (the paper makes the same observation: a key reported
@@ -350,11 +310,17 @@ where
     // representative sample instead of the full local data.  The ranks it
     // returns are within εN/p of the truth w.h.p. (Theorem 3.4.1), so the
     // achieved load balance degrades from (1 + ε) to roughly (1 + 2ε).
-    let rank_oracle = if config.approximate_histograms {
-        Some(data.approx_oracle(machine, config))
-    } else {
-        None
-    };
+    let rank_oracle = config.approximate_histograms.then(|| {
+        let sample_size =
+            ApproxHistogrammer::<K>::prescribed_sample_size(machine.ranks().max(2), config.epsilon);
+        ApproxHistogrammer::build_from(
+            machine,
+            sources,
+            sample_size,
+            config.seed ^ 0xA44A_1970,
+            config.local_sort,
+        )
+    });
 
     // Keep the probes of the last round around for the scanning rule.
     #[allow(unused_assignments)]
@@ -372,7 +338,7 @@ where
         let open_before = intervals.unfinalized_count(tolerance);
         let probes = warm.probes().to_vec();
         machine.broadcast(Phase::Histogramming, &probes);
-        let ranks = ranked(machine, data, &rank_oracle, &probes, total_keys);
+        let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
         intervals.update(&probes, &ranks);
         let open_after =
             record_round(&mut report, &intervals, tolerance, round, 0, probes.len(), open_before);
@@ -412,7 +378,20 @@ where
         // --- Sampling phase -------------------------------------------------
         let seed = config.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let per_rank_samples: Vec<Vec<K>> =
-            data.sampling_phase(machine, &key_intervals, probability, seed);
+            machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
+                // Sampling Method 1: geometric-skip Bernoulli draws over
+                // each interval's index range.
+                let mut rng = rank_rng(seed, rank);
+                let sample = source.sample_in_intervals(&key_intervals, |range| {
+                    sampling::bernoulli_sample_positions(range, probability, &mut rng)
+                });
+                // Charge the strategy `interval_bounds` actually executes
+                // for this shape (binary search / sweep / decision tree)
+                // plus the geometric-skip draw per emitted sample.
+                let work = sampling::interval_bounds_work(source.len(), key_intervals.len())
+                    .and(Work::scan(sample.len()));
+                (sample, work.and(source.take_disk_work()))
+            });
 
         // Gather the sample at the central processor and sort it there.
         // The root's sort of the gathered sample is part of the *sampling*
@@ -433,7 +412,7 @@ where
         // Broadcast the probes, compute local histograms (exact or from the
         // representative samples), reduce.
         machine.broadcast(Phase::Histogramming, &probes);
-        let ranks = ranked(machine, data, &rank_oracle, &probes, total_keys);
+        let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
         intervals.update(&probes, &ranks);
 
         let open_after = record_round(

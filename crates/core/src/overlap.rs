@@ -10,16 +10,16 @@
 //! This module is the simulator-side reproduction of that pipeline on top
 //! of [`SyncModel::Overlapped`](hss_sim::SyncModel):
 //!
-//! 1. [`determine_splitters_with`] runs the normal histogramming rounds; a
+//! 1. [`determine_splitters_seeded`] runs the normal histogramming rounds; a
 //!    round observer *freezes* each splitter the round it finalizes
 //!    (clamped monotone against already-frozen neighbours) and broadcasts
 //!    the newly frozen keys;
 //! 2. every rank locates the new splitters in its sorted data (one binary
 //!    search each), which completes the bucket boundaries of every bucket
 //!    whose two bounding splitters are now frozen;
-//! 3. the completed buckets are injected as an asynchronous
-//!    [`ExchangeStage`] ([`Machine::exchange_stage`]): the transfer
-//!    occupies the senders' NICs while the next sampling/histogramming
+//! 3. the completed buckets are injected as an asynchronous exchange stage
+//!    ([`Machine::exchange_stage`]): the transfer occupies the senders'
+//!    NICs while the next sampling/histogramming
 //!    rounds advance the compute clocks — this is where the overlap win
 //!    comes from.  Batches smaller than
 //!    [`HssConfig::min_stage_fraction`] of the input are deferred so
@@ -38,11 +38,12 @@
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
 use hss_partition::{merge_runs_for, splitter_position};
-use hss_sim::{ExchangePlan, ExchangeStage, Machine, Phase, Work};
+use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
 use crate::config::HssConfig;
-use crate::multi_round::determine_splitters_with;
+use crate::multi_round::determine_splitters_seeded;
 use crate::report::SplitterReport;
+use crate::staging::StagedExchange;
 
 /// Sentinel for a bucket boundary whose splitter is not yet frozen.
 const UNKNOWN: usize = usize::MAX;
@@ -73,7 +74,6 @@ where
     }
     let nsplit = p - 1;
     let total_keys: usize = per_rank_sorted.iter().map(|v| v.len()).sum();
-    let min_stage_elems = (config.min_stage_fraction * total_keys as f64).ceil() as usize;
 
     // Frozen splitter keys (set the round each splitter finalizes).
     let mut frozen: Vec<Option<T::K>> = vec![None; nsplit];
@@ -90,11 +90,15 @@ where
         })
         .collect();
     // Which buckets have already travelled, and when their stage lands.
-    let mut staged = vec![false; p];
-    let mut arrival = vec![0.0f64; p];
+    let mut stages = StagedExchange::new(p, total_keys, config.min_stage_fraction);
 
-    let (fallback, report) =
-        determine_splitters_with(machine, per_rank_sorted, p, config, |machine, progress| {
+    let (fallback, report) = determine_splitters_seeded(
+        machine,
+        per_rank_sorted,
+        p,
+        config,
+        None,
+        |machine, progress| {
             // Freeze every splitter that finalized this round (all remaining
             // ones on the last round — further rounds cannot improve them).
             let newly: Vec<usize> = (0..nsplit)
@@ -122,12 +126,12 @@ where
                 machine,
                 per_rank_sorted,
                 &bounds,
-                &mut staged,
-                &mut arrival,
+                &mut stages,
                 progress.round,
-                if progress.is_last { 0 } else { min_stage_elems },
+                progress.is_last,
             );
-        });
+        },
+    );
 
     // Early-return paths of determine_splitters (empty input) never invoke
     // the observer: freeze the remaining splitters from the returned set
@@ -142,15 +146,15 @@ where
             }
         }
         locate_splitters(machine, per_rank_sorted, &new_pairs, &mut bounds);
-        stage_ready_buckets(machine, per_rank_sorted, &bounds, &mut staged, &mut arrival, 0, 0);
+        stage_ready_buckets(machine, per_rank_sorted, &bounds, &mut stages, 0, true);
     }
-    debug_assert!(staged.iter().all(|&s| s), "every bucket must have travelled");
+    debug_assert!(stages.all_staged(), "every bucket must have travelled");
 
     // Per-rank full plans over the now-complete boundaries; the merge reads
     // every run in place out of the senders' sorted buffers.
     let plans: Vec<ExchangePlan> =
         bounds.iter().map(|b| ExchangePlan::from_boundaries(b)).collect();
-    machine.wait_until(&arrival);
+    stages.wait_for_arrivals(machine);
     let out = machine.map_phase(Phase::Merge, per_rank_sorted, |dst, _local| {
         let (merged, total, pieces) = merge_runs_for(&plans, per_rank_sorted, dst);
         (merged, Work::merge(total, pieces.max(1)))
@@ -196,64 +200,36 @@ fn locate_splitters<T: Keyed>(
     }
 }
 
-/// Inject every bucket whose two bounding splitters are frozen (and that
-/// has not travelled yet) as one asynchronous exchange stage, unless the
-/// batch moves fewer than `min_elems` keys (then it is deferred to a later
-/// stage; `min_elems == 0` forces the flush).
+/// Offer every bucket whose two bounding splitters are frozen (and that has
+/// not travelled yet) as one asynchronous exchange stage; a batch below the
+/// minimum stage volume waits for a later one unless `force`d.
 fn stage_ready_buckets<T: Keyed>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     bounds: &[Vec<usize>],
-    staged: &mut [bool],
-    arrival: &mut [f64],
+    stages: &mut StagedExchange,
     round: usize,
-    min_elems: usize,
+    force: bool,
 ) {
-    let p = staged.len();
-    let ready: Vec<usize> = (0..p)
-        .filter(|&b| !staged[b] && bounds.iter().all(|br| br[b] != UNKNOWN && br[b + 1] != UNKNOWN))
-        .collect();
-    if ready.is_empty() {
-        return;
-    }
-    let volume: usize =
-        ready.iter().map(|&b| bounds.iter().map(|br| br[b + 1] - br[b]).sum::<usize>()).sum();
-    if volume < min_elems {
-        return;
-    }
-    if volume == 0 {
-        // Nothing travels; mark the buckets done without an empty superstep.
-        for &b in &ready {
-            staged[b] = true;
-        }
-        return;
-    }
-    // The pack/scan each sender performs to stage its send runs.
-    let staged_elems: Vec<usize> =
-        bounds.iter().map(|br| ready.iter().map(|&b| br[b + 1] - br[b]).sum()).collect();
-    let _: Vec<()> = machine.map_phase(Phase::DataExchange, per_rank_sorted, |r, _local| {
-        ((), Work::scan(staged_elems[r]))
-    });
-    let plans: Vec<ExchangePlan> = bounds
-        .iter()
-        .map(|br| {
-            let mut counts = vec![0usize; p];
-            let mut displs = vec![0usize; p];
-            for &b in &ready {
-                counts[b] = br[b + 1] - br[b];
-                displs[b] = br[b];
-            }
-            // Width 0: the stage charges `size_of::<T>()` bytes per record,
-            // so wide records pay their full wire width here too.
-            ExchangePlan { counts, displs, record_width: 0 }
+    let ready: Vec<usize> = (0..bounds[0].len() - 1)
+        .filter(|&b| {
+            !stages.is_staged(b) && bounds.iter().all(|br| br[b] != UNKNOWN && br[b + 1] != UNKNOWN)
         })
         .collect();
-    let stage = ExchangeStage { round, destinations: ready.clone(), plans };
-    let done = machine.exchange_stage::<T>(Phase::DataExchange, &stage);
-    for &b in &ready {
-        staged[b] = true;
-        arrival[b] = done;
-    }
+    stages.offer::<T>(
+        machine,
+        round,
+        &ready,
+        force,
+        |src, dst| bounds[src][dst]..bounds[src][dst + 1],
+        // The pack/scan each sender performs to stage its send runs.
+        |machine, staged_elems| {
+            let _: Vec<()> =
+                machine.map_phase(Phase::DataExchange, per_rank_sorted, |r, _local| {
+                    ((), Work::scan(staged_elems[r]))
+                });
+        },
+    );
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@
 //! load-balance claims; the benchmark harness serialises them.
 
 use hss_partition::LoadBalance;
-use hss_sim::MetricsRegistry;
+use hss_sim::{Machine, MetricsRegistry};
 use serde::{Deserialize, Serialize};
+
+use crate::config::HssConfig;
 
 /// Statistics of one sampling + histogramming round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,6 +98,30 @@ pub struct SortReport {
 }
 
 impl SortReport {
+    /// The report of an HSS run that just finished on `machine`: the
+    /// machine's metrics, sync model and makespan as they stand, the
+    /// configured local sort, and the load balance of `output`.
+    pub fn new<T>(
+        algorithm: &str,
+        machine: &Machine,
+        config: &HssConfig,
+        total_keys: u64,
+        splitters: SplitterReport,
+        output: &[Vec<T>],
+    ) -> Self {
+        Self {
+            algorithm: algorithm.to_string(),
+            ranks: machine.ranks(),
+            total_keys,
+            splitters: Some(splitters),
+            load_balance: LoadBalance::from_rank_data(output),
+            metrics: machine.metrics().clone(),
+            sync_model: machine.sync_model().name().to_string(),
+            local_sort: config.local_sort.name().to_string(),
+            makespan_seconds: machine.simulated_time(),
+        }
+    }
+
     /// Achieved load imbalance (`max / average` final rank load).
     pub fn imbalance(&self) -> f64 {
         self.load_balance.imbalance

@@ -4,7 +4,7 @@
 
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_partition::{exchange_and_merge_with, verify_global_sort, ExchangeMode, LoadBalance};
+use hss_partition::{exchange_and_merge_with, verify_global_sort, ExchangeMode};
 use hss_sim::{Machine, Phase, SyncModel};
 
 use crate::config::HssConfig;
@@ -80,22 +80,9 @@ impl HssSorter {
             self.sort_sorted_phase(machine, input)
         };
 
-        let load_balance = LoadBalance::from_rank_data(&data);
-        let report = SortReport {
-            algorithm: if self.config.node_level {
-                "hss-node-level".to_string()
-            } else {
-                "hss".to_string()
-            },
-            ranks: machine.ranks(),
-            total_keys,
-            splitters: Some(splitter_report),
-            load_balance,
-            metrics: machine.metrics().clone(),
-            sync_model: machine.sync_model().name().to_string(),
-            local_sort: self.config.local_sort.name().to_string(),
-            makespan_seconds: machine.simulated_time(),
-        };
+        let algorithm = if self.config.node_level { "hss-node-level" } else { "hss" };
+        let report =
+            SortReport::new(algorithm, machine, &self.config, total_keys, splitter_report, &data);
         SortOutcome { data, report }
     }
 

@@ -117,33 +117,21 @@ impl ExtSortConfig {
         (self.memory_cap_bytes / blocks / std::mem::size_of::<T>()).max(1)
     }
 
-    /// Retune the overlapped arm for a known run count and measured disk
-    /// characteristics: picks `prefetch_depth` via
-    /// [`choose_prefetch_depth`] and widens `fan_in` via [`choose_fan_in`]
-    /// so a single merge pass covers all runs when the cap allows it.
-    /// Synchronous configs are returned unchanged — there is no queue to
-    /// deepen.
-    pub fn tuned_for<T>(
-        mut self,
-        runs: usize,
-        unit_disk: f64,
-        disk_latency: f64,
-        io_wait_fraction: f64,
-    ) -> Self {
-        if self.io_mode != IoMode::Overlapped {
-            return self;
+    /// Retune the overlapped arm for a known run count: widens `fan_in` via
+    /// [`choose_fan_in`] so a single merge pass covers all runs when the cap
+    /// allows it.  The prefetch depth is left alone — the double buffer
+    /// unless the caller pinned another depth.  Synchronous configs are
+    /// returned unchanged — there is no queue whose blocks would shrink.
+    pub fn tuned_for<T>(mut self, runs: usize) -> Self {
+        if self.io_mode == IoMode::Overlapped {
+            self.fan_in = choose_fan_in(
+                self.memory_cap_bytes,
+                std::mem::size_of::<T>(),
+                self.fan_in,
+                self.prefetch_depth,
+                runs,
+            );
         }
-        let rec = std::mem::size_of::<T>();
-        self.prefetch_depth = choose_prefetch_depth(
-            self.memory_cap_bytes,
-            rec,
-            self.fan_in,
-            unit_disk,
-            disk_latency,
-            io_wait_fraction,
-        );
-        self.fan_in =
-            choose_fan_in(self.memory_cap_bytes, rec, self.fan_in, self.prefetch_depth, runs);
         self
     }
 
@@ -162,50 +150,8 @@ impl ExtSortConfig {
 }
 
 /// Smallest merge I/O block the tuner will accept: below this, per-block
-/// overheads (and the transfer-latency term itself) swamp any queueing win.
+/// overheads swamp the pass a wider fan-in saves.
 const MIN_TUNED_BLOCK_BYTES: usize = 4 << 10;
-
-/// Pick the overlapped-merge prefetch depth from the machine's disk shape —
-/// the same three-way dispatch style as `classify_strategy`, but over I/O
-/// geometry instead of probe counts:
-///
-/// * a merge that barely waited on the disk (`io_wait_fraction < 0.1`) is
-///   compute-bound — keep the classic double buffer and the biggest blocks;
-/// * while a block's *streaming* time (`unit_disk · words`) fails to
-///   dominate the per-transfer `disk_latency` by 4×, the queue — not the
-///   platter — is the bottleneck: double the depth so more transfer
-///   latencies pipeline behind each other;
-/// * stop once streaming dominates, blocks would fall under
-///   `MIN_TUNED_BLOCK_BYTES` (or a single record), or depth reaches 16.
-///
-/// Deterministic in its inputs, so simulated runs stay replayable.
-pub fn choose_prefetch_depth(
-    memory_cap_bytes: usize,
-    record_bytes: usize,
-    fan_in: usize,
-    unit_disk: f64,
-    disk_latency: f64,
-    io_wait_fraction: f64,
-) -> usize {
-    if io_wait_fraction < 0.10 {
-        return 2;
-    }
-    let mut depth = 2usize;
-    while depth < 16 {
-        let block_bytes = memory_cap_bytes / (depth * fan_in + 2);
-        let words = (block_bytes / 8).max(1) as f64;
-        if unit_disk * words >= 4.0 * disk_latency {
-            break;
-        }
-        let next = depth * 2;
-        let next_block = memory_cap_bytes / (next * fan_in + 2);
-        if next_block < MIN_TUNED_BLOCK_BYTES.max(record_bytes) {
-            break;
-        }
-        depth = next;
-    }
-    depth
-}
 
 /// Widen `fan_in` to cover all `runs` in a single merge pass when the cap
 /// still leaves every input window a block of at least
@@ -287,20 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_chooser_dispatches_on_io_shape() {
-        // Compute-bound: stay at the double buffer regardless of geometry.
-        assert_eq!(choose_prefetch_depth(1 << 20, 8, 16, 1.6e-8, 1.0e-4, 0.02), 2);
-        // Latency-dominated small blocks: deepen, but never below the block
-        // floor (cap 1 MiB, fan-in 16 → depth 8 still gives ≥ 4 KiB blocks,
-        // depth 16 would not).
-        let d = choose_prefetch_depth(1 << 20, 8, 16, 1.6e-8, 1.0e-4, 0.6);
-        assert!(d > 2, "latency-bound merge should deepen, got {d}");
-        assert!((1 << 20) / (d * 16 + 2) >= 4 << 10);
-        // Streaming-dominated huge blocks: no reason to shrink them.
-        assert_eq!(choose_prefetch_depth(1 << 30, 8, 4, 1.6e-8, 1.0e-4, 0.6), 2);
-    }
-
-    #[test]
     fn fan_in_chooser_only_widens_when_blocks_stay_sane() {
         // 24 runs, roomy cap: one pass, fan-in widened to cover all runs.
         assert_eq!(choose_fan_in(1 << 22, 8, 16, 2, 24), 24);
@@ -314,10 +246,10 @@ mod tests {
     fn tuned_for_leaves_synchronous_configs_alone() {
         let cfg =
             ExtSortConfig::new(1 << 20, "/tmp/x").with_io_mode(IoMode::Synchronous).with_fan_in(16);
-        let tuned = cfg.clone().tuned_for::<u64>(24, 1.6e-8, 1.0e-4, 0.9);
+        let tuned = cfg.clone().tuned_for::<u64>(24);
         assert_eq!(tuned, cfg);
-        let ovl = cfg.with_io_mode(IoMode::Overlapped).tuned_for::<u64>(24, 1.6e-8, 1.0e-4, 0.9);
+        let ovl = cfg.with_io_mode(IoMode::Overlapped).tuned_for::<u64>(24);
         assert_eq!(ovl.fan_in, 24, "one pass should cover all runs");
-        assert!(ovl.prefetch_depth >= 2);
+        assert_eq!(ovl.prefetch_depth, 2, "tuning keeps the double buffer");
     }
 }

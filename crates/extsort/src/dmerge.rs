@@ -588,6 +588,10 @@ pub struct MergeCursor<T: PlainRecord + Ord> {
     tree: Option<SourceLoserTree<CursorSource<T>>>,
     prefetcher: Option<std::thread::JoinHandle<(u64, u64, Option<io::Error>)>>,
     report: ExtSortReport,
+    /// When the drain began (before any fan-in reduction pass): every
+    /// second of io-wait the cursor accrues falls between this instant and
+    /// [`finish`](Self::finish), which stamps the span as wall time.
+    started: Instant,
     emitted: u64,
     total: u64,
     _guard: crate::runs::RunDirGuard,
@@ -603,6 +607,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
         cfg: &ExtSortConfig,
         guard: crate::runs::RunDirGuard,
         mut report: ExtSortReport,
+        started: Instant,
     ) -> io::Result<Self> {
         debug_assert!(runs.len() <= cfg.fan_in, "reduce_to_fan_in must run first");
         report.merge_passes += 1;
@@ -656,6 +661,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
             tree: Some(SourceLoserTree::new(sources)),
             prefetcher,
             report,
+            started,
             emitted: 0,
             total,
             _guard: guard,
@@ -702,6 +708,12 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
     /// prefetch thread, and surface the first I/O error (a failed refill
     /// makes a source read as exhausted, so the error — not a silently
     /// short stream — is the caller's signal).
+    ///
+    /// The report's `wall_seconds` grows by the cursor's whole lifetime —
+    /// reduction passes, every pull, this shutdown — not by the pulls
+    /// alone: timing each `next` would cost more than the merge step it
+    /// measures.  The io-wait the drain added is therefore never larger
+    /// than the wall it added.
     pub fn finish(mut self) -> io::Result<ExtSortReport> {
         let mut report = std::mem::take(&mut self.report);
         report.elements = self.emitted;
@@ -729,6 +741,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
                 first_err.get_or_insert(e);
             }
         }
+        report.wall_seconds += self.started.elapsed().as_secs_f64();
         match first_err {
             Some(e) => Err(e),
             None => Ok(report),

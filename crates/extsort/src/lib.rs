@@ -46,7 +46,7 @@ pub mod query;
 pub mod report;
 mod runs;
 
-pub use config::{choose_fan_in, choose_prefetch_depth, ExtSortConfig, IoMode};
+pub use config::{choose_fan_in, ExtSortConfig, IoMode};
 pub use dmerge::MergeCursor;
 pub use plain::{bytes_of, bytes_of_mut, PlainRecord};
 pub use query::{RunReader, RunSetReader};
@@ -146,12 +146,14 @@ impl ExternalSorter {
         T: PlainRecord + RadixSortable,
         I: IntoIterator<Item = T>,
     {
+        let wall = Instant::now();
         let mut report = ExtSortReport::default();
         let guard = RunDirGuard::new(&self.cfg.run_dir)?;
         let runs = form_runs(input.into_iter(), &self.cfg, guard.path(), &mut report)?;
         report.runs_formed = runs.len() as u64;
         let total = runs.iter().map(|r| r.elems).sum();
         report.elements = total;
+        report.wall_seconds = wall.elapsed().as_secs_f64();
         Ok(SpilledRuns { runs, guard, cfg: self.cfg.clone(), total, report, _marker: PhantomData })
     }
 
@@ -243,16 +245,10 @@ impl<T: PlainRecord> SpilledRuns<T> {
         &self.cfg
     }
 
-    /// Retune the merge for this run count and the machine's measured disk
-    /// shape (see [`ExtSortConfig::tuned_for`]); the formation phase's
-    /// io-wait fraction is the live signal.  No-op for synchronous I/O.
-    pub fn tune(&mut self, unit_disk: f64, disk_latency: f64) {
-        self.cfg = self.cfg.clone().tuned_for::<T>(
-            self.runs.len(),
-            unit_disk,
-            disk_latency,
-            self.report.io_wait_fraction(),
-        );
+    /// Retune the merge for this run count (see
+    /// [`ExtSortConfig::tuned_for`]).  No-op for synchronous I/O.
+    pub fn tune(&mut self) {
+        self.cfg = self.cfg.clone().tuned_for::<T>(self.runs.len());
     }
 
     /// A rank-query reader over the runs (cached handles, windowed reads):
@@ -264,18 +260,20 @@ impl<T: PlainRecord> SpilledRuns<T> {
 
     /// Reduce to ≤ `fan_in` runs (multi-pass if needed) and open the
     /// pull-based draining merge over what remains.  The cursor inherits
-    /// the scratch guard and the accumulated report.
+    /// the scratch guard and the accumulated report; its wall clock starts
+    /// here, so the reduction passes' io-wait is covered by it.
     pub fn into_cursor(mut self) -> io::Result<MergeCursor<T>>
     where
         T: Ord,
     {
+        let started = Instant::now();
         let runs = reduce_to_fan_in::<T>(
             std::mem::take(&mut self.runs),
             &self.cfg,
             self.guard.path(),
             &mut self.report,
         )?;
-        MergeCursor::open(runs, &self.cfg, self.guard, self.report)
+        MergeCursor::open(runs, &self.cfg, self.guard, self.report, started)
     }
 }
 
@@ -440,6 +438,30 @@ mod tests {
             assert_eq!(got, expect, "{}", io_mode.name());
             assert_eq!(report.runs_formed, 3);
             assert_eq!(report.merge_passes, 2, "fan_in 2 over 3 runs is two passes");
+        }
+    }
+
+    #[test]
+    fn formation_and_cursor_stamp_wall_around_their_io_wait() {
+        let n = 20_000u64;
+        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
+            // 16 runs at fan-in 4: the cursor opens after a reduction pass.
+            let cfg = ExtSortConfig::new(n as usize, tmp()).with_fan_in(4).with_io_mode(io_mode);
+            let runs = ExternalSorter::new(cfg).form_runs_only(pseudo_u64s(n)).unwrap();
+            let formed = *runs.report();
+            assert!(formed.io_wait_seconds > 0.0, "{}: runs are synced", io_mode.name());
+            assert!(formed.io_wait_seconds <= formed.wall_seconds, "{}", io_mode.name());
+            let mut cursor = runs.into_cursor().unwrap();
+            while cursor.next().is_some() {}
+            let drained = cursor.finish().unwrap();
+            assert!(drained.io_wait_seconds > formed.io_wait_seconds);
+            assert!(
+                drained.io_wait_seconds - formed.io_wait_seconds
+                    <= drained.wall_seconds - formed.wall_seconds,
+                "{}: the drain's io-wait must fit in the wall it stamped",
+                io_mode.name()
+            );
+            assert!((0.0..=1.0).contains(&drained.io_wait_fraction()));
         }
     }
 

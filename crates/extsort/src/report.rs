@@ -27,7 +27,11 @@ pub struct ExtSortReport {
     pub read_transfers: u64,
     /// Seconds the sorting thread spent blocked on disk I/O.
     pub io_wait_seconds: f64,
-    /// End-to-end wall-clock seconds for the sort.
+    /// Wall-clock seconds of the operations this report covers: a whole
+    /// sort, or — on the single-pass path — run formation plus the draining
+    /// cursor's lifetime.  Every operation that adds `io_wait_seconds`
+    /// stamps a wall span containing that wait, so
+    /// `io_wait_seconds ≤ wall_seconds` survives [`Self::absorb`].
     pub wall_seconds: f64,
 }
 
@@ -44,7 +48,8 @@ impl ExtSortReport {
         self.write_transfers + self.read_transfers
     }
 
-    /// Fraction of wall-clock spent blocked on I/O (0 when wall is 0).
+    /// Fraction of wall-clock spent blocked on I/O, in `[0, 1]` (0 when
+    /// wall is 0).
     pub fn io_wait_fraction(&self) -> f64 {
         if self.wall_seconds > 0.0 {
             self.io_wait_seconds / self.wall_seconds

@@ -258,11 +258,14 @@ pub fn regular_sample<T: Keyed>(sorted: &[T], s: usize) -> Vec<T::K> {
     (1..=s).map(|j| sorted[(j * n / s).max(1) - 1].key()).collect()
 }
 
-/// One uniformly random key from each of `s` equal blocks of the sorted
-/// local data — random block sampling (Blelloch et al., §4.1.1), also the
-/// representative sample of §3.4.
-pub fn random_block_sample<T: Keyed, R: Rng>(sorted: &[T], s: usize, rng: &mut R) -> Vec<T::K> {
-    let n = sorted.len();
+/// The *positions* a random block sample of `n` sorted keys selects: one
+/// uniformly random index from each of `s` equal blocks.
+///
+/// The randomness core of [`random_block_sample`], split out — like
+/// [`bernoulli_sample_positions`] — so a data layer that cannot index a
+/// slice (the out-of-core tier's spilled run files) consumes the *same*
+/// RNG draw sequence: the draws depend only on `n` and `s`.
+pub fn random_block_sample_positions<R: Rng>(n: usize, s: usize, rng: &mut R) -> Vec<u64> {
     if n == 0 || s == 0 {
         return Vec::new();
     }
@@ -271,8 +274,18 @@ pub fn random_block_sample<T: Keyed, R: Rng>(sorted: &[T], s: usize, rng: &mut R
         .map(|j| {
             let start = j * n / s;
             let end = ((j + 1) * n / s).max(start + 1);
-            sorted[rng.gen_range(start..end)].key()
+            rng.gen_range(start..end) as u64
         })
+        .collect()
+}
+
+/// One uniformly random key from each of `s` equal blocks of the sorted
+/// local data — random block sampling (Blelloch et al., §4.1.1), also the
+/// representative sample of §3.4.
+pub fn random_block_sample<T: Keyed, R: Rng>(sorted: &[T], s: usize, rng: &mut R) -> Vec<T::K> {
+    random_block_sample_positions(sorted.len(), s, rng)
+        .into_iter()
+        .map(|i| sorted[i as usize].key())
         .collect()
 }
 

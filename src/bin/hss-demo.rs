@@ -49,18 +49,18 @@ OPTIONS:
     --tag-duplicates       enable duplicate tagging (hss only)
     --approx-histograms    answer histograms from representative samples (hss only)
     --extsort              out-of-core tier: ranks over the memory cap spill
-                           through the external sorter (hss only)
+                           through the external sorter — splitters from run
+                           files, merge drained straight into staged exchange
+                           sends (hss only)
     --memory-cap <BYTES>   per-rank record-buffer budget for --extsort
                                                           [default: 1048576]
     --run-dir <PATH>       scratch root for run files (cleaned up on exit)
                                                           [default: temp dir]
     --io-mode <NAME>       sync | overlapped — external-sort I/O scheduling
                                                           [default: overlapped]
-    --pipelined            single-pass out-of-core: splitters from run files,
-                           merge drained straight into staged exchange sends
-                           (requires --extsort)
     --prefetch-depth <N>   pin the overlapped merge's per-run prefetch depth
-                           (>= 2; default: auto-tuned from the disk cost model)
+                           (>= 2; default: the double buffer, fan-in widened
+                           to cover a rank's runs in one pass)
     --seed <N>             RNG seed                               [default: 2019]
     --verify               verify the output is a correct global sort
     --help                 print this help
@@ -86,7 +86,6 @@ struct Args {
     memory_cap: usize,
     run_dir: Option<String>,
     io_mode: IoMode,
-    pipelined: bool,
     prefetch_depth: Option<usize>,
     seed: u64,
     verify: bool,
@@ -113,7 +112,6 @@ impl Default for Args {
             memory_cap: 1 << 20,
             run_dir: None,
             io_mode: IoMode::Overlapped,
-            pipelined: false,
             prefetch_depth: None,
             seed: 2019,
             verify: false,
@@ -177,7 +175,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--pipelined" => args.pipelined = true,
             "--prefetch-depth" => {
                 args.prefetch_depth = Some(
                     value("--prefetch-depth").parse().expect("--prefetch-depth must be an integer"),
@@ -275,9 +272,6 @@ fn run(
                 });
                 let mut policy =
                     ExtSortPolicy::new(args.memory_cap, run_dir).with_io_mode(args.io_mode);
-                if args.pipelined {
-                    policy = policy.with_pipelined();
-                }
                 if let Some(depth) = args.prefetch_depth {
                     policy = policy.with_prefetch_depth(depth);
                 }
@@ -390,17 +384,6 @@ fn main() {
         );
         exit(2);
     }
-    if args.pipelined && !args.extsort {
-        eprintln!("--pipelined requires --extsort");
-        exit(2);
-    }
-    if args.pipelined && args.approx_histograms {
-        eprintln!(
-            "--pipelined determines splitters from run files; \
-             it cannot be combined with --approx-histograms"
-        );
-        exit(2);
-    }
     if args.prefetch_depth.is_some() && !args.extsort {
         eprintln!("--prefetch-depth requires --extsort");
         exit(2);
@@ -462,8 +445,8 @@ fn main() {
             100.0 * ext.io_wait_fraction()
         );
         // Where the modelled disk traffic landed: formation (LocalSort),
-        // splitter probes (Sampling + Histogramming), the drain or
-        // bucketized sends (DataExchange), and spill merges (Merge).
+        // splitter probes (Sampling + Histogramming), the drain
+        // (DataExchange), and spill merges (Merge).
         println!("  disk by phase  :");
         for phase in [
             Phase::LocalSort,
@@ -481,19 +464,6 @@ fn main() {
                     pm.simulated_seconds
                 );
             }
-        }
-        if args.pipelined {
-            // The materialized arm writes each spilled rank's merged array
-            // to scratch and reads it back before the exchange; the
-            // pipelined drain skips both directions.
-            let rank_bytes = args.keys * std::mem::size_of::<u64>();
-            let spilled_ranks = if rank_bytes > args.memory_cap { args.ranks } else { 0 };
-            let avoided = 2 * spilled_ranks * rank_bytes;
-            println!(
-                "  round-trips avoided: {} B of scratch traffic across {} spilled ranks \
-                 (merged-file write + read-back elided)",
-                avoided, spilled_ranks
-            );
         }
     }
     println!("\nper-phase breakdown:\n{}", report.metrics);

@@ -42,8 +42,8 @@ pub use hss_sim as sim;
 /// The most commonly used types, for glob import.
 pub mod prelude {
     pub use hss_core::{
-        ExtSortPolicy, HssConfig, HssConfigBuilder, HssSorter, LocalSortAlgo, RoundSchedule,
-        SortOutcome, SortRequest, Sorter, SplitterRule, WarmStart,
+        ExtSortPolicy, HssConfig, HssSorter, LocalSortAlgo, RoundSchedule, SortOutcome,
+        SortRequest, Sorter, SplitterRule, WarmStart,
     };
     pub use hss_extsort::{ExtSortConfig, ExtSortReport, ExternalSorter, IoMode};
     pub use hss_keygen::{ChangaDataset, Key, KeyDistribution, Keyed, Record, TaggedKey};
