@@ -5,9 +5,7 @@ use hss_core::charged_local_sort;
 use hss_core::report::{RoundStats, SortReport, SplitterReport};
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{
-    exchange_and_merge_with, ExchangeEngine, ExchangeMode, LoadBalance, SplitterSet,
-};
+use hss_partition::{exchange_and_merge_with, ExchangeEngine, LoadBalance, SplitterSet};
 use hss_sim::{Machine, Phase};
 
 /// Locally sort every rank's data in place with the default local-sort
@@ -64,12 +62,7 @@ pub fn finish_splitter_sort_with<T: Keyed + Ord>(
     local_sort: LocalSortAlgo,
 ) -> (Vec<Vec<T>>, SortReport) {
     machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
-    let mode = if machine.topology().cores_per_node() > 1 {
-        ExchangeMode::NodeCombined
-    } else {
-        ExchangeMode::RankLevel
-    };
-    let out = exchange_and_merge_with(machine, per_rank_sorted, splitters, mode, engine);
+    let out = exchange_and_merge_with(machine, per_rank_sorted, splitters, engine);
     let report = SortReport {
         algorithm: algorithm.to_string(),
         ranks: machine.ranks(),

@@ -8,7 +8,7 @@ use hss_core::{determine_splitters, theory, HssConfig, HssSorter, RoundSchedule}
 use hss_keygen::{ChangaDataset, KeyDistribution, Record};
 use hss_partition::{
     exact_splitters, exchange_and_merge_with, tree_height, DecisionTree, ExchangeEngine,
-    ExchangeMode, SplitterSet,
+    SplitterSet,
 };
 use hss_sim::{CostModel, Machine, Phase, Topology};
 use serde::{Deserialize, Serialize};
@@ -492,8 +492,9 @@ pub struct ExchangeScalingRow {
 }
 
 /// Benchmark the flat counts/displacements exchange engine against the
-/// nested `Vec<Vec<Vec<T>>>` oracle over a sweep of `p` and `N`, in both
-/// rank-level and node-combined modes.  Wall time measures the host-side
+/// nested `Vec<Vec<Vec<T>>>` oracle over a sweep of `p` and `N`, on a flat
+/// topology (rank-level messages) and a 16-core-per-node one (messages
+/// combined per node pair).  Wall time measures the host-side
 /// cost of the whole data-movement step (bucketize + exchange + merge);
 /// simulated costs must be identical across engines and are recorded once
 /// per configuration as a cross-check.
@@ -507,10 +508,9 @@ pub fn exchange_scaling_rows(scale: Scale, seed: u64) -> Vec<ExchangeScalingRow>
         }
         let splitters = SplitterSet::new(exact_splitters(&data, p));
         let total_keys = (p * keys_per_rank) as u64;
-        for (mode_name, mode, topo) in [
-            ("rank_level", ExchangeMode::RankLevel, Topology::flat(p)),
-            ("node_combined", ExchangeMode::NodeCombined, Topology::new(p, 16)),
-        ] {
+        for (mode_name, topo) in
+            [("rank_level", Topology::flat(p)), ("node_combined", Topology::new(p, 16))]
+        {
             const ENGINES: [(&str, ExchangeEngine); 2] =
                 [("flat", ExchangeEngine::Flat), ("nested", ExchangeEngine::Nested)];
             let mut walls: [Vec<f64>; 2] = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
@@ -526,8 +526,7 @@ pub fn exchange_scaling_rows(scale: Scale, seed: u64) -> Vec<ExchangeScalingRow>
                     let mut machine = Machine::new(topo, CostModel::bluegene_like());
                     let allocs_before = crate::alloc_counter::allocations();
                     let start = std::time::Instant::now();
-                    let out =
-                        exchange_and_merge_with(&mut machine, &data, &splitters, mode, *engine);
+                    let out = exchange_and_merge_with(&mut machine, &data, &splitters, *engine);
                     let wall = start.elapsed().as_secs_f64();
                     let allocs_after = crate::alloc_counter::allocations();
                     assert_eq!(

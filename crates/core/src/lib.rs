@@ -12,10 +12,20 @@
 //! The crate exposes:
 //!
 //! * [`HssSorter`] / [`HssConfig`] — the end-to-end distributed sorter
-//!   (local sort → splitter determination → all-to-all → merge) with
+//!   (local sort → splitter determination → exchange → finish) with
 //!   theoretical (§3.1/§3.3) and practical (§6.1.2, constant oversampling)
-//!   round schedules, optional node-level partitioning (§6.1) and optional
-//!   duplicate tagging (§4.3);
+//!   round schedules and optional duplicate tagging (§4.3).  Behind it
+//!   sits **one** in-memory pipeline (the private `pipeline` module) whose
+//!   two axes are derived, never set: the bucket *granularity* from the
+//!   topology and [`HssConfig::node_level`] (rank buckets merged at the
+//!   rank, or §6.1 node buckets re-split at the node leader —
+//!   [`node_level`]), and the exchange *schedule* from the machine's
+//!   [`SyncModel`](hss_sim::SyncModel) (one Bsp all-to-all, or the §4
+//!   staged exchange overlapping the histogram rounds).  Every granularity
+//!   runs under every schedule; [`HssSorter::sort_seeded`] exposes the
+//!   pipeline's warm-start and round-observer hooks;
+//! * [`out_of_core`] — [`HssSorter::sort_out_of_core`], the same rounds
+//!   over ranks that may have spilled to run files;
 //! * [`Sorter`] / [`SortRequest`] — the unified entry point: one
 //!   signature serving HSS and (via `hss-baselines`) every comparison
 //!   algorithm, with engine selection and optional output verification;
@@ -55,7 +65,7 @@ pub mod local_sort;
 pub mod multi_round;
 pub mod node_level;
 pub mod out_of_core;
-pub mod overlap;
+mod pipeline;
 pub mod report;
 pub mod request;
 pub mod scanning;
@@ -69,7 +79,6 @@ pub use duplicates::Tagged;
 pub use hss_lsort::{LocalSortAlgo, RadixSortable};
 pub use local_sort::charged_local_sort;
 pub use multi_round::{determine_splitters, determine_splitters_seeded, RoundProgress, WarmStart};
-pub use overlap::overlapped_exchange_sort;
 pub use report::{RoundStats, SortReport, SplitterReport};
 pub use request::{SortRequest, Sorter};
 pub use scanning::{scanning_splitters, scanning_splitters_with, splitters_from_histogram};

@@ -15,127 +15,42 @@
 //!    regular sampling (§6.1.2 "final within node sorting"), which injects
 //!    no network traffic.
 //!
-//! The exchange runs on the flat counts/displacements engine by default
-//! (`config.exchange_engine`): node buckets are contiguous ranges of each
-//! rank's sorted data and node leaders are in ascending rank order, so the
-//! sorted data itself is the flat send buffer.  The within-node re-split
-//! then reads the leader's contiguous receive buffer as slices — no
-//! per-run clones anywhere on the path.
+//! Steps 1 and 2 are the pipeline's node-bucket granularity
+//! (`pipeline.rs`): `n` buckets, each owned by its node's leader,
+//! moved by whichever schedule the machine's sync model selects.  This
+//! module is step 3, the finish at the owner.  The re-split reads the
+//! leader's received runs as slices — no per-run clones anywhere on the
+//! path.
 
 use rayon::prelude::*;
 
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{kway_merge_slices, regular_sample, ExchangeEngine, SplitterSet};
-use hss_sim::{CostModel, ExchangePlan, Machine, Phase, Work};
+use hss_partition::{kway_merge_slices, regular_sample, Received, SplitterSet};
+use hss_sim::{CostModel, Machine, Phase};
 
 use crate::config::HssConfig;
-use crate::multi_round::determine_splitters;
-use crate::report::SplitterReport;
 
-/// Per-leader receive buffers of the node-combined exchange, in either
-/// engine's representation.  The flat engine materialises nothing: the
-/// leaders read their runs directly out of the senders' sorted buffers
-/// through the send plans.
-enum NodeRecv<'a, T> {
-    Flat { send_bufs: &'a [Vec<T>], plans: Vec<ExchangePlan> },
-    Nested(Vec<Vec<Vec<T>>>),
-}
-
-impl<T> NodeRecv<'_, T> {
-    /// The non-empty sorted runs rank `leader` received, as slices in
-    /// source-rank order.
-    fn runs_of(&self, leader: usize) -> Vec<&[T]> {
-        match self {
-            NodeRecv::Flat { send_bufs, plans } => plans
-                .iter()
-                .zip(send_bufs.iter())
-                .map(|(plan, buf)| plan.run(buf, leader))
-                .filter(|r| !r.is_empty())
-                .collect(),
-            NodeRecv::Nested(rs) => {
-                rs[leader].iter().filter(|r| !r.is_empty()).map(|r| r.as_slice()).collect()
-            }
-        }
-    }
-}
-
-/// Sort `per_rank_sorted` (locally sorted input) into a globally sorted
-/// per-rank output using node-level partitioning.
-///
-/// Returns the per-rank output and the splitter report of the node-level
-/// histogramming phase.
-///
-/// Most callers should not invoke this directly: `HssSorter` (and hence the
-/// unified `Sorter`/`SortRequest` entry point) dispatches here when
-/// `HssConfig::node_level` is set.
-pub fn node_level_sort<T: Keyed + Ord>(
+/// The node-bucket finish: every node leader re-splits the sorted runs it
+/// `received` among its node's cores, entirely in shared memory.  Returns
+/// the per-rank output; the slowest node's work is charged to
+/// [`Phase::NodeLocalSort`].
+pub(crate) fn finish_within_nodes<T: Keyed + Ord>(
     machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
+    received: &Received<'_, T>,
     config: &HssConfig,
-) -> (Vec<Vec<T>>, SplitterReport)
+) -> Vec<Vec<T>>
 where
     T::K: RadixSortable,
 {
     let topo = machine.topology();
-    let p = topo.ranks();
-    let n = topo.nodes();
-
-    // --- Node-level splitter determination (n - 1 splitters). --------------
-    let (node_splitters, report) = determine_splitters(machine, per_rank_sorted, n, config);
-
-    // --- Exchange: every rank routes its keys to the *leader* of the
-    // destination node; messages are combined per node pair. ----------------
-    let leader_of_bucket: Vec<usize> = (0..n).map(|b| topo.leader_of(b)).collect();
-    let route_work = |splitter_count: usize, local_len: usize| {
-        Work::binary_search(splitter_count, local_len).and(Work::scan(local_len))
-    };
-    let received: NodeRecv<T> = match config.exchange_engine {
-        ExchangeEngine::Flat => {
-            // Node buckets are contiguous in the sorted data and leaders
-            // ascend with the bucket index, so the boundaries translate
-            // directly into a flat plan over the data itself.
-            let plans: Vec<ExchangePlan> =
-                machine.map_phase(Phase::DataExchange, per_rank_sorted, |_rank, local| {
-                    let bounds = node_splitters.bucket_boundaries(local);
-                    let mut counts = vec![0usize; p];
-                    for b in 0..n {
-                        counts[leader_of_bucket[b]] = bounds[b + 1] - bounds[b];
-                    }
-                    (
-                        ExchangePlan::from_counts(counts),
-                        route_work(node_splitters.keys().len(), local.len()),
-                    )
-                });
-            machine.all_to_allv_flat_node_combined_in_place::<T>(
-                Phase::DataExchange,
-                per_rank_sorted,
-                &plans,
-            );
-            NodeRecv::Flat { send_bufs: per_rank_sorted, plans }
-        }
-        ExchangeEngine::Nested => {
-            let sends: Vec<Vec<Vec<T>>> =
-                machine.map_phase(Phase::DataExchange, per_rank_sorted, |_rank, local| {
-                    let node_buckets = hss_partition::partition_sorted(local, &node_splitters);
-                    let mut per_dest: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-                    for (b, bucket) in node_buckets.into_iter().enumerate() {
-                        per_dest[leader_of_bucket[b]] = bucket;
-                    }
-                    (per_dest, route_work(node_splitters.keys().len(), local.len()))
-                });
-            NodeRecv::Nested(machine.all_to_allv_node_combined(Phase::DataExchange, sends))
-        }
-    };
-
-    // --- Within-node redistribution and merge (shared memory only). --------
     let within_eps = config.within_node_epsilon;
     let local_sort = config.local_sort;
-    let per_node: Vec<(usize, Vec<Vec<T>>, u64)> = (0..n)
+    let per_node: Vec<(usize, Vec<Vec<T>>, u64)> = (0..topo.nodes())
         .into_par_iter()
         .map(|node| {
-            let leader = topo.leader_of(node);
-            let runs = received.runs_of(leader);
+            let mut runs = received.runs_at(topo.leader_of(node));
+            runs.retain(|r| !r.is_empty());
             let cores = topo.node_size(node);
             let total: usize = runs.iter().map(|r| r.len()).sum();
             let (chunks, ops) = split_within_node(&runs, cores, within_eps, local_sort);
@@ -145,7 +60,7 @@ where
         .collect();
 
     // Assemble the per-rank output and charge the slowest node's work.
-    let mut output: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+    let mut output: Vec<Vec<T>> = (0..topo.ranks()).map(|_| Vec::new()).collect();
     let mut max_ops = 0u64;
     for (node, chunks, ops) in per_node {
         max_ops = max_ops.max(ops);
@@ -155,8 +70,7 @@ where
         }
     }
     machine.charge_modelled_compute(Phase::NodeLocalSort, max_ops);
-
-    (output, report)
+    output
 }
 
 /// Split the sorted runs a node received into `cores` per-core sorted
@@ -223,9 +137,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SplitterReport;
     use hss_keygen::KeyDistribution;
     use hss_partition::{verify_global_sort, LoadBalance};
     use hss_sim::{CostModel as Cm, Topology};
+
+    /// Node buckets through the pipeline, under the machine's schedule.
+    fn node_level_sort(
+        machine: &mut Machine,
+        data: &[Vec<u64>],
+        config: &HssConfig,
+    ) -> (Vec<Vec<u64>>, SplitterReport) {
+        let config = config.clone().with_node_level();
+        crate::pipeline::sort_sorted(machine, data, &config, None, |_, _| {})
+    }
 
     fn sorted_input(p: usize, nkeys: usize, seed: u64) -> Vec<Vec<u64>> {
         let mut data = KeyDistribution::Uniform.generate_per_rank(p, nkeys, seed);
@@ -286,24 +211,6 @@ mod tests {
         // The histogramming phase determined only n-1 = 3 splitters worth of
         // intervals, so its sample is tiny.
         assert!(report.total_sample_size < 1000);
-    }
-
-    #[test]
-    fn node_level_flat_and_nested_engines_agree_bitwise() {
-        let p = 16;
-        let topo = Topology::new(p, 4); // 4 nodes
-        let data = sorted_input(p, 600, 7);
-        let run = |engine: ExchangeEngine| {
-            let mut machine = Machine::new(topo, Cm::bluegene_like());
-            let config = HssConfig::default().with_exchange_engine(engine);
-            let (out, report) = node_level_sort(&mut machine, &data, &config);
-            (out, report, machine.metrics().deterministic_signature())
-        };
-        let (out_f, rep_f, sig_f) = run(ExchangeEngine::Flat);
-        let (out_n, rep_n, sig_n) = run(ExchangeEngine::Nested);
-        assert_eq!(out_f, out_n);
-        assert_eq!(rep_f, rep_n);
-        assert_eq!(sig_f, sig_n);
     }
 
     #[test]

@@ -316,7 +316,8 @@ impl HssSorter {
         // `SyncModel::Overlapped` the next bucket's drain (and its disk
         // backlog) proceeds while the NIC reservation is still in flight.
         let splitter_keys = splitters.keys();
-        let mut stages = StagedExchange::new(p, total_keys, config.min_stage_fraction);
+        let owner: Vec<usize> = (0..p).collect();
+        let mut stages = StagedExchange::new(&owner, p, total_keys, config.min_stage_fraction);
         let mut recv: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::new()).collect();
         let mut first_sealed = 0;
         for d in 0..p {

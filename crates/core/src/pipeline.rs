@@ -1,14 +1,30 @@
-//! Overlapped splitter determination + staged data exchange (§4).
+//! The one in-memory HSS pipeline behind [`HssSorter`](crate::HssSorter):
+//! splitter determination → exchange → finish over locally sorted data,
+//! composed from two axes that are both *derived*, never set.
+//!
+//! * **Granularity** — from `(machine.topology(), config.node_level)`: one
+//!   bucket per rank, owned by that rank and finished by a k-way merge; or,
+//!   with node-level partitioning on a multi-core topology (§6.1), one
+//!   bucket per physical node, owned by the node's leader and finished by
+//!   the shared-memory re-split among the node's cores
+//!   ([`crate::node_level`]).
+//! * **Schedule** — from `machine.sync_model()`: under
+//!   [`SyncModel::Bsp`] all splitters are determined first and the buckets
+//!   move in one all-to-all ([`hss_partition::exchange`]); under
+//!   [`SyncModel::Overlapped`] the buckets travel as asynchronous stages
+//!   while later histogram rounds are still running (§4, below).
+//!
+//! Both schedules end in the same product — what every owner
+//! [`Received`], read in place out of the senders' sorted buffers — so
+//! every granularity runs under every schedule.
+//!
+//! # The overlapped schedule
 //!
 //! The paper's Charm++ implementation overlaps splitter determination with
 //! the data movement: as soon as a splitter is finalized its value is
 //! broadcast, and as soon as *both* splitters bounding a bucket are known,
 //! every rank sends that bucket to its owner — while later histogram rounds
-//! are still running.  The receiving rank merges arrived buckets into its
-//! final output as they land.
-//!
-//! This module is the simulator-side reproduction of that pipeline on top
-//! of [`SyncModel::Overlapped`](hss_sim::SyncModel):
+//! are still running.  On the simulator:
 //!
 //! 1. [`determine_splitters_seeded`] runs the normal histogramming rounds; a
 //!    round observer *freezes* each splitter the round it finalizes
@@ -19,86 +35,151 @@
 //!    whose two bounding splitters are now frozen;
 //! 3. the completed buckets are injected as an asynchronous exchange stage
 //!    ([`Machine::exchange_stage`]): the transfer occupies the senders'
-//!    NICs while the next sampling/histogramming
-//!    rounds advance the compute clocks — this is where the overlap win
-//!    comes from.  Batches smaller than
-//!    [`HssConfig::min_stage_fraction`] of the input are deferred so
-//!    per-stage latency cannot eat the win;
-//! 4. after the last round the remaining buckets travel in a final stage,
-//!    each destination waits only for *its own* stage to land
-//!    ([`Machine::wait_until`]), and merges its runs in place.
+//!    NICs while the next sampling/histogramming rounds advance the compute
+//!    clocks — this is where the overlap win comes from.  Batches smaller
+//!    than [`HssConfig::min_stage_fraction`] of the input are deferred so
+//!    per-stage latency cannot eat the win.  Stages are rank-level messages
+//!    addressed to the bucket's owner: there is no §6.1.1 per-node message
+//!    combining under this schedule, with or without node-level buckets;
+//! 4. after the last round the remaining buckets travel in a final stage
+//!    and each owner waits only for *its own* stage to land
+//!    ([`Machine::wait_until`]) before the finish.
 //!
 //! Because splitters are frozen at the round they finalize (instead of
 //! being re-optimised by later probes), the output partition can differ
-//! slightly from the BSP path's — every frozen splitter is still within
-//! the `εN/(2p)` finalization tolerance, so the load-balance guarantee is
-//! unchanged.  Data-wise the result is a correct global sort either way;
-//! `tests/sync_differential.rs` verifies both claims.
+//! slightly from the Bsp schedule's — every frozen splitter is still within
+//! the `εN/(2·buckets)` finalization tolerance, so the load-balance
+//! guarantee is unchanged.  Data-wise the result is a correct global sort
+//! either way; `tests/sync_differential.rs` verifies both claims.
 
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_partition::{merge_runs_for, splitter_position};
-use hss_sim::{ExchangePlan, Machine, Phase, Work};
+use hss_partition::{exchange, merge_received, owner_plan, splitter_position, Received};
+use hss_sim::{ExchangePlan, Machine, Phase, SyncModel, Topology, Work};
 
 use crate::config::HssConfig;
-use crate::multi_round::determine_splitters_seeded;
+use crate::multi_round::{determine_splitters_seeded, RoundProgress, WarmStart};
+use crate::node_level::finish_within_nodes;
 use crate::report::SplitterReport;
 use crate::staging::StagedExchange;
 
 /// Sentinel for a bucket boundary whose splitter is not yet frozen.
 const UNKNOWN: usize = usize::MAX;
 
-/// Sort already locally-sorted per-rank data with overlapped splitter
-/// determination and a staged exchange.  The counterpart of the BSP path's
-/// `determine_splitters` + `exchange_and_merge` pair; requires
-/// `machine.ranks()` buckets (rank-level partitioning).
-///
-/// Returns the globally sorted per-rank output and the splitter report.
-///
-/// Most callers should not invoke this directly: `HssSorter` (and hence the
-/// unified `Sorter`/`SortRequest` entry point) dispatches here when the
-/// machine's sync model is `SyncModel::Overlapped`.
-pub fn overlapped_exchange_sort<T: Keyed + Ord>(
+/// The bucket granularity of one run: who owns each bucket and how the
+/// owner finishes.
+struct Granularity {
+    /// `owner[b]` is the rank bucket `b` travels to; strictly ascending.
+    owner: Vec<usize>,
+    /// Whether an owner re-splits what it received among its node's cores
+    /// (node buckets) instead of merging it into its own output.
+    within_node: bool,
+}
+
+impl Granularity {
+    fn derive(topology: Topology, node_level: bool) -> Self {
+        let within_node = node_level && topology.cores_per_node() > 1;
+        let owner = if within_node {
+            topology.iter_nodes().map(|node| topology.leader_of(node)).collect()
+        } else {
+            topology.iter_ranks().collect()
+        };
+        Self { owner, within_node }
+    }
+}
+
+/// Sort already locally-sorted per-rank data into the globally sorted
+/// per-rank output: splitter determination (optionally warm-started, with
+/// `on_round` observing every histogramming round), the exchange under the
+/// machine's schedule, and the granularity's finish.
+pub(crate) fn sort_sorted<T, F>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     config: &HssConfig,
+    warm: Option<&WarmStart<T::K>>,
+    on_round: F,
 ) -> (Vec<Vec<T>>, SplitterReport)
 where
+    T: Keyed + Ord,
     T::K: RadixSortable,
+    F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
+{
+    let Granularity { owner, within_node } =
+        Granularity::derive(machine.topology(), config.node_level);
+    let (received, report) = match machine.sync_model() {
+        SyncModel::Bsp => {
+            let (splitters, report) = determine_splitters_seeded(
+                machine,
+                per_rank_sorted,
+                owner.len(),
+                config,
+                warm,
+                on_round,
+            );
+            let received =
+                exchange(machine, per_rank_sorted, &splitters, &owner, config.exchange_engine);
+            (received, report)
+        }
+        // The staged exchange is inherently flat: the engine knob does not
+        // apply.
+        SyncModel::Overlapped => {
+            staged_exchange(machine, per_rank_sorted, &owner, config, warm, on_round)
+        }
+    };
+    let out = if within_node {
+        finish_within_nodes(machine, &received, config)
+    } else {
+        merge_received(machine, per_rank_sorted, &received)
+    };
+    (out, report)
+}
+
+/// The overlapped schedule (module docs): determine the `owner.len() − 1`
+/// splitters while shipping every bucket to its owner the round its two
+/// bounding splitters freeze.  Returns once every owner's stage has landed.
+fn staged_exchange<'a, T, F>(
+    machine: &mut Machine,
+    per_rank_sorted: &'a [Vec<T>],
+    owner: &[usize],
+    config: &HssConfig,
+    warm: Option<&WarmStart<T::K>>,
+    mut on_round: F,
+) -> (Received<'a, T>, SplitterReport)
+where
+    T: Keyed + Ord,
+    T::K: RadixSortable,
+    F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
     let p = machine.ranks();
-    if p <= 1 {
-        let (_s, report) =
-            crate::multi_round::determine_splitters(machine, per_rank_sorted, p.max(1), config);
-        return (per_rank_sorted.to_vec(), report);
-    }
-    let nsplit = p - 1;
+    let buckets = owner.len();
+    let nsplit = buckets - 1;
     let total_keys: usize = per_rank_sorted.iter().map(|v| v.len()).sum();
 
     // Frozen splitter keys (set the round each splitter finalizes).
     let mut frozen: Vec<Option<T::K>> = vec![None; nsplit];
-    // bounds[r][j] for j in 0..=p: bucket b of rank r is
+    // bounds[r][j] for j in 0..=buckets: bucket b of rank r is
     // bounds[r][b]..bounds[r][b+1] in r's sorted data.  Interior entries
     // are filled in as splitters freeze.
     let mut bounds: Vec<Vec<usize>> = per_rank_sorted
         .iter()
         .map(|v| {
-            let mut b = vec![UNKNOWN; p + 1];
+            let mut b = vec![UNKNOWN; buckets + 1];
             b[0] = 0;
-            b[p] = v.len();
+            b[buckets] = v.len();
             b
         })
         .collect();
     // Which buckets have already travelled, and when their stage lands.
-    let mut stages = StagedExchange::new(p, total_keys, config.min_stage_fraction);
+    let mut stages = StagedExchange::new(owner, p, total_keys, config.min_stage_fraction);
 
     let (fallback, report) = determine_splitters_seeded(
         machine,
         per_rank_sorted,
-        p,
+        buckets,
         config,
-        None,
+        warm,
         |machine, progress| {
+            on_round(machine, progress);
             // Freeze every splitter that finalized this round (all remaining
             // ones on the last round — further rounds cannot improve them).
             let newly: Vec<usize> = (0..nsplit)
@@ -133,10 +214,10 @@ where
         },
     );
 
-    // Early-return paths of determine_splitters (empty input) never invoke
-    // the observer: freeze the remaining splitters from the returned set
-    // and ship whatever has not travelled yet.
-    if frozen.iter().any(|f| f.is_none()) {
+    // Early-return paths of determine_splitters (empty input, a single
+    // bucket) never invoke the observer: freeze the remaining splitters
+    // from the returned set and ship whatever has not travelled yet.
+    if !stages.all_staged() {
         let mut new_pairs: Vec<(usize, T::K)> = Vec::new();
         for i in 0..nsplit {
             if frozen[i].is_none() {
@@ -150,16 +231,11 @@ where
     }
     debug_assert!(stages.all_staged(), "every bucket must have travelled");
 
-    // Per-rank full plans over the now-complete boundaries; the merge reads
-    // every run in place out of the senders' sorted buffers.
-    let plans: Vec<ExchangePlan> =
-        bounds.iter().map(|b| ExchangePlan::from_boundaries(b)).collect();
+    // Per-rank full plans over the now-complete boundaries; the finish
+    // reads every run in place out of the senders' sorted buffers.
+    let plans: Vec<ExchangePlan> = bounds.iter().map(|b| owner_plan::<T>(b, owner, p)).collect();
     stages.wait_for_arrivals(machine);
-    let out = machine.map_phase(Phase::Merge, per_rank_sorted, |dst, _local| {
-        let (merged, total, pieces) = merge_runs_for(&plans, per_rank_sorted, dst);
-        (merged, Work::merge(total, pieces.max(1)))
-    });
-    (out, report)
+    (Received::InPlace { bufs: per_rank_sorted, plans }, report)
 }
 
 /// Clamp a candidate key for splitter `i` against the nearest frozen
@@ -207,7 +283,7 @@ fn stage_ready_buckets<T: Keyed>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     bounds: &[Vec<usize>],
-    stages: &mut StagedExchange,
+    stages: &mut StagedExchange<'_>,
     round: usize,
     force: bool,
 ) {
@@ -221,7 +297,7 @@ fn stage_ready_buckets<T: Keyed>(
         round,
         &ready,
         force,
-        |src, dst| bounds[src][dst]..bounds[src][dst + 1],
+        |src, b| bounds[src][b]..bounds[src][b + 1],
         // The pack/scan each sender performs to stage its send runs.
         |machine, staged_elems| {
             let _: Vec<()> =
@@ -237,7 +313,6 @@ mod tests {
     use super::*;
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
-    use hss_sim::{Phase, SyncModel};
 
     fn sorted_input(dist: KeyDistribution, p: usize, n: usize, seed: u64) -> Vec<Vec<u64>> {
         let mut data = dist.generate_per_rank(p, n, seed);
@@ -247,81 +322,28 @@ mod tests {
         data
     }
 
-    #[test]
-    fn overlapped_sort_is_a_correct_global_sort() {
-        let p = 32;
-        for dist in [KeyDistribution::Uniform, KeyDistribution::PowerLaw { gamma: 4.0 }] {
-            let data = sorted_input(dist, p, 1_500, 11);
-            let mut machine = Machine::flat(p).with_sync_model(SyncModel::Overlapped);
-            let (out, report) =
-                overlapped_exchange_sort(&mut machine, &data, &HssConfig::default());
-            verify_global_sort(&data, &out).unwrap();
-            assert!(report.rounds_executed() >= 1);
-            // At least one stage actually travelled asynchronously.
-            assert!(machine.metrics().phase(Phase::DataExchange).messages > 0);
-        }
-    }
-
-    #[test]
-    fn overlapped_sort_stays_load_balanced() {
-        // Frozen splitters are within the finalization tolerance, so the
-        // (1 + eps) guarantee carries over to the overlapped partition.
-        let p = 32;
-        let eps = 0.05;
-        let data = sorted_input(KeyDistribution::Uniform, p, 2_000, 7);
-        let mut machine = Machine::flat(p).with_sync_model(SyncModel::Overlapped);
-        let config = HssConfig { epsilon: eps, ..HssConfig::default() };
-        let (out, report) = overlapped_exchange_sort(&mut machine, &data, &config);
-        assert!(report.all_finalized);
-        let lb = hss_partition::LoadBalance::from_rank_data(&out);
-        assert!(lb.satisfies(eps), "imbalance {}", lb.imbalance);
-    }
-
-    #[test]
-    fn overlapped_makespan_not_above_bsp_total() {
-        let p = 32;
-        let data = sorted_input(KeyDistribution::PowerLaw { gamma: 5.0 }, p, 4_000, 3);
-        let config = HssConfig::default();
-
-        let mut bsp = Machine::flat(p);
-        let (splitters, _rep) =
-            crate::multi_round::determine_splitters(&mut bsp, &data, p, &config);
-        let _ = hss_partition::exchange_and_merge(
-            &mut bsp,
-            &data,
-            &splitters,
-            hss_partition::ExchangeMode::RankLevel,
-        );
-
-        let mut ovl = Machine::flat(p).with_sync_model(SyncModel::Overlapped);
-        let _ = overlapped_exchange_sort(&mut ovl, &data, &config);
-        assert!(
-            ovl.simulated_time() <= bsp.simulated_time() * 1.001,
-            "overlapped {} vs bsp {}",
-            ovl.simulated_time(),
-            bsp.simulated_time()
-        );
+    fn run(machine: &mut Machine, data: &[Vec<u64>], config: &HssConfig) -> Vec<Vec<u64>> {
+        sort_sorted(machine, data, config, None, |_, _| {}).0
     }
 
     #[test]
     fn empty_input_and_single_rank_work() {
+        let config = HssConfig::default();
         let data: Vec<Vec<u64>> = vec![vec![]; 4];
         let mut machine = Machine::flat(4).with_sync_model(SyncModel::Overlapped);
-        let (out, _rep) = overlapped_exchange_sort(&mut machine, &data, &HssConfig::default());
-        assert!(out.iter().all(|v| v.is_empty()));
+        assert!(run(&mut machine, &data, &config).iter().all(|v| v.is_empty()));
 
-        let data = vec![vec![3u64, 1, 2]];
+        // One bucket: a single rank, or node-level buckets on a single node
+        // — no splitter ever freezes, the lone bucket ships in the final
+        // stage.
         let mut machine = Machine::flat(1).with_sync_model(SyncModel::Overlapped);
-        // Input must be locally sorted.
-        let data: Vec<Vec<u64>> = data
-            .into_iter()
-            .map(|mut v| {
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        let (out, _rep) = overlapped_exchange_sort(&mut machine, &data, &HssConfig::default());
-        assert_eq!(out, vec![vec![1, 2, 3]]);
+        assert_eq!(run(&mut machine, &[vec![1u64, 2, 3]], &config), vec![vec![1, 2, 3]]);
+
+        let data = sorted_input(KeyDistribution::Uniform, 4, 300, 5);
+        let mut machine = Machine::new(Topology::new(4, 4), hss_sim::CostModel::bluegene_like())
+            .with_sync_model(SyncModel::Overlapped);
+        let out = run(&mut machine, &data, &config.clone().with_node_level());
+        verify_global_sort(&data, &out).unwrap();
     }
 
     #[test]

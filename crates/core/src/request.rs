@@ -2,7 +2,7 @@
 //! dispatched through the [`Sorter`] trait.
 //!
 //! Historically every algorithm in the workspace grew its own entry-point
-//! constellation — `HssSorter::sort` / `sort_verified`, free-function
+//! constellation — `HssSorter::sort` plus a verifying twin, free-function
 //! baselines, and a parallel `*_with_engine` family threading the exchange
 //! engine through.  [`Sorter`] collapses all of them behind one signature:
 //!
@@ -131,11 +131,7 @@ where
     T::K: RadixSortable,
 {
     fn algorithm(&self) -> &'static str {
-        if self.config().node_level {
-            "hss-node-level"
-        } else {
-            "hss"
-        }
+        self.label()
     }
 
     fn default_engine(&self) -> ExchangeEngine {

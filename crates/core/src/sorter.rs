@@ -1,17 +1,16 @@
-//! The end-to-end HSS sorter: local sort → splitter determination →
-//! all-to-all exchange → merge (plus the optional node-level and
-//! duplicate-tagging variants).
+//! The end-to-end HSS sorter: local sort, then the one in-memory pipeline
+//! (`pipeline.rs`: splitter determination → exchange → finish), plus the
+//! optional duplicate-tagging wrapper.
 
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_partition::{exchange_and_merge_with, verify_global_sort, ExchangeMode};
-use hss_sim::{Machine, Phase, SyncModel};
+use hss_sim::{Machine, Phase};
 
 use crate::config::HssConfig;
 use crate::duplicates::{tag_per_rank, untag_per_rank};
 use crate::local_sort::charged_local_sort;
-use crate::multi_round::determine_splitters;
-use crate::node_level::node_level_sort;
+use crate::multi_round::{RoundProgress, WarmStart};
+use crate::pipeline::sort_sorted;
 use crate::report::{SortReport, SplitterReport};
 
 /// The result of one HSS run: globally sorted per-rank data plus the
@@ -54,6 +53,15 @@ impl HssSorter {
         &self.config
     }
 
+    /// The `algorithm` label of the reports this sorter produces.
+    pub(crate) fn label(&self) -> &'static str {
+        if self.config.node_level {
+            "hss-node-level"
+        } else {
+            "hss"
+        }
+    }
+
     /// Sort `input` (per-rank, unsorted) on `machine`, returning the
     /// globally sorted per-rank data and a [`SortReport`].
     ///
@@ -66,91 +74,103 @@ impl HssSorter {
         T: Keyed + Ord + RadixSortable,
         T::K: RadixSortable,
     {
+        if !self.config.tag_duplicates {
+            return self.sort_seeded(machine, input, None, |_, _| {});
+        }
+        // Wrap every item with its (PE, index) tag so duplicates get a
+        // strict total order, sort the tagged items, unwrap.
+        self.reported(machine, input, |machine, input| {
+            let tagged = tag_per_rank(machine, input);
+            let (sorted_tagged, splitters) = self.sort_phases(machine, tagged, None, |_, _| {});
+            (untag_per_rank(machine, sorted_tagged), splitters)
+        })
+    }
+
+    /// [`Self::sort`] with the pipeline's two hooks exposed (mirroring
+    /// [`determine_splitters_seeded`](crate::determine_splitters_seeded)):
+    /// `warm` seeds splitter determination from a previous sort of a
+    /// near-identical keyspace, and `on_round` observes every histogramming
+    /// round — ahead of the overlapped schedule's own observer, so what it
+    /// sees does not depend on the machine's sync model.  With `None` and a
+    /// no-op observer this *is* [`Self::sort`], bitwise.  The epoch service
+    /// seals every epoch through this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Self::sort`], and if `tag_duplicates` is set: both
+    /// hooks speak untagged keys, the tagged pipeline does not.
+    pub fn sort_seeded<T, F>(
+        &self,
+        machine: &mut Machine,
+        input: Vec<Vec<T>>,
+        warm: Option<&WarmStart<T::K>>,
+        on_round: F,
+    ) -> SortOutcome<T>
+    where
+        T: Keyed + Ord + RadixSortable,
+        T::K: RadixSortable,
+        F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
+    {
+        assert!(
+            !self.config.tag_duplicates,
+            "sort_seeded's warm start and round observer speak untagged keys; \
+             disable tag_duplicates"
+        );
+        self.reported(machine, input, |machine, input| {
+            self.sort_phases(machine, input, warm, on_round)
+        })
+    }
+
+    /// Validate the call, run `phases` (unsorted input → sorted output plus
+    /// the splitter report) and assemble the [`SortReport`].
+    fn reported<T>(
+        &self,
+        machine: &mut Machine,
+        input: Vec<Vec<T>>,
+        phases: impl FnOnce(&mut Machine, Vec<Vec<T>>) -> (Vec<Vec<T>>, SplitterReport),
+    ) -> SortOutcome<T> {
         self.config.validate().expect("invalid HSS configuration");
         assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
-        let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
-
-        let (data, splitter_report) = if self.config.tag_duplicates {
-            // Wrap every item with its (PE, index) tag so duplicates get a
-            // strict total order, sort the tagged items, unwrap.
-            let tagged = tag_per_rank(machine, input);
-            let (sorted_tagged, rep) = self.sort_sorted_phase(machine, tagged);
-            (untag_per_rank(machine, sorted_tagged), rep)
-        } else {
-            self.sort_sorted_phase(machine, input)
-        };
-
-        let algorithm = if self.config.node_level { "hss-node-level" } else { "hss" };
+        let total_keys = input.iter().map(|v| v.len() as u64).sum();
+        let (data, splitters) = phases(machine, input);
         let report =
-            SortReport::new(algorithm, machine, &self.config, total_keys, splitter_report, &data);
+            SortReport::new(self.label(), machine, &self.config, total_keys, splitters, &data);
         SortOutcome { data, report }
     }
 
-    /// Sort already-tagged (or tag-free) items: local sort, splitter
-    /// determination, exchange, merge.
-    fn sort_sorted_phase<T>(
+    /// Sort already-tagged (or tag-free) items: the local sort
+    /// (embarrassingly parallel, no communication; comparison or in-place
+    /// MSD radix as configured), then the pipeline.
+    fn sort_phases<T, F>(
         &self,
         machine: &mut Machine,
         mut data: Vec<Vec<T>>,
+        warm: Option<&WarmStart<T::K>>,
+        on_round: F,
     ) -> (Vec<Vec<T>>, SplitterReport)
     where
         T: Keyed + Ord + RadixSortable,
         T::K: RadixSortable,
+        F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
     {
-        // Local sort (embarrassingly parallel, no communication), with the
-        // configured algorithm — comparison or in-place MSD radix.
         let algo = self.config.local_sort;
         machine.local_phase(Phase::LocalSort, &mut data, move |_rank, local| {
             charged_local_sort(algo, local)
         });
-
-        let use_node_level = self.config.node_level && machine.topology().cores_per_node() > 1;
-        // Node-level partitioning has no staged-exchange pipeline yet;
-        // silently running it under Overlapped would label a plain
-        // node-level run "overlapped" in the report, so the combination is
-        // rejected outright.
-        assert!(
-            !(use_node_level && machine.sync_model() == SyncModel::Overlapped),
-            "node-level partitioning is not supported under SyncModel::Overlapped; \
-             run node-level sorts on a Bsp machine or disable node_level"
-        );
-        if use_node_level {
-            node_level_sort(machine, &data, &self.config)
-        } else if machine.sync_model() == SyncModel::Overlapped {
-            // Overlapped execution (§4): splitter determination and the
-            // data exchange are pipelined through asynchronous stages; the
-            // exchange is inherently flat/rank-level, so the engine and
-            // node-combining knobs do not apply.
-            crate::overlap::overlapped_exchange_sort(machine, &data, &self.config)
-        } else {
-            let p = machine.ranks();
-            let (splitters, report) = determine_splitters(machine, &data, p, &self.config);
-            // Even without node-level *splitting*, combining messages per
-            // node pair is free goodness whenever nodes have several cores.
-            let mode = if machine.topology().cores_per_node() > 1 {
-                ExchangeMode::NodeCombined
-            } else {
-                ExchangeMode::RankLevel
-            };
-            let out = exchange_and_merge_with(
-                machine,
-                &data,
-                &splitters,
-                mode,
-                self.config.exchange_engine,
-            );
-            (out, report)
-        }
+        sort_sorted(machine, &data, &self.config, warm, on_round)
     }
+}
 
-    /// Sort and additionally verify the output is a correct global sort of
-    /// the input (used by tests and examples; costs an extra copy of the
-    /// input).
-    ///
-    /// Prefer `Sorter::run` with `SortRequest::new(input).verified()` — the
-    /// unified entry point subsumes this method.
-    pub fn sort_verified<T>(
-        &self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{SortRequest, Sorter};
+    use hss_keygen::{ChangaDataset, KeyDistribution, Record};
+    use hss_sim::{CostModel, SyncModel, Topology};
+
+    /// Sort through the unified entry point with output verification on.
+    fn run_verified<T>(
+        sorter: HssSorter,
         machine: &mut Machine,
         input: Vec<Vec<T>>,
     ) -> Result<SortOutcome<T>, String>
@@ -158,25 +178,15 @@ impl HssSorter {
         T: Keyed + Ord + RadixSortable,
         T::K: RadixSortable,
     {
-        let reference = input.clone();
-        let outcome = self.sort(machine, input);
-        verify_global_sort(&reference, &outcome.data)?;
-        Ok(outcome)
+        sorter.run(machine, SortRequest::new(input).verified())
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hss_keygen::{ChangaDataset, KeyDistribution, Record};
-    use hss_sim::{CostModel, Topology};
 
     #[test]
     fn sorts_uniform_keys_with_default_config() {
         let p = 16;
         let input = KeyDistribution::Uniform.generate_per_rank(p, 2_000, 1);
         let mut machine = Machine::flat(p);
-        let outcome = HssSorter::default().sort_verified(&mut machine, input).unwrap();
+        let outcome = run_verified(HssSorter::default(), &mut machine, input).unwrap();
         assert!(outcome.report.satisfies(0.05), "imbalance {}", outcome.report.imbalance());
         assert!(outcome.report.splitters.as_ref().unwrap().all_finalized);
     }
@@ -189,8 +199,7 @@ mod tests {
             let mut machine = Machine::flat(p);
             // Duplicate-heavy inputs need tagging for the balance guarantee;
             // correctness of the sort itself must hold regardless.
-            let outcome = HssSorter::default()
-                .sort_verified(&mut machine, input)
+            let outcome = run_verified(HssSorter::default(), &mut machine, input)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", dist.name()));
             assert_eq!(outcome.report.total_keys, (p * 600) as u64);
         }
@@ -202,12 +211,12 @@ mod tests {
         let input = KeyDistribution::FewDistinct { distinct: 3 }.generate_per_rank(p, 1_000, 3);
         // Without tagging, 3 distinct values over 8 ranks cannot balance.
         let mut m1 = Machine::flat(p);
-        let plain = HssSorter::default().sort_verified(&mut m1, input.clone()).unwrap();
+        let plain = run_verified(HssSorter::default(), &mut m1, input.clone()).unwrap();
         assert!(!plain.report.satisfies(0.05));
         // With tagging, balance is restored.
         let mut m2 = Machine::flat(p);
         let cfg = HssConfig::default().with_duplicate_tagging();
-        let tagged = HssSorter::new(cfg).sort_verified(&mut m2, input).unwrap();
+        let tagged = run_verified(HssSorter::new(cfg), &mut m2, input).unwrap();
         assert!(tagged.report.satisfies(0.05), "tagged imbalance {}", tagged.report.imbalance());
     }
 
@@ -217,7 +226,7 @@ mod tests {
         let input = KeyDistribution::AllEqual.generate_per_rank(p, 500, 0);
         let mut machine = Machine::flat(p);
         let cfg = HssConfig::default().with_duplicate_tagging();
-        let outcome = HssSorter::new(cfg).sort_verified(&mut machine, input).unwrap();
+        let outcome = run_verified(HssSorter::new(cfg), &mut machine, input).unwrap();
         assert!(outcome.report.satisfies(0.05), "imbalance {}", outcome.report.imbalance());
     }
 
@@ -226,7 +235,7 @@ mod tests {
         let p = 8;
         let input = KeyDistribution::Uniform.generate_records_per_rank(p, 800, 9);
         let mut machine = Machine::flat(p);
-        let outcome = HssSorter::default().sort_verified(&mut machine, input).unwrap();
+        let outcome = run_verified(HssSorter::default(), &mut machine, input).unwrap();
         // Every record still carries the payload derived from its key.
         for rank in &outcome.data {
             for rec in rank {
@@ -241,7 +250,7 @@ mod tests {
         let input = KeyDistribution::Uniform.generate_per_rank(p, 1_000, 13);
         let mut machine = Machine::new(Topology::new(p, 8), CostModel::bluegene_like());
         let outcome =
-            HssSorter::new(HssConfig::paper_cluster()).sort_verified(&mut machine, input).unwrap();
+            run_verified(HssSorter::new(HssConfig::paper_cluster()), &mut machine, input).unwrap();
         assert_eq!(outcome.report.algorithm, "hss-node-level");
         // 2% across nodes, 5% within: allow the combined slack.
         assert!(outcome.report.satisfies(0.10), "imbalance {}", outcome.report.imbalance());
@@ -256,7 +265,7 @@ mod tests {
             let input = ds.generate_keys_per_rank(p, 800, 3);
             let mut machine = Machine::flat(p);
             let cfg = HssConfig { epsilon: 0.05, ..HssConfig::default() }.with_duplicate_tagging();
-            let outcome = HssSorter::new(cfg).sort_verified(&mut machine, input).unwrap();
+            let outcome = run_verified(HssSorter::new(cfg), &mut machine, input).unwrap();
             assert!(
                 outcome.report.satisfies(0.05),
                 "{}: imbalance {}",
@@ -296,7 +305,7 @@ mod tests {
         let p = 8;
         let input = KeyDistribution::Uniform.generate_uneven_per_rank(p, 1_000, 0.6, 3);
         let mut machine = Machine::flat(p);
-        let outcome = HssSorter::default().sort_verified(&mut machine, input).unwrap();
+        let outcome = run_verified(HssSorter::default(), &mut machine, input).unwrap();
         assert!(outcome.report.satisfies(0.05), "imbalance {}", outcome.report.imbalance());
     }
 
@@ -308,11 +317,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node-level partitioning is not supported")]
-    fn node_level_under_overlapped_is_rejected() {
-        let input = KeyDistribution::Uniform.generate_per_rank(8, 100, 1);
-        let mut machine = Machine::new(Topology::new(8, 4), CostModel::bluegene_like())
+    fn node_level_under_overlapped_sorts_and_stages_to_leaders() {
+        let p = 16;
+        let input = KeyDistribution::Uniform.generate_per_rank(p, 800, 1);
+        let mut machine = Machine::new(Topology::new(p, 4), CostModel::bluegene_like())
             .with_sync_model(SyncModel::Overlapped);
-        let _ = HssSorter::new(HssConfig::default().with_node_level()).sort(&mut machine, input);
+        let outcome =
+            run_verified(HssSorter::new(HssConfig::paper_cluster()), &mut machine, input).unwrap();
+        assert_eq!(outcome.report.algorithm, "hss-node-level");
+        assert_eq!(outcome.report.sync_model, "overlapped");
+        assert_eq!(outcome.report.splitters.as_ref().unwrap().buckets, 4);
+        assert!(outcome.report.satisfies(0.10), "imbalance {}", outcome.report.imbalance());
+        assert!(machine.metrics().phase(Phase::DataExchange).messages > 0);
     }
 }

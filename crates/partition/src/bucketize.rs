@@ -30,6 +30,23 @@ pub fn exchange_plan<T: Keyed>(sorted: &[T], splitters: &SplitterSet<T::K>) -> E
         .with_record_width(std::mem::size_of::<T>())
 }
 
+/// The plan that sends the bucket `bounds[b]..bounds[b + 1]` of a rank's
+/// sorted data to rank `owner[b]` on a machine of `peers` ranks: the
+/// generalisation of [`exchange_plan`] from "bucket `b` goes to rank `b`"
+/// to any strictly ascending bucket→owner map (node-level buckets go to
+/// their node's leader), so the buckets stay contiguous in owner order and
+/// the sorted data is still the flat send buffer.  Non-owners get empty
+/// runs; the record width is stamped as in [`exchange_plan`].
+pub fn owner_plan<T>(bounds: &[usize], owner: &[usize], peers: usize) -> ExchangePlan {
+    debug_assert_eq!(bounds.len(), owner.len() + 1, "one owner per bucket");
+    debug_assert!(owner.windows(2).all(|w| w[0] < w[1]), "owners must ascend with the bucket");
+    let mut counts = vec![0usize; peers];
+    for (w, &dst) in bounds.windows(2).zip(owner) {
+        counts[dst] = w[1] - w[0];
+    }
+    ExchangePlan::from_counts(counts).with_record_width(std::mem::size_of::<T>())
+}
+
 /// Partition *unsorted* local data into buckets.  Used when the algorithm
 /// has not sorted its local data first (e.g. the over-partitioning
 /// baseline's task queues).
@@ -199,6 +216,19 @@ mod tests {
         for (i, b) in buckets.iter().enumerate() {
             assert_eq!(plan.run(&data, i), b.as_slice(), "bucket {i}");
         }
+    }
+
+    #[test]
+    fn owner_plan_is_exchange_plan_under_the_identity_map_and_routes_to_leaders() {
+        let data: Vec<u64> = vec![1, 3, 5, 7, 9, 11, 13];
+        let s = SplitterSet::new(vec![4u64, 10]);
+        let bounds = s.bucket_boundaries(&data);
+        assert_eq!(owner_plan::<u64>(&bounds, &[0, 1, 2], 3), exchange_plan(&data, &s));
+        // Three node buckets on a 6-rank machine with leaders 0, 2, 4.
+        let plan = owner_plan::<u64>(&bounds, &[0, 2, 4], 6);
+        assert_eq!(plan.counts, vec![2, 0, 3, 0, 2, 0]);
+        assert_eq!(plan.run(&data, 2), &[5, 7, 9]);
+        assert_eq!(plan.total_elems(), data.len());
     }
 
     #[test]

@@ -2,6 +2,14 @@
 //! partition local sorted data by the splitters, run the all-to-all
 //! exchange, merge the received runs (§2.2 step 3).
 //!
+//! [`exchange`] moves every bucket to its *owner* rank — rank `b` for
+//! rank-level buckets, a node leader for node-level buckets (§6.1) — and
+//! hands back what each owner [`Received`]; [`merge_received`] is the
+//! rank-level finish.  Whether messages are injected per rank pair or
+//! combined per node pair (§6.1.1) is derived from the machine's topology,
+//! never passed in: combining is free goodness whenever nodes have several
+//! cores.
+//!
 //! Two engines implement the step with bitwise-identical results and
 //! identical simulated-cost accounting:
 //!
@@ -16,18 +24,8 @@
 use hss_keygen::Keyed;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
-use crate::merge::kway_merge;
+use crate::merge::kway_merge_slices;
 use crate::splitters::SplitterSet;
-
-/// How the all-to-all exchange injects messages into the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeMode {
-    /// One message per (source rank, destination rank) pair.
-    RankLevel,
-    /// Messages between the same pair of physical nodes are combined
-    /// (§6.1.1), reducing the message count from `p(p-1)` to `n(n-1)`.
-    NodeCombined,
-}
 
 /// Which data representation moves the keys (same results and accounting
 /// either way; the flat engine is the fast path).
@@ -37,35 +35,50 @@ pub enum ExchangeEngine {
     /// loser-tree merge over in-place slices.
     #[default]
     Flat,
-    /// The nested `Vec<Vec<Vec<T>>>` send matrix plus a heap-order k-way
-    /// merge of owned runs.  `p²` allocations per exchange — kept as the
+    /// The nested `Vec<Vec<Vec<T>>>` send matrix, merged from the owned
+    /// receive matrix.  `p²` allocations per exchange — kept as the
     /// differential-testing oracle.
     Nested,
 }
 
+/// What the owners hold after an exchange, in whichever representation
+/// moved it.
+pub enum Received<'a, T> {
+    /// Nothing was materialised: owner `d`'s run from sender `s` is
+    /// `plans[s].run(&bufs[s], d)`, read in place out of the senders'
+    /// sorted buffers (the flat engine and the staged exchange).
+    InPlace {
+        /// The senders' sorted data.
+        bufs: &'a [Vec<T>],
+        /// One plan per sender, addressed by owner rank.
+        plans: Vec<ExchangePlan>,
+    },
+    /// The nested engine's owned receive matrix, `recv[dst][src]`.
+    Owned(Vec<Vec<Vec<T>>>),
+}
+
+impl<T> Received<'_, T> {
+    /// The sorted runs rank `dst` received, as slices in sender order
+    /// (empty runs included).
+    pub fn runs_at(&self, dst: usize) -> Vec<&[T]> {
+        match self {
+            Received::InPlace { bufs, plans } => crate::merge::runs_for(plans, bufs, dst),
+            Received::Owned(recv) => recv[dst].iter().map(Vec::as_slice).collect(),
+        }
+    }
+}
+
 /// Move every key to the rank that owns its bucket and merge the received
-/// sorted runs, using the default [`ExchangeEngine::Flat`] engine.
-/// `per_rank_sorted` must be sorted within each rank; `splitters` must
-/// define exactly `machine.ranks()` buckets.
+/// sorted runs.  `per_rank_sorted` must be sorted within each rank;
+/// `splitters` must define exactly `machine.ranks()` buckets.
 ///
 /// Returns the per-rank output (globally sorted across ranks, sorted within
 /// each rank).  Charges the bucketize work, the exchange and the merge to
 /// [`Phase::DataExchange`] / [`Phase::Merge`].
-pub fn exchange_and_merge<T: Keyed + Ord>(
-    machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
-    splitters: &SplitterSet<T::K>,
-    mode: ExchangeMode,
-) -> Vec<Vec<T>> {
-    exchange_and_merge_with(machine, per_rank_sorted, splitters, mode, ExchangeEngine::Flat)
-}
-
-/// [`exchange_and_merge`] with an explicit engine choice.
 pub fn exchange_and_merge_with<T: Keyed + Ord>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     splitters: &SplitterSet<T::K>,
-    mode: ExchangeMode,
     engine: ExchangeEngine,
 ) -> Vec<Vec<T>> {
     assert_eq!(
@@ -73,12 +86,9 @@ pub fn exchange_and_merge_with<T: Keyed + Ord>(
         machine.ranks(),
         "splitter set must define one bucket per rank"
     );
-    match engine {
-        ExchangeEngine::Flat => exchange_and_merge_flat(machine, per_rank_sorted, splitters, mode),
-        ExchangeEngine::Nested => {
-            exchange_and_merge_nested(machine, per_rank_sorted, splitters, mode)
-        }
-    }
+    let owner: Vec<usize> = (0..machine.ranks()).collect();
+    let received = exchange(machine, per_rank_sorted, splitters, &owner, engine);
+    merge_received(machine, per_rank_sorted, &received)
 }
 
 /// The bucketize work charged by both engines: the classification cost of
@@ -92,95 +102,88 @@ fn bucketize_work<K: hss_keygen::Key>(splitters: &SplitterSet<K>, local_len: usi
     crate::classify::classify_work(local_len, splitters.keys().len()).and(Work::scan(local_len))
 }
 
-fn exchange_and_merge_flat<T: Keyed + Ord>(
+/// Bucketize every rank's sorted data by `splitters` and run the
+/// all-to-all that moves bucket `b` to rank `owner[b]` (the identity map
+/// for rank-level buckets, the node leaders for node-level buckets;
+/// strictly ascending either way, so each rank's sorted data is its flat
+/// send buffer).  Messages are combined per node pair whenever the
+/// machine's nodes have several cores.
+pub fn exchange<'a, T: Keyed>(
     machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
+    per_rank_sorted: &'a [Vec<T>],
     splitters: &SplitterSet<T::K>,
-    mode: ExchangeMode,
-) -> Vec<Vec<T>> {
-    exchange_and_merge_flat_with(machine, per_rank_sorted, splitters, mode, |_dst, runs| {
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        let pieces = runs.iter().filter(|r| !r.is_empty()).count();
-        (crate::merge::kway_merge_slices(runs), Work::merge(total, pieces.max(1)))
-    })
-}
-
-/// The flat engine with a caller-supplied merger for the final step: after
-/// the in-place exchange, `merger(dst, runs)` receives destination `dst`'s
-/// runs (slices into the senders' buffers, in sender order, empties
-/// included) and returns the merged output plus the [`Work`] to charge.
-///
-/// The default merger (used by [`exchange_and_merge`]) is the in-memory
-/// loser tree; the out-of-core tier substitutes one that spills oversized
-/// receive sets to disk runs and merges them under a memory cap, adding the
-/// disk traffic to the charged `Work`.  A custom merger must preserve the
-/// in-memory merge's order (stable, ties by lower run index) if callers
-/// rely on bitwise-identical output.
-pub fn exchange_and_merge_flat_with<T, F>(
-    machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
-    splitters: &SplitterSet<T::K>,
-    mode: ExchangeMode,
-    merger: F,
-) -> Vec<Vec<T>>
-where
-    T: Keyed + Ord,
-    F: Fn(usize, &[&[T]]) -> (Vec<T>, Work) + Sync,
-{
-    // Plan each rank's buckets as counts/displacements over its sorted data
-    // — no per-bucket clones.
-    let plans: Vec<ExchangePlan> =
-        machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
-            (
-                crate::bucketize::exchange_plan(local, splitters),
-                bucketize_work(splitters, local.len()),
-            )
-        });
-    // Exchange: the sorted data itself is the flat send buffer, and no
-    // receive buffer is materialised — the merge below reads every
-    // destination's runs directly out of the senders' buffers, so each
-    // element is copied exactly once end to end (into the merged output).
-    match mode {
-        ExchangeMode::RankLevel => {
-            machine.all_to_allv_flat_in_place::<T>(Phase::DataExchange, per_rank_sorted, &plans);
+    owner: &[usize],
+    engine: ExchangeEngine,
+) -> Received<'a, T> {
+    assert_eq!(splitters.buckets(), owner.len(), "one owner per bucket");
+    let p = machine.ranks();
+    let combine = machine.topology().cores_per_node() > 1;
+    match engine {
+        ExchangeEngine::Flat => {
+            // Plan each rank's buckets as counts/displacements over its
+            // sorted data — no per-bucket clones.
+            let plans: Vec<ExchangePlan> =
+                machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
+                    (
+                        crate::bucketize::owner_plan::<T>(
+                            &splitters.bucket_boundaries(local),
+                            owner,
+                            p,
+                        ),
+                        bucketize_work(splitters, local.len()),
+                    )
+                });
+            // The sorted data itself is the flat send buffer, and no
+            // receive buffer is materialised — the finish reads every
+            // owner's runs directly out of the senders' buffers, so each
+            // element is copied exactly once end to end.
+            if combine {
+                machine.all_to_allv_flat_node_combined_in_place::<T>(
+                    Phase::DataExchange,
+                    per_rank_sorted,
+                    &plans,
+                );
+            } else {
+                machine.all_to_allv_flat_in_place::<T>(
+                    Phase::DataExchange,
+                    per_rank_sorted,
+                    &plans,
+                );
+            }
+            Received::InPlace { bufs: per_rank_sorted, plans }
         }
-        ExchangeMode::NodeCombined => {
-            machine.all_to_allv_flat_node_combined_in_place::<T>(
-                Phase::DataExchange,
-                per_rank_sorted,
-                &plans,
-            );
+        ExchangeEngine::Nested => {
+            let sends: Vec<Vec<Vec<T>>> =
+                machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
+                    let mut per_dest: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+                    let buckets = crate::bucketize::partition_sorted(local, splitters);
+                    for (b, bucket) in buckets.into_iter().enumerate() {
+                        per_dest[owner[b]] = bucket;
+                    }
+                    (per_dest, bucketize_work(splitters, local.len()))
+                });
+            Received::Owned(if combine {
+                machine.all_to_allv_node_combined(Phase::DataExchange, sends)
+            } else {
+                machine.all_to_allv(Phase::DataExchange, sends)
+            })
         }
     }
-    // Merge destination `dst`'s runs in place.
-    machine.map_phase(Phase::Merge, per_rank_sorted, |dst, _local| {
-        let runs = crate::merge::runs_for(&plans, per_rank_sorted, dst);
-        merger(dst, &runs)
-    })
 }
 
-fn exchange_and_merge_nested<T: Keyed + Ord>(
+/// The rank-level finish: every rank k-way merges the sorted runs it
+/// received into its output (`per_rank_sorted` only drives the per-rank
+/// superstep; the runs come from `received`).
+pub fn merge_received<T: Ord + Clone + Send + Sync>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
-    splitters: &SplitterSet<T::K>,
-    mode: ExchangeMode,
+    received: &Received<'_, T>,
 ) -> Vec<Vec<T>> {
-    // Partition each rank's sorted data into destination buckets.
-    let sends: Vec<Vec<Vec<T>>> =
-        machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
-            let buckets = crate::bucketize::partition_sorted(local, splitters);
-            (buckets, bucketize_work(splitters, local.len()))
-        });
-    // Exchange.
-    let received = match mode {
-        ExchangeMode::RankLevel => machine.all_to_allv(Phase::DataExchange, sends),
-        ExchangeMode::NodeCombined => machine.all_to_allv_node_combined(Phase::DataExchange, sends),
-    };
-    // Merge the p sorted runs each rank received.
-    machine.transform_phase(Phase::Merge, received, |_r, runs| {
-        let pieces = runs.iter().filter(|b| !b.is_empty()).count();
-        let total: usize = runs.iter().map(|b| b.len()).sum();
-        (kway_merge(runs), Work::merge(total, pieces.max(1)))
+    machine.map_phase(Phase::Merge, per_rank_sorted, |dst, _local| {
+        let runs = received.runs_at(dst);
+        let total: usize = runs.iter().map(|r| r.len()).sum();
+        let pieces = runs.iter().filter(|r| !r.is_empty()).count();
+        (kway_merge_slices(&runs), Work::merge(total, pieces.max(1)))
     })
 }
 
@@ -210,19 +213,21 @@ mod tests {
         let splitter_keys = crate::select::exact_splitters(&input, p);
         let splitters = SplitterSet::new(splitter_keys);
         let mut machine = Machine::flat(p);
-        let out = exchange_and_merge(&mut machine, &input, &splitters, ExchangeMode::RankLevel);
+        let out = exchange_and_merge_with(&mut machine, &input, &splitters, ExchangeEngine::Flat);
         verify_global_sort(&input, &out).unwrap();
     }
 
     #[test]
     fn node_combined_exchange_gives_identical_data() {
+        // The topology alone picks the accounting: same data, fewer messages
+        // once nodes have several cores.
         let p = 8;
         let input = sorted_input(p, 100);
         let splitters = SplitterSet::new(crate::select::exact_splitters(&input, p));
-        let mut m1 = Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
+        let mut m1 = Machine::new(Topology::flat(p), CostModel::bluegene_like());
         let mut m2 = Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
-        let a = exchange_and_merge(&mut m1, &input, &splitters, ExchangeMode::RankLevel);
-        let b = exchange_and_merge(&mut m2, &input, &splitters, ExchangeMode::NodeCombined);
+        let a = exchange_and_merge_with(&mut m1, &input, &splitters, ExchangeEngine::Flat);
+        let b = exchange_and_merge_with(&mut m2, &input, &splitters, ExchangeEngine::Flat);
         assert_eq!(a, b);
         assert!(
             m2.metrics().phase(Phase::DataExchange).messages
@@ -235,29 +240,13 @@ mod tests {
         let p = 8;
         let input = sorted_input(p, 150);
         let splitters = SplitterSet::new(crate::select::exact_splitters(&input, p));
-        for mode in [ExchangeMode::RankLevel, ExchangeMode::NodeCombined] {
-            let mut m_flat = Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
-            let mut m_nested = Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
-            let a = exchange_and_merge_with(
-                &mut m_flat,
-                &input,
-                &splitters,
-                mode,
-                ExchangeEngine::Flat,
-            );
-            let b = exchange_and_merge_with(
-                &mut m_nested,
-                &input,
-                &splitters,
-                mode,
-                ExchangeEngine::Nested,
-            );
-            assert_eq!(a, b, "mode {mode:?}");
-            assert_eq!(
-                m_flat.metrics().deterministic_signature(),
-                m_nested.metrics().deterministic_signature(),
-                "mode {mode:?}"
-            );
+        for topo in [Topology::flat(p), Topology::new(p, 4)] {
+            let run = |engine| {
+                let mut m = Machine::new(topo, CostModel::bluegene_like());
+                let out = exchange_and_merge_with(&mut m, &input, &splitters, engine);
+                (out, m.metrics().deterministic_signature())
+            };
+            assert_eq!(run(ExchangeEngine::Flat), run(ExchangeEngine::Nested), "{topo:?}");
         }
     }
 
@@ -267,6 +256,6 @@ mod tests {
         let input = sorted_input(4, 10);
         let splitters = SplitterSet::new(vec![1u64, 2]); // 3 buckets, 4 ranks
         let mut machine = Machine::flat(4);
-        let _ = exchange_and_merge(&mut machine, &input, &splitters, ExchangeMode::RankLevel);
+        let _ = exchange_and_merge_with(&mut machine, &input, &splitters, ExchangeEngine::Flat);
     }
 }

@@ -20,8 +20,9 @@
 //!   bounds of §3.3);
 //! * [`bucketize`] — partitioning local data by a splitter set;
 //! * [`merge`] — k-way merging of received sorted runs;
-//! * [`exchange`] — the full data-movement step (partition → all-to-all →
-//!   merge), rank-level or node-combined;
+//! * [`exchange`](mod@exchange) — the full data-movement step (partition →
+//!   all-to-all to each bucket's owner → merge); rank-level vs node-combined
+//!   accounting follows the machine's topology;
 //! * [`balance`] — load-imbalance metrics (`max / average` load);
 //! * [`select`] — exact ground-truth oracles used by tests and verifiers.
 
@@ -40,13 +41,11 @@ pub mod splitters;
 
 pub use balance::LoadBalance;
 pub use bucketize::{
-    bucket_counts, exchange_plan, partition_sorted, partition_unsorted, splitter_position,
+    bucket_counts, exchange_plan, owner_plan, partition_sorted, partition_unsorted,
+    splitter_position,
 };
 pub use classify::{classify_strategy, classify_work, tree_height, ClassifyStrategy, DecisionTree};
-pub use exchange::{
-    exchange_and_merge, exchange_and_merge_flat_with, exchange_and_merge_with, ExchangeEngine,
-    ExchangeMode,
-};
+pub use exchange::{exchange, exchange_and_merge_with, merge_received, ExchangeEngine, Received};
 pub use histogram::{
     global_ranks, is_sorted_by_key, local_range_counts, local_ranks, local_ranks_le,
     local_ranks_work,
@@ -54,7 +53,7 @@ pub use histogram::{
 pub use intervals::{Bound, SplitterIntervals};
 pub use merge::{
     concat_sort_merge, drain_source_below, drain_source_rest, kway_merge, kway_merge_slices,
-    merge_runs_for, runs_for, RunSource, SliceSource, SourceLoserTree,
+    runs_for, RunSource, SliceSource, SourceLoserTree,
 };
 pub use sampling::{
     bernoulli_sample, bernoulli_sample_in_intervals, bernoulli_sample_positions,

@@ -382,27 +382,10 @@ pub fn concat_sort_merge<T: Keyed>(runs: Vec<Vec<T>>) -> Vec<T> {
     out
 }
 
-/// Merge destination `dst`'s runs directly out of the senders' flat buffers:
-/// source `s`'s contribution is `plans[s].run(&bufs[s], dst)` (the flat
-/// in-place exchange convention — no receive buffer is ever materialised).
-/// Returns the merged output together with `(total_elems, nonempty_runs)`
-/// for cost accounting.  Shared by the flat exchange engine and the staged
-/// overlapped exchange.
-pub fn merge_runs_for<T: Ord + Clone>(
-    plans: &[hss_sim::ExchangePlan],
-    bufs: &[Vec<T>],
-    dst: usize,
-) -> (Vec<T>, usize, usize) {
-    let runs = runs_for(plans, bufs, dst);
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let pieces = runs.iter().filter(|r| !r.is_empty()).count();
-    (kway_merge_slices(&runs), total, pieces)
-}
-
 /// The runs destined for `dst` under the flat in-place exchange convention,
-/// as slices into the senders' buffers (in sender order).  Factored out of
-/// [`merge_runs_for`] so alternative mergers — e.g. the out-of-core tier's
-/// spill-to-disk merge — can consume the same runs.
+/// as slices into the senders' buffers (in sender order, empties included):
+/// source `s`'s contribution is `plans[s].run(&bufs[s], dst)` — no receive
+/// buffer is ever materialised.
 pub fn runs_for<'a, T>(
     plans: &[hss_sim::ExchangePlan],
     bufs: &'a [Vec<T>],

@@ -9,7 +9,10 @@
 //!
 //! * [`SortService`] owns a simulated [`Machine`](hss_sim::Machine) plus a
 //!   persistently sorted per-rank keyspace.  Batches are [`ingest`]ed
-//!   between epochs; [`seal_epoch`] folds them in and re-sorts.
+//!   between epochs; [`seal_epoch`] folds them in and re-sorts with one
+//!   [`HssSorter::sort_seeded`](hss_core::HssSorter::sort_seeded) call —
+//!   the sorter's own pipeline, under whatever schedule and bucket
+//!   granularity the machine and configuration imply.
 //! * Every epoch after the first **warm-starts** splitter determination
 //!   from the previous epoch's accumulated histogram probes
 //!   ([`hss_core::WarmStart`]): the carried probes are re-ranked in a

@@ -1,14 +1,11 @@
 //! The epoch-based [`SortService`]: batched ingest, warm-started re-sorts,
 //! bounded-staleness rank queries.
 
-use hss_core::{
-    charged_local_sort, determine_splitters_seeded, ApproxHistogrammer, HssConfig, SplitterReport,
-    WarmStart,
-};
+use hss_core::{ApproxHistogrammer, HssConfig, HssSorter, SplitterReport, WarmStart};
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_partition::{exchange_and_merge_with, ExchangeMode, LoadBalance};
-use hss_sim::{Machine, MetricsRegistry, Phase, SyncModel};
+use hss_partition::LoadBalance;
+use hss_sim::{Machine, MetricsRegistry, Phase};
 
 use serde::Serialize;
 
@@ -35,15 +32,13 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// Validate `hss` once, up front, and derive service defaults from it.
     ///
-    /// The service's epoch pipeline replicates `HssSorter`'s plain BSP
-    /// branch bitwise, so configurations that would divert into the
-    /// node-level or duplicate-tagging pipelines are rejected here rather
-    /// than silently sorted differently.
+    /// Every epoch is one [`HssSorter::sort_seeded`] call, so whatever the
+    /// sorter supports the service does — node-level partitioning included.
+    /// Duplicate tagging is the exception: the probes carried between
+    /// epochs are untagged keys, which the tagged pipeline cannot be seeded
+    /// with.
     pub fn new(hss: HssConfig) -> Result<Self, String> {
         hss.validate()?;
-        if hss.node_level {
-            return Err("the epoch service does not support node-level partitioning".into());
-        }
         if hss.tag_duplicates {
             return Err("the epoch service does not support duplicate tagging".into());
         }
@@ -133,16 +128,10 @@ where
         Self::with_machine(Machine::flat(ranks), config)
     }
 
-    /// A service on an existing machine (custom topology or cost model).
-    /// The machine must use [`SyncModel::Bsp`]: the epoch pipeline mirrors
-    /// the plain BSP sorter, which is what the warm-start differential
-    /// guarantees are pinned against.
+    /// A service on an existing machine (custom topology, cost model or
+    /// sync model): every epoch runs the sorter's pipeline under whatever
+    /// schedule and bucket granularity that machine implies.
     pub fn with_machine(machine: Machine, config: ServiceConfig) -> Self {
-        assert_eq!(
-            machine.sync_model(),
-            SyncModel::Bsp,
-            "the epoch service requires a Bsp machine"
-        );
         let p = machine.ranks();
         Self {
             machine,
@@ -210,13 +199,14 @@ where
 
     /// Fold the ingest buffers into the keyspace and re-sort it.
     ///
-    /// Epoch 0 runs the exact pipeline of `HssSorter::sort` (bitwise
-    /// identical output and cost signature).  Later epochs warm-start
-    /// splitter determination from the previous epoch's accumulated probes
-    /// unless [`ServiceConfig::warm_start`] is off.  Accounting is reset at
-    /// the start of each seal; the returned report snapshots the sort's
-    /// metrics before the query oracle is rebuilt, so sort and query costs
-    /// stay separable.
+    /// The re-sort is one [`HssSorter::sort_seeded`] call on the service's
+    /// machine, so epoch 0 (nothing to seed from) is bitwise
+    /// `HssSorter::sort` — output and cost signature — by construction.
+    /// Later epochs warm-start splitter determination from the previous
+    /// epoch's accumulated probes unless [`ServiceConfig::warm_start`] is
+    /// off.  Accounting is reset at the start of each seal; the returned
+    /// report is the sort's own, taken before the query oracle is rebuilt,
+    /// so sort and query costs stay separable.
     pub fn seal_epoch(&mut self) -> &EpochReport {
         let epoch = self.history.len();
         let p = self.machine.ranks();
@@ -225,54 +215,28 @@ where
         for (local, fresh) in data.iter_mut().zip(self.pending.iter_mut()) {
             local.append(fresh);
         }
-        let total_keys: u64 = data.iter().map(|v| v.len() as u64).sum();
 
         self.machine.reset_accounting();
 
-        // 1. Local sort — identical to the sorter's opening phase.
-        let algo = self.config.hss.local_sort;
-        self.machine.local_phase(Phase::LocalSort, &mut data, move |_rank, local| {
-            charged_local_sort(algo, local)
-        });
-
-        // 2. Splitter determination, warm-started when there is prior
-        //    state.  The observer accumulates every round's probes and
-        //    ranks them into next epoch's warm start — carrying only the
-        //    final interval bounds is not dense enough to save rounds once
-        //    fresh keys shift the targets by more than the tolerance.
+        // 1-3. Local sort, splitter determination (warm-started when there
+        //    is prior state), exchange and finish.  The observer
+        //    accumulates every round's probes for next epoch's warm start —
+        //    carrying only the final interval bounds is not dense enough to
+        //    save rounds once fresh keys shift the targets by more than the
+        //    tolerance.
         let warm = if self.config.warm_start { self.warm.take() } else { None };
         let warm_started = warm.as_ref().map(|w| !w.is_empty()).unwrap_or(false);
         let carried_probes = warm.as_ref().map(|w| w.probes().len()).unwrap_or(0);
         let mut probes_seen: Vec<T::K> = Vec::new();
-        let (splitters, splitter_report) = determine_splitters_seeded(
+        let outcome = HssSorter::new(self.config.hss.clone()).sort_seeded(
             &mut self.machine,
-            &data,
-            p,
-            &self.config.hss,
+            data,
             warm.as_ref(),
             |_machine, progress| probes_seen.extend_from_slice(progress.probes),
         );
-
-        // 3. Exchange + merge — identical mode selection to the sorter.
-        let mode = if self.machine.topology().cores_per_node() > 1 {
-            ExchangeMode::NodeCombined
-        } else {
-            ExchangeMode::RankLevel
-        };
-        let out = exchange_and_merge_with(
-            &mut self.machine,
-            &data,
-            &splitters,
-            mode,
-            self.config.hss.exchange_engine,
-        );
-
-        // Snapshot the sort's accounting before any query infrastructure
-        // runs on the machine.
-        let load_balance = LoadBalance::from_rank_data(&out);
-        let metrics = self.machine.metrics().clone();
-        let makespan_seconds = self.machine.simulated_time();
-        self.keyspace = out;
+        self.keyspace = outcome.data;
+        let sort = outcome.report;
+        let splitter_report = sort.splitters.expect("HSS reports its splitter rounds");
 
         // 4. Next epoch's warm start: every probe this epoch ranked,
         //    thinned evenly to the configured cap.
@@ -281,7 +245,7 @@ where
 
         // 5. Rebuild the query oracle and percentile index over the sealed
         //    keyspace (charged to Sampling / Query phases, after the
-        //    metrics snapshot).
+        //    sort's report was taken).
         let sample_size =
             ApproxHistogrammer::<T::K>::prescribed_sample_size(p.max(2), self.config.query_epsilon);
         let oracle = ApproxHistogrammer::build(
@@ -297,15 +261,15 @@ where
         self.history.push(EpochReport {
             epoch,
             ingested_keys: ingested,
-            total_keys,
+            total_keys: sort.total_keys,
             warm_started,
             carried_probes,
             splitter_rounds: splitter_report.rounds_executed(),
             all_finalized: splitter_report.all_finalized,
-            load_balance,
-            makespan_seconds,
+            load_balance: sort.load_balance,
+            makespan_seconds: sort.makespan_seconds,
             splitters: splitter_report,
-            metrics,
+            metrics: sort.metrics,
         });
         self.history.last().expect("just pushed")
     }
@@ -376,8 +340,8 @@ mod tests {
 
     #[test]
     fn config_rejects_unsupported_pipelines() {
-        assert!(ServiceConfig::new(HssConfig::default().with_node_level()).is_err());
         assert!(ServiceConfig::new(HssConfig::default().with_duplicate_tagging()).is_err());
+        assert!(ServiceConfig::new(HssConfig::default().with_node_level()).is_ok());
         assert!(ServiceConfig::new(HssConfig::default()).is_ok());
     }
 

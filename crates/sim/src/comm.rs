@@ -477,21 +477,9 @@ impl Machine {
         recv
     }
 
-    /// Flat node-combined all-to-all: same data movement as
-    /// [`Machine::all_to_allv_flat`], same accounting as
-    /// [`Machine::all_to_allv_node_combined`].
-    pub fn all_to_allv_flat_node_combined<U: Clone + Send + Sync>(
-        &mut self,
-        phase: Phase,
-        send_bufs: &[Vec<U>],
-        plans: &[ExchangePlan],
-    ) -> Vec<FlatRecv<U>> {
-        self.all_to_allv_flat_node_combined_in_place::<U>(phase, send_bufs, plans);
-        self.scatter_flat(send_bufs, plans)
-    }
-
-    /// In-place variant of [`Machine::all_to_allv_flat_node_combined`]:
-    /// identical charge, no receive buffers (see
+    /// Flat node-combined all-to-all: the accounting of
+    /// [`Machine::all_to_allv_node_combined`] over flat send plans, with no
+    /// receive buffers materialised — consumers read the runs in place (see
     /// [`Machine::all_to_allv_flat_in_place`]).
     pub fn all_to_allv_flat_node_combined_in_place<U: Send>(
         &mut self,
@@ -511,34 +499,6 @@ impl Machine {
             total,
             exchange_width::<U>(plans),
         );
-    }
-
-    /// Gather contributions from every rank of each node at the node leader
-    /// through shared memory (no network traffic; charged as compute, one op
-    /// per element).  Returns one combined vector per node, in node order.
-    pub fn node_shared_memory_combine<U: Clone + Send>(
-        &mut self,
-        phase: Phase,
-        per_rank: Vec<Vec<U>>,
-    ) -> Vec<Vec<U>> {
-        assert_eq!(per_rank.len(), self.ranks(), "one contribution per rank");
-        let topo = self.topology();
-        let n = topo.nodes();
-        let mut per_node: Vec<Vec<U>> = (0..n).map(|_| Vec::new()).collect();
-        let mut total = 0usize;
-        for (rank, v) in per_rank.into_iter().enumerate() {
-            total += v.len();
-            per_node[topo.node_of(rank)].extend(v);
-        }
-        let ops = total as u64 / topo.cores_per_node().max(1) as u64;
-        let metrics = PhaseMetrics {
-            simulated_seconds: self.cost_model().compute(ops),
-            compute_ops: ops,
-            supersteps: 1,
-            ..Default::default()
-        };
-        self.record(phase, "node_shared_memory_combine", metrics, ClockAdvance::Sync);
-        per_node
     }
 
     /// Inject one stage of a *staged* all-to-allv (§4): the subset of
@@ -802,10 +762,10 @@ mod tests {
         let mut m1 = Machine::new(topo, CostModel::bluegene_like());
         let recv_nested = m1.all_to_allv_node_combined(Phase::DataExchange, nested);
         let mut m2 = Machine::new(topo, CostModel::bluegene_like());
-        let recv_flat = m2.all_to_allv_flat_node_combined(Phase::DataExchange, &bufs, &plans);
-        for (dst, flat) in recv_flat.iter().enumerate() {
-            for (src, nested_buf) in recv_nested[dst].iter().enumerate() {
-                assert_eq!(flat.plan.run(&flat.data, src), nested_buf.as_slice());
+        m2.all_to_allv_flat_node_combined_in_place::<u64>(Phase::DataExchange, &bufs, &plans);
+        for (dst, row) in recv_nested.iter().enumerate() {
+            for (src, nested_buf) in row.iter().enumerate() {
+                assert_eq!(plans[src].run(&bufs[src], dst), nested_buf.as_slice());
             }
         }
         assert_eq!(m1.metrics().deterministic_signature(), m2.metrics().deterministic_signature());
@@ -830,16 +790,6 @@ mod tests {
         // 2 nodes, each sending one combined message to the other node.
         assert_eq!(msgs_node, 2);
         assert!(msgs_node < msgs_rank);
-    }
-
-    #[test]
-    fn node_shared_memory_combine_groups_by_node() {
-        let mut m = Machine::new(Topology::new(4, 2), CostModel::free());
-        let per_rank = vec![vec![1u8], vec![2], vec![3], vec![4]];
-        let per_node = m.node_shared_memory_combine(Phase::DataExchange, per_rank);
-        assert_eq!(per_node, vec![vec![1, 2], vec![3, 4]]);
-        // Shared-memory combine injects no network messages.
-        assert_eq!(m.metrics().phase(Phase::DataExchange).messages, 0);
     }
 
     #[test]

@@ -366,13 +366,6 @@ fn dump_trace(path: &str, machine: &Machine, report: &SortReport) {
 
 fn main() {
     let args = parse_args();
-    if args.overlapped && args.node_level {
-        eprintln!(
-            "--overlapped and --node-level cannot be combined: node-level \
-             partitioning has no staged-exchange pipeline yet"
-        );
-        exit(2);
-    }
     if args.extsort && !args.algorithm.starts_with("hss") {
         eprintln!("--extsort only applies to the hss algorithms");
         exit(2);

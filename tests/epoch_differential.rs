@@ -3,16 +3,17 @@
 //!
 //! Oracles:
 //!
-//! 1. **Epoch 0 is cold (bitwise).**  The first sealed epoch runs the exact
-//!    pipeline of `HssSorter::sort` on a plain BSP machine, so its per-rank
-//!    keyspace, its cost signature and its makespan must all match a cold
-//!    sorter run bit for bit.
+//! 1. **Epoch 0 is cold (bitwise).**  The first sealed epoch is
+//!    `HssSorter::sort` on the service's own machine — flat Bsp, node-level
+//!    buckets on a multi-core topology, or `SyncModel::Overlapped` — so its
+//!    per-rank keyspace, its cost signature and its makespan must all match
+//!    a cold sorter run on the same kind of machine bit for bit.
 //! 2. **Warm epochs re-sort, never approximate.**  A warm start may change
 //!    *how many rounds* splitter determination takes (and hence where the
 //!    splitters land), but the sealed keyspace must still be a permutation-
 //!    free re-sort of everything ingested: flattening it must equal the
 //!    cold sorter's flattened output on the accumulated multiset, across a
-//!    drift × processor-count matrix.
+//!    drift × processor-count matrix and on every machine of oracle 1.
 //! 3. **Replay determinism.**  The same seed and ingest stream must replay
 //!    to bitwise-identical keyspaces, reports and cost signatures.
 //! 4. **Sync-model coverage.**  The cold reference is itself pinned across
@@ -30,69 +31,101 @@ fn service_config(seed: u64) -> ServiceConfig {
     ServiceConfig::new(hss).expect("valid service config")
 }
 
+/// A machine (and configuration) a service is exercised on.
+type Setup = (&'static str, fn(usize) -> Machine, ServiceConfig);
+
+/// The plain flat Bsp machine, node-level partitioning on a
+/// 4-core-per-node topology, and a flat machine under the overlapped
+/// schedule.
+fn setups(seed: u64) -> [Setup; 3] {
+    let node_level = ServiceConfig::new(HssConfig::paper_cluster().with_seed(seed))
+        .expect("the service supports node-level partitioning");
+    let multi_core = |p| Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
+    let overlapped = |p| Machine::flat(p).with_sync_model(SyncModel::Overlapped);
+    [
+        ("flat/bsp", Machine::flat, service_config(seed)),
+        ("node-level/bsp", multi_core, node_level),
+        ("flat/overlapped", overlapped, service_config(seed)),
+    ]
+}
+
 fn flatten(per_rank: &[Vec<u64>]) -> Vec<u64> {
     per_rank.iter().flatten().copied().collect()
 }
 
 #[test]
 fn epoch_zero_is_bitwise_identical_to_the_cold_sorter() {
-    for p in [8, 32] {
-        let config = service_config(17);
-        let input = KeyDistribution::Uniform.generate_per_rank(p, 1_500, 99);
+    for (label, machine, config) in setups(17) {
+        for p in [8, 32] {
+            let input = KeyDistribution::Uniform.generate_per_rank(p, 1_500, 99);
 
-        let mut service: SortService<u64> = SortService::new(p, config.clone());
-        service.ingest_per_rank(input.clone());
-        service.seal_epoch();
+            let mut service: SortService<u64> =
+                SortService::with_machine(machine(p), config.clone());
+            service.ingest_per_rank(input.clone());
+            service.seal_epoch();
 
-        let mut machine = Machine::flat(p);
-        let cold = HssSorter::new(config.hss).sort(&mut machine, input);
+            let mut cold_machine = machine(p);
+            let cold = HssSorter::new(config.hss.clone()).sort(&mut cold_machine, input);
 
-        assert_eq!(service.keyspace(), cold.data.as_slice(), "p={p}: per-rank data differs");
-        let report = &service.history()[0];
-        assert_eq!(
-            report.metrics.deterministic_signature(),
-            cold.report.metrics.deterministic_signature(),
-            "p={p}: cost signature differs"
-        );
-        assert_eq!(
-            report.makespan_seconds.to_bits(),
-            cold.report.makespan_seconds.to_bits(),
-            "p={p}: makespan differs"
-        );
-        assert_eq!(
-            report.splitter_rounds,
-            cold.report.splitters.as_ref().unwrap().rounds_executed()
-        );
+            assert_eq!(service.keyspace(), cold.data.as_slice(), "{label} p={p}: data differs");
+            let report = &service.history()[0];
+            assert_eq!(
+                report.metrics.deterministic_signature(),
+                cold.report.metrics.deterministic_signature(),
+                "{label} p={p}: cost signature differs"
+            );
+            assert_eq!(
+                report.makespan_seconds.to_bits(),
+                cold.report.makespan_seconds.to_bits(),
+                "{label} p={p}: makespan differs"
+            );
+            assert_eq!(
+                report.splitter_rounds,
+                cold.report.splitters.as_ref().unwrap().rounds_executed()
+            );
+        }
     }
 }
 
 #[test]
 fn warm_epochs_flatten_to_the_cold_resort_of_everything_ingested() {
-    for p in [8, 16] {
-        for drift in [0.0, 0.5, 1.0] {
-            let config = service_config(23);
-            let mut service: SortService<u64> = SortService::new(p, config.clone());
-            let mut workload = DriftingWorkload::new(p, 600, drift, 23);
-            let mut accumulated: Vec<Vec<u64>> = vec![Vec::new(); p];
+    for (label, machine, config) in setups(23) {
+        for p in [8, 16] {
+            for drift in [0.0, 0.5, 1.0] {
+                let mut service: SortService<u64> =
+                    SortService::with_machine(machine(p), config.clone());
+                let mut workload = DriftingWorkload::new(p, 600, drift, 23);
+                let mut accumulated: Vec<Vec<u64>> = vec![Vec::new(); p];
 
-            for epoch in 0..3 {
-                let batch = workload.next_batch();
-                for (acc, fresh) in accumulated.iter_mut().zip(batch.iter()) {
-                    acc.extend_from_slice(fresh);
+                for epoch in 0..3 {
+                    let at = format!("{label} p={p} drift={drift} epoch {epoch}");
+                    let batch = workload.next_batch();
+                    for (acc, fresh) in accumulated.iter_mut().zip(batch.iter()) {
+                        acc.extend_from_slice(fresh);
+                    }
+                    service.ingest_per_rank(batch);
+                    let report = service.seal_epoch().clone();
+                    assert_eq!(report.warm_started, epoch > 0, "{at}");
+
+                    let cold = HssSorter::new(config.hss.clone())
+                        .sort(&mut machine(p), accumulated.clone());
+                    assert_eq!(
+                        flatten(service.keyspace()),
+                        flatten(&cold.data),
+                        "{at}: flattened output differs from cold re-sort"
+                    );
+                    // The splitter guarantee is per bucket: ranks, or whole
+                    // nodes under node-level partitioning.  (Within a node
+                    // the regular-sampling re-split takes equally many
+                    // samples from every received run, which only balances
+                    // cores when the runs are about equally long — not the
+                    // case when re-sorting an already partitioned keyspace.)
+                    let cores = if config.hss.node_level { 4 } else { 1 };
+                    let buckets: Vec<Vec<u64>> =
+                        service.keyspace().chunks(cores).map(|node| node.concat()).collect();
+                    let balance = LoadBalance::from_rank_data(&buckets);
+                    assert!(balance.satisfies(config.hss.epsilon), "{at}: {}", balance.imbalance);
                 }
-                service.ingest_per_rank(batch);
-                let report = service.seal_epoch().clone();
-                assert_eq!(report.warm_started, epoch > 0, "p={p} drift={drift} epoch {epoch}");
-
-                let mut machine = Machine::flat(p);
-                let cold =
-                    HssSorter::new(config.hss.clone()).sort(&mut machine, accumulated.clone());
-                assert_eq!(
-                    flatten(service.keyspace()),
-                    flatten(&cold.data),
-                    "p={p} drift={drift} epoch {epoch}: flattened output differs from cold re-sort"
-                );
-                assert!(report.load_balance.satisfies(config.hss.epsilon));
             }
         }
     }

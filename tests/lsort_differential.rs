@@ -257,25 +257,28 @@ fn bitonic_radix_and_comparison_agree() {
 
 #[test]
 fn node_level_radix_and_comparison_agree() {
-    // Node-level partitioning (within-node sample sort included); only
-    // under Bsp — node-level is rejected under Overlapped.
+    // Node-level partitioning (within-node sample sort included), under
+    // both schedules.
     let topo = Topology::new(16, 4);
-    for dist in distributions() {
-        let input = dist.generate_per_rank(16, KEYS_PER_RANK, SEED);
-        let mut runs = Vec::new();
-        for algo in [LocalSortAlgo::Comparison, LocalSortAlgo::Radix] {
-            let mut machine = Machine::new(topo, CostModel::bluegene_like());
-            let cfg = HssConfig::paper_cluster().with_seed(SEED).with_local_sort(algo);
-            let out = HssSorter::new(cfg).sort(&mut machine, input.clone());
-            runs.push((out.data, machine.metrics().deterministic_signature()));
+    for sync in sync_models() {
+        for dist in distributions() {
+            let input = dist.generate_per_rank(16, KEYS_PER_RANK, SEED);
+            let label = format!("node-level/{:?}/{}", sync, dist.name());
+            let mut runs = Vec::new();
+            for algo in [LocalSortAlgo::Comparison, LocalSortAlgo::Radix] {
+                let mut machine =
+                    Machine::new(topo, CostModel::bluegene_like()).with_sync_model(sync);
+                let cfg = HssConfig::paper_cluster().with_seed(SEED).with_local_sort(algo);
+                let out = HssSorter::new(cfg).sort(&mut machine, input.clone());
+                runs.push((out.data, machine.metrics().deterministic_signature()));
+            }
+            assert_eq!(runs[0].0, runs[1].0, "{label}: data diverged");
+            assert_eq!(
+                non_local(&runs[0].1),
+                non_local(&runs[1].1),
+                "{label}: non-local signature diverged"
+            );
         }
-        assert_eq!(runs[0].0, runs[1].0, "node-level/{}: data diverged", dist.name());
-        assert_eq!(
-            non_local(&runs[0].1),
-            non_local(&runs[1].1),
-            "node-level/{}: non-local signature diverged",
-            dist.name()
-        );
     }
 }
 
