@@ -31,7 +31,7 @@ pub fn local_sort_phase_with<T: Keyed + Ord + RadixSortable>(
 /// Run the shared tail of every splitter-based baseline: exchange by the
 /// given splitters, merge, compute the load balance and assemble a
 /// [`SortReport`].
-pub fn finish_splitter_sort<T: Keyed + Ord>(
+pub fn finish_splitter_sort<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     algorithm: &str,
     per_rank_sorted: &[Vec<T>],
@@ -52,7 +52,7 @@ pub fn finish_splitter_sort<T: Keyed + Ord>(
 /// [`finish_splitter_sort`] with an explicit exchange engine (the nested
 /// engine exists for differential testing and the exchange benchmark) and
 /// the local-sort algorithm the run used (recorded in the report).
-pub fn finish_splitter_sort_with<T: Keyed + Ord>(
+pub fn finish_splitter_sort_with<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     algorithm: &str,
     per_rank_sorted: &[Vec<T>],

@@ -16,7 +16,7 @@
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{kway_merge, ExchangeEngine, LoadBalance};
+use hss_partition::{ExchangeEngine, LoadBalance};
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
 use crate::common::local_sort_phase_with;
@@ -212,14 +212,6 @@ fn assign_buckets(global_counts: &[u64], ranks: usize, total_keys: u64) -> Vec<u
         }
     }
     assignment
-}
-
-/// Merge variant used by tests to compare against: plain k-way merge of the
-/// received buckets (identical result to flatten + sort when inputs are
-/// pre-sorted).
-#[allow(dead_code)]
-fn merge_received<T: Keyed + Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
-    kway_merge(runs)
 }
 
 #[cfg(test)]

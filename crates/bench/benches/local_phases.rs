@@ -2,9 +2,10 @@
 //! queries (binary search vs merge sweep regimes), bucket partitioning and
 //! k-way merging — the per-rank kernels whose costs Table 5.1 composes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hss_keygen::KeyDistribution;
-use hss_partition::{kway_merge, local_ranks, partition_sorted, SplitterSet};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hss_keygen::{generate_tera_records_per_rank, KeyDistribution, Record, TeraRecord};
+use hss_lsort::RadixSortable;
+use hss_partition::{kway_merge_slices, local_ranks, partition_sorted, SplitterSet};
 
 fn sorted_keys(n: usize, seed: u64) -> Vec<u64> {
     let mut v = KeyDistribution::Uniform.generate_rank(0, 1, n, seed);
@@ -37,17 +38,50 @@ fn bench_local_phases(c: &mut Criterion) {
         });
     }
 
-    // K-way merge of received runs.
-    for runs in [4usize, 64, 512] {
-        let per_run = 100_000 / runs;
-        let run_vecs: Vec<Vec<u64>> = (0..runs).map(|r| sorted_keys(per_run, r as u64)).collect();
-        group.bench_function(BenchmarkId::new("kway_merge", runs), |b| {
-            b.iter(|| kway_merge(run_vecs.clone()))
-        });
-    }
-
     group.finish();
 }
 
-criterion_group!(benches, bench_local_phases);
+/// One merge shape through `kway_merge_slices`.  The runs are borrowed, so
+/// an iteration is the merge and its output allocation only.
+fn bench_merge_shape<T: RadixSortable>(c: &mut Criterion, shape: &str, runs: &[Vec<T>]) {
+    let slices: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+    let total: usize = slices.iter().map(|r| r.len()).sum();
+    let mut group = c.benchmark_group("local_phases");
+    group.sample_size(20).throughput(Throughput::Elements(total as u64));
+    group.bench_function(BenchmarkId::new("kway_merge", shape), |b| {
+        b.iter(|| kway_merge_slices(&slices))
+    });
+    group.finish();
+}
+
+/// The k-way merge at the benchmark's three regimes: `u64-fat`'s and
+/// `tera-fat`'s 16 long runs per receiver, and `u64-wide-skew`'s ~650
+/// runs of a record or two.
+fn bench_kway_merge(c: &mut Criterion) {
+    let u64_runs: Vec<Vec<u64>> = (0..16).map(|r| sorted_keys(32_768, r)).collect();
+    bench_merge_shape(c, "16x32768-u64", &u64_runs);
+
+    let mut tera_runs: Vec<Vec<TeraRecord>> = generate_tera_records_per_rank(16, 10_000, 1);
+    tera_runs.iter_mut().for_each(|run| run.sort_unstable());
+    bench_merge_shape(c, "16x10000-tera", &tera_runs);
+
+    let tiny_runs: Vec<Vec<u64>> = (0..650).map(|r| sorted_keys(2, r)).collect();
+    bench_merge_shape(c, "650x2-u64", &tiny_runs);
+
+    // Four distinct keys: every comparison ties on the cached key prefix
+    // and falls through to the full record comparison.
+    let dup_runs: Vec<Vec<Record>> = (0..16)
+        .map(|r| {
+            let mut run: Vec<Record> = sorted_keys(32_768, r)
+                .into_iter()
+                .map(|x| Record { key: x >> 62, payload: x as u32 })
+                .collect();
+            run.sort_unstable();
+            run
+        })
+        .collect();
+    bench_merge_shape(c, "16x32768-record-dups", &dup_runs);
+}
+
+criterion_group!(benches, bench_local_phases, bench_kway_merge);
 criterion_main!(benches);

@@ -35,7 +35,7 @@ use crate::config::HssConfig;
 /// `received` among its node's cores, entirely in shared memory.  Returns
 /// the per-rank output; the slowest node's work is charged to
 /// [`Phase::NodeLocalSort`].
-pub(crate) fn finish_within_nodes<T: Keyed + Ord>(
+pub(crate) fn finish_within_nodes<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     received: &Received<'_, T>,
     config: &HssConfig,
@@ -78,7 +78,7 @@ where
 /// memory.  The runs are read in place (slices into the receive buffer);
 /// only the final per-core chunks are materialised.  Returns the per-core
 /// chunks and the number of compute ops spent.
-fn split_within_node<T: Keyed + Ord>(
+fn split_within_node<T: Keyed + RadixSortable>(
     runs: &[&[T]],
     cores: usize,
     within_eps: f64,
@@ -96,13 +96,16 @@ where
         return ((0..cores).map(|_| Vec::new()).collect(), 0);
     }
 
-    // Regular sampling: s evenly spaced keys from each sorted run, with the
-    // oversampling ratio `cores / within_eps` of Lemma 4.1.1 (capped so tiny
-    // runs are not oversampled beyond their size).
+    // Regular sampling with the oversampling ratio `cores / within_eps` of
+    // Lemma 4.1.1: `s` evenly spaced keys per run on average, each run
+    // sampled in proportion to its length (at least once; never beyond its
+    // size) so that the sample's quantiles are the data's whatever the
+    // run lengths are.
     let s = ((cores as f64 / within_eps).ceil() as usize).max(cores);
     let mut sample: Vec<T::K> = Vec::new();
     for run in runs {
-        sample.extend(regular_sample(run, s));
+        let share = (s * runs.len() * run.len()).div_ceil(total);
+        sample.extend(regular_sample(run, share.max(1)));
     }
     // The within-node sample sort runs the configured algorithm; the ops
     // charged below stay the comparison-model term (cost convention of
@@ -177,6 +180,28 @@ mod tests {
         // Every core holds a reasonable share.
         let lb = LoadBalance::from_rank_data(&chunks);
         assert!(lb.satisfies(0.10), "within-node imbalance {}", lb.imbalance);
+    }
+
+    #[test]
+    fn split_within_node_balances_runs_of_unequal_length() {
+        // What a node leader receives when an already partitioned keyspace
+        // is re-sorted: one long run spanning the bucket and a few short
+        // ones crowded at its low end.  Sampled equally per run, three
+        // quarters of the sample would come from 3 % of the keys.
+        let eps = 0.05;
+        let runs: Vec<Vec<u64>> = vec![
+            (0..10_000).map(|i| i * 100).collect(),
+            (0..100).map(|i| i * 3).collect(),
+            (0..100).map(|i| i * 3 + 1).collect(),
+            (0..100).map(|i| i * 3 + 2).collect(),
+        ];
+        let run_slices: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+        let (chunks, _ops) = split_within_node(&run_slices, 4, eps, LocalSortAlgo::Radix);
+        let flat: Vec<u64> = chunks.iter().flatten().copied().collect();
+        assert!(flat.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(flat.len(), 10_300);
+        let lb = LoadBalance::from_rank_data(&chunks);
+        assert!(lb.satisfies(eps), "within-node imbalance {}", lb.imbalance);
     }
 
     #[test]

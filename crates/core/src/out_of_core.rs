@@ -181,7 +181,7 @@ impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for RankStore<T> {
 /// A rank's data between splitter determination and the staged drain:
 /// either the in-memory sorted vector with a cut position, or the draining
 /// merge cursor over its run files.
-enum DrainSource<T: PlainRecord + Ord + Keyed> {
+enum DrainSource<T: PlainRecord + RadixSortable + Keyed> {
     Mem { data: Vec<T>, pos: usize },
     Disk { cursor: MergeCursor<T>, pieces: usize, block_elems: usize },
 }

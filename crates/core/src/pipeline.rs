@@ -100,7 +100,7 @@ pub(crate) fn sort_sorted<T, F>(
     on_round: F,
 ) -> (Vec<Vec<T>>, SplitterReport)
 where
-    T: Keyed + Ord,
+    T: Keyed + RadixSortable,
     T::K: RadixSortable,
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
@@ -146,7 +146,7 @@ fn staged_exchange<'a, T, F>(
     mut on_round: F,
 ) -> (Received<'a, T>, SplitterReport)
 where
-    T: Keyed + Ord,
+    T: Keyed + RadixSortable,
     T::K: RadixSortable,
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {

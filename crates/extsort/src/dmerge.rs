@@ -21,6 +21,7 @@ use std::path::Path;
 use std::sync::mpsc;
 use std::time::Instant;
 
+use hss_lsort::RadixSortable;
 use hss_partition::{RunSource, SourceLoserTree};
 
 use crate::config::{ExtSortConfig, IoMode};
@@ -119,7 +120,7 @@ impl<T: PlainRecord> SyncDiskSource<T> {
     }
 }
 
-impl<T: PlainRecord + Ord> RunSource for SyncDiskSource<T> {
+impl<T: PlainRecord + RadixSortable> RunSource for SyncDiskSource<T> {
     type Item = T;
 
     fn peek(&self) -> Option<&T> {
@@ -191,7 +192,7 @@ impl<T: PlainRecord> AsyncDiskSource<T> {
     }
 }
 
-impl<T: PlainRecord + Ord> RunSource for AsyncDiskSource<T> {
+impl<T: PlainRecord + RadixSortable> RunSource for AsyncDiskSource<T> {
     type Item = T;
 
     fn peek(&self) -> Option<&T> {
@@ -326,7 +327,6 @@ pub(crate) enum PassOutput<'a, T> {
 /// Pull every record out of `tree` through `emit`; returns the count.
 fn drive<T, S, F>(tree: &mut SourceLoserTree<S>, mut emit: F) -> io::Result<u64>
 where
-    T: Ord,
     S: RunSource<Item = T>,
     F: FnMut(T) -> io::Result<()>,
 {
@@ -347,7 +347,7 @@ pub(crate) fn merge_pass<T>(
     report: &mut ExtSortReport,
 ) -> io::Result<u64>
 where
-    T: PlainRecord + Ord,
+    T: PlainRecord + RadixSortable,
 {
     match cfg.io_mode {
         IoMode::Synchronous => merge_pass_sync(runs, cfg, out, report),
@@ -362,7 +362,7 @@ fn merge_pass_sync<T>(
     report: &mut ExtSortReport,
 ) -> io::Result<u64>
 where
-    T: PlainRecord + Ord,
+    T: PlainRecord + RadixSortable,
 {
     let block_elems = cfg.block_elems::<T>();
     let sources =
@@ -401,7 +401,7 @@ fn merge_pass_overlapped<T>(
     report: &mut ExtSortReport,
 ) -> io::Result<u64>
 where
-    T: PlainRecord + Ord,
+    T: PlainRecord + RadixSortable,
 {
     let block_elems = cfg.block_elems::<T>();
     let readers =
@@ -507,7 +507,7 @@ pub(crate) fn reduce_to_fan_in<T>(
     report: &mut ExtSortReport,
 ) -> io::Result<Vec<RunFile>>
 where
-    T: PlainRecord + Ord,
+    T: PlainRecord + RadixSortable,
 {
     let mut next_id = 0u64;
     while runs.len() > cfg.fan_in {
@@ -538,7 +538,7 @@ pub(crate) fn merge_all<T>(
     report: &mut ExtSortReport,
 ) -> io::Result<u64>
 where
-    T: PlainRecord + Ord,
+    T: PlainRecord + RadixSortable,
 {
     let runs = reduce_to_fan_in::<T>(runs, cfg, dir, report)?;
     report.merge_passes += 1;
@@ -552,7 +552,7 @@ pub(crate) enum CursorSource<T: PlainRecord> {
     Async(AsyncDiskSource<T>),
 }
 
-impl<T: PlainRecord + Ord> RunSource for CursorSource<T> {
+impl<T: PlainRecord + RadixSortable> RunSource for CursorSource<T> {
     type Item = T;
 
     fn peek(&self) -> Option<&T> {
@@ -584,7 +584,7 @@ impl<T: PlainRecord + Ord> RunSource for CursorSource<T> {
 /// and returns the accumulated I/O accounting.  Dropping the cursor early
 /// also joins the thread (via channel disconnect), so no scratch file
 /// outlives its `RunDirGuard`.
-pub struct MergeCursor<T: PlainRecord + Ord> {
+pub struct MergeCursor<T: PlainRecord + RadixSortable> {
     tree: Option<SourceLoserTree<CursorSource<T>>>,
     prefetcher: Option<std::thread::JoinHandle<(u64, u64, Option<io::Error>)>>,
     report: ExtSortReport,
@@ -597,7 +597,7 @@ pub struct MergeCursor<T: PlainRecord + Ord> {
     _guard: crate::runs::RunDirGuard,
 }
 
-impl<T: PlainRecord + Ord> MergeCursor<T> {
+impl<T: PlainRecord + RadixSortable> MergeCursor<T> {
     /// Open a cursor over `runs` (already reduced to ≤ `cfg.fan_in`),
     /// taking ownership of the scratch directory guard and the report that
     /// accumulated run formation + reduction passes.  The drain itself
@@ -676,9 +676,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
     /// Pop the next record of the merged stream.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<T> {
-        let item = self.tree.as_mut()?.next()?;
-        self.emitted += 1;
-        Some(item)
+        self.pop_if(|_| true)
     }
 
     /// Records emitted so far.
@@ -749,7 +747,7 @@ impl<T: PlainRecord + Ord> MergeCursor<T> {
     }
 }
 
-impl<T: PlainRecord + Ord> RunSource for MergeCursor<T> {
+impl<T: PlainRecord + RadixSortable> RunSource for MergeCursor<T> {
     type Item = T;
 
     fn peek(&self) -> Option<&T> {
@@ -759,9 +757,15 @@ impl<T: PlainRecord + Ord> RunSource for MergeCursor<T> {
     fn pop(&mut self) -> Option<T> {
         self.next()
     }
+
+    fn pop_if(&mut self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
+        let item = self.tree.as_mut()?.next_if(pred)?;
+        self.emitted += 1;
+        Some(item)
+    }
 }
 
-impl<T: PlainRecord + Ord> Drop for MergeCursor<T> {
+impl<T: PlainRecord + RadixSortable> Drop for MergeCursor<T> {
     fn drop(&mut self) {
         // Dropping the sources disconnects the request channel, which ends
         // the prefetch loop; joining keeps the thread from touching scratch
@@ -773,7 +777,7 @@ impl<T: PlainRecord + Ord> Drop for MergeCursor<T> {
     }
 }
 
-impl<T: PlainRecord + Ord> std::fmt::Debug for MergeCursor<T> {
+impl<T: PlainRecord + RadixSortable> std::fmt::Debug for MergeCursor<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MergeCursor")
             .field("emitted", &self.emitted)

@@ -167,7 +167,7 @@ impl ExternalSorter {
     /// same order, so output is bitwise identical.
     pub fn merge_spilled<T>(&self, sorted_runs: &[&[T]]) -> io::Result<(Vec<T>, ExtSortReport)>
     where
-        T: PlainRecord + Ord,
+        T: PlainRecord + RadixSortable,
     {
         let wall = Instant::now();
         let mut report = ExtSortReport::default();
@@ -264,7 +264,7 @@ impl<T: PlainRecord> SpilledRuns<T> {
     /// here, so the reduction passes' io-wait is covered by it.
     pub fn into_cursor(mut self) -> io::Result<MergeCursor<T>>
     where
-        T: Ord,
+        T: RadixSortable,
     {
         let started = Instant::now();
         let runs = reduce_to_fan_in::<T>(

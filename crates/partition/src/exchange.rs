@@ -22,6 +22,7 @@
 //!   differential-testing oracle and for the `exchange_scaling` benchmark.
 
 use hss_keygen::Keyed;
+use hss_lsort::RadixSortable;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
 use crate::merge::kway_merge_slices;
@@ -75,7 +76,7 @@ impl<T> Received<'_, T> {
 /// Returns the per-rank output (globally sorted across ranks, sorted within
 /// each rank).  Charges the bucketize work, the exchange and the merge to
 /// [`Phase::DataExchange`] / [`Phase::Merge`].
-pub fn exchange_and_merge_with<T: Keyed + Ord>(
+pub fn exchange_and_merge_with<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     splitters: &SplitterSet<T::K>,
@@ -174,7 +175,7 @@ pub fn exchange<'a, T: Keyed>(
 /// The rank-level finish: every rank k-way merges the sorted runs it
 /// received into its output (`per_rank_sorted` only drives the per-rank
 /// superstep; the runs come from `received`).
-pub fn merge_received<T: Ord + Clone + Send + Sync>(
+pub fn merge_received<T: RadixSortable + Send + Sync>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     received: &Received<'_, T>,

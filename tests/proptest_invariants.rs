@@ -131,6 +131,30 @@ proptest! {
         prop_assert_eq!(merged, keys);
     }
 
+    /// Few distinct keys: nearly every comparison of the merge ties on the
+    /// cached key prefix and is decided by the payload, then the run index.
+    #[test]
+    fn merging_duplicate_heavy_records_matches_a_stable_sort(
+        raw_runs in vec(vec((0u64..4, any::<u32>()), 0..60), 0..10),
+    ) {
+        let runs: Vec<Vec<Record>> = raw_runs
+            .into_iter()
+            .map(|run| {
+                let mut run: Vec<Record> =
+                    run.into_iter().map(|(key, payload)| Record { key, payload }).collect();
+                run.sort();
+                run
+            })
+            .collect();
+        let mut expected = runs.concat();
+        expected.sort();
+        let merged = kway_merge(runs);
+        prop_assert!(merged
+            .windows(2)
+            .all(|w| w[0].key < w[1].key || (w[0].key == w[1].key && w[0].payload <= w[1].payload)));
+        prop_assert_eq!(merged, expected);
+    }
+
     #[test]
     fn local_ranks_are_monotone_and_bounded(
         mut keys in vec(any::<u64>(), 0..300),
