@@ -1,11 +1,13 @@
 //! Criterion micro-benchmark of the local building blocks: histogram rank
-//! queries (binary search vs merge sweep regimes), bucket partitioning and
-//! k-way merging — the per-rank kernels whose costs Table 5.1 composes.
+//! queries (binary search vs merge sweep regimes), bucket partitioning,
+//! k-way merging and one whole histogramming round — the kernels whose
+//! costs Table 5.1 composes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hss_keygen::{generate_tera_records_per_rank, KeyDistribution, Record, TeraRecord};
 use hss_lsort::RadixSortable;
-use hss_partition::{kway_merge_slices, local_ranks, partition_sorted, SplitterSet};
+use hss_partition::{global_ranks, kway_merge_slices, local_ranks, partition_sorted, SplitterSet};
+use hss_sim::{Machine, Phase};
 
 fn sorted_keys(n: usize, seed: u64) -> Vec<u64> {
     let mut v = KeyDistribution::Uniform.generate_rank(0, 1, n, seed);
@@ -83,5 +85,39 @@ fn bench_kway_merge(c: &mut Criterion) {
     bench_merge_shape(c, "16x32768-record-dups", &dup_runs);
 }
 
-criterion_group!(benches, bench_local_phases, bench_kway_merge);
+/// One full global-rank round (`global_ranks`: every rank counts, the
+/// counts are reduced) over `p` sorted ranks of `n` keys against `m` probes
+/// drawn from the data, on a fresh machine per iteration.
+fn bench_round_shape(
+    c: &mut Criterion,
+    shape: &str,
+    dist: KeyDistribution,
+    p: usize,
+    n: usize,
+    m: usize,
+) {
+    let mut data = dist.generate_per_rank(p, n, 301);
+    data.iter_mut().for_each(|rank| rank.sort_unstable());
+    // Evenly spaced keys of every rank, `m` in total.
+    let stride = n / m.div_ceil(p);
+    let mut probes: Vec<u64> = (0..m).map(|i| data[i % p][(i / p) * stride]).collect();
+    probes.sort_unstable();
+    let mut group = c.benchmark_group("local_phases");
+    group.sample_size(20).throughput(Throughput::Elements((p * n) as u64));
+    group.bench_function(BenchmarkId::new("histogram_round", shape), |b| {
+        b.iter(|| global_ranks(&mut Machine::flat(p), &data, &probes, Phase::Histogramming))
+    });
+    group.finish();
+}
+
+/// The histogramming round at the benchmark's two regimes: `u64-wide-skew`
+/// (`~5p` probes dwarf the rank, decision-tree arm) and `u64-fat` (a few
+/// hundred probes against half a million keys, binary-search arm).
+fn bench_histogram_round(c: &mut Criterion) {
+    let powerlaw = KeyDistribution::PowerLaw { gamma: 4.0 };
+    bench_round_shape(c, "1024x1024-m5120-powerlaw", powerlaw, 1024, 1024, 5120);
+    bench_round_shape(c, "16x524288-m250-uniform", KeyDistribution::Uniform, 16, 524_288, 250);
+}
+
+criterion_group!(benches, bench_local_phases, bench_kway_merge, bench_histogram_round);
 criterion_main!(benches);

@@ -5,12 +5,17 @@
 //! This is the measured counterpart of Table 5.1's splitter-determination
 //! column: HSS gathers orders of magnitude fewer keys, so its splitter
 //! phase is cheaper even though it runs several histogram rounds.
+//!
+//! `hss/1024x1024-powerlaw` is the repo benchmark's `u64-wide-skew` shape
+//! (1024 ranks x 1024 power-law keys, default configuration): the regime
+//! where `~5p` probes per round dwarf a rank's keys and splitter
+//! determination is the largest layer of a sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hss_baselines::{histogram_sort_splitters, HistogramSortConfig};
 use hss_core::{determine_splitters, HssConfig, RoundSchedule};
 use hss_keygen::KeyDistribution;
-use hss_sim::Machine;
+use hss_sim::{CostModel, Machine, Topology};
 
 const P: usize = 64;
 const KEYS_PER_RANK: usize = 4_000;
@@ -46,6 +51,17 @@ fn bench_splitter_determination(c: &mut Criterion) {
             })
         });
     }
+
+    let (wide_p, wide_n) = (1024, 1024);
+    let mut wide = KeyDistribution::PowerLaw { gamma: 4.0 }.generate_per_rank(wide_p, wide_n, 301);
+    wide.iter_mut().for_each(|rank| rank.sort_unstable());
+    group.bench_function(BenchmarkId::new("hss", "1024x1024-powerlaw"), |b| {
+        let config = HssConfig::default().with_seed(301);
+        b.iter(|| {
+            let mut machine = Machine::new(Topology::new(wide_p, 16), CostModel::bluegene_like());
+            determine_splitters(&mut machine, &wide, wide_p, &config)
+        })
+    });
 
     group.bench_function(BenchmarkId::new("baseline", "classic_histogram_sort"), |b| {
         let cfg = HistogramSortConfig::new(EPS, P);

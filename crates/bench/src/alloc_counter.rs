@@ -1,9 +1,12 @@
-//! A counting global allocator for the `exchange_scaling` experiment.
+//! A counting global allocator for the `exchange_scaling` experiment and
+//! the histogram-round allocation guard (`tests/histogram_round_alloc.rs`).
 //!
 //! The flat exchange engine exists to kill the `p²` per-exchange heap
 //! allocations of the nested send matrix; the benchmark proves the point by
-//! counting real allocator calls around each exchange.  Binaries opt in
-//! with
+//! counting real allocator calls around each exchange.  The fused
+//! histogramming round exists to kill the `O(p·m)` words of per-rank probe
+//! indexes and rank vectors; its guard counts requested *bytes*.  Binaries
+//! opt in with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -18,17 +21,24 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator wrapped with a relaxed atomic allocation counter
-/// (deallocations are not counted — the experiment compares how many
-/// buffers each engine *creates*).
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+/// The system allocator wrapped with relaxed atomic counters of allocation
+/// calls and requested bytes (deallocations are not counted — the callers
+/// compare how many buffers, or how much buffer space, each design
+/// *creates*).
 pub struct CountingAllocator;
 
 // SAFETY: all methods delegate directly to `System`; the only extra work is
-// a relaxed atomic increment, which allocates nothing.
+// two relaxed atomic increments, which allocate nothing.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -37,12 +47,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -52,6 +62,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// allocator.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested through those calls (a `realloc` counts its whole
+/// new size); 0 forever when [`CountingAllocator`] is not installed.
+pub fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::sampling::random_block_sample_positions;
-use hss_partition::{local_ranks_le, local_ranks_work};
+use hss_partition::{local_ranks_work, ProbeIndex};
 use hss_sim::{Machine, Phase, Work};
 
 use crate::multi_round::SortedSource;
@@ -153,7 +153,8 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
     /// the (much smaller) samples.
     ///
     /// The per-rank `<=`-rank counts run through
-    /// [`local_ranks_le`] — per-query binary searches when the query set is
+    /// [`hss_partition::local_ranks_le`]'s three arms over one shared
+    /// [`ProbeIndex`] — per-query binary searches when the query set is
     /// small, one merged linear sweep when it is dense relative to the
     /// sample (the usual shape: `~5p` probes against `O(√(p log p)/ε)`
     /// samples) — and the charge is the cost of the strategy actually
@@ -173,33 +174,30 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
         queries: &[K],
         phase: Phase,
     ) -> Vec<f64> {
-        // A real assert, not a debug_assert: the merge-sweep branch of
-        // `local_ranks_le` silently clamps out-of-order queries to the
-        // running maximum, so an unsorted query set must fail loudly in
-        // release builds too.  Query sets are tiny (histogram probes), so
-        // the check is O(p)-ish against O(p·log s) of work.
-        assert!(queries.windows(2).all(|w| w[0] <= w[1]), "queries must be sorted");
-        // Compute per-rank estimated local ranks (scaled counts).  The
-        // reduction works on u64 fixed-point values (1/1024 key) so it can
-        // reuse the integer histogram reduction path.
+        // `ProbeIndex::new` is the release-mode sortedness check: the
+        // merge-sweep branch of `local_ranks_le` would silently clamp
+        // out-of-order queries to the running maximum.
+        let index = ProbeIndex::new(queries);
+        // Per-rank estimated local ranks (scaled counts) are summed as u64
+        // fixed-point values (1/1024 key) so they reuse the integer
+        // histogram reduction.  Each rank's estimates are non-decreasing, so
+        // it adds their differences and the fused round's prefix sum
+        // restores the per-query sums exactly.
         const FIXED: f64 = 1024.0;
-        let per_rank_data: Vec<Vec<K>> = self.per_rank.iter().map(|s| s.samples.clone()).collect();
-        let local_lens: Vec<usize> = self.per_rank.iter().map(|s| s.local_len).collect();
-        let partials: Vec<Vec<u64>> = machine.map_phase(phase, &per_rank_data, |rank, samples| {
-            let local_len = local_lens[rank];
-            let est: Vec<u64> = if samples.is_empty() {
-                vec![0; queries.len()]
-            } else {
-                local_ranks_le(samples, queries)
-                    .into_iter()
-                    .map(|below| {
-                        ((below as f64 * local_len as f64 / samples.len() as f64) * FIXED) as u64
-                    })
-                    .collect()
-            };
-            (est, local_ranks_work(samples.len(), queries.len()))
-        });
-        let summed = machine.reduce_sum(phase, &partials);
+        let summed =
+            machine.histogram_phase(phase, &self.per_rank, queries.len(), |_rank, sample, acc| {
+                let samples = &sample.samples;
+                if !samples.is_empty() {
+                    let (local_len, sample_len) = (sample.local_len as f64, samples.len() as f64);
+                    let mut prev = 0u64;
+                    for (slot, below) in acc.iter_mut().zip(index.local_ranks_le(samples)) {
+                        let estimate = ((below as f64 * local_len / sample_len) * FIXED) as u64;
+                        *slot += estimate - prev;
+                        prev = estimate;
+                    }
+                }
+                local_ranks_work(samples.len(), queries.len())
+            });
         summed.into_iter().map(|x| x as f64 / FIXED).collect()
     }
 }

@@ -9,13 +9,20 @@
 //! (`L_j(i)`, `U_j(i)`).  Because later rounds only sample from the — ever
 //! shrinking — splitter intervals, the total sample stays tiny
 //! (Theorems 3.3.1–3.3.4).
+//!
+//! On the host a histogramming phase is one fused superstep: the driver
+//! checks and indexes the round's probes once, and the simulated ranks count
+//! into shared accumulators — `O(N + workers·m)` host work per round where
+//! `p` private indexes and rank vectors were `O(p·m)`.  The simulated charge
+//! is still what a real rank does (its own index, its own `m`-word vector
+//! into the reduction).
 
 use std::ops::Range;
 
 use hss_keygen::{rank_rng, Key, Keyed};
 use hss_lsort::RadixSortable;
 use hss_partition::{
-    local_ranks, local_ranks_work, merge_key_intervals_with, sampling, SplitterIntervals,
+    local_ranks_work, merge_key_intervals_with, sampling, ProbeIndex, SplitterIntervals,
     SplitterSet,
 };
 use hss_sim::{CostModel, Machine, Phase, Work};
@@ -174,8 +181,11 @@ pub(crate) trait SortedSource<K: Key>: Send {
         draw: impl FnMut(Range<u64>) -> Vec<u64>,
     ) -> Vec<K>;
 
-    /// `count(key < probe)` for every probe (ascending).
-    fn local_ranks(&mut self, probes: &[K]) -> Vec<u64>;
+    /// Add this rank's bucket counts for one histogramming round to the
+    /// round's shared accumulator (`probes.len() + 1` slots): slot `j`
+    /// gains the number of local keys in `[probes[j-1], probes[j])`
+    /// ([`ProbeIndex::add_bucket_counts`] semantics).
+    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, K>, counts: &mut [u64]);
 
     /// The keys at the given positions of the sorted data.
     fn keys_at(&mut self, positions: &[u64]) -> Vec<K>;
@@ -203,8 +213,8 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
         sample
     }
 
-    fn local_ranks(&mut self, probes: &[T::K]) -> Vec<u64> {
-        local_ranks(self, probes)
+    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, T::K>, counts: &mut [u64]) {
+        probes.add_bucket_counts(self, counts);
     }
 
     fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
@@ -217,9 +227,11 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
 }
 
 /// Rank a sorted probe set against the input: exact counting through the
-/// sources (local ranks + reduction) or the §3.4 representative-sample
-/// oracle, both charged to the histogramming phase.
-fn ranked<K, S>(
+/// sources or the §3.4 representative-sample oracle, both one fused
+/// histogramming superstep ([`Machine::histogram_phase_mut`]) over one
+/// host-side [`ProbeIndex`] per round, charged to the histogramming phase
+/// as per-rank classification + reduction.
+pub(crate) fn ranked<K, S>(
     machine: &mut Machine,
     sources: &mut [S],
     oracle: &Option<ApproxHistogrammer<K>>,
@@ -250,12 +262,16 @@ where
                 .collect()
         }
         None => {
-            let locals = machine.map_phase_mut(Phase::Histogramming, sources, |_rank, source| {
-                let ranks = source.local_ranks(probes);
-                let work = local_ranks_work(source.len(), probes.len());
-                (ranks, work.and(source.take_disk_work()))
-            });
-            machine.reduce_sum(Phase::Histogramming, &locals)
+            let index = ProbeIndex::new(probes);
+            machine.histogram_phase_mut(
+                Phase::Histogramming,
+                sources,
+                probes.len(),
+                |_rank, source, counts| {
+                    source.add_bucket_counts(&index, counts);
+                    local_ranks_work(source.len(), probes.len()).and(source.take_disk_work())
+                },
+            )
         }
     }
 }

@@ -61,7 +61,10 @@ use hss_extsort::{
 };
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_partition::{drain_source_below, drain_source_rest, kway_merge_slices, splitter_position};
+use hss_partition::{
+    add_rank_differences, drain_source_below, drain_source_rest, kway_merge_slices,
+    splitter_position, ProbeIndex,
+};
 use hss_sim::{Machine, Phase, Work};
 
 use crate::local_sort::{charged_local_sort, local_sort_work};
@@ -113,8 +116,11 @@ impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for SpilledStore<T> {
         sample
     }
 
-    fn local_ranks(&mut self, probes: &[T::K]) -> Vec<u64> {
-        self.probe(|reader| reader.local_ranks(probes))
+    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, T::K>, counts: &mut [u64]) {
+        // Rank queries are what the fence-indexed run files answer; their
+        // differences are the bucket counts.
+        let ranks = self.probe(|reader| reader.local_ranks(probes.probes()));
+        add_rank_differences(ranks, self.runs.total(), counts);
     }
 
     fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
@@ -156,10 +162,10 @@ impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for RankStore<T> {
         }
     }
 
-    fn local_ranks(&mut self, probes: &[T::K]) -> Vec<u64> {
+    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, T::K>, counts: &mut [u64]) {
         match self {
-            RankStore::Mem(local) => local.as_slice().local_ranks(probes),
-            RankStore::Spilled(store) => store.local_ranks(probes),
+            RankStore::Mem(local) => local.as_slice().add_bucket_counts(probes, counts),
+            RankStore::Spilled(store) => store.add_bucket_counts(probes, counts),
         }
     }
 
@@ -410,8 +416,10 @@ impl HssSorter {
 mod tests {
     use super::*;
     use crate::config::{ExtSortPolicy, HssConfig};
+    use crate::multi_round::ranked;
     use hss_extsort::IoMode;
     use hss_keygen::KeyDistribution;
+    use hss_lsort::LocalSortAlgo;
     use hss_sim::SyncModel;
 
     fn run_dir() -> String {
@@ -508,6 +516,57 @@ mod tests {
         let (outcome, ext) = HssSorter::new(cfg).sort_out_of_core(&mut m, input);
         assert_eq!(outcome.data, reference.data);
         assert!(ext.runs_formed > 0, "the big ranks must spill");
+    }
+
+    #[test]
+    fn spilled_and_in_memory_ranks_count_into_one_histogram_round() {
+        // One exact histogramming round over two spilled ranks (rank
+        // queries against the run files, added as differences) and two
+        // in-memory ranks (counted through the shared probe index): the
+        // global ranks and the compute charge are those of the all-in-memory
+        // round, plus the spilled ranks' probe reads on the disk channel.
+        let sizes = [1200u64, 60, 900, 10];
+        let sorted: Vec<Vec<u64>> = sizes
+            .iter()
+            .map(|&n| {
+                let mut v: Vec<u64> = (0..n).map(|i| (i * 7919 + n) % 4001).collect();
+                v.sort_unstable();
+                v
+            })
+            .collect();
+        let mut probes: Vec<u64> = (0..500u64).map(|i| i * 9).collect();
+        probes.extend([0, 4000, 4000, u64::MAX]);
+        probes.sort_unstable();
+
+        let policy = ExtSortPolicy::new(400 * std::mem::size_of::<u64>(), run_dir());
+        let ext = ExternalSorter::new(policy.to_ext_config(LocalSortAlgo::Radix));
+        let mut stores: Vec<RankStore<u64>> = sorted
+            .iter()
+            .map(|local| {
+                if local.len() <= 400 {
+                    return RankStore::Mem(local.clone());
+                }
+                let runs = ext.form_runs_only(local.clone()).expect("run formation");
+                let reader = runs.reader().expect("run reader");
+                RankStore::Spilled(Box::new(SpilledStore {
+                    runs,
+                    reader,
+                    probes: ExtSortReport::default(),
+                }))
+            })
+            .collect();
+        assert_eq!(stores.iter().filter(|s| matches!(s, RankStore::Spilled(_))).count(), 2);
+
+        let phase = Phase::Histogramming;
+        let mut m_ref = Machine::flat(4);
+        let expected = hss_partition::global_ranks(&mut m_ref, &sorted, &probes, phase);
+        let mut m = Machine::flat(4);
+        let total = sizes.iter().sum();
+        assert_eq!(ranked(&mut m, &mut stores, &None, &probes, total), expected);
+        let (got, want) = (m.metrics().phase(phase), m_ref.metrics().phase(phase));
+        assert_eq!(got.compute_ops, want.compute_ops);
+        assert_eq!((got.messages, got.comm_words), (want.messages, want.comm_words));
+        assert!(got.disk_words > 0 && want.disk_words == 0, "probe reads ride the disk channel");
     }
 
     #[test]

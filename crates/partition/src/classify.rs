@@ -25,6 +25,13 @@
 //! search, one merged linear sweep, and the decision tree, and that the cost
 //! accounting ([`classify_work`]) charges by the strategy actually executed
 //! (the PR 5 convention documented in `core::local_sort`).
+//!
+//! A tree is built once per classification pass and shared, as in IPS⁴o:
+//! [`crate::splitters::SplitterSet`] caches the one its exchange plans
+//! route through, and a histogramming round — the same `~5p` probes
+//! against every rank — builds one behind [`crate::histogram::ProbeIndex`]
+//! that all ranks count through ([`DecisionTree::add_histogram`]).  Only
+//! the *charge* stays per rank, because a real rank would build its own.
 
 use hss_keygen::{Key, Keyed};
 use hss_sim::Work;
@@ -267,8 +274,17 @@ impl<K: Key> DecisionTree<K> {
     /// `data` need **not** be sorted.
     pub fn histogram<T: Keyed<K = K>>(&self, data: &[T]) -> Vec<u64> {
         let mut counts = vec![0u64; self.buckets()];
-        self.for_each_bucket::<T, true>(data, |b| counts[b] += 1);
+        self.add_histogram(data, &mut counts);
         counts
+    }
+
+    /// [`histogram`](Self::histogram) in accumulate form: add `data`'s
+    /// per-bucket counts to `counts` (one slot per bucket).  This is what
+    /// lets one tree — and one count vector — serve every rank of a
+    /// histogramming round ([`crate::histogram::ProbeIndex`]).
+    pub fn add_histogram<T: Keyed<K = K>>(&self, data: &[T], counts: &mut [u64]) {
+        assert_eq!(counts.len(), self.buckets(), "one count slot per bucket");
+        self.for_each_bucket::<T, true>(data, |b| counts[b] += 1);
     }
 
     /// Per-bucket counts under the strict-`<` flavour.

@@ -6,8 +6,20 @@
 //! §5.1.2) and the per-processor counts are summed by a reduction.  The
 //! global rank of a probe tells the splitter-determination algorithm where
 //! that probe sits in the global order.
+//!
+//! A *round* of histogramming is one probe set against every rank, so the
+//! host validates and indexes the probes once ([`ProbeIndex`]) and every
+//! rank adds its bucket counts into a shared accumulator
+//! ([`hss_sim::Machine::histogram_phase`]) instead of building its own index
+//! and returning its own rank vector.  The simulated charge is unchanged: a
+//! real rank would still build its own tree and ship its own vector, so
+//! [`local_ranks_work`] and the reduction keep charging exactly that.
+//! [`local_ranks`] stays the per-rank reference the fused round is tested
+//! against.
 
-use hss_keygen::Keyed;
+use std::sync::OnceLock;
+
+use hss_keygen::{Key, Keyed};
 use hss_sim::{Machine, Phase, Work};
 
 use crate::classify::{classify_strategy, classify_work, ClassifyStrategy, DecisionTree};
@@ -68,29 +80,116 @@ pub fn local_ranks_work(n: usize, m: usize) -> Work {
 /// ([`local_ranks`] counts strictly-smaller keys).  Same adaptive
 /// three-way strategy ([`local_ranks_work`] is the cost of either call).
 pub fn local_ranks_le<T: Keyed>(sorted_local: &[T], probes: &[T::K]) -> Vec<u64> {
-    debug_assert!(is_sorted_by_key(sorted_local), "local data must be sorted");
     debug_assert!(probes.windows(2).all(|w| w[0] <= w[1]), "probes must be sorted");
-    let n = sorted_local.len();
-    let m = probes.len();
-    match classify_strategy(n, m) {
-        ClassifyStrategy::BinarySearch => {
-            probes.iter().map(|p| sorted_local.partition_point(|x| x.key() <= *p) as u64).collect()
-        }
-        ClassifyStrategy::MergeSweep => {
-            let mut out = Vec::with_capacity(m);
-            let mut i = 0usize;
-            for p in probes {
-                while i < n && sorted_local[i].key() <= *p {
-                    i += 1;
-                }
-                out.push(i as u64);
+    ProbeIndex { probes, tree: OnceLock::new() }.local_ranks_le(sorted_local)
+}
+
+/// One histogramming round's probe set, checked and indexed **once** on the
+/// host and shared by reference by every rank of the round.
+///
+/// [`ProbeIndex::new`] is the one release-mode sortedness check of a round
+/// (`O(m)`, where per-rank checks would be `O(p·m)` and the binary-search
+/// and merge-sweep arms would otherwise silently clamp out-of-order
+/// probes); the decision tree over the probes is built lazily, by the first
+/// rank whose shape picks the tree arm, and never more than once.
+#[derive(Debug)]
+pub struct ProbeIndex<'a, K: Key> {
+    probes: &'a [K],
+    tree: OnceLock<DecisionTree<K>>,
+}
+
+impl<'a, K: Key> ProbeIndex<'a, K> {
+    /// Index a sorted probe set (duplicates allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probes are not in non-decreasing order.
+    pub fn new(probes: &'a [K]) -> Self {
+        assert!(probes.windows(2).all(|w| w[0] <= w[1]), "probes must be sorted");
+        Self { probes, tree: OnceLock::new() }
+    }
+
+    /// The indexed probes `m`; bucket-count accumulators have `m + 1` slots.
+    pub fn probes(&self) -> &'a [K] {
+        self.probes
+    }
+
+    fn tree(&self) -> &DecisionTree<K> {
+        self.tree.get_or_init(|| DecisionTree::from_splitters(self.probes))
+    }
+
+    /// Add one rank's bucket counts to `counts` (`m + 1` slots):
+    /// `counts[j]` gains the number of keys of `sorted_local` in
+    /// `[probes[j-1], probes[j])`, so the prefix sums of the slots are
+    /// [`local_ranks`] — the accumulate form of it, with the same
+    /// per-shape [`classify_strategy`] arm but without a per-rank tree or
+    /// result vector.
+    pub fn add_bucket_counts<T: Keyed<K = K>>(&self, sorted_local: &[T], counts: &mut [u64]) {
+        debug_assert!(is_sorted_by_key(sorted_local), "local data must be sorted");
+        let n = sorted_local.len();
+        match classify_strategy(n, self.probes.len()) {
+            ClassifyStrategy::BinarySearch => add_rank_differences(
+                self.probes.iter().map(|p| sorted_local.partition_point(|x| x.key() < *p) as u64),
+                n as u64,
+                counts,
+            ),
+            ClassifyStrategy::MergeSweep => {
+                let mut i = 0usize;
+                let ranks = self.probes.iter().map(|p| {
+                    while i < n && sorted_local[i].key() < *p {
+                        i += 1;
+                    }
+                    i as u64
+                });
+                add_rank_differences(ranks, n as u64, counts)
             }
-            out
-        }
-        ClassifyStrategy::DecisionTree => {
-            DecisionTree::from_splitters(probes).ranks_le(sorted_local)
+            ClassifyStrategy::DecisionTree => self.tree().add_histogram(sorted_local, counts),
         }
     }
+
+    /// [`local_ranks_le`] against the indexed probes, sharing the index's
+    /// tree across ranks.
+    pub fn local_ranks_le<T: Keyed<K = K>>(&self, sorted_local: &[T]) -> Vec<u64> {
+        debug_assert!(is_sorted_by_key(sorted_local), "local data must be sorted");
+        let n = sorted_local.len();
+        let probes = self.probes;
+        match classify_strategy(n, probes.len()) {
+            ClassifyStrategy::BinarySearch => probes
+                .iter()
+                .map(|p| sorted_local.partition_point(|x| x.key() <= *p) as u64)
+                .collect(),
+            ClassifyStrategy::MergeSweep => {
+                let mut out = Vec::with_capacity(probes.len());
+                let mut i = 0usize;
+                for p in probes {
+                    while i < n && sorted_local[i].key() <= *p {
+                        i += 1;
+                    }
+                    out.push(i as u64);
+                }
+                out
+            }
+            ClassifyStrategy::DecisionTree => self.tree().ranks_le(sorted_local),
+        }
+    }
+}
+
+/// Add the bucket counts a rank's non-decreasing local `ranks` imply to
+/// `counts` (one slot more than there are ranks): slot `j` gains
+/// `ranks[j] − ranks[j−1]`, the last slot the `n − ranks.last()` keys at or
+/// above every probe.  The bridge for sources that can only answer rank
+/// queries (spilled run files) into a round's shared accumulator.
+pub fn add_rank_differences(ranks: impl IntoIterator<Item = u64>, n: u64, counts: &mut [u64]) {
+    let (last, slots) = counts.split_last_mut().expect("at least the open-ended last bucket");
+    let mut ranks = ranks.into_iter();
+    let mut prev = 0u64;
+    for slot in slots {
+        let rank = ranks.next().expect("one rank per count slot but the last");
+        *slot += rank - prev;
+        prev = rank;
+    }
+    assert!(ranks.next().is_none(), "one rank per count slot but the last");
+    *last += n - prev;
 }
 
 /// Per-bucket counts for the ranges defined by consecutive probes:
@@ -100,34 +199,34 @@ pub fn local_ranks_le<T: Keyed>(sorted_local: &[T], probes: &[T::K]) -> Vec<u64>
 /// histogram (§2.3, step 2); it carries the same information as
 /// [`local_ranks`].
 pub fn local_range_counts<T: Keyed>(sorted_local: &[T], probes: &[T::K]) -> Vec<u64> {
-    let ranks = local_ranks(sorted_local, probes);
-    let n = sorted_local.len() as u64;
-    let mut counts = Vec::with_capacity(probes.len() + 1);
-    let mut prev = 0u64;
-    for r in &ranks {
-        counts.push(r - prev);
-        prev = *r;
-    }
-    counts.push(n - prev);
+    let mut counts = vec![0u64; probes.len() + 1];
+    add_rank_differences(local_ranks(sorted_local, probes), sorted_local.len() as u64, &mut counts);
     counts
 }
 
-/// Compute the *global* ranks of `probes` over the distributed, per-rank
-/// sorted data: every rank computes its local ranks (charged as binary
-/// search work in the given `phase`), and the per-rank vectors are summed by
+/// Compute the *global* ranks of `probes` (sorted, duplicates allowed) over
+/// the distributed, per-rank sorted data: every rank counts its local keys
+/// per probe bucket (charged in the given `phase` as the classification a
+/// real rank would run, [`local_ranks_work`]), and the counts are summed by
 /// a reduction on `machine`.
 ///
-/// This is exactly one histogramming step of Histogram sort / HSS.
+/// This is exactly one histogramming step of Histogram sort / HSS, run as
+/// one fused [`Machine::histogram_phase`] over one shared [`ProbeIndex`].
+///
+/// # Panics
+///
+/// Panics if `probes` is not sorted.
 pub fn global_ranks<T: Keyed>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     probes: &[T::K],
     phase: Phase,
 ) -> Vec<u64> {
-    let local = machine.map_phase(phase, per_rank_sorted, |_rank, data| {
-        (local_ranks(data, probes), local_ranks_work(data.len(), probes.len()))
-    });
-    machine.reduce_sum(phase, &local)
+    let index = ProbeIndex::new(probes);
+    machine.histogram_phase(phase, per_rank_sorted, probes.len(), |_rank, data, counts| {
+        index.add_bucket_counts(data, counts);
+        local_ranks_work(data.len(), probes.len())
+    })
 }
 
 /// Whether a slice is sorted by key (used in debug assertions).
@@ -303,6 +402,67 @@ mod tests {
         let per_rank_ops = 3 * tree_height(64) as u64 + 2 * 64;
         let expected = 2 * per_rank_ops + 64;
         assert_eq!(ops, expected);
+    }
+
+    #[test]
+    fn probe_index_counts_prefix_sum_to_local_ranks_in_every_arm() {
+        use crate::classify::{classify_strategy, ClassifyStrategy};
+        // Duplicate-heavy data; probes with repeats and both sentinels.
+        let mut probes: Vec<u64> = (0..300u64).map(|i| i * 7 % 90).collect();
+        probes.extend([u64::MIN, u64::MIN, u64::MAX, u64::MAX]);
+        probes.sort_unstable();
+        let index = ProbeIndex::new(&probes);
+        let mut arms = Vec::new();
+        for n in [0usize, 1, 7, 600, 40_000] {
+            let mut data: Vec<u64> = (0..n as u64).map(|i| i * 31 % 97).collect();
+            data.extend(vec![u64::MAX; n.min(3)]);
+            data.sort_unstable();
+            arms.push(classify_strategy(data.len(), probes.len()));
+            // Counting twice into one accumulator doubles every rank.
+            let mut counts = vec![0u64; probes.len() + 1];
+            index.add_bucket_counts(&data, &mut counts);
+            index.add_bucket_counts(&data, &mut counts);
+            assert_eq!(counts.iter().sum::<u64>(), 2 * data.len() as u64, "n = {n}");
+            let mut below = 0u64;
+            let ranks: Vec<u64> = counts[..probes.len()]
+                .iter()
+                .map(|c| {
+                    below += c;
+                    below / 2
+                })
+                .collect();
+            assert_eq!(ranks, local_ranks(&data, &probes), "n = {n}");
+            assert_eq!(index.local_ranks_le(&data), local_ranks_le(&data, &probes), "n = {n}");
+        }
+        for arm in [
+            ClassifyStrategy::BinarySearch,
+            ClassifyStrategy::MergeSweep,
+            ClassifyStrategy::DecisionTree,
+        ] {
+            assert!(arms.contains(&arm), "{arm:?} not exercised: {arms:?}");
+        }
+    }
+
+    #[test]
+    fn rank_differences_are_the_bucket_counts() {
+        let mut counts = vec![1u64; 4];
+        add_rank_differences([2, 2, 5], 9, &mut counts);
+        assert_eq!(counts, vec![3, 1, 4, 5]);
+        // No probes: everything lands in the one open-ended bucket.
+        let mut counts = vec![0u64];
+        add_rank_differences([], 6, &mut counts);
+        assert_eq!(counts, vec![6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "probes must be sorted")]
+    fn unsorted_probes_panic_on_the_binary_search_shape_too() {
+        // Few probes against many keys: no tree is ever built, so only the
+        // round's own check can catch the bad probe set (in release builds
+        // the per-arm debug assertions are gone).
+        let mut machine = Machine::flat(1);
+        let data: Vec<u64> = (0..4096).collect();
+        let _ = global_ranks(&mut machine, &[data], &[30, 10], Phase::Histogramming);
     }
 
     #[test]

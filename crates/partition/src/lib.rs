@@ -47,8 +47,8 @@ pub use bucketize::{
 pub use classify::{classify_strategy, classify_work, tree_height, ClassifyStrategy, DecisionTree};
 pub use exchange::{exchange, exchange_and_merge_with, merge_received, ExchangeEngine, Received};
 pub use histogram::{
-    global_ranks, is_sorted_by_key, local_range_counts, local_ranks, local_ranks_le,
-    local_ranks_work,
+    add_rank_differences, global_ranks, is_sorted_by_key, local_range_counts, local_ranks,
+    local_ranks_le, local_ranks_work, ProbeIndex,
 };
 pub use intervals::{Bound, SplitterIntervals};
 pub use merge::{

@@ -185,7 +185,6 @@ impl Machine {
     /// (`S log p` ops binomial, `S` ops pipelined — §5.1.2).
     pub fn reduce_sum(&mut self, phase: Phase, per_rank: &[Vec<u64>]) -> Vec<u64> {
         assert_eq!(per_rank.len(), self.ranks(), "one contribution per rank");
-        let p = self.ranks();
         let len = per_rank.first().map(|v| v.len()).unwrap_or(0);
         for (r, v) in per_rank.iter().enumerate() {
             assert_eq!(v.len(), len, "rank {r} histogram length mismatch");
@@ -196,6 +195,16 @@ impl Machine {
                 *acc += *x;
             }
         }
+        self.charge_reduce_sum(phase, len);
+        sum
+    }
+
+    /// Record the superstep a reduction of `len`-word count vectors costs:
+    /// the tree's communication plus the combine compute.  Shared by
+    /// [`Machine::reduce_sum`] and the fused histogramming superstep
+    /// ([`Machine::histogram_phase`]), which charge identically.
+    pub(crate) fn charge_reduce_sum(&mut self, phase: Phase, len: usize) {
+        let p = self.ranks();
         let words = words_of::<u64>(len);
         let comm = self.cost_model().reduce(words, p);
         let combine_ops = match self.cost_model().collective {
@@ -213,7 +222,6 @@ impl Machine {
             ..Default::default()
         };
         self.record(phase, "reduce_sum", metrics, ClockAdvance::Sync);
-        sum
     }
 
     /// Shared charge of a rank-level all-to-all (nested or flat).

@@ -178,6 +178,15 @@ pub struct Machine {
     superstep: u64,
 }
 
+/// A contiguous chunk of ranks counting into one accumulator during a
+/// fused histogramming superstep (internal).
+struct CountingChunk<'a, S> {
+    first_rank: RankId,
+    ranks: &'a mut [S],
+    works: &'a mut [Work],
+    counts: Vec<u64>,
+}
+
 /// How one recorded superstep advances the [`Timeline`] (internal).
 pub(crate) enum ClockAdvance {
     /// A local phase: rank `r` advances by its own `per_rank[r]` seconds;
@@ -589,6 +598,117 @@ impl Machine {
         results.into_iter().map(|(r, _)| r).collect()
     }
 
+    /// One histogramming round as a fused superstep pair: every rank counts
+    /// its local keys into the `probes + 1` buckets a sorted probe set
+    /// defines, and the per-rank counts are reduced to the probes' global
+    /// ranks (`ranks[j]` = keys in buckets `0..=j`, summed over ranks).
+    ///
+    /// `f(rank, &state[rank], acc)` must **add** the rank's bucket counts
+    /// to `acc` (`probes + 1` slots, shared with other ranks — never
+    /// assign) and return the [`Work`] a real rank would perform.  The
+    /// simulator records exactly what [`map_phase`](Self::map_phase)
+    /// returning one `probes`-long rank vector per rank followed by
+    /// [`reduce_sum`](Self::reduce_sum) records — same per-rank charges,
+    /// same reduction charge, same labels, two supersteps — but the host
+    /// never materializes the `p` vectors: ranks are split into one
+    /// contiguous chunk per host thread, each chunk counts into one
+    /// accumulator, and the accumulators are summed and prefix-summed once.
+    /// `u64` addition is exact, so the result does not depend on the
+    /// chunking (or on [`Parallelism`]).
+    pub fn histogram_phase<S, F>(
+        &mut self,
+        phase: Phase,
+        state: &[S],
+        probes: usize,
+        f: F,
+    ) -> Vec<u64>
+    where
+        S: Sync,
+        F: Fn(RankId, &S, &mut [u64]) -> Work + Sync,
+    {
+        let mut refs: Vec<&S> = state.iter().collect();
+        self.histogram_superstep(phase, "map_phase", &mut refs, probes, |rank, s, acc| {
+            f(rank, s, acc)
+        })
+    }
+
+    /// [`histogram_phase`](Self::histogram_phase) over mutable per-rank
+    /// state (recorded like [`map_phase_mut`](Self::map_phase_mut) +
+    /// [`reduce_sum`](Self::reduce_sum)) — for sources whose queries
+    /// advance a handle, e.g. the out-of-core tier's windowed run readers.
+    pub fn histogram_phase_mut<S, F>(
+        &mut self,
+        phase: Phase,
+        state: &mut [S],
+        probes: usize,
+        f: F,
+    ) -> Vec<u64>
+    where
+        S: Send,
+        F: Fn(RankId, &mut S, &mut [u64]) -> Work + Sync,
+    {
+        self.histogram_superstep(phase, "map_phase_mut", state, probes, f)
+    }
+
+    fn histogram_superstep<S, F>(
+        &mut self,
+        phase: Phase,
+        label: &'static str,
+        state: &mut [S],
+        probes: usize,
+        f: F,
+    ) -> Vec<u64>
+    where
+        S: Send,
+        F: Fn(RankId, &mut S, &mut [u64]) -> Work + Sync,
+    {
+        assert_eq!(state.len(), self.ranks(), "per-rank state must have one entry per rank");
+        let start = Instant::now();
+        let chunk_len = state.len().div_ceil(self.host_threads() as usize).max(1);
+        let mut works = vec![Work::none(); state.len()];
+        let mut chunks: Vec<CountingChunk<'_, S>> = state
+            .chunks_mut(chunk_len)
+            .zip(works.chunks_mut(chunk_len))
+            .enumerate()
+            .map(|(chunk, (ranks, works))| CountingChunk {
+                first_rank: chunk * chunk_len,
+                ranks,
+                works,
+                counts: vec![0u64; probes + 1],
+            })
+            .collect();
+        let count = |chunk: &mut CountingChunk<'_, S>| {
+            let per_rank = chunk.ranks.iter_mut().zip(chunk.works.iter_mut());
+            for (i, (local, work)) in per_rank.enumerate() {
+                *work = f(chunk.first_rank + i, local, &mut chunk.counts);
+            }
+        };
+        match self.parallelism {
+            Parallelism::Rayon => chunks.par_iter_mut().for_each(count),
+            Parallelism::Sequential => chunks.iter_mut().for_each(count),
+        }
+        let wall = start.elapsed().as_secs_f64();
+
+        let mut counts = chunks.into_iter().map(|chunk| chunk.counts);
+        let mut ranks = counts.next().expect("a machine has at least one rank");
+        for chunk_counts in counts {
+            for (sum, x) in ranks.iter_mut().zip(chunk_counts) {
+                *sum += x;
+            }
+        }
+        ranks.truncate(probes);
+        let mut below = 0u64;
+        for r in &mut ranks {
+            below += *r;
+            *r = below;
+        }
+
+        let (metrics, advance) = self.phase_charge(&works, wall);
+        self.record(phase, label, metrics, advance);
+        self.charge_reduce_sum(phase, probes);
+        ranks
+    }
+
     /// Run a per-rank transformation that consumes the old per-rank data and
     /// produces new per-rank data (e.g. replacing raw keys by tagged keys).
     pub fn transform_phase<T, U, F>(&mut self, phase: Phase, data: Vec<Vec<T>>, f: F) -> Vec<Vec<U>>
@@ -964,6 +1084,84 @@ mod tests {
             m.metrics().deterministic_signature(),
             reference.metrics().deterministic_signature()
         );
+    }
+
+    #[test]
+    fn histogram_phase_records_exactly_map_phase_plus_reduce_sum() {
+        // Seven ranks (a multiple of no pool width below), five probes, one
+        // rank reporting disk traffic.  The fused round must return the sum
+        // of the per-rank prefix sums and leave the same trace — labels,
+        // per-rank spans, charges — as the unfused pair, whatever the
+        // chunking.
+        let (p, probes) = (7usize, 5usize);
+        let counts: Vec<Vec<u64>> =
+            (0..p).map(|r| (0..=probes).map(|b| ((r * 7 + b * 3) % 11) as u64).collect()).collect();
+        let work = |rank: RankId| {
+            let disk = if rank == 2 { Work::disk_bytes(4096, 2) } else { Work::none() };
+            Work::ops(100 + 13 * rank as u64).and(disk)
+        };
+        let prefix_ranks = |buckets: &[u64]| -> Vec<u64> {
+            buckets[..probes]
+                .iter()
+                .scan(0u64, |below, &c| {
+                    *below += c;
+                    Some(*below)
+                })
+                .collect()
+        };
+        let add = |buckets: &[u64], acc: &mut [u64]| {
+            for (slot, c) in acc.iter_mut().zip(buckets) {
+                *slot += c;
+            }
+        };
+        let sequential =
+            || Machine::flat(p).with_parallelism(Parallelism::Sequential).with_tracing();
+
+        let mut reference = sequential();
+        let locals = reference.map_phase(Phase::Histogramming, &counts, |rank, buckets| {
+            (prefix_ranks(buckets), work(rank))
+        });
+        let expected = reference.reduce_sum(Phase::Histogramming, &locals);
+
+        let fused = |m: &mut Machine| {
+            m.histogram_phase(Phase::Histogramming, &counts, probes, |rank, buckets, acc| {
+                add(buckets, acc);
+                work(rank)
+            })
+        };
+        let mut m = sequential();
+        assert_eq!(fused(&mut m), expected);
+        assert_eq!(m.trace().events(), reference.trace().events());
+        for threads in [1usize, 3, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let mut m = Machine::flat(p).with_tracing();
+            assert_eq!(pool.install(|| fused(&mut m)), expected, "{threads} threads");
+            assert_eq!(m.trace().events(), reference.trace().events(), "{threads} threads");
+            assert_eq!(
+                m.metrics().deterministic_signature(),
+                reference.metrics().deterministic_signature()
+            );
+        }
+
+        // The `_mut` flavour is the same round labelled like map_phase_mut.
+        let mut reference = sequential();
+        let mut state = counts.clone();
+        let locals = reference.map_phase_mut(Phase::Histogramming, &mut state, |rank, buckets| {
+            (prefix_ranks(buckets), work(rank))
+        });
+        assert_eq!(reference.reduce_sum(Phase::Histogramming, &locals), expected);
+        let mut m = sequential();
+        let ranks = m.histogram_phase_mut(
+            Phase::Histogramming,
+            &mut state,
+            probes,
+            |rank, buckets, acc| {
+                add(buckets, acc);
+                work(rank)
+            },
+        );
+        assert_eq!(ranks, expected);
+        assert_eq!(m.trace().events(), reference.trace().events());
     }
 
     #[test]

@@ -15,8 +15,9 @@ use proptest::prelude::*;
 
 use hss_repro::core::{determine_splitters, HssConfig, RoundSchedule};
 use hss_repro::partition::{
-    kway_merge, local_ranks, merge_key_intervals, partition_sorted, verify_global_sort,
-    LoadBalance, SplitterIntervals, SplitterSet,
+    classify_strategy, global_ranks, kway_merge, local_ranks, local_ranks_work,
+    merge_key_intervals, partition_sorted, verify_global_sort, ClassifyStrategy, LoadBalance,
+    SplitterIntervals, SplitterSet,
 };
 use hss_repro::prelude::*;
 use hss_repro::sim::Parallelism;
@@ -50,6 +51,92 @@ where
         op(&mut par_machine)
     });
     (seq, par)
+}
+
+/// Per-rank lengths of the fused-histogram-round checks: against ~1000
+/// probes the empty, 1- and 7-key ranks take the decision tree, the
+/// 1024-key rank the merge sweep and the 200 000-key rank binary searches,
+/// so one round mixes all three arms.
+const ROUND_RANK_LENS: [usize; 5] = [0, 1, 7, 1024, 200_000];
+
+/// Duplicate-heavy sorted rank data: `len` keys over `distinct` values
+/// spread across the key space, `MAX_KEY` among them.
+fn duplicate_heavy_rank(len: usize, distinct: u64, seed: u64) -> Vec<u64> {
+    let stride = u64::MAX / distinct;
+    let mut state = seed | 1;
+    let mut keys: Vec<u64> = (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            match (state >> 33) % (distinct + 1) {
+                top if top == distinct => u64::MAX,
+                value => value * stride,
+            }
+        })
+        .collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// One histogramming round through the fused `global_ranks` must equal
+/// `Σ_r local_ranks(data_r, probes)` and charge the simulator exactly like
+/// the unfused `map_phase` + `reduce_sum` pair it replaced — sequentially
+/// and on pools whose width does not divide the rank count.
+fn assert_fused_round_matches_unfused(per_rank: &[Vec<u64>], probes: &[u64]) {
+    let p = per_rank.len();
+    let mut expected = vec![0u64; probes.len()];
+    for local in per_rank {
+        for (sum, r) in expected.iter_mut().zip(local_ranks(local, probes)) {
+            *sum += r;
+        }
+    }
+    let mut reference = Machine::flat(p).with_parallelism(Parallelism::Sequential);
+    let locals = reference.map_phase(Phase::Histogramming, per_rank, |_rank, local| {
+        (local_ranks(local, probes), local_ranks_work(local.len(), probes.len()))
+    });
+    assert_eq!(reference.reduce_sum(Phase::Histogramming, &locals), expected);
+    let reference = reference.metrics();
+
+    let check = |machine: &mut Machine, what: &str| {
+        let ranks = global_ranks(machine, per_rank, probes, Phase::Histogramming);
+        assert_eq!(ranks, expected, "{what}");
+        // Every phase's simulated seconds (bitwise), messages, words,
+        // compute ops and supersteps.
+        assert_eq!(
+            machine.metrics().deterministic_signature(),
+            reference.deterministic_signature(),
+            "{what}"
+        );
+    };
+    check(&mut Machine::flat(p).with_parallelism(Parallelism::Sequential), "sequential");
+    for threads in [1usize, 3, 4] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        pool.install(|| check(&mut Machine::flat(p), &format!("{threads}-thread pool")));
+    }
+}
+
+#[test]
+fn fused_histogram_round_mixes_all_three_arms() {
+    // Seven ranks (no pool width above 1 divides it), every length of the
+    // set, ~1000 probes with repeats and both sentinels.
+    let lens = [1024, 0, 200_000, 7, 1, 1024, 7];
+    let per_rank: Vec<Vec<u64>> = lens
+        .iter()
+        .enumerate()
+        .map(|(r, &len)| duplicate_heavy_rank(len, 40, r as u64 + 1))
+        .collect();
+    let mut probes = duplicate_heavy_rank(1000, 300, 99);
+    probes.extend([u64::MIN, u64::MIN, u64::MAX]);
+    probes.sort_unstable();
+    let arms: Vec<ClassifyStrategy> =
+        lens.iter().map(|&n| classify_strategy(n, probes.len())).collect();
+    for arm in [
+        ClassifyStrategy::BinarySearch,
+        ClassifyStrategy::MergeSweep,
+        ClassifyStrategy::DecisionTree,
+    ] {
+        assert!(arms.contains(&arm), "{arm:?} missing from the round: {arms:?}");
+    }
+    assert_fused_round_matches_unfused(&per_rank, &probes);
 }
 
 /// Cases per property. The standard `PROPTEST_CASES` variable overrides the
@@ -166,6 +253,27 @@ proptest! {
         prop_assert_eq!(ranks.len(), probes.len());
         prop_assert!(ranks.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!(ranks.iter().all(|&r| r <= keys.len() as u64));
+    }
+
+    #[test]
+    fn fused_histogram_round_equals_sum_of_local_ranks(
+        lens in vec(0usize..ROUND_RANK_LENS.len(), 1..8),
+        distinct in 1u64..200,
+        probe_count in 0usize..1500,
+        probe_distinct in 1u64..400,
+        seed in any::<u64>(),
+    ) {
+        let per_rank: Vec<Vec<u64>> = lens
+            .iter()
+            .enumerate()
+            .map(|(r, &i)| duplicate_heavy_rank(ROUND_RANK_LENS[i], distinct, seed ^ r as u64))
+            .collect();
+        // `global_ranks` is public and only asks for sorted probes: repeats
+        // and the sentinels are fair game.
+        let mut probes = duplicate_heavy_rank(probe_count, probe_distinct, !seed);
+        probes.extend([u64::MIN, u64::MAX]);
+        probes.sort_unstable();
+        assert_fused_round_matches_unfused(&per_rank, &probes);
     }
 
     #[test]
