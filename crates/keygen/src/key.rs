@@ -587,6 +587,34 @@ mod tests {
         assert_ne!(a.payload, c.payload);
     }
 
+    /// Every adjacent pair of `sorted` (ascending) keeps its order, weakly,
+    /// under `radix_prefix(0)`.
+    fn assert_prefix_is_monotone<T: RadixSortable + std::fmt::Debug>(sorted: &[T]) {
+        for pair in sorted.windows(2) {
+            assert!(pair[0] < pair[1], "fixture must ascend: {pair:?}");
+            assert!(pair[0].radix_prefix(0) <= pair[1].radix_prefix(0), "{pair:?}");
+        }
+    }
+
+    #[test]
+    fn radix_prefix_is_monotone_in_the_order() {
+        assert_prefix_is_monotone(&[0u8, 1, 0x7F, 0x80, 0xFF]);
+        assert_prefix_is_monotone(&[0u32, 1, 0xFFFF, 0x1_0000, u32::MAX]);
+        assert_prefix_is_monotone(&[i64::MIN, -(1 << 40), -1, 0, 1, 1 << 40, i64::MAX]);
+        let floats = [f64::NEG_INFINITY, -1e300, -1.5, -0.0, 0.0, 1e-300, 2.5, f64::INFINITY];
+        assert_prefix_is_monotone(&floats.map(OrderedF64));
+        // Ten digits: the last two of each pair below are past the prefix.
+        let keys = [*b"aaaaaaaaaa", *b"aaaaaaaaab", *b"aaaaaaaaba", *b"aaaaaaabaa", *b"baaaaaaaaa"];
+        assert_prefix_is_monotone(&keys.map(ByteKey::new));
+        let records = keys.map(|k| WideRecord::<10, 4>::with_derived_payload(ByteKey::new(k)));
+        assert_prefix_is_monotone(&records);
+        // Narrow types are left-aligned, wide ones cut at eight digits, and a
+        // prefix from a later level starts there.
+        assert_eq!(0xABu8.radix_prefix(0), 0xAB << 56);
+        assert_eq!(records[1].radix_prefix(0), u64::from_be_bytes(*b"aaaaaaaa"));
+        assert_eq!(ByteKey::new(keys[2]).radix_prefix(8), u64::from_be_bytes(*b"ba\0\0\0\0\0\0"));
+    }
+
     #[test]
     fn radix_sort_handles_tera_records() {
         let mut recs: Vec<TeraRecord> = (0..3000u64)

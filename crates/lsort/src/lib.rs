@@ -48,12 +48,20 @@
 //!    [`RadixSortable`] contract and needs no further work.
 //!
 //! Items wider than [`WIDE_ITEM_BYTES`] (terasort's 100-byte records, any
-//! `WideRecord` shape from `hss-keygen`) take a **move-by-index** variant
-//! of steps 2–4 instead: digits are cached in a dense `u8` side array (the
-//! classification never touches the payload bytes), and a single stable
-//! scatter out of a one-shot spill copy moves every wide item exactly
-//! once — the block write buffers and the double-moving cycle chase only
-//! pay off for narrow items.
+//! `WideRecord` shape from `hss-keygen`) never enter steps 1–5 themselves
+//! (beyond [`INSERTION_CUTOFF`] items; fewer are insertion-sorted as they
+//! are).  One pass over the slice writes a dense array of 16-byte *tags* —
+//! the record's first eight digits packed into a `u64`
+//! ([`RadixSortable::radix_prefix`], the same integer the k-way merge
+//! caches per run) and its `u32` position — and notices already-sorted or
+//! strictly-descending input on the way.  The tags are narrow items and go
+//! through steps 1–5.  A run of tags whose prefixes tie is then put in the
+//! records' full [`Ord`]: a short run by comparing the records it indexes,
+//! a long one by re-tagging it with the next eight digits and going round
+//! again.  Only then do the records move, exactly twice and streaming on
+//! one side each time: a gather through the sorted tags into a spill
+//! buffer, and one `copy_from_slice` back.  A sort allocates the tags (16 B
+//! per record) and that one spill, whatever the depth.
 //!
 //! [`par_radix_sort`] parallelises the recursion on the vendored rayon
 //! pool: the top-level pass runs sequentially (its single trailing write
@@ -61,7 +69,11 @@
 //! concurrently via [`rayon::scope`].  Buckets are disjoint sub-slices and
 //! every sub-sort is deterministic, so the output is **bitwise identical**
 //! at every thread count — under `RAYON_NUM_THREADS=1` the pool degrades
-//! to fully sequential execution at the spawn sites.
+//! to fully sequential execution at the spawn sites.  Wide items take the
+//! same route as in the sequential sort with each stage after the tagging
+//! pass spread over the pool: the tags are sorted by [`par_radix_sort`],
+//! equal-prefix runs are ordered in one task per thread, and the spill
+//! buffer is gathered in chunks.
 //!
 //! # The `RadixSortable` contract
 //!
@@ -90,6 +102,7 @@
 
 #![warn(missing_docs)]
 
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Items per software write buffer and per permuted block: 64 eight-byte
@@ -108,16 +121,17 @@ pub const COMPARISON_CUTOFF: usize = 2048;
 /// Below this length [`par_radix_sort`] does not bother parallelising.
 const PAR_MIN_LEN: usize = 1 << 15;
 
-/// Items wider than this many bytes take the move-by-index partition path
-/// (`partition_level_wide`) instead of the block permutation: a 100-byte
-/// terasort record would blow the software write buffers out of cache
-/// (256 × [`BLOCK`] × 100 B = 1.6 MB) and the cycle-chasing block swaps
-/// move every wide item twice.  The threshold is comfortably above every
-/// narrow key-carrier in this repository (`u64` = 8 B, `Record` = 16 B,
+/// Items wider than this many bytes are sorted as `(prefix, index)` tags and
+/// gathered once instead of going through the block permutation
+/// themselves: a 100-byte terasort record would blow the software write
+/// buffers out of cache (256 × [`BLOCK`] × 100 B = 1.6 MB), and every level
+/// of classification, block swap and base-case comparison sort would move
+/// the whole record again.  The threshold is comfortably above every narrow
+/// key-carrier in this repository (`u64` = 8 B, `Record` = 16 B,
 /// `TaggedKey<u64>` = 16 B), so their hot paths are untouched.
 pub const WIDE_ITEM_BYTES: usize = 32;
 
-/// Whether `T` takes the wide-item partition path.
+/// Whether `T` is sorted through tags.
 const fn is_wide<T>() -> bool {
     std::mem::size_of::<T>() > WIDE_ITEM_BYTES
 }
@@ -226,6 +240,22 @@ pub trait RadixSortable: Ord + Copy {
     ///
     /// Must only be called with `level < Self::RADIX_BYTES`.
     fn radix_byte(&self, level: usize) -> u8;
+
+    /// The `min(8, RADIX_BYTES - level)` digits from `level` on, packed
+    /// big-endian and left-aligned (missing digits read as zero).  Among
+    /// items that agree on every digit before `level`,
+    /// `a < b ⇒ a.radix_prefix(level) <= b.radix_prefix(level)`, and when at
+    /// most eight digits remain equal prefixes mean `a == b`: the one
+    /// integer both the k-way merge's tournament nodes and the wide local
+    /// sort's tags compare instead of the item.
+    #[inline]
+    fn radix_prefix(&self, level: usize) -> u64 {
+        let mut prefix = 0u64;
+        for (slot, l) in (level..Self::RADIX_BYTES.min(level + 8)).enumerate() {
+            prefix |= (self.radix_byte(l) as u64) << (56 - 8 * slot);
+        }
+        prefix
+    }
 }
 
 macro_rules! impl_radix_unsigned {
@@ -279,6 +309,17 @@ impl<A: RadixSortable, B: RadixSortable> RadixSortable for (A, B) {
 /// algorithm; `data` ends up exactly as `data.sort_unstable()` would leave
 /// it (both orders are total, and equal items are indistinguishable).
 pub fn radix_sort<T: RadixSortable>(data: &mut [T]) {
+    // Past the insertion sort a wide slice goes through tags at every
+    // length: up to `COMPARISON_CUTOFF` the tags' own base case comparison-
+    // sorts 16-byte tags where this one would shuffle whole records.
+    if is_wide::<T>() && data.len() > INSERTION_CUTOFF {
+        let Some(mut tags) = tag_records(data) else { return };
+        radix_sort(&mut tags);
+        order_equal_prefixes(&mut tags, data, 0);
+        let spill: Vec<T> = tags.iter().map(|t| data[t.index as usize]).collect();
+        data.copy_from_slice(&spill);
+        return;
+    }
     // Small inputs (notably the splitter machinery's sample sorts) take
     // the base cases directly, without touching the scratch allocation.
     if base_case(data) {
@@ -286,7 +327,7 @@ pub fn radix_sort<T: RadixSortable>(data: &mut [T]) {
     }
     if let Some(level) = top_level(data) {
         let mut scratch = alloc_scratch(data[0]);
-        let bounds = partition_dispatch(data, level, &mut scratch);
+        let bounds = partition_level(data, level, &mut scratch);
         let mut rest: &mut [T] = data;
         for width in bounds.windows(2).map(|w| w[1] - w[0]) {
             let (bucket, tail) = std::mem::take(&mut rest).split_at_mut(width);
@@ -298,27 +339,9 @@ pub fn radix_sort<T: RadixSortable>(data: &mut [T]) {
     }
 }
 
-/// The write-buffer scratch of the block-permutation path; wide items never
-/// touch it (their path spills full-length instead), so it stays empty.
+/// The write-buffer scratch of the block permutation.
 fn alloc_scratch<T: RadixSortable>(exemplar: T) -> Vec<T> {
-    if is_wide::<T>() {
-        Vec::new()
-    } else {
-        vec![exemplar; 256 * BLOCK]
-    }
-}
-
-/// One MSD level by whichever permutation strategy fits `T`'s width.
-fn partition_dispatch<T: RadixSortable>(
-    data: &mut [T],
-    level: usize,
-    scratch: &mut [T],
-) -> [usize; 257] {
-    if is_wide::<T>() {
-        partition_level_wide(data, level)
-    } else {
-        partition_level(data, level, scratch)
-    }
+    vec![exemplar; 256 * BLOCK]
 }
 
 /// [`radix_sort`] with the bucket recursion parallelised on the vendored
@@ -327,13 +350,37 @@ fn partition_dispatch<T: RadixSortable>(
 /// cache-efficient), then the up-to-256 top-level buckets are sorted
 /// concurrently via [`rayon::scope`].  A task allocates a scratch only
 /// when its bucket is large enough to radix-recurse; small buckets finish
-/// with the base cases directly.  Falls back to the sequential sort on
-/// one-thread pools or short inputs; output is bitwise identical at every
-/// thread count.
+/// with the base cases directly.  Wide items are tagged once and the tag
+/// sort, the tie ordering and the gather run on the pool (see the crate
+/// docs).  Falls back to the sequential sort on one-thread pools or short
+/// inputs; output is bitwise identical at every thread count.
 pub fn par_radix_sort<T: RadixSortable + Send + Sync>(data: &mut [T]) {
     let n = data.len();
     if rayon::current_num_threads() <= 1 || n < PAR_MIN_LEN {
         radix_sort(data);
+        return;
+    }
+    if is_wide::<T>() {
+        let Some(mut tags) = tag_records(data) else { return };
+        par_radix_sort(&mut tags);
+        // One task per thread; a chunk ends where the prefix changes, so no
+        // run of equal prefixes is split between two tasks.
+        let chunk = n.div_ceil(rayon::current_num_threads());
+        let records: &[T] = data;
+        rayon::scope(|s| {
+            let mut rest: &mut [Tag] = &mut tags;
+            while !rest.is_empty() {
+                let mut cut = chunk.min(rest.len());
+                while cut < rest.len() && rest[cut].prefix == rest[cut - 1].prefix {
+                    cut += 1;
+                }
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(cut);
+                rest = tail;
+                s.spawn(move |_| order_equal_prefixes(head, records, 0));
+            }
+        });
+        let spill: Vec<T> = tags.par_iter().map(|tag| records[tag.index as usize]).collect();
+        data.copy_from_slice(&spill);
         return;
     }
     let level = match top_level(data) {
@@ -341,7 +388,7 @@ pub fn par_radix_sort<T: RadixSortable + Send + Sync>(data: &mut [T]) {
         None => return,
     };
     let mut scratch = alloc_scratch(data[0]);
-    let bounds = partition_dispatch(data, level, &mut scratch);
+    let bounds = partition_level(data, level, &mut scratch);
     rayon::scope(|s| {
         let mut rest: &mut [T] = data;
         for width in bounds.windows(2).map(|w| w[1] - w[0]) {
@@ -438,7 +485,7 @@ fn sort_rec<T: RadixSortable>(data: &mut [T], mut level: usize, scratch: &mut [T
         None => return,
     }
 
-    let bounds = partition_dispatch(data, level, scratch);
+    let bounds = partition_level(data, level, scratch);
     let next = level + 1;
     let mut rest: &mut [T] = data;
     for width in bounds.windows(2).map(|w| w[1] - w[0]) {
@@ -558,43 +605,103 @@ fn partition_level<T: RadixSortable>(
     bounds
 }
 
-/// One full MSD level for items wider than [`WIDE_ITEM_BYTES`]: classify by
-/// **index**, then move every item exactly once.
+/// A wide record as the narrow path sees it: eight of its digits and where
+/// it sits.  Tags order by `prefix` alone, so their digit string is the
+/// prefix's eight bytes; what a prefix leaves undecided is settled by
+/// [`order_equal_prefixes`].
+#[derive(Debug, Clone, Copy)]
+struct Tag {
+    prefix: u64,
+    index: u32,
+}
+
+impl PartialEq for Tag {
+    fn eq(&self, other: &Self) -> bool {
+        self.prefix == other.prefix
+    }
+}
+
+impl Eq for Tag {}
+
+impl PartialOrd for Tag {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tag {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.prefix.cmp(&other.prefix)
+    }
+}
+
+impl RadixSortable for Tag {
+    const RADIX_BYTES: usize = 8;
+
+    #[inline(always)]
+    fn radix_byte(&self, level: usize) -> u8 {
+        self.prefix.radix_byte(level)
+    }
+}
+
+/// Tag every record of a wide slice with its first eight digits and its
+/// position, deciding in the same pass whether the slice is already in
+/// order (nothing to do) or strictly descending (reversed in place) — `None`
+/// either way.  Neighbours compare by prefix; the full [`Ord`] runs only
+/// where two prefixes tie.
 ///
-/// The block-permutation path earns its keep by keeping all stores either
-/// in a cache-resident scratch or on one streaming write head — but both
-/// properties die for 100-byte records (the scratch alone would be 1.6 MB,
-/// and the cycle-chase swaps every item twice, 200 bytes of traffic per
-/// record each way).  Here the digit of every item is read once into a
-/// dense `u8` side array — the classification touches only the key-prefix
-/// byte, never the payload — counts become bucket boundaries, and a single
-/// stable scatter out of a one-shot spill copy places each wide item with
-/// exactly one wide write.  Total wide-item traffic: one sequential copy
-/// out plus one scattered write back, the minimum any out-of-place
-/// distribution pass can do.
-fn partition_level_wide<T: RadixSortable>(data: &mut [T], level: usize) -> [usize; 257] {
-    let n = data.len();
-    // Classify by index: one narrow digit read per item.
-    let mut digits: Vec<u8> = Vec::with_capacity(n);
-    let mut counts = [0usize; 256];
-    for x in data.iter() {
-        let d = x.radix_byte(level);
-        digits.push(d);
-        counts[d as usize] += 1;
+/// A tag indexes with a `u32`: a slice of more than `u32::MAX` records
+/// (400 GB of terasort records on one rank) cannot be tagged and is handed
+/// to `sort_unstable` instead — also `None`.
+fn tag_records<T: RadixSortable>(data: &mut [T]) -> Option<Vec<Tag>> {
+    let Ok(n) = u32::try_from(data.len()) else {
+        data.sort_unstable();
+        return None;
+    };
+    let mut tags: Vec<Tag> = Vec::with_capacity(data.len());
+    let (mut ascending, mut descending) = (true, true);
+    for (index, x) in (0..n).zip(data.iter()) {
+        let prefix = x.radix_prefix(0);
+        if let Some(prev) = tags.last() {
+            let order = prev.prefix.cmp(&prefix).then_with(|| data[prev.index as usize].cmp(x));
+            ascending &= order.is_le();
+            descending &= order.is_gt();
+        }
+        tags.push(Tag { prefix, index });
     }
-    let mut bounds = [0usize; 257];
-    for d in 0..256 {
-        bounds[d + 1] = bounds[d] + counts[d];
+    if descending && !ascending {
+        data.reverse();
     }
-    // Move by index: spill once, scatter once (stable within each bucket).
-    let spill = data.to_vec();
-    let mut heads = [0usize; 256];
-    heads.copy_from_slice(&bounds[..256]);
-    for (item, &d) in spill.iter().zip(&digits) {
-        data[heads[d as usize]] = *item;
-        heads[d as usize] += 1;
+    (!ascending && !descending).then_some(tags)
+}
+
+/// Finish tags already sorted by the eight digits from `level`: every run of
+/// equal prefixes is put in the full [`Ord`] of the records it indexes.
+/// Short runs are comparison-sorted through the index; a run beyond
+/// [`COMPARISON_CUTOFF`] is re-tagged with the next eight digits and goes
+/// round again, so keys that share long leading bytes stay on the radix
+/// path.  Records whose digits are exhausted are Ord-equal by the trait
+/// contract.
+fn order_equal_prefixes<T: RadixSortable>(tags: &mut [Tag], records: &[T], level: usize) {
+    let next = level + 8;
+    if next >= T::RADIX_BYTES {
+        return;
     }
-    bounds
+    let mut rest = tags;
+    while let Some(&Tag { prefix, .. }) = rest.first() {
+        let len = rest.iter().take_while(|t| t.prefix == prefix).count();
+        let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        if len <= COMPARISON_CUTOFF {
+            run.sort_unstable_by(|a, b| records[a.index as usize].cmp(&records[b.index as usize]));
+        } else {
+            for tag in run.iter_mut() {
+                tag.prefix = records[tag.index as usize].radix_prefix(next);
+            }
+            radix_sort(run);
+            order_equal_prefixes(run, records, next);
+        }
+    }
 }
 
 /// Plain insertion sort on the full [`Ord`] (shift variant: hold the item,
@@ -792,7 +899,7 @@ mod tests {
         }
     }
 
-    /// A 40-byte item: wide enough for the move-by-index path, with the
+    /// A 40-byte item: wide enough to be sorted through tags, with the
     /// digit string equal to the bytes themselves.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     struct Wide([u8; 40]);
@@ -841,25 +948,44 @@ mod tests {
         }
     }
 
+    /// Whether the bytes [`pseudo_random_wide`] derives from the second key
+    /// word still sit behind it.
+    fn payload_matches_key(w: &Wide) -> bool {
+        let x = u64::from_be_bytes(w.0[8..16].try_into().unwrap());
+        w.0.iter().enumerate().skip(16).all(|(i, &byte)| byte == (x >> (i % 8)) as u8)
+    }
+
     #[test]
-    fn partition_level_wide_produces_exact_bucket_ranges() {
-        let n = 10_000usize;
-        let v = pseudo_random_wide(n, 5, 1 << 30);
-        let mut data = v.clone();
-        let bounds = partition_level_wide(&mut data, 7);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(bounds[256], n);
-        assert_eq!(reference_sorted(&data), reference_sorted(&v));
-        for d in 0..256 {
-            for x in &data[bounds[d]..bounds[d + 1]] {
-                assert_eq!(x.radix_byte(7) as usize, d);
-            }
+    fn wide_gather_is_a_permutation_equal_to_sort_unstable() {
+        // 1 << 30 prefixes leave a few ties for the index comparison sort, 3
+        // leave three runs long enough to be re-tagged one level down.
+        for distinct in [1u64 << 30, 3] {
+            let v = pseudo_random_wide(10_000, 5, distinct);
+            let mut got = v.clone();
+            radix_sort(&mut got);
+            assert!(got.iter().all(payload_matches_key), "a record was torn");
+            assert_eq!(got, reference_sorted(&v), "distinct = {distinct}");
         }
-        // The scatter is stable: the concatenated buckets hold each digit's
-        // items in input order.
-        let mut expect = v.clone();
-        expect.sort_by_key(|x| x.radix_byte(7));
-        assert_eq!(data, expect);
+    }
+
+    #[test]
+    fn tagging_settles_sorted_and_strictly_descending_input() {
+        let mut sorted = pseudo_random_wide(5_000, 17, 40);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut data = sorted.clone();
+        assert!(tag_records(&mut data).is_none());
+        assert_eq!(data, sorted, "ascending input is left alone");
+        data.reverse();
+        assert!(tag_records(&mut data).is_none());
+        assert_eq!(data, sorted, "strictly descending input is reversed");
+        // One repeated record: no longer strictly descending, so it is
+        // tagged and sorted like any other input.
+        data.reverse();
+        data.push(data[data.len() - 1]);
+        let tags = tag_records(&mut data).expect("neither ascending nor strictly descending");
+        assert_eq!(tags.len(), data.len());
+        assert!(tags.iter().zip(0u32..).all(|(t, i)| t.index == i));
     }
 
     #[test]

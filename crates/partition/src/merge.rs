@@ -34,17 +34,6 @@
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
 
-/// The first `min(8, RADIX_BYTES)` radix digits of `x`, packed big-endian
-/// and left-aligned: `a < b ⇒ prefix_of(a) <= prefix_of(b)`, and for types
-/// of at most eight digits equal prefixes mean `a == b`.
-fn prefix_of<T: RadixSortable>(x: &T) -> u64 {
-    let mut prefix = 0u64;
-    for level in 0..T::RADIX_BYTES.min(8) {
-        prefix |= (x.radix_byte(level) as u64) << (56 - 8 * level);
-    }
-    prefix
-}
-
 /// Flag bit of [`Node::tag`]: the run has no head left.  It sits above the
 /// run index so that, among equal prefixes, comparing tags orders every
 /// live run before every exhausted one and otherwise by run index.
@@ -54,7 +43,8 @@ const EXHAUSTED: u32 = 1 << 31;
 /// current head.
 #[derive(Clone, Copy)]
 struct Node {
-    /// [`prefix_of`] the run's head; `u64::MAX` once exhausted.
+    /// [`RadixSortable::radix_prefix`] of the run's head; `u64::MAX` once
+    /// exhausted.
     prefix: u64,
     /// The run index, with [`EXHAUSTED`] set once the run has no head.
     tag: u32,
@@ -63,7 +53,7 @@ struct Node {
 impl Node {
     fn new<T: RadixSortable>(run: usize, head: Option<&T>) -> Self {
         match head {
-            Some(x) => Node { prefix: prefix_of(x), tag: run as u32 },
+            Some(x) => Node { prefix: x.radix_prefix(0), tag: run as u32 },
             None => Node { prefix: u64::MAX, tag: run as u32 | EXHAUSTED },
         }
     }

@@ -21,14 +21,19 @@
 //!
 //! A proptest block additionally fuzzes the radix sorter itself against
 //! `sort_unstable` on arbitrary inputs (duplicates, already-sorted,
-//! reverse, all-equal, empty, single-element).
+//! reverse, all-equal, empty, single-element) at lengths on both sides of
+//! each of its regime boundaries, and on wide records shaped to force the
+//! tag sort's tie path.
 
 use hss_repro::baselines::{
     bitonic_sort_with, histogram_sort_with_engine, over_partitioning_sort_with_engine,
     radix_partition_sort_with_engine, sample_sort_with_engine, HistogramSortConfig,
     OverPartitioningConfig, RadixConfig, SampleSortConfig,
 };
-use hss_repro::lsort::{par_radix_sort, radix_sort};
+use hss_repro::keygen::{ByteKey, WideRecord};
+use hss_repro::lsort::{
+    par_radix_sort, radix_sort, RadixSortable, BLOCK, COMPARISON_CUTOFF, INSERTION_CUTOFF,
+};
 use hss_repro::partition::{verify_global_sort, ExchangeEngine};
 use hss_repro::prelude::*;
 
@@ -286,68 +291,198 @@ fn node_level_radix_and_comparison_agree() {
 // Property-based coverage of the radix sorter itself
 // ---------------------------------------------------------------------------
 
+/// Where the radix sorter changes regime: insertion sort | `sort_unstable` |
+/// one classification level with mostly partial write buffers | every
+/// bucket flushing whole blocks into the block permutation.
+const EDGES: [usize; 4] = [0, INSERTION_CUTOFF, COMPARISON_CUTOFF, 256 * BLOCK];
+
+/// Length every narrow proptest input is drawn at: a block past the last
+/// edge.
+const MAX_LEN: usize = 256 * BLOCK + BLOCK;
+
+/// Cases per property (see `tests/proptest_invariants.rs`).
+fn configured_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .filter(|&c| c > 0)
+        .unwrap_or(24)
+}
+
+/// `v` cut to within a block of each edge, below it or above as `jitter`
+/// (drawn from `0..2 * BLOCK`) falls — so every case leaves the base cases.
+fn straddling<T: Clone>(v: &[T], jitter: usize) -> impl Iterator<Item = Vec<T>> + '_ {
+    EDGES.iter().map(move |edge| v[..(edge + jitter).saturating_sub(BLOCK)].to_vec())
+}
+
 /// `radix_sort` must match `sort_unstable` exactly.
-fn assert_radix_matches(mut v: Vec<u64>) {
+fn assert_radix_matches<T: RadixSortable>(mut v: Vec<T>) {
     let mut expect = v.clone();
     expect.sort_unstable();
     radix_sort(&mut v);
-    assert_eq!(v, expect);
+    assert!(v == expect, "radix_sort diverged from sort_unstable at n = {}", v.len());
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig { cases: configured_cases(), ..ProptestConfig::default() })]
+
     #[test]
-    fn radix_sorts_arbitrary_u64(v in proptest::collection::vec(any::<u64>(), 0..600)) {
-        assert_radix_matches(v);
+    fn radix_sorts_arbitrary_u64(
+        v in proptest::collection::vec(any::<u64>(), MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        straddling(&v, jitter).for_each(assert_radix_matches);
     }
 
     #[test]
-    fn radix_sorts_duplicate_heavy(v in proptest::collection::vec(0u64..8, 0..600)) {
-        assert_radix_matches(v);
+    fn radix_sorts_duplicate_heavy(
+        v in proptest::collection::vec(0u64..8, MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        straddling(&v, jitter).for_each(assert_radix_matches);
     }
 
     #[test]
-    fn radix_sorts_narrow_band(v in proptest::collection::vec(1_000_000u64..1_000_256, 0..600)) {
+    fn radix_sorts_narrow_band(
+        v in proptest::collection::vec(1_000_000u64..1_000_256, MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
         // All keys share the top seven bytes: exercises prefix skipping.
-        assert_radix_matches(v);
+        straddling(&v, jitter).for_each(assert_radix_matches);
     }
 
     #[test]
-    fn radix_sorts_presorted_and_reversed(mut v in proptest::collection::vec(any::<u64>(), 0..400)) {
-        v.sort_unstable();
-        assert_radix_matches(v.clone());
-        v.reverse();
-        assert_radix_matches(v);
+    fn radix_sorts_presorted_and_reversed(
+        v in proptest::collection::vec(any::<u64>(), MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        for mut v in straddling(&v, jitter) {
+            v.sort_unstable();
+            assert_radix_matches(v.clone());
+            v.reverse();
+            assert_radix_matches(v);
+        }
     }
 
     #[test]
-    fn par_radix_matches_sequential(v in proptest::collection::vec(any::<u64>(), 0..600)) {
-        let mut seq = v.clone();
-        radix_sort(&mut seq);
-        let mut par = v.clone();
-        par_radix_sort(&mut par);
-        prop_assert_eq!(seq, par);
+    fn par_radix_matches_sequential(
+        v in proptest::collection::vec(any::<u64>(), MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        for v in straddling(&v, jitter) {
+            let mut seq = v.clone();
+            radix_sort(&mut seq);
+            let mut par = v;
+            par_radix_sort(&mut par);
+            prop_assert!(seq == par);
+        }
     }
 
     #[test]
     fn radix_sorts_records(
-        v in proptest::collection::vec((0u64..16, any::<u32>()), 0..400)
+        v in proptest::collection::vec((0u64..16, any::<u32>()), MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
     ) {
         // Heavy key duplication forces the payload bytes to decide.
-        let mut recs: Vec<Record> =
+        let recs: Vec<Record> =
             v.into_iter().map(|(key, payload)| Record { key, payload }).collect();
-        let mut expect = recs.clone();
-        expect.sort_unstable();
-        radix_sort(&mut recs);
-        prop_assert_eq!(recs, expect);
+        straddling(&recs, jitter).for_each(assert_radix_matches);
+    }
+
+    #[test]
+    fn radix_sorts_wide_records(
+        words in proptest::collection::vec(any::<u64>(), WIDE_LEN..WIDE_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        // Around the insertion sort that wide slices start from, around the
+        // tags' own comparison-sort base case, and long enough that the tie
+        // runs of the shapes fall on both sides of `COMPARISON_CUTOFF` too.
+        let short = (INSERTION_CUTOFF + jitter).saturating_sub(BLOCK);
+        for n in [short, COMPARISON_CUTOFF + jitter - BLOCK, WIDE_LEN - jitter] {
+            for (shape, v) in wide_shapes::<90>(&words[..n]) {
+                assert_wide_sorts_match(shape, v);
+            }
+            for (shape, v) in wide_shapes::<30>(&words[..n]) {
+                assert_wide_sorts_match(shape, v);
+            }
+        }
     }
 }
 
 #[test]
 fn radix_sorts_explicit_edge_cases() {
-    assert_radix_matches(vec![]);
-    assert_radix_matches(vec![42]);
-    assert_radix_matches(vec![7; 10_000]);
-    assert_radix_matches((0..10_000).collect());
-    assert_radix_matches((0..10_000).rev().collect());
+    assert_radix_matches::<u64>(vec![]);
+    assert_radix_matches(vec![42u64]);
+    assert_radix_matches(vec![7u64; 10_000]);
+    assert_radix_matches((0..10_000u64).collect());
+    assert_radix_matches((0..10_000u64).rev().collect());
     assert_radix_matches(vec![u64::MAX, 0, u64::MAX, 0, 1]);
+}
+
+// ---------------------------------------------------------------------------
+// Wide items: sorted as (prefix, index) tags, ties settled on the records
+// ---------------------------------------------------------------------------
+
+/// Longest wide input: the three- and five-way tie shapes below then have
+/// runs on both sides of `COMPARISON_CUTOFF`.
+const WIDE_LEN: usize = 4 * COMPARISON_CUTOFF;
+
+/// One record per word for each input shape the tag sort treats specially.
+/// A record is its 8-byte key head, its 2-byte key tail and the last byte of
+/// an otherwise zero payload, so each shape controls exactly where two
+/// records first differ.
+fn wide_shapes<const V: usize>(words: &[u64]) -> Vec<(&'static str, Vec<WideRecord<10, V>>)> {
+    let record = |head: u64, tail: u16, last: u8| {
+        let mut key = [0u8; 10];
+        key[..8].copy_from_slice(&head.to_be_bytes());
+        key[8..].copy_from_slice(&tail.to_be_bytes());
+        let mut payload = [0u8; V];
+        payload[V - 1] = last;
+        WideRecord { key: ByteKey::new(key), payload }
+    };
+    let shape = |f: &dyn Fn(u64) -> WideRecord<10, V>| words.iter().map(|&w| f(w)).collect();
+    let random: Vec<_> = shape(&|w| record(w, (w >> 8) as u16, w as u8));
+    let mut sorted = random.clone();
+    sorted.sort_unstable();
+    let mut descending = sorted.clone();
+    descending.dedup();
+    descending.reverse();
+    vec![
+        ("random", random),
+        // Five 8-byte prefixes: key bytes 9–10 order each fifth of the input.
+        ("key_tail_decides", shape(&|w| record(w % 5, (w >> 8) as u16, 0))),
+        // One constant first prefix: everything is decided a level down.
+        ("shared_leading_bytes", shape(&|w| record(0xABAB_ABAB_ABAB_ABAB, w as u16, 0))),
+        // Three keys: the last payload byte orders each third of the input.
+        ("last_payload_byte_decides", shape(&|w| record(w % 3, 7, (w >> 8) as u8))),
+        ("all_equal", shape(&|_| record(1, 2, 3))),
+        ("sorted", sorted),
+        // Must come back as the exact reversal.
+        ("strictly_descending", descending),
+    ]
+}
+
+/// `radix_sort` and `par_radix_sort` must both match `sort_unstable`.
+fn assert_wide_sorts_match<const V: usize>(shape: &str, v: Vec<WideRecord<10, V>>) {
+    let mut expect = v.clone();
+    expect.sort_unstable();
+    let mut seq = v.clone();
+    radix_sort(&mut seq);
+    assert!(seq == expect, "{shape}/{V}: radix_sort diverged at n = {}", v.len());
+    let mut par = v;
+    par_radix_sort(&mut par);
+    assert!(par == expect, "{shape}/{V}: par_radix_sort diverged at n = {}", par.len());
+}
+
+#[test]
+fn par_radix_sorts_wide_tie_shapes_on_the_pool() {
+    // Long enough that `par_radix_sort` really fans out (it runs the
+    // sequential sort below 1 << 15 items).
+    let words = KeyDistribution::Uniform.generate_per_rank(1, 40_000, SEED).remove(0);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("test pool");
+    pool.install(|| {
+        for (shape, v) in wide_shapes::<90>(&words) {
+            assert_wide_sorts_match(shape, v);
+        }
+    });
 }
