@@ -11,7 +11,7 @@
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{ExchangeEngine, LoadBalance};
+use hss_partition::ExchangeEngine;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
 use crate::common::local_sort_phase_with;
@@ -50,17 +50,7 @@ pub fn bitonic_sort_with<T: Keyed + Ord + RadixSortable>(
         }
     }
 
-    let report = SortReport {
-        algorithm: "bitonic".to_string(),
-        ranks: p,
-        total_keys,
-        splitters: None,
-        load_balance: LoadBalance::from_rank_data(&input),
-        metrics: machine.metrics().clone(),
-        sync_model: machine.sync_model().name().to_string(),
-        local_sort: local_sort.name().to_string(),
-        makespan_seconds: machine.simulated_time(),
-    };
+    let report = SortReport::new("bitonic", machine, local_sort, total_keys, None, &input);
     (input, report)
 }
 

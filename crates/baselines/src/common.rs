@@ -5,7 +5,7 @@ use hss_core::charged_local_sort;
 use hss_core::report::{RoundStats, SortReport, SplitterReport};
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{exchange_and_merge_with, ExchangeEngine, LoadBalance, SplitterSet};
+use hss_partition::{exchange_and_merge_with, ExchangeEngine, SplitterSet};
 use hss_sim::{Machine, Phase};
 
 /// Locally sort every rank's data in place with the default local-sort
@@ -63,17 +63,9 @@ pub fn finish_splitter_sort_with<T: Keyed + RadixSortable>(
 ) -> (Vec<Vec<T>>, SortReport) {
     machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
     let out = exchange_and_merge_with(machine, per_rank_sorted, splitters, engine);
-    let report = SortReport {
-        algorithm: algorithm.to_string(),
-        ranks: machine.ranks(),
-        total_keys: splitter_report.total_keys,
-        splitters: Some(splitter_report),
-        load_balance: LoadBalance::from_rank_data(&out),
-        metrics: machine.metrics().clone(),
-        sync_model: machine.sync_model().name().to_string(),
-        local_sort: local_sort.name().to_string(),
-        makespan_seconds: machine.simulated_time(),
-    };
+    let total_keys = splitter_report.total_keys;
+    let report =
+        SortReport::new(algorithm, machine, local_sort, total_keys, Some(splitter_report), &out);
     (out, report)
 }
 

@@ -16,7 +16,7 @@
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{ExchangeEngine, LoadBalance};
+use hss_partition::ExchangeEngine;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
 use crate::common::local_sort_phase_with;
@@ -183,17 +183,8 @@ pub fn radix_partition_sort_with_engine<T: RadixKeyed + Ord + RadixSortable>(
     // Final local sort of each rank's bucket contents.
     local_sort_phase_with(machine, &mut output, config.local_sort);
 
-    let report = SortReport {
-        algorithm: "radix-partition".to_string(),
-        ranks: p,
-        total_keys,
-        splitters: None,
-        load_balance: LoadBalance::from_rank_data(&output),
-        metrics: machine.metrics().clone(),
-        sync_model: machine.sync_model().name().to_string(),
-        local_sort: config.local_sort.name().to_string(),
-        makespan_seconds: machine.simulated_time(),
-    };
+    let report =
+        SortReport::new("radix-partition", machine, config.local_sort, total_keys, None, &output);
     (output, report)
 }
 

@@ -103,15 +103,16 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
         K: RadixSortable,
     {
         let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
+        let mut sources: Vec<&mut &[T]> = sources.iter_mut().collect();
         Self::build_from(machine, &mut sources, sample_size, seed, local_sort)
     }
 
     /// [`Self::build`] over any per-rank [`SortedSource`]: the block
     /// positions are drawn here, so a spilled rank keeps the sample an
     /// in-memory rank holding the same keys would keep.
-    pub(crate) fn build_from<S: SortedSource<K>>(
+    pub(crate) fn build_from<S: SortedSource<K> + ?Sized>(
         machine: &mut Machine,
-        sources: &mut [S],
+        sources: &mut [&mut S],
         sample_size: usize,
         seed: u64,
         local_sort: LocalSortAlgo,

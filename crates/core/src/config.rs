@@ -192,18 +192,25 @@ pub struct HssConfig {
     /// modelled local-sort cost differ.  The default honours the
     /// `LOCAL_SORT` environment variable (CI runs both values).
     pub local_sort: LocalSortAlgo,
-    /// Overlapped execution only
-    /// ([`SyncModel::Overlapped`](hss_sim::SyncModel)): a bucket batch is
-    /// injected as an asynchronous exchange stage mid-round only if it
-    /// covers at least this fraction of the total keys; smaller batches are
-    /// deferred to a later stage so the per-stage α overhead (one latency
-    /// per peer per stage) cannot eat the overlap win.  `0.0` stages every
-    /// ready bucket immediately.  Ignored under Bsp.
+    /// Staged exchanges only: a bucket batch is injected as an asynchronous
+    /// exchange stage only if it covers at least this fraction of the total
+    /// keys; smaller batches wait for a later stage so the per-stage α
+    /// overhead (one latency per peer per stage) cannot eat the overlap
+    /// win.  `0.0` stages every ready bucket immediately.  Read under
+    /// [`SyncModel::Overlapped`](hss_sim::SyncModel), and under either sync
+    /// model once a rank of [`HssSorter::sort_out_of_core`] spilled (its
+    /// buckets can only travel in stages); a Bsp sort with every rank in
+    /// memory ignores it.
+    ///
+    /// [`HssSorter::sort_out_of_core`]: crate::sorter::HssSorter::sort_out_of_core
     pub min_stage_fraction: f64,
-    /// Out-of-core fallback policy: `Some` lets ranks whose working sets
-    /// exceed the cap spill through [`hss_extsort`]
-    /// ([`crate::sorter::HssSorter::sort_out_of_core`]); `None` (the
-    /// default) keeps everything in memory.
+    /// Out-of-core fallback policy, read by
+    /// [`crate::sorter::HssSorter::sort_out_of_core`] alone: ranks (and
+    /// merging owners) whose working sets exceed the cap spill through
+    /// [`hss_extsort`].  [`HssSorter::sort`](crate::sorter::HssSorter::sort)
+    /// and [`Sorter::run`](crate::request::Sorter::run) do not read it —
+    /// they keep everything in memory whatever it says, as does `None`
+    /// (the default).
     pub ext_sort: Option<ExtSortPolicy>,
     /// Seed for all sampling randomness (deterministic runs).
     pub seed: u64,
@@ -321,8 +328,8 @@ impl HssConfig {
         self
     }
 
-    /// Set the minimum fraction of total keys a mid-round exchange stage
-    /// must cover (overlapped execution only).
+    /// Set the minimum fraction of total keys an exchange stage must cover
+    /// (staged exchanges only, see [`Self::min_stage_fraction`]).
     pub fn with_min_stage_fraction(mut self, fraction: f64) -> Self {
         self.min_stage_fraction = fraction;
         self

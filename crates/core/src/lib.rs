@@ -15,17 +15,21 @@
 //!   (local sort → splitter determination → exchange → finish) with
 //!   theoretical (§3.1/§3.3) and practical (§6.1.2, constant oversampling)
 //!   round schedules and optional duplicate tagging (§4.3).  Behind it
-//!   sits **one** in-memory pipeline (the private `pipeline` module) whose
-//!   two axes are derived, never set: the bucket *granularity* from the
+//!   sits **one** pipeline (the private `pipeline` module) whose three
+//!   axes are derived, never set: the bucket *granularity* from the
 //!   topology and [`HssConfig::node_level`] (rank buckets merged at the
 //!   rank, or §6.1 node buckets re-split at the node leader —
-//!   [`node_level`]), and the exchange *schedule* from the machine's
-//!   [`SyncModel`](hss_sim::SyncModel) (one Bsp all-to-all, or the §4
-//!   staged exchange overlapping the histogram rounds).  Every granularity
-//!   runs under every schedule; [`HssSorter::sort_seeded`] exposes the
-//!   pipeline's warm-start and round-observer hooks;
-//! * [`out_of_core`] — [`HssSorter::sort_out_of_core`], the same rounds
-//!   over ranks that may have spilled to run files;
+//!   [`node_level`]); the *residency* of every rank's sorted data from
+//!   what the local sort left behind (a slice in memory, or run files on
+//!   disk — [`out_of_core`]); and the exchange *schedule* from the
+//!   machine's [`SyncModel`](hss_sim::SyncModel) and the residency (one
+//!   Bsp all-to-all, the §4 staged exchange overlapping the histogram
+//!   rounds, or — once a rank spilled — bucket-ordered stages after the
+//!   splitters).  Every granularity runs under every schedule at every
+//!   residency; [`HssSorter::sort_seeded`] exposes the pipeline's
+//!   warm-start and round-observer hooks;
+//! * [`out_of_core`] — [`HssSorter::sort_out_of_core`], the same pipeline
+//!   under a memory cap: ranks and owners over it spill to run files;
 //! * [`Sorter`] / [`SortRequest`] — the unified entry point: one
 //!   signature serving HSS and (via `hss-baselines`) every comparison
 //!   algorithm, with engine selection and optional output verification;

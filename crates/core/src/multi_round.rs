@@ -22,8 +22,8 @@ use std::ops::Range;
 use hss_keygen::{rank_rng, Key, Keyed};
 use hss_lsort::RadixSortable;
 use hss_partition::{
-    local_ranks_work, merge_key_intervals_with, sampling, ProbeIndex, SplitterIntervals,
-    SplitterSet,
+    local_ranks_work, merge_key_intervals_with, sampling, splitter_position, ProbeIndex,
+    SplitterIntervals, SplitterSet,
 };
 use hss_sim::{CostModel, Machine, Phase, Work};
 
@@ -157,18 +157,31 @@ where
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
     let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
+    let mut sources: Vec<&mut &[T]> = sources.iter_mut().collect();
     determine_splitters_from(machine, &mut sources, buckets, config, warm, on_round)
 }
 
-/// One rank's locally sorted data as splitter determination sees it: a
-/// sorted slice in memory, or the out-of-core tier's spilled run files
-/// answering the same queries through windowed probes.  *Where the data
-/// lives* is all an implementation decides; [`determine_splitters_from`]
-/// owns the supersteps, the charges and the RNG — sources only ever see
-/// the index positions it drew, so the chosen splitters (and therefore the
-/// output) cannot depend on which ranks spilled.
+/// One rank's locally sorted data, from the first sample to the last sealed
+/// bucket: a sorted slice in memory, or the out-of-core tier's spilled run
+/// files.  *Where the data lives* is all an implementation decides.
+///
+/// **Probe half** — [`determine_splitters_from`] owns the supersteps, the
+/// charges and the RNG; sources only ever see the index positions it drew,
+/// so the chosen splitters (and therefore the output) cannot depend on
+/// which ranks spilled.
+///
+/// **Drain half** — once the splitters are known the pipeline opens every
+/// rank's drain and seals the buckets front to back.  A resident slice cuts
+/// itself at the splitter positions; a spilled store pulls its merge cursor
+/// up to each splitter.  Both cut at `partition_point(key < bound)`.
+///
+/// Object safe, so that resident and spilled ranks can sit side by side
+/// ([`RankStore`]).
 pub(crate) trait SortedSource<K: Key>: Send {
-    /// Number of local records.
+    /// The records this source holds.
+    type Item: Keyed<K = K>;
+
+    /// Number of local records (asked before the first bucket is sealed).
     fn len(&self) -> usize;
 
     /// The keys at the positions `draw` picks inside each of the (disjoint,
@@ -178,7 +191,7 @@ pub(crate) trait SortedSource<K: Key>: Send {
     fn sample_in_intervals(
         &mut self,
         intervals: &[(K, K)],
-        draw: impl FnMut(Range<u64>) -> Vec<u64>,
+        draw: &mut dyn FnMut(Range<u64>) -> Vec<u64>,
     ) -> Vec<K>;
 
     /// Add this rank's bucket counts for one histogramming round to the
@@ -191,11 +204,30 @@ pub(crate) trait SortedSource<K: Key>: Send {
     fn keys_at(&mut self, positions: &[u64]) -> Vec<K>;
 
     /// The disk traffic the queries since the previous call caused, as a
-    /// charge for the superstep that ran them.
-    fn take_disk_work(&mut self) -> Work;
+    /// charge for the superstep that ran them (none unless spilled).
+    fn take_disk_work(&mut self) -> Work {
+        Work::none()
+    }
+
+    /// End the probes and open the drain, returning what that cost (nothing
+    /// unless spilled).
+    fn open_drain(&mut self) -> Work {
+        Work::none()
+    }
+
+    /// Seal the next bucket: remove and return the remaining records with
+    /// keys below `bound` (everything that is left for `None`), and the
+    /// work of cutting them off.
+    fn seal_below(&mut self, bound: Option<K>) -> (Vec<Self::Item>, Work);
 }
 
+/// One rank's sorted data wherever it lives: what a machine holds per rank
+/// once its ranks differ in residency.
+pub(crate) type RankStore<'a, T> = Box<dyn SortedSource<<T as Keyed>::K, Item = T> + 'a>;
+
 impl<T: Keyed> SortedSource<T::K> for &[T] {
+    type Item = T;
+
     fn len(&self) -> usize {
         <[T]>::len(self)
     }
@@ -203,7 +235,7 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
     fn sample_in_intervals(
         &mut self,
         intervals: &[(T::K, T::K)],
-        mut draw: impl FnMut(Range<u64>) -> Vec<u64>,
+        draw: &mut dyn FnMut(Range<u64>) -> Vec<u64>,
     ) -> Vec<T::K> {
         let mut sample = Vec::new();
         for (start, end) in sampling::interval_bounds(self, intervals) {
@@ -221,8 +253,13 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
         positions.iter().map(|&i| self[i as usize].key()).collect()
     }
 
-    fn take_disk_work(&mut self) -> Work {
-        Work::none()
+    fn seal_below(&mut self, bound: Option<T::K>) -> (Vec<T>, Work) {
+        // The slice is its own cursor: what is left of it is undrained.
+        let cut = bound.map_or(self.len(), |b| splitter_position(self, b));
+        let work = Work::binary_search(1, self.len().max(1)).and(Work::scan(cut));
+        let (bucket, rest) = self.split_at(cut);
+        *self = rest;
+        (bucket.to_vec(), work)
     }
 }
 
@@ -233,14 +270,14 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
 /// as per-rank classification + reduction.
 pub(crate) fn ranked<K, S>(
     machine: &mut Machine,
-    sources: &mut [S],
+    sources: &mut [&mut S],
     oracle: &Option<ApproxHistogrammer<K>>,
     probes: &[K],
     total_keys: u64,
 ) -> Vec<u64>
 where
     K: Key + RadixSortable,
-    S: SortedSource<K>,
+    S: SortedSource<K> + ?Sized,
 {
     match oracle {
         Some(oracle) => {
@@ -283,7 +320,7 @@ where
 /// from run files without materializing the sorted array.
 pub(crate) fn determine_splitters_from<K, S, F>(
     machine: &mut Machine,
-    sources: &mut [S],
+    sources: &mut [&mut S],
     buckets: usize,
     config: &HssConfig,
     warm: Option<&WarmStart<K>>,
@@ -291,7 +328,7 @@ pub(crate) fn determine_splitters_from<K, S, F>(
 ) -> (SplitterSet<K>, SplitterReport)
 where
     K: Key + RadixSortable,
-    S: SortedSource<K>,
+    S: SortedSource<K> + ?Sized,
     F: FnMut(&mut Machine, &RoundProgress<'_, K>),
 {
     config.validate().expect("invalid HSS configuration");
@@ -398,7 +435,7 @@ where
                 // Sampling Method 1: geometric-skip Bernoulli draws over
                 // each interval's index range.
                 let mut rng = rank_rng(seed, rank);
-                let sample = source.sample_in_intervals(&key_intervals, |range| {
+                let sample = source.sample_in_intervals(&key_intervals, &mut |range| {
                     sampling::bernoulli_sample_positions(range, probability, &mut rng)
                 });
                 // Charge the strategy `interval_bounds` actually executes

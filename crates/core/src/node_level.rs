@@ -26,19 +26,22 @@ use rayon::prelude::*;
 
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{kway_merge_slices, regular_sample, Received, SplitterSet};
-use hss_sim::{CostModel, Machine, Phase};
+use hss_partition::{regular_sample, Received, SplitterSet};
+use hss_sim::{CostModel, Machine, Phase, Work};
 
 use crate::config::HssConfig;
+use crate::pipeline::Residency;
 
 /// The node-bucket finish: every node leader re-splits the sorted runs it
 /// `received` among its node's cores, entirely in shared memory.  Returns
 /// the per-rank output; the slowest node's work is charged to
-/// [`Phase::NodeLocalSort`].
+/// [`Phase::NodeLocalSort`], and so — on the disk channel — is the traffic
+/// of any core the `residency` made merge through disk.
 pub(crate) fn finish_within_nodes<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     received: &Received<'_, T>,
     config: &HssConfig,
+    residency: &impl Residency<T>,
 ) -> Vec<Vec<T>>
 where
     T::K: RadixSortable,
@@ -46,14 +49,14 @@ where
     let topo = machine.topology();
     let within_eps = config.within_node_epsilon;
     let local_sort = config.local_sort;
-    let per_node: Vec<(usize, Vec<Vec<T>>, u64)> = (0..topo.nodes())
+    let per_node: Vec<_> = (0..topo.nodes())
         .into_par_iter()
         .map(|node| {
             let mut runs = received.runs_at(topo.leader_of(node));
             runs.retain(|r| !r.is_empty());
             let cores = topo.node_size(node);
             let total: usize = runs.iter().map(|r| r.len()).sum();
-            let (chunks, ops) = split_within_node(&runs, cores, within_eps, local_sort);
+            let (chunks, ops) = split_within_node(&runs, cores, within_eps, local_sort, residency);
             let ops = ops + CostModel::merge_ops(total as u64, cores.max(1) as u64);
             (node, chunks, ops)
         })
@@ -61,39 +64,47 @@ where
 
     // Assemble the per-rank output and charge the slowest node's work.
     let mut output: Vec<Vec<T>> = (0..topo.ranks()).map(|_| Vec::new()).collect();
+    let mut spills = vec![Work::none(); topo.ranks()];
     let mut max_ops = 0u64;
     for (node, chunks, ops) in per_node {
         max_ops = max_ops.max(ops);
-        for (core_idx, chunk) in chunks.into_iter().enumerate() {
+        for (core_idx, (chunk, spill)) in chunks.into_iter().enumerate() {
             let rank = topo.ranks_of(node).start + core_idx;
             output[rank] = chunk;
+            spills[rank] = spill;
         }
     }
     machine.charge_modelled_compute(Phase::NodeLocalSort, max_ops);
+    if spills.iter().any(|&spill| spill != Work::none()) {
+        let _: Vec<()> =
+            machine.map_phase_mut(Phase::NodeLocalSort, &mut spills, |_rank, spill| ((), *spill));
+    }
     output
 }
 
 /// Split the sorted runs a node received into `cores` per-core sorted
 /// chunks using sample sort with regular sampling, entirely in shared
 /// memory.  The runs are read in place (slices into the receive buffer);
-/// only the final per-core chunks are materialised.  Returns the per-core
-/// chunks and the number of compute ops spent.
+/// only the final per-core chunks are materialised, each by the
+/// `residency`'s merge.  Returns the per-core chunks, each with what its
+/// merge cost beyond comparisons, and the number of compute ops spent.
 fn split_within_node<T: Keyed + RadixSortable>(
     runs: &[&[T]],
     cores: usize,
     within_eps: f64,
     local_sort: LocalSortAlgo,
-) -> (Vec<Vec<T>>, u64)
+    residency: &impl Residency<T>,
+) -> (Vec<(Vec<T>, Work)>, u64)
 where
     T::K: RadixSortable,
 {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     if cores <= 1 {
         let ops = CostModel::merge_ops(total as u64, runs.len().max(1) as u64);
-        return (vec![kway_merge_slices(runs)], ops);
+        return (vec![residency.merge(runs)], ops);
     }
     if total == 0 {
-        return ((0..cores).map(|_| Vec::new()).collect(), 0);
+        return ((0..cores).map(|_| (Vec::new(), Work::none())).collect(), 0);
     }
 
     // Regular sampling with the oversampling ratio `cores / within_eps` of
@@ -126,12 +137,12 @@ where
             }
         }
     }
-    let chunks: Vec<Vec<T>> = per_core_runs
+    let chunks = per_core_runs
         .into_iter()
         .map(|runs| {
             let t: usize = runs.iter().map(|r| r.len()).sum();
             ops += CostModel::merge_ops(t as u64, runs.len().max(1) as u64);
-            kway_merge_slices(&runs)
+            residency.merge(&runs)
         })
         .collect();
     (chunks, ops)
@@ -140,6 +151,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::InMemory;
     use crate::report::SplitterReport;
     use hss_keygen::KeyDistribution;
     use hss_partition::{verify_global_sort, LoadBalance};
@@ -152,7 +164,16 @@ mod tests {
         config: &HssConfig,
     ) -> (Vec<Vec<u64>>, SplitterReport) {
         let config = config.clone().with_node_level();
-        crate::pipeline::sort_sorted(machine, data, &config, None, |_, _| {})
+        let in_memory = InMemory(config.local_sort);
+        crate::pipeline::sort(machine, data.to_vec(), &config, &in_memory, None, |_, _| {})
+    }
+
+    /// [`split_within_node`] with every merge in memory: the chunks alone.
+    fn split(runs: &[&[u64]], cores: usize, within_eps: f64) -> (Vec<Vec<u64>>, u64) {
+        let in_memory = InMemory(LocalSortAlgo::Radix);
+        let (chunks, ops) =
+            split_within_node(runs, cores, within_eps, LocalSortAlgo::Radix, &in_memory);
+        (chunks.into_iter().map(|(chunk, _)| chunk).collect(), ops)
     }
 
     fn sorted_input(p: usize, nkeys: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -171,7 +192,7 @@ mod tests {
             (0..500).map(|i| i * 4 + 2).collect(),
         ];
         let run_slices: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let (chunks, _ops) = split_within_node(&run_slices, 4, 0.05, LocalSortAlgo::Radix);
+        let (chunks, _ops) = split(&run_slices, 4, 0.05);
         assert_eq!(chunks.len(), 4);
         // Concatenation is sorted.
         let flat: Vec<u64> = chunks.iter().flatten().copied().collect();
@@ -196,7 +217,7 @@ mod tests {
             (0..100).map(|i| i * 3 + 2).collect(),
         ];
         let run_slices: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let (chunks, _ops) = split_within_node(&run_slices, 4, eps, LocalSortAlgo::Radix);
+        let (chunks, _ops) = split(&run_slices, 4, eps);
         let flat: Vec<u64> = chunks.iter().flatten().copied().collect();
         assert!(flat.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(flat.len(), 10_300);
@@ -206,14 +227,13 @@ mod tests {
 
     #[test]
     fn split_within_single_core_just_merges() {
-        let (chunks, _ops) =
-            split_within_node(&[&[3u64, 6][..], &[1, 9][..]], 1, 0.05, LocalSortAlgo::Radix);
+        let (chunks, _ops) = split(&[&[3u64, 6][..], &[1, 9][..]], 1, 0.05);
         assert_eq!(chunks, vec![vec![1, 3, 6, 9]]);
     }
 
     #[test]
     fn split_within_node_empty_input() {
-        let (chunks, ops) = split_within_node::<u64>(&[], 4, 0.05, LocalSortAlgo::Radix);
+        let (chunks, ops) = split(&[], 4, 0.05);
         assert_eq!(chunks.len(), 4);
         assert!(chunks.iter().all(|c| c.is_empty()));
         assert_eq!(ops, 0);

@@ -1,14 +1,16 @@
-//! The distributed out-of-core path: HSS where any rank whose working set
-//! exceeds the [`ExtSortPolicy`](crate::config::ExtSortPolicy) cap falls
-//! back to `hss-extsort`.
+//! Residency beyond memory: what the one pipeline (`pipeline.rs`) needs to
+//! know about bytes on disk.  [`HssSorter::sort_out_of_core`] runs it under
+//! a *capped* residency policy — any rank whose working set exceeds the
+//! [`ExtSortPolicy`] cap falls back to
+//! `hss-extsort`.
 //!
 //! Two places can blow the cap, and both spill:
 //!
 //! 1. **Local sort** — a rank's input partition is streamed through run
 //!    formation instead of being sorted in place.
-//! 2. **Exchange merge** — a rank whose *received* runs exceed the cap
-//!    spills them to disk runs and k-way merges under bounded windows
-//!    (`ExternalSorter::merge_spilled`).
+//! 2. **Merge at an owner** — a rank (or, with node buckets, a core) whose
+//!    *received* runs exceed the cap spills them to disk runs and k-way
+//!    merges under bounded windows (`ExternalSorter::merge_spilled`).
 //!
 //! Either way the output is **bitwise identical** to the in-memory sorter:
 //! run formation sorts with the same `LocalSortAlgo`, and both merges use
@@ -17,21 +19,19 @@
 //! # The single pass
 //!
 //! A spilled rank's sorted array is never materialized — neither in memory
-//! nor on disk (it exceeds the cap by definition):
+//! nor on disk (it exceeds the cap by definition).  Its `SpilledStore` is
+//! the pipeline's `SortedSource` for it:
 //!
 //! 1. **Run formation** — the rank forms sorted runs and stops; no
 //!    merge-back.
-//! 2. **Splitter determination straight off the run files** — the rank is
-//!    a sorted source like any in-memory slice; its sampling, histogram
-//!    and §3.4 block-sample queries are windowed, fence-indexed probes
-//!    ([`hss_extsort::RunSetReader`]), a few KiB each.
-//! 3. **Staged drain** — the draining k-way merge ([`MergeCursor`]) streams
-//!    bucket-by-bucket into asynchronous exchange sends
-//!    ([`Machine::exchange_stage`]), each bucket dispatched as soon as its
-//!    upper splitter seals it (grouped up to `min_stage_fraction` of the
-//!    data per stage).
-//! 4. **Cap-aware merge** — each destination merges what it received, in
-//!    memory if it fits and through disk if not.
+//! 2. **Splitter determination straight off the run files** — the rank's
+//!    sampling, histogram and §3.4 block-sample queries are windowed,
+//!    fence-indexed probes ([`hss_extsort::RunSetReader`]), a few KiB each.
+//! 3. **Drain** — the draining k-way merge ([`MergeCursor`]) streams
+//!    bucket-by-bucket into the pipeline's asynchronous exchange stages,
+//!    each bucket sealed by its upper splitter.
+//! 4. **Cap-aware merge** — each owner merges what it received, in memory
+//!    if it fits and through disk if not.
 //!
 //! A spilled rank of `N` bytes therefore writes `N` (runs) and reads `N`
 //! (drain) plus the probes; an over-cap destination receiving `N` bytes
@@ -60,49 +60,74 @@ use hss_extsort::{
     ExtSortReport, ExternalSorter, MergeCursor, PlainRecord, RunSetReader, SpilledRuns,
 };
 use hss_keygen::Keyed;
-use hss_lsort::RadixSortable;
+use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::{
-    add_rank_differences, drain_source_below, drain_source_rest, kway_merge_slices,
-    splitter_position, ProbeIndex,
+    add_rank_differences, drain_source_below, drain_source_rest, kway_merge_slices, ProbeIndex,
 };
-use hss_sim::{Machine, Phase, Work};
+use hss_sim::{Machine, Work};
 
+use crate::config::ExtSortPolicy;
 use crate::local_sort::{charged_local_sort, local_sort_work};
-use crate::multi_round::{determine_splitters_from, SortedSource};
-use crate::report::SortReport;
+use crate::multi_round::{RankStore, SortedSource};
+use crate::pipeline::Residency;
 use crate::sorter::{HssSorter, SortOutcome};
-use crate::staging::StagedExchange;
 
-/// A spilled rank between run formation and the drain: its runs on disk
-/// plus a windowed reader for splitter probes, with the probe traffic
-/// accumulated so it can be folded into the final [`ExtSortReport`].
-struct SpilledStore<T: PlainRecord + Ord + Keyed> {
-    runs: SpilledRuns<T>,
-    reader: RunSetReader<T>,
-    /// Bytes, transfers, io-wait and wall of the probe reads so far.
-    probes: ExtSortReport,
+/// Fold one spill's measured traffic into the sort's aggregate report.
+fn report(spills: &Mutex<ExtSortReport>, spill: &ExtSortReport) {
+    spills.lock().expect("absorbing a report does not panic").absorb(spill);
 }
 
-impl<T: PlainRecord + Ord + Keyed> SpilledStore<T> {
+/// A spilled rank's sorted data: its runs on disk, answering the splitter
+/// probes through a windowed reader until the drain opens, pulled through
+/// the draining merge cursor from then on.  Everything it moves is measured
+/// and joins the sort's aggregate [`ExtSortReport`] (`spills`).
+struct SpilledStore<'a, T: PlainRecord + RadixSortable + Keyed> {
+    /// Records on disk.
+    total: usize,
+    /// The run files and their probe reader, until the drain opens.
+    probing: Option<(SpilledRuns<T>, RunSetReader<T>)>,
+    /// The draining merge and its block size, from then until the last
+    /// bucket is sealed.
+    draining: Option<(MergeCursor<T>, usize)>,
+    /// Bytes, transfers, io-wait and wall of the probe reads so far.
+    probes: ExtSortReport,
+    spills: &'a Mutex<ExtSortReport>,
+}
+
+impl<'a, T: PlainRecord + RadixSortable + Keyed> SpilledStore<'a, T> {
+    fn new(runs: SpilledRuns<T>, spills: &'a Mutex<ExtSortReport>) -> Self {
+        let reader = runs.reader().expect("splitter probes: opening run files failed");
+        Self {
+            total: runs.total() as usize,
+            probing: Some((runs, reader)),
+            draining: None,
+            probes: ExtSortReport::default(),
+            spills,
+        }
+    }
+
     /// Run one query against the run files, stamping its wall time (the
     /// reader's io-wait falls inside it).
     fn probe<R>(&mut self, query: impl FnOnce(&mut RunSetReader<T>) -> std::io::Result<R>) -> R {
+        let (_, reader) = self.probing.as_mut().expect("no probe once the drain is open");
         let t = Instant::now();
-        let answer = query(&mut self.reader).expect("splitter probe: run-file read failed");
+        let answer = query(reader).expect("splitter probe: run-file read failed");
         self.probes.wall_seconds += t.elapsed().as_secs_f64();
         answer
     }
 }
 
-impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for SpilledStore<T> {
+impl<T: PlainRecord + RadixSortable + Keyed> SortedSource<T::K> for SpilledStore<'_, T> {
+    type Item = T;
+
     fn len(&self) -> usize {
-        self.runs.total() as usize
+        self.total
     }
 
     fn sample_in_intervals(
         &mut self,
         intervals: &[(T::K, T::K)],
-        mut draw: impl FnMut(Range<u64>) -> Vec<u64>,
+        draw: &mut dyn FnMut(Range<u64>) -> Vec<u64>,
     ) -> Vec<T::K> {
         let mut sample = Vec::new();
         for &(lo, hi) in intervals {
@@ -120,7 +145,7 @@ impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for SpilledStore<T> {
         // Rank queries are what the fence-indexed run files answer; their
         // differences are the bucket counts.
         let ranks = self.probe(|reader| reader.local_ranks(probes.probes()));
-        add_rank_differences(ranks, self.runs.total(), counts);
+        add_rank_differences(ranks, self.total as u64, counts);
     }
 
     fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
@@ -128,91 +153,131 @@ impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for SpilledStore<T> {
     }
 
     fn take_disk_work(&mut self) -> Work {
-        let (bytes, transfers, io_wait) = self.reader.take_io();
+        let (_, reader) = self.probing.as_mut().expect("no probe once the drain is open");
+        let (bytes, transfers, io_wait) = reader.take_io();
         self.probes.bytes_read += bytes;
         self.probes.read_transfers += transfers;
         self.probes.io_wait_seconds += io_wait;
         Work::disk_bytes(bytes, transfers)
     }
-}
 
-/// Per-rank state after the local-sort phase: sorted in memory (under-cap)
-/// or formed into sorted runs on disk (over-cap).
-enum RankStore<T: PlainRecord + Ord + Keyed> {
-    Mem(Vec<T>),
-    Spilled(Box<SpilledStore<T>>),
-}
-
-impl<T: PlainRecord + Ord + Keyed> SortedSource<T::K> for RankStore<T> {
-    fn len(&self) -> usize {
-        match self {
-            RankStore::Mem(local) => local.len(),
-            RankStore::Spilled(store) => store.len(),
-        }
+    fn open_drain(&mut self) -> Work {
+        let (runs, reader) = self.probing.take().expect("the drain opens once");
+        drop(reader);
+        report(self.spills, &self.probes);
+        let formed = *runs.report();
+        let (fan_in, block_elems) = (runs.config().fan_in, runs.config().block_elems::<T>());
+        let cursor = runs.into_cursor().expect("drain: opening the run cursor failed");
+        // `into_cursor` ran reduction passes if the runs exceeded the
+        // fan-in; charge their measured traffic (none otherwise).
+        let reduced = cursor.report();
+        let repassed = (reduced.bytes_read - formed.bytes_read) as usize / std::mem::size_of::<T>();
+        let work = Work::merge(repassed, fan_in).and(Work::disk_bytes(
+            reduced.disk_bytes() - formed.disk_bytes(),
+            reduced.disk_transfers() - formed.disk_transfers(),
+        ));
+        self.draining = Some((cursor, block_elems));
+        work
     }
 
-    fn sample_in_intervals(
-        &mut self,
-        intervals: &[(T::K, T::K)],
-        draw: impl FnMut(Range<u64>) -> Vec<u64>,
-    ) -> Vec<T::K> {
-        match self {
-            RankStore::Mem(local) => local.as_slice().sample_in_intervals(intervals, draw),
-            RankStore::Spilled(store) => store.sample_in_intervals(intervals, draw),
+    fn seal_below(&mut self, bound: Option<T::K>) -> (Vec<T>, Work) {
+        let (cursor, block_elems) =
+            self.draining.as_mut().expect("a bucket seals on an open drain");
+        let mut bucket = Vec::new();
+        let k = match bound {
+            Some(b) => drain_source_below(cursor, b, &mut bucket),
+            None => drain_source_rest(cursor, &mut bucket),
+        };
+        let bytes = (k * std::mem::size_of::<T>()) as u64;
+        let work = Work::merge(k, cursor.source_count().max(1))
+            .and(Work::scan(k))
+            .and(Work::disk_bytes(bytes, (k as u64).div_ceil(*block_elems as u64)));
+        if bound.is_none() {
+            // The last bucket: the cursor's report carries formation,
+            // reduction and every block the drain pulled (plus prefetch
+            // io-wait under the overlapped mode).
+            let (cursor, _) = self.draining.take().expect("checked above");
+            report(self.spills, &cursor.finish().expect("drain: cursor shutdown failed"));
         }
-    }
-
-    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, T::K>, counts: &mut [u64]) {
-        match self {
-            RankStore::Mem(local) => local.as_slice().add_bucket_counts(probes, counts),
-            RankStore::Spilled(store) => store.add_bucket_counts(probes, counts),
-        }
-    }
-
-    fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
-        match self {
-            RankStore::Mem(local) => local.as_slice().keys_at(positions),
-            RankStore::Spilled(store) => store.keys_at(positions),
-        }
-    }
-
-    fn take_disk_work(&mut self) -> Work {
-        match self {
-            RankStore::Mem(_) => Work::none(),
-            RankStore::Spilled(store) => store.take_disk_work(),
-        }
+        (bucket, work)
     }
 }
 
-/// A rank's data between splitter determination and the staged drain:
-/// either the in-memory sorted vector with a cut position, or the draining
-/// merge cursor over its run files.
-enum DrainSource<T: PlainRecord + RadixSortable + Keyed> {
-    Mem { data: Vec<T>, pos: usize },
-    Disk { cursor: MergeCursor<T>, pieces: usize, block_elems: usize },
+/// The residency of [`HssSorter::sort_out_of_core`]: a rank sorts, and an
+/// owner merges, in memory under the policy's cap and through `ext` over
+/// it.  `spills` aggregates the measured traffic of every spill.
+struct Capped<'a> {
+    policy: &'a ExtSortPolicy,
+    algo: LocalSortAlgo,
+    ext: ExternalSorter,
+    spills: Mutex<ExtSortReport>,
+}
+
+impl Capped<'_> {
+    fn over_cap<T>(&self, elems: usize) -> bool {
+        elems * std::mem::size_of::<T>() > self.policy.memory_cap_bytes
+    }
+}
+
+impl<T> Residency<T> for Capped<'_>
+where
+    T: Keyed + RadixSortable + PlainRecord,
+{
+    fn sort_rank(&self, local: &mut Vec<T>) -> (Option<RankStore<'_, T>>, Work) {
+        let n = local.len();
+        if !self.over_cap::<T>(n) {
+            return (None, charged_local_sort(self.algo, local));
+        }
+        // Form sorted runs and STOP: no merge-back, no materialized file.
+        // Unless the policy pins the merge geometry, the rank widens its
+        // fan-in to cover its runs in one pass when the cap allows.
+        let mut runs = self
+            .ext
+            .form_runs_only(std::mem::take(local))
+            .expect("run formation: scratch I/O failed");
+        if self.policy.prefetch_depth.is_none() {
+            runs.tune();
+        }
+        let formed = runs.report();
+        let work = local_sort_work::<T>(self.algo, n)
+            .and(Work::disk_bytes(formed.disk_bytes(), formed.disk_transfers()));
+        (Some(Box::new(SpilledStore::new(runs, &self.spills))), work)
+    }
+
+    fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work) {
+        if !self.over_cap::<T>(runs.iter().map(|r| r.len()).sum()) {
+            return (kway_merge_slices(runs), Work::none());
+        }
+        let (merged, spill) =
+            self.ext.merge_spilled(runs).expect("merge at the owner: scratch I/O failed");
+        report(&self.spills, &spill);
+        (merged, Work::disk_bytes(spill.disk_bytes(), spill.disk_transfers()))
+    }
 }
 
 impl HssSorter {
-    /// Sort with the out-of-core fallback armed: behaves exactly like
-    /// [`HssSorter::sort`] on the flat rank-level path, except that any
-    /// rank whose local partition or received runs exceed
-    /// `config.ext_sort.memory_cap_bytes` spills through the external
-    /// sorter — splitters from its run files, its merge drained straight
-    /// into staged exchange sends; see the module docs.  Returns the
-    /// outcome plus the aggregated [`ExtSortReport`] over every spill that
-    /// happened (all-zero if no rank exceeded the cap).
+    /// Sort with the out-of-core fallback armed: [`HssSorter::sort`], except
+    /// that any rank whose local partition, and any owner (rank, or core of
+    /// a node under `node_level`) whose received runs, exceed
+    /// `config.ext_sort.memory_cap_bytes` spill through the external sorter
+    /// — splitters from a spilled rank's run files, its merge drained
+    /// straight into staged exchange sends; see the module docs.  Returns
+    /// the outcome plus the aggregated [`ExtSortReport`] over every spill
+    /// that happened.
     ///
-    /// Output is bitwise identical to [`HssSorter::sort`] on a
-    /// [`SyncModel::Bsp`](hss_sim::SyncModel) machine.  Requires
-    /// `T: PlainRecord` (raw-byte run files), which is why this is a
-    /// separate entry point rather than a silent fallback inside `sort`.
+    /// While no rank spills the call *is* [`HssSorter::sort`] on the same
+    /// machine — same output, same charges, an all-zero report.  Once one
+    /// does, the splitters come first under either sync model, so the output
+    /// is bitwise what `sort` produces on a
+    /// [`SyncModel::Bsp`](hss_sim::SyncModel) machine of the same topology.
+    /// Requires `T: PlainRecord` (raw-byte run files), which is why this is
+    /// a separate entry point rather than a silent fallback inside `sort`.
     ///
     /// # Panics
     ///
-    /// Panics if `config.ext_sort` is `None`, if `node_level` or
-    /// `tag_duplicates` is set (the tier is rank-level and tag wrappers
-    /// are not `PlainRecord`), on rank-count mismatch, or on scratch-file
-    /// I/O errors.
+    /// Panics if `config.ext_sort` is `None`, if `tag_duplicates` is set
+    /// (tag wrappers are not `PlainRecord`), on rank-count mismatch, or on
+    /// scratch-file I/O errors.
     pub fn sort_out_of_core<T>(
         &self,
         machine: &mut Machine,
@@ -228,187 +293,21 @@ impl HssSorter {
             .ext_sort
             .as_ref()
             .expect("sort_out_of_core requires HssConfig::ext_sort to be set");
-        assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
-        assert!(!config.node_level, "the out-of-core tier is rank-level: disable node_level");
         assert!(
             !config.tag_duplicates,
             "duplicate tagging wraps items in non-PlainRecord tags; \
              disable tag_duplicates for the out-of-core tier"
         );
-        let total_keys: usize = input.iter().map(|v| v.len()).sum();
-        let p = machine.ranks();
-        let ext = ExternalSorter::new(policy.to_ext_config(config.local_sort));
-        let spills = Mutex::new(ExtSortReport::default());
-        let algo = config.local_sort;
-        let over_cap = |elems: usize| elems * std::mem::size_of::<T>() > policy.memory_cap_bytes;
-
-        // Phase 1 — local sort.  Over-cap ranks form sorted runs and STOP:
-        // no merge-back, no materialized file.  Unless the policy pins the
-        // merge geometry, each rank widens its fan-in to cover its runs in
-        // one pass when the cap allows.
-        let mut input = input;
-        let mut stores: Vec<RankStore<T>> =
-            machine.map_phase_mut(Phase::LocalSort, &mut input, |_rank, local| {
-                let mut local = std::mem::take(local);
-                let n = local.len();
-                if !over_cap(n) {
-                    let work = charged_local_sort(algo, &mut local);
-                    return (RankStore::Mem(local), work);
-                }
-                let mut runs =
-                    ext.form_runs_only(local).expect("run formation: scratch I/O failed");
-                if policy.prefetch_depth.is_none() {
-                    runs.tune();
-                }
-                let formed = runs.report();
-                let work = local_sort_work::<T>(algo, n)
-                    .and(Work::disk_bytes(formed.disk_bytes(), formed.disk_transfers()));
-                let reader = runs.reader().expect("splitter probes: opening run files failed");
-                let store = SpilledStore { runs, reader, probes: ExtSortReport::default() };
-                (RankStore::Spilled(Box::new(store)), work)
-            });
-        machine.wait_for_disk();
-
-        // Phase 2 — splitter determination straight from the stores: the
-        // same rounds and supersteps as the in-memory path, with spilled
-        // ranks answering via windowed run-file probes.
-        let (splitters, splitter_report) =
-            determine_splitters_from(machine, &mut stores, p, config, None, |_, _| {});
-
-        // Phase 3 — open the drain.  Spilled ranks reduce their run count
-        // to the merge fan-in (charged from the cursor's measured report
-        // delta) and hand back a pull cursor; in-memory ranks just carry a
-        // cut position.  Probe traffic from phase 2 joins the report here.
-        let mut slots: Vec<Option<RankStore<T>>> = stores.into_iter().map(Some).collect();
-        let mut sources: Vec<DrainSource<T>> =
-            machine.map_phase_mut(Phase::Merge, &mut slots, |_rank, slot| {
-                match slot.take().expect("each rank store is converted exactly once") {
-                    RankStore::Mem(data) => (DrainSource::Mem { data, pos: 0 }, Work::none()),
-                    RankStore::Spilled(store) => {
-                        let SpilledStore { runs, reader, probes } = *store;
-                        drop(reader);
-                        spills.lock().unwrap().absorb(&probes);
-                        let formed = *runs.report();
-                        let fan_in = runs.config().fan_in;
-                        let block_elems = runs.config().block_elems::<T>();
-                        let cursor =
-                            runs.into_cursor().expect("drain: opening the run cursor failed");
-                        let pieces = cursor.source_count().max(1);
-                        // `into_cursor` may have run reduction passes to get
-                        // under the fan-in; charge their measured traffic.
-                        let reduced = cursor.report();
-                        let repassed = (reduced.bytes_read - formed.bytes_read) as usize
-                            / std::mem::size_of::<T>();
-                        let work = if repassed > 0 {
-                            Work::merge(repassed, fan_in).and(Work::disk_bytes(
-                                reduced.disk_bytes() - formed.disk_bytes(),
-                                reduced.disk_transfers() - formed.disk_transfers(),
-                            ))
-                        } else {
-                            Work::none()
-                        };
-                        (DrainSource::Disk { cursor, pieces, block_elems }, work)
-                    }
-                }
-            });
-        machine.wait_for_disk();
-
-        // Phase 4 — staged drain.  One superstep per destination bucket:
-        // every rank drains its stream up to the bucket's upper splitter
-        // (cursor pull for spilled ranks, `partition_point` cut for
-        // in-memory ranks — identical boundaries by construction).  Sealed
-        // buckets accumulate until they cover `min_stage_fraction` of the
-        // data, then fly as one asynchronous exchange stage; under
-        // `SyncModel::Overlapped` the next bucket's drain (and its disk
-        // backlog) proceeds while the NIC reservation is still in flight.
-        let splitter_keys = splitters.keys();
-        let owner: Vec<usize> = (0..p).collect();
-        let mut stages = StagedExchange::new(&owner, p, total_keys, config.min_stage_fraction);
-        let mut recv: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::new()).collect();
-        let mut first_sealed = 0;
-        for d in 0..p {
-            let bound = splitter_keys.get(d).copied();
-            recv[d] = machine.map_phase_mut(Phase::DataExchange, &mut sources, |_rank, source| {
-                match source {
-                    DrainSource::Mem { data, pos } => {
-                        let end = match bound {
-                            Some(b) => *pos + splitter_position(&data[*pos..], b),
-                            None => data.len(),
-                        };
-                        let buf = data[*pos..end].to_vec();
-                        *pos = end;
-                        let work =
-                            Work::binary_search(1, data.len().max(1)).and(Work::scan(buf.len()));
-                        (buf, work)
-                    }
-                    DrainSource::Disk { cursor, pieces, block_elems } => {
-                        let mut buf = Vec::new();
-                        let k = match bound {
-                            Some(b) => drain_source_below(cursor, b, &mut buf),
-                            None => drain_source_rest(cursor, &mut buf),
-                        };
-                        let bytes = (k * std::mem::size_of::<T>()) as u64;
-                        let transfers = (k as u64).div_ceil(*block_elems as u64);
-                        let work = Work::merge(k, *pieces)
-                            .and(Work::scan(k))
-                            .and(Work::disk_bytes(bytes, transfers));
-                        (buf, work)
-                    }
-                }
-            });
-            // The drain already charged each sender's scan of what it sends.
-            let sealed: Vec<usize> = (first_sealed..=d).collect();
-            stages.offer::<T>(
-                machine,
-                0,
-                &sealed,
-                d + 1 == p,
-                |src, dst| 0..recv[dst][src].len(),
-                |_, _| {},
-            );
-            if stages.is_staged(d) {
-                first_sealed = d + 1;
-            }
-        }
-        stages.wait_for_arrivals(machine);
-
-        // Harvest the drained cursors: their reports carry formation,
-        // reduction, and every block the drain pulled (plus prefetch
-        // io-wait under the overlapped mode).
-        for source in sources {
-            if let DrainSource::Disk { cursor, .. } = source {
-                let rep = cursor.finish().expect("drain: cursor shutdown failed");
-                spills.lock().unwrap().absorb(&rep);
-            }
-        }
-
-        // Phase 5 — merge received buckets, spilling through disk when a
-        // destination's total exceeds the cap.
-        let out = machine.transform_phase(Phase::Merge, recv, |_dst, runs| {
-            let slices: Vec<&[T]> = runs.iter().map(|r| r.as_slice()).collect();
-            let total: usize = slices.iter().map(|r| r.len()).sum();
-            let pieces = slices.iter().filter(|r| !r.is_empty()).count();
-            let merge_work = Work::merge(total, pieces.max(1));
-            if over_cap(total) {
-                let (merged, rep) =
-                    ext.merge_spilled(&slices).expect("exchange merge: scratch I/O failed");
-                spills.lock().unwrap().absorb(&rep);
-                (merged, merge_work.and(Work::disk_bytes(rep.disk_bytes(), rep.disk_transfers())))
-            } else {
-                (kway_merge_slices(&slices), merge_work)
-            }
+        let capped = Capped {
+            policy,
+            algo: config.local_sort,
+            ext: ExternalSorter::new(policy.to_ext_config(config.local_sort)),
+            spills: Mutex::default(),
+        };
+        let outcome = self.reported("hss-extsort", machine, input, |machine, input| {
+            crate::pipeline::sort(machine, input, config, &capped, None, |_, _| {})
         });
-        machine.wait_for_disk();
-
-        let report = SortReport::new(
-            "hss-extsort",
-            machine,
-            config,
-            total_keys as u64,
-            splitter_report,
-            &out,
-        );
-        (SortOutcome { data: out, report }, spills.into_inner().unwrap())
+        (outcome, capped.spills.into_inner().expect("absorbing a report does not panic"))
     }
 }
 
@@ -419,8 +318,7 @@ mod tests {
     use crate::multi_round::ranked;
     use hss_extsort::IoMode;
     use hss_keygen::KeyDistribution;
-    use hss_lsort::LocalSortAlgo;
-    use hss_sim::SyncModel;
+    use hss_sim::{Phase, SyncModel};
 
     fn run_dir() -> String {
         std::env::temp_dir().join("hss-ooc-test").to_string_lossy().into_owned()
@@ -540,22 +438,21 @@ mod tests {
 
         let policy = ExtSortPolicy::new(400 * std::mem::size_of::<u64>(), run_dir());
         let ext = ExternalSorter::new(policy.to_ext_config(LocalSortAlgo::Radix));
-        let mut stores: Vec<RankStore<u64>> = sorted
+        let spills = Mutex::default();
+        let mut spilled = 0;
+        let mut stores: Vec<RankStore<'_, u64>> = sorted
             .iter()
-            .map(|local| {
+            .map(|local| -> RankStore<'_, u64> {
                 if local.len() <= 400 {
-                    return RankStore::Mem(local.clone());
+                    return Box::new(local.as_slice());
                 }
+                spilled += 1;
                 let runs = ext.form_runs_only(local.clone()).expect("run formation");
-                let reader = runs.reader().expect("run reader");
-                RankStore::Spilled(Box::new(SpilledStore {
-                    runs,
-                    reader,
-                    probes: ExtSortReport::default(),
-                }))
+                Box::new(SpilledStore::new(runs, &spills))
             })
             .collect();
-        assert_eq!(stores.iter().filter(|s| matches!(s, RankStore::Spilled(_))).count(), 2);
+        assert_eq!(spilled, 2);
+        let mut stores: Vec<_> = stores.iter_mut().map(|store| &mut **store).collect();
 
         let phase = Phase::Histogramming;
         let mut m_ref = Machine::flat(4);
@@ -600,6 +497,11 @@ mod tests {
         assert_eq!(outcome.data, reference.data);
         assert_eq!(ext, ExtSortReport::default(), "no rank should spill");
         assert_eq!(m.metrics().total_disk_words(), 0);
+        // Nobody over the cap: the call is `sort`, charge for charge.
+        assert_eq!(
+            m.metrics().deterministic_signature(),
+            m_ref.metrics().deterministic_signature()
+        );
         assert_eq!(outcome.report.total_keys, 800);
     }
 

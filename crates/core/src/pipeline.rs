@@ -1,6 +1,6 @@
-//! The one in-memory HSS pipeline behind [`HssSorter`](crate::HssSorter):
-//! splitter determination → exchange → finish over locally sorted data,
-//! composed from two axes that are both *derived*, never set.
+//! The one HSS pipeline behind [`HssSorter`](crate::HssSorter): local sort
+//! → splitter determination → exchange → finish, composed from three axes
+//! that are all *derived*, never set.
 //!
 //! * **Granularity** — from `(machine.topology(), config.node_level)`: one
 //!   bucket per rank, owned by that rank and finished by a k-way merge; or,
@@ -8,15 +8,25 @@
 //!   bucket per physical node, owned by the node's leader and finished by
 //!   the shared-memory re-split among the node's cores
 //!   ([`crate::node_level`]).
-//! * **Schedule** — from `machine.sync_model()`: under
-//!   [`SyncModel::Bsp`] all splitters are determined first and the buckets
-//!   move in one all-to-all ([`hss_partition::exchange`]); under
-//!   [`SyncModel::Overlapped`] the buckets travel as asynchronous stages
-//!   while later histogram rounds are still running (§4, below).
+//! * **Residency** — from what the [`Residency`] policy's local sort left
+//!   behind: every rank's sorted data *resident* (a slice in memory), or
+//!   some rank's *spilled* to run files ([`crate::out_of_core`]).  The same
+//!   policy merges at the owners — ranks or a node's cores — so an owner
+//!   over the cap merges through disk.  [`InMemory`] never spills.
+//! * **Schedule** — from `machine.sync_model()` and the residency.  All
+//!   resident: under [`SyncModel::Bsp`] all splitters are determined first
+//!   and the buckets move in one all-to-all ([`hss_partition::exchange`]);
+//!   under [`SyncModel::Overlapped`] the buckets travel as asynchronous
+//!   stages while later histogram rounds are still running (§4, below).
+//!   Any rank spilled: under either sync model the splitters come first —
+//!   a merge cursor can only be drained front to back, and while it drains
+//!   the run files no longer answer probes — then every rank seals its
+//!   buckets in bucket order and they travel in stages of
+//!   [`HssConfig::min_stage_fraction`] of the data (`ship_in_bucket_order`).
 //!
-//! Both schedules end in the same product — what every owner
-//! [`Received`], read in place out of the senders' sorted buffers — so
-//! every granularity runs under every schedule.
+//! Every schedule ends in the same product — what every owner
+//! [`Received`] — so every granularity runs under every schedule at every
+//! residency.
 //!
 //! # The overlapped schedule
 //!
@@ -40,7 +50,8 @@
 //!    than [`HssConfig::min_stage_fraction`] of the input are deferred so
 //!    per-stage latency cannot eat the win.  Stages are rank-level messages
 //!    addressed to the bucket's owner: there is no §6.1.1 per-node message
-//!    combining under this schedule, with or without node-level buckets;
+//!    combining under this schedule — nor under the spilled one, whatever
+//!    the sync model — with or without node-level buckets;
 //! 4. after the last round the remaining buckets travel in a final stage
 //!    and each owner waits only for *its own* stage to land
 //!    ([`Machine::wait_until`]) before the finish.
@@ -50,15 +61,23 @@
 //! slightly from the Bsp schedule's — every frozen splitter is still within
 //! the `εN/(2·buckets)` finalization tolerance, so the load-balance
 //! guarantee is unchanged.  Data-wise the result is a correct global sort
-//! either way; `tests/sync_differential.rs` verifies both claims.
+//! either way; `tests/sync_differential.rs` verifies both claims.  The
+//! spilled schedule uses the final splitters, so its output is the Bsp
+//! schedule's under either sync model.
 
-use hss_keygen::Keyed;
-use hss_lsort::RadixSortable;
-use hss_partition::{exchange, merge_received, owner_plan, splitter_position, Received};
+use hss_keygen::{Key, Keyed};
+use hss_lsort::{LocalSortAlgo, RadixSortable};
+use hss_partition::{
+    exchange, kway_merge_slices, merge_received, owner_plan, splitter_position, Received,
+};
 use hss_sim::{ExchangePlan, Machine, Phase, SyncModel, Topology, Work};
 
 use crate::config::HssConfig;
-use crate::multi_round::{determine_splitters_seeded, RoundProgress, WarmStart};
+use crate::local_sort::charged_local_sort;
+use crate::multi_round::{
+    determine_splitters_from, determine_splitters_seeded, RankStore, RoundProgress, SortedSource,
+    WarmStart,
+};
 use crate::node_level::finish_within_nodes;
 use crate::report::SplitterReport;
 use crate::staging::StagedExchange;
@@ -88,50 +107,137 @@ impl Granularity {
     }
 }
 
-/// Sort already locally-sorted per-rank data into the globally sorted
-/// per-rank output: splitter determination (optionally warm-started, with
-/// `on_round` observing every histogramming round), the exchange under the
-/// machine's schedule, and the granularity's finish.
-pub(crate) fn sort_sorted<T, F>(
+/// Where records live at the two steps of the pipeline that hold a whole
+/// rank's worth of them: the local sort and the merge at an owner.
+pub(crate) trait Residency<T: Keyed>: Sync {
+    /// Sort one rank's input: in place (`None`), or out of memory — `local`
+    /// is left empty and the returned store stands for its sorted records.
+    /// The work is charged to [`Phase::LocalSort`].
+    fn sort_rank(&self, local: &mut Vec<T>) -> (Option<RankStore<'_, T>>, Work);
+
+    /// Merge the sorted runs an owner — a rank, or a core of a node —
+    /// received.  The work is what the merge cost *beyond* its comparisons:
+    /// the disk traffic of an owner that could not hold its runs.
+    fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work);
+}
+
+/// The residency of [`HssSorter::sort`](crate::HssSorter::sort): every rank
+/// sorts in place with the given algorithm and merges in memory.
+pub(crate) struct InMemory(pub(crate) LocalSortAlgo);
+
+impl<T: Keyed + RadixSortable> Residency<T> for InMemory {
+    fn sort_rank(&self, local: &mut Vec<T>) -> (Option<RankStore<'_, T>>, Work) {
+        (None, charged_local_sort(self.0, local))
+    }
+
+    fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work) {
+        (kway_merge_slices(runs), Work::none())
+    }
+}
+
+/// Sort per-rank input into the globally sorted per-rank output: the
+/// residency's local sort, splitter determination (optionally warm-started,
+/// with `on_round` observing every histogramming round), the exchange under
+/// the derived schedule, and the granularity's finish.
+pub(crate) fn sort<T, R, F>(
     machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
+    mut data: Vec<Vec<T>>,
     config: &HssConfig,
+    residency: &R,
     warm: Option<&WarmStart<T::K>>,
     on_round: F,
 ) -> (Vec<Vec<T>>, SplitterReport)
 where
     T: Keyed + RadixSortable,
     T::K: RadixSortable,
+    R: Residency<T>,
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
     let Granularity { owner, within_node } =
         Granularity::derive(machine.topology(), config.node_level);
-    let (received, report) = match machine.sync_model() {
-        SyncModel::Bsp => {
-            let (splitters, report) = determine_splitters_seeded(
-                machine,
-                per_rank_sorted,
-                owner.len(),
-                config,
-                warm,
-                on_round,
-            );
-            let received =
-                exchange(machine, per_rank_sorted, &splitters, &owner, config.exchange_engine);
-            (received, report)
-        }
-        // The staged exchange is inherently flat: the engine knob does not
-        // apply.
-        SyncModel::Overlapped => {
-            staged_exchange(machine, per_rank_sorted, &owner, config, warm, on_round)
+    let spilled = machine
+        .map_phase_mut(Phase::LocalSort, &mut data, |_rank, local| residency.sort_rank(local));
+    machine.wait_for_disk();
+    let (received, report) = if spilled.iter().any(Option::is_some) {
+        let mut stores: Vec<RankStore<'_, T>> = data
+            .iter()
+            .zip(spilled)
+            .map(|(local, store)| store.unwrap_or_else(|| Box::new(local.as_slice())))
+            .collect();
+        let mut stores: Vec<_> = stores.iter_mut().map(|store| &mut **store).collect();
+        let (splitters, report) =
+            determine_splitters_from(machine, &mut stores, owner.len(), config, warm, on_round);
+        // The probes are over.  A spilled rank reduces its runs to the merge
+        // fan-in and opens its cursor; from here on its data only moves
+        // forward.
+        let _: Vec<()> =
+            machine.map_phase_mut(Phase::Merge, &mut stores, |_rank, s| ((), s.open_drain()));
+        machine.wait_for_disk();
+        (ship_in_bucket_order(machine, &mut stores, splitters.keys(), &owner, config), report)
+    } else {
+        match machine.sync_model() {
+            SyncModel::Bsp => {
+                let (splitters, report) =
+                    determine_splitters_seeded(machine, &data, owner.len(), config, warm, on_round);
+                (exchange(machine, &data, &splitters, &owner, config.exchange_engine), report)
+            }
+            // The staged exchange is inherently flat: the engine knob does
+            // not apply.
+            SyncModel::Overlapped => {
+                staged_exchange(machine, &data, &owner, config, warm, on_round)
+            }
         }
     };
     let out = if within_node {
-        finish_within_nodes(machine, &received, config)
+        finish_within_nodes(machine, &received, config, residency)
     } else {
-        merge_received(machine, per_rank_sorted, &received)
+        merge_received(machine, &data, &received, |runs| residency.merge(runs))
     };
+    machine.wait_for_disk();
     (out, report)
+}
+
+/// Ship every bucket to its owner given the final `splitters`, in bucket
+/// order.  One superstep per bucket: every rank seals it — a resident rank
+/// cuts its slice, a spilled rank pulls its merge cursor up to the bucket's
+/// upper splitter; identical boundaries by construction.  Sealed buckets
+/// accumulate until they cover `min_stage_fraction` of the data, then fly
+/// as one asynchronous exchange stage; under [`SyncModel::Overlapped`] the
+/// next bucket's drain (and its disk backlog) proceeds while the NIC
+/// reservation is still in flight.  Returns once every owner's stage has
+/// landed.
+fn ship_in_bucket_order<K: Key, S: SortedSource<K> + ?Sized>(
+    machine: &mut Machine,
+    stores: &mut [&mut S],
+    splitters: &[K],
+    owner: &[usize],
+    config: &HssConfig,
+) -> Received<'static, S::Item> {
+    let p = machine.ranks();
+    let total_keys = stores.iter().map(|s| s.len()).sum();
+    let mut stages = StagedExchange::new(owner, p, total_keys, config.min_stage_fraction);
+    let mut recv: Vec<Vec<Vec<S::Item>>> = (0..p).map(|_| Vec::new()).collect();
+    let mut first_sealed = 0;
+    for (b, &dst) in owner.iter().enumerate() {
+        let bound = splitters.get(b).copied();
+        recv[dst] =
+            machine.map_phase_mut(Phase::DataExchange, stores, |_rank, s| s.seal_below(bound));
+        // The seal already charged each sender's scan of what it sends.
+        let sealed: Vec<usize> = (first_sealed..=b).collect();
+        stages.offer::<S::Item>(
+            machine,
+            0,
+            &sealed,
+            b + 1 == owner.len(),
+            |src, bucket| 0..recv[owner[bucket]][src].len(),
+            |_, _| {},
+        );
+        if stages.is_staged(b) {
+            first_sealed = b + 1;
+        }
+    }
+    stages.wait_for_arrivals(machine);
+    Received::Owned(recv)
 }
 
 /// The overlapped schedule (module docs): determine the `owner.len() − 1`
@@ -172,7 +278,7 @@ where
     // Which buckets have already travelled, and when their stage lands.
     let mut stages = StagedExchange::new(owner, p, total_keys, config.min_stage_fraction);
 
-    let (fallback, report) = determine_splitters_seeded(
+    let (splitters, report) = determine_splitters_seeded(
         machine,
         per_rank_sorted,
         buckets,
@@ -215,19 +321,13 @@ where
     );
 
     // Early-return paths of determine_splitters (empty input, a single
-    // bucket) never invoke the observer: freeze the remaining splitters
-    // from the returned set and ship whatever has not travelled yet.
-    if !stages.all_staged() {
-        let mut new_pairs: Vec<(usize, T::K)> = Vec::new();
-        for i in 0..nsplit {
-            if frozen[i].is_none() {
-                let key = clamp_monotone(fallback.keys()[i], i, &frozen);
-                frozen[i] = Some(key);
-                new_pairs.push((i, key));
-            }
-        }
-        locate_splitters(machine, per_rank_sorted, &new_pairs, &mut bounds);
-        stage_ready_buckets(machine, per_rank_sorted, &bounds, &mut stages, 0, true);
+    // bucket) never invoke the observer, so nothing has travelled: ship
+    // every bucket by the returned splitters.
+    if report.rounds.is_empty() {
+        let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
+        let mut sources: Vec<&mut &[T]> = sources.iter_mut().collect();
+        let shipped = ship_in_bucket_order(machine, &mut sources, splitters.keys(), owner, config);
+        return (shipped, report);
     }
     debug_assert!(stages.all_staged(), "every bucket must have travelled");
 
@@ -241,7 +341,7 @@ where
 /// Clamp a candidate key for splitter `i` against the nearest frozen
 /// neighbours so the frozen splitter sequence stays non-decreasing (the
 /// invariant the per-rank boundary positions rely on).
-fn clamp_monotone<K: hss_keygen::Key>(mut key: K, i: usize, frozen: &[Option<K>]) -> K {
+fn clamp_monotone<K: Key>(mut key: K, i: usize, frozen: &[Option<K>]) -> K {
     if let Some(below) = frozen[..i].iter().rev().flatten().next() {
         key = key.max(*below);
     }
@@ -323,7 +423,7 @@ mod tests {
     }
 
     fn run(machine: &mut Machine, data: &[Vec<u64>], config: &HssConfig) -> Vec<Vec<u64>> {
-        sort_sorted(machine, data, config, None, |_, _| {}).0
+        sort(machine, data.to_vec(), config, &InMemory(config.local_sort), None, |_, _| {}).0
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! histogramming rounds), Figure 3.1 (shrinking splitter intervals) and the
 //! load-balance claims; the benchmark harness serialises them.
 
+use hss_lsort::LocalSortAlgo;
 use hss_partition::LoadBalance;
 use hss_sim::{Machine, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-
-use crate::config::HssConfig;
 
 /// Statistics of one sampling + histogramming round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -98,26 +97,26 @@ pub struct SortReport {
 }
 
 impl SortReport {
-    /// The report of an HSS run that just finished on `machine`: the
-    /// machine's metrics, sync model and makespan as they stand, the
-    /// configured local sort, and the load balance of `output`.
+    /// The report of a sort that just finished on `machine`: the
+    /// machine's metrics, sync model and makespan as they stand, the local
+    /// sort the run used, and the load balance of `output`.
     pub fn new<T>(
         algorithm: &str,
         machine: &Machine,
-        config: &HssConfig,
+        local_sort: LocalSortAlgo,
         total_keys: u64,
-        splitters: SplitterReport,
+        splitters: Option<SplitterReport>,
         output: &[Vec<T>],
     ) -> Self {
         Self {
             algorithm: algorithm.to_string(),
             ranks: machine.ranks(),
             total_keys,
-            splitters: Some(splitters),
+            splitters,
             load_balance: LoadBalance::from_rank_data(output),
             metrics: machine.metrics().clone(),
             sync_model: machine.sync_model().name().to_string(),
-            local_sort: config.local_sort.name().to_string(),
+            local_sort: local_sort.name().to_string(),
             makespan_seconds: machine.simulated_time(),
         }
     }

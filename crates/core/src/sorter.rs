@@ -1,16 +1,15 @@
-//! The end-to-end HSS sorter: local sort, then the one in-memory pipeline
-//! (`pipeline.rs`: splitter determination → exchange → finish), plus the
-//! optional duplicate-tagging wrapper.
+//! The end-to-end HSS sorter: the one pipeline (`pipeline.rs`: local sort →
+//! splitter determination → exchange → finish) with everything in memory,
+//! plus the optional duplicate-tagging wrapper.
 
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_sim::{Machine, Phase};
+use hss_sim::Machine;
 
 use crate::config::HssConfig;
 use crate::duplicates::{tag_per_rank, untag_per_rank};
-use crate::local_sort::charged_local_sort;
 use crate::multi_round::{RoundProgress, WarmStart};
-use crate::pipeline::sort_sorted;
+use crate::pipeline::{self, InMemory};
 use crate::report::{SortReport, SplitterReport};
 
 /// The result of one HSS run: globally sorted per-rank data plus the
@@ -79,9 +78,11 @@ impl HssSorter {
         }
         // Wrap every item with its (PE, index) tag so duplicates get a
         // strict total order, sort the tagged items, unwrap.
-        self.reported(machine, input, |machine, input| {
+        self.reported(self.label(), machine, input, |machine, input| {
             let tagged = tag_per_rank(machine, input);
-            let (sorted_tagged, splitters) = self.sort_phases(machine, tagged, None, |_, _| {});
+            let in_memory = InMemory(self.config.local_sort);
+            let (sorted_tagged, splitters) =
+                pipeline::sort(machine, tagged, &self.config, &in_memory, None, |_, _| {});
             (untag_per_rank(machine, sorted_tagged), splitters)
         })
     }
@@ -116,15 +117,17 @@ impl HssSorter {
             "sort_seeded's warm start and round observer speak untagged keys; \
              disable tag_duplicates"
         );
-        self.reported(machine, input, |machine, input| {
-            self.sort_phases(machine, input, warm, on_round)
+        self.reported(self.label(), machine, input, |machine, input| {
+            let in_memory = InMemory(self.config.local_sort);
+            pipeline::sort(machine, input, &self.config, &in_memory, warm, on_round)
         })
     }
 
     /// Validate the call, run `phases` (unsorted input → sorted output plus
-    /// the splitter report) and assemble the [`SortReport`].
-    fn reported<T>(
+    /// the splitter report) and assemble the [`SortReport`] of `algorithm`.
+    pub(crate) fn reported<T>(
         &self,
+        algorithm: &str,
         machine: &mut Machine,
         input: Vec<Vec<T>>,
         phases: impl FnOnce(&mut Machine, Vec<Vec<T>>) -> (Vec<Vec<T>>, SplitterReport),
@@ -133,31 +136,15 @@ impl HssSorter {
         assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
         let total_keys = input.iter().map(|v| v.len() as u64).sum();
         let (data, splitters) = phases(machine, input);
-        let report =
-            SortReport::new(self.label(), machine, &self.config, total_keys, splitters, &data);
+        let report = SortReport::new(
+            algorithm,
+            machine,
+            self.config.local_sort,
+            total_keys,
+            Some(splitters),
+            &data,
+        );
         SortOutcome { data, report }
-    }
-
-    /// Sort already-tagged (or tag-free) items: the local sort
-    /// (embarrassingly parallel, no communication; comparison or in-place
-    /// MSD radix as configured), then the pipeline.
-    fn sort_phases<T, F>(
-        &self,
-        machine: &mut Machine,
-        mut data: Vec<Vec<T>>,
-        warm: Option<&WarmStart<T::K>>,
-        on_round: F,
-    ) -> (Vec<Vec<T>>, SplitterReport)
-    where
-        T: Keyed + Ord + RadixSortable,
-        T::K: RadixSortable,
-        F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
-    {
-        let algo = self.config.local_sort;
-        machine.local_phase(Phase::LocalSort, &mut data, move |_rank, local| {
-            charged_local_sort(algo, local)
-        });
-        sort_sorted(machine, &data, &self.config, warm, on_round)
     }
 }
 
@@ -166,7 +153,7 @@ mod tests {
     use super::*;
     use crate::request::{SortRequest, Sorter};
     use hss_keygen::{ChangaDataset, KeyDistribution, Record};
-    use hss_sim::{CostModel, SyncModel, Topology};
+    use hss_sim::{CostModel, Phase, SyncModel, Topology};
 
     /// Sort through the unified entry point with output verification on.
     fn run_verified<T>(

@@ -1,8 +1,7 @@
-//! Staged-exchange bookkeeping shared by the two schedules that ship
-//! buckets as asynchronous [`ExchangeStage`]s: the pipeline's overlapped
-//! schedule (`pipeline.rs`, buckets fly as their splitters freeze) and the
-//! out-of-core drain (`out_of_core.rs`, buckets fly as the merge cursors
-//! seal them).
+//! Staged-exchange bookkeeping shared by the pipeline's two schedules that
+//! ship buckets as asynchronous [`ExchangeStage`]s (`pipeline.rs`): the
+//! overlapped one (buckets fly as their splitters freeze) and the spilled
+//! one (buckets fly in bucket order, as the ranks seal them).
 
 use std::ops::Range;
 

@@ -54,7 +54,9 @@ pub enum Received<'a, T> {
         /// One plan per sender, addressed by owner rank.
         plans: Vec<ExchangePlan>,
     },
-    /// The nested engine's owned receive matrix, `recv[dst][src]`.
+    /// An owned receive matrix, `recv[dst][src]`: the nested engine's, and
+    /// that of any schedule whose senders cannot be read in place (a rank
+    /// draining run files).
     Owned(Vec<Vec<Vec<T>>>),
 }
 
@@ -89,7 +91,9 @@ pub fn exchange_and_merge_with<T: Keyed + RadixSortable>(
     );
     let owner: Vec<usize> = (0..machine.ranks()).collect();
     let received = exchange(machine, per_rank_sorted, splitters, &owner, engine);
-    merge_received(machine, per_rank_sorted, &received)
+    merge_received(machine, per_rank_sorted, &received, |runs| {
+        (kway_merge_slices(runs), Work::none())
+    })
 }
 
 /// The bucketize work charged by both engines: the classification cost of
@@ -172,19 +176,23 @@ pub fn exchange<'a, T: Keyed>(
     }
 }
 
-/// The rank-level finish: every rank k-way merges the sorted runs it
-/// received into its output (`per_rank_sorted` only drives the per-rank
-/// superstep; the runs come from `received`).
-pub fn merge_received<T: RadixSortable + Send + Sync>(
+/// The rank-level finish: every rank merges the sorted runs it received
+/// into its output with `merge` (`per_rank_sorted` only drives the per-rank
+/// superstep; the runs come from `received`).  `merge` returns the merged
+/// run and whatever it cost beyond the k-way merge's comparisons, which are
+/// charged here.
+pub fn merge_received<T: Send + Sync>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     received: &Received<'_, T>,
+    merge: impl Fn(&[&[T]]) -> (Vec<T>, Work) + Sync,
 ) -> Vec<Vec<T>> {
     machine.map_phase(Phase::Merge, per_rank_sorted, |dst, _local| {
         let runs = received.runs_at(dst);
         let total: usize = runs.iter().map(|r| r.len()).sum();
         let pieces = runs.iter().filter(|r| !r.is_empty()).count();
-        (kway_merge_slices(&runs), Work::merge(total, pieces.max(1)))
+        let (merged, beyond) = merge(&runs);
+        (merged, Work::merge(total, pieces.max(1)).and(beyond))
     })
 }
 

@@ -48,10 +48,10 @@ OPTIONS:
     --node-level           enable node-level partitioning (hss only)
     --tag-duplicates       enable duplicate tagging (hss only)
     --approx-histograms    answer histograms from representative samples (hss only)
-    --extsort              out-of-core tier: ranks over the memory cap spill
-                           through the external sorter — splitters from run
-                           files, merge drained straight into staged exchange
-                           sends (hss only)
+    --extsort              out-of-core tier: ranks (and, with --node-level, cores)
+                           over the memory cap spill through the external sorter
+                           — splitters from run files, merge drained straight into
+                           staged exchange sends (hss only, not --tag-duplicates)
     --memory-cap <BYTES>   per-rank record-buffer budget for --extsort
                                                           [default: 1048576]
     --run-dir <PATH>       scratch root for run files (cleaned up on exit)
@@ -370,10 +370,9 @@ fn main() {
         eprintln!("--extsort only applies to the hss algorithms");
         exit(2);
     }
-    if args.extsort && (args.node_level || args.tag_duplicates) {
+    if args.extsort && args.tag_duplicates {
         eprintln!(
-            "--extsort cannot be combined with --node-level or --tag-duplicates: \
-             the out-of-core tier is flat and rank-level"
+            "--extsort cannot be combined with --tag-duplicates: tags are not run-file records"
         );
         exit(2);
     }
@@ -439,24 +438,16 @@ fn main() {
         );
         // Where the modelled disk traffic landed: formation (LocalSort),
         // splitter probes (Sampling + Histogramming), the drain
-        // (DataExchange), and spill merges (Merge).
+        // (DataExchange), and spill merges (Merge; NodeLocalSort for the
+        // cores of a node bucket).
         println!("  disk by phase  :");
-        for phase in [
-            Phase::LocalSort,
-            Phase::Sampling,
-            Phase::Histogramming,
-            Phase::DataExchange,
-            Phase::Merge,
-        ] {
-            let pm = machine.metrics().phase(phase);
-            if pm.disk_words > 0 {
-                println!(
-                    "    {:<13}: {} words ({:.6} s simulated I/O wait share)",
-                    format!("{phase:?}"),
-                    pm.disk_words,
-                    pm.simulated_seconds
-                );
-            }
+        for (phase, pm) in machine.metrics().iter().filter(|(_, pm)| pm.disk_words > 0) {
+            println!(
+                "    {:<13}: {} words ({:.6} s simulated I/O wait share)",
+                format!("{phase:?}"),
+                pm.disk_words,
+                pm.simulated_seconds
+            );
         }
     }
     println!("\nper-phase breakdown:\n{}", report.metrics);

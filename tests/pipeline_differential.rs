@@ -11,6 +11,11 @@
 //!   deterministic simulator signature invariant to thread count and host
 //!   I/O mode; measured scratch bytes and modelled disk words within the
 //!   single-pass budget; scratch directory empty afterwards.
+//! * **The pipeline's full product** — granularity × schedule × residency ×
+//!   distribution in one table, plus the degenerate shapes (empty ranks,
+//!   `p = 1`, a cap of one record, stage fractions 0 and 1): a call nobody
+//!   spills in *is* `HssSorter::sort`, charge for charge; a call somebody
+//!   spills in outputs what `sort` outputs on a Bsp machine.
 //! * **Proptest** — fuzzes the pull-based merge cursor against the
 //!   file-based merge oracle (`sort_to_vec`) over chunk-boundary geometry,
 //!   duplicate-heavy inputs, and empty/one-element runs, and checks staged
@@ -276,6 +281,178 @@ fn pipelined_auto_tune_and_pinned_depths_agree_bitwise() {
             1,
         );
         assert_eq!(auto.data, pinned.data, "depth {depth} must not change output");
+    }
+}
+
+/// One run of either entry point, reduced to what the product table
+/// compares.
+struct Observed {
+    data: Vec<Vec<u64>>,
+    signature: Vec<SignatureRow>,
+    imbalance_ok: bool,
+    ext: ExtSortReport,
+}
+
+/// Sort `input` on `machine` with `threads` rayon threads: through
+/// `sort_out_of_core` if `config` carries a policy, through `sort` if not.
+fn observe(
+    input: &[Vec<u64>],
+    config: &HssConfig,
+    mut machine: Machine,
+    threads: usize,
+) -> Observed {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("test pool");
+    pool.install(|| {
+        let sorter = HssSorter::new(config.clone());
+        let (outcome, ext) = match config.ext_sort {
+            Some(_) => sorter.sort_out_of_core(&mut machine, input.to_vec()),
+            None => (sorter.sort(&mut machine, input.to_vec()), ExtSortReport::default()),
+        };
+        // Across-node and within-node slack compose for node buckets.
+        let slack = if config.node_level && machine.topology().cores_per_node() > 1 {
+            (1.0 + config.epsilon) * (1.0 + config.within_node_epsilon) - 1.0
+        } else {
+            config.epsilon
+        };
+        Observed {
+            imbalance_ok: outcome.report.satisfies(slack),
+            data: outcome.data,
+            signature: machine.metrics().deterministic_signature(),
+            ext,
+        }
+    })
+}
+
+fn assert_scratch_is_empty(scratch: &std::path::Path, label: &str) {
+    let leftovers: Vec<_> = match std::fs::read_dir(scratch) {
+        Ok(entries) => entries.flatten().collect(),
+        Err(_) => Vec::new(), // nobody spilled: the root was never created
+    };
+    assert!(leftovers.is_empty(), "{label}: scratch not cleaned: {leftovers:?}");
+}
+
+/// Everything the pipeline composes, in one table: bucket granularity
+/// {rank, node} × schedule {Bsp, Overlapped} × residency {nobody over the
+/// cap, only the large ranks of an uneven input, everybody} × four
+/// distributions.
+///
+/// Every cell is a correct, balanced global sort, leaves no scratch file,
+/// and charges the same at 1 and 4 host threads.  A cell nobody spills in is
+/// `HssSorter::sort` on the same machine — same output, same deterministic
+/// signature, an all-zero `ExtSortReport`.  A cell with a spilled rank puts
+/// the splitters first under either sync model, so its output is what
+/// `sort` produces on a Bsp machine of the same topology.
+#[test]
+fn every_granularity_schedule_and_residency_is_one_pipeline() {
+    let p = 16;
+    let width = std::mem::size_of::<u64>();
+    for dist in distributions() {
+        let scratch = std::env::temp_dir()
+            .join(format!("hss-pipeline-differential-product-{}", dist.name().replace(' ', "-")));
+        let _ = std::fs::remove_dir_all(&scratch);
+        let input = dist.generate_uneven_per_rank(p, 500, 0.6, SEED);
+        let mut sizes: Vec<usize> = input.iter().map(Vec::len).collect();
+        sizes.sort_unstable();
+        // Few distinct keys cannot balance without tagging; the sort and the
+        // accounting must hold all the same.
+        let balanced = !matches!(dist, KeyDistribution::FewDistinct { .. });
+
+        for node_level in [false, true] {
+            let topology = if node_level { Topology::new(p, 4) } else { Topology::flat(p) };
+            let machine = |sync| Machine::new(topology, CostModel::default()).with_sync_model(sync);
+            let mut config = HssConfig::default().with_seed(SEED);
+            config.node_level = node_level;
+            for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
+                // (who spills, the cap that selects them, how many ranks that is)
+                let caps = [
+                    ("nobody", 1 << 20, 0..=0),
+                    ("large ranks", sizes[p / 2] * width, 1..=p - 1),
+                    ("everybody", sizes[0] * width / 2, p..=p),
+                ];
+                for (residency, cap, selected) in caps {
+                    let label = format!(
+                        "{} node_level={node_level} {} spilled={residency}",
+                        dist.name(),
+                        sync.name()
+                    );
+                    let spilled_ranks = sizes.iter().filter(|&&n| n * width > cap).count();
+                    assert!(selected.contains(&spilled_ranks), "{label}: {spilled_ranks} spill");
+                    let capped = config.clone().with_ext_sort(
+                        ExtSortPolicy::new(cap, scratch.to_string_lossy())
+                            .with_io_mode(IoMode::Overlapped),
+                    );
+                    let run = observe(&input, &capped, machine(sync), 1);
+                    hss_repro::partition::verify_global_sort(&input, &run.data)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert!(run.imbalance_ok || !balanced, "{label}: imbalance beyond (1+ε)N/p");
+
+                    if spilled_ranks == 0 {
+                        let reference = observe(&input, &config, machine(sync), 1);
+                        assert_eq!(run.data, reference.data, "{label}: output vs sort");
+                        assert_eq!(run.signature, reference.signature, "{label}: charges vs sort");
+                        assert_eq!(run.ext, ExtSortReport::default(), "{label}");
+                    } else {
+                        let reference = observe(&input, &config, machine(SyncModel::Bsp), 1);
+                        assert_eq!(run.data, reference.data, "{label}: output vs Bsp sort");
+                        assert!(run.ext.runs_formed > 0, "{label}: somebody spilled");
+                        assert!((0.0..=1.0).contains(&run.ext.io_wait_fraction()), "{label}");
+                    }
+
+                    let four = observe(&input, &capped, machine(sync), 4);
+                    assert_eq!(run.data, four.data, "{label}: output thread-invariant");
+                    assert_eq!(run.signature, four.signature, "{label}: charges thread-invariant");
+                    assert_scratch_is_empty(&scratch, &label);
+                }
+            }
+        }
+    }
+}
+
+/// The degenerate shapes of the spilled schedule, each under both sync
+/// models and bitwise against `sort`: empty ranks between spilled ranks, a
+/// single rank, nothing to sort, a cap of one record, stages of every and
+/// of no bucket, and rank buckets on a multi-core topology.
+#[test]
+fn degenerate_shapes_under_a_cap_match_sort() {
+    let scratch = std::env::temp_dir().join("hss-pipeline-differential-degenerate");
+    let _ = std::fs::remove_dir_all(&scratch);
+    let policy = |cap: usize| ExtSortPolicy::new(cap, scratch.to_string_lossy());
+    let keys = |p: usize, n: usize| KeyDistribution::Uniform.generate_per_rank(p, n, SEED);
+    let base = HssConfig::default().with_seed(SEED);
+    let flat = Topology::flat;
+
+    let mut gaps = keys(6, 800);
+    for empty in [1, 3, 4] {
+        gaps[empty].clear();
+    }
+    let cases = vec![
+        ("empty ranks between spilled ranks", gaps, flat(6), base.clone(), 400 * 8),
+        ("one rank", keys(1, 900), flat(1), base.clone(), 300 * 8),
+        ("all-empty input", vec![Vec::new(); 4], flat(4), base.clone(), 64),
+        ("a cap of one record", keys(4, 40), flat(4), base.clone(), 8),
+        (
+            "stage every bucket",
+            keys(8, 600),
+            flat(8),
+            base.clone().with_min_stage_fraction(0.0),
+            1200,
+        ),
+        ("one stage", keys(8, 600), flat(8), base.clone().with_min_stage_fraction(1.0), 1200),
+        ("rank buckets on 4-core nodes", keys(8, 600), Topology::new(8, 4), base.clone(), 1200),
+    ];
+    for (label, input, topology, config, cap) in cases {
+        let any_spilled = input.iter().any(|rank| rank.len() * 8 > cap);
+        for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
+            let machine = |sync| Machine::new(topology, CostModel::default()).with_sync_model(sync);
+            let capped = config.clone().with_ext_sort(policy(cap));
+            let run = observe(&input, &capped, machine(sync), 1);
+            // A spilled rank puts the splitters first: the Bsp partition.
+            let reference_sync = if any_spilled { SyncModel::Bsp } else { sync };
+            let reference = observe(&input, &config, machine(reference_sync), 1);
+            assert_eq!(run.data, reference.data, "{label} {}", sync.name());
+            assert_eq!(run.ext.runs_formed > 0, any_spilled, "{label} {}", sync.name());
+            assert_scratch_is_empty(&scratch, label);
+        }
     }
 }
 
