@@ -1,13 +1,16 @@
 //! Criterion micro-benchmark of the local-sort subsystem: `sort_unstable`
 //! vs the sequential in-place MSD radix sort vs the parallel radix driver.
 //!
-//! The `u64` rows (uniform and power-law keys) include a per-iteration clone
-//! of the unsorted input in every variant identically, so their ratios are
-//! conservative.  The wide rows (`tera-100B` = `TeraRecord`, `wide-40B` =
-//! `WideRecord<10, 30>`, and `tera-100B-dup-prefix`, where a thousand
-//! distinct 8-byte key prefixes leave key bytes 9–10 to decide) sort
-//! pre-cloned inputs in place, so the number is the sort alone — the layer
-//! figure behind the `tera-fat` end-to-end claims.
+//! Every timed call sorts its own pre-made copy in place, so a number is the
+//! sort alone.  The `u64` rows (uniform and power-law keys) include the
+//! lengths the benchmark's workloads hand the layer: a whole input inside
+//! the cache-resident sub-level (4096, 16 384), the `u64-spill` formation
+//! chunk (65 536) and the `u64-fat` rank (524 288); `record-16B` is the
+//! 16-byte `Record` at the `tera-fat` tag count.  The wide rows are
+//! `tera-100B` = `TeraRecord`, `wide-40B` = `WideRecord<10, 30>`, and
+//! `tera-100B-dup-prefix`, where a thousand distinct 8-byte key prefixes
+//! leave key bytes 9–10 to decide — the layer figures behind the `tera-fat`
+//! end-to-end claims.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hss_keygen::{
@@ -17,18 +20,16 @@ use hss_lsort::{par_radix_sort, radix_sort, RadixSortable};
 
 const SAMPLES: usize = 10;
 
-fn input(dist: &KeyDistribution, n: usize) -> Vec<u64> {
-    dist.generate_per_rank(1, n, 42).remove(0)
-}
+/// A row's sorter: its name in the row id and the sort it times.
+type Sorter<T> = (&'static str, fn(&mut [T]));
 
-/// `comparison` and `radix` rows for one wide input, each timed call sorting
-/// its own pre-made copy (one per sample plus the harness's warm-up call).
-fn bench_wide<T: RadixSortable>(c: &mut Criterion, shape: &str, data: &[T]) {
+/// One row per sorter for one input, each timed call sorting its own
+/// pre-made copy (one per sample plus the harness's warm-up call).
+fn bench_sorts<T: RadixSortable>(c: &mut Criterion, shape: &str, data: &[T], sorts: &[Sorter<T>]) {
     let mut group = c.benchmark_group("lsort");
     group.sample_size(SAMPLES);
     group.throughput(Throughput::Elements(data.len() as u64));
-    let comparison: fn(&mut [T]) = |v| v.sort_unstable();
-    for (algo, sort) in [("comparison", comparison), ("radix", radix_sort)] {
+    for (algo, sort) in sorts {
         let mut copies = vec![data.to_vec(); SAMPLES + 1];
         group.bench_function(BenchmarkId::new(format!("{algo}/{shape}"), data.len()), |b| {
             let mut unsorted = copies.iter_mut();
@@ -38,40 +39,33 @@ fn bench_wide<T: RadixSortable>(c: &mut Criterion, shape: &str, data: &[T]) {
     group.finish();
 }
 
-fn bench_lsort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lsort");
-    group.sample_size(SAMPLES);
+/// `comparison`, `radix` and `radix-par` rows for a narrow input.
+fn bench_narrow<T: RadixSortable + Send + Sync>(c: &mut Criterion, shape: &str, data: &[T]) {
+    let sorts: [Sorter<T>; 3] = [
+        ("comparison", |v| v.sort_unstable()),
+        ("radix", radix_sort),
+        ("radix-par", par_radix_sort),
+    ];
+    bench_sorts(c, shape, data, &sorts);
+}
 
+/// `comparison` and `radix` rows for a wide input.
+fn bench_wide<T: RadixSortable>(c: &mut Criterion, shape: &str, data: &[T]) {
+    let sorts: [Sorter<T>; 2] = [("comparison", |v| v.sort_unstable()), ("radix", radix_sort)];
+    bench_sorts(c, shape, data, &sorts);
+}
+
+fn bench_lsort(c: &mut Criterion) {
     for (name, dist) in [
         ("uniform", KeyDistribution::Uniform),
         ("powerlaw", KeyDistribution::PowerLaw { gamma: 4.0 }),
     ] {
-        for n in [1usize << 14, 1 << 17, 1 << 20] {
-            let data = input(&dist, n);
-            group.bench_function(BenchmarkId::new(format!("comparison/{name}"), n), |b| {
-                b.iter(|| {
-                    let mut v = data.clone();
-                    v.sort_unstable();
-                    v
-                })
-            });
-            group.bench_function(BenchmarkId::new(format!("radix/{name}"), n), |b| {
-                b.iter(|| {
-                    let mut v = data.clone();
-                    radix_sort(&mut v);
-                    v
-                })
-            });
-            group.bench_function(BenchmarkId::new(format!("radix-par/{name}"), n), |b| {
-                b.iter(|| {
-                    let mut v = data.clone();
-                    par_radix_sort(&mut v);
-                    v
-                })
-            });
+        for n in [1usize << 12, 1 << 14, 1 << 16, 1 << 17, 1 << 19, 1 << 20] {
+            bench_narrow(c, name, &dist.generate_per_rank(1, n, 42).remove(0));
         }
     }
-    group.finish();
+    let records = KeyDistribution::Uniform.generate_records_per_rank(1, 160_000, 42).remove(0);
+    bench_narrow(c, "record-16B", &records);
 
     for n in [20_000usize, 160_000, 1_000_000] {
         let tera = generate_tera_records_per_rank(1, n, 42).remove(0);

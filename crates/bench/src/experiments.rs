@@ -808,9 +808,8 @@ pub struct LocalSortScalingRow {
 /// Benchmark the in-place MSD radix sort against `sort_unstable` over
 /// N × distribution × threads.  Like `exchange_scaling`, every repetition
 /// runs all variants back to back (alternation cancels slow host drift)
-/// and the minimum over repetitions is reported.  Wall time includes the
-/// clone of the unsorted input being consumed — identical for every
-/// variant, so ratios are conservative.
+/// and the minimum over repetitions is reported; each timed call sorts its
+/// own copy of the input, made before the clock starts.
 pub fn local_sort_scaling_rows(scale: Scale, seed: u64) -> Vec<LocalSortScalingRow> {
     use hss_lsort::{par_radix_sort, radix_sort};
     let reps = scale.local_sort_scaling_reps();

@@ -147,11 +147,10 @@ impl Scale {
     pub fn local_sort_scaling_sizes(&self) -> Vec<usize> {
         match self {
             Scale::Smoke => vec![60_000],
-            // 10⁵ documents the small-N regime (the comparison sort's
-            // vectorised small-sorts win below the cache crossover); the
-            // N ≥ 10⁶ points sit above it, where the radix win is
-            // asserted.
-            Scale::Default => vec![100_000, 8_000_000, 16_000_000],
+            // 10⁵ documents the small-N regime and 524 288 is the rank the
+            // benchmark's `u64-fat` workload sorts; the N ≥ 10⁶ points sit
+            // above the last-level cache.
+            Scale::Default => vec![100_000, 524_288, 8_000_000, 16_000_000],
             Scale::Full => vec![1_000_000, 16_000_000, 32_000_000],
         }
     }

@@ -15,13 +15,15 @@
 //! (in-place parallel super-scalar radix sort), specialised for the
 //! sequential-per-rank setting:
 //!
-//! 1. **Prefix scan** — one pass finds the minimum and maximum item; the
-//!    shared leading bytes are skipped, so low-entropy keys (power-law
-//!    bodies, clustered Morton keys, narrow ranges) jump straight to the
-//!    first distinguishing byte.  At the top-level entry the same pass
-//!    doubles as a sortedness check: already-sorted input returns
-//!    immediately and strictly-descending input is reversed — the two
-//!    degenerate shapes a pattern-defeating comparison sort wins big on.
+//! 1. **Prefix scan** — a running minimum and maximum find the bytes all
+//!    items share, which are skipped, so low-entropy keys (power-law bodies,
+//!    clustered Morton keys, narrow ranges) jump straight to the first
+//!    distinguishing byte; the scan stops at the first block after which the
+//!    current byte itself splits the items, so keys without a shared prefix
+//!    pay for 64 items of it.  At the top-level entry a sortedness check
+//!    comes first: already-sorted input returns immediately and
+//!    strictly-descending input is reversed — the two degenerate shapes a
+//!    pattern-defeating comparison sort wins big on.
 //! 2. **Classification with software write buffers** — one linear scan
 //!    reads the current byte (`256`-way digit) of every item and appends
 //!    the item to its bucket's buffer ([`BLOCK`] items per bucket, the
@@ -40,12 +42,20 @@
 //! 4. **Cleanup** — bucket block runs are shifted (descending, memmove) to
 //!    their exact final boundaries and the partial buffers are appended, so
 //!    bucket `d` ends up occupying precisely its final range.
-//! 5. **Recursion / base cases** — each bucket recurses on the next byte;
-//!    buckets of at most [`INSERTION_CUTOFF`] items finish with an
-//!    insertion sort, buckets up to [`COMPARISON_CUTOFF`] with
-//!    `sort_unstable` (whose vectorised small-sorts are unbeatable in that
-//!    range), and a bucket whose digits are exhausted is Ord-equal by the
-//!    [`RadixSortable`] contract and needs no further work.
+//! 5. **Recursion / the cache-resident sub-level** — a bucket longer than
+//!    the scratch (`256 *` [`BLOCK`] items) recurses through steps 1–4 on the
+//!    next byte.  Any slice that fits the scratch — a bucket, or a whole
+//!    input that short — is finished while it is L1/L2-resident, with no
+//!    further allocation: one read pass counts its next *two* digits, two
+//!    stable counting scatters (slice → scratch on the low digit, scratch →
+//!    slice on the high one) order it by sixteen more bits, and one
+//!    ascending scan looks for what is still out of order.  That can only be
+//!    inside a run of equal two-digit prefixes, and each such run is sorted
+//!    two levels down by the same pass, so no input goes quadratic.  Slices
+//!    of at most [`COMPARISON_CUTOFF`] items finish with `sort_unstable`, of
+//!    at most [`INSERTION_CUTOFF`] with an insertion sort, and a slice whose
+//!    digits are exhausted is Ord-equal by the [`RadixSortable`] contract
+//!    and needs no further work.
 //!
 //! Items wider than [`WIDE_ITEM_BYTES`] (terasort's 100-byte records, any
 //! `WideRecord` shape from `hss-keygen`) never enter steps 1–5 themselves
@@ -113,10 +123,12 @@ pub const BLOCK: usize = 64;
 /// Buckets of at most this many items are finished with insertion sort.
 pub const INSERTION_CUTOFF: usize = 32;
 
-/// Buckets of at most this many items are finished with `sort_unstable`
-/// instead of another radix pass — below this size the comparison sort's
-/// vectorised small-sorts beat a 256-way counting pass.
-pub const COMPARISON_CUTOFF: usize = 2048;
+/// Slices of at most this many items are finished with `sort_unstable`
+/// instead of the two-digit counting pass, whose 512 counters then cost more
+/// to clear and sum than the items to scatter: on uniform `u64` the
+/// comparison sort leads by 10 % at 80 items and trails by about as much
+/// at 96, by 25 % at 128 and by 2x from 512.
+pub const COMPARISON_CUTOFF: usize = 96;
 
 /// Below this length [`par_radix_sort`] does not bother parallelising.
 const PAR_MIN_LEN: usize = 1 << 15;
@@ -130,6 +142,11 @@ const PAR_MIN_LEN: usize = 1 << 15;
 /// key-carrier in this repository (`u64` = 8 B, `Record` = 16 B,
 /// `TaggedKey<u64>` = 16 B), so their hot paths are untouched.
 pub const WIDE_ITEM_BYTES: usize = 32;
+
+/// Longest run of equal-prefix tags that [`order_equal_prefixes`] orders by
+/// comparing the records it indexes; a longer run is re-tagged and
+/// radix-sorted instead.
+const TIE_COMPARE_MAX: usize = 2048;
 
 /// Whether `T` is sorted through tags.
 const fn is_wide<T>() -> bool {
@@ -151,8 +168,9 @@ pub enum LocalSortAlgo {
     /// compare ops.
     Comparison,
     /// In-place MSD radix sort ([`radix_sort`]): byte-wise classification
-    /// into software write buffers, in-place block permutation, insertion
-    /// and small-comparison base cases.  Modelled as `2n` ops (one
+    /// into software write buffers, in-place block permutation, a
+    /// two-digit counting pass for cache-resident slices, insertion and
+    /// small-comparison base cases.  Modelled as `2n` ops (one
     /// classify read + one permute move) per byte pass.
     Radix,
 }
@@ -322,38 +340,31 @@ pub fn radix_sort<T: RadixSortable>(data: &mut [T]) {
     }
     // Small inputs (notably the splitter machinery's sample sorts) take
     // the base cases directly, without touching the scratch allocation.
-    if base_case(data) {
+    if base_case(data) || settle_monotone(data) {
         return;
     }
-    if let Some(level) = top_level(data) {
-        let mut scratch = alloc_scratch(data[0]);
-        let bounds = partition_level(data, level, &mut scratch);
-        let mut rest: &mut [T] = data;
-        for width in bounds.windows(2).map(|w| w[1] - w[0]) {
-            let (bucket, tail) = std::mem::take(&mut rest).split_at_mut(width);
-            rest = tail;
-            if width > 1 {
-                sort_rec(bucket, level + 1, &mut scratch);
-            }
-        }
-    }
+    let mut scratch = alloc_scratch(data);
+    sort_rec(data, 0, &mut scratch);
 }
 
-/// The write-buffer scratch of the block permutation.
-fn alloc_scratch<T: RadixSortable>(exemplar: T) -> Vec<T> {
-    vec![exemplar; 256 * BLOCK]
+/// The scratch of a sort of `data`: the write buffers of the block
+/// permutation (`256 * BLOCK` items), or — for a slice short enough to fit
+/// them — just the `data.len()` items the counting sub-level
+/// ([`sort_resident`]) scatters through.
+fn alloc_scratch<T: RadixSortable>(data: &[T]) -> Vec<T> {
+    vec![data[0]; data.len().min(256 * BLOCK)]
 }
 
 /// [`radix_sort`] with the bucket recursion parallelised on the vendored
 /// rayon pool: the top-level classification + block permutation runs
 /// sequentially (its single trailing write head is what makes it
 /// cache-efficient), then the up-to-256 top-level buckets are sorted
-/// concurrently via [`rayon::scope`].  A task allocates a scratch only
-/// when its bucket is large enough to radix-recurse; small buckets finish
-/// with the base cases directly.  Wide items are tagged once and the tag
-/// sort, the tie ordering and the gather run on the pool (see the crate
-/// docs).  Falls back to the sequential sort on one-thread pools or short
-/// inputs; output is bitwise identical at every thread count.
+/// concurrently via [`rayon::scope`].  A task's scratch holds its bucket,
+/// or the write buffers when the bucket is longer than they are; a bucket
+/// short enough for the base cases allocates none.  Wide items are tagged
+/// once and the tag sort, the tie ordering and the gather run on the pool
+/// (see the crate docs).  Falls back to the sequential sort on one-thread
+/// pools or short inputs; output is bitwise identical at every thread count.
 pub fn par_radix_sort<T: RadixSortable + Send + Sync>(data: &mut [T]) {
     let n = data.len();
     if rayon::current_num_threads() <= 1 || n < PAR_MIN_LEN {
@@ -383,11 +394,11 @@ pub fn par_radix_sort<T: RadixSortable + Send + Sync>(data: &mut [T]) {
         data.copy_from_slice(&spill);
         return;
     }
-    let level = match top_level(data) {
-        Some(l) => l,
-        None => return,
-    };
-    let mut scratch = alloc_scratch(data[0]);
+    if settle_monotone(data) {
+        return;
+    }
+    let Some(level) = first_distinguishing_level(data, 0) else { return };
+    let mut scratch = alloc_scratch(data);
     let bounds = partition_level(data, level, &mut scratch);
     rayon::scope(|s| {
         let mut rest: &mut [T] = data;
@@ -397,7 +408,7 @@ pub fn par_radix_sort<T: RadixSortable + Send + Sync>(data: &mut [T]) {
             if width > 1 {
                 s.spawn(move |_| {
                     if !base_case(bucket) {
-                        let mut scratch = alloc_scratch(bucket[0]);
+                        let mut scratch = alloc_scratch(bucket);
                         sort_rec(bucket, level + 1, &mut scratch);
                     }
                 });
@@ -422,22 +433,19 @@ fn base_case<T: RadixSortable>(data: &mut [T]) -> bool {
     }
 }
 
-/// Shared entry analysis of the two public sorters: handle the degenerate
-/// shapes and return the first level worth classifying on (`None` when the
-/// slice is already handled).
-///
-/// The sortedness pre-scan mirrors the pattern-defeating comparison
-/// sort's best cases: ascending input is done, strictly-descending input
-/// is a reversal.  It aborts at the first unsorted pair, so its cost on
-/// unsorted input is a handful of comparisons.
-fn top_level<T: RadixSortable>(data: &mut [T]) -> Option<usize> {
+/// The sortedness pre-scan of the two public sorters, mirroring the
+/// pattern-defeating comparison sort's best cases: ascending input is done,
+/// strictly-descending input is a reversal.  Returns whether the slice was
+/// handled.  It aborts at the first unsorted pair, so its cost on unsorted
+/// input is a handful of comparisons.
+fn settle_monotone<T: RadixSortable>(data: &mut [T]) -> bool {
     let n = data.len();
     let mut i = 1;
     while i < n && data[i - 1] <= data[i] {
         i += 1;
     }
     if i == n {
-        return None;
+        return true;
     }
     if i == 1 {
         let mut j = 1;
@@ -446,54 +454,132 @@ fn top_level<T: RadixSortable>(data: &mut [T]) -> Option<usize> {
         }
         if j == n {
             data.reverse();
-            return None;
+            return true;
         }
     }
-    let (lo, hi) = min_max(data);
-    (0..T::RADIX_BYTES).find(|&l| lo.radix_byte(l) != hi.radix_byte(l))
+    false
 }
 
-/// Minimum and maximum of a non-empty slice.
-fn min_max<T: RadixSortable>(data: &[T]) -> (T, T) {
+/// The first level from `level` on at which two items of the non-empty
+/// `data` differ, so a classification there splits into at least two
+/// buckets; `None` when the digit string is exhausted — the items are
+/// Ord-equal by the trait contract and nothing is left to order.  A running
+/// minimum and maximum decide it, and the pass stops at the first block
+/// after which they differ at `level` itself: only a slice whose items do
+/// share a digit is read to the end.
+fn first_distinguishing_level<T: RadixSortable>(data: &[T], level: usize) -> Option<usize> {
+    if level >= T::RADIX_BYTES {
+        return None;
+    }
     let (mut lo, mut hi) = (data[0], data[0]);
-    for &x in &data[1..] {
-        if x < lo {
-            lo = x;
-        } else if x > hi {
-            hi = x;
+    for block in data.chunks(BLOCK) {
+        for &x in block {
+            if x < lo {
+                lo = x;
+            } else if x > hi {
+                hi = x;
+            }
+        }
+        if lo.radix_byte(level) != hi.radix_byte(level) {
+            return Some(level);
         }
     }
-    (lo, hi)
+    (level + 1..T::RADIX_BYTES).find(|&l| lo.radix_byte(l) != hi.radix_byte(l))
 }
 
-/// Recursive MSD step starting at `level` (a hint: the prefix scan may
-/// advance it past shared bytes).  The prefix scan guarantees every
-/// classification splits into at least two buckets, so the recursion
-/// depth is bounded by `T::RADIX_BYTES`.
-fn sort_rec<T: RadixSortable>(data: &mut [T], mut level: usize, scratch: &mut [T]) {
-    if base_case(data) {
-        return;
+/// Recursive MSD step over items that agree on every digit before `level`.
+/// A slice that fits the scratch is finished by [`sort_resident`]; a longer
+/// one skips the bytes all its items share, classifies on the first that
+/// splits it and recurses into the buckets, so the recursion depth is
+/// bounded by `T::RADIX_BYTES`.  `scratch` holds `256 * BLOCK` items, or at
+/// least `data.len()`.
+fn sort_rec<T: RadixSortable>(data: &mut [T], level: usize, scratch: &mut [T]) {
+    if data.len() <= scratch.len() {
+        return sort_resident(data, level, scratch);
     }
-    // Skip shared leading bytes exactly (one cheap pass); pays for itself
-    // on clustered keys and guarantees the classification splits into at
-    // least two buckets.
-    let (lo, hi) = min_max(data);
-    match (level..T::RADIX_BYTES).find(|&l| lo.radix_byte(l) != hi.radix_byte(l)) {
-        Some(l) => level = l,
-        // Digit string exhausted: items are Ord-equal by the trait
-        // contract — nothing left to order.
-        None => return,
-    }
-
+    let Some(level) = first_distinguishing_level(data, level) else { return };
     let bounds = partition_level(data, level, scratch);
-    let next = level + 1;
     let mut rest: &mut [T] = data;
     for width in bounds.windows(2).map(|w| w[1] - w[0]) {
         let (bucket, tail) = std::mem::take(&mut rest).split_at_mut(width);
         rest = tail;
         if width > 1 {
-            sort_rec(bucket, next, scratch);
+            sort_rec(bucket, level + 1, scratch);
         }
+    }
+}
+
+/// Stable counting scatter of `src` into `dst[..src.len()]` by digit
+/// `level`, whose occurrences in `src` are `counts`.
+fn scatter_by_digit<T: RadixSortable>(
+    src: &[T],
+    dst: &mut [T],
+    level: usize,
+    counts: &[usize; 256],
+) {
+    let mut heads = [0usize; 256];
+    let mut sum = 0;
+    for (head, count) in heads.iter_mut().zip(counts) {
+        *head = sum;
+        sum += count;
+    }
+    for &x in src {
+        let head = &mut heads[x.radix_byte(level) as usize];
+        dst[*head] = x;
+        *head += 1;
+    }
+}
+
+/// The sub-level: finish a slice that fits the scratch, and with it the
+/// cache, whose items agree on every digit before `level`.
+///
+/// After the shared digits are skipped, one read pass counts the next two
+/// digits and two counting scatters — slice to scratch on the low digit,
+/// scratch to slice on the high one, whose stability keeps the low digit's
+/// order — leave the slice ordered by sixteen more bits; a last digit
+/// standing alone takes one scatter and a copy back.  What is still out of order can only sit inside a run of items
+/// with equal two-digit prefixes, so one ascending scan finds each run that
+/// holds an inversion and sorts it two levels down: through [`base_case`]
+/// when it is short, by the same pass when it is not, so no input costs
+/// more than `O(n)` per digit.
+fn sort_resident<T: RadixSortable>(data: &mut [T], level: usize, scratch: &mut [T]) {
+    if base_case(data) {
+        return;
+    }
+    let n = data.len();
+    let Some(level) = first_distinguishing_level(data, level) else { return };
+    let low = (level + 1).min(T::RADIX_BYTES - 1);
+    let mut counts = [[0usize; 256]; 2];
+    for x in data.iter() {
+        counts[0][x.radix_byte(level) as usize] += 1;
+        counts[1][x.radix_byte(low) as usize] += 1;
+    }
+    if low == level {
+        scatter_by_digit(data, scratch, level, &counts[0]);
+        data.copy_from_slice(&scratch[..n]);
+        return;
+    }
+    scatter_by_digit(data, scratch, low, &counts[1]);
+    scatter_by_digit(&scratch[..n], data, level, &counts[0]);
+
+    let next = low + 1;
+    if next == T::RADIX_BYTES {
+        return;
+    }
+    let prefix = |x: &T| (x.radix_byte(level), x.radix_byte(low));
+    let mut i = 1;
+    while i < n {
+        if data[i - 1] <= data[i] {
+            i += 1;
+            continue;
+        }
+        let tied = prefix(&data[i]);
+        let start = data[..i].iter().rposition(|x| prefix(x) != tied).map_or(0, |p| p + 1);
+        let end = data[i..].iter().position(|x| prefix(x) != tied).map_or(n, |p| i + p);
+        sort_resident(&mut data[start..end], next, scratch);
+        // `data[end]` starts another prefix, so it is in order with its
+        // left neighbour.
+        i = end + 1;
     }
 }
 
@@ -508,7 +594,7 @@ fn partition_level<T: RadixSortable>(
 ) -> [usize; 257] {
     let n = data.len();
     debug_assert!(n > BLOCK, "partition_level needs more than one block");
-    debug_assert!(scratch.len() >= 256 * BLOCK);
+    assert!(scratch.len() >= 256 * BLOCK, "the write buffers are indexed unchecked");
 
     // --- Classification: append each item to its bucket's buffer; flush
     // full buffers as blocks to the trailing write head. -------------------
@@ -677,8 +763,8 @@ fn tag_records<T: RadixSortable>(data: &mut [T]) -> Option<Vec<Tag>> {
 
 /// Finish tags already sorted by the eight digits from `level`: every run of
 /// equal prefixes is put in the full [`Ord`] of the records it indexes.
-/// Short runs are comparison-sorted through the index; a run beyond
-/// [`COMPARISON_CUTOFF`] is re-tagged with the next eight digits and goes
+/// Runs of up to [`TIE_COMPARE_MAX`] tags are comparison-sorted through the
+/// index; a longer one is re-tagged with the next eight digits and goes
 /// round again, so keys that share long leading bytes stay on the radix
 /// path.  Records whose digits are exhausted are Ord-equal by the trait
 /// contract.
@@ -692,7 +778,7 @@ fn order_equal_prefixes<T: RadixSortable>(tags: &mut [Tag], records: &[T], level
         let len = rest.iter().take_while(|t| t.prefix == prefix).count();
         let (run, tail) = std::mem::take(&mut rest).split_at_mut(len);
         rest = tail;
-        if len <= COMPARISON_CUTOFF {
+        if len <= TIE_COMPARE_MAX {
             run.sort_unstable_by(|a, b| records[a.index as usize].cmp(&records[b.index as usize]));
         } else {
             for tag in run.iter_mut() {
@@ -848,6 +934,23 @@ mod tests {
                 assert_eq!(x.radix_byte(0) as usize, d);
             }
         }
+    }
+
+    #[test]
+    fn first_distinguishing_level_skips_exactly_the_shared_digits() {
+        let n = 10 * BLOCK;
+        // The first digit already splits the items: decided in one block.
+        assert_eq!(first_distinguishing_level(&pseudo_random(n, 1), 0), Some(0));
+        // Shared digits are skipped, wherever the odd item sits.
+        let mut v = vec![0xAB00_0000_0000_0000u64; n];
+        assert_eq!(first_distinguishing_level(&v, 0), None);
+        v[n - 1] |= 0x0100;
+        assert_eq!(first_distinguishing_level(&v, 0), Some(6));
+        assert_eq!(first_distinguishing_level(&v, 6), Some(6));
+        // Digits before `level` are the caller's business, and past the last
+        // there is nothing to find.
+        assert_eq!(first_distinguishing_level(&v, 7), None);
+        assert_eq!(first_distinguishing_level(&v, 8), None);
     }
 
     #[test]

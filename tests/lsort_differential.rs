@@ -22,8 +22,11 @@
 //! A proptest block additionally fuzzes the radix sorter itself against
 //! `sort_unstable` on arbitrary inputs (duplicates, already-sorted,
 //! reverse, all-equal, empty, single-element) at lengths on both sides of
-//! each of its regime boundaries, and on wide records shaped to force the
-//! tag sort's tie path.
+//! each of its regime boundaries, on the key shapes only the counting
+//! sub-level can get wrong, on every digit count in the tree, and on wide
+//! records shaped to force the tag sort's tie path.  A comparison-counting
+//! key pins the sub-level's cost on the inputs that would make a lazier one
+//! quadratic.
 
 use hss_repro::baselines::{
     bitonic_sort_with, histogram_sort_with_engine, over_partitioning_sort_with_engine,
@@ -292,8 +295,9 @@ fn node_level_radix_and_comparison_agree() {
 // ---------------------------------------------------------------------------
 
 /// Where the radix sorter changes regime: insertion sort | `sort_unstable` |
-/// one classification level with mostly partial write buffers | every
-/// bucket flushing whole blocks into the block permutation.
+/// the counting sub-level over the whole input, in a scratch of its length |
+/// one classification level through the write buffers with the sub-level
+/// under it.
 const EDGES: [usize; 4] = [0, INSERTION_CUTOFF, COMPARISON_CUTOFF, 256 * BLOCK];
 
 /// Length every narrow proptest input is drawn at: a block past the last
@@ -321,6 +325,55 @@ fn assert_radix_matches<T: RadixSortable>(mut v: Vec<T>) {
     expect.sort_unstable();
     radix_sort(&mut v);
     assert!(v == expect, "radix_sort diverged from sort_unstable at n = {}", v.len());
+}
+
+/// `radix_sort` and `par_radix_sort` must both match `sort_unstable`.
+fn assert_sorts_match<T: RadixSortable + Send + Sync>(shape: &str, v: Vec<T>) {
+    let mut expect = v.clone();
+    expect.sort_unstable();
+    let mut seq = v.clone();
+    radix_sort(&mut seq);
+    assert!(seq == expect, "{shape}: radix_sort diverged at n = {}", v.len());
+    let mut par = v;
+    par_radix_sort(&mut par);
+    assert!(par == expect, "{shape}: par_radix_sort diverged at n = {}", par.len());
+}
+
+/// `f` of every word.
+fn mapped<T>(words: &[u64], f: impl Fn(u64) -> T) -> Vec<T> {
+    words.iter().map(|&w| f(w)).collect()
+}
+
+/// The top two bytes take one of two values (differing in both), the next
+/// two likewise, and the low four are the word's: runs of thousands of equal
+/// two-digit prefixes that the sub-level must recurse into, twice over.
+fn two_prefixes_two_levels(w: u64) -> u64 {
+    let pick = |bit: u64| if w >> bit & 1 == 0 { 0x0102 } else { 0x0201 };
+    pick(63) << 48 | pick(62) << 32 | w & 0xFFFF_FFFF
+}
+
+/// One key per word for each shape that only the sub-level's own steps —
+/// skipping shared digits, the two scatters, the run scan, its recursion,
+/// the one-digit tail — can get wrong.  `odd` places the odd key out.
+fn sub_level_shapes(words: &[u64], odd: usize) -> Vec<(&'static str, Vec<u64>)> {
+    let all_but_one = |other: u64| {
+        let mut keys = vec![0x0123_4567_89AB_CDEFu64; words.len()];
+        if let Some(slot) = keys.get_mut(odd % words.len().max(1)) {
+            *slot = other;
+        }
+        keys
+    };
+    vec![
+        // Five shared digits between the two that differ.
+        ("middle_bytes_constant", mapped(words, |w| w & 0xFF00_0000_0000_FFFF)),
+        ("two_prefixes_two_levels", mapped(words, two_prefixes_two_levels)),
+        ("last_byte_decides", mapped(words, |w| 0xABCD_EF01_2345_6700 | w & 0xFF)),
+        // Ties on the first seven digits in runs of dozens, settled by the
+        // eighth: the scan's short runs.
+        ("last_byte_breaks_ties", mapped(words, |w| (w >> 56) << 56 | w & 0xFF)),
+        ("all_equal_but_one_smaller", all_but_one(0x0123_4567_89A0_0000)),
+        ("all_equal_but_one_larger", all_but_one(0x0123_4567_89AB_CDF0)),
+    ]
 }
 
 proptest! {
@@ -390,20 +443,60 @@ proptest! {
     }
 
     #[test]
+    fn radix_sorts_sub_level_shapes(
+        v in proptest::collection::vec(any::<u64>(), MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        for v in straddling(&v, jitter) {
+            for (shape, keys) in sub_level_shapes(&v, jitter) {
+                assert_sorts_match(shape, keys);
+            }
+        }
+    }
+
+    #[test]
+    fn radix_sorts_every_digit_count(
+        v in proptest::collection::vec(any::<u64>(), MAX_LEN..MAX_LEN + 1),
+        jitter in 0..2 * BLOCK,
+    ) {
+        // One to sixteen digits, odd counts (the one-digit tail) included;
+        // the wider keys repeat their leading digits so the trailing ones
+        // decide.
+        for v in straddling(&v, jitter) {
+            assert_sorts_match("u8", mapped(&v, |w| w as u8));
+            assert_sorts_match("u16", mapped(&v, |w| w as u16));
+            assert_sorts_match("i16", mapped(&v, |w| w as i16));
+            assert_sorts_match("u32", mapped(&v, |w| w as u32));
+            assert_sorts_match("i64", mapped(&v, |w| w as i64));
+            assert_sorts_match("u128", mapped(&v, |w| ((w % 7) as u128) << 64 | w as u128));
+            assert_sorts_match("(u64, u32)", mapped(&v, |w| (w >> 40, w as u32)));
+            assert_sorts_match("(u64, u64)", mapped(&v, |w| (w % 3, w)));
+            assert_sorts_match(
+                "Record",
+                mapped(&v, |w| Record { key: w >> 48, payload: w as u32 }),
+            );
+            assert_sorts_match(
+                "ByteKey<3>",
+                mapped(&v, |w| ByteKey::new([(w >> 16) as u8, (w >> 8) as u8, w as u8])),
+            );
+        }
+    }
+
+    #[test]
     fn radix_sorts_wide_records(
         words in proptest::collection::vec(any::<u64>(), WIDE_LEN..WIDE_LEN + 1),
         jitter in 0..2 * BLOCK,
     ) {
         // Around the insertion sort that wide slices start from, around the
         // tags' own comparison-sort base case, and long enough that the tie
-        // runs of the shapes fall on both sides of `COMPARISON_CUTOFF` too.
-        let short = (INSERTION_CUTOFF + jitter).saturating_sub(BLOCK);
-        for n in [short, COMPARISON_CUTOFF + jitter - BLOCK, WIDE_LEN - jitter] {
+        // runs of the shapes fall on both sides of the re-tagging threshold.
+        let around = |edge: usize| (edge + jitter).saturating_sub(BLOCK);
+        for n in [around(INSERTION_CUTOFF), around(COMPARISON_CUTOFF), WIDE_LEN - jitter] {
             for (shape, v) in wide_shapes::<90>(&words[..n]) {
-                assert_wide_sorts_match(shape, v);
+                assert_sorts_match(shape, v);
             }
             for (shape, v) in wide_shapes::<30>(&words[..n]) {
-                assert_wide_sorts_match(shape, v);
+                assert_sorts_match(shape, v);
             }
         }
     }
@@ -419,13 +512,91 @@ fn radix_sorts_explicit_edge_cases() {
     assert_radix_matches(vec![u64::MAX, 0, u64::MAX, 0, 1]);
 }
 
+#[test]
+fn par_radix_sorts_sub_level_shapes_on_the_pool() {
+    // Long enough that `par_radix_sort` really fans out: every bucket task
+    // sorts in a scratch of its own bucket's length.
+    let words = KeyDistribution::Uniform.generate_per_rank(1, 40_000, SEED).remove(0);
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("test pool");
+    pool.install(|| {
+        assert_sorts_match("uniform", words.clone());
+        for (shape, keys) in sub_level_shapes(&words, 7) {
+            assert_sorts_match(shape, keys);
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// No input is quadratic: comparisons counted through the key's own `Ord`
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// `Ord::cmp` calls on [`Counted`] keys made by this test thread.
+    static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A `u64` key that counts every comparison the sorter makes on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counted(u64);
+
+impl Ord for Counted {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        COMPARISONS.with(|c| c.set(c.get() + 1));
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Counted {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl RadixSortable for Counted {
+    const RADIX_BYTES: usize = 8;
+
+    fn radix_byte(&self, level: usize) -> u8 {
+        self.0.radix_byte(level)
+    }
+}
+
+#[test]
+fn sub_level_comparisons_stay_linear_on_long_runs() {
+    // A whole input inside the sub-level (`256 * BLOCK` keys).  The first
+    // shape leaves two runs of ~8192 equal two-digit prefixes after the
+    // first counting pass and four of ~4096 after the second: insertion-
+    // sorting a run instead of recursing into it costs ~n²/16 = 16 M
+    // comparisons.  The second shares its first six digits.  Measured: 1.05 n
+    // comparisons (the last level's scan; a run is left at its first
+    // inversion) and 2.0 n (the minimum/maximum pass over the shared digits).
+    let n = 256 * BLOCK;
+    let words = KeyDistribution::Uniform.generate_per_rank(1, n, SEED).remove(0);
+    for (shape, keys) in [
+        ("two_prefixes_two_levels", mapped(&words, two_prefixes_two_levels)),
+        ("last_two_bytes_differ", mapped(&words, |w| 0xABCD_EF01_2345_0000 | w & 0xFFFF)),
+    ] {
+        let mut counted = mapped(&keys, Counted);
+        COMPARISONS.with(|c| c.set(0));
+        radix_sort(&mut counted);
+        let comparisons = COMPARISONS.with(|c| c.get());
+        assert!(
+            comparisons <= 4 * n as u64,
+            "{shape}: {comparisons} comparisons on {n} keys, more than 4 n"
+        );
+        let mut expect = keys;
+        expect.sort_unstable();
+        assert!(mapped(&expect, Counted) == counted, "{shape}: diverged from sort_unstable");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Wide items: sorted as (prefix, index) tags, ties settled on the records
 // ---------------------------------------------------------------------------
 
 /// Longest wide input: the three- and five-way tie shapes below then have
-/// runs on both sides of `COMPARISON_CUTOFF`.
-const WIDE_LEN: usize = 4 * COMPARISON_CUTOFF;
+/// runs on both sides of the 2048 tags beyond which the tie path (a private
+/// threshold of `hss-lsort`) re-tags a run instead of comparing its records.
+const WIDE_LEN: usize = 4 * 2048;
 
 /// One record per word for each input shape the tag sort treats specially.
 /// A record is its 8-byte key head, its 2-byte key tail and the last byte of
@@ -462,18 +633,6 @@ fn wide_shapes<const V: usize>(words: &[u64]) -> Vec<(&'static str, Vec<WideReco
     ]
 }
 
-/// `radix_sort` and `par_radix_sort` must both match `sort_unstable`.
-fn assert_wide_sorts_match<const V: usize>(shape: &str, v: Vec<WideRecord<10, V>>) {
-    let mut expect = v.clone();
-    expect.sort_unstable();
-    let mut seq = v.clone();
-    radix_sort(&mut seq);
-    assert!(seq == expect, "{shape}/{V}: radix_sort diverged at n = {}", v.len());
-    let mut par = v;
-    par_radix_sort(&mut par);
-    assert!(par == expect, "{shape}/{V}: par_radix_sort diverged at n = {}", par.len());
-}
-
 #[test]
 fn par_radix_sorts_wide_tie_shapes_on_the_pool() {
     // Long enough that `par_radix_sort` really fans out (it runs the
@@ -482,7 +641,7 @@ fn par_radix_sorts_wide_tie_shapes_on_the_pool() {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("test pool");
     pool.install(|| {
         for (shape, v) in wide_shapes::<90>(&words) {
-            assert_wide_sorts_match(shape, v);
+            assert_sorts_match(shape, v);
         }
     });
 }
