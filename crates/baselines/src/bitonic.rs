@@ -11,29 +11,16 @@
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::ExchangeEngine;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
-use crate::common::local_sort_phase_with;
+use crate::common::local_sort_phase;
 
-/// Block bitonic sort, end to end, with an explicit exchange engine.
-/// Requires the rank count to be a power of two.  (Callers that don't care
-/// about the engine dispatch through the `Sorter` trait via `SortRequest`
-/// instead.)
-pub fn bitonic_sort_with_engine<T: Keyed + Ord + RadixSortable>(
-    machine: &mut Machine,
-    input: Vec<Vec<T>>,
-    engine: ExchangeEngine,
-) -> (Vec<Vec<T>>, SortReport) {
-    bitonic_sort_with(machine, input, engine, LocalSortAlgo::default())
-}
-
-/// [`bitonic_sort_with_engine`] with an explicit local-sort algorithm
-/// (used for the initial block sorts and the merge-split sorts).
-pub fn bitonic_sort_with<T: Keyed + Ord + RadixSortable>(
+/// Block bitonic sort, end to end, with `local_sort` running the initial
+/// block sorts and the merge-split sorts.  Requires the rank count to be a
+/// power of two.
+pub fn bitonic_sort<T: Keyed + Ord + RadixSortable>(
     machine: &mut Machine,
     mut input: Vec<Vec<T>>,
-    engine: ExchangeEngine,
     local_sort: LocalSortAlgo,
 ) -> (Vec<Vec<T>>, SortReport) {
     let p = machine.ranks();
@@ -41,12 +28,12 @@ pub fn bitonic_sort_with<T: Keyed + Ord + RadixSortable>(
     assert_eq!(input.len(), p, "one input vector per rank");
     let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
 
-    local_sort_phase_with(machine, &mut input, local_sort);
+    local_sort_phase(machine, &mut input, local_sort);
 
     let stages = p.trailing_zeros();
     for stage in 0..stages {
         for step in (0..=stage).rev() {
-            compare_split_step(machine, &mut input, stage, step, engine, local_sort);
+            compare_split_step(machine, &mut input, stage, step, local_sort);
         }
     }
 
@@ -63,45 +50,23 @@ fn compare_split_step<T: Keyed + Ord + RadixSortable>(
     data: &mut Vec<Vec<T>>,
     stage: u32,
     step: u32,
-    engine: ExchangeEngine,
     local_sort: LocalSortAlgo,
 ) {
     let p = machine.ranks();
-    // Exchange full blocks with the partner.  Each rank's receive buffer
-    // ends up holding exactly its partner's block under either engine.
-    let partner_blocks: Vec<Vec<T>> = match engine {
-        ExchangeEngine::Flat => {
-            // The block itself is the flat send buffer; the plan routes all
-            // of it to the partner.
-            let plans: Vec<ExchangePlan> =
-                machine.map_phase(Phase::DataExchange, data, |rank, local| {
-                    let partner = rank ^ (1usize << step);
-                    let mut counts = vec![0usize; p];
-                    counts[partner] = local.len();
-                    (ExchangePlan::from_counts(counts), Work::scan(local.len()))
-                });
-            machine
-                .all_to_allv_flat(Phase::DataExchange, data, &plans)
-                .into_iter()
-                .map(|fr| fr.data)
-                .collect()
-        }
-        ExchangeEngine::Nested => {
-            let sends: Vec<Vec<Vec<T>>> =
-                machine.map_phase(Phase::DataExchange, data, |rank, local| {
-                    let partner = rank ^ (1usize << step);
-                    let mut bufs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-                    bufs[partner] = local.to_vec();
-                    (bufs, Work::scan(local.len()))
-                });
-            let mut received = machine.all_to_allv(Phase::DataExchange, sends);
-            received
-                .iter_mut()
-                .enumerate()
-                .map(|(rank, per_src)| std::mem::take(&mut per_src[rank ^ (1usize << step)]))
-                .collect()
-        }
-    };
+    // Exchange full blocks with the partner: the block itself is the flat
+    // send buffer, the plan routes all of it to the partner, and each
+    // rank's receive buffer ends up holding exactly its partner's block.
+    let plans: Vec<ExchangePlan> = machine.map_phase(Phase::DataExchange, data, |rank, local| {
+        let partner = rank ^ (1usize << step);
+        let mut counts = vec![0usize; p];
+        counts[partner] = local.len();
+        (ExchangePlan::from_counts(counts), Work::scan(local.len()))
+    });
+    let partner_blocks: Vec<Vec<T>> = machine
+        .all_to_allv_flat(Phase::DataExchange, data, &plans)
+        .into_iter()
+        .map(|fr| fr.data)
+        .collect();
 
     // Merge own block with the partner's and keep the appropriate half.
     let own: Vec<Vec<T>> = std::mem::take(data);
@@ -131,20 +96,12 @@ mod tests {
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
 
-    /// Flat-engine shorthand for the unit tests below.
-    fn bitonic_sort<T: Keyed + Ord + RadixSortable>(
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-    ) -> (Vec<Vec<T>>, SortReport) {
-        bitonic_sort_with_engine(machine, input, ExchangeEngine::Flat)
-    }
-
     #[test]
     fn bitonic_sorts_uniform_input() {
         let p = 8;
         let input = KeyDistribution::Uniform.generate_per_rank(p, 500, 3);
         let mut machine = Machine::flat(p);
-        let (out, report) = bitonic_sort(&mut machine, input.clone());
+        let (out, report) = bitonic_sort(&mut machine, input.clone(), LocalSortAlgo::default());
         verify_global_sort(&input, &out).unwrap();
         // Equal block sizes stay equal: bitonic gives perfect balance.
         assert!(report.load_balance.satisfies(0.01));
@@ -161,7 +118,8 @@ mod tests {
             let p = 4;
             let input = dist.generate_per_rank(p, 300, 9);
             let mut machine = Machine::flat(p);
-            let (out, _report) = bitonic_sort(&mut machine, input.clone());
+            let (out, _report) =
+                bitonic_sort(&mut machine, input.clone(), LocalSortAlgo::default());
             verify_global_sort(&input, &out)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", dist.name()));
         }
@@ -173,7 +131,7 @@ mod tests {
         let n = 200;
         let input = KeyDistribution::Uniform.generate_per_rank(p, n, 1);
         let mut machine = Machine::flat(p);
-        let _ = bitonic_sort(&mut machine, input);
+        let _ = bitonic_sort(&mut machine, input, LocalSortAlgo::default());
         let words = machine.metrics().phase(Phase::DataExchange).comm_words;
         // log2(16) = 4 stages -> 10 compare-split columns, each moving all
         // N keys; a splitter-based sort moves N once.
@@ -186,13 +144,14 @@ mod tests {
     fn non_power_of_two_rank_count_panics() {
         let mut machine = Machine::flat(6);
         let input: Vec<Vec<u64>> = vec![vec![1]; 6];
-        let _ = bitonic_sort(&mut machine, input);
+        let _ = bitonic_sort(&mut machine, input, LocalSortAlgo::default());
     }
 
     #[test]
     fn single_rank_is_a_local_sort() {
         let mut machine = Machine::flat(1);
-        let (out, _r) = bitonic_sort(&mut machine, vec![vec![3u64, 1, 2]]);
+        let (out, _r) =
+            bitonic_sort(&mut machine, vec![vec![3u64, 1, 2]], LocalSortAlgo::default());
         assert_eq!(out, vec![vec![1, 2, 3]]);
     }
 }

@@ -5,21 +5,13 @@ use hss_core::charged_local_sort;
 use hss_core::report::{RoundStats, SortReport, SplitterReport};
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{exchange_and_merge_with, ExchangeEngine, SplitterSet};
+use hss_partition::{exchange_and_merge_with, SplitterSet};
 use hss_sim::{Machine, Phase};
 
-/// Locally sort every rank's data in place with the default local-sort
-/// algorithm (`LOCAL_SORT` env or radix), charging [`Phase::LocalSort`].
+/// Locally sort every rank's data in place with `algo`, charging
+/// [`Phase::LocalSort`] the cost of the algorithm actually run (see
+/// `hss_core::local_sort`).
 pub fn local_sort_phase<T: Keyed + Ord + RadixSortable>(
-    machine: &mut Machine,
-    data: &mut [Vec<T>],
-) {
-    local_sort_phase_with(machine, data, LocalSortAlgo::default())
-}
-
-/// [`local_sort_phase`] with an explicit algorithm, charging the cost of
-/// the algorithm actually run (see `hss_core::local_sort`).
-pub fn local_sort_phase_with<T: Keyed + Ord + RadixSortable>(
     machine: &mut Machine,
     data: &mut [Vec<T>],
     algo: LocalSortAlgo,
@@ -30,39 +22,18 @@ pub fn local_sort_phase_with<T: Keyed + Ord + RadixSortable>(
 
 /// Run the shared tail of every splitter-based baseline: exchange by the
 /// given splitters, merge, compute the load balance and assemble a
-/// [`SortReport`].
+/// [`SortReport`] recording `local_sort`, the algorithm the run's local
+/// sorts used.
 pub fn finish_splitter_sort<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     algorithm: &str,
     per_rank_sorted: &[Vec<T>],
     splitters: &SplitterSet<T::K>,
     splitter_report: SplitterReport,
-) -> (Vec<Vec<T>>, SortReport) {
-    finish_splitter_sort_with(
-        machine,
-        algorithm,
-        per_rank_sorted,
-        splitters,
-        splitter_report,
-        ExchangeEngine::Flat,
-        LocalSortAlgo::default(),
-    )
-}
-
-/// [`finish_splitter_sort`] with an explicit exchange engine (the nested
-/// engine exists for differential testing and the exchange benchmark) and
-/// the local-sort algorithm the run used (recorded in the report).
-pub fn finish_splitter_sort_with<T: Keyed + RadixSortable>(
-    machine: &mut Machine,
-    algorithm: &str,
-    per_rank_sorted: &[Vec<T>],
-    splitters: &SplitterSet<T::K>,
-    splitter_report: SplitterReport,
-    engine: ExchangeEngine,
     local_sort: LocalSortAlgo,
 ) -> (Vec<Vec<T>>, SortReport) {
     machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
-    let out = exchange_and_merge_with(machine, per_rank_sorted, splitters, engine);
+    let out = exchange_and_merge_with(machine, per_rank_sorted, splitters);
     let total_keys = splitter_report.total_keys;
     let report =
         SortReport::new(algorithm, machine, local_sort, total_keys, Some(splitter_report), &out);
@@ -108,7 +79,7 @@ mod tests {
     fn local_sort_phase_sorts_each_rank() {
         let mut machine = Machine::flat(3);
         let mut data: Vec<Vec<u64>> = vec![vec![3, 1, 2], vec![9, 7], vec![]];
-        local_sort_phase(&mut machine, &mut data);
+        local_sort_phase(&mut machine, &mut data, LocalSortAlgo::default());
         assert_eq!(data, vec![vec![1, 2, 3], vec![7, 9], vec![]]);
         assert!(machine.metrics().phase(Phase::LocalSort).simulated_seconds > 0.0);
     }
@@ -118,10 +89,17 @@ mod tests {
         let p = 4;
         let mut data = KeyDistribution::Uniform.generate_per_rank(p, 200, 3);
         let mut machine = Machine::flat(p);
-        local_sort_phase(&mut machine, &mut data);
+        local_sort_phase(&mut machine, &mut data, LocalSortAlgo::default());
         let splitters = SplitterSet::new(exact_splitters(&data, p));
         let rep = single_round_report(p, (p * 200) as u64, 0, 123);
-        let (out, report) = finish_splitter_sort(&mut machine, "test-algo", &data, &splitters, rep);
+        let (out, report) = finish_splitter_sort(
+            &mut machine,
+            "test-algo",
+            &data,
+            &splitters,
+            rep,
+            LocalSortAlgo::default(),
+        );
         assert_eq!(report.algorithm, "test-algo");
         assert_eq!(report.total_keys, 800);
         assert_eq!(out.iter().map(|v| v.len()).sum::<usize>(), 800);

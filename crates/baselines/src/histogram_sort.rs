@@ -14,10 +14,10 @@ use hss_core::report::{RoundStats, SortReport, SplitterReport};
 use hss_core::theory::rank_tolerance;
 use hss_keygen::{ByteKey, Key, Keyed};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{global_ranks, ExchangeEngine, SplitterIntervals, SplitterSet};
+use hss_partition::{global_ranks, SplitterIntervals, SplitterSet};
 use hss_sim::{Machine, Phase};
 
-use crate::common::{finish_splitter_sort_with, local_sort_phase_with};
+use crate::common::{finish_splitter_sort, local_sort_phase};
 
 /// Keys whose range can be subdivided evenly — needed by classic histogram
 /// sort, which generates probes by splitting *key space* (it has no sample
@@ -238,14 +238,11 @@ where
     (splitters, report)
 }
 
-/// Classic histogram sort end to end with an explicit exchange engine.
-/// (Callers that don't care about the engine dispatch through the `Sorter`
-/// trait via `SortRequest` instead.)
-pub fn histogram_sort_with_engine<T>(
+/// Classic histogram sort end to end.
+pub fn histogram_sort<T>(
     machine: &mut Machine,
     config: &HistogramSortConfig,
     mut input: Vec<Vec<T>>,
-    engine: ExchangeEngine,
 ) -> (Vec<Vec<T>>, SortReport)
 where
     T: Keyed + Ord + RadixSortable,
@@ -253,15 +250,14 @@ where
 {
     assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
     let p = machine.ranks();
-    local_sort_phase_with(machine, &mut input, config.local_sort);
+    local_sort_phase(machine, &mut input, config.local_sort);
     let (splitters, report) = histogram_sort_splitters(machine, &input, p, config);
-    finish_splitter_sort_with(
+    finish_splitter_sort(
         machine,
         "histogram-sort-classic",
         &input,
         &splitters,
         report,
-        engine,
         config.local_sort,
     )
 }
@@ -304,18 +300,6 @@ mod tests {
     use hss_core::{determine_splitters, HssConfig};
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
-
-    fn histogram_sort<T>(
-        machine: &mut Machine,
-        config: &HistogramSortConfig,
-        input: Vec<Vec<T>>,
-    ) -> (Vec<Vec<T>>, SortReport)
-    where
-        T: Keyed + Ord + RadixSortable,
-        T::K: SubdividableKey + RadixSortable,
-    {
-        histogram_sort_with_engine(machine, config, input, ExchangeEngine::Flat)
-    }
 
     #[test]
     fn subdivide_splits_ranges_evenly() {

@@ -18,8 +18,8 @@
 //! (see [`sorters`]): every config type here implements it, so one
 //! `SortRequest` drives any algorithm — over `u64` keys, 16-byte
 //! [`hss_keygen::Record`]s, byte-string [`hss_keygen::ByteKey`]s or
-//! 100-byte [`hss_keygen::TeraRecord`]s alike.  The `*_with_engine` free
-//! functions remain for callers that pick the exchange engine explicitly.
+//! 100-byte [`hss_keygen::TeraRecord`]s alike.  Each module's free function
+//! (`sample_sort`, `bitonic_sort`, …) is the same sort without the trait.
 
 #![warn(missing_docs)]
 
@@ -31,11 +31,11 @@ pub mod radix;
 pub mod sample_sort;
 pub mod sorters;
 
-pub use bitonic::{bitonic_sort_with, bitonic_sort_with_engine};
+pub use bitonic::bitonic_sort;
 pub use histogram_sort::{
-    histogram_sort_splitters, histogram_sort_with_engine, HistogramSortConfig, SubdividableKey,
+    histogram_sort, histogram_sort_splitters, HistogramSortConfig, SubdividableKey,
 };
-pub use over_partitioning::{over_partitioning_sort_with_engine, OverPartitioningConfig};
-pub use radix::{radix_partition_sort_with_engine, RadixConfig, RadixKeyed};
-pub use sample_sort::{sample_sort_with_engine, SampleSortConfig, SamplingMethod};
+pub use over_partitioning::{over_partitioning_sort, OverPartitioningConfig};
+pub use radix::{radix_partition_sort, RadixConfig, RadixKeyed};
+pub use sample_sort::{sample_sort, SampleSortConfig, SamplingMethod};
 pub use sorters::{standard_sorters, standard_sorters_for, BitonicSorter};

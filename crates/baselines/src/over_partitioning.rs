@@ -14,10 +14,10 @@
 use hss_core::report::SortReport;
 use hss_keygen::{rank_rng, Keyed};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{random_block_sample, ExchangeEngine, SplitterSet};
+use hss_partition::{random_block_sample, SplitterSet};
 use hss_sim::{CostModel, Machine, Phase, Work};
 
-use crate::common::{finish_splitter_sort_with, local_sort_phase_with, single_round_report};
+use crate::common::{finish_splitter_sort, local_sort_phase, single_round_report};
 
 /// Configuration of the over-partitioning baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,14 +46,11 @@ impl OverPartitioningConfig {
     }
 }
 
-/// Parallel sorting by over-partitioning, end to end, with an explicit
-/// exchange engine.  (Callers that don't care about the engine dispatch
-/// through the `Sorter` trait via `SortRequest` instead.)
-pub fn over_partitioning_sort_with_engine<T>(
+/// Parallel sorting by over-partitioning, end to end.
+pub fn over_partitioning_sort<T>(
     machine: &mut Machine,
     config: &OverPartitioningConfig,
     mut input: Vec<Vec<T>>,
-    engine: ExchangeEngine,
 ) -> (Vec<Vec<T>>, SortReport)
 where
     T: Keyed + Ord + RadixSortable,
@@ -63,7 +60,7 @@ where
     assert!(config.ratio >= 1 && config.oversampling >= 1);
     let p = machine.ranks();
     let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
-    local_sort_phase_with(machine, &mut input, config.local_sort);
+    local_sort_phase(machine, &mut input, config.local_sort);
 
     // Sampling: each processor contributes ratio * oversampling random keys.
     let per_proc = config.ratio * config.oversampling;
@@ -93,13 +90,12 @@ where
 
     let tolerance = hss_core::theory::rank_tolerance(total_keys, p, 0.05);
     let report = single_round_report(p, total_keys, tolerance, sample_size);
-    finish_splitter_sort_with(
+    finish_splitter_sort(
         machine,
         "over-partitioning",
         &input,
         &splitters,
         report,
-        engine,
         config.local_sort,
     )
 }
@@ -143,19 +139,6 @@ mod tests {
     use super::*;
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
-
-    /// Flat-engine shorthand for the unit tests below.
-    fn over_partitioning_sort<T>(
-        machine: &mut Machine,
-        config: &OverPartitioningConfig,
-        input: Vec<Vec<T>>,
-    ) -> (Vec<Vec<T>>, SortReport)
-    where
-        T: Keyed + Ord + RadixSortable,
-        T::K: RadixSortable,
-    {
-        over_partitioning_sort_with_engine(machine, config, input, ExchangeEngine::Flat)
-    }
 
     #[test]
     fn group_contiguously_balances_uniform_loads() {

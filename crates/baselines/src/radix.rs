@@ -16,10 +16,9 @@
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::ExchangeEngine;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
-use crate::common::local_sort_phase_with;
+use crate::common::local_sort_phase;
 
 /// Configuration for the radix-partition baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,14 +84,11 @@ impl<const K: usize, const V: usize> RadixKeyed for hss_keygen::WideRecord<K, V>
     }
 }
 
-/// MSD radix partitioning followed by a local sort, with an explicit
-/// exchange engine.  (Callers that don't care about the engine dispatch
-/// through the `Sorter` trait via `SortRequest` instead.)
-pub fn radix_partition_sort_with_engine<T: RadixKeyed + Ord + RadixSortable>(
+/// MSD radix partitioning followed by a local sort.
+pub fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
     machine: &mut Machine,
     config: &RadixConfig,
     input: Vec<Vec<T>>,
-    engine: ExchangeEngine,
 ) -> (Vec<Vec<T>>, SortReport) {
     let p = machine.ranks();
     assert_eq!(input.len(), p, "one input vector per rank");
@@ -117,71 +113,49 @@ pub fn radix_partition_sort_with_engine<T: RadixKeyed + Ord + RadixSortable>(
     let bucket_to_rank = assign_buckets(&global_counts, p, total_keys);
     machine.broadcast(Phase::SplitterBroadcast, &bucket_to_rank);
 
-    // Route every key to the rank owning its digit bucket.
-    let mut output: Vec<Vec<T>> = match engine {
-        ExchangeEngine::Flat => {
-            // Counting-sort the owned input into destination order with an
-            // in-place cycle-following permutation — no per-bucket buffers
-            // and no element is cloned on the send side.
-            let plans: Vec<ExchangePlan> = input
-                .iter()
-                .map(|local| {
-                    let mut counts = vec![0usize; p];
-                    for item in local {
-                        counts[bucket_to_rank[(item.radix_key() >> shift) as usize]] += 1;
-                    }
-                    ExchangePlan::from_counts(counts)
-                })
-                .collect();
-            let bufs: Vec<Vec<T>> =
-                machine.transform_phase(Phase::DataExchange, input, |r, mut local| {
-                    let n = local.len();
-                    // dest[i]: final position of local[i] (grouped by
-                    // destination rank, stable within each group).
-                    let mut cursor = plans[r].displs.clone();
-                    let mut dest: Vec<usize> = Vec::with_capacity(n);
-                    for item in &local {
-                        let d = bucket_to_rank[(item.radix_key() >> shift) as usize];
-                        dest.push(cursor[d]);
-                        cursor[d] += 1;
-                    }
-                    for i in 0..n {
-                        while dest[i] != i {
-                            let j = dest[i];
-                            local.swap(i, j);
-                            dest.swap(i, j);
-                        }
-                    }
-                    (local, Work::scan(n))
-                });
-            let received = machine.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
-            let datas: Vec<Vec<T>> = received.into_iter().map(|fr| fr.data).collect();
-            machine.transform_phase(Phase::Merge, datas, |_r, data| {
-                let total = data.len();
-                (data, Work::scan(total))
-            })
+    // Route every key to the rank owning its digit bucket: counting-sort
+    // the owned input into destination order with an in-place
+    // cycle-following permutation — no per-bucket buffers and no element
+    // is cloned on the send side.
+    let plans: Vec<ExchangePlan> = input
+        .iter()
+        .map(|local| {
+            let mut counts = vec![0usize; p];
+            for item in local {
+                counts[bucket_to_rank[(item.radix_key() >> shift) as usize]] += 1;
+            }
+            ExchangePlan::from_counts(counts)
+        })
+        .collect();
+    let bufs: Vec<Vec<T>> = machine.transform_phase(Phase::DataExchange, input, |r, mut local| {
+        let n = local.len();
+        // dest[i]: final position of local[i] (grouped by destination
+        // rank, stable within each group).
+        let mut cursor = plans[r].displs.clone();
+        let mut dest: Vec<usize> = Vec::with_capacity(n);
+        for item in &local {
+            let d = bucket_to_rank[(item.radix_key() >> shift) as usize];
+            dest.push(cursor[d]);
+            cursor[d] += 1;
         }
-        ExchangeEngine::Nested => {
-            let sends: Vec<Vec<Vec<T>>> =
-                machine.transform_phase(Phase::DataExchange, input, |_r, local| {
-                    let n = local.len();
-                    let mut bufs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-                    for item in local {
-                        let b = (item.radix_key() >> shift) as usize;
-                        bufs[bucket_to_rank[b]].push(item);
-                    }
-                    (bufs, Work::scan(n))
-                });
-            let received = machine.all_to_allv(Phase::DataExchange, sends);
-            machine.transform_phase(Phase::Merge, received, |_r, runs| {
-                let total: usize = runs.iter().map(|r| r.len()).sum();
-                (runs.into_iter().flatten().collect(), Work::scan(total))
-            })
+        for i in 0..n {
+            while dest[i] != i {
+                let j = dest[i];
+                local.swap(i, j);
+                dest.swap(i, j);
+            }
         }
-    };
+        (local, Work::scan(n))
+    });
+    let received = machine.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
+    let datas: Vec<Vec<T>> = received.into_iter().map(|fr| fr.data).collect();
+    let mut output = machine.transform_phase(Phase::Merge, datas, |_r, data| {
+        let total = data.len();
+        (data, Work::scan(total))
+    });
 
     // Final local sort of each rank's bucket contents.
-    local_sort_phase_with(machine, &mut output, config.local_sort);
+    local_sort_phase(machine, &mut output, config.local_sort);
 
     let report =
         SortReport::new("radix-partition", machine, config.local_sort, total_keys, None, &output);
@@ -210,15 +184,6 @@ mod tests {
     use super::*;
     use hss_keygen::{ByteKey, KeyDistribution, TeraRecord, WideRecord};
     use hss_partition::verify_global_sort;
-
-    /// Flat-engine shorthand for the unit tests below.
-    fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
-        machine: &mut Machine,
-        config: &RadixConfig,
-        input: Vec<Vec<T>>,
-    ) -> (Vec<Vec<T>>, SortReport) {
-        radix_partition_sort_with_engine(machine, config, input, ExchangeEngine::Flat)
-    }
 
     #[test]
     fn radix_sorts_uniform_input_with_good_balance() {

@@ -16,10 +16,10 @@
 use hss_core::report::SortReport;
 use hss_keygen::{rank_rng, Keyed};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{random_block_sample, regular_sample, ExchangeEngine, SplitterSet};
+use hss_partition::{random_block_sample, regular_sample, SplitterSet};
 use hss_sim::{CostModel, Machine, Phase, Work};
 
-use crate::common::{finish_splitter_sort_with, local_sort_phase_with, single_round_report};
+use crate::common::{finish_splitter_sort, local_sort_phase, single_round_report};
 
 /// Which sampling rule the sample-sort baseline uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,15 +97,12 @@ fn algorithm_name(method: SamplingMethod) -> &'static str {
     }
 }
 
-/// Run sample sort end to end with an explicit exchange engine and return
-/// the per-rank sorted output plus a report.  (Callers that don't care
-/// about the engine dispatch through the `Sorter` trait via `SortRequest`
-/// instead.)
-pub fn sample_sort_with_engine<T>(
+/// Run sample sort end to end and return the per-rank sorted output plus a
+/// report.
+pub fn sample_sort<T>(
     machine: &mut Machine,
     config: &SampleSortConfig,
     mut input: Vec<Vec<T>>,
-    engine: ExchangeEngine,
 ) -> (Vec<Vec<T>>, SortReport)
 where
     T: Keyed + Ord + RadixSortable,
@@ -117,7 +114,7 @@ where
     let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
 
     // Phase 1: local sort (both sampling rules need sorted local data).
-    local_sort_phase_with(machine, &mut input, config.local_sort);
+    local_sort_phase(machine, &mut input, config.local_sort);
 
     // Phase 2: sampling.
     let s = config.prescribed_oversampling(p, total_keys);
@@ -149,13 +146,12 @@ where
     let splitters = SplitterSet::from_sorted_sample(&sample, p);
     let tolerance = hss_core::theory::rank_tolerance(total_keys, p, config.epsilon);
     let report = single_round_report(p, total_keys, tolerance, sample_size);
-    finish_splitter_sort_with(
+    finish_splitter_sort(
         machine,
         algorithm_name(config.method),
         &input,
         &splitters,
         report,
-        engine,
         config.local_sort,
     )
 }
@@ -165,19 +161,6 @@ mod tests {
     use super::*;
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
-
-    /// Flat-engine shorthand for the unit tests below.
-    fn sample_sort<T>(
-        machine: &mut Machine,
-        config: &SampleSortConfig,
-        input: Vec<Vec<T>>,
-    ) -> (Vec<Vec<T>>, SortReport)
-    where
-        T: Keyed + Ord + RadixSortable,
-        T::K: RadixSortable,
-    {
-        sample_sort_with_engine(machine, config, input, ExchangeEngine::Flat)
-    }
 
     fn run(
         method: SamplingMethod,

@@ -10,18 +10,18 @@
 
 use hss_core::{SortOutcome, Sorter};
 use hss_keygen::Keyed;
-use hss_lsort::RadixSortable;
-use hss_partition::ExchangeEngine;
+use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::Machine;
 
-use crate::bitonic::bitonic_sort_with_engine;
-use crate::histogram_sort::{histogram_sort_with_engine, HistogramSortConfig, SubdividableKey};
-use crate::over_partitioning::{over_partitioning_sort_with_engine, OverPartitioningConfig};
-use crate::radix::{radix_partition_sort_with_engine, RadixConfig, RadixKeyed};
-use crate::sample_sort::{sample_sort_with_engine, SampleSortConfig, SamplingMethod};
+use crate::bitonic::bitonic_sort;
+use crate::histogram_sort::{histogram_sort, HistogramSortConfig, SubdividableKey};
+use crate::over_partitioning::{over_partitioning_sort, OverPartitioningConfig};
+use crate::radix::{radix_partition_sort, RadixConfig, RadixKeyed};
+use crate::sample_sort::{sample_sort, SampleSortConfig, SamplingMethod};
 
-/// Marker for the bitonic baseline, which has no tunable configuration.
-/// Requires a power-of-two rank count, like [`bitonic_sort_with_engine`].
+/// Marker for the bitonic baseline, which has no tunable configuration: it
+/// runs the default local sort.  Requires a power-of-two rank count, like
+/// [`bitonic_sort`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitonicSorter;
 
@@ -37,13 +37,8 @@ where
         }
     }
 
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T> {
-        let (data, report) = sample_sort_with_engine(machine, self, input, engine);
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
+        let (data, report) = sample_sort(machine, self, input);
         SortOutcome { data, report }
     }
 }
@@ -57,13 +52,8 @@ where
         "histogram-sort-classic"
     }
 
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T> {
-        let (data, report) = histogram_sort_with_engine(machine, self, input, engine);
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
+        let (data, report) = histogram_sort(machine, self, input);
         SortOutcome { data, report }
     }
 }
@@ -77,13 +67,8 @@ where
         "over-partitioning"
     }
 
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T> {
-        let (data, report) = over_partitioning_sort_with_engine(machine, self, input, engine);
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
+        let (data, report) = over_partitioning_sort(machine, self, input);
         SortOutcome { data, report }
     }
 }
@@ -97,13 +82,8 @@ where
         "radix-partition"
     }
 
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T> {
-        let (data, report) = radix_partition_sort_with_engine(machine, self, input, engine);
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
+        let (data, report) = radix_partition_sort(machine, self, input);
         SortOutcome { data, report }
     }
 }
@@ -117,13 +97,8 @@ where
         "bitonic"
     }
 
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T> {
-        let (data, report) = bitonic_sort_with_engine(machine, input, engine);
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
+        let (data, report) = bitonic_sort(machine, input, LocalSortAlgo::default());
         SortOutcome { data, report }
     }
 }
@@ -182,14 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn trait_dispatch_matches_with_engine_call_bitwise() {
+    fn trait_dispatch_matches_direct_call_bitwise() {
         let p = 8;
         let input = KeyDistribution::PowerLaw { gamma: 4.0 }.generate_per_rank(p, 300, 5);
         let cfg = SampleSortConfig::regular(0.2);
 
         let mut direct_machine = Machine::flat(p);
-        let (direct, _) =
-            sample_sort_with_engine(&mut direct_machine, &cfg, input.clone(), ExchangeEngine::Flat);
+        let (direct, _) = sample_sort(&mut direct_machine, &cfg, input.clone());
 
         let mut trait_machine = Machine::flat(p);
         let through_trait = cfg.run(&mut trait_machine, SortRequest::new(input)).unwrap();
@@ -199,20 +173,5 @@ mod tests {
             direct_machine.metrics().deterministic_signature(),
             trait_machine.metrics().deterministic_signature()
         );
-    }
-
-    #[test]
-    fn explicit_nested_engine_is_honoured() {
-        let p = 4;
-        let input = KeyDistribution::Uniform.generate_per_rank(p, 200, 3);
-        let cfg = OverPartitioningConfig::recommended(p);
-        let mut machine = Machine::flat(p);
-        let outcome = cfg
-            .run(
-                &mut machine,
-                SortRequest::new(input).with_engine(ExchangeEngine::Nested).verified(),
-            )
-            .unwrap();
-        assert_eq!(outcome.report.algorithm, "over-partitioning");
     }
 }

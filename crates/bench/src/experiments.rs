@@ -3,13 +3,11 @@
 //! binaries print and persist them.
 
 use hss_analysis::{table_5_1_costs, Algorithm};
+use hss_baselines::common::{finish_splitter_sort, local_sort_phase};
 use hss_baselines::{histogram_sort_splitters, HistogramSortConfig};
 use hss_core::{determine_splitters, theory, HssConfig, HssSorter, RoundSchedule};
 use hss_keygen::{ChangaDataset, KeyDistribution, Record};
-use hss_partition::{
-    exact_splitters, exchange_and_merge_with, tree_height, DecisionTree, ExchangeEngine,
-    SplitterSet,
-};
+use hss_partition::{exact_splitters, tree_height, DecisionTree};
 use hss_sim::{CostModel, Machine, Phase, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -351,15 +349,16 @@ pub fn figure_6_2_rows(scale: Scale, seed: u64) -> Vec<Figure62Row> {
             {
                 let mut machine = Machine::new(Topology::flat(p), CostModel::bluegene_like());
                 let mut sorted = keys.clone();
-                hss_baselines::common::local_sort_phase(&mut machine, &mut sorted);
                 let cfg = HistogramSortConfig::new(eps, p);
+                local_sort_phase(&mut machine, &mut sorted, cfg.local_sort);
                 let (splitters, report) = histogram_sort_splitters(&mut machine, &sorted, p, &cfg);
-                let (_out, sort_report) = hss_baselines::common::finish_splitter_sort(
+                let (_out, sort_report) = finish_splitter_sort(
                     &mut machine,
                     "histogram-sort-classic",
                     &sorted,
                     &splitters,
                     report,
+                    cfg.local_sort,
                 );
                 rows.push(figure_6_2_row(&dataset.name, p, "histogram-sort-classic", &sort_report));
             }
@@ -458,119 +457,6 @@ pub fn self_speedup_rows(scale: Scale, seed: u64) -> Vec<SelfSpeedupRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Exchange scaling — flat vs nested exchange engine
-// ---------------------------------------------------------------------------
-
-/// One measurement of the `exchange_scaling` experiment: the full
-/// partition → all-to-all → merge pipeline run with one engine at one size.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExchangeScalingRow {
-    /// Exchange engine ("flat" or "nested").
-    pub engine: String,
-    /// Exchange mode ("rank_level" or "node_combined").
-    pub mode: String,
-    /// Simulated ranks `p`.
-    pub processors: usize,
-    /// Keys per rank.
-    pub keys_per_rank: usize,
-    /// Total keys moved by the exchange.
-    pub total_keys: u64,
-    /// Timed repetitions run (after one untimed warmup).
-    pub reps: usize,
-    /// Minimum host wall-clock seconds over the timed repetitions.
-    pub wall_seconds: f64,
-    /// Allocator calls during one exchange (0 unless the running binary
-    /// installs [`crate::alloc_counter::CountingAllocator`]).
-    pub allocations: u64,
-    /// Simulated seconds charged to the exchange + merge (identical across
-    /// engines by construction).
-    pub simulated_seconds: f64,
-    /// Words the exchange moved across the simulated network.
-    pub comm_words: u64,
-    /// Messages the exchange injected.
-    pub messages: u64,
-}
-
-/// Benchmark the flat counts/displacements exchange engine against the
-/// nested `Vec<Vec<Vec<T>>>` oracle over a sweep of `p` and `N`, on a flat
-/// topology (rank-level messages) and a 16-core-per-node one (messages
-/// combined per node pair).  Wall time measures the host-side
-/// cost of the whole data-movement step (bucketize + exchange + merge);
-/// simulated costs must be identical across engines and are recorded once
-/// per configuration as a cross-check.
-pub fn exchange_scaling_rows(scale: Scale, seed: u64) -> Vec<ExchangeScalingRow> {
-    let reps = scale.exchange_scaling_reps();
-    let mut rows = Vec::new();
-    for (p, keys_per_rank) in scale.exchange_scaling_points() {
-        let mut data = KeyDistribution::Uniform.generate_per_rank(p, keys_per_rank, seed);
-        for v in &mut data {
-            v.sort_unstable();
-        }
-        let splitters = SplitterSet::new(exact_splitters(&data, p));
-        let total_keys = (p * keys_per_rank) as u64;
-        for (mode_name, topo) in
-            [("rank_level", Topology::flat(p)), ("node_combined", Topology::new(p, 16))]
-        {
-            const ENGINES: [(&str, ExchangeEngine); 2] =
-                [("flat", ExchangeEngine::Flat), ("nested", ExchangeEngine::Nested)];
-            let mut walls: [Vec<f64>; 2] = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
-            let mut stats: [(u64, f64, u64, u64); 2] = [(0, 0.0, 0, 0); 2];
-            // One untimed warmup rep per engine (first-touch/page-fault
-            // costs), then `reps` timed reps with the two engines measured
-            // back-to-back inside every rep — alternating cancels the slow
-            // drift of a busy host.  The minimum is reported: interference
-            // on a shared host only ever adds time, so min-of-reps is the
-            // best estimate of each engine's true cost.
-            for rep in 0..=reps {
-                for (i, (_, engine)) in ENGINES.iter().enumerate() {
-                    let mut machine = Machine::new(topo, CostModel::bluegene_like());
-                    let allocs_before = crate::alloc_counter::allocations();
-                    let start = std::time::Instant::now();
-                    let out = exchange_and_merge_with(&mut machine, &data, &splitters, *engine);
-                    let wall = start.elapsed().as_secs_f64();
-                    let allocs_after = crate::alloc_counter::allocations();
-                    assert_eq!(
-                        out.iter().map(|v| v.len() as u64).sum::<u64>(),
-                        total_keys,
-                        "exchange lost keys"
-                    );
-                    if rep == 0 {
-                        let exch = machine.metrics().phase(Phase::DataExchange);
-                        let merge = machine.metrics().phase(Phase::Merge);
-                        stats[i] = (
-                            allocs_after - allocs_before,
-                            exch.simulated_seconds + merge.simulated_seconds,
-                            exch.comm_words,
-                            exch.messages,
-                        );
-                    } else {
-                        walls[i].push(wall);
-                    }
-                }
-            }
-            for (i, (engine_name, _)) in ENGINES.iter().enumerate() {
-                walls[i].sort_by(f64::total_cmp);
-                let (allocations, simulated_seconds, comm_words, messages) = stats[i];
-                rows.push(ExchangeScalingRow {
-                    engine: engine_name.to_string(),
-                    mode: mode_name.to_string(),
-                    processors: p,
-                    keys_per_rank,
-                    total_keys,
-                    reps,
-                    wall_seconds: walls[i][0],
-                    allocations,
-                    simulated_seconds,
-                    comm_words,
-                    messages,
-                });
-            }
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // Classify scaling — branchless decision tree vs per-element binary search
 // ---------------------------------------------------------------------------
 
@@ -605,9 +491,9 @@ pub struct ClassifyScalingRow {
 /// unsorted uniform keys, over a sweep of bucket counts.  Both arms route
 /// every key with the same `<=`-goes-right semantics and the warmup rep
 /// asserts their bucket-id vectors are identical, so the comparison is
-/// purely about branch misses and instruction-level parallelism.  Like
-/// `exchange_scaling`, every timed rep runs both arms back to back
-/// (alternation cancels slow host drift) and the minimum is reported.
+/// purely about branch misses and instruction-level parallelism.  Every
+/// timed rep runs both arms back to back (alternation cancels slow host
+/// drift) and the minimum is reported.
 /// Tree construction is timed inside the decision-tree arm — it is the
 /// `O(m)` price that path really pays per classification pass.
 pub fn classify_scaling_rows(scale: Scale, seed: u64) -> Vec<ClassifyScalingRow> {
@@ -806,7 +692,7 @@ pub struct LocalSortScalingRow {
 }
 
 /// Benchmark the in-place MSD radix sort against `sort_unstable` over
-/// N × distribution × threads.  Like `exchange_scaling`, every repetition
+/// N × distribution × threads.  Like `classify_scaling`, every repetition
 /// runs all variants back to back (alternation cancels slow host drift)
 /// and the minimum over repetitions is reported; each timed call sorts its
 /// own copy of the input, made before the clock starts.
@@ -1387,25 +1273,6 @@ pub fn extsort_scaling_rows(scale: Scale, seed: u64) -> Vec<ExtSortScalingRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exchange_scaling_rows_cover_both_engines_with_equal_simulated_cost() {
-        let rows = exchange_scaling_rows(Scale::Smoke, 13);
-        let points = Scale::Smoke.exchange_scaling_points().len();
-        assert_eq!(rows.len(), points * 2 * 2); // modes × engines
-        for chunk in rows.chunks(2) {
-            let (flat, nested) = (&chunk[0], &chunk[1]);
-            assert_eq!(flat.engine, "flat");
-            assert_eq!(nested.engine, "nested");
-            assert_eq!(flat.mode, nested.mode);
-            // Same metrics semantics: identical simulated cost, words and
-            // messages regardless of engine.
-            assert_eq!(flat.simulated_seconds.to_bits(), nested.simulated_seconds.to_bits());
-            assert_eq!(flat.comm_words, nested.comm_words);
-            assert_eq!(flat.messages, nested.messages);
-            assert!(flat.wall_seconds > 0.0 && nested.wall_seconds > 0.0);
-        }
-    }
 
     #[test]
     fn classify_scaling_rows_pair_identical_routings() {

@@ -103,31 +103,6 @@ impl Scale {
         }
     }
 
-    /// `(ranks, keys per rank)` points for the `exchange_scaling`
-    /// experiment (flat vs nested exchange engine).  At `default` scale and
-    /// above every point has `p >= 32` and at least 10⁶ total keys, the
-    /// regime the flat engine's win is asserted in.
-    pub fn exchange_scaling_points(&self) -> Vec<(usize, usize)> {
-        match self {
-            Scale::Smoke => vec![(32, 2_000), (64, 1_000)],
-            Scale::Default => {
-                vec![(32, 32_768), (64, 16_384), (128, 16_384), (256, 8_192)]
-            }
-            Scale::Full => {
-                vec![(32, 32_768), (64, 32_768), (128, 16_384), (256, 16_384), (512, 8_192)]
-            }
-        }
-    }
-
-    /// Timed repetitions per `exchange_scaling` configuration (the minimum
-    /// wall time is reported, after one untimed warmup).
-    pub fn exchange_scaling_reps(&self) -> usize {
-        match self {
-            Scale::Smoke => 2,
-            Scale::Default | Scale::Full => 15,
-        }
-    }
-
     /// `(ranks, keys per rank)` points for the `overlap_speedup` experiment
     /// (Bsp vs Overlapped sync models).  Every non-smoke point has
     /// `p >= 32`, the regime the overlap win is asserted in.

@@ -32,7 +32,7 @@
 //!   under a memory cap: ranks and owners over it spill to run files;
 //! * [`Sorter`] / [`SortRequest`] — the unified entry point: one
 //!   signature serving HSS and (via `hss-baselines`) every comparison
-//!   algorithm, with engine selection and optional output verification;
+//!   algorithm, with optional output verification;
 //! * [`multi_round::determine_splitters`] — the splitter-determination
 //!   kernel on its own, reporting per-round sample sizes and splitter
 //!   interval shrinkage (the Table 6.1 / Figure 3.1 quantities);

@@ -179,10 +179,8 @@ where
             SyncModel::Bsp => {
                 let (splitters, report) =
                     determine_splitters_seeded(machine, &data, owner.len(), config, warm, on_round);
-                (exchange(machine, &data, &splitters, &owner, config.exchange_engine), report)
+                (exchange(machine, &data, &splitters, &owner), report)
             }
-            // The staged exchange is inherently flat: the engine knob does
-            // not apply.
             SyncModel::Overlapped => {
                 staged_exchange(machine, &data, &owner, config, warm, on_round)
             }

@@ -1,10 +1,9 @@
 //! The unified sorter entry point: a [`SortRequest`] built fluently and
 //! dispatched through the [`Sorter`] trait.
 //!
-//! Historically every algorithm in the workspace grew its own entry-point
-//! constellation — `HssSorter::sort` plus a verifying twin, free-function
-//! baselines, and a parallel `*_with_engine` family threading the exchange
-//! engine through.  [`Sorter`] collapses all of them behind one signature:
+//! Every algorithm in the workspace — `HssSorter` and the free-function
+//! baselines — is served behind one signature, with output verification as
+//! the one shared option:
 //!
 //! ```
 //! use hss_core::{HssConfig, HssSorter, SortRequest, Sorter};
@@ -25,33 +24,24 @@
 
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
-use hss_partition::{verify_global_sort, ExchangeEngine};
+use hss_partition::verify_global_sort;
 use hss_sim::Machine;
 
 use crate::sorter::{HssSorter, SortOutcome};
 
-/// One sort call, described declaratively: the per-rank input plus the
-/// optional knobs every sorter shares (exchange engine, output
-/// verification).
+/// One sort call, described declaratively: the per-rank input plus
+/// whether to verify the output.
 #[derive(Debug, Clone)]
 pub struct SortRequest<T> {
     input: Vec<Vec<T>>,
-    engine: Option<ExchangeEngine>,
     verify: bool,
 }
 
 impl<T> SortRequest<T> {
-    /// A request to sort `input` (one vector per rank) with the executing
-    /// sorter's default engine and no output verification.
+    /// A request to sort `input` (one vector per rank) with no output
+    /// verification.
     pub fn new(input: Vec<Vec<T>>) -> Self {
-        Self { input, engine: None, verify: false }
-    }
-
-    /// Use an explicit all-to-all exchange engine instead of the sorter's
-    /// default.
-    pub fn with_engine(mut self, engine: ExchangeEngine) -> Self {
-        self.engine = Some(engine);
-        self
+        Self { input, verify: false }
     }
 
     /// Verify the output is a correct global sort of the input (costs one
@@ -64,11 +54,6 @@ impl<T> SortRequest<T> {
     /// The per-rank input.
     pub fn input(&self) -> &[Vec<T>] {
         &self.input
-    }
-
-    /// The requested engine, if any.
-    pub fn engine(&self) -> Option<ExchangeEngine> {
-        self.engine
     }
 
     /// Whether output verification was requested.
@@ -92,32 +77,19 @@ where
     /// [`SortReport`](crate::report::SortReport) the sorter produces.
     fn algorithm(&self) -> &'static str;
 
-    /// The exchange engine used when the request does not pick one.
-    fn default_engine(&self) -> ExchangeEngine {
-        ExchangeEngine::Flat
-    }
+    /// Sort the per-rank `input` on `machine`.  Implementations panic on
+    /// structural misuse (wrong rank count, invalid configuration), exactly
+    /// like the entry points they wrap.
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T>;
 
-    /// Sort the per-rank `input` on `machine` with an explicit exchange
-    /// engine.  Implementations panic on structural misuse (wrong rank
-    /// count, invalid configuration), exactly like the historical entry
-    /// points they wrap.
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T>;
-
-    /// Serve one [`SortRequest`]: resolve the engine, sort, and verify the
-    /// output if requested.
+    /// Serve one [`SortRequest`]: sort, and verify the output if requested.
     fn run(
         &self,
         machine: &mut Machine,
         request: SortRequest<T>,
     ) -> Result<SortOutcome<T>, String> {
-        let engine = request.engine.unwrap_or_else(|| self.default_engine());
         let reference = if request.verify { Some(request.input.clone()) } else { None };
-        let outcome = self.sort_with_engine(machine, request.input, engine);
+        let outcome = self.sort(machine, request.input);
         if let Some(reference) = &reference {
             verify_global_sort(reference, &outcome.data)?;
         }
@@ -134,21 +106,8 @@ where
         self.label()
     }
 
-    fn default_engine(&self) -> ExchangeEngine {
-        self.config().exchange_engine
-    }
-
-    fn sort_with_engine(
-        &self,
-        machine: &mut Machine,
-        input: Vec<Vec<T>>,
-        engine: ExchangeEngine,
-    ) -> SortOutcome<T> {
-        if engine == self.config().exchange_engine {
-            self.sort(machine, input)
-        } else {
-            HssSorter::new(self.config().clone().with_exchange_engine(engine)).sort(machine, input)
-        }
+    fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
+        HssSorter::sort(self, machine, input)
     }
 }
 
@@ -163,11 +122,8 @@ mod tests {
     fn request_builder_records_settings() {
         let req = SortRequest::new(vec![vec![3u64, 1], vec![2, 4]]);
         assert_eq!(req.input().len(), 2);
-        assert_eq!(req.engine(), None);
         assert!(!req.is_verified());
-        let req = req.with_engine(ExchangeEngine::Nested).verified();
-        assert_eq!(req.engine(), Some(ExchangeEngine::Nested));
-        assert!(req.is_verified());
+        assert!(req.verified().is_verified());
     }
 
     #[test]
@@ -191,23 +147,6 @@ mod tests {
             trait_machine.metrics().deterministic_signature(),
             "trait dispatch changed the cost signature"
         );
-    }
-
-    #[test]
-    fn explicit_engine_overrides_config() {
-        let p = 4;
-        let input = KeyDistribution::Uniform.generate_per_rank(p, 200, 9);
-        let sorter = HssSorter::new(HssConfig::default());
-        assert_eq!(
-            Sorter::<u64>::default_engine(&sorter),
-            ExchangeEngine::Flat,
-            "default engine follows the config"
-        );
-        let mut machine = Machine::flat(p);
-        let outcome = sorter
-            .run(&mut machine, SortRequest::new(input).with_engine(ExchangeEngine::Nested))
-            .unwrap();
-        assert_eq!(outcome.report.algorithm, "hss");
     }
 
     #[test]

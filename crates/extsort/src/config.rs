@@ -58,14 +58,14 @@ pub struct ExtSortConfig {
 
 impl ExtSortConfig {
     /// A config with the given budget and scratch root; fan-in 16,
-    /// overlapped I/O, and the environment-selected local sort.
+    /// overlapped I/O, and the default (radix) local sort.
     pub fn new(memory_cap_bytes: usize, run_dir: impl Into<PathBuf>) -> Self {
         Self {
             memory_cap_bytes,
             run_dir: run_dir.into(),
             fan_in: 16,
             io_mode: IoMode::default(),
-            local_sort: LocalSortAlgo::from_env(),
+            local_sort: LocalSortAlgo::default(),
             prefetch_depth: 2,
         }
     }

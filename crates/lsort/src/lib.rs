@@ -102,13 +102,12 @@
 //! [`LocalSortAlgo`] is the knob the sorters thread through their configs:
 //! [`LocalSortAlgo::Comparison`] is `sort_unstable` (the historical
 //! behaviour and the differential-testing oracle), [`LocalSortAlgo::Radix`]
-//! is [`radix_sort`].  The default is read from the `LOCAL_SORT`
-//! environment variable (`comparison` / `radix`) and falls back to
-//! `Radix` — CI runs the whole test matrix under both values.  Both
-//! algorithms produce bitwise-identical sorted slices for every totally
-//! ordered item type in this repository (`tests/lsort_differential.rs` is
-//! the oracle); they differ only in host wall-clock time and in the
-//! modelled cost the simulator charges.
+//! is [`radix_sort`] and the default — a constant, so no process-global
+//! input can change what a library call charges.  Both algorithms produce
+//! bitwise-identical sorted slices for every totally ordered item type in
+//! this repository (`tests/lsort_differential.rs` is the oracle); they
+//! differ only in host wall-clock time and in the modelled cost the
+//! simulator charges.
 
 #![warn(missing_docs)]
 
@@ -161,7 +160,7 @@ const fn is_wide<T>() -> bool {
 /// everything downstream (samples, probes, splitters, exchange, merge) are
 /// bitwise identical — only the host wall-clock time and the modelled
 /// local-sort cost differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LocalSortAlgo {
     /// `slice::sort_unstable` (pdqsort/ipnsort): the historical behaviour,
     /// kept as the differential-testing oracle.  Modelled as `n log2 n`
@@ -171,32 +170,12 @@ pub enum LocalSortAlgo {
     /// into software write buffers, in-place block permutation, a
     /// two-digit counting pass for cache-resident slices, insertion and
     /// small-comparison base cases.  Modelled as `2n` ops (one
-    /// classify read + one permute move) per byte pass.
+    /// classify read + one permute move) per byte pass.  The default.
+    #[default]
     Radix,
 }
 
 impl LocalSortAlgo {
-    /// Read the algorithm from the `LOCAL_SORT` environment variable
-    /// (`comparison` or `radix`, case-insensitive), defaulting to
-    /// [`LocalSortAlgo::Radix`] — the radix subsystem *replaces* the
-    /// comparison sort on the hot paths; the environment knob exists so CI
-    /// can keep the comparison oracle green.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized non-empty value: a CI matrix leg with a
-    /// typo (`LOCAL_SORT=Comparision`) must fail loudly, not silently run
-    /// the radix path twice and lose the comparison oracle's coverage.
-    pub fn from_env() -> Self {
-        match std::env::var("LOCAL_SORT") {
-            Ok(v) if v.is_empty() => LocalSortAlgo::Radix,
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                panic!("LOCAL_SORT must be 'comparison' or 'radix' (got {v:?})")
-            }),
-            Err(_) => LocalSortAlgo::Radix,
-        }
-    }
-
     /// Parse `comparison` / `radix` (case-insensitive).
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
@@ -220,12 +199,6 @@ impl LocalSortAlgo {
             LocalSortAlgo::Comparison => data.sort_unstable(),
             LocalSortAlgo::Radix => radix_sort(data),
         }
-    }
-}
-
-impl Default for LocalSortAlgo {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

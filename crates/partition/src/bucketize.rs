@@ -175,9 +175,7 @@ mod tests {
     fn partition_sorted_allocates_exact_capacities() {
         // Allocation audit: every bucket is built with `to_vec` (exact) and
         // the outer vector collects from an exact-size iterator, so nothing
-        // on this hot path ever grows by push.  The counting-allocator
-        // harness (`exchange_scaling` binary) measures the same property
-        // end-to-end; this pins it structurally.
+        // on this path ever grows by push.
         let data: Vec<u64> = (0..257).collect();
         let s = SplitterSet::new(vec![17u64, 100, 200]);
         let buckets = partition_sorted(&data, &s);

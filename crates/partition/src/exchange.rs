@@ -10,16 +10,11 @@
 //! never passed in: combining is free goodness whenever nodes have several
 //! cores.
 //!
-//! Two engines implement the step with bitwise-identical results and
-//! identical simulated-cost accounting:
-//!
-//! * [`ExchangeEngine::Flat`] (the default) — zero-copy bucketize into an
-//!   [`hss_sim::ExchangePlan`] over the sorted data itself,
-//!   one contiguous buffer moved per rank (`MPI_Alltoallv` style), and a
-//!   slice-based loser-tree merge reading the receive buffer in place;
-//! * [`ExchangeEngine::Nested`] — the historical `Vec<Vec<Vec<T>>>` send
-//!   matrix (`p²` allocations and a full extra copy), retained as the
-//!   differential-testing oracle and for the `exchange_scaling` benchmark.
+//! The exchange is flat: each rank's sorted data is its send buffer, an
+//! [`hss_sim::ExchangePlan`] of counts/displacements routes its buckets
+//! (`MPI_Alltoallv` style), and the finish merges every owner's runs with
+//! a slice-based loser tree reading them in place — each element is copied
+//! once end to end.
 
 use hss_keygen::Keyed;
 use hss_lsort::RadixSortable;
@@ -28,35 +23,30 @@ use hss_sim::{ExchangePlan, Machine, Phase, Work};
 use crate::merge::kway_merge_slices;
 use crate::splitters::SplitterSet;
 
-/// Which data representation moves the keys (same results and accounting
-/// either way; the flat engine is the fast path).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// The exchange representation: there is one, the flat exchange.
+/// `benchmark/src/workload.rs` still names it and `benchmark/` is frozen;
+/// the next benchmark PR drops that call and this type.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExchangeEngine {
-    /// Flat counts/displacements buffers (`MPI_Alltoallv` style) plus a
-    /// loser-tree merge over in-place slices.
+    /// Flat counts/displacements buffers.
     #[default]
     Flat,
-    /// The nested `Vec<Vec<Vec<T>>>` send matrix, merged from the owned
-    /// receive matrix.  `p²` allocations per exchange — kept as the
-    /// differential-testing oracle.
-    Nested,
 }
 
-/// What the owners hold after an exchange, in whichever representation
-/// moved it.
+/// What the owners hold after an exchange.
 pub enum Received<'a, T> {
     /// Nothing was materialised: owner `d`'s run from sender `s` is
     /// `plans[s].run(&bufs[s], d)`, read in place out of the senders'
-    /// sorted buffers (the flat engine and the staged exchange).
+    /// sorted buffers (the monolithic and the staged exchange).
     InPlace {
         /// The senders' sorted data.
         bufs: &'a [Vec<T>],
         /// One plan per sender, addressed by owner rank.
         plans: Vec<ExchangePlan>,
     },
-    /// An owned receive matrix, `recv[dst][src]`: the nested engine's, and
-    /// that of any schedule whose senders cannot be read in place (a rank
-    /// draining run files).
+    /// An owned receive matrix, `recv[dst][src]`: what a schedule whose
+    /// senders cannot be read in place (a rank draining run files) builds.
     Owned(Vec<Vec<Vec<T>>>),
 }
 
@@ -82,7 +72,6 @@ pub fn exchange_and_merge_with<T: Keyed + RadixSortable>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     splitters: &SplitterSet<T::K>,
-    engine: ExchangeEngine,
 ) -> Vec<Vec<T>> {
     assert_eq!(
         splitters.buckets(),
@@ -90,19 +79,17 @@ pub fn exchange_and_merge_with<T: Keyed + RadixSortable>(
         "splitter set must define one bucket per rank"
     );
     let owner: Vec<usize> = (0..machine.ranks()).collect();
-    let received = exchange(machine, per_rank_sorted, splitters, &owner, engine);
+    let received = exchange(machine, per_rank_sorted, splitters, &owner);
     merge_received(machine, per_rank_sorted, &received, |runs| {
         (kway_merge_slices(runs), Work::none())
     })
 }
 
-/// The bucketize work charged by both engines: the classification cost of
-/// the strategy `bucket_boundaries` actually executes for this shape
-/// (binary search / merge sweep / decision tree — see
-/// [`crate::classify::classify_work`]) plus a linear pass over the local
-/// data (the pack/scan the simulated rank performs to stage its send
-/// buffer).  Both engines charge through this one helper, so their
-/// simulated costs stay bitwise identical.
+/// The bucketize work: the classification cost of the strategy
+/// `bucket_boundaries` actually executes for this shape (binary search /
+/// merge sweep / decision tree — see [`crate::classify::classify_work`])
+/// plus a linear pass over the local data (the pack/scan the simulated rank
+/// performs to stage its send buffer).
 fn bucketize_work<K: hss_keygen::Key>(splitters: &SplitterSet<K>, local_len: usize) -> Work {
     crate::classify::classify_work(local_len, splitters.keys().len()).and(Work::scan(local_len))
 }
@@ -118,62 +105,32 @@ pub fn exchange<'a, T: Keyed>(
     per_rank_sorted: &'a [Vec<T>],
     splitters: &SplitterSet<T::K>,
     owner: &[usize],
-    engine: ExchangeEngine,
 ) -> Received<'a, T> {
     assert_eq!(splitters.buckets(), owner.len(), "one owner per bucket");
     let p = machine.ranks();
-    let combine = machine.topology().cores_per_node() > 1;
-    match engine {
-        ExchangeEngine::Flat => {
-            // Plan each rank's buckets as counts/displacements over its
-            // sorted data — no per-bucket clones.
-            let plans: Vec<ExchangePlan> =
-                machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
-                    (
-                        crate::bucketize::owner_plan::<T>(
-                            &splitters.bucket_boundaries(local),
-                            owner,
-                            p,
-                        ),
-                        bucketize_work(splitters, local.len()),
-                    )
-                });
-            // The sorted data itself is the flat send buffer, and no
-            // receive buffer is materialised — the finish reads every
-            // owner's runs directly out of the senders' buffers, so each
-            // element is copied exactly once end to end.
-            if combine {
-                machine.all_to_allv_flat_node_combined_in_place::<T>(
-                    Phase::DataExchange,
-                    per_rank_sorted,
-                    &plans,
-                );
-            } else {
-                machine.all_to_allv_flat_in_place::<T>(
-                    Phase::DataExchange,
-                    per_rank_sorted,
-                    &plans,
-                );
-            }
-            Received::InPlace { bufs: per_rank_sorted, plans }
-        }
-        ExchangeEngine::Nested => {
-            let sends: Vec<Vec<Vec<T>>> =
-                machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
-                    let mut per_dest: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-                    let buckets = crate::bucketize::partition_sorted(local, splitters);
-                    for (b, bucket) in buckets.into_iter().enumerate() {
-                        per_dest[owner[b]] = bucket;
-                    }
-                    (per_dest, bucketize_work(splitters, local.len()))
-                });
-            Received::Owned(if combine {
-                machine.all_to_allv_node_combined(Phase::DataExchange, sends)
-            } else {
-                machine.all_to_allv(Phase::DataExchange, sends)
-            })
-        }
+    // Plan each rank's buckets as counts/displacements over its sorted
+    // data — no per-bucket clones.
+    let plans: Vec<ExchangePlan> =
+        machine.map_phase(Phase::DataExchange, per_rank_sorted, |_r, local| {
+            (
+                crate::bucketize::owner_plan::<T>(&splitters.bucket_boundaries(local), owner, p),
+                bucketize_work(splitters, local.len()),
+            )
+        });
+    // The sorted data itself is the flat send buffer, and no receive buffer
+    // is materialised — the finish reads every owner's runs directly out of
+    // the senders' buffers, so each element is copied exactly once end to
+    // end.
+    if machine.topology().cores_per_node() > 1 {
+        machine.all_to_allv_flat_node_combined_in_place::<T>(
+            Phase::DataExchange,
+            per_rank_sorted,
+            &plans,
+        );
+    } else {
+        machine.all_to_allv_flat_in_place::<T>(Phase::DataExchange, per_rank_sorted, &plans);
     }
+    Received::InPlace { bufs: per_rank_sorted, plans }
 }
 
 /// The rank-level finish: every rank merges the sorted runs it received
@@ -222,7 +179,7 @@ mod tests {
         let splitter_keys = crate::select::exact_splitters(&input, p);
         let splitters = SplitterSet::new(splitter_keys);
         let mut machine = Machine::flat(p);
-        let out = exchange_and_merge_with(&mut machine, &input, &splitters, ExchangeEngine::Flat);
+        let out = exchange_and_merge_with(&mut machine, &input, &splitters);
         verify_global_sort(&input, &out).unwrap();
     }
 
@@ -235,8 +192,8 @@ mod tests {
         let splitters = SplitterSet::new(crate::select::exact_splitters(&input, p));
         let mut m1 = Machine::new(Topology::flat(p), CostModel::bluegene_like());
         let mut m2 = Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
-        let a = exchange_and_merge_with(&mut m1, &input, &splitters, ExchangeEngine::Flat);
-        let b = exchange_and_merge_with(&mut m2, &input, &splitters, ExchangeEngine::Flat);
+        let a = exchange_and_merge_with(&mut m1, &input, &splitters);
+        let b = exchange_and_merge_with(&mut m2, &input, &splitters);
         assert_eq!(a, b);
         assert!(
             m2.metrics().phase(Phase::DataExchange).messages
@@ -245,26 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_nested_engines_agree_bitwise() {
-        let p = 8;
-        let input = sorted_input(p, 150);
-        let splitters = SplitterSet::new(crate::select::exact_splitters(&input, p));
-        for topo in [Topology::flat(p), Topology::new(p, 4)] {
-            let run = |engine| {
-                let mut m = Machine::new(topo, CostModel::bluegene_like());
-                let out = exchange_and_merge_with(&mut m, &input, &splitters, engine);
-                (out, m.metrics().deterministic_signature())
-            };
-            assert_eq!(run(ExchangeEngine::Flat), run(ExchangeEngine::Nested), "{topo:?}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "one bucket per rank")]
     fn wrong_bucket_count_panics() {
         let input = sorted_input(4, 10);
         let splitters = SplitterSet::new(vec![1u64, 2]); // 3 buckets, 4 ranks
         let mut machine = Machine::flat(4);
-        let _ = exchange_and_merge_with(&mut machine, &input, &splitters, ExchangeEngine::Flat);
+        let _ = exchange_and_merge_with(&mut machine, &input, &splitters);
     }
 }

@@ -7,16 +7,11 @@
 //! per-rank buffers *and* charge the BSP cost model, so both correctness and
 //! scaling shape come out of the same code path.
 //!
-//! The all-to-all comes in two data representations with identical
-//! accounting semantics:
-//!
-//! * the *nested* form (`sends[src][dst]` is an owned buffer) — simple but
-//!   `p²` heap allocations per exchange;
-//! * the *flat* form ([`Machine::all_to_allv_flat`]) — one contiguous
-//!   buffer per rank plus an [`ExchangePlan`] of counts/displacements,
-//!   modelled on `MPI_Alltoallv`.  This is the hot path used by every
-//!   sorter; the nested form is retained as the differential-testing
-//!   oracle.
+//! The all-to-all is *flat* ([`Machine::all_to_allv_flat`]): one contiguous
+//! buffer per rank plus an [`ExchangePlan`] of counts/displacements,
+//! modelled on `MPI_Alltoallv`.  The in-place variants charge the same
+//! cost without materialising receive buffers, and
+//! [`Machine::exchange_stage`] injects one stage of a staged exchange.
 //!
 //! Accounting conventions (see the README's "Cost accounting" section):
 //! a *word* is 8 bytes of application data actually crossing the network
@@ -46,8 +41,7 @@ fn exchange_width<U>(plans: &[ExchangePlan]) -> usize {
 }
 
 /// Per-rank (or per-node) volume and peer bookkeeping for an irregular
-/// all-to-all, shared by the nested and flat representations so both charge
-/// bitwise-identical costs.
+/// all-to-all, shared by the monolithic and staged exchanges.
 #[derive(Debug)]
 struct ExchangeVolumes {
     send_elems: Vec<usize>,
@@ -224,9 +218,9 @@ impl Machine {
         self.record(phase, "reduce_sum", metrics, ClockAdvance::Sync);
     }
 
-    /// Shared charge of a rank-level all-to-all (nested or flat).
-    /// `width_bytes` is the wire width of one element — `size_of::<U>()`
-    /// unless the exchange plans declare an explicit record width.
+    /// Charge of a rank-level all-to-all.  `width_bytes` is the wire width
+    /// of one element — `size_of::<U>()` unless the exchange plans declare
+    /// an explicit record width.
     fn charge_all_to_allv(&mut self, phase: Phase, vol: &ExchangeVolumes, width_bytes: usize) {
         let cost = self
             .cost_model()
@@ -241,64 +235,21 @@ impl Machine {
         self.record(phase, "all_to_allv", metrics, ClockAdvance::Sync);
     }
 
-    /// Irregular all-to-all exchange ("MPI_Alltoallv"): `sends[src][dst]` is
-    /// the buffer rank `src` sends to rank `dst`; the result `recv` satisfies
-    /// `recv[dst][src] == sends[src][dst]`.
+    /// Irregular all-to-all exchange ("MPI_Alltoallv"): rank `r` contributes
+    /// one contiguous `send_bufs[r]` whose destination runs are described by
+    /// `plans[r]` (`plans[r].counts[d]` elements for rank `d` at
+    /// `plans[r].displs[d]`).  Returns one [`FlatRecv`] per rank: a single
+    /// contiguous receive buffer whose source runs are located by the
+    /// returned plan, so `recv[dst]`'s run from `src` is `plans[src]`'s run
+    /// for `dst`.  Only `p` buffers are allocated and the send side copies
+    /// nothing (the send buffer is typically the rank's sorted data itself).
     ///
     /// The BSP charge is `alpha * max_rank_peers + beta * max(send, recv)`
     /// where both maxima are over ranks — the most loaded rank holds up the
     /// superstep, and a permutation exchange (one peer per rank) pays one
     /// latency, not `p − 1`.  Message count is the number of non-empty
-    /// off-rank buffers, i.e. what a rank-level implementation would inject
+    /// off-rank runs, i.e. what a rank-level implementation would inject
     /// into the network.
-    ///
-    /// This nested representation costs `p²` buffer allocations; it is kept
-    /// as the differential-testing oracle for [`Machine::all_to_allv_flat`],
-    /// which moves the same data with identical accounting.
-    pub fn all_to_allv<U: Send>(
-        &mut self,
-        phase: Phase,
-        sends: Vec<Vec<Vec<U>>>,
-    ) -> Vec<Vec<Vec<U>>> {
-        let p = self.ranks();
-        assert_eq!(sends.len(), p, "one send matrix row per rank");
-        let mut vol = ExchangeVolumes::new(p);
-        for (src, row) in sends.iter().enumerate() {
-            assert_eq!(row.len(), p, "rank {src} must provide one buffer per destination");
-            for (dst, buf) in row.iter().enumerate() {
-                vol.add(src, dst, buf.len());
-            }
-        }
-        self.charge_all_to_allv(phase, &vol, std::mem::size_of::<U>());
-
-        // Transpose the send matrix into the receive matrix.
-        let mut recv: Vec<Vec<Vec<U>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-        // Build column by column: recv[dst][src] = sends[src][dst].
-        let mut sends = sends;
-        for src_row in sends.iter_mut().rev() {
-            // Pop from the back so each row is consumed exactly once without cloning.
-            for (dst, buf) in src_row.drain(..).enumerate() {
-                recv[dst].push(buf);
-            }
-        }
-        // Rows were pushed in reverse source order; restore rank order.
-        for row in recv.iter_mut() {
-            row.reverse();
-        }
-        recv
-    }
-
-    /// Flat all-to-all exchange: rank `r` contributes one contiguous
-    /// `send_bufs[r]` whose destination runs are described by `plans[r]`
-    /// (`plans[r].counts[d]` elements for rank `d` at
-    /// `plans[r].displs[d]`).  Returns one [`FlatRecv`] per rank: a single
-    /// contiguous receive buffer whose source runs are located by the
-    /// returned plan.
-    ///
-    /// Data and accounting are identical to [`Machine::all_to_allv`] on the
-    /// equivalent nested send matrix, but only `p` buffers are allocated
-    /// instead of `p²` and the send side copies nothing (the send buffer is
-    /// typically the rank's sorted data itself).
     pub fn all_to_allv_flat<U: Clone + Send + Sync>(
         &mut self,
         phase: Phase,
@@ -375,9 +326,9 @@ impl Machine {
         }
     }
 
-    /// Node-granularity volume bookkeeping shared by the nested and flat
-    /// node-combined exchanges.  Returns `(volumes, intra_node_elems,
-    /// total_elems)`; `volumes` tracks inter-node traffic only.
+    /// Node-granularity volume bookkeeping of the node-combined exchange.
+    /// Returns `(volumes, intra_node_elems, total_elems)`; `volumes` tracks
+    /// inter-node traffic only.
     fn node_volumes(
         &self,
         transfer: impl Iterator<Item = (usize, usize, usize)>,
@@ -417,8 +368,13 @@ impl Machine {
         (vol, intra, total)
     }
 
-    /// Shared charge of a node-combined all-to-all (nested or flat).
-    /// `width_bytes` as in [`Machine::charge_all_to_allv`].
+    /// Charge of a node-combined all-to-all (§6.1.1): all runs travelling
+    /// between the same pair of physical nodes are combined into a single
+    /// message, so the network sees at most `n (n - 1)` messages instead of
+    /// `p (p - 1)`.  Intra-node traffic stays in shared memory and is
+    /// charged as compute (one op per element copied) rather than network
+    /// time.  The α-term charges the max over *nodes* of distinct non-empty
+    /// peer nodes.  `width_bytes` as in [`Machine::charge_all_to_allv`].
     fn charge_all_to_allv_node_combined(
         &mut self,
         phase: Phase,
@@ -446,49 +402,12 @@ impl Machine {
         self.record(phase, "all_to_allv_node_combined", metrics, ClockAdvance::Sync);
     }
 
-    /// Node-combined all-to-all (§6.1.1): all buffers travelling between the
-    /// same pair of physical nodes are combined into a single message, so the
-    /// network sees at most `n (n - 1)` messages instead of `p (p - 1)`.
-    /// Intra-node traffic stays in shared memory and is charged as compute
-    /// (one op per element copied) rather than network time.  The α-term
-    /// charges the max over *nodes* of distinct non-empty peer nodes.
-    ///
-    /// Data-wise the result is identical to [`Machine::all_to_allv`]; only
-    /// the accounting differs.
-    pub fn all_to_allv_node_combined<U: Send>(
-        &mut self,
-        phase: Phase,
-        sends: Vec<Vec<Vec<U>>>,
-    ) -> Vec<Vec<Vec<U>>> {
-        let p = self.ranks();
-        assert_eq!(sends.len(), p, "one send matrix row per rank");
-        for (src, row) in sends.iter().enumerate() {
-            assert_eq!(row.len(), p, "rank {src} must provide one buffer per destination");
-        }
-        let (vol, intra, total) =
-            self.node_volumes(sends.iter().enumerate().flat_map(|(src, row)| {
-                row.iter().enumerate().map(move |(dst, buf)| (src, dst, buf.len()))
-            }));
-        self.charge_all_to_allv_node_combined(phase, &vol, intra, total, std::mem::size_of::<U>());
-
-        // Actual data movement is identical to the rank-level exchange.
-        let mut recv: Vec<Vec<Vec<U>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-        let mut sends = sends;
-        for src_row in sends.iter_mut().rev() {
-            for (dst, buf) in src_row.drain(..).enumerate() {
-                recv[dst].push(buf);
-            }
-        }
-        for row in recv.iter_mut() {
-            row.reverse();
-        }
-        recv
-    }
-
-    /// Flat node-combined all-to-all: the accounting of
-    /// [`Machine::all_to_allv_node_combined`] over flat send plans, with no
+    /// Node-combined all-to-all (§6.1.1) over flat send plans, with no
     /// receive buffers materialised — consumers read the runs in place (see
-    /// [`Machine::all_to_allv_flat_in_place`]).
+    /// [`Machine::all_to_allv_flat_in_place`]).  Data-wise it is the
+    /// rank-level exchange; only the accounting differs: runs between the
+    /// same pair of nodes travel as one message, and intra-node runs are
+    /// charged as shared-memory copies rather than network time.
     pub fn all_to_allv_flat_node_combined_in_place<U: Send>(
         &mut self,
         phase: Phase,
@@ -631,19 +550,32 @@ mod tests {
         let _ = m.reduce_sum(Phase::Histogramming, &per_rank);
     }
 
+    /// Flatten a hand-built send matrix (`sends[src][dst]` is what rank
+    /// `src` sends to rank `dst`) into per-rank send buffers and plans.
+    fn flatten<U: Clone>(sends: &[Vec<Vec<U>>]) -> (Vec<Vec<U>>, Vec<ExchangePlan>) {
+        let bufs = sends.iter().map(|row| row.concat()).collect();
+        let plans = sends
+            .iter()
+            .map(|row| ExchangePlan::from_counts(row.iter().map(Vec::len).collect()))
+            .collect();
+        (bufs, plans)
+    }
+
     #[test]
     fn all_to_allv_transposes() {
         let mut m = Machine::flat(3);
         // sends[src][dst] = vec![src*10 + dst]
         let sends: Vec<Vec<Vec<u32>>> =
             (0..3).map(|src| (0..3).map(|dst| vec![(src * 10 + dst) as u32]).collect()).collect();
-        let recv = m.all_to_allv(Phase::DataExchange, sends);
-        for (dst, per_src) in recv.iter().enumerate() {
-            for (src, buf) in per_src.iter().enumerate() {
-                assert_eq!(*buf, vec![(src * 10 + dst) as u32]);
+        let (bufs, plans) = flatten(&sends);
+        let recv = m.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
+        for (dst, fr) in recv.iter().enumerate() {
+            assert_eq!(fr.plan.counts, vec![1; 3], "one run per source at {dst}");
+            for src in 0..3 {
+                assert_eq!(fr.plan.run(&fr.data, src), [(src * 10 + dst) as u32]);
             }
         }
-        // 3 ranks, all off-diagonal buffers non-empty: 6 messages.
+        // 3 ranks, all off-diagonal runs non-empty: 6 messages.
         assert_eq!(m.metrics().phase(Phase::DataExchange).messages, 6);
     }
 
@@ -652,8 +584,14 @@ mod tests {
         let mut m = Machine::flat(4);
         let mut sends: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new(); 4]; 4];
         sends[1][2] = vec![7, 8];
-        let recv = m.all_to_allv(Phase::DataExchange, sends);
-        assert_eq!(recv[2][1], vec![7, 8]);
+        let (bufs, plans) = flatten(&sends);
+        let recv = m.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
+        // Rank 2 holds one run, from rank 1; every other receive buffer is empty.
+        assert_eq!(recv[2].plan.counts, vec![0, 2, 0, 0]);
+        assert_eq!(recv[2].plan.run(&recv[2].data, 1), [7, 8]);
+        for (dst, fr) in recv.iter().enumerate().filter(|(dst, _)| *dst != 2) {
+            assert!(fr.data.is_empty() && fr.plan.total_elems() == 0, "rank {dst}");
+        }
         assert_eq!(m.metrics().phase(Phase::DataExchange).messages, 1);
     }
 
@@ -678,7 +616,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let _ = m.all_to_allv(Phase::DataExchange, sends);
+        let (bufs, plans) = flatten(&sends);
+        m.all_to_allv_flat_in_place::<u64>(Phase::DataExchange, &bufs, &plans);
         let ph = m.metrics().phase(Phase::DataExchange);
         // Every rank sends and receives exactly one message...
         assert_eq!(ph.messages, p as u64);
@@ -697,7 +636,8 @@ mod tests {
         let mut m = Machine::flat(p);
         let sends: Vec<Vec<Vec<u64>>> =
             (0..p).map(|_| (0..p).map(|_| vec![1u64]).collect()).collect();
-        let _ = m.all_to_allv(Phase::DataExchange, sends);
+        let (bufs, plans) = flatten(&sends);
+        m.all_to_allv_flat_in_place::<u64>(Phase::DataExchange, &bufs, &plans);
         let ph = m.metrics().phase(Phase::DataExchange);
         // Each rank exchanges with its p - 1 peers; the element it keeps for
         // itself is neither bandwidth nor a word on the network.
@@ -715,8 +655,10 @@ mod tests {
         let sends: Vec<Vec<Vec<u64>>> = (0..p)
             .map(|src| (0..p).map(|dst| if src == dst { vec![7u64; 10] } else { vec![] }).collect())
             .collect();
-        let recv = m.all_to_allv(Phase::DataExchange, sends);
-        assert_eq!(recv[2][2], vec![7u64; 10]);
+        let (bufs, plans) = flatten(&sends);
+        let recv = m.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
+        assert_eq!(recv[2].plan.counts, vec![0, 0, 10, 0]);
+        assert_eq!(recv[2].data, vec![7u64; 10]);
         let ph = m.metrics().phase(Phase::DataExchange);
         assert_eq!(ph.messages, 0);
         assert_eq!(ph.comm_words, 0);
@@ -726,57 +668,57 @@ mod tests {
     #[test]
     fn flat_exchange_matches_nested_data_and_metrics() {
         let p = 5;
-        // Irregular sizes: src sends (src*dst) % 4 elements to dst.
+        // Irregular sizes: src sends (src*dst) % 4 copies of src*10 + dst to
+        // dst.  Off the diagonal that is 1→2: 2, 1→3: 3, 2→1: 2, 2→3: 2,
+        // 3→1: 3, 3→2: 2 elements; every other run is empty or a self-run.
         let nested: Vec<Vec<Vec<u64>>> = (0..p)
             .map(|src| (0..p).map(|dst| vec![(src * 10 + dst) as u64; (src * dst) % 4]).collect())
             .collect();
-        let bufs: Vec<Vec<u64>> =
-            nested.iter().map(|row| row.iter().flatten().copied().collect()).collect();
-        let plans: Vec<ExchangePlan> = nested
-            .iter()
-            .map(|row| ExchangePlan::from_counts(row.iter().map(|b| b.len()).collect()))
-            .collect();
-
-        let mut m1 = Machine::flat(p);
-        let recv_nested = m1.all_to_allv(Phase::DataExchange, nested);
-        let mut m2 = Machine::flat(p);
-        let recv_flat = m2.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
-
-        for (dst, flat) in recv_flat.iter().enumerate() {
-            for (src, nested_buf) in recv_nested[dst].iter().enumerate() {
-                assert_eq!(
-                    flat.plan.run(&flat.data, src),
-                    nested_buf.as_slice(),
-                    "dst {dst} src {src}"
-                );
+        let (bufs, plans) = flatten(&nested);
+        let mut m = Machine::flat(p);
+        let recv = m.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
+        for (dst, fr) in recv.iter().enumerate() {
+            for src in 0..p {
+                let expected = vec![(src * 10 + dst) as u64; (src * dst) % 4];
+                assert_eq!(fr.plan.run(&fr.data, src), expected, "dst {dst} src {src}");
             }
         }
-        assert_eq!(m1.metrics().deterministic_signature(), m2.metrics().deterministic_signature());
+        let ph = m.metrics().phase(Phase::DataExchange);
+        // Six off-rank runs carrying 14 words; ranks 1 and 3 each send and
+        // receive 5 elements, and every active rank has 2 peers.
+        assert_eq!(ph.messages, 6);
+        assert_eq!(ph.comm_words, 14);
+        assert_eq!(ph.supersteps, 1);
+        assert_eq!(ph.simulated_seconds, m.cost_model().all_to_allv(5, 2));
     }
 
     #[test]
     fn flat_node_combined_matches_nested_metrics() {
+        // 2 nodes of 4 cores; src sends (src + dst) % 3 elements to dst:
+        // 64 elements, 32 of them within a node, and each node sends and
+        // receives 16 elements to and from the other.
         let topo = Topology::new(8, 4);
         let nested: Vec<Vec<Vec<u64>>> = (0..8)
             .map(|src| (0..8).map(|dst| vec![(src * 100 + dst) as u64; (src + dst) % 3]).collect())
             .collect();
-        let bufs: Vec<Vec<u64>> =
-            nested.iter().map(|row| row.iter().flatten().copied().collect()).collect();
-        let plans: Vec<ExchangePlan> = nested
-            .iter()
-            .map(|row| ExchangePlan::from_counts(row.iter().map(|b| b.len()).collect()))
-            .collect();
-
-        let mut m1 = Machine::new(topo, CostModel::bluegene_like());
-        let recv_nested = m1.all_to_allv_node_combined(Phase::DataExchange, nested);
-        let mut m2 = Machine::new(topo, CostModel::bluegene_like());
-        m2.all_to_allv_flat_node_combined_in_place::<u64>(Phase::DataExchange, &bufs, &plans);
-        for (dst, row) in recv_nested.iter().enumerate() {
-            for (src, nested_buf) in row.iter().enumerate() {
-                assert_eq!(plans[src].run(&bufs[src], dst), nested_buf.as_slice());
+        let (bufs, plans) = flatten(&nested);
+        let mut m = Machine::new(topo, CostModel::bluegene_like());
+        m.all_to_allv_flat_node_combined_in_place::<u64>(Phase::DataExchange, &bufs, &plans);
+        for (src, row) in nested.iter().enumerate() {
+            for (dst, run) in row.iter().enumerate() {
+                assert_eq!(plans[src].run(&bufs[src], dst), run.as_slice());
             }
         }
-        assert_eq!(m1.metrics().deterministic_signature(), m2.metrics().deterministic_signature());
+        let ph = m.metrics().phase(Phase::DataExchange);
+        // One combined message per direction between the two nodes.
+        assert_eq!(ph.messages, 2);
+        // Only the 32 inter-node elements cross the network ...
+        assert_eq!(ph.comm_words, 32);
+        // ... the 32 intra-node ones are copied by 4 cores each ...
+        assert_eq!(ph.compute_ops, 8);
+        // ... and a node's 16 words are injected through its 4 cores.
+        let cost = m.cost_model();
+        assert_eq!(ph.simulated_seconds, cost.all_to_allv(4, 1) + cost.compute(8));
     }
 
     #[test]
@@ -784,14 +726,25 @@ mod tests {
         let topo = Topology::new(8, 4); // 2 nodes of 4 cores
         let sends: Vec<Vec<Vec<u64>>> =
             (0..8).map(|src| (0..8).map(|dst| vec![(src * 100 + dst) as u64]).collect()).collect();
+        let (bufs, plans) = flatten(&sends);
 
         let mut rank_level = Machine::new(topo, CostModel::bluegene_like());
-        let recv_a = rank_level.all_to_allv(Phase::DataExchange, sends.clone());
+        let recv = rank_level.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
 
         let mut node_level = Machine::new(topo, CostModel::bluegene_like());
-        let recv_b = node_level.all_to_allv_node_combined(Phase::DataExchange, sends);
+        node_level.all_to_allv_flat_node_combined_in_place::<u64>(
+            Phase::DataExchange,
+            &bufs,
+            &plans,
+        );
 
-        assert_eq!(recv_a, recv_b);
+        // The node-combined exchange reads every run in place: the same
+        // runs the rank-level exchange delivers.
+        for (dst, fr) in recv.iter().enumerate() {
+            for (src, plan) in plans.iter().enumerate() {
+                assert_eq!(plan.run(&bufs[src], dst), fr.plan.run(&fr.data, src));
+            }
+        }
         let msgs_rank = rank_level.metrics().phase(Phase::DataExchange).messages;
         let msgs_node = node_level.metrics().phase(Phase::DataExchange).messages;
         assert_eq!(msgs_rank, 8 * 7);

@@ -16,9 +16,9 @@
 //!   across ranks via rayon, and are charged `max` over ranks of the
 //!   reported [`Work`];
 //! * collectives ([`Machine::gather_to_root`], [`Machine::broadcast`],
-//!   [`Machine::reduce_sum`], [`Machine::all_to_allv`],
-//!   [`Machine::all_to_allv_node_combined`]) which move the data and charge
-//!   the corresponding collective cost.
+//!   [`Machine::reduce_sum`], [`Machine::all_to_allv_flat`] and its
+//!   node-combined and staged forms) which move the data and charge the
+//!   corresponding collective cost.
 //!
 //! Because all data movement is real, correctness properties (global sorted
 //! order, load balance) are checked on actual results; because time is

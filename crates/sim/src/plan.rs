@@ -1,12 +1,11 @@
 //! Flat exchange plans: the counts/displacements representation of an
 //! irregular all-to-all, modelled on `MPI_Alltoallv`.
 //!
-//! The nested `Vec<Vec<Vec<T>>>` send matrix costs `p²` heap allocations
-//! and a full copy of the input per exchange.  An [`ExchangePlan`] instead
-//! describes how one *contiguous* per-rank buffer is split across
-//! destinations: `counts[d]` elements starting at `displs[d]` go to rank
-//! `d`.  The sender's buffer is typically its locally sorted data itself,
-//! so building a plan allocates two `usize` vectors and copies nothing.
+//! An [`ExchangePlan`] describes how one *contiguous* per-rank buffer is
+//! split across destinations: `counts[d]` elements starting at `displs[d]`
+//! go to rank `d`.  The sender's buffer is typically its locally sorted
+//! data itself, so building a plan allocates two `usize` vectors and copies
+//! nothing — no `p²` per-destination buffers, no copy of the input.
 //!
 //! [`Machine::all_to_allv_flat`](crate::machine::Machine::all_to_allv_flat)
 //! consumes one buffer + plan per rank and returns one [`FlatRecv`] per

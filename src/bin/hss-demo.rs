@@ -13,7 +13,7 @@
 use std::process::exit;
 
 use hss_repro::baselines::{
-    bitonic_sort_with, HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
+    bitonic_sort, HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
 };
 use hss_repro::core::SortReport;
 use hss_repro::partition::verify_global_sort;
@@ -37,7 +37,7 @@ OPTIONS:
                                                                   [default: hss]
     --epsilon <F>          load-imbalance threshold               [default: 0.05]
     --local-sort <NAME>    comparison | radix — local-sort algorithm for the
-                           per-rank sorts (default: LOCAL_SORT env, else radix)
+                           per-rank sorts                        [default: radix]
     --threads <N>          host OS threads for the rayon pool (0 = auto;
                            default: RAYON_NUM_THREADS, else all cores)
     --sequential           run local phases sequentially (determinism oracle)
@@ -308,15 +308,7 @@ fn run(
             cfg.local_sort = args.local_sort;
             run_sorter(&cfg, &mut machine, input)
         }
-        "bitonic" => {
-            let (out, rep) = bitonic_sort_with(
-                &mut machine,
-                input,
-                hss_repro::partition::ExchangeEngine::Flat,
-                args.local_sort,
-            );
-            (out, rep)
-        }
+        "bitonic" => bitonic_sort(&mut machine, input, args.local_sort),
         "radix" => {
             let mut cfg = RadixConfig::recommended(args.ranks);
             cfg.local_sort = args.local_sort;

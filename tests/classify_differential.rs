@@ -15,15 +15,13 @@
 //!   histogramming answers are independent of the strategy heuristic;
 //! * **bitwise-identical end-to-end output** — every sorter that
 //!   classifies (HSS, sample sort, classic histogram sort) must produce
-//!   the same globally sorted data across exchange engine × sync model ×
-//!   distribution now that classification can take the tree arm, and that
-//!   output must match the `global_sorted` oracle.
+//!   the same globally sorted data across sync model × distribution now
+//!   that classification can take the tree arm, and that output must match
+//!   the `global_sorted` oracle.
 
-use hss_repro::baselines::{
-    histogram_sort_with_engine, sample_sort_with_engine, HistogramSortConfig, SampleSortConfig,
-};
+use hss_repro::baselines::{histogram_sort, sample_sort, HistogramSortConfig, SampleSortConfig};
 use hss_repro::partition::{
-    global_sorted, local_ranks, local_ranks_le, verify_global_sort, DecisionTree, ExchangeEngine,
+    global_sorted, local_ranks, local_ranks_le, verify_global_sort, DecisionTree,
 };
 use hss_repro::prelude::*;
 
@@ -41,38 +39,28 @@ fn distributions() -> [KeyDistribution; 3] {
     ]
 }
 
-/// Run `sorter` over engine × sync on identical fresh machines; every run
-/// must produce the same data, that data must be the globally sorted
-/// oracle of `input`, and within each sync model the per-phase
-/// `deterministic_signature()` must be bitwise-identical across engines —
-/// classification charges follow the `(n, m)` shape, never the engine.
-/// (Across sync models only the data is compared: the overlapped pipeline
-/// legitimately stages its exchange and piggybacks its broadcasts, so its
-/// message counts differ by design.)
+/// Run `sorter` under both sync models on identical fresh machines; both
+/// runs must produce the same per-rank data, and that data must be the
+/// globally sorted oracle of `input`.  (Only the data is compared across
+/// sync models: the overlapped pipeline legitimately stages its exchange
+/// and piggybacks its broadcasts, so its message counts differ by design.)
 fn assert_output_is_oracle<F>(label: &str, input: &[Vec<u64>], sorter: F)
 where
-    F: Fn(&mut Machine, ExchangeEngine) -> Vec<Vec<u64>>,
+    F: Fn(&mut Machine) -> Vec<Vec<u64>>,
 {
-    let mut runs = Vec::new();
-    for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
+    let runs: Vec<(SyncModel, Vec<Vec<u64>>)> = [SyncModel::Bsp, SyncModel::Overlapped]
+        .into_iter()
+        .map(|sync| {
             let mut machine = Machine::flat(RANKS).with_sync_model(sync);
-            let out = sorter(&mut machine, engine);
+            let out = sorter(&mut machine);
             verify_global_sort(input, &out).unwrap();
-            runs.push((sync, engine, out, machine.metrics().deterministic_signature()));
-        }
-    }
-    let oracle = global_sorted(input);
-    let flat: Vec<u64> = runs[0].2.iter().flatten().copied().collect();
-    assert_eq!(flat, oracle, "{label}: output is not the sorted oracle");
-    for (sync, engine, out, sig) in &runs[1..] {
-        assert_eq!(&runs[0].2, out, "{label}: data diverged at {sync:?}/{engine:?}");
-        let reference = runs.iter().find(|(s, ..)| s == sync).unwrap();
-        assert_eq!(
-            &reference.3, sig,
-            "{label}: signature diverged between {:?} and {engine:?} under {sync:?}",
-            reference.1
-        );
+            (sync, out)
+        })
+        .collect();
+    let flat: Vec<u64> = runs[0].1.iter().flatten().copied().collect();
+    assert_eq!(flat, global_sorted(input), "{label}: output is not the sorted oracle");
+    for (sync, out) in &runs[1..] {
+        assert_eq!(&runs[0].1, out, "{label}: data diverged under {sync:?}");
     }
 }
 
@@ -80,8 +68,8 @@ where
 fn hss_output_matches_oracle_across_engines_and_sync_models() {
     for dist in distributions() {
         let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-        assert_output_is_oracle(&format!("hss/{}", dist.name()), &input, |machine, engine| {
-            let cfg = HssConfig::default().with_seed(SEED).with_exchange_engine(engine);
+        assert_output_is_oracle(&format!("hss/{}", dist.name()), &input, |machine| {
+            let cfg = HssConfig::default().with_seed(SEED);
             HssSorter::new(cfg).sort(machine, input.clone()).data
         });
     }
@@ -91,9 +79,8 @@ fn hss_output_matches_oracle_across_engines_and_sync_models() {
 fn sample_sort_output_matches_oracle_across_engines_and_sync_models() {
     for dist in distributions() {
         let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-        assert_output_is_oracle(&format!("sample/{}", dist.name()), &input, |machine, engine| {
-            sample_sort_with_engine(machine, &SampleSortConfig::regular(0.2), input.clone(), engine)
-                .0
+        assert_output_is_oracle(&format!("sample/{}", dist.name()), &input, |machine| {
+            sample_sort(machine, &SampleSortConfig::regular(0.2), input.clone()).0
         });
     }
 }
@@ -102,14 +89,9 @@ fn sample_sort_output_matches_oracle_across_engines_and_sync_models() {
 fn histogram_sort_output_matches_oracle_across_engines_and_sync_models() {
     for dist in distributions() {
         let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-        assert_output_is_oracle(
-            &format!("histogram/{}", dist.name()),
-            &input,
-            |machine, engine| {
-                let cfg = HistogramSortConfig::new(0.1, RANKS);
-                histogram_sort_with_engine(machine, &cfg, input.clone(), engine).0
-            },
-        );
+        assert_output_is_oracle(&format!("histogram/{}", dist.name()), &input, |machine| {
+            histogram_sort(machine, &HistogramSortConfig::new(0.1, RANKS), input.clone()).0
+        });
     }
 }
 

@@ -3,7 +3,7 @@
 //! The in-place MSD radix sort (`LocalSortAlgo::Radix`, the default) must
 //! be indistinguishable from `sort_unstable` (`LocalSortAlgo::Comparison`)
 //! in everything but host-side speed.  For every sorter × key distribution
-//! × exchange engine × sync model, at 1 and 4 pool threads:
+//! × sync model, at 1 and 4 pool threads:
 //!
 //! * **bitwise-identical per-rank output** — both algorithms realise the
 //!   same total order, and equal items are indistinguishable, so the
@@ -29,15 +29,14 @@
 //! quadratic.
 
 use hss_repro::baselines::{
-    bitonic_sort_with, histogram_sort_with_engine, over_partitioning_sort_with_engine,
-    radix_partition_sort_with_engine, sample_sort_with_engine, HistogramSortConfig,
-    OverPartitioningConfig, RadixConfig, SampleSortConfig,
+    bitonic_sort, histogram_sort, over_partitioning_sort, radix_partition_sort, sample_sort,
+    HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
 };
 use hss_repro::keygen::{ByteKey, WideRecord};
 use hss_repro::lsort::{
     par_radix_sort, radix_sort, RadixSortable, BLOCK, COMPARISON_CUTOFF, INSERTION_CUTOFF,
 };
-use hss_repro::partition::{verify_global_sort, ExchangeEngine};
+use hss_repro::partition::verify_global_sort;
 use hss_repro::prelude::*;
 
 use proptest::prelude::*;
@@ -129,21 +128,16 @@ fn sync_models() -> [SyncModel; 2] {
 #[test]
 fn hss_radix_and_comparison_agree() {
     for sync in sync_models() {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for dist in distributions() {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                let label = format!("hss/{:?}/{:?}/{}", sync, engine, dist.name());
-                assert_algos_agree(&label, sync, |machine, algo| {
-                    let cfg = HssConfig::default()
-                        .with_seed(SEED)
-                        .with_exchange_engine(engine)
-                        .with_local_sort(algo);
-                    let out = HssSorter::new(cfg).sort(machine, input.clone());
-                    verify_global_sort(&input, &out.data).unwrap();
-                    assert_eq!(out.report.local_sort, algo.name());
-                    out.data
-                });
-            }
+        for dist in distributions() {
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            let label = format!("hss/{:?}/{}", sync, dist.name());
+            assert_algos_agree(&label, sync, |machine, algo| {
+                let cfg = HssConfig::default().with_seed(SEED).with_local_sort(algo);
+                let out = HssSorter::new(cfg).sort(machine, input.clone());
+                verify_global_sort(&input, &out.data).unwrap();
+                assert_eq!(out.report.local_sort, algo.name());
+                out.data
+            });
         }
     }
 }
@@ -179,19 +173,17 @@ fn hss_records_agree() {
 #[test]
 fn sample_sort_radix_and_comparison_agree() {
     for sync in sync_models() {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for dist in distributions() {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                for (name, base) in [
-                    ("regular", SampleSortConfig::regular(0.2)),
-                    ("random", SampleSortConfig::random(0.2)),
-                ] {
-                    let label = format!("sample-{name}/{:?}/{:?}/{}", sync, engine, dist.name());
-                    assert_algos_agree(&label, sync, |machine, algo| {
-                        let cfg = SampleSortConfig { local_sort: algo, ..base };
-                        sample_sort_with_engine(machine, &cfg, input.clone(), engine).0
-                    });
-                }
+        for dist in distributions() {
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            for (name, base) in [
+                ("regular", SampleSortConfig::regular(0.2)),
+                ("random", SampleSortConfig::random(0.2)),
+            ] {
+                let label = format!("sample-{name}/{:?}/{}", sync, dist.name());
+                assert_algos_agree(&label, sync, |machine, algo| {
+                    let cfg = SampleSortConfig { local_sort: algo, ..base };
+                    sample_sort(machine, &cfg, input.clone()).0
+                });
             }
         }
     }
@@ -200,16 +192,14 @@ fn sample_sort_radix_and_comparison_agree() {
 #[test]
 fn histogram_sort_radix_and_comparison_agree() {
     for sync in sync_models() {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for dist in distributions() {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                let label = format!("histogram/{:?}/{:?}/{}", sync, engine, dist.name());
-                assert_algos_agree(&label, sync, |machine, algo| {
-                    let mut cfg = HistogramSortConfig::new(0.1, RANKS);
-                    cfg.local_sort = algo;
-                    histogram_sort_with_engine(machine, &cfg, input.clone(), engine).0
-                });
-            }
+        for dist in distributions() {
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            let label = format!("histogram/{:?}/{}", sync, dist.name());
+            assert_algos_agree(&label, sync, |machine, algo| {
+                let mut cfg = HistogramSortConfig::new(0.1, RANKS);
+                cfg.local_sort = algo;
+                histogram_sort(machine, &cfg, input.clone()).0
+            });
         }
     }
 }
@@ -217,16 +207,14 @@ fn histogram_sort_radix_and_comparison_agree() {
 #[test]
 fn over_partitioning_radix_and_comparison_agree() {
     for sync in sync_models() {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for dist in distributions() {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                let label = format!("overpartition/{:?}/{:?}/{}", sync, engine, dist.name());
-                assert_algos_agree(&label, sync, |machine, algo| {
-                    let mut cfg = OverPartitioningConfig::recommended(RANKS);
-                    cfg.local_sort = algo;
-                    over_partitioning_sort_with_engine(machine, &cfg, input.clone(), engine).0
-                });
-            }
+        for dist in distributions() {
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            let label = format!("overpartition/{:?}/{}", sync, dist.name());
+            assert_algos_agree(&label, sync, |machine, algo| {
+                let mut cfg = OverPartitioningConfig::recommended(RANKS);
+                cfg.local_sort = algo;
+                over_partitioning_sort(machine, &cfg, input.clone()).0
+            });
         }
     }
 }
@@ -234,16 +222,14 @@ fn over_partitioning_radix_and_comparison_agree() {
 #[test]
 fn radix_partition_radix_and_comparison_agree() {
     for sync in sync_models() {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for dist in distributions() {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                let label = format!("radix-partition/{:?}/{:?}/{}", sync, engine, dist.name());
-                assert_algos_agree(&label, sync, |machine, algo| {
-                    let mut cfg = RadixConfig::recommended(RANKS);
-                    cfg.local_sort = algo;
-                    radix_partition_sort_with_engine(machine, &cfg, input.clone(), engine).0
-                });
-            }
+        for dist in distributions() {
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            let label = format!("radix-partition/{:?}/{}", sync, dist.name());
+            assert_algos_agree(&label, sync, |machine, algo| {
+                let mut cfg = RadixConfig::recommended(RANKS);
+                cfg.local_sort = algo;
+                radix_partition_sort(machine, &cfg, input.clone()).0
+            });
         }
     }
 }
@@ -251,14 +237,12 @@ fn radix_partition_radix_and_comparison_agree() {
 #[test]
 fn bitonic_radix_and_comparison_agree() {
     for sync in sync_models() {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for dist in distributions() {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                let label = format!("bitonic/{:?}/{:?}/{}", sync, engine, dist.name());
-                assert_algos_agree(&label, sync, |machine, algo| {
-                    bitonic_sort_with(machine, input.clone(), engine, algo).0
-                });
-            }
+        for dist in distributions() {
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            let label = format!("bitonic/{:?}/{}", sync, dist.name());
+            assert_algos_agree(&label, sync, |machine, algo| {
+                bitonic_sort(machine, input.clone(), algo).0
+            });
         }
     }
 }

@@ -103,7 +103,7 @@ where
 }
 
 #[test]
-fn pipelined_matches_in_memory_across_dists_caps_models_and_threads() {
+fn spilled_sort_matches_in_memory_across_dists_caps_models_and_threads() {
     let p = 8;
     let n = 600;
     for dist in distributions() {
@@ -145,7 +145,7 @@ fn pipelined_matches_in_memory_across_dists_caps_models_and_threads() {
 }
 
 #[test]
-fn pipelined_matches_for_tera_records() {
+fn spilled_sort_matches_in_memory_for_tera_records() {
     let p = 4;
     let n = 300;
     let s = std::mem::size_of::<TeraRecord>();
@@ -267,7 +267,7 @@ fn approximate_histograms_match_in_memory_when_ranks_spill() {
 }
 
 #[test]
-fn pipelined_auto_tune_and_pinned_depths_agree_bitwise() {
+fn spilled_sort_auto_tuned_and_pinned_prefetch_depths_agree_bitwise() {
     let p = 4;
     let n = 500;
     let input = KeyDistribution::PowerLaw { gamma: 4.0 }.generate_per_rank(p, n, SEED);
@@ -341,7 +341,9 @@ fn assert_scratch_is_empty(scratch: &std::path::Path, label: &str) {
 /// `HssSorter::sort` on the same machine — same output, same deterministic
 /// signature, an all-zero `ExtSortReport`.  A cell with a spilled rank puts
 /// the splitters first under either sync model, so its output is what
-/// `sort` produces on a Bsp machine of the same topology.
+/// `sort` produces on a Bsp machine of the same topology — and the
+/// large-ranks cells run once more under [`LocalSortAlgo::Comparison`], so
+/// spilled run formation is `sort_unstable` too and must change nothing.
 #[test]
 fn every_granularity_schedule_and_residency_is_one_pipeline() {
     let p = 16;
@@ -401,6 +403,13 @@ fn every_granularity_schedule_and_residency_is_one_pipeline() {
                     let four = observe(&input, &capped, machine(sync), 4);
                     assert_eq!(run.data, four.data, "{label}: output thread-invariant");
                     assert_eq!(run.signature, four.signature, "{label}: charges thread-invariant");
+
+                    if residency == "large ranks" {
+                        let comparison = capped.clone().with_local_sort(LocalSortAlgo::Comparison);
+                        let cmp = observe(&input, &comparison, machine(sync), 1);
+                        assert_eq!(run.data, cmp.data, "{label}: output vs comparison local sort");
+                        assert!(cmp.ext.runs_formed > 0, "{label}: comparison cell spilled");
+                    }
                     assert_scratch_is_empty(&scratch, &label);
                 }
             }

@@ -2,7 +2,7 @@
 //! ([`TeraRecord`], a 10-byte [`ByteKey`] plus a 90-byte derived payload)
 //! must sort exactly like their bare keys, keep every payload attached to
 //! its key, and stay bitwise-deterministic across thread counts and sync
-//! models — for every sorter in the registry and both exchange engines.
+//! models — for every sorter in the registry.
 //!
 //! Oracles:
 //!
@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use hss_repro::baselines::standard_sorters_for;
 use hss_repro::keygen::{generate_tera_records_per_rank, ByteKey, TeraRecord};
 use hss_repro::lsort::RadixSortable;
-use hss_repro::partition::{verify_global_sort, ExchangeEngine};
+use hss_repro::partition::verify_global_sort;
 use hss_repro::prelude::*;
 use hss_repro::sim::{Parallelism, SyncModel};
 
@@ -62,35 +62,27 @@ fn pool() -> &'static rayon::ThreadPool {
 fn tera_record_sort_matches_bare_key_sort_and_keeps_payloads() {
     let input = tera_input();
     let keys = bare_keys(&input);
-    for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-        let record_sorters = standard_sorters_for::<TeraRecord>(RANKS, EPS);
-        let key_sorters = standard_sorters_for::<ByteKey<10>>(RANKS, EPS);
-        for (rs, ks) in record_sorters.iter().zip(key_sorters.iter()) {
-            let label = format!("{}/{engine:?}", rs.algorithm());
-            let mut rec_machine = Machine::flat(RANKS);
-            let rec_out = rs
-                .run(&mut rec_machine, SortRequest::new(input.clone()).with_engine(engine))
-                .unwrap()
-                .data;
-            verify_global_sort(&input, &rec_out)
-                .unwrap_or_else(|e| panic!("{label}: record sort invalid: {e}"));
-            assert!(
-                rec_out.iter().flatten().all(TeraRecord::payload_matches_key),
-                "{label}: a payload was separated from its key"
-            );
+    let record_sorters = standard_sorters_for::<TeraRecord>(RANKS, EPS);
+    let key_sorters = standard_sorters_for::<ByteKey<10>>(RANKS, EPS);
+    for (rs, ks) in record_sorters.iter().zip(key_sorters.iter()) {
+        let label = rs.algorithm();
+        let mut rec_machine = Machine::flat(RANKS);
+        let rec_out = rs.run(&mut rec_machine, SortRequest::new(input.clone())).unwrap().data;
+        verify_global_sort(&input, &rec_out)
+            .unwrap_or_else(|e| panic!("{label}: record sort invalid: {e}"));
+        assert!(
+            rec_out.iter().flatten().all(TeraRecord::payload_matches_key),
+            "{label}: a payload was separated from its key"
+        );
 
-            let mut key_machine = Machine::flat(RANKS);
-            let key_out = ks
-                .run(&mut key_machine, SortRequest::new(keys.clone()).with_engine(engine))
-                .unwrap()
-                .data;
-            for (rank, (recs, bare)) in rec_out.iter().zip(key_out.iter()).enumerate() {
-                let rec_keys: Vec<ByteKey<10>> = recs.iter().map(|r| r.key).collect();
-                assert_eq!(
-                    &rec_keys, bare,
-                    "{label}: rank {rank} key order differs from the bare-key sort"
-                );
-            }
+        let mut key_machine = Machine::flat(RANKS);
+        let key_out = ks.run(&mut key_machine, SortRequest::new(keys.clone())).unwrap().data;
+        for (rank, (recs, bare)) in rec_out.iter().zip(key_out.iter()).enumerate() {
+            let rec_keys: Vec<ByteKey<10>> = recs.iter().map(|r| r.key).collect();
+            assert_eq!(
+                &rec_keys, bare,
+                "{label}: rank {rank} key order differs from the bare-key sort"
+            );
         }
     }
 }
@@ -99,37 +91,29 @@ fn tera_record_sort_matches_bare_key_sort_and_keeps_payloads() {
 fn tera_record_sort_is_thread_count_invariant() {
     let input = tera_input();
     let sorter_count = standard_sorters_for::<TeraRecord>(RANKS, EPS).len();
-    for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-        // `dyn Sorter` boxes are not `Sync`, so each leg rebuilds the
-        // registry and picks its sorter by index.
-        for idx in 0..sorter_count {
+    // `dyn Sorter` boxes are not `Sync`, so each leg rebuilds the
+    // registry and picks its sorter by index.
+    for idx in 0..sorter_count {
+        let sorter = &standard_sorters_for::<TeraRecord>(RANKS, EPS)[idx];
+        let label = sorter.algorithm();
+        let mut seq_machine = Machine::flat(RANKS).with_parallelism(Parallelism::Sequential);
+        let seq = sorter.run(&mut seq_machine, SortRequest::new(input.clone())).unwrap().data;
+        let seq_sig = seq_machine.metrics().deterministic_signature();
+
+        let (par, par_sig, threads) = pool().install(|| {
             let sorter = &standard_sorters_for::<TeraRecord>(RANKS, EPS)[idx];
-            let label = format!("{}/{engine:?}", sorter.algorithm());
-            let mut seq_machine = Machine::flat(RANKS).with_parallelism(Parallelism::Sequential);
-            let seq = sorter
-                .run(&mut seq_machine, SortRequest::new(input.clone()).with_engine(engine))
-                .unwrap()
-                .data;
-            let seq_sig = seq_machine.metrics().deterministic_signature();
+            let mut par_machine = Machine::flat(RANKS);
+            let out = sorter.run(&mut par_machine, SortRequest::new(input.clone())).unwrap().data;
+            let sig = par_machine.metrics().deterministic_signature();
+            (out, sig, par_machine.metrics().host_threads())
+        });
 
-            let (par, par_sig, threads) = pool().install(|| {
-                let sorter = &standard_sorters_for::<TeraRecord>(RANKS, EPS)[idx];
-                let mut par_machine = Machine::flat(RANKS);
-                let out = sorter
-                    .run(&mut par_machine, SortRequest::new(input.clone()).with_engine(engine))
-                    .unwrap()
-                    .data;
-                let sig = par_machine.metrics().deterministic_signature();
-                (out, sig, par_machine.metrics().host_threads())
-            });
-
-            assert_eq!(
-                threads, POOL_THREADS as u64,
-                "{label}: parallel run did not execute on the 4-thread pool"
-            );
-            assert_eq!(seq, par, "{label}: output differs between 1 and {POOL_THREADS} threads");
-            assert_eq!(seq_sig, par_sig, "{label}: cost signature differs across thread counts");
-        }
+        assert_eq!(
+            threads, POOL_THREADS as u64,
+            "{label}: parallel run did not execute on the 4-thread pool"
+        );
+        assert_eq!(seq, par, "{label}: output differs between 1 and {POOL_THREADS} threads");
+        assert_eq!(seq_sig, par_sig, "{label}: cost signature differs across thread counts");
     }
 }
 
@@ -137,60 +121,48 @@ fn tera_record_sort_is_thread_count_invariant() {
 fn tera_record_sorters_are_sync_model_neutral() {
     let input = tera_input();
     for topo in [Topology::flat(RANKS), Topology::new(RANKS, 4)] {
-        for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-            for sorter in standard_sorters_for::<TeraRecord>(RANKS, EPS) {
-                let label =
-                    format!("{}/{engine:?}/{} cores", sorter.algorithm(), topo.cores_per_node());
-                let mut bsp = Machine::new(topo, CostModel::bluegene_like());
-                let out_bsp = sorter
-                    .run(&mut bsp, SortRequest::new(input.clone()).with_engine(engine))
-                    .unwrap()
-                    .data;
+        for sorter in standard_sorters_for::<TeraRecord>(RANKS, EPS) {
+            let label = format!("{}/{} cores", sorter.algorithm(), topo.cores_per_node());
+            let mut bsp = Machine::new(topo, CostModel::bluegene_like());
+            let out_bsp = sorter.run(&mut bsp, SortRequest::new(input.clone())).unwrap().data;
 
-                let mut ovl = Machine::new(topo, CostModel::bluegene_like())
-                    .with_sync_model(SyncModel::Overlapped);
-                let out_ovl = sorter
-                    .run(&mut ovl, SortRequest::new(input.clone()).with_engine(engine))
-                    .unwrap()
-                    .data;
+            let mut ovl = Machine::new(topo, CostModel::bluegene_like())
+                .with_sync_model(SyncModel::Overlapped);
+            let out_ovl = sorter.run(&mut ovl, SortRequest::new(input.clone())).unwrap().data;
 
-                verify_global_sort(&input, &out_ovl)
-                    .unwrap_or_else(|e| panic!("{label}: overlapped sort invalid: {e}"));
+            verify_global_sort(&input, &out_ovl)
+                .unwrap_or_else(|e| panic!("{label}: overlapped sort invalid: {e}"));
+            assert!(
+                out_ovl.iter().flatten().all(TeraRecord::payload_matches_key),
+                "{label}: overlapped run tore a payload from its key"
+            );
+            // Overlap can only shorten the timeline — except for HSS on
+            // a node-combined topology, where the staged exchange gives
+            // up node-level message combining (same trade-off the flat
+            // sync suite sidesteps by asserting on flat machines only).
+            if !(sorter.algorithm().starts_with("hss") && topo.cores_per_node() > 1) {
                 assert!(
-                    out_ovl.iter().flatten().all(TeraRecord::payload_matches_key),
-                    "{label}: overlapped run tore a payload from its key"
+                    ovl.simulated_time() <= bsp.simulated_time() * (1.0 + 1e-12),
+                    "{label}: overlapped makespan {} above bsp {}",
+                    ovl.simulated_time(),
+                    bsp.simulated_time()
                 );
-                // Overlap can only shorten the timeline — except for HSS on
-                // a node-combined topology, where the staged exchange gives
-                // up node-level message combining (same trade-off the flat
-                // sync suite sidesteps by asserting on flat machines only).
-                if !(sorter.algorithm().starts_with("hss") && topo.cores_per_node() > 1) {
-                    assert!(
-                        ovl.simulated_time() <= bsp.simulated_time() * (1.0 + 1e-12),
-                        "{label}: overlapped makespan {} above bsp {}",
-                        ovl.simulated_time(),
-                        bsp.simulated_time()
-                    );
-                }
-                if sorter.algorithm().starts_with("hss") {
-                    // HSS restructures its schedule under Overlapped (frozen
-                    // splitters may differ), so only the multiset is pinned.
-                    let mut a: Vec<TeraRecord> = out_bsp.into_iter().flatten().collect();
-                    let mut b: Vec<TeraRecord> = out_ovl.into_iter().flatten().collect();
-                    a.sort_unstable();
-                    b.sort_unstable();
-                    assert_eq!(a, b, "{label}: record multiset diverged");
-                } else {
-                    assert_eq!(
-                        out_bsp, out_ovl,
-                        "{label}: per-rank data diverged across sync models"
-                    );
-                    assert_eq!(
-                        bsp.metrics().deterministic_signature(),
-                        ovl.metrics().deterministic_signature(),
-                        "{label}: cost signature changed with the sync model"
-                    );
-                }
+            }
+            if sorter.algorithm().starts_with("hss") {
+                // HSS restructures its schedule under Overlapped (frozen
+                // splitters may differ), so only the multiset is pinned.
+                let mut a: Vec<TeraRecord> = out_bsp.into_iter().flatten().collect();
+                let mut b: Vec<TeraRecord> = out_ovl.into_iter().flatten().collect();
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "{label}: record multiset diverged");
+            } else {
+                assert_eq!(out_bsp, out_ovl, "{label}: per-rank data diverged across sync models");
+                assert_eq!(
+                    bsp.metrics().deterministic_signature(),
+                    ovl.metrics().deterministic_signature(),
+                    "{label}: cost signature changed with the sync model"
+                );
             }
         }
     }

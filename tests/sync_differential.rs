@@ -2,8 +2,8 @@
 //! the historical scalar accounting under `SyncModel::Bsp`, and overlapped
 //! execution must only ever *reduce* the makespan.
 //!
-//! Three oracles, for every sorter × key distribution × exchange
-//! engine/mode:
+//! Three oracles, for every sorter × key distribution × exchange mode
+//! (rank-level or node-combined):
 //!
 //! 1. **Scalar-accumulator oracle (bitwise).**  Before per-rank timelines,
 //!    the simulator kept one scalar: the sum of per-superstep
@@ -17,19 +17,17 @@
 //!    algorithm under Bsp and Overlapped must yield bitwise-identical
 //!    `deterministic_signature()`s.  (HSS itself restructures its schedule
 //!    under Overlapped, so this oracle applies to every non-HSS sorter;
-//!    HSS's Bsp path is pinned by oracle 1 plus the flat/nested suite in
-//!    `tests/exchange_differential.rs`.)
+//!    HSS's Bsp path is pinned by oracle 1.)
 //! 3. **Overlap safety.**  Overlapped HSS — rank buckets and node-level
 //!    buckets alike — must still produce a correct global sort and keep the
 //!    load-balance guarantee; with rank buckets it must never exceed the
 //!    Bsp makespan.
 
 use hss_repro::baselines::{
-    bitonic_sort_with_engine, histogram_sort_with_engine, over_partitioning_sort_with_engine,
-    radix_partition_sort_with_engine, sample_sort_with_engine, HistogramSortConfig,
-    OverPartitioningConfig, RadixConfig, SampleSortConfig,
+    bitonic_sort, histogram_sort, over_partitioning_sort, radix_partition_sort, sample_sort,
+    HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
 };
-use hss_repro::partition::{verify_global_sort, ExchangeEngine};
+use hss_repro::partition::verify_global_sort;
 use hss_repro::prelude::*;
 use hss_repro::sim::SyncModel;
 
@@ -103,17 +101,14 @@ where
 fn hss_bsp_reproduces_scalar_accounting_for_all_engines() {
     for topo in topologies() {
         for dist in distributions() {
-            for engine in [ExchangeEngine::Flat, ExchangeEngine::Nested] {
-                let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
-                let label =
-                    format!("hss/{}/{:?}/{} cores", dist.name(), engine, topo.cores_per_node());
-                let cfg = HssConfig::default().with_seed(SEED).with_exchange_engine(engine);
-                let mut bsp = Machine::new(topo, CostModel::bluegene_like()).with_tracing();
-                let out = HssSorter::new(cfg).sort(&mut bsp, input.clone());
-                verify_global_sort(&input, &out.data).unwrap();
-                assert_bsp_matches_scalar_accumulator(&label, &bsp);
-                assert_eq!(out.report.sync_model, "bsp");
-            }
+            let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
+            let label = format!("hss/{}/{} cores", dist.name(), topo.cores_per_node());
+            let cfg = HssConfig::default().with_seed(SEED);
+            let mut bsp = Machine::new(topo, CostModel::bluegene_like()).with_tracing();
+            let out = HssSorter::new(cfg).sort(&mut bsp, input.clone());
+            verify_global_sort(&input, &out.data).unwrap();
+            assert_bsp_matches_scalar_accumulator(&label, &bsp);
+            assert_eq!(out.report.sync_model, "bsp");
         }
     }
 }
@@ -141,7 +136,7 @@ fn sample_sort_is_sync_model_neutral() {
             ] {
                 let label = format!("sample-sort-{name}/{}", dist.name());
                 assert_sync_neutral(&label, topo, |machine| {
-                    sample_sort_with_engine(machine, &cfg, input.clone(), ExchangeEngine::Flat).0
+                    sample_sort(machine, &cfg, input.clone()).0
                 });
             }
         }
@@ -155,31 +150,18 @@ fn histogram_over_partitioning_radix_bitonic_are_sync_model_neutral() {
             let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
             let hist_cfg = HistogramSortConfig::new(0.1, RANKS);
             assert_sync_neutral(&format!("histogram/{}", dist.name()), topo, |machine| {
-                histogram_sort_with_engine(machine, &hist_cfg, input.clone(), ExchangeEngine::Flat)
-                    .0
+                histogram_sort(machine, &hist_cfg, input.clone()).0
             });
             let over_cfg = OverPartitioningConfig::recommended(RANKS);
             assert_sync_neutral(&format!("overpartition/{}", dist.name()), topo, |machine| {
-                over_partitioning_sort_with_engine(
-                    machine,
-                    &over_cfg,
-                    input.clone(),
-                    ExchangeEngine::Flat,
-                )
-                .0
+                over_partitioning_sort(machine, &over_cfg, input.clone()).0
             });
             let radix_cfg = RadixConfig::recommended(RANKS);
             assert_sync_neutral(&format!("radix/{}", dist.name()), topo, |machine| {
-                radix_partition_sort_with_engine(
-                    machine,
-                    &radix_cfg,
-                    input.clone(),
-                    ExchangeEngine::Flat,
-                )
-                .0
+                radix_partition_sort(machine, &radix_cfg, input.clone()).0
             });
             assert_sync_neutral(&format!("bitonic/{}", dist.name()), topo, |machine| {
-                bitonic_sort_with_engine(machine, input.clone(), ExchangeEngine::Flat).0
+                bitonic_sort(machine, input.clone(), LocalSortAlgo::default()).0
             });
         }
     }
