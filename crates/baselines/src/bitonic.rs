@@ -8,12 +8,11 @@
 //! algorithms uncompetitive when `N ≫ p`, which is exactly the comparison
 //! point the paper makes in §4.2.
 
+use hss_core::charged_local_sort;
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
-
-use crate::common::local_sort_phase;
 
 /// Block bitonic sort, end to end, with `local_sort` running the initial
 /// block sorts and the merge-split sorts.  Requires the rank count to be a
@@ -28,7 +27,9 @@ pub fn bitonic_sort<T: Keyed + Ord + RadixSortable>(
     assert_eq!(input.len(), p, "one input vector per rank");
     let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
 
-    local_sort_phase(machine, &mut input, local_sort);
+    machine.local_phase(Phase::LocalSort, &mut input, |_rank, local| {
+        charged_local_sort(local_sort, local)
+    });
 
     let stages = p.trailing_zeros();
     for stage in 0..stages {

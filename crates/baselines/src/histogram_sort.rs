@@ -8,16 +8,17 @@
 //! bisects key space rather than rank space, the number of rounds is only
 //! bounded by `log(key range)` and grows for skewed distributions — exactly
 //! the weakness HSS's sampled probes remove (and what Figure 6.2's
-//! HSS-vs-"Old" comparison shows).
+//! HSS-vs-"Old" comparison shows).  Key-space bisection is a
+//! [`SplitterPolicy`] of the one pipeline, so that comparison differs in
+//! splitter determination alone.
 
-use hss_core::report::{RoundStats, SortReport, SplitterReport};
+use hss_core::report::SplitterReport;
 use hss_core::theory::rank_tolerance;
-use hss_keygen::{ByteKey, Key, Keyed};
+use hss_core::{exact_ranks, key_extent, RoundProgress, SortedSource, SplitterPolicy};
+use hss_keygen::{ByteKey, Key};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{global_ranks, SplitterIntervals, SplitterSet};
+use hss_partition::{SplitterIntervals, SplitterSet};
 use hss_sim::{Machine, Phase};
-
-use crate::common::{finish_splitter_sort, local_sort_phase};
 
 /// Keys whose range can be subdivided evenly — needed by classic histogram
 /// sort, which generates probes by splitting *key space* (it has no sample
@@ -146,158 +147,93 @@ impl HistogramSortConfig {
     }
 }
 
-/// Determine splitters with classic (unsampled) histogramming.
-pub fn histogram_sort_splitters<T>(
-    machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
-    buckets: usize,
-    config: &HistogramSortConfig,
-) -> (SplitterSet<T::K>, SplitterReport)
-where
-    T: Keyed,
-    T::K: SubdividableKey + RadixSortable,
-{
-    assert!(buckets >= 1);
-    let total_keys: u64 = per_rank_sorted.iter().map(|v| v.len() as u64).sum();
-    let tolerance = rank_tolerance(total_keys, buckets, config.epsilon);
-    let mut intervals: SplitterIntervals<T::K> = SplitterIntervals::new(total_keys, buckets);
-    let mut report = SplitterReport {
-        buckets,
-        total_keys,
-        tolerance,
-        rounds: Vec::new(),
-        total_sample_size: 0,
-        all_finalized: buckets <= 1,
-    };
-    if buckets <= 1 || total_keys == 0 {
-        let keys = if buckets <= 1 { Vec::new() } else { intervals.best_splitter_keys() };
-        return (SplitterSet::new(keys), report);
-    }
-
-    // The data's key extent (needed for the initial evenly spread probe).
-    let (min_key, max_key) = data_extent(per_rank_sorted);
-
-    let mut round = 0usize;
-    loop {
-        round += 1;
-        let open_before = intervals.unfinalized_count(tolerance);
-
-        // Build this round's probe: evenly spread over the whole extent in
-        // round 1, evenly spread inside each open splitter interval after.
-        let mut probes: Vec<T::K> = if round == 1 {
-            T::K::subdivide(min_key, max_key, config.probes_per_round + 1)
-        } else {
-            let open = intervals.open_key_intervals(tolerance);
-            let per_interval = (config.probes_per_round / open.len().max(1)).max(1);
-            let mut v = Vec::new();
-            for (lo, hi) in open {
-                let lo = clamp_key(lo, min_key, max_key);
-                let hi = clamp_key(hi, min_key, max_key);
-                v.extend(T::K::subdivide(lo, hi, per_interval + 1));
-            }
-            v
+/// Key-space bisection: refine evenly spread probes inside the open
+/// splitter intervals until every splitter is within tolerance.  The rounds
+/// are reported but not observed: the probes are generated, not sampled,
+/// and the overlapped schedule moves this policy's buckets in one exchange.
+impl<K: SubdividableKey + RadixSortable> SplitterPolicy<K> for HistogramSortConfig {
+    fn splitters<S, F>(
+        &self,
+        machine: &mut Machine,
+        sources: &mut [&mut S],
+        buckets: usize,
+        _on_round: F,
+    ) -> (SplitterSet<K>, SplitterReport)
+    where
+        S: SortedSource<K> + ?Sized,
+        F: FnMut(&mut Machine, &RoundProgress<'_, K>),
+    {
+        assert!(buckets >= 1);
+        let total_keys: u64 = sources.iter().map(|source| source.len() as u64).sum();
+        let tolerance = rank_tolerance(total_keys, buckets, self.epsilon);
+        let mut intervals: SplitterIntervals<K> = SplitterIntervals::new(total_keys, buckets);
+        let mut report = SplitterReport {
+            buckets,
+            total_keys,
+            tolerance,
+            rounds: Vec::new(),
+            total_sample_size: 0,
+            all_finalized: buckets <= 1,
         };
-        config.local_sort.sort_slice(&mut probes);
-        probes.dedup();
-        if probes.is_empty() {
-            // Key ranges too narrow to subdivide further: cannot refine.
-            break;
-        }
 
-        machine.broadcast(Phase::Histogramming, &probes);
-        let ranks = global_ranks(machine, per_rank_sorted, &probes, Phase::Histogramming);
-        intervals.update(&probes, &ranks);
+        // The data's key extent, for the initial evenly spread probe (none
+        // to split with one bucket, none to find without keys).
+        let extent = if buckets > 1 { key_extent(sources) } else { None };
+        if let Some((min_key, max_key)) = extent {
+            let mut round = 0usize;
+            loop {
+                round += 1;
+                let open_before = intervals.unfinalized_count(tolerance);
 
-        let open_after = intervals.unfinalized_count(tolerance);
-        let widths = intervals.interval_widths();
-        report.rounds.push(RoundStats {
-            round,
-            sample_size: probes.len(),
-            // Classic histogram sort's probes are generated, not sampled;
-            // the deduplicated probe set is what was broadcast.
-            probe_count: probes.len(),
-            open_before,
-            open_after,
-            max_interval_width: widths.iter().copied().max().unwrap_or(0),
-            mean_interval_width: if widths.is_empty() {
-                0.0
-            } else {
-                widths.iter().sum::<u64>() as f64 / widths.len() as f64
-            },
-            union_rank_size: intervals.union_rank_size(tolerance),
-            covered_fraction: intervals.covered_fraction(tolerance),
-        });
-        report.total_sample_size += probes.len();
+                // This round's probe: evenly spread over the whole extent in
+                // round 1, evenly spread inside each open splitter interval
+                // after.
+                let mut probes: Vec<K> = if round == 1 {
+                    K::subdivide(min_key, max_key, self.probes_per_round + 1)
+                } else {
+                    let open = intervals.open_key_intervals(tolerance);
+                    let per_interval = (self.probes_per_round / open.len().max(1)).max(1);
+                    let mut v = Vec::new();
+                    for (lo, hi) in open {
+                        let (lo, hi) = (lo.clamp(min_key, max_key), hi.clamp(min_key, max_key));
+                        v.extend(K::subdivide(lo, hi, per_interval + 1));
+                    }
+                    v
+                };
+                self.local_sort.sort_slice(&mut probes);
+                probes.dedup();
+                if probes.is_empty() {
+                    // Key ranges too narrow to subdivide further: cannot
+                    // refine.
+                    break;
+                }
 
-        if open_after == 0 || round >= config.max_rounds {
-            break;
-        }
-    }
-    report.all_finalized = intervals.all_finalized(tolerance);
-    let splitters = SplitterSet::new(intervals.best_splitter_keys());
-    (splitters, report)
-}
+                machine.broadcast(Phase::Histogramming, &probes);
+                let ranks = exact_ranks(machine, sources, &probes);
+                intervals.update(&probes, &ranks);
 
-/// Classic histogram sort end to end.
-pub fn histogram_sort<T>(
-    machine: &mut Machine,
-    config: &HistogramSortConfig,
-    mut input: Vec<Vec<T>>,
-) -> (Vec<Vec<T>>, SortReport)
-where
-    T: Keyed + Ord + RadixSortable,
-    T::K: SubdividableKey + RadixSortable,
-{
-    assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
-    let p = machine.ranks();
-    local_sort_phase(machine, &mut input, config.local_sort);
-    let (splitters, report) = histogram_sort_splitters(machine, &input, p, config);
-    finish_splitter_sort(
-        machine,
-        "histogram-sort-classic",
-        &input,
-        &splitters,
-        report,
-        config.local_sort,
-    )
-}
+                // Classic histogram sort's probes are generated, not
+                // sampled; the deduplicated probe set is what was broadcast.
+                let open_after =
+                    report.record_round(&intervals, round, probes.len(), probes.len(), open_before);
 
-fn data_extent<T: Keyed>(per_rank_sorted: &[Vec<T>]) -> (T::K, T::K) {
-    let mut min_key = T::K::MAX_KEY;
-    let mut max_key = T::K::MIN_KEY;
-    for local in per_rank_sorted {
-        if let Some(first) = local.first() {
-            if first.key() < min_key {
-                min_key = first.key();
+                if open_after == 0 || round >= self.max_rounds {
+                    break;
+                }
             }
+            report.all_finalized = intervals.all_finalized(tolerance);
         }
-        if let Some(last) = local.last() {
-            if last.key() > max_key {
-                max_key = last.key();
-            }
-        }
-    }
-    if min_key > max_key {
-        (T::K::MIN_KEY, T::K::MAX_KEY)
-    } else {
-        (min_key, max_key)
-    }
-}
-
-fn clamp_key<K: Key>(k: K, lo: K, hi: K) -> K {
-    if k < lo {
-        lo
-    } else if k > hi {
-        hi
-    } else {
-        k
+        let keys = if buckets <= 1 { Vec::new() } else { intervals.best_splitter_keys() };
+        let splitters = SplitterSet::new(keys);
+        machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
+        (splitters, report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hss_core::{determine_splitters, HssConfig};
+    use hss_core::{determine_splitters, HssConfig, SortOutcome, Sorter};
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
 
@@ -356,7 +292,8 @@ mod tests {
         let input = KeyDistribution::Uniform.generate_per_rank(p, 1500, 5);
         let mut machine = Machine::flat(p);
         let cfg = HistogramSortConfig::new(0.05, p);
-        let (out, report) = histogram_sort(&mut machine, &cfg, input.clone());
+        let outcome = cfg.sort(&mut machine, input.clone());
+        let (out, report) = (outcome.data, outcome.report);
         verify_global_sort(&input, &out).unwrap();
         assert!(report.load_balance.satisfies(0.05), "imbalance {}", report.imbalance());
         assert!(report.splitters.as_ref().unwrap().all_finalized);
@@ -372,9 +309,9 @@ mod tests {
         let cfg = HistogramSortConfig::new(eps, p);
 
         let mut m1 = Machine::flat(p);
-        let (_o1, r1) = histogram_sort(&mut m1, &cfg, uniform);
+        let r1 = cfg.sort(&mut m1, uniform).report;
         let mut m2 = Machine::flat(p);
-        let (o2, r2) = histogram_sort(&mut m2, &cfg, skewed.clone());
+        let SortOutcome { data: o2, report: r2 } = cfg.sort(&mut m2, skewed.clone());
         verify_global_sort(&skewed, &o2).unwrap();
         let rounds_uniform = r1.splitters.as_ref().unwrap().rounds_executed();
         let rounds_skewed = r2.splitters.as_ref().unwrap().rounds_executed();
@@ -399,8 +336,10 @@ mod tests {
             v.sort_unstable();
         }
         let mut m1 = Machine::flat(p);
+        let mut slices: Vec<&[u64]> = input.iter().map(Vec::as_slice).collect();
+        let mut sources: Vec<&mut &[u64]> = slices.iter_mut().collect();
         let (_s1, classic) =
-            histogram_sort_splitters(&mut m1, &input, p, &HistogramSortConfig::new(eps, p));
+            HistogramSortConfig::new(eps, p).splitters(&mut m1, &mut sources, p, |_, _| {});
         let mut m2 = Machine::flat(p);
         let (_s2, hss) = determine_splitters(
             &mut m2,
@@ -421,7 +360,7 @@ mod tests {
         let input: Vec<Vec<u64>> = vec![vec![3, 1, 2]];
         let mut machine = Machine::flat(1);
         let cfg = HistogramSortConfig::new(0.05, 1);
-        let (out, report) = histogram_sort(&mut machine, &cfg, input);
+        let SortOutcome { data: out, report } = cfg.sort(&mut machine, input);
         assert_eq!(out, vec![vec![1, 2, 3]]);
         assert!(report.splitters.as_ref().unwrap().all_finalized);
     }

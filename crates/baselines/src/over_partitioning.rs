@@ -9,15 +9,19 @@
 //! adaptation keeps the over-decomposition idea but assigns *contiguous
 //! groups* of buckets to processors, greedily equalising the estimated group
 //! loads; the group boundaries then act as ordinary splitters and the rest
-//! of the algorithm proceeds like sample sort.
+//! of the algorithm — the one pipeline's exchange and merge — proceeds like
+//! sample sort.
 
-use hss_core::report::SortReport;
-use hss_keygen::{rank_rng, Keyed};
+use hss_core::report::SplitterReport;
+use hss_core::theory::rank_tolerance;
+use hss_core::{sample_at, RoundProgress, SortedSource, SplitterPolicy};
+use hss_keygen::{rank_rng, Key};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{random_block_sample, SplitterSet};
-use hss_sim::{CostModel, Machine, Phase, Work};
+use hss_partition::sampling::random_block_sample_positions;
+use hss_partition::{bucket_counts, SplitterSet};
+use hss_sim::{CostModel, Machine, Phase};
 
-use crate::common::{finish_splitter_sort, local_sort_phase, single_round_report};
+use crate::sample_sort::broadcast_one_shot;
 
 /// Configuration of the over-partitioning baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,66 +50,46 @@ impl OverPartitioningConfig {
     }
 }
 
-/// Parallel sorting by over-partitioning, end to end.
-pub fn over_partitioning_sort<T>(
-    machine: &mut Machine,
-    config: &OverPartitioningConfig,
-    mut input: Vec<Vec<T>>,
-) -> (Vec<Vec<T>>, SortReport)
-where
-    T: Keyed + Ord + RadixSortable,
-    T::K: RadixSortable,
-{
-    assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
-    assert!(config.ratio >= 1 && config.oversampling >= 1);
-    let p = machine.ranks();
-    let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
-    local_sort_phase(machine, &mut input, config.local_sort);
+/// Over-sample, cut `buckets · ratio` candidate buckets, group them into
+/// `buckets` contiguous groups of equal estimated load.
+impl<K: Key + RadixSortable> SplitterPolicy<K> for OverPartitioningConfig {
+    fn splitters<S, F>(
+        &self,
+        machine: &mut Machine,
+        sources: &mut [&mut S],
+        buckets: usize,
+        _on_round: F,
+    ) -> (SplitterSet<K>, SplitterReport)
+    where
+        S: SortedSource<K> + ?Sized,
+        F: FnMut(&mut Machine, &RoundProgress<'_, K>),
+    {
+        assert!(self.ratio >= 1 && self.oversampling >= 1);
+        let total_keys: u64 = sources.iter().map(|source| source.len() as u64).sum();
+        // Sampling: each processor contributes ratio * oversampling random
+        // keys.
+        let per_proc = self.ratio * self.oversampling;
+        let samples = sample_at(machine, sources, |rank, len| {
+            random_block_sample_positions(len, per_proc, &mut rank_rng(self.seed, rank))
+        });
+        let mut sample = machine.gather_to_root(Phase::Sampling, samples);
+        let sample_size = sample.len();
+        machine
+            .charge_modelled_compute(Phase::Histogramming, CostModel::sort_ops(sample_size as u64));
+        self.local_sort.sort_slice(&mut sample);
 
-    // Sampling: each processor contributes ratio * oversampling random keys.
-    let per_proc = config.ratio * config.oversampling;
-    let seed = config.seed;
-    let samples: Vec<Vec<T::K>> = machine.map_phase(Phase::Sampling, &input, |rank, local| {
-        let mut rng = rank_rng(seed, rank);
-        let s = random_block_sample(local, per_proc, &mut rng);
-        let w = Work::scan(s.len());
-        (s, w)
-    });
-    let mut sample = machine.gather_to_root(Phase::Sampling, samples);
-    let sample_size = sample.len();
-    machine.charge_modelled_compute(Phase::Histogramming, CostModel::sort_ops(sample_size as u64));
-    config.local_sort.sort_slice(&mut sample);
+        // Over-decomposition: buckets * k candidate buckets.
+        let candidates = SplitterSet::from_sorted_sample(&sample, buckets * self.ratio);
 
-    // Over-decomposition: p*k buckets via p*k - 1 candidate splitters.
-    let bucket_count = p * config.ratio;
-    let candidates = SplitterSet::from_sorted_sample(&sample, bucket_count);
-
-    // Estimate bucket loads from the sample itself and group contiguous
-    // buckets into p groups of roughly equal estimated load.
-    let est_loads = estimate_bucket_loads(&sample, &candidates);
-    let group_boundaries = group_contiguously(&est_loads, p);
-    let final_splitters: Vec<T::K> =
-        group_boundaries.iter().map(|&b| candidates.keys()[b - 1]).collect();
-    let splitters = SplitterSet::new(final_splitters);
-
-    let tolerance = hss_core::theory::rank_tolerance(total_keys, p, 0.05);
-    let report = single_round_report(p, total_keys, tolerance, sample_size);
-    finish_splitter_sort(
-        machine,
-        "over-partitioning",
-        &input,
-        &splitters,
-        report,
-        config.local_sort,
-    )
-}
-
-/// Number of sample keys falling in each candidate bucket.
-fn estimate_bucket_loads<K: hss_keygen::Key>(
-    sorted_sample: &[K],
-    candidates: &SplitterSet<K>,
-) -> Vec<u64> {
-    hss_partition::bucket_counts(sorted_sample, candidates)
+        // Estimate bucket loads from the sample itself and group contiguous
+        // buckets into `buckets` groups of roughly equal estimated load.
+        let est_loads = bucket_counts(&sample, &candidates);
+        let group_boundaries = group_contiguously(&est_loads, buckets);
+        let splitters =
+            SplitterSet::new(group_boundaries.iter().map(|&b| candidates.keys()[b - 1]).collect());
+        let tolerance = rank_tolerance(total_keys, buckets, 0.05);
+        broadcast_one_shot(machine, splitters, total_keys, tolerance, sample_size)
+    }
 }
 
 /// Split `loads` into `groups` contiguous groups with roughly equal sums;
@@ -137,6 +121,7 @@ fn group_contiguously(loads: &[u64], groups: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hss_core::Sorter;
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
 
@@ -161,7 +146,8 @@ mod tests {
         let input = KeyDistribution::Uniform.generate_per_rank(p, 1200, 3);
         let mut machine = Machine::flat(p);
         let cfg = OverPartitioningConfig::recommended(p);
-        let (out, report) = over_partitioning_sort(&mut machine, &cfg, input.clone());
+        let outcome = cfg.sort(&mut machine, input.clone());
+        let (out, report) = (outcome.data, outcome.report);
         verify_global_sort(&input, &out).unwrap();
         // Over-decomposition with k = log p and modest oversampling gives a
         // loose balance guarantee; accept a generous threshold.
@@ -175,7 +161,7 @@ mod tests {
         let input = KeyDistribution::PowerLaw { gamma: 4.0 }.generate_per_rank(p, 1200, 5);
         let mut machine = Machine::flat(p);
         let cfg = OverPartitioningConfig::recommended(p);
-        let (out, _report) = over_partitioning_sort(&mut machine, &cfg, input.clone());
+        let out = cfg.sort(&mut machine, input.clone()).data;
         verify_global_sort(&input, &out).unwrap();
     }
 }

@@ -13,12 +13,11 @@
 //! distribution concentrates digits and ruins load balance, unlike
 //! comparison/splitter-based methods.
 
+use hss_core::charged_local_sort;
 use hss_core::report::SortReport;
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
-
-use crate::common::local_sort_phase;
 
 /// Configuration for the radix-partition baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,55 +36,10 @@ impl RadixConfig {
     }
 }
 
-/// Items sortable by radix: they expose a `u64` view of their key whose
-/// numeric order equals the key order.
-pub trait RadixKeyed: Keyed {
-    /// The key as an order-preserving 64-bit unsigned integer.
-    fn radix_key(&self) -> u64;
-}
-
-impl RadixKeyed for u64 {
-    fn radix_key(&self) -> u64 {
-        *self
-    }
-}
-
-impl RadixKeyed for u32 {
-    fn radix_key(&self) -> u64 {
-        *self as u64
-    }
-}
-
-impl RadixKeyed for hss_keygen::Record {
-    fn radix_key(&self) -> u64 {
-        self.key
-    }
-}
-
-/// Big-endian prefix view: the first `min(N, 8)` key bytes as a `u64`,
-/// left-aligned for short keys.  Numeric order agrees with the key's
-/// lexicographic order; keys sharing an 8-byte prefix collapse to the same
-/// digit, which only coarsens the distribution pass (the final local sort
-/// still orders them fully).
-impl<const N: usize> RadixKeyed for hss_keygen::ByteKey<N> {
-    fn radix_key(&self) -> u64 {
-        let take = N.min(8);
-        let mut v = 0u64;
-        for &b in &self.as_bytes()[..take] {
-            v = (v << 8) | b as u64;
-        }
-        v << (8 * (8 - take))
-    }
-}
-
-impl<const K: usize, const V: usize> RadixKeyed for hss_keygen::WideRecord<K, V> {
-    fn radix_key(&self) -> u64 {
-        self.key.radix_key()
-    }
-}
-
-/// MSD radix partitioning followed by a local sort.
-pub fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
+/// MSD radix partitioning followed by a local sort.  Keys are routed by
+/// the top `digit_bits` of [`RadixSortable::radix_prefix`]`(0)`: the first
+/// eight digit bytes, left-aligned, whatever the carrier's width.
+pub fn radix_partition_sort<T: Keyed + Ord + RadixSortable>(
     machine: &mut Machine,
     config: &RadixConfig,
     input: Vec<Vec<T>>,
@@ -102,7 +56,7 @@ pub fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
         machine.map_phase(Phase::Histogramming, &input, |_r, local| {
             let mut counts = vec![0u64; buckets];
             for item in local {
-                counts[(item.radix_key() >> shift) as usize] += 1;
+                counts[(item.radix_prefix(0) >> shift) as usize] += 1;
             }
             (counts, Work::scan(local.len()))
         });
@@ -122,7 +76,7 @@ pub fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
         .map(|local| {
             let mut counts = vec![0usize; p];
             for item in local {
-                counts[bucket_to_rank[(item.radix_key() >> shift) as usize]] += 1;
+                counts[bucket_to_rank[(item.radix_prefix(0) >> shift) as usize]] += 1;
             }
             ExchangePlan::from_counts(counts)
         })
@@ -134,7 +88,7 @@ pub fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
         let mut cursor = plans[r].displs.clone();
         let mut dest: Vec<usize> = Vec::with_capacity(n);
         for item in &local {
-            let d = bucket_to_rank[(item.radix_key() >> shift) as usize];
+            let d = bucket_to_rank[(item.radix_prefix(0) >> shift) as usize];
             dest.push(cursor[d]);
             cursor[d] += 1;
         }
@@ -155,7 +109,9 @@ pub fn radix_partition_sort<T: RadixKeyed + Ord + RadixSortable>(
     });
 
     // Final local sort of each rank's bucket contents.
-    local_sort_phase(machine, &mut output, config.local_sort);
+    let algo = config.local_sort;
+    machine
+        .local_phase(Phase::LocalSort, &mut output, |_rank, local| charged_local_sort(algo, local));
 
     let report =
         SortReport::new("radix-partition", machine, config.local_sort, total_keys, None, &output);
@@ -221,22 +177,39 @@ mod tests {
     }
 
     #[test]
-    fn byte_key_radix_view_preserves_order() {
-        // 10-byte keys: the u64 view is the 8-byte prefix, so strict byte
-        // order implies non-strict numeric order (ties allowed past byte 8).
+    fn u32_keys_spread_across_ranks() {
+        // `u32` keys fill only the low half of a right-aligned `u64`, so a
+        // router reading the top digit bits there sends every key to rank 0.
+        let p = 8;
+        let input: Vec<Vec<u32>> = KeyDistribution::Uniform
+            .generate_per_rank(p, 1500, 3)
+            .into_iter()
+            .map(|rank| rank.into_iter().map(|k| (k >> 32) as u32).collect())
+            .collect();
+        let mut machine = Machine::flat(p);
+        let cfg = RadixConfig::recommended(p);
+        let (out, report) = radix_partition_sort(&mut machine, &cfg, input.clone());
+        verify_global_sort(&input, &out).unwrap();
+        assert!(report.load_balance.satisfies(0.30), "imbalance {}", report.imbalance());
+    }
+
+    #[test]
+    fn radix_prefix_is_left_aligned_for_every_carrier() {
+        // The router's digit: the first eight key bytes, left-aligned, so
+        // short keys populate the top bits and strict key order implies
+        // non-strict prefix order (ties past byte 8).
+        assert_eq!(0xABCDu32.radix_prefix(0), 0x0000_ABCD_0000_0000);
+        assert_eq!(ByteKey::<2>::new([0xAB, 0xCD]).radix_prefix(0), 0xABCD_0000_0000_0000);
         let keys: Vec<ByteKey<10>> =
             (0..500u64).map(|i| ByteKey::from_u64_prefix(i.wrapping_mul(0x9E37_79B9))).collect();
         let mut sorted = keys.clone();
         sorted.sort();
-        for w in sorted.windows(2) {
-            assert!(w[0].radix_key() <= w[1].radix_key());
-        }
-        // Short keys are left-aligned so the top digit_bits are populated.
-        let short = ByteKey::<2>::new([0xAB, 0xCD]);
-        assert_eq!(short.radix_key(), 0xABCD_0000_0000_0000);
-        // Wide records delegate to their key.
+        assert!(sorted.windows(2).all(|w| w[0].radix_prefix(0) <= w[1].radix_prefix(0)));
+        // Records route by their key's prefix.
         let rec = WideRecord::<10, 90>::with_derived_payload(keys[7]);
-        assert_eq!(rec.radix_key(), keys[7].radix_key());
+        assert_eq!(rec.radix_prefix(0), keys[7].radix_prefix(0));
+        let record = hss_keygen::Record::with_derived_payload(42);
+        assert_eq!(record.radix_prefix(0), 42u64.radix_prefix(0));
     }
 
     #[test]

@@ -12,14 +12,19 @@
 //! * random sampling (Blelloch et al.): one random key from each of
 //!   `s = 4(1+ε)·ln N/ε²` equal blocks — `Θ(p·log N/ε²)` keys overall
 //!   (Theorem 4.1.1).
+//!
+//! Both are one [`SplitterPolicy`] of the one pipeline: the local sort, the
+//! exchange and the merge are HSS's own, so the two differ from HSS only in
+//! how the splitters are found.
 
-use hss_core::report::SortReport;
-use hss_keygen::{rank_rng, Keyed};
+use hss_core::report::{RoundStats, SplitterReport};
+use hss_core::theory::rank_tolerance;
+use hss_core::{sample_at, RoundProgress, SortedSource, SplitterPolicy};
+use hss_keygen::{rank_rng, Key};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
-use hss_partition::{random_block_sample, regular_sample, SplitterSet};
-use hss_sim::{CostModel, Machine, Phase, Work};
-
-use crate::common::{finish_splitter_sort, local_sort_phase, single_round_report};
+use hss_partition::sampling::{random_block_sample_positions, regular_sample_positions};
+use hss_partition::SplitterSet;
+use hss_sim::{CostModel, Machine, Phase};
 
 /// Which sampling rule the sample-sort baseline uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,14 +76,14 @@ impl SampleSortConfig {
     }
 
     /// The per-processor sample count prescribed by the theory for an input
-    /// of `total_keys` keys over `ranks` processors.
-    pub fn prescribed_oversampling(&self, ranks: usize, total_keys: u64) -> usize {
+    /// of `total_keys` keys split into `buckets` buckets.
+    pub fn prescribed_oversampling(&self, buckets: usize, total_keys: u64) -> usize {
         if let Some(s) = self.oversampling_override {
             return s;
         }
         match self.method {
             // Lemma 4.1.1: s = p / epsilon.
-            SamplingMethod::Regular => ((ranks as f64) / self.epsilon).ceil() as usize,
+            SamplingMethod::Regular => ((buckets as f64) / self.epsilon).ceil() as usize,
             // Theorem 4.1.1 with c = 4 (1 + eps): s = c ln N / eps^2.
             SamplingMethod::Random => {
                 let n = (total_keys.max(2)) as f64;
@@ -89,76 +94,74 @@ impl SampleSortConfig {
     }
 }
 
-/// The name used in reports for a given method.
-fn algorithm_name(method: SamplingMethod) -> &'static str {
-    match method {
-        SamplingMethod::Regular => "sample-sort-regular",
-        SamplingMethod::Random => "sample-sort-random",
+/// Sample, sort the sample at the root, pick evenly spaced splitters.
+impl<K: Key + RadixSortable> SplitterPolicy<K> for SampleSortConfig {
+    fn splitters<S, F>(
+        &self,
+        machine: &mut Machine,
+        sources: &mut [&mut S],
+        buckets: usize,
+        _on_round: F,
+    ) -> (SplitterSet<K>, SplitterReport)
+    where
+        S: SortedSource<K> + ?Sized,
+        F: FnMut(&mut Machine, &RoundProgress<'_, K>),
+    {
+        assert!(self.epsilon > 0.0, "epsilon must be positive");
+        let total_keys: u64 = sources.iter().map(|source| source.len() as u64).sum();
+        let s = self.prescribed_oversampling(buckets, total_keys);
+        let per_rank_samples = sample_at(machine, sources, |rank, len| match self.method {
+            SamplingMethod::Regular => regular_sample_positions(len, s),
+            SamplingMethod::Random => {
+                random_block_sample_positions(len, s, &mut rank_rng(self.seed, rank))
+            }
+        });
+        let mut sample = machine.gather_to_root(Phase::Sampling, per_rank_samples);
+        // The central processor sorts the overall sample (p pieces, merge
+        // sort): O(S log p) comparisons per §5.1.1.
+        let p = machine.ranks().max(2) as u64;
+        machine.charge_modelled_compute(
+            Phase::Histogramming,
+            CostModel::merge_ops(sample.len() as u64, p),
+        );
+        self.local_sort.sort_slice(&mut sample);
+        let splitters = SplitterSet::from_sorted_sample(&sample, buckets);
+        let tolerance = rank_tolerance(total_keys, buckets, self.epsilon);
+        broadcast_one_shot(machine, splitters, total_keys, tolerance, sample.len())
     }
 }
 
-/// Run sample sort end to end and return the per-rank sorted output plus a
-/// report.
-pub fn sample_sort<T>(
+/// Broadcast a one-shot policy's splitters and report them as one round
+/// that gathered `sample_size` keys, ranked no probes and finalized all.
+pub(crate) fn broadcast_one_shot<K: Key>(
     machine: &mut Machine,
-    config: &SampleSortConfig,
-    mut input: Vec<Vec<T>>,
-) -> (Vec<Vec<T>>, SortReport)
-where
-    T: Keyed + Ord + RadixSortable,
-    T::K: RadixSortable,
-{
-    assert_eq!(input.len(), machine.ranks(), "one input vector per rank");
-    assert!(config.epsilon > 0.0, "epsilon must be positive");
-    let p = machine.ranks();
-    let total_keys: u64 = input.iter().map(|v| v.len() as u64).sum();
-
-    // Phase 1: local sort (both sampling rules need sorted local data).
-    local_sort_phase(machine, &mut input, config.local_sort);
-
-    // Phase 2: sampling.
-    let s = config.prescribed_oversampling(p, total_keys);
-    let seed = config.seed;
-    let method = config.method;
-    let per_rank_samples: Vec<Vec<T::K>> =
-        machine.map_phase(Phase::Sampling, &input, |rank, local| {
-            let sample = match method {
-                SamplingMethod::Regular => regular_sample(local, s),
-                SamplingMethod::Random => {
-                    let mut rng = rank_rng(seed, rank);
-                    random_block_sample(local, s, &mut rng)
-                }
-            };
-            let work = Work::scan(sample.len());
-            (sample, work)
-        });
-    let mut sample = machine.gather_to_root(Phase::Sampling, per_rank_samples);
-    let sample_size = sample.len();
-    // The central processor sorts the overall sample (p pieces, merge sort):
-    // O(S log p) comparisons per §5.1.1.
-    machine.charge_modelled_compute(
-        Phase::Histogramming,
-        CostModel::merge_ops(sample_size as u64, p.max(2) as u64),
-    );
-    config.local_sort.sort_slice(&mut sample);
-
-    // Phase 3: splitter selection + data movement.
-    let splitters = SplitterSet::from_sorted_sample(&sample, p);
-    let tolerance = hss_core::theory::rank_tolerance(total_keys, p, config.epsilon);
-    let report = single_round_report(p, total_keys, tolerance, sample_size);
-    finish_splitter_sort(
-        machine,
-        algorithm_name(config.method),
-        &input,
-        &splitters,
-        report,
-        config.local_sort,
-    )
+    splitters: SplitterSet<K>,
+    total_keys: u64,
+    tolerance: u64,
+    sample_size: usize,
+) -> (SplitterSet<K>, SplitterReport) {
+    machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
+    let buckets = splitters.buckets();
+    let report = SplitterReport {
+        buckets,
+        total_keys,
+        tolerance,
+        rounds: vec![RoundStats {
+            round: 1,
+            sample_size,
+            open_before: buckets - 1,
+            ..RoundStats::default()
+        }],
+        total_sample_size: sample_size,
+        all_finalized: true,
+    };
+    (splitters, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hss_core::{SortReport, Sorter};
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
 
@@ -175,8 +178,8 @@ mod tests {
             SamplingMethod::Regular => SampleSortConfig::regular(eps),
             SamplingMethod::Random => SampleSortConfig::random(eps),
         };
-        let (out, report) = sample_sort(&mut machine, &cfg, input.clone());
-        (out, report, input)
+        let outcome = cfg.sort(&mut machine, input.clone());
+        (outcome.data, outcome.report, input)
     }
 
     #[test]
@@ -242,7 +245,7 @@ mod tests {
         let mut machine = Machine::flat(p);
         let cfg =
             SampleSortConfig { oversampling_override: Some(10), ..SampleSortConfig::regular(0.1) };
-        let (_out, report) = sample_sort(&mut machine, &cfg, input);
+        let report = cfg.sort(&mut machine, input).report;
         assert_eq!(report.splitters.as_ref().unwrap().total_sample_size, 40);
     }
 

@@ -3,27 +3,48 @@
 //! Each baseline's config type implements the unified
 //! [`hss_core::Sorter`] trait, so one `SortRequest` signature serves the
 //! whole comparison field: benchmarks iterate a `Vec<Box<dyn Sorter<u64>>>`
-//! instead of hand-writing one call per algorithm.  The generic
+//! instead of hand-writing one call per algorithm.  A splitter policy sorts
+//! through the one pipeline under the default [`HssConfig`].  The generic
 //! [`standard_sorters_for`] registry builds the same field over any record
 //! type that satisfies every baseline's key bounds — e.g. 100-byte
 //! [`hss_keygen::TeraRecord`]s.
 
-use hss_core::{SortOutcome, Sorter};
+use hss_core::{HssConfig, HssSorter, SortOutcome, Sorter, SplitterPolicy};
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::Machine;
 
 use crate::bitonic::bitonic_sort;
-use crate::histogram_sort::{histogram_sort, HistogramSortConfig, SubdividableKey};
-use crate::over_partitioning::{over_partitioning_sort, OverPartitioningConfig};
-use crate::radix::{radix_partition_sort, RadixConfig, RadixKeyed};
-use crate::sample_sort::{sample_sort, SampleSortConfig, SamplingMethod};
+use crate::histogram_sort::{HistogramSortConfig, SubdividableKey};
+use crate::over_partitioning::OverPartitioningConfig;
+use crate::radix::{radix_partition_sort, RadixConfig};
+use crate::sample_sort::{SampleSortConfig, SamplingMethod};
 
 /// Marker for the bitonic baseline, which has no tunable configuration: it
 /// runs the default local sort.  Requires a power-of-two rank count, like
 /// [`bitonic_sort`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BitonicSorter;
+
+/// Sort through the one pipeline with `policy`'s splitters, the default
+/// [`HssConfig`] running `local_sort`, and report the run as `algorithm`.
+fn pipeline_sort<T, P>(
+    algorithm: &str,
+    policy: P,
+    local_sort: LocalSortAlgo,
+    machine: &mut Machine,
+    input: Vec<Vec<T>>,
+) -> SortOutcome<T>
+where
+    T: Keyed + Ord + RadixSortable,
+    T::K: RadixSortable,
+    P: SplitterPolicy<T::K>,
+{
+    let config = HssConfig::default().with_local_sort(local_sort);
+    let mut outcome = HssSorter::with_splitters(config, policy).sort(machine, input);
+    outcome.report.algorithm = algorithm.to_string();
+    outcome
+}
 
 impl<T> Sorter<T> for SampleSortConfig
 where
@@ -38,8 +59,7 @@ where
     }
 
     fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
-        let (data, report) = sample_sort(machine, self, input);
-        SortOutcome { data, report }
+        pipeline_sort(Sorter::<T>::algorithm(self), *self, self.local_sort, machine, input)
     }
 }
 
@@ -53,8 +73,7 @@ where
     }
 
     fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
-        let (data, report) = histogram_sort(machine, self, input);
-        SortOutcome { data, report }
+        pipeline_sort(Sorter::<T>::algorithm(self), *self, self.local_sort, machine, input)
     }
 }
 
@@ -68,14 +87,13 @@ where
     }
 
     fn sort(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T> {
-        let (data, report) = over_partitioning_sort(machine, self, input);
-        SortOutcome { data, report }
+        pipeline_sort(Sorter::<T>::algorithm(self), *self, self.local_sort, machine, input)
     }
 }
 
 impl<T> Sorter<T> for RadixConfig
 where
-    T: RadixKeyed + Ord + RadixSortable + Clone,
+    T: Keyed + Ord + RadixSortable + Clone,
     T::K: RadixSortable,
 {
     fn algorithm(&self) -> &'static str {
@@ -112,14 +130,14 @@ pub fn standard_sorters(ranks: usize, epsilon: f64) -> Vec<Box<dyn Sorter<u64>>>
 }
 
 /// [`standard_sorters`] generalised to any record type that satisfies every
-/// baseline's key bounds: a subdividable key for classic histogram sort and
-/// an order-preserving `u64` radix view for the radix baseline.  `u64`,
+/// baseline's key bounds: a subdividable key for classic histogram sort.
+/// `u64`,
 /// [`hss_keygen::Record`], [`hss_keygen::ByteKey`] and
 /// [`hss_keygen::WideRecord`] (hence [`hss_keygen::TeraRecord`]) all
 /// qualify.
 pub fn standard_sorters_for<T>(ranks: usize, epsilon: f64) -> Vec<Box<dyn Sorter<T>>>
 where
-    T: Keyed + RadixKeyed + Ord + RadixSortable + Clone + 'static,
+    T: Keyed + Ord + RadixSortable + Clone + 'static,
     T::K: SubdividableKey + RadixSortable,
 {
     vec![
@@ -163,7 +181,8 @@ mod tests {
         let cfg = SampleSortConfig::regular(0.2);
 
         let mut direct_machine = Machine::flat(p);
-        let (direct, _) = sample_sort(&mut direct_machine, &cfg, input.clone());
+        let pipeline = HssSorter::with_splitters(HssConfig::default(), cfg);
+        let direct = pipeline.sort(&mut direct_machine, input.clone()).data;
 
         let mut trait_machine = Machine::flat(p);
         let through_trait = cfg.run(&mut trait_machine, SortRequest::new(input)).unwrap();

@@ -12,8 +12,8 @@
 //! determination is the largest layer of a sort.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hss_baselines::{histogram_sort_splitters, HistogramSortConfig};
-use hss_core::{determine_splitters, HssConfig, RoundSchedule};
+use hss_baselines::HistogramSortConfig;
+use hss_core::{determine_splitters, HssConfig, RoundSchedule, SplitterPolicy};
 use hss_keygen::KeyDistribution;
 use hss_sim::{CostModel, Machine, Topology};
 
@@ -67,7 +67,9 @@ fn bench_splitter_determination(c: &mut Criterion) {
         let cfg = HistogramSortConfig::new(EPS, P);
         b.iter(|| {
             let mut machine = Machine::flat(P);
-            histogram_sort_splitters(&mut machine, &data, P, &cfg)
+            let mut slices: Vec<&[u64]> = data.iter().map(Vec::as_slice).collect();
+            let mut sources: Vec<&mut &[u64]> = slices.iter_mut().collect();
+            cfg.splitters(&mut machine, &mut sources, P, |_, _| {})
         })
     });
 

@@ -3,9 +3,8 @@
 //! binaries print and persist them.
 
 use hss_analysis::{table_5_1_costs, Algorithm};
-use hss_baselines::common::{finish_splitter_sort, local_sort_phase};
-use hss_baselines::{histogram_sort_splitters, HistogramSortConfig};
-use hss_core::{determine_splitters, theory, HssConfig, HssSorter, RoundSchedule};
+use hss_baselines::HistogramSortConfig;
+use hss_core::{determine_splitters, theory, HssConfig, HssSorter, RoundSchedule, Sorter};
 use hss_keygen::{ChangaDataset, KeyDistribution, Record};
 use hss_partition::{exact_splitters, tree_height, DecisionTree};
 use hss_sim::{CostModel, Machine, Phase, Topology};
@@ -348,19 +347,13 @@ pub fn figure_6_2_rows(scale: Scale, seed: u64) -> Vec<Figure62Row> {
             // Classic histogram sort ("Old" in the figure legend).
             {
                 let mut machine = Machine::new(Topology::flat(p), CostModel::bluegene_like());
-                let mut sorted = keys.clone();
-                let cfg = HistogramSortConfig::new(eps, p);
-                local_sort_phase(&mut machine, &mut sorted, cfg.local_sort);
-                let (splitters, report) = histogram_sort_splitters(&mut machine, &sorted, p, &cfg);
-                let (_out, sort_report) = finish_splitter_sort(
-                    &mut machine,
+                let outcome = HistogramSortConfig::new(eps, p).sort(&mut machine, keys.clone());
+                rows.push(figure_6_2_row(
+                    &dataset.name,
+                    p,
                     "histogram-sort-classic",
-                    &sorted,
-                    &splitters,
-                    report,
-                    cfg.local_sort,
-                );
-                rows.push(figure_6_2_row(&dataset.name, p, "histogram-sort-classic", &sort_report));
+                    &outcome.report,
+                ));
             }
         }
     }

@@ -14,9 +14,10 @@ use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::sampling::random_block_sample_positions;
 use hss_partition::{local_ranks_work, ProbeIndex};
-use hss_sim::{Machine, Phase, Work};
+use hss_sim::{Machine, Phase};
+use rayon::prelude::*;
 
-use crate::multi_round::SortedSource;
+use crate::multi_round::{sample_at, SortedSource};
 
 use serde::{Deserialize, Serialize};
 
@@ -120,15 +121,19 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
     where
         K: RadixSortable,
     {
-        let per_rank = machine.map_phase_mut(Phase::Sampling, sources, move |rank, source| {
+        let lens: Vec<usize> = sources.iter().map(|source| source.len()).collect();
+        let samples = sample_at(machine, sources, |rank, len| {
             let mut rng = hss_keygen::rank_rng(seed ^ 0x5A5A, rank);
-            let local_len = source.len();
-            let positions = random_block_sample_positions(local_len, sample_size, &mut rng);
-            let mut samples = source.keys_at(&positions);
-            local_sort.sort_slice(&mut samples);
-            let work = Work::scan(samples.len()).and(source.take_disk_work());
-            (RepresentativeSample { samples, local_len }, work)
+            random_block_sample_positions(len, sample_size, &mut rng)
         });
+        let per_rank = samples
+            .into_par_iter()
+            .zip(lens)
+            .map(|(mut samples, local_len)| {
+                local_sort.sort_slice(&mut samples);
+                RepresentativeSample { samples, local_len }
+            })
+            .collect();
         Self { per_rank }
     }
 
@@ -228,11 +233,11 @@ mod tests {
 
     #[test]
     fn representative_sample_estimates_local_rank() {
-        let local: Vec<u64> = (0..10_000).collect();
+        // Keys 0..10 000: each key is its position.
         let mut rng = hss_keygen::rank_rng(3, 0);
-        let mut samples = hss_partition::sampling::random_block_sample(&local, 100, &mut rng);
+        let mut samples = random_block_sample_positions(10_000, 100, &mut rng);
         samples.sort_unstable();
-        let rs = RepresentativeSample { samples, local_len: local.len() };
+        let rs = RepresentativeSample { samples, local_len: 10_000 };
         // True local rank of 5000 is 5000; block size is 100, so the
         // estimate is within one block of the truth.
         let est = rs.estimated_local_rank_le(5000);

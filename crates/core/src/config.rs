@@ -150,15 +150,18 @@ impl ExtSortPolicy {
 }
 
 /// Configuration for [`crate::sorter::HssSorter`] and
-/// [`crate::multi_round::determine_splitters`].
+/// [`crate::multi_round::determine_splitters`].  Fields marked *HSS policy*
+/// are read by HSS's splitter determination alone, so a sorter built by
+/// [`HssSorter::with_splitters`](crate::HssSorter::with_splitters) ignores
+/// them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HssConfig {
-    /// Load-imbalance threshold ε: no rank may end up with more than
-    /// `N(1 + ε)/p` keys.
+    /// *HSS policy.* Load-imbalance threshold ε: no rank may end up with
+    /// more than `N(1 + ε)/p` keys.
     pub epsilon: f64,
-    /// The sampling/round schedule.
+    /// *HSS policy.* The sampling/round schedule.
     pub schedule: RoundSchedule,
-    /// How splitters are finalized.
+    /// *HSS policy.* How splitters are finalized.
     pub splitter_rule: SplitterRule,
     /// Use node-level data partitioning and message combining (§6.1): the
     /// histogram determines `n − 1` node splitters, the exchange combines
@@ -170,14 +173,15 @@ pub struct HssConfig {
     pub within_node_epsilon: f64,
     /// Break ties among duplicate keys by implicitly tagging every key with
     /// `(PE, local index)` (§4.3).  Required for the load-balance guarantee
-    /// on duplicate-heavy inputs.
+    /// on duplicate-heavy inputs.  HSS-only: a sorter of another splitter
+    /// policy panics when it is set.
     pub tag_duplicates: bool,
-    /// Answer histogram rounds from a per-rank representative sample of
-    /// `O(√(p log p)/ε)` keys (§3.4) instead of the full local data.  The
-    /// histogram becomes approximate (within `εN/p` per query w.h.p.,
-    /// Theorem 3.4.1), so the effective tolerance used to finalize splitters
-    /// is tightened accordingly; in exchange each histogramming round costs
-    /// `O(S log s)` instead of `O(S log(N/p))` per rank.
+    /// *HSS policy.* Answer histogram rounds from a per-rank representative
+    /// sample of `O(√(p log p)/ε)` keys (§3.4) instead of the full local
+    /// data.  The histogram becomes approximate (within `εN/p` per query
+    /// w.h.p., Theorem 3.4.1), so the effective tolerance used to finalize
+    /// splitters is tightened accordingly; in exchange each histogramming
+    /// round costs `O(S log s)` instead of `O(S log(N/p))` per rank.
     pub approximate_histograms: bool,
     /// Which algorithm the local (per-rank) sorts run:
     /// [`LocalSortAlgo::Radix`] (the default — in-place MSD radix from
@@ -206,7 +210,7 @@ pub struct HssConfig {
     /// they keep everything in memory whatever it says, as does `None`
     /// (the default).
     pub ext_sort: Option<ExtSortPolicy>,
-    /// Seed for all sampling randomness (deterministic runs).
+    /// *HSS policy.* Seed for all sampling randomness (deterministic runs).
     pub seed: u64,
 }
 

@@ -15,7 +15,10 @@
 //!   (local sort → splitter determination → exchange → finish) with
 //!   theoretical (§3.1/§3.3) and practical (§6.1.2, constant oversampling)
 //!   round schedules and optional duplicate tagging (§4.3).  Behind it
-//!   sits **one** pipeline (the private `pipeline` module) whose three
+//!   sits **one** pipeline (the private `pipeline` module).  Its one
+//!   *chosen* axis is the algorithm — the [`SplitterPolicy`], HSS unless
+//!   [`HssSorter::with_splitters`] picks one of `hss-baselines`' sample
+//!   sorts, classic histogram sort or over-partitioning.  Its other three
 //!   axes are derived, never set: the bucket *granularity* from the
 //!   topology and [`HssConfig::node_level`] (rank buckets merged at the
 //!   rank, or §6.1 node buckets re-split at the node leader —
@@ -25,8 +28,8 @@
 //!   machine's [`SyncModel`](hss_sim::SyncModel) and the residency (one
 //!   Bsp all-to-all, the §4 staged exchange overlapping the histogram
 //!   rounds, or — once a rank spilled — bucket-ordered stages after the
-//!   splitters).  Every granularity runs under every schedule at every
-//!   residency; [`HssSorter::sort_seeded`] exposes the pipeline's
+//!   splitters).  Every policy runs at every granularity under every
+//!   schedule at every residency; [`HssSorter::sort_seeded`] exposes HSS's
 //!   warm-start and round-observer hooks;
 //! * [`out_of_core`] — [`HssSorter::sort_out_of_core`], the same pipeline
 //!   under a memory cap: ranks and owners over it spill to run files;
@@ -82,8 +85,11 @@ pub use config::{ExtSortPolicy, HssConfig, RoundSchedule, SplitterRule};
 pub use duplicates::Tagged;
 pub use hss_lsort::{LocalSortAlgo, RadixSortable};
 pub use local_sort::charged_local_sort;
-pub use multi_round::{determine_splitters, determine_splitters_seeded, RoundProgress, WarmStart};
+pub use multi_round::{
+    determine_splitters, determine_splitters_seeded, exact_ranks, key_extent, sample_at,
+    RoundProgress, SortedSource, SplitterPolicy, WarmStart,
+};
 pub use report::{RoundStats, SortReport, SplitterReport};
 pub use request::{SortRequest, Sorter};
 pub use scanning::{scanning_splitters, scanning_splitters_with, splitters_from_histogram};
-pub use sorter::{HssSorter, SortOutcome};
+pub use sorter::{Hss, HssSorter, SortOutcome};

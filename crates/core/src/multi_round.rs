@@ -25,11 +25,11 @@ use hss_partition::{
     local_ranks_work, merge_key_intervals_with, sampling, splitter_position, ProbeIndex,
     SplitterIntervals, SplitterSet,
 };
-use hss_sim::{CostModel, Machine, Phase, Work};
+use hss_sim::{CostModel, Machine, Phase, RankId, Work};
 
 use crate::approx_histogram::ApproxHistogrammer;
 use crate::config::{HssConfig, RoundSchedule, SplitterRule};
-use crate::report::{RoundStats, SplitterReport};
+use crate::report::SplitterReport;
 use crate::scanning;
 use crate::theory;
 
@@ -158,31 +158,67 @@ where
 {
     let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
     let mut sources: Vec<&mut &[T]> = sources.iter_mut().collect();
-    determine_splitters_from(machine, &mut sources, buckets, config, warm, on_round)
+    HssRounds { config, warm }.splitters(machine, &mut sources, buckets, on_round)
+}
+
+/// How the pipeline finds its splitters — the one axis of a sort a caller
+/// chooses ([`HssSorter::with_splitters`](crate::HssSorter::with_splitters));
+/// granularity, schedule and residency stay derived.  HSS is one policy;
+/// `hss-baselines` implements sample sort, classic histogram sort and
+/// over-partitioning on their configuration types.
+pub trait SplitterPolicy<K: Key> {
+    /// Determine `buckets − 1` splitters over the per-rank sorted
+    /// `sources`, then broadcast them ([`Phase::SplitterBroadcast`]), the
+    /// last superstep before the data moves.  A policy that runs
+    /// histogramming rounds calls `on_round` after each; the overlapped
+    /// schedule ships buckets from it.  A policy that never calls it has its
+    /// buckets moved in one exchange under every schedule.
+    fn splitters<S, F>(
+        &self,
+        machine: &mut Machine,
+        sources: &mut [&mut S],
+        buckets: usize,
+        on_round: F,
+    ) -> (SplitterSet<K>, SplitterReport)
+    where
+        S: SortedSource<K> + ?Sized,
+        F: FnMut(&mut Machine, &RoundProgress<'_, K>);
+}
+
+pub(crate) mod sealed {
+    /// Keeps [`SortedSource`](super::SortedSource) implemented in this crate.
+    pub trait Sealed {}
 }
 
 /// One rank's locally sorted data, from the first sample to the last sealed
 /// bucket: a sorted slice in memory, or the out-of-core tier's spilled run
 /// files.  *Where the data lives* is all an implementation decides.
+/// Sealed: the two residencies are this crate's, and policies outside it
+/// reach a source only through [`sample_at`], [`exact_ranks`] and
+/// [`key_extent`].
 ///
-/// **Probe half** — [`determine_splitters_from`] owns the supersteps, the
-/// charges and the RNG; sources only ever see the index positions it drew,
-/// so the chosen splitters (and therefore the output) cannot depend on
-/// which ranks spilled.
+/// **Probe half** — a [`SplitterPolicy`] owns the supersteps, the charges
+/// and the RNG; sources only ever see the index positions it drew, so the
+/// chosen splitters (and therefore the output) cannot depend on which
+/// ranks spilled.
 ///
 /// **Drain half** — once the splitters are known the pipeline opens every
 /// rank's drain and seals the buckets front to back.  A resident slice cuts
 /// itself at the splitter positions; a spilled store pulls its merge cursor
 /// up to each splitter.  Both cut at `partition_point(key < bound)`.
 ///
-/// Object safe, so that resident and spilled ranks can sit side by side
-/// ([`RankStore`]).
-pub(crate) trait SortedSource<K: Key>: Send {
+/// Object safe, so that resident and spilled ranks can sit side by side.
+pub trait SortedSource<K: Key>: sealed::Sealed + Send {
     /// The records this source holds.
     type Item: Keyed<K = K>;
 
     /// Number of local records (asked before the first bucket is sealed).
     fn len(&self) -> usize;
+
+    /// Whether the rank holds no records.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 
     /// The keys at the positions `draw` picks inside each of the (disjoint,
     /// sorted, inclusive) key `intervals`: `draw` is called once per
@@ -225,6 +261,8 @@ pub(crate) trait SortedSource<K: Key>: Send {
 /// once its ranks differ in residency.
 pub(crate) type RankStore<'a, T> = Box<dyn SortedSource<<T as Keyed>::K, Item = T> + 'a>;
 
+impl<T: Keyed> sealed::Sealed for &[T] {}
+
 impl<T: Keyed> SortedSource<T::K> for &[T] {
     type Item = T;
 
@@ -263,11 +301,67 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
     }
 }
 
-/// Rank a sorted probe set against the input: exact counting through the
-/// sources or the §3.4 representative-sample oracle, both one fused
-/// histogramming superstep ([`Machine::histogram_phase_mut`]) over one
-/// host-side [`ProbeIndex`] per round, charged to the histogramming phase
-/// as per-rank classification + reduction.
+/// One positioned-sampling superstep ([`Phase::Sampling`]): every rank
+/// returns the keys at the positions `positions(rank, len)` picks among its
+/// `len` sorted records, charged one scan step per key plus whatever disk
+/// traffic reading them took.  The positions depend only on `(rank, len)`,
+/// so a spilled rank draws the sample a resident rank would.
+pub fn sample_at<K, S>(
+    machine: &mut Machine,
+    sources: &mut [&mut S],
+    positions: impl Fn(RankId, usize) -> Vec<u64> + Sync,
+) -> Vec<Vec<K>>
+where
+    K: Key,
+    S: SortedSource<K> + ?Sized,
+{
+    machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
+        let keys = source.keys_at(&positions(rank, source.len()));
+        let work = Work::scan(keys.len()).and(source.take_disk_work());
+        (keys, work)
+    })
+}
+
+/// The exact global ranks of the sorted `probes` (keys strictly below
+/// each): one fused [`Machine::histogram_phase_mut`] over one
+/// [`ProbeIndex`], charged to [`Phase::Histogramming`].
+pub fn exact_ranks<K, S>(machine: &mut Machine, sources: &mut [&mut S], probes: &[K]) -> Vec<u64>
+where
+    K: Key,
+    S: SortedSource<K> + ?Sized,
+{
+    let index = ProbeIndex::new(probes);
+    machine.histogram_phase_mut(
+        Phase::Histogramming,
+        sources,
+        probes.len(),
+        |_rank, source, counts| {
+            source.add_bucket_counts(&index, counts);
+            local_ranks_work(source.len(), probes.len()).and(source.take_disk_work())
+        },
+    )
+}
+
+/// The smallest and the largest key over every rank, `None` if no rank
+/// holds one.  Read outside any superstep and charged nothing here: a
+/// spilled rank's two reads join the disk charge of its next superstep.
+pub fn key_extent<K, S>(sources: &mut [&mut S]) -> Option<(K, K)>
+where
+    K: Key,
+    S: SortedSource<K> + ?Sized,
+{
+    sources
+        .iter_mut()
+        .filter(|source| !source.is_empty())
+        .map(|source| {
+            let ends = source.keys_at(&[0, source.len() as u64 - 1]);
+            (ends[0], ends[1])
+        })
+        .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
+}
+
+/// Rank a sorted probe set against the input: [`exact_ranks`], or the §3.4
+/// representative-sample oracle's estimates.
 pub(crate) fn ranked<K, S>(
     machine: &mut Machine,
     sources: &mut [&mut S],
@@ -298,247 +392,211 @@ where
                 })
                 .collect()
         }
-        None => {
-            let index = ProbeIndex::new(probes);
-            machine.histogram_phase_mut(
-                Phase::Histogramming,
-                sources,
-                probes.len(),
-                |_rank, source, counts| {
-                    source.add_bucket_counts(&index, counts);
-                    local_ranks_work(source.len(), probes.len()).and(source.take_disk_work())
-                },
-            )
-        }
+        None => exact_ranks(machine, sources, probes),
     }
 }
 
-/// The splitter-determination driver behind [`determine_splitters_seeded`]:
-/// the rounds, supersteps and bookkeeping over one [`SortedSource`] per
-/// rank.  Over slices this is bitwise the historical algorithm; the
-/// out-of-core tier feeds it its rank stores, so splitters come straight
-/// from run files without materializing the sorted array.
-pub(crate) fn determine_splitters_from<K, S, F>(
-    machine: &mut Machine,
-    sources: &mut [&mut S],
-    buckets: usize,
-    config: &HssConfig,
-    warm: Option<&WarmStart<K>>,
-    mut on_round: F,
-) -> (SplitterSet<K>, SplitterReport)
-where
-    K: Key + RadixSortable,
-    S: SortedSource<K> + ?Sized,
-    F: FnMut(&mut Machine, &RoundProgress<'_, K>),
-{
-    config.validate().expect("invalid HSS configuration");
-    assert!(buckets >= 1, "need at least one bucket");
-    let total_keys: u64 = sources.iter().map(|s| s.len() as u64).sum();
-    // With approximate histograms (§3.4) every reported rank can be off by
-    // up to εN/p ≈ 2·tol, so the finalization tolerance is widened
-    // accordingly (the paper makes the same observation: a key reported
-    // within εN/p of the target is truly within 2εN/p).
-    let base_tolerance = theory::rank_tolerance(total_keys, buckets, config.epsilon);
-    let tolerance = if config.approximate_histograms { base_tolerance * 3 } else { base_tolerance };
-    let mut intervals: SplitterIntervals<K> = SplitterIntervals::new(total_keys, buckets);
-    let mut report = SplitterReport {
-        buckets,
-        total_keys,
-        tolerance,
-        rounds: Vec::new(),
-        total_sample_size: 0,
-        all_finalized: buckets <= 1,
-    };
+/// HSS's splitter policy (§3.3), as the HSS-only fields of `config`
+/// describe it, warm-started from `warm` if given.  Over slices this is
+/// bitwise the historical algorithm; the out-of-core tier feeds it its rank
+/// stores, so splitters come straight from run files without materializing
+/// the sorted array.
+pub(crate) struct HssRounds<'a, K: Key> {
+    pub(crate) config: &'a HssConfig,
+    pub(crate) warm: Option<&'a WarmStart<K>>,
+}
 
-    if buckets <= 1 || total_keys == 0 {
-        // Nothing to split.
-        let keys = if buckets <= 1 { Vec::new() } else { intervals.best_splitter_keys() };
-        return (SplitterSet::new(keys), report);
-    }
-
-    // Per-round sampling probabilities are derived from the schedule.
-    let plan = RoundPlan::new(&config.schedule, buckets, config.epsilon);
-
-    // Optional §3.4 speed-up: answer every histogram round from a per-rank
-    // representative sample instead of the full local data.  The ranks it
-    // returns are within εN/p of the truth w.h.p. (Theorem 3.4.1), so the
-    // achieved load balance degrades from (1 + ε) to roughly (1 + 2ε).
-    let rank_oracle = config.approximate_histograms.then(|| {
-        let sample_size =
-            ApproxHistogrammer::<K>::prescribed_sample_size(machine.ranks().max(2), config.epsilon);
-        ApproxHistogrammer::build_from(
-            machine,
-            sources,
-            sample_size,
-            config.seed ^ 0xA44A_1970,
-            config.local_sort,
-        )
-    });
-
-    // Keep the probes of the last round around for the scanning rule.
-    #[allow(unused_assignments)]
-    let mut last_round: Option<(Vec<K>, Vec<u64>)> = None;
-
-    let mut round = 0usize;
-    let mut finished = false;
-
-    // --- Warm-started probe-only round ----------------------------------
-    // The previous epoch's interval bounds are broadcast and re-ranked
-    // against the new keyspace; no sampling happens.  Near-stationary
-    // distributions collapse every open interval right here.
-    if let Some(warm) = warm.filter(|w| !w.is_empty()) {
-        round = 1;
-        let open_before = intervals.unfinalized_count(tolerance);
-        let probes = warm.probes().to_vec();
-        machine.broadcast(Phase::Histogramming, &probes);
-        let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
-        intervals.update(&probes, &ranks);
-        let open_after =
-            record_round(&mut report, &intervals, tolerance, round, 0, probes.len(), open_before);
-        finished = plan.is_done(round, open_after);
-        on_round(
-            machine,
-            &RoundProgress {
-                round,
-                intervals: &intervals,
-                tolerance,
-                is_last: finished,
-                probes: &probes,
-                ranks: &ranks,
-            },
-        );
-        last_round = Some((probes, ranks));
-    }
-
-    while !finished {
-        round += 1;
-        let open_before = intervals.unfinalized_count(tolerance);
-
-        // The key ranges the sampling phase draws from: the whole key space
-        // in round 1, the open splitter intervals afterwards.
-        let key_intervals: Vec<(K, K)> = if round == 1 {
-            vec![(K::MIN_KEY, K::MAX_KEY)]
-        } else {
-            merge_key_intervals_with(intervals.open_key_intervals(tolerance), config.local_sort)
-        };
-        // Number of input keys those ranges cover (G_{j-1}); exact because
-        // the interval bookkeeping tracks ranks.
-        let covered_keys =
-            if round == 1 { total_keys } else { intervals.union_rank_size(tolerance) };
-
-        let probability = plan.probability(round, total_keys, covered_keys);
-
-        // --- Sampling phase -------------------------------------------------
-        let seed = config.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let per_rank_samples: Vec<Vec<K>> =
-            machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
-                // Sampling Method 1: geometric-skip Bernoulli draws over
-                // each interval's index range.
-                let mut rng = rank_rng(seed, rank);
-                let sample = source.sample_in_intervals(&key_intervals, &mut |range| {
-                    sampling::bernoulli_sample_positions(range, probability, &mut rng)
-                });
-                // Charge the strategy `interval_bounds` actually executes
-                // for this shape (binary search / sweep / decision tree)
-                // plus the geometric-skip draw per emitted sample.
-                let work = sampling::interval_bounds_work(source.len(), key_intervals.len())
-                    .and(Work::scan(sample.len()));
-                (sample, work.and(source.take_disk_work()))
-            });
-
-        // Gather the sample at the central processor and sort it there.
-        // The root's sort of the gathered sample is part of the *sampling*
-        // step (it prepares the probes), not of histogramming; it sorts the
-        // full pre-dedup sample.  The host runs the configured local-sort
-        // algorithm, while the charge stays the comparison-model term —
-        // sample sorts are part of the splitter-determination cost the
-        // paper compares across algorithms, and they are asymptotically
-        // tiny (see the cost convention in `crate::local_sort`).
-        let mut probes: Vec<K> = machine.gather_to_root(Phase::Sampling, per_rank_samples);
-        let sample_size = probes.len();
-        machine.charge_modelled_compute(Phase::Sampling, CostModel::sort_ops(sample_size as u64));
-        config.local_sort.sort_slice(&mut probes);
-        probes.dedup();
-        let probe_count = probes.len();
-
-        // --- Histogramming phase --------------------------------------------
-        // Broadcast the probes, compute local histograms (exact or from the
-        // representative samples), reduce.
-        machine.broadcast(Phase::Histogramming, &probes);
-        let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
-        intervals.update(&probes, &ranks);
-
-        let open_after = record_round(
-            &mut report,
-            &intervals,
+impl<K: Key + RadixSortable> SplitterPolicy<K> for HssRounds<'_, K> {
+    fn splitters<S, F>(
+        &self,
+        machine: &mut Machine,
+        sources: &mut [&mut S],
+        buckets: usize,
+        mut on_round: F,
+    ) -> (SplitterSet<K>, SplitterReport)
+    where
+        S: SortedSource<K> + ?Sized,
+        F: FnMut(&mut Machine, &RoundProgress<'_, K>),
+    {
+        let Self { config, warm } = *self;
+        config.validate().expect("invalid HSS configuration");
+        assert!(buckets >= 1, "need at least one bucket");
+        let total_keys: u64 = sources.iter().map(|s| s.len() as u64).sum();
+        // With approximate histograms (§3.4) every reported rank can be off by
+        // up to εN/p ≈ 2·tol, so the finalization tolerance is widened
+        // accordingly (the paper makes the same observation: a key reported
+        // within εN/p of the target is truly within 2εN/p).
+        let base_tolerance = theory::rank_tolerance(total_keys, buckets, config.epsilon);
+        let tolerance =
+            if config.approximate_histograms { base_tolerance * 3 } else { base_tolerance };
+        let mut intervals: SplitterIntervals<K> = SplitterIntervals::new(total_keys, buckets);
+        let mut report = SplitterReport {
+            buckets,
+            total_keys,
             tolerance,
-            round,
-            sample_size,
-            probe_count,
-            open_before,
-        );
-        finished = plan.is_done(round, open_after);
-        on_round(
-            machine,
-            &RoundProgress {
-                round,
-                intervals: &intervals,
-                tolerance,
-                is_last: finished,
-                probes: &probes,
-                ranks: &ranks,
-            },
-        );
-        last_round = Some((probes, ranks));
-    }
+            rounds: Vec::new(),
+            total_sample_size: 0,
+            all_finalized: buckets <= 1,
+        };
 
-    report.all_finalized = intervals.all_finalized(tolerance);
-
-    // --- Finalize splitters --------------------------------------------------
-    let splitters = match config.splitter_rule {
-        SplitterRule::ClosestRank => SplitterSet::new(intervals.best_splitter_keys()),
-        SplitterRule::Scanning => {
-            let (probes, ranks) = last_round.expect("scanning rule requires at least one round");
-            scanning::splitters_from_histogram(&probes, &ranks, total_keys, buckets, config.epsilon)
+        if buckets <= 1 || total_keys == 0 {
+            // Nothing to split.
+            let keys = if buckets <= 1 { Vec::new() } else { intervals.best_splitter_keys() };
+            return (SplitterSet::new(keys), report);
         }
-    };
-    // Splitters are broadcast to all processors before the data movement.
-    machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
-    (splitters, report)
-}
 
-/// Append one round's [`RoundStats`] to the report and return the number of
-/// still-open splitters.
-fn record_round<K: Key>(
-    report: &mut SplitterReport,
-    intervals: &SplitterIntervals<K>,
-    tolerance: u64,
-    round: usize,
-    sample_size: usize,
-    probe_count: usize,
-    open_before: usize,
-) -> usize {
-    let open_after = intervals.unfinalized_count(tolerance);
-    let widths = intervals.interval_widths();
-    let max_w = widths.iter().copied().max().unwrap_or(0);
-    let mean_w = if widths.is_empty() {
-        0.0
-    } else {
-        widths.iter().sum::<u64>() as f64 / widths.len() as f64
-    };
-    report.rounds.push(RoundStats {
-        round,
-        sample_size,
-        probe_count,
-        open_before,
-        open_after,
-        max_interval_width: max_w,
-        mean_interval_width: mean_w,
-        union_rank_size: intervals.union_rank_size(tolerance),
-        covered_fraction: intervals.covered_fraction(tolerance),
-    });
-    report.total_sample_size += sample_size;
-    open_after
+        // Per-round sampling probabilities are derived from the schedule.
+        let plan = RoundPlan::new(&config.schedule, buckets, config.epsilon);
+
+        // Optional §3.4 speed-up: answer every histogram round from a per-rank
+        // representative sample instead of the full local data.  The ranks it
+        // returns are within εN/p of the truth w.h.p. (Theorem 3.4.1), so the
+        // achieved load balance degrades from (1 + ε) to roughly (1 + 2ε).
+        let rank_oracle = config.approximate_histograms.then(|| {
+            let sample_size = ApproxHistogrammer::<K>::prescribed_sample_size(
+                machine.ranks().max(2),
+                config.epsilon,
+            );
+            ApproxHistogrammer::build_from(
+                machine,
+                sources,
+                sample_size,
+                config.seed ^ 0xA44A_1970,
+                config.local_sort,
+            )
+        });
+
+        // Keep the probes of the last round around for the scanning rule.
+        #[allow(unused_assignments)]
+        let mut last_round: Option<(Vec<K>, Vec<u64>)> = None;
+
+        let mut round = 0usize;
+        let mut finished = false;
+
+        // --- Warm-started probe-only round ----------------------------------
+        // The previous epoch's interval bounds are broadcast and re-ranked
+        // against the new keyspace; no sampling happens.  Near-stationary
+        // distributions collapse every open interval right here.
+        if let Some(warm) = warm.filter(|w| !w.is_empty()) {
+            round = 1;
+            let open_before = intervals.unfinalized_count(tolerance);
+            let probes = warm.probes().to_vec();
+            machine.broadcast(Phase::Histogramming, &probes);
+            let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
+            intervals.update(&probes, &ranks);
+            let open_after = report.record_round(&intervals, round, 0, probes.len(), open_before);
+            finished = plan.is_done(round, open_after);
+            on_round(
+                machine,
+                &RoundProgress {
+                    round,
+                    intervals: &intervals,
+                    tolerance,
+                    is_last: finished,
+                    probes: &probes,
+                    ranks: &ranks,
+                },
+            );
+            last_round = Some((probes, ranks));
+        }
+
+        while !finished {
+            round += 1;
+            let open_before = intervals.unfinalized_count(tolerance);
+
+            // The key ranges the sampling phase draws from: the whole key space
+            // in round 1, the open splitter intervals afterwards.
+            let key_intervals: Vec<(K, K)> = if round == 1 {
+                vec![(K::MIN_KEY, K::MAX_KEY)]
+            } else {
+                merge_key_intervals_with(intervals.open_key_intervals(tolerance), config.local_sort)
+            };
+            // Number of input keys those ranges cover (G_{j-1}); exact because
+            // the interval bookkeeping tracks ranks.
+            let covered_keys =
+                if round == 1 { total_keys } else { intervals.union_rank_size(tolerance) };
+
+            let probability = plan.probability(round, total_keys, covered_keys);
+
+            // --- Sampling phase -------------------------------------------------
+            let seed = config.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let per_rank_samples: Vec<Vec<K>> =
+                machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
+                    // Sampling Method 1: geometric-skip Bernoulli draws over
+                    // each interval's index range.
+                    let mut rng = rank_rng(seed, rank);
+                    let sample = source.sample_in_intervals(&key_intervals, &mut |range| {
+                        sampling::bernoulli_sample_positions(range, probability, &mut rng)
+                    });
+                    // Charge the strategy `interval_bounds` actually executes
+                    // for this shape (binary search / sweep / decision tree)
+                    // plus the geometric-skip draw per emitted sample.
+                    let work = sampling::interval_bounds_work(source.len(), key_intervals.len())
+                        .and(Work::scan(sample.len()));
+                    (sample, work.and(source.take_disk_work()))
+                });
+
+            // Gather the sample at the central processor and sort it there.
+            // The root's sort of the gathered sample is part of the *sampling*
+            // step (it prepares the probes), not of histogramming; it sorts the
+            // full pre-dedup sample.  The host runs the configured local-sort
+            // algorithm, while the charge stays the comparison-model term —
+            // sample sorts are part of the splitter-determination cost the
+            // paper compares across algorithms, and they are asymptotically
+            // tiny (see the cost convention in `crate::local_sort`).
+            let mut probes: Vec<K> = machine.gather_to_root(Phase::Sampling, per_rank_samples);
+            let sample_size = probes.len();
+            machine
+                .charge_modelled_compute(Phase::Sampling, CostModel::sort_ops(sample_size as u64));
+            config.local_sort.sort_slice(&mut probes);
+            probes.dedup();
+            let probe_count = probes.len();
+
+            // --- Histogramming phase --------------------------------------------
+            // Broadcast the probes, compute local histograms (exact or from the
+            // representative samples), reduce.
+            machine.broadcast(Phase::Histogramming, &probes);
+            let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
+            intervals.update(&probes, &ranks);
+
+            let open_after =
+                report.record_round(&intervals, round, sample_size, probe_count, open_before);
+            finished = plan.is_done(round, open_after);
+            on_round(
+                machine,
+                &RoundProgress {
+                    round,
+                    intervals: &intervals,
+                    tolerance,
+                    is_last: finished,
+                    probes: &probes,
+                    ranks: &ranks,
+                },
+            );
+            last_round = Some((probes, ranks));
+        }
+
+        report.all_finalized = intervals.all_finalized(tolerance);
+
+        // --- Finalize splitters --------------------------------------------------
+        let splitters = match config.splitter_rule {
+            SplitterRule::ClosestRank => SplitterSet::new(intervals.best_splitter_keys()),
+            SplitterRule::Scanning => {
+                let (probes, ranks) =
+                    last_round.expect("scanning rule requires at least one round");
+                scanning::splitters_from_histogram(
+                    &probes,
+                    &ranks,
+                    total_keys,
+                    buckets,
+                    config.epsilon,
+                )
+            }
+        };
+        // Splitters are broadcast to all processors before the data movement.
+        machine.broadcast(Phase::SplitterBroadcast, splitters.keys());
+        (splitters, report)
+    }
 }
 
 /// Internal description of how many rounds to run and with which sampling

@@ -151,6 +151,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_round::HssRounds;
     use crate::pipeline::InMemory;
     use crate::report::SplitterReport;
     use hss_keygen::KeyDistribution;
@@ -165,7 +166,8 @@ mod tests {
     ) -> (Vec<Vec<u64>>, SplitterReport) {
         let config = config.clone().with_node_level();
         let in_memory = InMemory(config.local_sort);
-        crate::pipeline::sort(machine, data.to_vec(), &config, &in_memory, None, |_, _| {})
+        let hss = HssRounds { config: &config, warm: None };
+        crate::pipeline::sort(machine, data.to_vec(), &config, &in_memory, &hss, |_, _| {})
     }
 
     /// [`split_within_node`] with every merge in memory: the chunks alone.

@@ -68,7 +68,7 @@ use hss_sim::{Machine, Work};
 
 use crate::config::ExtSortPolicy;
 use crate::local_sort::{charged_local_sort, local_sort_work};
-use crate::multi_round::{RankStore, SortedSource};
+use crate::multi_round::{sealed, RankStore, SortedSource, SplitterPolicy};
 use crate::pipeline::Residency;
 use crate::sorter::{HssSorter, SortOutcome};
 
@@ -116,6 +116,8 @@ impl<'a, T: PlainRecord + RadixSortable + Keyed> SpilledStore<'a, T> {
         answer
     }
 }
+
+impl<T: PlainRecord + RadixSortable + Keyed> sealed::Sealed for SpilledStore<'_, T> {}
 
 impl<T: PlainRecord + RadixSortable + Keyed> SortedSource<T::K> for SpilledStore<'_, T> {
     type Item = T;
@@ -255,7 +257,7 @@ where
     }
 }
 
-impl HssSorter {
+impl<P> HssSorter<P> {
     /// Sort with the out-of-core fallback armed: [`HssSorter::sort`], except
     /// that any rank whose local partition, and any owner (rank, or core of
     /// a node under `node_level`) whose received runs, exceed
@@ -277,7 +279,8 @@ impl HssSorter {
     ///
     /// Panics if `config.ext_sort` is `None`, if `tag_duplicates` is set
     /// (tag wrappers are not `PlainRecord`), on rank-count mismatch, or on
-    /// scratch-file I/O errors.
+    /// scratch-file I/O errors.  Any [`SplitterPolicy`] runs here: its
+    /// probes reach a spilled rank through the same [`SortedSource`].
     pub fn sort_out_of_core<T>(
         &self,
         machine: &mut Machine,
@@ -286,6 +289,7 @@ impl HssSorter {
     where
         T: Keyed + Ord + RadixSortable + PlainRecord,
         T::K: RadixSortable,
+        P: SplitterPolicy<T::K>,
     {
         let config = self.config();
         config.validate().expect("invalid HSS configuration");
@@ -304,9 +308,7 @@ impl HssSorter {
             ext: ExternalSorter::new(policy.to_ext_config(config.local_sort)),
             spills: Mutex::default(),
         };
-        let outcome = self.reported("hss-extsort", machine, input, |machine, input| {
-            crate::pipeline::sort(machine, input, config, &capped, None, |_, _| {})
-        });
+        let outcome = self.sort_with("hss-extsort", machine, input, &capped, None, |_, _| {});
         (outcome, capped.spills.into_inner().expect("absorbing a report does not panic"))
     }
 }

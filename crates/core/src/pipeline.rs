@@ -1,6 +1,8 @@
-//! The one HSS pipeline behind [`HssSorter`](crate::HssSorter): local sort
-//! → splitter determination → exchange → finish, composed from three axes
-//! that are all *derived*, never set.
+//! The one pipeline behind [`HssSorter`](crate::HssSorter): local sort →
+//! splitter determination → exchange → finish.  The algorithm is the one
+//! axis a caller *chooses*: the [`SplitterPolicy`] — HSS, or a comparison
+//! algorithm's splitters — decides where the buckets end.  The other three
+//! axes are *derived*, never set, and every policy runs under all of them.
 //!
 //! * **Granularity** — from `(machine.topology(), config.node_level)`: one
 //!   bucket per rank, owned by that rank and finished by a k-way merge; or,
@@ -36,8 +38,8 @@
 //! every rank sends that bucket to its owner — while later histogram rounds
 //! are still running.  On the simulator:
 //!
-//! 1. [`determine_splitters_seeded`] runs the normal histogramming rounds; a
-//!    round observer *freezes* each splitter the round it finalizes
+//! 1. the policy runs its histogramming rounds; a round observer *freezes*
+//!    each splitter the round it finalizes
 //!    (clamped monotone against already-frozen neighbours) and broadcasts
 //!    the newly frozen keys;
 //! 2. every rank locates the new splitters in its sorted data (one binary
@@ -63,7 +65,9 @@
 //! guarantee is unchanged.  Data-wise the result is a correct global sort
 //! either way; `tests/sync_differential.rs` verifies both claims.  The
 //! spilled schedule uses the final splitters, so its output is the Bsp
-//! schedule's under either sync model.
+//! schedule's under either sync model.  A policy that calls no observer
+//! (the one-shot samplers, key-space bisection) freezes nothing: its
+//! buckets move in the Bsp exchange, charge for charge.
 
 use hss_keygen::{Key, Keyed};
 use hss_lsort::{LocalSortAlgo, RadixSortable};
@@ -74,10 +78,7 @@ use hss_sim::{ExchangePlan, Machine, Phase, SyncModel, Topology, Work};
 
 use crate::config::HssConfig;
 use crate::local_sort::charged_local_sort;
-use crate::multi_round::{
-    determine_splitters_from, determine_splitters_seeded, RankStore, RoundProgress, SortedSource,
-    WarmStart,
-};
+use crate::multi_round::{RankStore, RoundProgress, SortedSource, SplitterPolicy};
 use crate::node_level::finish_within_nodes;
 use crate::report::SplitterReport;
 use crate::staging::StagedExchange;
@@ -136,21 +137,22 @@ impl<T: Keyed + RadixSortable> Residency<T> for InMemory {
 }
 
 /// Sort per-rank input into the globally sorted per-rank output: the
-/// residency's local sort, splitter determination (optionally warm-started,
-/// with `on_round` observing every histogramming round), the exchange under
-/// the derived schedule, and the granularity's finish.
-pub(crate) fn sort<T, R, F>(
+/// residency's local sort, the `policy`'s splitters (with `on_round`
+/// observing every histogramming round it runs), the exchange under the
+/// derived schedule, and the granularity's finish.
+pub(crate) fn sort<T, R, P, F>(
     machine: &mut Machine,
     mut data: Vec<Vec<T>>,
     config: &HssConfig,
     residency: &R,
-    warm: Option<&WarmStart<T::K>>,
+    policy: &P,
     on_round: F,
 ) -> (Vec<Vec<T>>, SplitterReport)
 where
     T: Keyed + RadixSortable,
     T::K: RadixSortable,
     R: Residency<T>,
+    P: SplitterPolicy<T::K>,
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
     let Granularity { owner, within_node } =
@@ -165,8 +167,7 @@ where
             .map(|(local, store)| store.unwrap_or_else(|| Box::new(local.as_slice())))
             .collect();
         let mut stores: Vec<_> = stores.iter_mut().map(|store| &mut **store).collect();
-        let (splitters, report) =
-            determine_splitters_from(machine, &mut stores, owner.len(), config, warm, on_round);
+        let (splitters, report) = policy.splitters(machine, &mut stores, owner.len(), on_round);
         // The probes are over.  A spilled rank reduces its runs to the merge
         // fan-in and opens its cursor; from here on its data only moves
         // forward.
@@ -177,12 +178,14 @@ where
     } else {
         match machine.sync_model() {
             SyncModel::Bsp => {
+                let mut slices: Vec<&[T]> = data.iter().map(Vec::as_slice).collect();
+                let mut sources: Vec<&mut &[T]> = slices.iter_mut().collect();
                 let (splitters, report) =
-                    determine_splitters_seeded(machine, &data, owner.len(), config, warm, on_round);
+                    policy.splitters(machine, &mut sources, owner.len(), on_round);
                 (exchange(machine, &data, &splitters, &owner), report)
             }
             SyncModel::Overlapped => {
-                staged_exchange(machine, &data, &owner, config, warm, on_round)
+                staged_exchange(machine, &data, &owner, config, policy, on_round)
             }
         }
     };
@@ -241,17 +244,18 @@ fn ship_in_bucket_order<K: Key, S: SortedSource<K> + ?Sized>(
 /// The overlapped schedule (module docs): determine the `owner.len() − 1`
 /// splitters while shipping every bucket to its owner the round its two
 /// bounding splitters freeze.  Returns once every owner's stage has landed.
-fn staged_exchange<'a, T, F>(
+fn staged_exchange<'a, T, P, F>(
     machine: &mut Machine,
     per_rank_sorted: &'a [Vec<T>],
     owner: &[usize],
     config: &HssConfig,
-    warm: Option<&WarmStart<T::K>>,
+    policy: &P,
     mut on_round: F,
 ) -> (Received<'a, T>, SplitterReport)
 where
     T: Keyed + RadixSortable,
     T::K: RadixSortable,
+    P: SplitterPolicy<T::K>,
     F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
 {
     let p = machine.ranks();
@@ -276,13 +280,10 @@ where
     // Which buckets have already travelled, and when their stage lands.
     let mut stages = StagedExchange::new(owner, p, total_keys, config.min_stage_fraction);
 
-    let (splitters, report) = determine_splitters_seeded(
-        machine,
-        per_rank_sorted,
-        buckets,
-        config,
-        warm,
-        |machine, progress| {
+    let mut slices: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
+    let mut sources: Vec<&mut &[T]> = slices.iter_mut().collect();
+    let (splitters, report) =
+        policy.splitters(machine, &mut sources, buckets, |machine, progress| {
             on_round(machine, progress);
             // Freeze every splitter that finalized this round (all remaining
             // ones on the last round — further rounds cannot improve them).
@@ -315,17 +316,13 @@ where
                 progress.round,
                 progress.is_last,
             );
-        },
-    );
+        });
 
-    // Early-return paths of determine_splitters (empty input, a single
-    // bucket) never invoke the observer, so nothing has travelled: ship
-    // every bucket by the returned splitters.
-    if report.rounds.is_empty() {
-        let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
-        let mut sources: Vec<&mut &[T]> = sources.iter_mut().collect();
-        let shipped = ship_in_bucket_order(machine, &mut sources, splitters.keys(), owner, config);
-        return (shipped, report);
+    // No splitter froze — the policy ran no observed round (a one-shot
+    // policy, or nothing to split) — so nothing has travelled: the buckets
+    // move in the Bsp exchange.
+    if frozen.iter().all(Option::is_none) {
+        return (exchange(machine, per_rank_sorted, &splitters, owner), report);
     }
     debug_assert!(stages.all_staged(), "every bucket must have travelled");
 
@@ -409,6 +406,7 @@ fn stage_ready_buckets<T: Keyed>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_round::HssRounds;
     use hss_keygen::KeyDistribution;
     use hss_partition::verify_global_sort;
 
@@ -421,7 +419,8 @@ mod tests {
     }
 
     fn run(machine: &mut Machine, data: &[Vec<u64>], config: &HssConfig) -> Vec<Vec<u64>> {
-        sort(machine, data.to_vec(), config, &InMemory(config.local_sort), None, |_, _| {}).0
+        let hss = HssRounds { config, warm: None };
+        sort(machine, data.to_vec(), config, &InMemory(config.local_sort), &hss, |_, _| {}).0
     }
 
     #[test]
@@ -432,8 +431,8 @@ mod tests {
         assert!(run(&mut machine, &data, &config).iter().all(|v| v.is_empty()));
 
         // One bucket: a single rank, or node-level buckets on a single node
-        // — no splitter ever freezes, the lone bucket ships in the final
-        // stage.
+        // — no splitter ever freezes, the lone bucket moves in the Bsp
+        // exchange.
         let mut machine = Machine::flat(1).with_sync_model(SyncModel::Overlapped);
         assert_eq!(run(&mut machine, &[vec![1u64, 2, 3]], &config), vec![vec![1, 2, 3]]);
 

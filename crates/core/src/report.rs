@@ -4,13 +4,14 @@
 //! histogramming rounds), Figure 3.1 (shrinking splitter intervals) and the
 //! load-balance claims; the benchmark harness serialises them.
 
+use hss_keygen::Key;
 use hss_lsort::LocalSortAlgo;
-use hss_partition::LoadBalance;
+use hss_partition::{LoadBalance, SplitterIntervals};
 use hss_sim::{Machine, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Statistics of one sampling + histogramming round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RoundStats {
     /// 1-based round index.
     pub round: usize,
@@ -65,6 +66,41 @@ impl SplitterReport {
     /// Largest per-round sample size.
     pub fn max_round_sample(&self) -> usize {
         self.rounds.iter().map(|r| r.sample_size).max().unwrap_or(0)
+    }
+
+    /// Append the [`RoundStats`] of histogramming round `round` — which
+    /// gathered `sample_size` keys, ranked `probe_count` probes and found
+    /// `open_before` splitters open — read off the `intervals` after its
+    /// update at this report's tolerance, and return the number of
+    /// splitters still open.
+    pub fn record_round<K: Key>(
+        &mut self,
+        intervals: &SplitterIntervals<K>,
+        round: usize,
+        sample_size: usize,
+        probe_count: usize,
+        open_before: usize,
+    ) -> usize {
+        let open_after = intervals.unfinalized_count(self.tolerance);
+        let widths = intervals.interval_widths();
+        let mean_interval_width = if widths.is_empty() {
+            0.0
+        } else {
+            widths.iter().sum::<u64>() as f64 / widths.len() as f64
+        };
+        self.rounds.push(RoundStats {
+            round,
+            sample_size,
+            probe_count,
+            open_before,
+            open_after,
+            max_interval_width: widths.iter().copied().max().unwrap_or(0),
+            mean_interval_width,
+            union_rank_size: intervals.union_rank_size(self.tolerance),
+            covered_fraction: intervals.covered_fraction(self.tolerance),
+        });
+        self.total_sample_size += sample_size;
+        open_after
     }
 }
 

@@ -1,9 +1,9 @@
 //! The unified sorter entry point: a [`SortRequest`] built fluently and
 //! dispatched through the [`Sorter`] trait.
 //!
-//! Every algorithm in the workspace — `HssSorter` and the free-function
-//! baselines — is served behind one signature, with output verification as
-//! the one shared option:
+//! Every algorithm in the workspace — `HssSorter` and the baselines — is
+//! served behind one signature, with output verification as the one shared
+//! option:
 //!
 //! ```
 //! use hss_core::{HssConfig, HssSorter, SortRequest, Sorter};

@@ -1,15 +1,17 @@
-//! The end-to-end HSS sorter: the one pipeline (`pipeline.rs`: local sort →
+//! The end-to-end sorter: the one pipeline (`pipeline.rs`: local sort →
 //! splitter determination → exchange → finish) with everything in memory,
-//! plus the optional duplicate-tagging wrapper.
+//! plus the optional duplicate-tagging wrapper.  HSS finds the splitters
+//! unless [`HssSorter::with_splitters`] chose another policy.
 
-use hss_keygen::Keyed;
+use hss_keygen::{Key, Keyed};
 use hss_lsort::RadixSortable;
+use hss_partition::SplitterSet;
 use hss_sim::Machine;
 
 use crate::config::HssConfig;
 use crate::duplicates::{tag_per_rank, untag_per_rank};
-use crate::multi_round::{RoundProgress, WarmStart};
-use crate::pipeline::{self, InMemory};
+use crate::multi_round::{HssRounds, RoundProgress, SortedSource, SplitterPolicy, WarmStart};
+use crate::pipeline::{self, InMemory, Residency};
 use crate::report::{SortReport, SplitterReport};
 
 /// The result of one HSS run: globally sorted per-rank data plus the
@@ -23,7 +25,9 @@ pub struct SortOutcome<T> {
     pub report: SortReport,
 }
 
-/// Histogram Sort with Sampling, configured by an [`HssConfig`].
+/// Histogram Sort with Sampling, configured by an [`HssConfig`] — or, built
+/// by [`HssSorter::with_splitters`], the same pipeline finding its
+/// splitters by another [`SplitterPolicy`].
 ///
 /// ```
 /// use hss_core::{HssConfig, HssSorter};
@@ -36,15 +40,57 @@ pub struct SortOutcome<T> {
 /// let outcome = HssSorter::new(HssConfig::default()).sort(&mut machine, input);
 /// assert!(outcome.report.load_balance.satisfies(0.05));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct HssSorter {
+#[derive(Debug, Clone)]
+pub struct HssSorter<P = Hss> {
     config: HssConfig,
+    /// The chosen splitter policy; `None` is HSS, read from `config`.
+    splitters: Option<P>,
+}
+
+/// The policy type of [`HssSorter::new`]: HSS itself.  It has no values —
+/// HSS reads the sorter's own [`HssConfig`], so such a sorter holds no
+/// policy.
+#[derive(Debug, Clone, Copy)]
+pub enum Hss {}
+
+impl<K: Key> SplitterPolicy<K> for Hss {
+    fn splitters<S, F>(
+        &self,
+        _: &mut Machine,
+        _: &mut [&mut S],
+        _: usize,
+        _: F,
+    ) -> (SplitterSet<K>, SplitterReport)
+    where
+        S: SortedSource<K> + ?Sized,
+        F: FnMut(&mut Machine, &RoundProgress<'_, K>),
+    {
+        match *self {}
+    }
 }
 
 impl HssSorter {
-    /// A sorter with the given configuration.
+    /// An HSS sorter with the given configuration.
     pub fn new(config: HssConfig) -> Self {
-        Self { config }
+        Self { config, splitters: None }
+    }
+}
+
+impl Default for HssSorter {
+    fn default() -> Self {
+        Self::new(HssConfig::default())
+    }
+}
+
+impl<P> HssSorter<P> {
+    /// A sorter that finds its splitters by `policy` and runs the rest of
+    /// the pipeline as `config` says: its granularity (`node_level`,
+    /// `within_node_epsilon`), local sort, stage fraction and out-of-core
+    /// policy.  `config`'s HSS-only fields go unread.  Reports carry the
+    /// pipeline's labels (`hss`, `hss-node-level`, `hss-extsort`); a caller
+    /// names its policy's runs itself, as the baselines' `Sorter`s do.
+    pub fn with_splitters(config: HssConfig, policy: P) -> Self {
+        Self { config, splitters: Some(policy) }
     }
 
     /// The configuration in force.
@@ -66,28 +112,35 @@ impl HssSorter {
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != machine.ranks()` or the configuration is
-    /// invalid.
+    /// Panics if `input.len() != machine.ranks()`, if the configuration is
+    /// invalid, or if `tag_duplicates` is set on a sorter of a policy other
+    /// than HSS (duplicate tagging is HSS-only).
     pub fn sort<T>(&self, machine: &mut Machine, input: Vec<Vec<T>>) -> SortOutcome<T>
     where
         T: Keyed + Ord + RadixSortable,
         T::K: RadixSortable,
+        P: SplitterPolicy<T::K>,
     {
+        let in_memory = InMemory(self.config.local_sort);
         if !self.config.tag_duplicates {
-            return self.sort_seeded(machine, input, None, |_, _| {});
+            return self.sort_with(self.label(), machine, input, &in_memory, None, |_, _| {});
         }
+        assert!(
+            self.splitters.is_none(),
+            "duplicate tagging is HSS-only; disable tag_duplicates for other splitter policies"
+        );
         // Wrap every item with its (PE, index) tag so duplicates get a
         // strict total order, sort the tagged items, unwrap.
         self.reported(self.label(), machine, input, |machine, input| {
             let tagged = tag_per_rank(machine, input);
-            let in_memory = InMemory(self.config.local_sort);
+            let hss = HssRounds { config: &self.config, warm: None };
             let (sorted_tagged, splitters) =
-                pipeline::sort(machine, tagged, &self.config, &in_memory, None, |_, _| {});
+                pipeline::sort(machine, tagged, &self.config, &in_memory, &hss, |_, _| {});
             (untag_per_rank(machine, sorted_tagged), splitters)
         })
     }
 
-    /// [`Self::sort`] with the pipeline's two hooks exposed (mirroring
+    /// [`Self::sort`] with HSS's two hooks exposed (mirroring
     /// [`determine_splitters_seeded`](crate::determine_splitters_seeded)):
     /// `warm` seeds splitter determination from a previous sort of a
     /// near-identical keyspace, and `on_round` observes every histogramming
@@ -98,8 +151,9 @@ impl HssSorter {
     ///
     /// # Panics
     ///
-    /// Panics like [`Self::sort`], and if `tag_duplicates` is set: both
-    /// hooks speak untagged keys, the tagged pipeline does not.
+    /// Panics like [`Self::sort`]; if `tag_duplicates` is set (both hooks
+    /// speak untagged keys, the tagged pipeline does not); and on a sorter
+    /// of a policy other than HSS (a warm start is HSS state).
     pub fn sort_seeded<T, F>(
         &self,
         machine: &mut Machine,
@@ -110,6 +164,7 @@ impl HssSorter {
     where
         T: Keyed + Ord + RadixSortable,
         T::K: RadixSortable,
+        P: SplitterPolicy<T::K>,
         F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
     {
         assert!(
@@ -117,15 +172,42 @@ impl HssSorter {
             "sort_seeded's warm start and round observer speak untagged keys; \
              disable tag_duplicates"
         );
-        self.reported(self.label(), machine, input, |machine, input| {
-            let in_memory = InMemory(self.config.local_sort);
-            pipeline::sort(machine, input, &self.config, &in_memory, warm, on_round)
+        assert!(self.splitters.is_none(), "sort_seeded is HSS-only: it seeds HSS's rounds");
+        let in_memory = InMemory(self.config.local_sort);
+        self.sort_with(self.label(), machine, input, &in_memory, warm, on_round)
+    }
+
+    /// The pipeline under `residency` with the chosen policy's splitters —
+    /// HSS's warm-started from `warm` — reported as `algorithm`.
+    pub(crate) fn sort_with<T, R, F>(
+        &self,
+        algorithm: &str,
+        machine: &mut Machine,
+        input: Vec<Vec<T>>,
+        residency: &R,
+        warm: Option<&WarmStart<T::K>>,
+        on_round: F,
+    ) -> SortOutcome<T>
+    where
+        T: Keyed + Ord + RadixSortable,
+        T::K: RadixSortable,
+        P: SplitterPolicy<T::K>,
+        R: Residency<T>,
+        F: FnMut(&mut Machine, &RoundProgress<'_, T::K>),
+    {
+        let config = &self.config;
+        self.reported(algorithm, machine, input, |machine, input| match &self.splitters {
+            None => {
+                let hss = HssRounds { config, warm };
+                pipeline::sort(machine, input, config, residency, &hss, on_round)
+            }
+            Some(policy) => pipeline::sort(machine, input, config, residency, policy, on_round),
         })
     }
 
     /// Validate the call, run `phases` (unsorted input → sorted output plus
     /// the splitter report) and assemble the [`SortReport`] of `algorithm`.
-    pub(crate) fn reported<T>(
+    fn reported<T>(
         &self,
         algorithm: &str,
         machine: &mut Machine,

@@ -17,10 +17,8 @@
 //! once end to end.
 
 use hss_keygen::Keyed;
-use hss_lsort::RadixSortable;
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
-use crate::merge::kway_merge_slices;
 use crate::splitters::SplitterSet;
 
 /// The exchange representation: there is one, the flat exchange.
@@ -59,30 +57,6 @@ impl<T> Received<'_, T> {
             Received::Owned(recv) => recv[dst].iter().map(Vec::as_slice).collect(),
         }
     }
-}
-
-/// Move every key to the rank that owns its bucket and merge the received
-/// sorted runs.  `per_rank_sorted` must be sorted within each rank;
-/// `splitters` must define exactly `machine.ranks()` buckets.
-///
-/// Returns the per-rank output (globally sorted across ranks, sorted within
-/// each rank).  Charges the bucketize work, the exchange and the merge to
-/// [`Phase::DataExchange`] / [`Phase::Merge`].
-pub fn exchange_and_merge_with<T: Keyed + RadixSortable>(
-    machine: &mut Machine,
-    per_rank_sorted: &[Vec<T>],
-    splitters: &SplitterSet<T::K>,
-) -> Vec<Vec<T>> {
-    assert_eq!(
-        splitters.buckets(),
-        machine.ranks(),
-        "splitter set must define one bucket per rank"
-    );
-    let owner: Vec<usize> = (0..machine.ranks()).collect();
-    let received = exchange(machine, per_rank_sorted, splitters, &owner);
-    merge_received(machine, per_rank_sorted, &received, |runs| {
-        (kway_merge_slices(runs), Work::none())
-    })
 }
 
 /// The bucketize work: the classification cost of the strategy
@@ -156,8 +130,20 @@ pub fn merge_received<T: Send + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::kway_merge_slices;
     use crate::select::verify_global_sort;
     use hss_sim::{CostModel, Topology};
+
+    /// Rank buckets: exchange to owner `b = rank b`, then merge in memory.
+    fn exchange_and_merge(
+        machine: &mut Machine,
+        input: &[Vec<u64>],
+        splitters: &SplitterSet<u64>,
+    ) -> Vec<Vec<u64>> {
+        let owner: Vec<usize> = (0..machine.ranks()).collect();
+        let received = exchange(machine, input, splitters, &owner);
+        merge_received(machine, input, &received, |runs| (kway_merge_slices(runs), Work::none()))
+    }
 
     fn sorted_input(p: usize, n: usize) -> Vec<Vec<u64>> {
         // Deterministic pseudo-random per-rank data, locally sorted.
@@ -179,7 +165,7 @@ mod tests {
         let splitter_keys = crate::select::exact_splitters(&input, p);
         let splitters = SplitterSet::new(splitter_keys);
         let mut machine = Machine::flat(p);
-        let out = exchange_and_merge_with(&mut machine, &input, &splitters);
+        let out = exchange_and_merge(&mut machine, &input, &splitters);
         verify_global_sort(&input, &out).unwrap();
     }
 
@@ -192,8 +178,8 @@ mod tests {
         let splitters = SplitterSet::new(crate::select::exact_splitters(&input, p));
         let mut m1 = Machine::new(Topology::flat(p), CostModel::bluegene_like());
         let mut m2 = Machine::new(Topology::new(p, 4), CostModel::bluegene_like());
-        let a = exchange_and_merge_with(&mut m1, &input, &splitters);
-        let b = exchange_and_merge_with(&mut m2, &input, &splitters);
+        let a = exchange_and_merge(&mut m1, &input, &splitters);
+        let b = exchange_and_merge(&mut m2, &input, &splitters);
         assert_eq!(a, b);
         assert!(
             m2.metrics().phase(Phase::DataExchange).messages
@@ -202,11 +188,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one bucket per rank")]
+    #[should_panic(expected = "one owner per bucket")]
     fn wrong_bucket_count_panics() {
         let input = sorted_input(4, 10);
         let splitters = SplitterSet::new(vec![1u64, 2]); // 3 buckets, 4 ranks
         let mut machine = Machine::flat(4);
-        let _ = exchange_and_merge_with(&mut machine, &input, &splitters);
+        let _ = exchange_and_merge(&mut machine, &input, &splitters);
     }
 }

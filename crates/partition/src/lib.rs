@@ -45,7 +45,7 @@ pub use bucketize::{
     splitter_position,
 };
 pub use classify::{classify_strategy, classify_work, tree_height, ClassifyStrategy, DecisionTree};
-pub use exchange::{exchange, exchange_and_merge_with, merge_received, ExchangeEngine, Received};
+pub use exchange::{exchange, merge_received, ExchangeEngine, Received};
 pub use histogram::{
     add_rank_differences, global_ranks, is_sorted_by_key, local_range_counts, local_ranks,
     local_ranks_le, local_ranks_work, ProbeIndex,
@@ -58,8 +58,7 @@ pub use merge::{
 pub use sampling::{
     bernoulli_sample, bernoulli_sample_in_intervals, bernoulli_sample_positions,
     bernoulli_sample_range, count_in_intervals, interval_bounds, interval_bounds_work,
-    merge_key_intervals, merge_key_intervals_with, random_block_sample, regular_sample,
-    uniform_sample_discarding,
+    merge_key_intervals, merge_key_intervals_with, regular_sample, uniform_sample_discarding,
 };
 pub use select::{exact_rank, exact_splitters, global_sorted, verify_global_sort};
 pub use splitters::SplitterSet;

@@ -246,22 +246,31 @@ pub fn uniform_sample_discarding<T: Keyed, R: Rng>(
         .collect()
 }
 
-/// `s` evenly spaced keys from the sorted local data — regular sampling
-/// (§4.1.2).  Picks the largest key of each of `s` equal blocks, i.e. keys
-/// at positions `N/(ps)·j − 1` for `j = 1..=s`.
-pub fn regular_sample<T: Keyed>(sorted: &[T], s: usize) -> Vec<T::K> {
-    let n = sorted.len();
+/// The *positions* a regular sample of `n` sorted keys selects: the last
+/// index of each of `s` equal blocks, `n/s·j − 1` for `j = 1..=s`.
+/// Split out of [`regular_sample`] like [`random_block_sample_positions`],
+/// so a spilled rank samples the keys a resident one would.
+pub fn regular_sample_positions(n: usize, s: usize) -> Vec<u64> {
     if n == 0 || s == 0 {
         return Vec::new();
     }
     let s = s.min(n);
-    (1..=s).map(|j| sorted[(j * n / s).max(1) - 1].key()).collect()
+    (1..=s).map(|j| ((j * n / s).max(1) - 1) as u64).collect()
 }
 
-/// The *positions* a random block sample of `n` sorted keys selects: one
-/// uniformly random index from each of `s` equal blocks.
-///
-/// The randomness core of [`random_block_sample`], split out — like
+/// `s` evenly spaced keys from the sorted local data — regular sampling
+/// (§4.1.2).  Picks the largest key of each of `s` equal blocks, i.e. keys
+/// at positions `N/(ps)·j − 1` for `j = 1..=s`.
+pub fn regular_sample<T: Keyed>(sorted: &[T], s: usize) -> Vec<T::K> {
+    regular_sample_positions(sorted.len(), s)
+        .into_iter()
+        .map(|i| sorted[i as usize].key())
+        .collect()
+}
+
+/// Random block sampling (Blelloch et al., §4.1.1), also the
+/// representative sample of §3.4: one uniformly random position from each
+/// of `s` equal blocks of `n` sorted keys.  Positions, not keys — like
 /// [`bernoulli_sample_positions`] — so a data layer that cannot index a
 /// slice (the out-of-core tier's spilled run files) consumes the *same*
 /// RNG draw sequence: the draws depend only on `n` and `s`.
@@ -276,16 +285,6 @@ pub fn random_block_sample_positions<R: Rng>(n: usize, s: usize, rng: &mut R) ->
             let end = ((j + 1) * n / s).max(start + 1);
             rng.gen_range(start..end) as u64
         })
-        .collect()
-}
-
-/// One uniformly random key from each of `s` equal blocks of the sorted
-/// local data — random block sampling (Blelloch et al., §4.1.1), also the
-/// representative sample of §3.4.
-pub fn random_block_sample<T: Keyed, R: Rng>(sorted: &[T], s: usize, rng: &mut R) -> Vec<T::K> {
-    random_block_sample_positions(sorted.len(), s, rng)
-        .into_iter()
-        .map(|i| sorted[i as usize].key())
         .collect()
 }
 
@@ -464,8 +463,7 @@ mod tests {
 
     #[test]
     fn random_block_sample_takes_one_per_block() {
-        let data: Vec<u64> = (0..100).collect();
-        let s = random_block_sample(&data, 10, &mut rng());
+        let s = random_block_sample_positions(100, 10, &mut rng());
         assert_eq!(s.len(), 10);
         for (j, &k) in s.iter().enumerate() {
             assert!(
@@ -480,7 +478,7 @@ mod tests {
         let data: Vec<u64> = vec![];
         assert!(bernoulli_sample(&data, 0.5, &mut rng()).is_empty());
         assert!(regular_sample(&data, 5).is_empty());
-        assert!(random_block_sample(&data, 5, &mut rng()).is_empty());
+        assert!(random_block_sample_positions(data.len(), 5, &mut rng()).is_empty());
         assert!(uniform_sample_discarding(&data, &[(0, 10)], 5, &mut rng()).is_empty());
     }
 }

@@ -15,7 +15,7 @@ use std::process::exit;
 use hss_repro::baselines::{
     bitonic_sort, HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
 };
-use hss_repro::core::SortReport;
+use hss_repro::core::{SortReport, SplitterPolicy};
 use hss_repro::partition::verify_global_sort;
 use hss_repro::prelude::*;
 
@@ -41,17 +41,17 @@ OPTIONS:
     --threads <N>          host OS threads for the rayon pool (0 = auto;
                            default: RAYON_NUM_THREADS, else all cores)
     --sequential           run local phases sequentially (determinism oracle)
-    --overlapped           overlapped execution: splitter determination
-                           pipelined with a staged exchange (hss only)
+    --overlapped           overlapped execution: HSS pipelines splitter
+                           determination with a staged exchange
     --trace <PATH>         dump the per-rank timeline (trace events +
                            critical path) as JSON to PATH
-    --node-level           enable node-level partitioning (hss only)
+    --node-level           enable node-level partitioning (not bitonic/radix)
     --tag-duplicates       enable duplicate tagging (hss only)
     --approx-histograms    answer histograms from representative samples (hss only)
     --extsort              out-of-core tier: ranks (and, with --node-level, cores)
                            over the memory cap spill through the external sorter
                            — splitters from run files, merge drained straight into
-                           staged exchange sends (hss only, not --tag-duplicates)
+                           staged exchange sends (not bitonic/radix, --tag-duplicates)
     --memory-cap <BYTES>   per-rank record-buffer budget for --extsort
                                                           [default: 1048576]
     --run-dir <PATH>       scratch root for run files (cleaned up on exit)
@@ -220,16 +220,34 @@ fn generate(args: &Args) -> Vec<Vec<u64>> {
     }
 }
 
-/// Dispatch one baseline through the unified [`Sorter`] trait.
-fn run_sorter(
-    sorter: &dyn Sorter<u64>,
+/// Sort through the one pipeline: in memory, or — when the configuration
+/// carries an out-of-core policy — with ranks over the cap spilling.
+fn run_pipeline<P: SplitterPolicy<u64>>(
+    sorter: HssSorter<P>,
     machine: &mut Machine,
     input: Vec<Vec<u64>>,
-) -> (Vec<Vec<u64>>, SortReport) {
-    let outcome = sorter
-        .run(machine, SortRequest::new(input))
-        .unwrap_or_else(|e| panic!("{} failed: {e}", sorter.algorithm()));
-    (outcome.data, outcome.report)
+) -> (SortOutcome<u64>, Option<ExtSortReport>) {
+    if sorter.config().ext_sort.is_some() {
+        let (outcome, ext) = sorter.sort_out_of_core(machine, input);
+        (outcome, Some(ext))
+    } else {
+        (sorter.sort(machine, input), None)
+    }
+}
+
+/// [`run_pipeline`] with a baseline's splitter policy, reported under the
+/// baseline's name.
+fn run_policy<P: SplitterPolicy<u64> + Sorter<u64>>(
+    config: HssConfig,
+    policy: P,
+    machine: &mut Machine,
+    input: Vec<Vec<u64>>,
+) -> (SortOutcome<u64>, Option<ExtSortReport>) {
+    let algorithm = policy.algorithm();
+    let (mut outcome, ext) =
+        run_pipeline(HssSorter::with_splitters(config, policy), machine, input);
+    outcome.report.algorithm = algorithm.to_string();
+    (outcome, ext)
 }
 
 fn run(
@@ -247,79 +265,70 @@ fn run(
     if args.trace.is_some() {
         machine = machine.with_tracing();
     }
-    let mut ext_report = None;
-    let (out, report) = match args.algorithm.as_str() {
+    // The pipeline's settings, shared by HSS and the splitter baselines.
+    let mut config = HssConfig::default().with_local_sort(args.local_sort);
+    config.node_level = args.node_level;
+    if args.extsort {
+        // Scratch runs live under a unique per-process subdirectory of
+        // --run-dir and are removed again when the sort returns (RAII
+        // guard), even on panic.
+        let run_dir = args.run_dir.clone().unwrap_or_else(|| {
+            std::env::temp_dir().join("hss-demo").to_string_lossy().into_owned()
+        });
+        let mut policy = ExtSortPolicy::new(args.memory_cap, run_dir).with_io_mode(args.io_mode);
+        if let Some(depth) = args.prefetch_depth {
+            policy = policy.with_prefetch_depth(depth);
+        }
+        config = config.with_ext_sort(policy);
+    }
+    let (eps, local_sort) = (args.epsilon, args.local_sort);
+    let (outcome, ext_report) = match args.algorithm.as_str() {
         "hss" | "hss-one-round" | "hss-scanning" => {
-            let mut config =
-                HssConfig { epsilon: args.epsilon, ..HssConfig::default() }.with_seed(args.seed);
-            if args.algorithm == "hss-one-round" {
+            config = config.with_epsilon(eps).with_seed(args.seed);
+            if args.algorithm != "hss" {
                 config.schedule = RoundSchedule::Theoretical { rounds: 1 };
             }
             if args.algorithm == "hss-scanning" {
-                config.schedule = RoundSchedule::Theoretical { rounds: 1 };
                 config.splitter_rule = SplitterRule::Scanning;
             }
-            config.node_level = args.node_level;
             config.tag_duplicates = args.tag_duplicates;
             config.approximate_histograms = args.approx_histograms;
-            config.local_sort = args.local_sort;
-            if args.extsort {
-                // Scratch runs live under a unique per-process subdirectory
-                // of --run-dir and are removed again when the sort returns
-                // (RAII guard), even on panic.
-                let run_dir = args.run_dir.clone().unwrap_or_else(|| {
-                    std::env::temp_dir().join("hss-demo").to_string_lossy().into_owned()
-                });
-                let mut policy =
-                    ExtSortPolicy::new(args.memory_cap, run_dir).with_io_mode(args.io_mode);
-                if let Some(depth) = args.prefetch_depth {
-                    policy = policy.with_prefetch_depth(depth);
-                }
-                config = config.with_ext_sort(policy);
-                let (outcome, ext) = HssSorter::new(config).sort_out_of_core(&mut machine, input);
-                ext_report = Some(ext);
-                (outcome.data, outcome.report)
-            } else {
-                let outcome = HssSorter::new(config).sort(&mut machine, input);
-                (outcome.data, outcome.report)
-            }
+            run_pipeline(HssSorter::new(config), &mut machine, input)
         }
         "sample-regular" => {
-            let cfg = SampleSortConfig {
-                local_sort: args.local_sort,
-                ..SampleSortConfig::regular(args.epsilon)
-            };
-            run_sorter(&cfg, &mut machine, input)
+            let cfg = SampleSortConfig { local_sort, ..SampleSortConfig::regular(eps) };
+            run_policy(config, cfg, &mut machine, input)
         }
         "sample-random" => {
-            let cfg = SampleSortConfig {
-                local_sort: args.local_sort,
-                ..SampleSortConfig::random(args.epsilon)
-            };
-            run_sorter(&cfg, &mut machine, input)
+            let cfg = SampleSortConfig { local_sort, ..SampleSortConfig::random(eps) };
+            run_policy(config, cfg, &mut machine, input)
         }
         "histogram" => {
-            let mut cfg = HistogramSortConfig::new(args.epsilon, args.ranks);
-            cfg.local_sort = args.local_sort;
-            run_sorter(&cfg, &mut machine, input)
+            let cfg =
+                HistogramSortConfig { local_sort, ..HistogramSortConfig::new(eps, args.ranks) };
+            run_policy(config, cfg, &mut machine, input)
         }
         "overpartition" => {
-            let mut cfg = OverPartitioningConfig::recommended(args.ranks);
-            cfg.local_sort = args.local_sort;
-            run_sorter(&cfg, &mut machine, input)
+            let cfg = OverPartitioningConfig {
+                local_sort,
+                ..OverPartitioningConfig::recommended(args.ranks)
+            };
+            run_policy(config, cfg, &mut machine, input)
         }
-        "bitonic" => bitonic_sort(&mut machine, input, args.local_sort),
+        "bitonic" => {
+            let (data, report) = bitonic_sort(&mut machine, input, local_sort);
+            (SortOutcome { data, report }, None)
+        }
         "radix" => {
-            let mut cfg = RadixConfig::recommended(args.ranks);
-            cfg.local_sort = args.local_sort;
-            run_sorter(&cfg, &mut machine, input)
+            let cfg = RadixConfig { local_sort, ..RadixConfig::recommended(args.ranks) };
+            (cfg.sort(&mut machine, input), None)
         }
         other => {
             eprintln!("unknown algorithm {other}\n\n{HELP}");
             exit(2);
         }
     };
-    (out, report, machine, ext_report)
+    (outcome.data, outcome.report, machine, ext_report)
 }
 
 /// JSON document written by `--trace`: run metadata, the full per-rank
@@ -358,8 +367,8 @@ fn dump_trace(path: &str, machine: &Machine, report: &SortReport) {
 
 fn main() {
     let args = parse_args();
-    if args.extsort && !args.algorithm.starts_with("hss") {
-        eprintln!("--extsort only applies to the hss algorithms");
+    if args.extsort && matches!(args.algorithm.as_str(), "bitonic" | "radix") {
+        eprintln!("--extsort does not apply to bitonic and radix, which are not splitter sorts");
         exit(2);
     }
     if args.extsort && args.tag_duplicates {

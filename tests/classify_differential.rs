@@ -19,7 +19,7 @@
 //!   that classification can take the tree arm, and that output must match
 //!   the `global_sorted` oracle.
 
-use hss_repro::baselines::{histogram_sort, sample_sort, HistogramSortConfig, SampleSortConfig};
+use hss_repro::baselines::{HistogramSortConfig, SampleSortConfig};
 use hss_repro::partition::{
     global_sorted, local_ranks, local_ranks_le, verify_global_sort, DecisionTree,
 };
@@ -65,7 +65,7 @@ where
 }
 
 #[test]
-fn hss_output_matches_oracle_across_engines_and_sync_models() {
+fn hss_output_matches_oracle_across_sync_models() {
     for dist in distributions() {
         let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
         assert_output_is_oracle(&format!("hss/{}", dist.name()), &input, |machine| {
@@ -76,21 +76,21 @@ fn hss_output_matches_oracle_across_engines_and_sync_models() {
 }
 
 #[test]
-fn sample_sort_output_matches_oracle_across_engines_and_sync_models() {
+fn sample_sort_output_matches_oracle_across_sync_models() {
     for dist in distributions() {
         let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
         assert_output_is_oracle(&format!("sample/{}", dist.name()), &input, |machine| {
-            sample_sort(machine, &SampleSortConfig::regular(0.2), input.clone()).0
+            SampleSortConfig::regular(0.2).sort(machine, input.clone()).data
         });
     }
 }
 
 #[test]
-fn histogram_sort_output_matches_oracle_across_engines_and_sync_models() {
+fn histogram_sort_output_matches_oracle_across_sync_models() {
     for dist in distributions() {
         let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
         assert_output_is_oracle(&format!("histogram/{}", dist.name()), &input, |machine| {
-            histogram_sort(machine, &HistogramSortConfig::new(0.1, RANKS), input.clone()).0
+            HistogramSortConfig::new(0.1, RANKS).sort(machine, input.clone()).data
         });
     }
 }

@@ -29,8 +29,8 @@
 //! quadratic.
 
 use hss_repro::baselines::{
-    bitonic_sort, histogram_sort, over_partitioning_sort, radix_partition_sort, sample_sort,
-    HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
+    bitonic_sort, radix_partition_sort, HistogramSortConfig, OverPartitioningConfig, RadixConfig,
+    SampleSortConfig,
 };
 use hss_repro::keygen::{ByteKey, WideRecord};
 use hss_repro::lsort::{
@@ -182,7 +182,7 @@ fn sample_sort_radix_and_comparison_agree() {
                 let label = format!("sample-{name}/{:?}/{}", sync, dist.name());
                 assert_algos_agree(&label, sync, |machine, algo| {
                     let cfg = SampleSortConfig { local_sort: algo, ..base };
-                    sample_sort(machine, &cfg, input.clone()).0
+                    cfg.sort(machine, input.clone()).data
                 });
             }
         }
@@ -198,7 +198,7 @@ fn histogram_sort_radix_and_comparison_agree() {
             assert_algos_agree(&label, sync, |machine, algo| {
                 let mut cfg = HistogramSortConfig::new(0.1, RANKS);
                 cfg.local_sort = algo;
-                histogram_sort(machine, &cfg, input.clone()).0
+                cfg.sort(machine, input.clone()).data
             });
         }
     }
@@ -213,7 +213,7 @@ fn over_partitioning_radix_and_comparison_agree() {
             assert_algos_agree(&label, sync, |machine, algo| {
                 let mut cfg = OverPartitioningConfig::recommended(RANKS);
                 cfg.local_sort = algo;
-                over_partitioning_sort(machine, &cfg, input.clone()).0
+                cfg.sort(machine, input.clone()).data
             });
         }
     }

@@ -22,6 +22,8 @@
 //!   `drain_source_below` cuts land exactly on `partition_point` boundaries
 //!   (the invariant the staged drain's bitwise identity rests on).
 
+use hss_repro::baselines::{HistogramSortConfig, OverPartitioningConfig, SampleSortConfig};
+use hss_repro::core::SplitterPolicy;
 use hss_repro::extsort::{ExtSortConfig, ExtSortReport, ExternalSorter, IoMode, PlainRecord};
 use hss_repro::keygen::{generate_tera_records_per_rank, Keyed, TeraRecord};
 use hss_repro::lsort::RadixSortable;
@@ -293,17 +295,64 @@ struct Observed {
     ext: ExtSortReport,
 }
 
-/// Sort `input` on `machine` with `threads` rayon threads: through
-/// `sort_out_of_core` if `config` carries a policy, through `sort` if not.
+/// The algorithm axis of the product table: who finds the splitters.
+#[derive(Debug, Clone, Copy)]
+enum Splitters {
+    Hss,
+    Sample(SampleSortConfig),
+    Histogram(HistogramSortConfig),
+    OverPartition(OverPartitioningConfig),
+}
+
+impl Splitters {
+    /// HSS and the four splitter baselines at `p` ranks, the samplers'
+    /// thresholds loose enough that a spilled rank answers a few dozen
+    /// positions, not all of its keys.
+    fn all(p: usize) -> [Self; 5] {
+        [
+            Self::Hss,
+            Self::Sample(SampleSortConfig::regular(0.2)),
+            Self::Sample(SampleSortConfig::random(1.0)),
+            Self::Histogram(HistogramSortConfig::new(0.05, p)),
+            Self::OverPartition(OverPartitioningConfig::recommended(p)),
+        ]
+    }
+}
+
+/// Sort `input` on `machine` with `threads` rayon threads, `splitters`
+/// finding the splitters: through `sort_out_of_core` if `config` carries a
+/// policy, through `sort` if not.
 fn observe(
     input: &[Vec<u64>],
+    splitters: Splitters,
     config: &HssConfig,
+    machine: Machine,
+    threads: usize,
+) -> Observed {
+    let config = config.clone();
+    match splitters {
+        Splitters::Hss => observe_with(input, HssSorter::new(config), machine, threads),
+        Splitters::Sample(policy) => {
+            observe_with(input, HssSorter::with_splitters(config, policy), machine, threads)
+        }
+        Splitters::Histogram(policy) => {
+            observe_with(input, HssSorter::with_splitters(config, policy), machine, threads)
+        }
+        Splitters::OverPartition(policy) => {
+            observe_with(input, HssSorter::with_splitters(config, policy), machine, threads)
+        }
+    }
+}
+
+fn observe_with<P: SplitterPolicy<u64> + Sync>(
+    input: &[Vec<u64>],
+    sorter: HssSorter<P>,
     mut machine: Machine,
     threads: usize,
 ) -> Observed {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("test pool");
     pool.install(|| {
-        let sorter = HssSorter::new(config.clone());
+        let config = sorter.config();
         let (outcome, ext) = match config.ext_sort {
             Some(_) => sorter.sort_out_of_core(&mut machine, input.to_vec()),
             None => (sorter.sort(&mut machine, input.to_vec()), ExtSortReport::default()),
@@ -331,86 +380,115 @@ fn assert_scratch_is_empty(scratch: &std::path::Path, label: &str) {
     assert!(leftovers.is_empty(), "{label}: scratch not cleaned: {leftovers:?}");
 }
 
-/// Everything the pipeline composes, in one table: bucket granularity
-/// {rank, node} × schedule {Bsp, Overlapped} × residency {nobody over the
-/// cap, only the large ranks of an uneven input, everybody} × four
-/// distributions.
+/// Everything the pipeline composes, in one table: splitter policy {HSS,
+/// regular and random sample sort, classic histogram sort,
+/// over-partitioning} × bucket granularity {rank, node} × schedule {Bsp,
+/// Overlapped} × residency {nobody over the cap, only the large ranks of an
+/// uneven input, everybody} × distribution (all four for HSS, uniform and
+/// power-law for the baselines).
 ///
-/// Every cell is a correct, balanced global sort, leaves no scratch file,
-/// and charges the same at 1 and 4 host threads.  A cell nobody spills in is
-/// `HssSorter::sort` on the same machine — same output, same deterministic
-/// signature, an all-zero `ExtSortReport`.  A cell with a spilled rank puts
-/// the splitters first under either sync model, so its output is what
-/// `sort` produces on a Bsp machine of the same topology — and the
-/// large-ranks cells run once more under [`LocalSortAlgo::Comparison`], so
-/// spilled run formation is `sort_unstable` too and must change nothing.
+/// Every cell is a correct global sort (balanced, for HSS), leaves no
+/// scratch file, and charges the same at 1 and 4 host threads.  A cell
+/// nobody spills in is `sort` with the same policy on the same machine —
+/// same output, same deterministic signature, an all-zero `ExtSortReport`.
+/// A cell with a spilled rank puts the splitters first under either sync
+/// model, so its output is what `sort` produces on a Bsp machine of the
+/// same topology — and the large-ranks cells run once more under
+/// [`LocalSortAlgo::Comparison`], so spilled run formation is
+/// `sort_unstable` too and must change nothing.
 #[test]
 fn every_granularity_schedule_and_residency_is_one_pipeline() {
     let p = 16;
     let width = std::mem::size_of::<u64>();
-    for dist in distributions() {
-        let scratch = std::env::temp_dir()
-            .join(format!("hss-pipeline-differential-product-{}", dist.name().replace(' ', "-")));
-        let _ = std::fs::remove_dir_all(&scratch);
-        let input = dist.generate_uneven_per_rank(p, 500, 0.6, SEED);
-        let mut sizes: Vec<usize> = input.iter().map(Vec::len).collect();
-        sizes.sort_unstable();
-        // Few distinct keys cannot balance without tagging; the sort and the
-        // accounting must hold all the same.
-        let balanced = !matches!(dist, KeyDistribution::FewDistinct { .. });
+    for splitters in Splitters::all(p) {
+        // The baselines run on the first two: uniform and power-law keys.
+        let dists = if matches!(splitters, Splitters::Hss) { 4 } else { 2 };
+        for dist in distributions().into_iter().take(dists) {
+            let scratch = std::env::temp_dir().join(format!(
+                "hss-pipeline-differential-product-{}",
+                dist.name().replace(' ', "-")
+            ));
+            let _ = std::fs::remove_dir_all(&scratch);
+            let input = dist.generate_uneven_per_rank(p, 500, 0.6, SEED);
+            let mut sizes: Vec<usize> = input.iter().map(Vec::len).collect();
+            sizes.sort_unstable();
+            // Few distinct keys cannot balance without tagging; the sort and the
+            // accounting must hold all the same.  The baselines' balance is their
+            // own (over-partitioning's is loose by design).
+            let balanced = matches!(splitters, Splitters::Hss)
+                && !matches!(dist, KeyDistribution::FewDistinct { .. });
 
-        for node_level in [false, true] {
-            let topology = if node_level { Topology::new(p, 4) } else { Topology::flat(p) };
-            let machine = |sync| Machine::new(topology, CostModel::default()).with_sync_model(sync);
-            let mut config = HssConfig::default().with_seed(SEED);
-            config.node_level = node_level;
-            for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
-                // (who spills, the cap that selects them, how many ranks that is)
-                let caps = [
-                    ("nobody", 1 << 20, 0..=0),
-                    ("large ranks", sizes[p / 2] * width, 1..=p - 1),
-                    ("everybody", sizes[0] * width / 2, p..=p),
-                ];
-                for (residency, cap, selected) in caps {
-                    let label = format!(
-                        "{} node_level={node_level} {} spilled={residency}",
-                        dist.name(),
-                        sync.name()
-                    );
-                    let spilled_ranks = sizes.iter().filter(|&&n| n * width > cap).count();
-                    assert!(selected.contains(&spilled_ranks), "{label}: {spilled_ranks} spill");
-                    let capped = config.clone().with_ext_sort(
-                        ExtSortPolicy::new(cap, scratch.to_string_lossy())
-                            .with_io_mode(IoMode::Overlapped),
-                    );
-                    let run = observe(&input, &capped, machine(sync), 1);
-                    hss_repro::partition::verify_global_sort(&input, &run.data)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
-                    assert!(run.imbalance_ok || !balanced, "{label}: imbalance beyond (1+ε)N/p");
+            for node_level in [false, true] {
+                let topology = if node_level { Topology::new(p, 4) } else { Topology::flat(p) };
+                let machine =
+                    |sync| Machine::new(topology, CostModel::default()).with_sync_model(sync);
+                let mut config = HssConfig::default().with_seed(SEED);
+                config.node_level = node_level;
+                for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
+                    // (who spills, the cap that selects them, how many ranks that is)
+                    let caps = [
+                        ("nobody", 1 << 20, 0..=0),
+                        ("large ranks", sizes[p / 2] * width, 1..=p - 1),
+                        ("everybody", sizes[0] * width / 2, p..=p),
+                    ];
+                    for (residency, cap, selected) in caps {
+                        let label = format!(
+                            "{splitters:?} {} node_level={node_level} {} spilled={residency}",
+                            dist.name(),
+                            sync.name()
+                        );
+                        let spilled_ranks = sizes.iter().filter(|&&n| n * width > cap).count();
+                        assert!(
+                            selected.contains(&spilled_ranks),
+                            "{label}: {spilled_ranks} spill"
+                        );
+                        let capped = config.clone().with_ext_sort(
+                            ExtSortPolicy::new(cap, scratch.to_string_lossy())
+                                .with_io_mode(IoMode::Overlapped),
+                        );
+                        let run = observe(&input, splitters, &capped, machine(sync), 1);
+                        hss_repro::partition::verify_global_sort(&input, &run.data)
+                            .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        assert!(
+                            run.imbalance_ok || !balanced,
+                            "{label}: imbalance beyond (1+ε)N/p"
+                        );
 
-                    if spilled_ranks == 0 {
-                        let reference = observe(&input, &config, machine(sync), 1);
-                        assert_eq!(run.data, reference.data, "{label}: output vs sort");
-                        assert_eq!(run.signature, reference.signature, "{label}: charges vs sort");
-                        assert_eq!(run.ext, ExtSortReport::default(), "{label}");
-                    } else {
-                        let reference = observe(&input, &config, machine(SyncModel::Bsp), 1);
-                        assert_eq!(run.data, reference.data, "{label}: output vs Bsp sort");
-                        assert!(run.ext.runs_formed > 0, "{label}: somebody spilled");
-                        assert!((0.0..=1.0).contains(&run.ext.io_wait_fraction()), "{label}");
+                        if spilled_ranks == 0 {
+                            let reference = observe(&input, splitters, &config, machine(sync), 1);
+                            assert_eq!(run.data, reference.data, "{label}: output vs sort");
+                            assert_eq!(
+                                run.signature, reference.signature,
+                                "{label}: charges vs sort"
+                            );
+                            assert_eq!(run.ext, ExtSortReport::default(), "{label}");
+                        } else {
+                            let reference =
+                                observe(&input, splitters, &config, machine(SyncModel::Bsp), 1);
+                            assert_eq!(run.data, reference.data, "{label}: output vs Bsp sort");
+                            assert!(run.ext.runs_formed > 0, "{label}: somebody spilled");
+                            assert!((0.0..=1.0).contains(&run.ext.io_wait_fraction()), "{label}");
+                        }
+
+                        let four = observe(&input, splitters, &capped, machine(sync), 4);
+                        assert_eq!(run.data, four.data, "{label}: output thread-invariant");
+                        assert_eq!(
+                            run.signature, four.signature,
+                            "{label}: charges thread-invariant"
+                        );
+
+                        if residency == "large ranks" {
+                            let comparison =
+                                capped.clone().with_local_sort(LocalSortAlgo::Comparison);
+                            let cmp = observe(&input, splitters, &comparison, machine(sync), 1);
+                            assert_eq!(
+                                run.data, cmp.data,
+                                "{label}: output vs comparison local sort"
+                            );
+                            assert!(cmp.ext.runs_formed > 0, "{label}: comparison cell spilled");
+                        }
+                        assert_scratch_is_empty(&scratch, &label);
                     }
-
-                    let four = observe(&input, &capped, machine(sync), 4);
-                    assert_eq!(run.data, four.data, "{label}: output thread-invariant");
-                    assert_eq!(run.signature, four.signature, "{label}: charges thread-invariant");
-
-                    if residency == "large ranks" {
-                        let comparison = capped.clone().with_local_sort(LocalSortAlgo::Comparison);
-                        let cmp = observe(&input, &comparison, machine(sync), 1);
-                        assert_eq!(run.data, cmp.data, "{label}: output vs comparison local sort");
-                        assert!(cmp.ext.runs_formed > 0, "{label}: comparison cell spilled");
-                    }
-                    assert_scratch_is_empty(&scratch, &label);
                 }
             }
         }
@@ -454,10 +532,10 @@ fn degenerate_shapes_under_a_cap_match_sort() {
         for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
             let machine = |sync| Machine::new(topology, CostModel::default()).with_sync_model(sync);
             let capped = config.clone().with_ext_sort(policy(cap));
-            let run = observe(&input, &capped, machine(sync), 1);
+            let run = observe(&input, Splitters::Hss, &capped, machine(sync), 1);
             // A spilled rank puts the splitters first: the Bsp partition.
             let reference_sync = if any_spilled { SyncModel::Bsp } else { sync };
-            let reference = observe(&input, &config, machine(reference_sync), 1);
+            let reference = observe(&input, Splitters::Hss, &config, machine(reference_sync), 1);
             assert_eq!(run.data, reference.data, "{label} {}", sync.name());
             assert_eq!(run.ext.runs_formed > 0, any_spilled, "{label} {}", sync.name());
             assert_scratch_is_empty(&scratch, label);

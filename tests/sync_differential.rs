@@ -16,16 +16,18 @@
 //!    *what* is charged, only *when* clocks advance: running the same
 //!    algorithm under Bsp and Overlapped must yield bitwise-identical
 //!    `deterministic_signature()`s.  (HSS itself restructures its schedule
-//!    under Overlapped, so this oracle applies to every non-HSS sorter;
-//!    HSS's Bsp path is pinned by oracle 1.)
+//!    under Overlapped, so this oracle applies to every non-HSS sorter —
+//!    the three splitter policies run the one pipeline, whose overlapped
+//!    schedule moves a policy's buckets in the Bsp exchange when no
+//!    splitter froze; HSS's Bsp path is pinned by oracle 1.)
 //! 3. **Overlap safety.**  Overlapped HSS — rank buckets and node-level
 //!    buckets alike — must still produce a correct global sort and keep the
 //!    load-balance guarantee; with rank buckets it must never exceed the
 //!    Bsp makespan.
 
 use hss_repro::baselines::{
-    bitonic_sort, histogram_sort, over_partitioning_sort, radix_partition_sort, sample_sort,
-    HistogramSortConfig, OverPartitioningConfig, RadixConfig, SampleSortConfig,
+    bitonic_sort, radix_partition_sort, HistogramSortConfig, OverPartitioningConfig, RadixConfig,
+    SampleSortConfig,
 };
 use hss_repro::partition::verify_global_sort;
 use hss_repro::prelude::*;
@@ -98,7 +100,7 @@ where
 }
 
 #[test]
-fn hss_bsp_reproduces_scalar_accounting_for_all_engines() {
+fn hss_bsp_reproduces_scalar_accounting() {
     for topo in topologies() {
         for dist in distributions() {
             let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
@@ -135,9 +137,7 @@ fn sample_sort_is_sync_model_neutral() {
                 ("random", SampleSortConfig::random(0.2)),
             ] {
                 let label = format!("sample-sort-{name}/{}", dist.name());
-                assert_sync_neutral(&label, topo, |machine| {
-                    sample_sort(machine, &cfg, input.clone()).0
-                });
+                assert_sync_neutral(&label, topo, |machine| cfg.sort(machine, input.clone()).data);
             }
         }
     }
@@ -150,11 +150,11 @@ fn histogram_over_partitioning_radix_bitonic_are_sync_model_neutral() {
             let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, SEED);
             let hist_cfg = HistogramSortConfig::new(0.1, RANKS);
             assert_sync_neutral(&format!("histogram/{}", dist.name()), topo, |machine| {
-                histogram_sort(machine, &hist_cfg, input.clone()).0
+                hist_cfg.sort(machine, input.clone()).data
             });
             let over_cfg = OverPartitioningConfig::recommended(RANKS);
             assert_sync_neutral(&format!("overpartition/{}", dist.name()), topo, |machine| {
-                over_partitioning_sort(machine, &over_cfg, input.clone()).0
+                over_cfg.sort(machine, input.clone()).data
             });
             let radix_cfg = RadixConfig::recommended(RANKS);
             assert_sync_neutral(&format!("radix/{}", dist.name()), topo, |machine| {
