@@ -1,13 +1,17 @@
 //! Criterion micro-benchmark of the local building blocks: histogram rank
 //! queries (binary search vs merge sweep regimes), bucket partitioning,
-//! k-way merging and one whole histogramming round — the kernels whose
-//! costs Table 5.1 composes.
+//! k-way merging, one whole histogramming round, and the three host passes
+//! of the paper's regime that walk `p` intervals or peers per rank (the
+//! dense interval and bucket sweeps, the node-combined exchange
+//! accounting) — the kernels whose costs Table 5.1 composes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hss_keygen::{generate_tera_records_per_rank, KeyDistribution, Record, TeraRecord};
 use hss_lsort::RadixSortable;
-use hss_partition::{global_ranks, kway_merge_slices, local_ranks, partition_sorted, SplitterSet};
-use hss_sim::{Machine, Phase};
+use hss_partition::{
+    global_ranks, interval_bounds, kway_merge_slices, local_ranks, partition_sorted, SplitterSet,
+};
+use hss_sim::{CostModel, ExchangePlan, Machine, Phase, Topology};
 
 fn sorted_keys(n: usize, seed: u64) -> Vec<u64> {
     let mut v = KeyDistribution::Uniform.generate_rank(0, 1, n, seed);
@@ -119,5 +123,60 @@ fn bench_histogram_round(c: &mut Criterion) {
     bench_round_shape(c, "16x524288-m250-uniform", KeyDistribution::Uniform, 16, 524_288, 250);
 }
 
-criterion_group!(benches, bench_local_phases, bench_kway_merge, bench_histogram_round);
+/// The dense sweeps and the exchange accounting at `u64-wide-skew`'s shape
+/// (1024 ranks of 1024 power-law keys, 16 cores a node), each over every
+/// rank — one rank's data is far more regular than the mix: every rank's
+/// interval bounds for 758 open intervals (the narrow windows of a later
+/// sampling round, around evenly spaced targets), every rank's bucket
+/// boundaries against 1023 splitters, and the node-combined charge of the
+/// whole exchange.
+fn bench_wide_sweeps(c: &mut Criterion) {
+    let (p, n, open) = (1024usize, 1024usize, 758usize);
+    let powerlaw = KeyDistribution::PowerLaw { gamma: 4.0 };
+    let mut data = powerlaw.generate_per_rank(p, n, 7);
+    data.iter_mut().for_each(|rank| rank.sort_unstable());
+    let mut all = data.concat();
+    all.sort_unstable();
+
+    let half_width = all.len() / 4096;
+    let intervals: Vec<(u64, u64)> = (1..=open)
+        .map(|i| i * all.len() / (open + 1))
+        .map(|at| (all[at - half_width], all[at + half_width]))
+        .collect();
+    assert!(intervals.windows(2).all(|w| w[0].1 < w[1].0), "disjoint intervals");
+    let splitters = SplitterSet::new((1..p).map(|i| all[i * all.len() / p]).collect());
+    let plans: Vec<ExchangePlan> = data
+        .iter()
+        .map(|rank| ExchangePlan::from_boundaries(&splitters.bucket_boundaries(rank)))
+        .collect();
+
+    let mut group = c.benchmark_group("local_phases");
+    group.sample_size(20).throughput(Throughput::Elements((p * n) as u64));
+    group.bench_function(BenchmarkId::new("interval_bounds", "1024x1024x758"), |b| {
+        b.iter(|| data.iter().map(|rank| interval_bounds(rank, &intervals)).collect::<Vec<_>>())
+    });
+    group.bench_function(BenchmarkId::new("bucket_boundaries", "1024x1024x1023"), |b| {
+        b.iter(|| data.iter().map(|rank| splitters.bucket_boundaries(rank)).collect::<Vec<_>>())
+    });
+    group.bench_function(BenchmarkId::new("node_combined_accounting", "1024x16"), |b| {
+        b.iter(|| {
+            let mut machine = Machine::new(Topology::mira(p), CostModel::bluegene_like());
+            machine.all_to_allv_flat_node_combined_in_place::<u64>(
+                Phase::DataExchange,
+                &data,
+                &plans,
+            );
+            machine
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_local_phases,
+    bench_kway_merge,
+    bench_histogram_round,
+    bench_wide_sweeps
+);
 criterion_main!(benches);

@@ -63,9 +63,11 @@ impl<T: Keyed> Ord for Tagged<T> {
 /// Tagged items order exactly by their [`TaggedKey`], so the digit string
 /// is the tagged key's.  Digit equality implies `(key, pe, index)`
 /// equality, which is [`Ord`] equality for `Tagged` — the radix contract
-/// holds even though the carried item is not part of the digits.  The
-/// `Copy` bound on the item comes with the territory: the radix sorter
-/// stages items through its software write buffers.
+/// holds even though the carried item is not part of the digits.  So does
+/// "Ord-equal means identical", on the items [`tag_per_rank`] makes: a tag
+/// names one position of the input, so two items with the same tag are the
+/// same item.  The `Copy` bound on the item comes with the territory: the
+/// radix sorter stages items through its software write buffers.
 impl<T: Keyed + Copy> RadixSortable for Tagged<T>
 where
     T::K: RadixSortable,

@@ -218,10 +218,17 @@ impl std::fmt::Display for LocalSortAlgo {
 ///   `(a.radix_byte(0), …, a.radix_byte(RADIX_BYTES - 1))` and likewise for
 ///   `b` — i.e. the digits are a big-endian, order-preserving encoding;
 /// * equal digit strings imply `a == b` under [`Ord`] (the digits exhaust
-///   the order), so a bucket whose digits ran out needs no further work.
+///   the order), so a bucket whose digits ran out needs no further work;
+/// * `a.cmp(&b) == Equal` implies `a` and `b` are identical in every
+///   field: the order has no ties between distinguishable values.
 ///
-/// [`radix_sort`] relies on both properties; violating them produces
-/// incorrectly sorted output, never memory unsafety.
+/// [`radix_sort`] relies on the first two; violating them produces
+/// incorrectly sorted output, never memory unsafety.  The third is what
+/// makes every sort of a multiset produce the same bits, so that the k-way
+/// merge may finish its runs by re-sorting them (`hss-partition`'s
+/// `finish_arm`) and a stable merge and an unstable sort agree.  A carrier
+/// whose `Ord` ignores a field breaks it: its ties would come out in
+/// whatever order the arm that ran leaves them.
 pub trait RadixSortable: Ord + Copy {
     /// Number of digit (byte) levels; also the pass count the cost model
     /// charges for a radix sort of this type.

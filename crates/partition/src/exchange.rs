@@ -16,9 +16,13 @@
 //! a slice-based loser tree reading them in place — each element is copied
 //! once end to end.
 
+use std::ops::Range;
+
 use hss_keygen::Keyed;
+use hss_lsort::{radix_sort, RadixSortable};
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
+use crate::merge::{finish_arm, FinishArm};
 use crate::splitters::SplitterSet;
 
 /// The exchange representation: there is one, the flat exchange.
@@ -107,24 +111,130 @@ pub fn exchange<'a, T: Keyed>(
     Received::InPlace { bufs: per_rank_sorted, plans }
 }
 
-/// The rank-level finish: every rank merges the sorted runs it received
-/// into its output with `merge` (`per_rank_sorted` only drives the per-rank
-/// superstep; the runs come from `received`).  `merge` returns the merged
-/// run and whatever it cost beyond the k-way merge's comparisons, which are
-/// charged here.
-pub fn merge_received<T: Send + Sync>(
+/// The rank-level finish: every rank turns the sorted runs it received
+/// into its output (`per_rank_sorted` only drives the per-rank superstep;
+/// the runs come from `received`).  `merge` finishes an owner's runs (in
+/// sender order, empties included) and returns the merged run and whatever
+/// it cost beyond the k-way merge's comparisons, which are charged here.
+///
+/// An owner whose `items` count `in_memory` accepts must be finished by
+/// `merge` exactly as [`kway_merge_slices`](crate::kway_merge_slices) would.
+/// Where that merge would take its re-sort arm ([`finish_arm`]), the
+/// owner's runs are instead copied straight into its output and radix
+/// sorted there — the same output and the same charge, without the list of
+/// `p` run slices per owner.  The copies are read for a block of
+/// neighbouring owners at once, one segment of each sender's plan at a
+/// time, rather than one owner walking a column of `p` plans.
+pub fn merge_received<T: RadixSortable + Send + Sync>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     received: &Received<'_, T>,
+    in_memory: impl Fn(usize) -> bool + Sync,
     merge: impl Fn(&[&[T]]) -> (Vec<T>, Work) + Sync,
 ) -> Vec<Vec<T>> {
-    machine.map_phase(Phase::Merge, per_rank_sorted, |dst, _local| {
-        let runs = received.runs_at(dst);
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        let pieces = runs.iter().filter(|r| !r.is_empty()).count();
-        let (merged, beyond) = merge(&runs);
+    machine.map_phase_with(Phase::Merge, per_rank_sorted, OwnerBlock::in_chunk, |block, dst, _| {
+        let inbox = match received {
+            Received::InPlace { bufs, plans } => block.take(bufs, plans, dst, &in_memory),
+            Received::Owned(_) => Inbox::Runs(received.runs_at(dst)),
+        };
+        let (merged, pieces, beyond) = match inbox {
+            Inbox::Runs(runs) => {
+                let pieces = runs.iter().filter(|r| !r.is_empty()).count();
+                let (merged, beyond) = merge(&runs);
+                (merged, pieces, beyond)
+            }
+            Inbox::Gathered { mut items, pieces } => {
+                radix_sort(&mut items);
+                (items, pieces, Work::none())
+            }
+        };
+        let total = merged.len();
         (merged, Work::merge(total, pieces.max(1)).and(beyond))
     })
+}
+
+/// How many neighbouring owners [`merge_received`] reads out of the plans
+/// together.
+const OWNER_BLOCK: usize = 16;
+
+/// What one owner received, read for its finish.
+enum Inbox<'a, T> {
+    /// Its runs in sender order, empties included, for `merge`.
+    Runs(Vec<&'a [T]>),
+    /// Its runs copied out in sender order, not yet sorted, for the
+    /// re-sort arm; `pieces` of them were non-empty.
+    Gathered { items: Vec<T>, pieces: usize },
+}
+
+/// The inboxes of a block of consecutive owners, within one chunk of the
+/// superstep's ranks.
+struct OwnerBlock<'a, T> {
+    /// Where the chunk ends: a block never reads past it.
+    chunk_end: usize,
+    owners: Range<usize>,
+    inboxes: Vec<Inbox<'a, T>>,
+}
+
+impl<'a, T: RadixSortable> OwnerBlock<'a, T> {
+    /// No block read yet, for the ranks `chunk`.
+    fn in_chunk(chunk: Range<usize>) -> Self {
+        Self { chunk_end: chunk.end, owners: 0..0, inboxes: Vec::new() }
+    }
+
+    /// Owner `dst`'s inbox, reading the block it starts when `dst` is not
+    /// in the current one.
+    fn take(
+        &mut self,
+        bufs: &'a [Vec<T>],
+        plans: &[ExchangePlan],
+        dst: usize,
+        in_memory: impl Fn(usize) -> bool,
+    ) -> Inbox<'a, T> {
+        if !self.owners.contains(&dst) {
+            self.owners = dst..self.chunk_end.min(dst + OWNER_BLOCK);
+            self.inboxes = Self::read(bufs, plans, self.owners.clone(), in_memory);
+        }
+        std::mem::replace(&mut self.inboxes[dst - self.owners.start], Inbox::Runs(Vec::new()))
+    }
+
+    /// Read the inboxes of `owners` in two passes over each sender's plan
+    /// segment: sizes first, which pick each owner's arm, then the runs.
+    fn read(
+        bufs: &'a [Vec<T>],
+        plans: &[ExchangePlan],
+        owners: Range<usize>,
+        in_memory: impl Fn(usize) -> bool,
+    ) -> Vec<Inbox<'a, T>> {
+        let (mut totals, mut pieces) = (vec![0usize; owners.len()], vec![0usize; owners.len()]);
+        for plan in plans {
+            for (j, &count) in plan.counts[owners.clone()].iter().enumerate() {
+                totals[j] += count;
+                pieces[j] += (count > 0) as usize;
+            }
+        }
+        let mut inboxes: Vec<Inbox<'a, T>> = totals
+            .iter()
+            .zip(&pieces)
+            .map(|(&total, &pieces)| {
+                if finish_arm::<T>(pieces, total) == FinishArm::Resort && in_memory(total) {
+                    Inbox::Gathered { items: Vec::with_capacity(total), pieces }
+                } else {
+                    Inbox::Runs(Vec::with_capacity(plans.len()))
+                }
+            })
+            .collect();
+        for (plan, buf) in plans.iter().zip(bufs) {
+            let segment = plan.counts[owners.clone()].iter().zip(&plan.displs[owners.clone()]);
+            for (inbox, (&count, &displ)) in inboxes.iter_mut().zip(segment) {
+                let run = &buf[displ..displ + count];
+                match inbox {
+                    Inbox::Runs(runs) => runs.push(run),
+                    Inbox::Gathered { items, .. } => items.extend_from_slice(run),
+                }
+            }
+        }
+        inboxes
+    }
 }
 
 #[cfg(test)]
@@ -142,7 +252,13 @@ mod tests {
     ) -> Vec<Vec<u64>> {
         let owner: Vec<usize> = (0..machine.ranks()).collect();
         let received = exchange(machine, input, splitters, &owner);
-        merge_received(machine, input, &received, |runs| (kway_merge_slices(runs), Work::none()))
+        merge_received(
+            machine,
+            input,
+            &received,
+            |_| true,
+            |runs| (kway_merge_slices(runs), Work::none()),
+        )
     }
 
     fn sorted_input(p: usize, n: usize) -> Vec<Vec<u64>> {
@@ -194,5 +310,47 @@ mod tests {
         let splitters = SplitterSet::new(vec![1u64, 2]); // 3 buckets, 4 ranks
         let mut machine = Machine::flat(4);
         let _ = exchange_and_merge(&mut machine, &input, &splitters);
+    }
+
+    #[test]
+    fn owner_blocks_finish_like_a_merge_of_each_owners_column() {
+        use hss_sim::Parallelism;
+        // Skewed splitters give each shape crumb owners (many short runs:
+        // the re-sort arm) beside a few long-run owners (the tournament),
+        // and owners an `in_memory` bound turns back to `merge`; the rank
+        // counts straddle the owner block and the superstep's chunks.
+        for p in [1usize, 2, 5, 16, 17, 40, 67] {
+            let input = sorted_input(p, 60 + 7 * p);
+            let mut all = input.concat();
+            all.sort_unstable();
+            let splitters =
+                SplitterSet::new((1..p).map(|i| all[(i * i * all.len()) / (p * p)]).collect());
+            let owner: Vec<usize> = (0..p).collect();
+            for parallelism in [Parallelism::Sequential, Parallelism::Rayon] {
+                let mut machine = Machine::flat(p).with_parallelism(parallelism);
+                let received = exchange(&mut machine, &input, &splitters, &owner);
+                let mut reference = Machine::flat(p).with_parallelism(parallelism);
+                let _ = exchange(&mut reference, &input, &splitters, &owner);
+                let spill = Work::scan(1);
+                let merge = |runs: &[&[u64]]| {
+                    let total: usize = runs.iter().map(|r| r.len()).sum();
+                    (kway_merge_slices(runs), if total > 300 { spill } else { Work::none() })
+                };
+                let out = merge_received(&mut machine, &input, &received, |n| n <= 300, merge);
+                let expect = reference.map_phase(Phase::Merge, &input, |dst, _| {
+                    let runs = received.runs_at(dst);
+                    let pieces = runs.iter().filter(|r| !r.is_empty()).count();
+                    let (merged, beyond) = merge(&runs);
+                    let work = Work::merge(merged.len(), pieces.max(1)).and(beyond);
+                    (merged, work)
+                });
+                assert_eq!(out, expect, "p = {p}");
+                assert_eq!(
+                    machine.metrics().deterministic_signature(),
+                    reference.metrics().deterministic_signature(),
+                    "p = {p}"
+                );
+            }
+        }
     }
 }

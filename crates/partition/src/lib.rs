@@ -52,8 +52,8 @@ pub use histogram::{
 };
 pub use intervals::{Bound, SplitterIntervals};
 pub use merge::{
-    concat_sort_merge, drain_source_below, drain_source_rest, kway_merge, kway_merge_slices,
-    runs_for, RunSource, SliceSource, SourceLoserTree,
+    concat_sort_merge, drain_source_below, drain_source_rest, finish_arm, kway_merge,
+    kway_merge_slices, runs_for, FinishArm, RunSource, SliceSource, SourceLoserTree,
 };
 pub use sampling::{
     bernoulli_sample, bernoulli_sample_in_intervals, bernoulli_sample_positions,

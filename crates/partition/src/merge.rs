@@ -4,9 +4,34 @@
 //! Every sender's bucket arrives already sorted (the sender sorted its local
 //! data first), so the receiver performs a `k`-way merge of `p` runs —
 //! `O((N/p) log p)` comparisons, the term that appears in every row of
-//! Table 5.1.
+//! Table 5.1, and the one [`Work::merge`](hss_sim::Work::merge) charges
+//! whichever way the host finishes the runs.
 //!
-//! There is one merge kernel: a *key-caching loser tree* (`Tournament`).
+//! # Two arms
+//!
+//! [`kway_merge_slices`] (every in-memory finish) takes one of two arms,
+//! picked by [`finish_arm`] from `(k, total, size_of::<T>())` with one
+//! integer cost comparison, the way `classify_strategy` picks a histogram
+//! arm:
+//!
+//! * **The tournament**, for long runs and wide records: a loser tree whose
+//!   replay costs `⌈log₂ k⌉` steps an item (below).  At fan-in 16 it emits
+//!   a `u64` in a few nanoseconds and moves a 100-byte record once.
+//! * **The re-sort**, for crumbs: the paper's regime (large `p`, small
+//!   `N/p`) hands each rank ~650 runs of a key or two, where every emission
+//!   climbs ten levels and loads a head from another sender's buffer.
+//!   Gathering the runs and [`radix_sort`]ing them moves each key three
+//!   times in cache instead.
+//!
+//! The arms give the same bits because of the [`RadixSortable`] contract:
+//! Ord-equal items are identical, so a stable merge and an unstable sort
+//! of the same multiset cannot differ.  (The tests' `Stamped` key breaks
+//! the contract on purpose to observe the tournament's run-index
+//! tie-break, and compares the re-sort by `Ord` only.)
+//!
+//! # The tournament
+//!
+//! The merge kernel is a *key-caching loser tree* (`Tournament`).
 //! Each internal node holds the run that lost the comparison there **and
 //! the first eight radix digits of that run's head**, packed big-endian
 //! into a `u64` ([`RadixSortable::radix_byte`] — so signed integers, floats
@@ -25,14 +50,15 @@
 //!
 //! The tournament owns no run; [`SourceLoserTree`] drives it over
 //! [`RunSource`]s — leaves that know their head and how to advance past it.
-//! The out-of-core tier implements the trait with bounded disk windows;
-//! [`kway_merge_slices`] (every in-memory finish) wraps each slice in a
-//! [`SliceSource`] cursor, so both tiers run the same loop and emit in
-//! bitwise identical order.  (A driver specialised to slice cursors measured
-//! 3 % faster on the merge alone — under 1.5 % of a sort — and was not kept.)
+//! The out-of-core tier implements the trait with bounded disk windows and
+//! always merges (its runs are on disk); [`kway_merge_slices`]' tournament
+//! arm wraps each slice in a [`SliceSource`] cursor, so both tiers run the
+//! same loop and emit in bitwise identical order.  (A driver specialised to
+//! slice cursors measured 3 % faster on the merge alone — under 1.5 % of a
+//! sort — and was not kept.)
 
 use hss_keygen::Keyed;
-use hss_lsort::RadixSortable;
+use hss_lsort::{radix_sort, RadixSortable};
 
 /// Flag bit of [`Node::tag`]: the run has no head left.  It sits above the
 /// run index so that, among equal prefixes, comparing tags orders every
@@ -171,8 +197,47 @@ impl Tournament {
     }
 }
 
+/// How [`kway_merge_slices`] finishes its runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FinishArm {
+    /// The key-caching loser tree.
+    Merge,
+    /// Gather the runs and [`radix_sort`] them.
+    Resort,
+}
+
+/// The arm that finishes `k` non-empty runs of `total` items of `T`: one
+/// integer comparison of the per-item costs, in tournament replay steps.
+///
+/// * The tournament pays `2 + ⌈log₂ k⌉` steps an item (the replay, plus
+///   the emission and the head load of a run that is elsewhere in memory).
+/// * The re-sort pays one pass per move of the item: three (the gather and
+///   the radix sort's two counting scatters) when the items fit its
+///   cache-resident scratch, six when a block-permutation level comes
+///   first (its classification, permutation and cleanup each move the
+///   item too).  A pass moves the whole item, so it costs its width in
+///   words.
+///
+/// Ties go to the tournament.  So a thousand keys from fan-in 650 (the
+/// paper's regime) re-sort, half a million from fan-in 16 merge, and a
+/// 100-byte record (13 words) always merges: the tournament moves it once.
+pub fn finish_arm<T>(k: usize, total: usize) -> FinishArm {
+    let words = std::mem::size_of::<T>().div_ceil(8);
+    let passes = if total <= 256 * hss_lsort::BLOCK { 3 } else { 6 };
+    let merge_steps = 2 + crate::classify::ceil_log2(k);
+    if passes * words < merge_steps {
+        FinishArm::Resort
+    } else {
+        FinishArm::Merge
+    }
+}
+
 /// Merge already-sorted runs, given as slices, into one sorted vector.
 /// Equal elements are emitted in run-index order.
+///
+/// The arm is [`finish_arm`]'s.  The re-sort is the same output bit for bit:
+/// by the [`RadixSortable`] contract, Ord-equal items are identical, so the
+/// order among them is invisible.
 pub fn kway_merge_slices<T: RadixSortable>(runs: &[&[T]]) -> Vec<T> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let mut out = Vec::with_capacity(total);
@@ -186,8 +251,16 @@ pub fn kway_merge_slices<T: RadixSortable>(runs: &[&[T]]) -> Vec<T> {
         out.extend_from_slice(only);
         return out;
     }
-    let mut tree = SourceLoserTree::new(live.into_iter().map(SliceSource::new).collect());
-    drain_source_rest(&mut tree, &mut out);
+    match finish_arm::<T>(live.len(), total) {
+        FinishArm::Resort => {
+            live.iter().for_each(|run| out.extend_from_slice(run));
+            radix_sort(&mut out);
+        }
+        FinishArm::Merge => {
+            let mut tree = SourceLoserTree::new(live.into_iter().map(SliceSource::new).collect());
+            drain_source_rest(&mut tree, &mut out);
+        }
+    }
     out
 }
 
@@ -550,8 +623,7 @@ mod tests {
     /// `kway_merge_slices` and a pulled `SourceLoserTree` against a stable
     /// sort of the concatenated runs, over every fan-in of the table.
     /// Outputs are compared through `view`, which must expose everything
-    /// that distinguishes two elements (more than `==` does for
-    /// [`Stamped`]).
+    /// that distinguishes two elements.
     fn assert_merges_like_stable_sort<T, V>(
         case: &str,
         make: impl Fn(usize, usize) -> T,
@@ -560,30 +632,50 @@ mod tests {
         T: RadixSortable,
         V: PartialEq + std::fmt::Debug,
     {
+        assert_merges_like_stable_sort_viewing(case, make, &view, &view);
+    }
+
+    /// [`assert_merges_like_stable_sort`], comparing the tree's output
+    /// through `tree_view` and `kway_merge_slices`' through `slices_view`:
+    /// a type that breaks the [`RadixSortable`] contract ([`Stamped`]) can
+    /// only expect the tree to keep the run-index tie-break, because the
+    /// re-sort arm may order Ord-equal items any way.
+    fn assert_merges_like_stable_sort_viewing<T, V, W>(
+        case: &str,
+        make: impl Fn(usize, usize) -> T,
+        tree_view: impl Fn(&T) -> V,
+        slices_view: impl Fn(&T) -> W,
+    ) where
+        T: RadixSortable,
+        V: PartialEq + std::fmt::Debug,
+        W: PartialEq + std::fmt::Debug,
+    {
         for k in [0usize, 1, 2, 3, 5, 8, 13, 650] {
             for empties in [false, true] {
                 let runs = irregular_runs(k, empties, &make);
                 let slices: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
                 let mut expected: Vec<T> = runs.concat();
                 expected.sort();
-                let expected: Vec<V> = expected.iter().map(&view).collect();
 
-                let merged: Vec<V> = kway_merge_slices(&slices).iter().map(&view).collect();
-                assert_eq!(merged, expected, "{case}: slices, k = {k}, empties = {empties}");
+                let merged: Vec<W> = kway_merge_slices(&slices).iter().map(&slices_view).collect();
+                let expect: Vec<W> = expected.iter().map(&slices_view).collect();
+                assert_eq!(merged, expect, "{case}: slices, k = {k}, empties = {empties}");
 
                 let mut tree =
                     SourceLoserTree::new(slices.iter().map(|s| SliceSource::new(s)).collect());
                 let mut pulled = Vec::new();
                 drain_source_rest(&mut tree, &mut pulled);
-                let pulled: Vec<V> = pulled.iter().map(&view).collect();
-                assert_eq!(pulled, expected, "{case}: sources, k = {k}, empties = {empties}");
+                let pulled: Vec<V> = pulled.iter().map(&tree_view).collect();
+                let expect: Vec<V> = expected.iter().map(&tree_view).collect();
+                assert_eq!(pulled, expect, "{case}: sources, k = {k}, empties = {empties}");
             }
         }
     }
 
     /// A key that remembers which run it came from without ordering by it:
     /// `Ord`, `==` and the radix digits see only `key`, so the merge's
-    /// run-index tie-break is observable in the output.
+    /// run-index tie-break is observable in the output.  It breaks the
+    /// [`RadixSortable`] contract on purpose (Ord-equal stamps differ).
     #[derive(Clone, Copy, Debug)]
     struct Stamped<const N: usize> {
         key: [u8; N],
@@ -687,27 +779,52 @@ mod tests {
             |x| *x,
         );
 
-        // Fully equal elements leave in run order, whether the tie is
-        // decided on the prefix alone (2 digits) or by the full comparison
-        // (10 digits).
-        assert_merges_like_stable_sort(
+        // Fully equal elements leave the tree in run order, whether the tie
+        // is decided on the prefix alone (2 digits) or by the full
+        // comparison (10 digits).  `kway_merge_slices` may re-sort them, so
+        // its output is compared by `Ord` alone.
+        assert_merges_like_stable_sort_viewing(
             "run-index tie-break, short keys",
             |run, i| Stamped::<2> { key: [0, (i % 3) as u8], run: run as u16 },
             |x| (x.key, x.run),
+            |x| x.key,
         );
-        assert_merges_like_stable_sort(
+        assert_merges_like_stable_sort_viewing(
             "run-index tie-break, long keys",
             |run, i| Stamped::<10> {
                 key: [9, 9, 9, 9, 9, 9, 9, 9, 0, (i % 3) as u8],
                 run: run as u16,
             },
             |x| (x.key, x.run),
+            |x| x.key,
         );
-        assert_merges_like_stable_sort(
+        assert_merges_like_stable_sort_viewing(
             "run-index tie-break, all-0xFF keys",
             |run, _| Stamped::<8> { key: [0xFF; 8], run: run as u16 },
             |x| (x.key, x.run),
+            |x| x.key,
         );
+    }
+
+    #[test]
+    fn finish_arm_resorts_crumbs_and_merges_long_or_wide_runs() {
+        use hss_keygen::{Record, TeraRecord};
+        use FinishArm::{Merge, Resort};
+        // The benchmark's receivers: u64-wide-skew, u64-fat, tera-fat and a
+        // u64-spill owner.
+        assert_eq!(finish_arm::<u64>(650, 1024), Resort);
+        assert_eq!(finish_arm::<u64>(16, 524_288), Merge);
+        assert_eq!(finish_arm::<TeraRecord>(16, 160_000), Merge);
+        assert_eq!(finish_arm::<TeraRecord>(1024, 1024), Merge);
+        assert_eq!(finish_arm::<u64>(8, 500_000), Merge);
+        // The cost comparison's edges: ties merge, one run is copied.
+        assert_eq!(finish_arm::<u64>(0, 0), Merge);
+        assert_eq!(finish_arm::<u64>(1, 5), Merge);
+        assert_eq!(finish_arm::<u64>(2, 10), Merge);
+        assert_eq!(finish_arm::<u64>(3, 10), Resort);
+        assert_eq!(finish_arm::<u64>(32, 1 << 20), Resort);
+        assert_eq!(finish_arm::<Record>(16, 1000), Merge);
+        assert_eq!(finish_arm::<Record>(32, 1000), Resort);
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! * **Bernoulli sampling** ("Sampling Method 1", §3): every key of a subset
 //!   `G` of the input is picked independently with probability `p·s/N`.
 //!   Implemented with geometric gap skipping so the cost is proportional to
-//!   the number of *samples*, not the number of keys scanned.
+//!   the number of *samples*, not the number of keys scanned.  At large
+//!   `p` the open intervals of a later round hold a key or two per rank,
+//!   so most draws only end their interval; such a draw is recognised from
+//!   `u < q^left` without the logarithm.  That is exact, not a
+//!   re-baselining: the same draws give the same positions and leave the
+//!   RNG in the same state ([`bernoulli_sample_positions`] has the proof).
 //! * **Regular sampling** (§4.1.2): `s` evenly spaced keys from the sorted
 //!   local data.
 //! * **Random block sampling** (Blelloch et al., §4.1.1 / §3.4): the sorted
@@ -19,7 +24,7 @@ use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::Work;
 use rand::Rng;
 
-use crate::classify::{classify_strategy, ClassifyStrategy, DecisionTree};
+use crate::classify::{classify_strategy, sweep_past, ClassifyStrategy, DecisionTree};
 
 /// The *positions* a Bernoulli sample of `range` selects: each index is
 /// included independently with probability `prob`, generated by geometric
@@ -32,7 +37,35 @@ use crate::classify::{classify_strategy, ClassifyStrategy, DecisionTree};
 /// the *same* RNG draw sequence: the draws depend only on `range` and
 /// `prob`, never on the data, so an in-memory rank and a spilled rank
 /// holding the same keys select identical sample positions.
+///
+/// # The draw that lands past the range
+///
+/// Each draw `u` is turned into the gap `⌊ln u / ln q⌋` (`q = 1 − prob`),
+/// and the sample ends once the gap reaches the `left` indices still
+/// ahead.  At large `p` most open intervals hold a key or two, so most
+/// draws end their interval, and the logarithm was most of the cost.  A
+/// draw with `u < q^left · (1 − 10⁻⁹)` ends it without the logarithm, and
+/// that is exact, not approximate — the same `u` is consumed either way,
+/// so positions and RNG state are identical:
+///
+/// * `q^left` is `powi`'s product of `left ≤ 2²⁰` factors, all at least
+///   `q^left`.  While that is a normal number (a subnormal or zero
+///   threshold never admits a `u ≥ f64::MIN_POSITIVE`), the product is
+///   within a relative `2²⁰ · 2⁻⁵³ < 1.2·10⁻¹⁰` of the true power, so the
+///   rounded threshold is below `q^left · (1 − 8·10⁻¹⁰)`, and
+///   `ln u < left · ln q − 8·10⁻¹⁰`.
+/// * `ln u`, `ln q` and their quotient each round within an ulp, which
+///   shrinks the quotient by a relative `< 6·10⁻¹⁶` at most.  A normal
+///   threshold needs `left·|ln q| < 709`, so the shrinkage takes off less
+///   than `4.3·10⁻¹³ / |ln q|`, far below the `8·10⁻¹⁰ / |ln q|` the
+///   margin added: the computed quotient is still `≥ left`, and so is its
+///   floor.
+///
+/// `q` must be below one for the division to mean anything (`prob` under
+/// `2⁻⁵³` rounds it to one), and that case keeps the logarithm.
 pub fn bernoulli_sample_positions<R: Rng>(range: Range<u64>, prob: f64, rng: &mut R) -> Vec<u64> {
+    /// The longest remainder the threshold is computed for; see the proof.
+    const MAX_SHORTCUT_LEFT: u64 = 1 << 20;
     assert!((0.0..=1.0).contains(&prob), "probability must be in [0, 1]");
     let mut out = Vec::new();
     if prob == 0.0 || range.is_empty() {
@@ -42,11 +75,16 @@ pub fn bernoulli_sample_positions<R: Rng>(range: Range<u64>, prob: f64, rng: &mu
         out.extend(range);
         return out;
     }
-    let log_q = (1.0 - prob).ln();
+    let q = 1.0 - prob;
+    let log_q = q.ln();
     let mut idx = range.start;
     loop {
         // Geometric(prob) gap: number of failures before the next success.
         let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let left = range.end - idx;
+        if left <= MAX_SHORTCUT_LEFT && log_q < 0.0 && u < q.powi(left as i32) * (1.0 - 1e-9) {
+            break;
+        }
         let gap = (u.ln() / log_q).floor() as u64;
         idx = match idx.checked_add(gap) {
             Some(i) => i,
@@ -123,7 +161,8 @@ pub fn merge_key_intervals_with<K: Ord + Copy + RadixSortable>(
 /// * **binary search** — suffix-narrowing searches: the intervals are
 ///   sorted and disjoint, so each search runs on the still-open suffix
 ///   instead of the whole slice;
-/// * **merge sweep** — one linear pass over data and interval endpoints;
+/// * **merge sweep** — one linear pass over data and interval endpoints,
+///   eight keys a step (`sweep_past`), so a step costs no mispredict;
 /// * **decision tree** — branch-free classification of the data against
 ///   the interval endpoints (one tree over the `lo`s for the starts, one
 ///   over the `hi`s for the ends), the dense-interval large-`p` regime.
@@ -147,13 +186,8 @@ pub fn interval_bounds<T: Keyed>(sorted: &[T], intervals: &[(T::K, T::K)]) -> Ve
             let mut out = Vec::with_capacity(c);
             let mut i = 0usize;
             for &(lo, hi) in intervals {
-                while i < n && sorted[i].key() < lo {
-                    i += 1;
-                }
-                let start = i;
-                while i < n && sorted[i].key() <= hi {
-                    i += 1;
-                }
+                let start = sweep_past(sorted, i, |k| k < lo);
+                i = sweep_past(sorted, start, |k| k <= hi);
                 out.push((start, i));
             }
             out
@@ -480,5 +514,96 @@ mod tests {
         assert!(regular_sample(&data, 5).is_empty());
         assert!(random_block_sample_positions(data.len(), 5, &mut rng()).is_empty());
         assert!(uniform_sample_discarding(&data, &[(0, 10)], 5, &mut rng()).is_empty());
+    }
+
+    #[test]
+    fn interval_bounds_match_partition_points_in_every_arm() {
+        use crate::classify::{sweep_data, sweep_key, xorshift, SWEEP_SIZES};
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut arms = Vec::new();
+        for n in SWEEP_SIZES {
+            for c in SWEEP_SIZES {
+                // `c` disjoint inclusive intervals over a pool of 3c + 2
+                // values: each skips zero or one value, then spans one or
+                // two, so endpoints sit on data duplicates, the first may
+                // start at `MIN_KEY`, and every other case ends at `MAX_KEY`.
+                let top = 3 * c as u64 + 2;
+                let data = sweep_data(n, top, &mut state);
+                let mut next = 0u64;
+                let mut intervals: Vec<(u64, u64)> = (0..c)
+                    .map(|_| {
+                        let lo = next + xorshift(&mut state) % 2;
+                        let hi = lo + xorshift(&mut state) % 2;
+                        next = hi + 1;
+                        (sweep_key(lo, top), sweep_key(hi, top))
+                    })
+                    .collect();
+                if let Some(last) = intervals.last_mut().filter(|_| (n + c) % 2 == 0) {
+                    last.1 = u64::MAX;
+                }
+                let expect: Vec<(usize, usize)> = intervals
+                    .iter()
+                    .map(|&(lo, hi)| {
+                        (data.partition_point(|x| *x < lo), data.partition_point(|x| *x <= hi))
+                    })
+                    .collect();
+                let got = interval_bounds(&data, &intervals);
+                assert_eq!(got, expect, "n {n}, c {c}: {intervals:?} over {data:?}");
+                arms.push(classify_strategy(n, 2 * c));
+            }
+        }
+        for arm in [
+            ClassifyStrategy::BinarySearch,
+            ClassifyStrategy::MergeSweep,
+            ClassifyStrategy::DecisionTree,
+        ] {
+            assert!(arms.contains(&arm), "no shape took {arm:?}");
+        }
+    }
+
+    /// `bernoulli_sample_positions` before the logarithm-free early exit:
+    /// the reference its draws must repeat exactly.
+    fn bernoulli_positions_with_every_log(
+        range: Range<u64>,
+        prob: f64,
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        let log_q = (1.0 - prob).ln();
+        let mut idx = range.start;
+        loop {
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let gap = (u.ln() / log_q).floor() as u64;
+            idx = match idx.checked_add(gap) {
+                Some(i) => i,
+                None => break,
+            };
+            if idx >= range.end {
+                break;
+            }
+            out.push(idx);
+            idx += 1;
+        }
+        out
+    }
+
+    #[test]
+    fn skipping_the_log_repeats_the_positions_and_the_rng_stream() {
+        for prob in [1e-12, 0.0144, 0.085, 0.5, 1.0 - 1e-9] {
+            for len in 1..=200u64 {
+                for seed in 0..4 {
+                    let start = seed * 1_000_003;
+                    let mut fast = ChaCha8Rng::seed_from_u64(seed ^ len << 8);
+                    let mut slow = fast.clone();
+                    let range = start..start + len;
+                    assert_eq!(
+                        bernoulli_sample_positions(range.clone(), prob, &mut fast),
+                        bernoulli_positions_with_every_log(range, prob, &mut slow),
+                        "prob {prob}, len {len}, seed {seed}"
+                    );
+                    assert_eq!(fast.gen::<u64>(), slow.gen::<u64>(), "prob {prob}, len {len}");
+                }
+            }
+        }
     }
 }

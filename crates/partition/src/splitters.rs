@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use hss_keygen::Key;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::classify::{classify_strategy, ClassifyStrategy, DecisionTree};
+use crate::classify::{classify_strategy, sweep_past, ClassifyStrategy, DecisionTree};
 
 /// A sorted sequence of `buckets - 1` splitter keys partitioning the key
 /// space into `buckets` contiguous ranges.
@@ -107,10 +107,8 @@ impl<K: Key> SplitterSet<K> {
             }
             ClassifyStrategy::MergeSweep => {
                 let mut i = 0usize;
-                for s in &self.splitters {
-                    while i < n && sorted[i].key() < *s {
-                        i += 1;
-                    }
+                for &s in &self.splitters {
+                    i = sweep_past(sorted, i, |k| k < s);
                     bounds.push(i);
                 }
             }
@@ -295,6 +293,37 @@ mod tests {
             for &k in &sorted[w[0]..w[1]] {
                 assert_eq!(s.bucket_of(k), i, "key {k} routed inconsistently");
             }
+        }
+    }
+
+    #[test]
+    fn bucket_boundaries_match_partition_points_in_every_arm() {
+        use crate::classify::{classify_strategy, sweep_data, sweep_key, xorshift, SWEEP_SIZES};
+        let mut state = 0x5851_F42D_4C95_7F2Du64;
+        let mut arms = Vec::new();
+        for n in SWEEP_SIZES {
+            for m in SWEEP_SIZES {
+                // Splitters and data share a pool of ~m values, both
+                // sentinels included, so splitters sit on duplicate runs.
+                let top = m as u64 + 1;
+                let data = sweep_data(n, top, &mut state);
+                let mut splitters: Vec<u64> =
+                    (0..m).map(|_| sweep_key(xorshift(&mut state) % (top + 1), top)).collect();
+                splitters.sort_unstable();
+                let got = SplitterSet::new(splitters.clone()).bucket_boundaries(&data);
+                let mut expect = vec![0usize];
+                expect.extend(splitters.iter().map(|s| data.partition_point(|x| x < s)));
+                expect.push(n);
+                assert_eq!(got, expect, "n {n}, m {m}: {splitters:?} over {data:?}");
+                arms.push(classify_strategy(n, m));
+            }
+        }
+        for arm in [
+            ClassifyStrategy::BinarySearch,
+            ClassifyStrategy::MergeSweep,
+            ClassifyStrategy::DecisionTree,
+        ] {
+            assert!(arms.contains(&arm), "no shape took {arm:?}");
         }
     }
 }

@@ -42,7 +42,7 @@ fn exchange_width<U>(plans: &[ExchangePlan]) -> usize {
 
 /// Per-rank (or per-node) volume and peer bookkeeping for an irregular
 /// all-to-all, shared by the monolithic and staged exchanges.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 struct ExchangeVolumes {
     send_elems: Vec<usize>,
     recv_elems: Vec<usize>,
@@ -329,31 +329,38 @@ impl Machine {
     /// Node-granularity volume bookkeeping of the node-combined exchange.
     /// Returns `(volumes, intra_node_elems, total_elems)`; `volumes` tracks
     /// inter-node traffic only.
-    fn node_volumes(
-        &self,
-        transfer: impl Iterator<Item = (usize, usize, usize)>,
-    ) -> (ExchangeVolumes, usize, usize) {
+    ///
+    /// Ranks are blocked onto nodes ([`Topology::ranks_of`]), so what sender
+    /// `src` ships to node `dn` is the sum of its counts over one contiguous
+    /// block: one pass over each plan row with no `node_of` division per
+    /// entry.  A node pair carries a message exactly when some rank pair
+    /// between them does, so the integers are those of the per-entry walk.
+    ///
+    /// [`Topology::ranks_of`]: crate::topology::Topology::ranks_of
+    fn node_volumes(&self, plans: &[ExchangePlan]) -> (ExchangeVolumes, usize, usize) {
         let topo = self.topology();
         let n = topo.nodes();
+        let blocks: Vec<std::ops::Range<usize>> =
+            topo.iter_nodes().map(|dn| topo.ranks_of(dn)).collect();
         let mut vol = ExchangeVolumes::new(n);
         // Distinct node pairs must be deduplicated: many rank pairs map to
         // the same node pair but the network sees one combined message.
         let mut pair_nonempty = vec![false; n * n];
         let mut intra = 0usize;
         let mut total = 0usize;
-        for (src, dst, len) in transfer {
-            if len == 0 {
-                continue;
-            }
-            total += len;
-            let sn = topo.node_of(src);
-            let dn = topo.node_of(dst);
-            if sn == dn {
-                intra += len;
-            } else {
-                vol.send_elems[sn] += len;
-                vol.recv_elems[dn] += len;
-                pair_nonempty[sn * n + dn] = true;
+        for (sn, senders) in blocks.iter().enumerate() {
+            for plan in &plans[senders.clone()] {
+                for (dn, receivers) in blocks.iter().enumerate() {
+                    let len: usize = plan.counts[receivers.clone()].iter().sum();
+                    total += len;
+                    if sn == dn {
+                        intra += len;
+                    } else {
+                        vol.send_elems[sn] += len;
+                        vol.recv_elems[dn] += len;
+                        pair_nonempty[sn * n + dn] |= len > 0;
+                    }
+                }
             }
         }
         for sn in 0..n {
@@ -415,10 +422,7 @@ impl Machine {
         plans: &[ExchangePlan],
     ) {
         self.validate_flat_exchange(send_bufs, plans);
-        let (vol, intra, total) =
-            self.node_volumes(plans.iter().enumerate().flat_map(|(src, plan)| {
-                plan.counts.iter().enumerate().map(move |(dst, &c)| (src, dst, c))
-            }));
+        let (vol, intra, total) = self.node_volumes(plans);
         self.charge_all_to_allv_node_combined(
             phase,
             &vol,
@@ -719,6 +723,82 @@ mod tests {
         // ... and a node's 16 words are injected through its 4 cores.
         let cost = m.cost_model();
         assert_eq!(ph.simulated_seconds, cost.all_to_allv(4, 1) + cost.compute(8));
+    }
+
+    /// The node-combined accounting as it was first written: every
+    /// `(src, dst)` entry mapped to its node pair through `node_of`.  The
+    /// oracle of the block pass in [`Machine::node_volumes`].
+    fn node_volumes_per_entry(
+        topo: Topology,
+        plans: &[ExchangePlan],
+    ) -> (ExchangeVolumes, usize, usize) {
+        let n = topo.nodes();
+        let mut vol = ExchangeVolumes::new(n);
+        let mut pair_nonempty = vec![false; n * n];
+        let (mut intra, mut total) = (0usize, 0usize);
+        for (src, plan) in plans.iter().enumerate() {
+            for (dst, &len) in plan.counts.iter().enumerate() {
+                if len == 0 {
+                    continue;
+                }
+                total += len;
+                let (sn, dn) = (topo.node_of(src), topo.node_of(dst));
+                if sn == dn {
+                    intra += len;
+                } else {
+                    vol.send_elems[sn] += len;
+                    vol.recv_elems[dn] += len;
+                    pair_nonempty[sn * n + dn] = true;
+                }
+            }
+        }
+        for (pair, _) in pair_nonempty.iter().enumerate().filter(|(_, &any)| any) {
+            vol.messages += 1;
+            vol.send_peers[pair / n] += 1;
+            vol.recv_peers[pair % n] += 1;
+        }
+        (vol, intra, total)
+    }
+
+    #[test]
+    fn node_volumes_block_pass_matches_the_per_entry_walk() {
+        // Ragged last node, one node, flat, and exactly-filled nodes; sparse
+        // counts so that some node pairs carry nothing at all.
+        let shapes = [(10, 4), (7, 3), (6, 16), (5, 5), (9, 1), (1, 1), (64, 16), (33, 8)];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for (p, cores) in shapes {
+            let topo = Topology::new(p, cores);
+            let plans: Vec<ExchangePlan> = (0..p)
+                .map(|_| {
+                    let counts = (0..p)
+                        .map(|_| {
+                            state ^= state << 13;
+                            state ^= state >> 7;
+                            state ^= state << 17;
+                            if state % 3 == 0 {
+                                (state >> 40) as usize % 5
+                            } else {
+                                0
+                            }
+                        })
+                        .collect();
+                    ExchangePlan::from_counts(counts)
+                })
+                .collect();
+            let bufs: Vec<Vec<u64>> = plans.iter().map(|pl| vec![0; pl.total_elems()]).collect();
+            let m = Machine::new(topo, CostModel::bluegene_like());
+            let expect = node_volumes_per_entry(topo, &plans);
+            assert_eq!(m.node_volumes(&plans), expect, "{p} ranks, {cores} per node");
+
+            // The charge built on it: messages, words and ops.
+            let mut m = Machine::new(topo, CostModel::bluegene_like());
+            m.all_to_allv_flat_node_combined_in_place::<u64>(Phase::DataExchange, &bufs, &plans);
+            let ph = m.metrics().phase(Phase::DataExchange);
+            let (vol, intra, _) = expect;
+            assert_eq!(ph.messages, vol.messages, "{p} ranks, {cores} per node");
+            assert_eq!(ph.comm_words, vol.send_elems.iter().sum::<usize>() as u64);
+            assert_eq!(ph.compute_ops, (intra / cores) as u64);
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@
 //! metrics record the real host-thread count separately so reports can
 //! distinguish host concurrency from simulated `p`-rank concurrency.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -549,21 +550,49 @@ impl Machine {
         R: Send,
         F: Fn(RankId, &[T]) -> (R, Work) + Sync,
     {
+        self.map_phase_with(phase, data, |_| (), |(), rank, local| f(rank, local))
+    }
+
+    /// [`map_phase`](Self::map_phase) with host-side context shared by
+    /// neighbouring ranks: the ranks run in a few contiguous chunks per host
+    /// thread, in rank order within a chunk, and each chunk threads one
+    /// `init(chunk's ranks)` through its ranks' calls `f(&mut context, rank,
+    /// &data[rank])`.  What a rank returns must not depend on the context —
+    /// it is a cache, such as a block of neighbouring owners' runs read out
+    /// of the exchange plans in one pass — so results and charges are
+    /// exactly `map_phase`'s at every chunking.
+    pub fn map_phase_with<T, C, R, I, F>(
+        &mut self,
+        phase: Phase,
+        data: &[Vec<T>],
+        init: I,
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn(Range<RankId>) -> C + Sync,
+        F: Fn(&mut C, RankId, &[T]) -> (R, Work) + Sync,
+    {
         assert_eq!(data.len(), self.ranks(), "per-rank data must have one entry per rank");
         let start = Instant::now();
-        let results: Vec<(R, Work)> = match self.parallelism {
-            Parallelism::Rayon => {
-                data.par_iter().enumerate().map(|(rank, local)| f(rank, local.as_slice())).collect()
-            }
-            Parallelism::Sequential => {
-                data.iter().enumerate().map(|(rank, local)| f(rank, local.as_slice())).collect()
-            }
+        let chunk_len = data.len().div_ceil(4 * self.host_threads() as usize).max(1);
+        let chunks: Vec<&[Vec<T>]> = data.chunks(chunk_len).collect();
+        let run_chunk = |(chunk, ranks): (usize, &[Vec<T>])| {
+            let first = chunk * chunk_len;
+            let mut context = init(first..first + ranks.len());
+            let per_rank = ranks.iter().enumerate();
+            per_rank.map(|(i, local)| f(&mut context, first + i, local)).collect::<Vec<_>>()
+        };
+        let results: Vec<Vec<(R, Work)>> = match self.parallelism {
+            Parallelism::Rayon => chunks.into_par_iter().enumerate().map(run_chunk).collect(),
+            Parallelism::Sequential => chunks.into_iter().enumerate().map(run_chunk).collect(),
         };
         let wall = start.elapsed().as_secs_f64();
-        let works: Vec<Work> = results.iter().map(|(_, w)| *w).collect();
+        let works: Vec<Work> = results.iter().flatten().map(|(_, w)| *w).collect();
         let (metrics, advance) = self.phase_charge(&works, wall);
         self.record(phase, "map_phase", metrics, advance);
-        results.into_iter().map(|(r, _)| r).collect()
+        results.into_iter().flatten().map(|(r, _)| r).collect()
     }
 
     /// Run one BSP superstep over arbitrary per-rank *state* (not

@@ -629,3 +629,99 @@ fn par_radix_sorts_wide_tie_shapes_on_the_pool() {
         }
     });
 }
+
+/// Every pair of `pool` that `Ord` calls equal is identical through `bits`,
+/// which shows every field of the carrier.
+fn assert_ord_equal_is_identical<T, V>(carrier: &str, pool: &[T], bits: impl Fn(&T) -> V)
+where
+    T: RadixSortable + std::fmt::Debug,
+    V: PartialEq + std::fmt::Debug,
+{
+    let mut ties = 0;
+    for a in pool {
+        for b in pool {
+            if a.cmp(b).is_eq() {
+                ties += 1;
+                assert_eq!(bits(a), bits(b), "{carrier}: {a:?} and {b:?} are Ord-equal");
+            }
+        }
+    }
+    assert!(ties >= pool.len(), "{carrier}: every value ties with itself");
+}
+
+/// The `RadixSortable` contract the k-way merge's re-sort arm stands on:
+/// Ord-equal values are identical, for every carrier the pipeline sorts.
+/// Each pool holds the values most likely to tie while differing: signed
+/// zeros and NaN payloads, equal keys with other payloads, equal prefixes.
+#[test]
+fn ord_equal_values_are_identical_for_every_carrier() {
+    use hss_repro::core::duplicates::tag_per_rank;
+    use hss_repro::keygen::{OrderedF64, TaggedKey, TeraRecord};
+
+    let words = [0u64, 1, 255, 256, 1 << 32, u64::MAX - 1, u64::MAX];
+    assert_ord_equal_is_identical("u64", &words, |x| *x);
+    let signed = [i64::MIN, -1, 0, 1, i64::MAX];
+    assert_ord_equal_is_identical("i64", &signed, |x| *x);
+    assert_ord_equal_is_identical("u8", &[0u8, 1, 128, 255], |x| *x);
+    let pairs: Vec<(u64, u32)> =
+        words.iter().flat_map(|&a| [(a, 0), (a, 1), (a, u32::MAX)]).collect();
+    assert_ord_equal_is_identical("(u64, u32)", &pairs, |x| *x);
+
+    let floats: Vec<OrderedF64> = [
+        0.0,
+        -0.0,
+        1.5,
+        -1.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(f64::NAN.to_bits() | 1),
+        f64::from_bits(f64::NAN.to_bits() | 0xFFFF),
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+    ]
+    .into_iter()
+    .map(OrderedF64)
+    .collect();
+    assert_ord_equal_is_identical("OrderedF64", &floats, |x| x.0.to_bits());
+
+    let records: Vec<Record> =
+        pairs.iter().map(|&(key, payload)| Record { key, payload }).collect();
+    assert_ord_equal_is_identical("Record", &records, |r| (r.key, r.payload));
+
+    let bytes: Vec<ByteKey<10>> = [0u8, 1, 0xFE, 0xFF]
+        .iter()
+        .flat_map(|&tail| {
+            [ByteKey([7, 7, 7, 7, 7, 7, 7, 7, 0, tail]), ByteKey([7, 7, 7, 7, 7, 7, 7, 7, tail, 0])]
+        })
+        .collect();
+    assert_ord_equal_is_identical("ByteKey<10>", &bytes, |x| *x);
+
+    let wide: Vec<WideRecord<10, 4>> = bytes
+        .iter()
+        .flat_map(|&key| [0u8, 1, 0xFF].map(|b| WideRecord { key, payload: [b, 0, 0, b] }))
+        .collect();
+    assert_ord_equal_is_identical("WideRecord<10, 4>", &wide, |x| (x.key, x.payload));
+    let tera: Vec<TeraRecord> =
+        bytes.iter().map(|&key| TeraRecord::with_derived_payload(key)).collect();
+    let mut tera_alike = tera.clone();
+    tera_alike.iter_mut().for_each(|r| r.payload[89] ^= 1);
+    tera_alike.extend(tera);
+    assert_ord_equal_is_identical("TeraRecord", &tera_alike, |x| (x.key, x.payload.to_vec()));
+
+    let tagged_keys: Vec<TaggedKey<u64>> = words
+        .iter()
+        .flat_map(|&k| [TaggedKey::new(k, 0, 0), TaggedKey::new(k, 0, 1), TaggedKey::new(k, 1, 0)])
+        .collect();
+    assert_ord_equal_is_identical("TaggedKey<u64>", &tagged_keys, |x| (x.key, x.pe, x.index));
+
+    // Core `Tagged` orders by its tag alone; the items `tag_per_rank` makes
+    // carry distinct tags, so equal keys with other payloads still differ
+    // under `Ord`.
+    let ranks = vec![records.clone(), records.iter().rev().copied().collect(), records];
+    let tagged = tag_per_rank(&mut Machine::flat(3), ranks).concat();
+    assert_ord_equal_is_identical("Tagged<Record>", &tagged, |t| {
+        (t.item.key, t.item.payload, t.pe, t.index)
+    });
+}
