@@ -255,10 +255,6 @@ where
         report(&self.spills, &spill);
         (merged, Work::disk_bytes(spill.disk_bytes(), spill.disk_transfers()))
     }
-
-    fn in_memory(&self, items: usize) -> bool {
-        !self.over_cap::<T>(items)
-    }
 }
 
 impl<P> HssSorter<P> {

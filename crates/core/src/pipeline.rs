@@ -120,10 +120,6 @@ pub(crate) trait Residency<T: Keyed>: Sync {
     /// received.  The work is what the merge cost *beyond* its comparisons:
     /// the disk traffic of an owner that could not hold its runs.
     fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work);
-
-    /// Whether an owner of `items` received items merges them in memory,
-    /// that is, as [`kway_merge_slices`] does.
-    fn in_memory(&self, items: usize) -> bool;
 }
 
 /// The residency of [`HssSorter::sort`](crate::HssSorter::sort): every rank
@@ -137,10 +133,6 @@ impl<T: Keyed + RadixSortable> Residency<T> for InMemory {
 
     fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work) {
         (kway_merge_slices(runs), Work::none())
-    }
-
-    fn in_memory(&self, _items: usize) -> bool {
-        true
     }
 }
 
@@ -200,13 +192,7 @@ where
     let out = if within_node {
         finish_within_nodes(machine, &received, config, residency)
     } else {
-        merge_received(
-            machine,
-            &data,
-            &received,
-            |items| residency.in_memory(items),
-            |runs| residency.merge(runs),
-        )
+        merge_received(machine, &data, &received, |runs| residency.merge(runs))
     };
     machine.wait_for_disk();
     (out, report)

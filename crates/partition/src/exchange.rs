@@ -12,17 +12,14 @@
 //!
 //! The exchange is flat: each rank's sorted data is its send buffer, an
 //! [`hss_sim::ExchangePlan`] of counts/displacements routes its buckets
-//! (`MPI_Alltoallv` style), and the finish merges every owner's runs with
-//! a slice-based loser tree reading them in place — each element is copied
-//! once end to end.
+//! (`MPI_Alltoallv` style), and the finish reads every owner's runs in
+//! place out of the senders' buffers; nothing is copied before the merge.
 
 use std::ops::Range;
 
 use hss_keygen::Keyed;
-use hss_lsort::{radix_sort, RadixSortable};
 use hss_sim::{ExchangePlan, Machine, Phase, Work};
 
-use crate::merge::{finish_arm, FinishArm};
 use crate::splitters::SplitterSet;
 
 /// The exchange representation: there is one, the flat exchange.
@@ -111,43 +108,29 @@ pub fn exchange<'a, T: Keyed>(
     Received::InPlace { bufs: per_rank_sorted, plans }
 }
 
-/// The rank-level finish: every rank turns the sorted runs it received
-/// into its output (`per_rank_sorted` only drives the per-rank superstep;
-/// the runs come from `received`).  `merge` finishes an owner's runs (in
-/// sender order, empties included) and returns the merged run and whatever
-/// it cost beyond the k-way merge's comparisons, which are charged here.
+/// The rank-level finish: every rank merges the sorted runs it received
+/// into its output with `merge` (`per_rank_sorted` only drives the
+/// superstep; the runs come from `received`).  `merge` gets an owner's runs
+/// in sender order, empties included, and returns the merged run and
+/// whatever it cost beyond the k-way merge's comparisons, which are charged
+/// here.
 ///
-/// An owner whose `items` count `in_memory` accepts must be finished by
-/// `merge` exactly as [`kway_merge_slices`](crate::kway_merge_slices) would.
-/// Where that merge would take its re-sort arm ([`finish_arm`]), the
-/// owner's runs are instead copied straight into its output and radix
-/// sorted there — the same output and the same charge, without the list of
-/// `p` run slices per owner.  The copies are read for a block of
-/// neighbouring owners at once, one segment of each sender's plan at a
-/// time, rather than one owner walking a column of `p` plans.
-pub fn merge_received<T: RadixSortable + Send + Sync>(
+/// In-place runs are read for a block of neighbouring owners at once, one
+/// segment of each sender's plan at a time, rather than by one owner
+/// walking a column of `p` plans.
+pub fn merge_received<T: Send + Sync>(
     machine: &mut Machine,
     per_rank_sorted: &[Vec<T>],
     received: &Received<'_, T>,
-    in_memory: impl Fn(usize) -> bool + Sync,
     merge: impl Fn(&[&[T]]) -> (Vec<T>, Work) + Sync,
 ) -> Vec<Vec<T>> {
     machine.map_phase_with(Phase::Merge, per_rank_sorted, OwnerBlock::in_chunk, |block, dst, _| {
-        let inbox = match received {
-            Received::InPlace { bufs, plans } => block.take(bufs, plans, dst, &in_memory),
-            Received::Owned(_) => Inbox::Runs(received.runs_at(dst)),
+        let runs = match received {
+            Received::InPlace { bufs, plans } => block.take(bufs, plans, dst),
+            Received::Owned(_) => received.runs_at(dst),
         };
-        let (merged, pieces, beyond) = match inbox {
-            Inbox::Runs(runs) => {
-                let pieces = runs.iter().filter(|r| !r.is_empty()).count();
-                let (merged, beyond) = merge(&runs);
-                (merged, pieces, beyond)
-            }
-            Inbox::Gathered { mut items, pieces } => {
-                radix_sort(&mut items);
-                (items, pieces, Work::none())
-            }
-        };
+        let pieces = runs.iter().filter(|r| !r.is_empty()).count();
+        let (merged, beyond) = merge(&runs);
         let total = merged.len();
         (merged, Work::merge(total, pieces.max(1)).and(beyond))
     })
@@ -157,83 +140,36 @@ pub fn merge_received<T: RadixSortable + Send + Sync>(
 /// together.
 const OWNER_BLOCK: usize = 16;
 
-/// What one owner received, read for its finish.
-enum Inbox<'a, T> {
-    /// Its runs in sender order, empties included, for `merge`.
-    Runs(Vec<&'a [T]>),
-    /// Its runs copied out in sender order, not yet sorted, for the
-    /// re-sort arm; `pieces` of them were non-empty.
-    Gathered { items: Vec<T>, pieces: usize },
-}
-
-/// The inboxes of a block of consecutive owners, within one chunk of the
+/// The runs of a block of consecutive owners, within one chunk of the
 /// superstep's ranks.
 struct OwnerBlock<'a, T> {
     /// Where the chunk ends: a block never reads past it.
     chunk_end: usize,
     owners: Range<usize>,
-    inboxes: Vec<Inbox<'a, T>>,
+    runs: Vec<Vec<&'a [T]>>,
 }
 
-impl<'a, T: RadixSortable> OwnerBlock<'a, T> {
+impl<'a, T> OwnerBlock<'a, T> {
     /// No block read yet, for the ranks `chunk`.
     fn in_chunk(chunk: Range<usize>) -> Self {
-        Self { chunk_end: chunk.end, owners: 0..0, inboxes: Vec::new() }
+        Self { chunk_end: chunk.end, owners: 0..0, runs: Vec::new() }
     }
 
-    /// Owner `dst`'s inbox, reading the block it starts when `dst` is not
-    /// in the current one.
-    fn take(
-        &mut self,
-        bufs: &'a [Vec<T>],
-        plans: &[ExchangePlan],
-        dst: usize,
-        in_memory: impl Fn(usize) -> bool,
-    ) -> Inbox<'a, T> {
+    /// Owner `dst`'s runs in sender order, reading the block it starts
+    /// when `dst` is not in the current one.
+    fn take(&mut self, bufs: &'a [Vec<T>], plans: &[ExchangePlan], dst: usize) -> Vec<&'a [T]> {
         if !self.owners.contains(&dst) {
             self.owners = dst..self.chunk_end.min(dst + OWNER_BLOCK);
-            self.inboxes = Self::read(bufs, plans, self.owners.clone(), in_memory);
-        }
-        std::mem::replace(&mut self.inboxes[dst - self.owners.start], Inbox::Runs(Vec::new()))
-    }
-
-    /// Read the inboxes of `owners` in two passes over each sender's plan
-    /// segment: sizes first, which pick each owner's arm, then the runs.
-    fn read(
-        bufs: &'a [Vec<T>],
-        plans: &[ExchangePlan],
-        owners: Range<usize>,
-        in_memory: impl Fn(usize) -> bool,
-    ) -> Vec<Inbox<'a, T>> {
-        let (mut totals, mut pieces) = (vec![0usize; owners.len()], vec![0usize; owners.len()]);
-        for plan in plans {
-            for (j, &count) in plan.counts[owners.clone()].iter().enumerate() {
-                totals[j] += count;
-                pieces[j] += (count > 0) as usize;
-            }
-        }
-        let mut inboxes: Vec<Inbox<'a, T>> = totals
-            .iter()
-            .zip(&pieces)
-            .map(|(&total, &pieces)| {
-                if finish_arm::<T>(pieces, total) == FinishArm::Resort && in_memory(total) {
-                    Inbox::Gathered { items: Vec::with_capacity(total), pieces }
-                } else {
-                    Inbox::Runs(Vec::with_capacity(plans.len()))
-                }
-            })
-            .collect();
-        for (plan, buf) in plans.iter().zip(bufs) {
-            let segment = plan.counts[owners.clone()].iter().zip(&plan.displs[owners.clone()]);
-            for (inbox, (&count, &displ)) in inboxes.iter_mut().zip(segment) {
-                let run = &buf[displ..displ + count];
-                match inbox {
-                    Inbox::Runs(runs) => runs.push(run),
-                    Inbox::Gathered { items, .. } => items.extend_from_slice(run),
+            self.runs = self.owners.clone().map(|_| Vec::with_capacity(plans.len())).collect();
+            for (plan, buf) in plans.iter().zip(bufs) {
+                let owners = self.owners.clone();
+                let segment = plan.counts[owners.clone()].iter().zip(&plan.displs[owners]);
+                for (runs, (&count, &displ)) in self.runs.iter_mut().zip(segment) {
+                    runs.push(&buf[displ..displ + count]);
                 }
             }
         }
-        inboxes
+        std::mem::take(&mut self.runs[dst - self.owners.start])
     }
 }
 
@@ -252,13 +188,7 @@ mod tests {
     ) -> Vec<Vec<u64>> {
         let owner: Vec<usize> = (0..machine.ranks()).collect();
         let received = exchange(machine, input, splitters, &owner);
-        merge_received(
-            machine,
-            input,
-            &received,
-            |_| true,
-            |runs| (kway_merge_slices(runs), Work::none()),
-        )
+        merge_received(machine, input, &received, |runs| (kway_merge_slices(runs), Work::none()))
     }
 
     fn sorted_input(p: usize, n: usize) -> Vec<Vec<u64>> {
@@ -313,12 +243,13 @@ mod tests {
     }
 
     #[test]
-    fn owner_blocks_finish_like_a_merge_of_each_owners_column() {
+    fn owner_blocks_hand_merge_each_owners_column() {
         use hss_sim::Parallelism;
-        // Skewed splitters give each shape crumb owners (many short runs:
-        // the re-sort arm) beside a few long-run owners (the tournament),
-        // and owners an `in_memory` bound turns back to `merge`; the rank
-        // counts straddle the owner block and the superstep's chunks.
+        // Skewed splitters give each shape owners of many short runs beside
+        // a few of long runs; the rank counts straddle the owner block and
+        // the superstep's chunks.  The merge charges a digest of the run
+        // list it was handed, so sender order and empty runs are pinned as
+        // well as the output.
         for p in [1usize, 2, 5, 16, 17, 40, 67] {
             let input = sorted_input(p, 60 + 7 * p);
             let mut all = input.concat();
@@ -331,12 +262,11 @@ mod tests {
                 let received = exchange(&mut machine, &input, &splitters, &owner);
                 let mut reference = Machine::flat(p).with_parallelism(parallelism);
                 let _ = exchange(&mut reference, &input, &splitters, &owner);
-                let spill = Work::scan(1);
                 let merge = |runs: &[&[u64]]| {
-                    let total: usize = runs.iter().map(|r| r.len()).sum();
-                    (kway_merge_slices(runs), if total > 300 { spill } else { Work::none() })
+                    let digest = runs.iter().enumerate().map(|(i, r)| (i + 1) * (r.len() + 1));
+                    (kway_merge_slices(runs), Work::scan(digest.sum()))
                 };
-                let out = merge_received(&mut machine, &input, &received, |n| n <= 300, merge);
+                let out = merge_received(&mut machine, &input, &received, merge);
                 let expect = reference.map_phase(Phase::Merge, &input, |dst, _| {
                     let runs = received.runs_at(dst);
                     let pieces = runs.iter().filter(|r| !r.is_empty()).count();

@@ -21,7 +21,8 @@
 //!   `N/p`) hands each rank ~650 runs of a key or two, where every emission
 //!   climbs ten levels and loads a head from another sender's buffer.
 //!   Gathering the runs and [`radix_sort`]ing them moves each key three
-//!   times in cache instead.
+//!   times in cache instead.  Only an owner whose items fit the radix
+//!   sort's cache-resident scratch re-sorts.
 //!
 //! The arms give the same bits because of the [`RadixSortable`] contract:
 //! Ord-equal items are identical, so a stable merge and an unstable sort
@@ -211,21 +212,21 @@ pub enum FinishArm {
 ///
 /// * The tournament pays `2 + ⌈log₂ k⌉` steps an item (the replay, plus
 ///   the emission and the head load of a run that is elsewhere in memory).
-/// * The re-sort pays one pass per move of the item: three (the gather and
-///   the radix sort's two counting scatters) when the items fit its
-///   cache-resident scratch, six when a block-permutation level comes
-///   first (its classification, permutation and cleanup each move the
-///   item too).  A pass moves the whole item, so it costs its width in
-///   words.
+/// * The re-sort pays three passes an item (the gather and the radix
+///   sort's two counting scatters), each moving the whole item, so it
+///   costs three times its width in words.
+///
+/// Only a `total` that fits the radix sort's cache-resident scratch
+/// (`256 *` [`BLOCK`](hss_lsort::BLOCK) items) re-sorts: that is where the
+/// two arms were measured against each other.  Anything larger merges.
 ///
 /// Ties go to the tournament.  So a thousand keys from fan-in 650 (the
 /// paper's regime) re-sort, half a million from fan-in 16 merge, and a
 /// 100-byte record (13 words) always merges: the tournament moves it once.
 pub fn finish_arm<T>(k: usize, total: usize) -> FinishArm {
     let words = std::mem::size_of::<T>().div_ceil(8);
-    let passes = if total <= 256 * hss_lsort::BLOCK { 3 } else { 6 };
     let merge_steps = 2 + crate::classify::ceil_log2(k);
-    if passes * words < merge_steps {
+    if total <= 256 * hss_lsort::BLOCK && 3 * words < merge_steps {
         FinishArm::Resort
     } else {
         FinishArm::Merge
@@ -822,7 +823,10 @@ mod tests {
         assert_eq!(finish_arm::<u64>(1, 5), Merge);
         assert_eq!(finish_arm::<u64>(2, 10), Merge);
         assert_eq!(finish_arm::<u64>(3, 10), Resort);
-        assert_eq!(finish_arm::<u64>(32, 1 << 20), Resort);
+        // Past the radix sort's cache-resident scratch, always merge.
+        assert_eq!(finish_arm::<u64>(1024, 256 * hss_lsort::BLOCK), Resort);
+        assert_eq!(finish_arm::<u64>(1024, 256 * hss_lsort::BLOCK + 1), Merge);
+        assert_eq!(finish_arm::<u64>(32, 1 << 20), Merge);
         assert_eq!(finish_arm::<Record>(16, 1000), Merge);
         assert_eq!(finish_arm::<Record>(32, 1000), Resort);
     }

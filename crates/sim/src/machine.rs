@@ -550,12 +550,27 @@ impl Machine {
         R: Send,
         F: Fn(RankId, &[T]) -> (R, Work) + Sync,
     {
-        self.map_phase_with(phase, data, |_| (), |(), rank, local| f(rank, local))
+        assert_eq!(data.len(), self.ranks(), "per-rank data must have one entry per rank");
+        let start = Instant::now();
+        let results: Vec<(R, Work)> = match self.parallelism {
+            Parallelism::Rayon => {
+                data.par_iter().enumerate().map(|(rank, local)| f(rank, local.as_slice())).collect()
+            }
+            Parallelism::Sequential => {
+                data.iter().enumerate().map(|(rank, local)| f(rank, local.as_slice())).collect()
+            }
+        };
+        let wall = start.elapsed().as_secs_f64();
+        let works: Vec<Work> = results.iter().map(|(_, w)| *w).collect();
+        let (metrics, advance) = self.phase_charge(&works, wall);
+        self.record(phase, "map_phase", metrics, advance);
+        results.into_iter().map(|(r, _)| r).collect()
     }
 
     /// [`map_phase`](Self::map_phase) with host-side context shared by
-    /// neighbouring ranks: the ranks run in a few contiguous chunks per host
-    /// thread, in rank order within a chunk, and each chunk threads one
+    /// neighbouring ranks.  Where `map_phase` schedules every rank on its
+    /// own, here the ranks run in a few contiguous chunks per host thread,
+    /// in rank order within a chunk, and each chunk threads one
     /// `init(chunk's ranks)` through its ranks' calls `f(&mut context, rank,
     /// &data[rank])`.  What a rank returns must not depend on the context —
     /// it is a cache, such as a block of neighbouring owners' runs read out
