@@ -1,6 +1,7 @@
 //! Criterion micro-benchmark of the local building blocks: histogram rank
 //! queries (binary search vs merge sweep regimes), bucket partitioning,
-//! k-way merging, one whole histogramming round, and the three host passes
+//! k-way merging, one whole histogramming round (whole ranks, and the
+//! windowed rounds after HSS's first), and the three host passes
 //! of the paper's regime that walk `p` intervals or peers per rank (the
 //! dense interval and bucket sweeps, the node-combined exchange
 //! accounting) — the kernels whose costs Table 5.1 composes.
@@ -9,7 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hss_keygen::{generate_tera_records_per_rank, KeyDistribution, Record, TeraRecord};
 use hss_lsort::RadixSortable;
 use hss_partition::{
-    global_ranks, interval_bounds, kway_merge_slices, local_ranks, partition_sorted, SplitterSet,
+    global_ranks, interval_bounds, kway_merge_slices, local_ranks, local_ranks_work,
+    partition_sorted, ProbeIndex, SplitterSet, WindowSpan, Windows,
 };
 use hss_sim::{CostModel, ExchangePlan, Machine, Phase, Topology};
 
@@ -116,11 +118,90 @@ fn bench_round_shape(
 
 /// The histogramming round at the benchmark's two regimes: `u64-wide-skew`
 /// (`~5p` probes dwarf the rank, decision-tree arm) and `u64-fat` (a few
-/// hundred probes against half a million keys, binary-search arm).
+/// hundred probes against half a million keys, binary-search arm); then
+/// `u64-wide-skew`'s later, windowed rounds.
 fn bench_histogram_round(c: &mut Criterion) {
     let powerlaw = KeyDistribution::PowerLaw { gamma: 4.0 };
     bench_round_shape(c, "1024x1024-m5120-powerlaw", powerlaw, 1024, 1024, 5120);
     bench_round_shape(c, "16x524288-m250-uniform", KeyDistribution::Uniform, 16, 524_288, 250);
+    // Round 2 (758 windows holding ~37 % of the keys) and round 3 (384
+    // windows, ~6 %).
+    bench_window_round(c, 758, 4096);
+    bench_window_round(c, 384, 13_107);
+}
+
+/// `u64-wide-skew`'s input: 1024 sorted ranks of 1024 power-law keys, and
+/// all of them sorted.
+fn wide_skew_input() -> (Vec<Vec<u64>>, Vec<u64>) {
+    let powerlaw = KeyDistribution::PowerLaw { gamma: 4.0 };
+    let mut data = powerlaw.generate_per_rank(1024, 1024, 7);
+    data.iter_mut().for_each(|rank| rank.sort_unstable());
+    let mut all = data.concat();
+    all.sort_unstable();
+    (data, all)
+}
+
+/// `open` disjoint windows around evenly spaced targets, each the
+/// `2·(N / width_div)` keys around its target — the narrow windows of a
+/// later HSS round.
+fn target_windows(all: &[u64], open: usize, width_div: usize) -> Vec<(u64, u64)> {
+    let half_width = all.len() / width_div;
+    let windows: Vec<(u64, u64)> = (1..=open)
+        .map(|i| i * all.len() / (open + 1))
+        .map(|at| (all[at - half_width], all[at + half_width]))
+        .collect();
+    assert!(windows.windows(2).all(|w| w[0].1 < w[1].0), "disjoint windows");
+    windows
+}
+
+/// One windowed histogramming round at `u64-wide-skew`'s shape: `open`
+/// windows ([`target_windows`]) and ~5120 probes spread over their keys.
+/// Every rank's spans come from its sampling superstep, so they are found
+/// outside the timing; an iteration indexes the probes, counts every
+/// rank's window keys on a fresh machine and derives the global ranks.
+fn bench_window_round(c: &mut Criterion, open: usize, width_div: usize) {
+    let (data, all) = wide_skew_input();
+    let bounds = target_windows(&all, open, width_div);
+    let ranks_below: Vec<u64> =
+        bounds.iter().map(|&(lo, _)| all.partition_point(|&k| k < lo) as u64).collect();
+    let inside: Vec<u64> = bounds
+        .iter()
+        .flat_map(|&(lo, hi)| {
+            all[all.partition_point(|&k| k < lo)..all.partition_point(|&k| k <= hi)].iter()
+        })
+        .copied()
+        .collect();
+    let mut probes: Vec<u64> = inside.iter().step_by(inside.len() / 5120).copied().collect();
+    probes.dedup();
+    let windows = Windows { bounds, ranks_below };
+    let spans: Vec<Vec<WindowSpan>> = data
+        .iter()
+        .map(|rank| {
+            let bounds = interval_bounds(rank, &windows.bounds).into_iter().enumerate();
+            let held = bounds.filter(|(_, (start, end))| start < end);
+            held.map(|(window, (start, end))| WindowSpan { window, start, end }).collect()
+        })
+        .collect();
+    let p = data.len();
+    let mut group = c.benchmark_group("local_phases");
+    group.sample_size(20).throughput(Throughput::Elements((p * 1024) as u64));
+    let shape = format!("1024x1024-w{open}-m{}-powerlaw", probes.len());
+    group.bench_function(BenchmarkId::new("histogram_round", shape), |b| {
+        b.iter(|| {
+            let index = ProbeIndex::windowed(&probes, &windows);
+            let phase = Phase::Histogramming;
+            let prefix = Machine::flat(p).histogram_phase(phase, &data, probes.len(), {
+                let index = &index;
+                let (spans, m) = (&spans, probes.len());
+                move |rank, local, counts| {
+                    index.add_window_counts(local, &spans[rank], counts);
+                    local_ranks_work(local.len(), m)
+                }
+            });
+            index.ranks_from_prefix(prefix)
+        })
+    });
+    group.finish();
 }
 
 /// The dense sweeps and the exchange accounting at `u64-wide-skew`'s shape
@@ -131,19 +212,9 @@ fn bench_histogram_round(c: &mut Criterion) {
 /// boundaries against 1023 splitters, and the node-combined charge of the
 /// whole exchange.
 fn bench_wide_sweeps(c: &mut Criterion) {
-    let (p, n, open) = (1024usize, 1024usize, 758usize);
-    let powerlaw = KeyDistribution::PowerLaw { gamma: 4.0 };
-    let mut data = powerlaw.generate_per_rank(p, n, 7);
-    data.iter_mut().for_each(|rank| rank.sort_unstable());
-    let mut all = data.concat();
-    all.sort_unstable();
-
-    let half_width = all.len() / 4096;
-    let intervals: Vec<(u64, u64)> = (1..=open)
-        .map(|i| i * all.len() / (open + 1))
-        .map(|at| (all[at - half_width], all[at + half_width]))
-        .collect();
-    assert!(intervals.windows(2).all(|w| w[0].1 < w[1].0), "disjoint intervals");
+    let (data, all) = wide_skew_input();
+    let p = data.len();
+    let intervals = target_windows(&all, 758, 4096);
     let splitters = SplitterSet::new((1..p).map(|i| all[i * all.len() / p]).collect());
     let plans: Vec<ExchangePlan> = data
         .iter()
@@ -151,7 +222,7 @@ fn bench_wide_sweeps(c: &mut Criterion) {
         .collect();
 
     let mut group = c.benchmark_group("local_phases");
-    group.sample_size(20).throughput(Throughput::Elements((p * n) as u64));
+    group.sample_size(20).throughput(Throughput::Elements((p * 1024) as u64));
     group.bench_function(BenchmarkId::new("interval_bounds", "1024x1024x758"), |b| {
         b.iter(|| data.iter().map(|rank| interval_bounds(rank, &intervals)).collect::<Vec<_>>())
     });

@@ -1,5 +1,5 @@
 //! Classification scaling: wall-clock of the branchless decision tree
-//! (implicit-heap splitters, four keys in flight) against per-element
+//! (implicit-heap splitters, eight keys in flight) against per-element
 //! binary search over the splitter array, routing unsorted keys into `p`
 //! buckets over a sweep of bucket counts.
 //!

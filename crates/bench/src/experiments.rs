@@ -479,7 +479,7 @@ pub struct ClassifyScalingRow {
 }
 
 /// Benchmark the branchless decision tree ([`DecisionTree::bucket_indices`],
-/// four keys in flight) against per-element binary search over the splitter
+/// eight keys in flight) against per-element binary search over the splitter
 /// array (`partition_point` per key — the historical `bucket_of` path) on
 /// unsorted uniform keys, over a sweep of bucket counts.  Both arms route
 /// every key with the same `<=`-goes-right semantics and the warmup rep

@@ -30,11 +30,13 @@
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::Work;
 
-/// Sort one rank's data slice in place with `algo` and return the modelled
-/// [`Work`]: [`Work::sort`] for the comparison sort, [`Work::radix_sort`]
-/// (with the item type's byte-pass count) for the radix sort.
-pub fn charged_local_sort<T: RadixSortable>(algo: LocalSortAlgo, data: &mut [T]) -> Work {
-    algo.sort_slice(data);
+/// Sort one rank's data with `algo` and return the modelled [`Work`]:
+/// [`Work::sort`] for the comparison sort, [`Work::radix_sort`] (with the
+/// item type's byte-pass count) for the radix sort.  The radix sort of
+/// wide records replaces the vector with its gather buffer
+/// ([`LocalSortAlgo::sort_vec`]).
+pub fn charged_local_sort<T: RadixSortable>(algo: LocalSortAlgo, data: &mut Vec<T>) -> Work {
+    algo.sort_vec(data);
     local_sort_work::<T>(algo, data.len())
 }
 

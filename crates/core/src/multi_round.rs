@@ -16,14 +16,39 @@
 //! `p` private indexes and rank vectors were `O(p·m)`.  The simulated charge
 //! is still what a real rank does (its own index, its own `m`-word vector
 //! into the reduction).
-
-use std::ops::Range;
+//!
+//! # Windows
+//!
+//! A round's *windows* ([`Windows`]) are the key ranges it samples from:
+//! the whole key space in round 1, the merged open splitter intervals
+//! after it, each with the global rank of its lower bound (which the
+//! interval bookkeeping already holds).  After round 1 a rank works only
+//! inside them:
+//!
+//! * **sampling** — the rank finds each window's index range once, and the
+//!   round's one [`BernoulliDraw`] draws positions over the ranges in
+//!   order ([`WindowSample`]); the rank reads the keys at them and keeps
+//!   the ranges it holds keys in ([`WindowSpan`]);
+//! * **histogramming** — every probe lies in a window, so a rank counts only
+//!   its keys inside the windows, each window by the classification arm of
+//!   its own shape, and a probe's global rank is its window's rank-below
+//!   plus the window's keys below it.  At `p = 1024` the windows hold about
+//!   a third of a rank's keys in round 2 and a twentieth in round 3.
+//!
+//! Ranking arbitrary probes ([`exact_ranks`]: the warm start, the classic
+//! histogram-sort baseline) is the one-window case.  Positions, samples,
+//! ranks and RNG draws are those of the full-rank rounds, bit for bit.  So
+//! are the charges: a rank is still charged for finding every window's
+//! bounds ([`sampling::interval_bounds_work`]) and for classifying all its
+//! keys against all the probes ([`local_ranks_work`]) — what the model
+//! says a rank of the paper's algorithm costs.  Re-deriving those charges
+//! belongs to the model's calibration, not to a host speed-up.
 
 use hss_keygen::{rank_rng, Key, Keyed};
 use hss_lsort::RadixSortable;
 use hss_partition::{
-    local_ranks_work, merge_key_intervals_with, sampling, splitter_position, ProbeIndex,
-    SplitterIntervals, SplitterSet,
+    local_ranks_work, sampling, splitter_position, BernoulliDraw, ProbeIndex, SplitterIntervals,
+    SplitterSet, WindowSample, WindowSpan, Windows,
 };
 use hss_sim::{CostModel, Machine, Phase, RankId, Work};
 
@@ -200,7 +225,14 @@ pub(crate) mod sealed {
 /// **Probe half** — a [`SplitterPolicy`] owns the supersteps, the charges
 /// and the RNG; sources only ever see the index positions it drew, so the
 /// chosen splitters (and therefore the output) cannot depend on which
-/// ranks spilled.
+/// ranks spilled.  HSS asks in *windows* (see the module docs): a source
+/// reports each window's index range to the round's [`WindowSample`] and
+/// reads the keys it draws, then counts its keys inside the windows
+/// against the round's probes.  A resident slice sweeps its keys for the
+/// ranges and counts the window keys; a spilled store answers both from
+/// the run-file queries it always ran — a window's bounds and then its
+/// drawn keys, window by window, and every probe's rank, less the window
+/// start — so its disk reads, and their charges, stay what they were.
 ///
 /// **Drain half** — once the splitters are known the pipeline opens every
 /// rank's drain and seals the buckets front to back.  A resident slice cuts
@@ -220,21 +252,23 @@ pub trait SortedSource<K: Key>: sealed::Sealed + Send {
         self.len() == 0
     }
 
-    /// The keys at the positions `draw` picks inside each of the (disjoint,
-    /// sorted, inclusive) key `intervals`: `draw` is called once per
-    /// interval, in order, with the interval's index range in the sorted
-    /// data (`hss_partition::interval_bounds` semantics).
-    fn sample_in_intervals(
-        &mut self,
-        intervals: &[(K, K)],
-        draw: &mut dyn FnMut(Range<u64>) -> Vec<u64>,
-    ) -> Vec<K>;
+    /// Sample a round's `windows` (disjoint, sorted, inclusive key ranges):
+    /// find each window's index range in the sorted data
+    /// (`hss_partition::interval_bounds` semantics) and hand it to
+    /// `sample`, in window order, which draws the window's positions;
+    /// return the keys at every drawn position.
+    fn sample_windows(&mut self, windows: &[(K, K)], sample: &mut WindowSample<'_>) -> Vec<K>;
 
-    /// Add this rank's bucket counts for one histogramming round to the
-    /// round's shared accumulator (`probes.len() + 1` slots): slot `j`
-    /// gains the number of local keys in `[probes[j-1], probes[j])`
-    /// ([`ProbeIndex::add_bucket_counts`] semantics).
-    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, K>, counts: &mut [u64]);
+    /// Add this rank's in-window counts for one histogramming round to the
+    /// round's shared accumulator (`probes.len() + 1` slots), for the
+    /// windows the rank holds keys in (`spans`, from its sample):
+    /// [`ProbeIndex::add_window_counts`] semantics.
+    fn add_window_counts(
+        &mut self,
+        probes: &ProbeIndex<'_, K>,
+        spans: &[WindowSpan],
+        counts: &mut [u64],
+    );
 
     /// The keys at the given positions of the sorted data.
     fn keys_at(&mut self, positions: &[u64]) -> Vec<K>;
@@ -270,21 +304,26 @@ impl<T: Keyed> SortedSource<T::K> for &[T] {
         <[T]>::len(self)
     }
 
-    fn sample_in_intervals(
+    fn sample_windows(
         &mut self,
-        intervals: &[(T::K, T::K)],
-        draw: &mut dyn FnMut(Range<u64>) -> Vec<u64>,
+        windows: &[(T::K, T::K)],
+        sample: &mut WindowSample<'_>,
     ) -> Vec<T::K> {
-        let mut sample = Vec::new();
-        for (start, end) in sampling::interval_bounds(self, intervals) {
-            sample
-                .extend(draw(start as u64..end as u64).into_iter().map(|i| self[i as usize].key()));
+        for (window, (start, end)) in
+            sampling::interval_bounds(self, windows).into_iter().enumerate()
+        {
+            sample.window(window, start, end);
         }
-        sample
+        self.keys_at(sample.positions())
     }
 
-    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, T::K>, counts: &mut [u64]) {
-        probes.add_bucket_counts(self, counts);
+    fn add_window_counts(
+        &mut self,
+        probes: &ProbeIndex<'_, T::K>,
+        spans: &[WindowSpan],
+        counts: &mut [u64],
+    ) {
+        probes.add_window_counts(self, spans, counts);
     }
 
     fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
@@ -324,22 +363,46 @@ where
 
 /// The exact global ranks of the sorted `probes` (keys strictly below
 /// each): one fused [`Machine::histogram_phase_mut`] over one
-/// [`ProbeIndex`], charged to [`Phase::Histogramming`].
+/// [`ProbeIndex`], charged to [`Phase::Histogramming`] — the one-window
+/// case of a windowed round.
 pub fn exact_ranks<K, S>(machine: &mut Machine, sources: &mut [&mut S], probes: &[K]) -> Vec<u64>
 where
     K: Key,
     S: SortedSource<K> + ?Sized,
 {
-    let index = ProbeIndex::new(probes);
-    machine.histogram_phase_mut(
+    let spans = whole_spans(sources);
+    window_ranks(machine, sources, probes, &Windows::whole(), &spans)
+}
+
+/// Every rank's span of the one window of [`Windows::whole`].
+fn whole_spans<K: Key, S: SortedSource<K> + ?Sized>(sources: &[&mut S]) -> Vec<Vec<WindowSpan>> {
+    sources.iter().map(|source| WindowSpan::whole(source.len()).into_iter().collect()).collect()
+}
+
+/// The exact global ranks of the sorted `probes`, each inside one of the
+/// round's `windows`, counting only the keys of every rank's `spans` there.
+fn window_ranks<K, S>(
+    machine: &mut Machine,
+    sources: &mut [&mut S],
+    probes: &[K],
+    windows: &Windows<K>,
+    spans: &[Vec<WindowSpan>],
+) -> Vec<u64>
+where
+    K: Key,
+    S: SortedSource<K> + ?Sized,
+{
+    let index = ProbeIndex::windowed(probes, windows);
+    let prefix = machine.histogram_phase_mut(
         Phase::Histogramming,
         sources,
         probes.len(),
-        |_rank, source, counts| {
-            source.add_bucket_counts(&index, counts);
+        |rank, source, counts| {
+            source.add_window_counts(&index, &spans[rank], counts);
             local_ranks_work(source.len(), probes.len()).and(source.take_disk_work())
         },
-    )
+    );
+    index.ranks_from_prefix(prefix)
 }
 
 /// The smallest and the largest key over every rank, `None` if no rank
@@ -360,13 +423,17 @@ where
         .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
 }
 
-/// Rank a sorted probe set against the input: [`exact_ranks`], or the §3.4
+/// Rank a sorted probe set, every probe inside one of the round's
+/// `windows`, against the input: exactly, counting the keys of every
+/// rank's `spans` ([`exact_ranks`] is the one-window case), or by the §3.4
 /// representative-sample oracle's estimates.
-pub(crate) fn ranked<K, S>(
+fn ranked<K, S>(
     machine: &mut Machine,
     sources: &mut [&mut S],
     oracle: &Option<ApproxHistogrammer<K>>,
     probes: &[K],
+    windows: &Windows<K>,
+    spans: &[Vec<WindowSpan>],
     total_keys: u64,
 ) -> Vec<u64>
 where
@@ -392,7 +459,7 @@ where
                 })
                 .collect()
         }
-        None => exact_ranks(machine, sources, probes),
+        None => window_ranks(machine, sources, probes, windows, spans),
     }
 }
 
@@ -482,7 +549,8 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for HssRounds<'_, K> {
             let open_before = intervals.unfinalized_count(tolerance);
             let probes = warm.probes().to_vec();
             machine.broadcast(Phase::Histogramming, &probes);
-            let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
+            let (whole, spans) = (Windows::whole(), whole_spans(sources));
+            let ranks = ranked(machine, sources, &rank_oracle, &probes, &whole, &spans, total_keys);
             intervals.update(&probes, &ranks);
             let open_after = report.record_round(&intervals, round, 0, probes.len(), open_before);
             finished = plan.is_done(round, open_after);
@@ -504,37 +572,37 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for HssRounds<'_, K> {
             round += 1;
             let open_before = intervals.unfinalized_count(tolerance);
 
-            // The key ranges the sampling phase draws from: the whole key space
-            // in round 1, the open splitter intervals afterwards.
-            let key_intervals: Vec<(K, K)> = if round == 1 {
-                vec![(K::MIN_KEY, K::MAX_KEY)]
+            // The windows the round samples and histograms: the whole key
+            // space in round 1, the open splitter intervals afterwards.
+            let windows: Windows<K> = if round == 1 {
+                Windows::whole()
             } else {
-                merge_key_intervals_with(intervals.open_key_intervals(tolerance), config.local_sort)
+                intervals.open_windows(tolerance, config.local_sort)
             };
             // Number of input keys those ranges cover (G_{j-1}); exact because
             // the interval bookkeeping tracks ranks.
             let covered_keys =
                 if round == 1 { total_keys } else { intervals.union_rank_size(tolerance) };
 
-            let probability = plan.probability(round, total_keys, covered_keys);
+            let draw = BernoulliDraw::new(plan.probability(round, total_keys, covered_keys));
 
             // --- Sampling phase -------------------------------------------------
             let seed = config.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let per_rank_samples: Vec<Vec<K>> =
-                machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
-                    // Sampling Method 1: geometric-skip Bernoulli draws over
-                    // each interval's index range.
-                    let mut rng = rank_rng(seed, rank);
-                    let sample = source.sample_in_intervals(&key_intervals, &mut |range| {
-                        sampling::bernoulli_sample_positions(range, probability, &mut rng)
-                    });
-                    // Charge the strategy `interval_bounds` actually executes
-                    // for this shape (binary search / sweep / decision tree)
-                    // plus the geometric-skip draw per emitted sample.
-                    let work = sampling::interval_bounds_work(source.len(), key_intervals.len())
-                        .and(Work::scan(sample.len()));
-                    (sample, work.and(source.take_disk_work()))
-                });
+            let sampled = machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
+                // Sampling Method 1: geometric-skip Bernoulli draws over each
+                // window's index range.
+                let held = windows.len().min(source.len());
+                let mut sample = WindowSample::new(&draw, rank_rng(seed, rank), held);
+                let keys = source.sample_windows(&windows.bounds, &mut sample);
+                // Charge the strategy `interval_bounds` actually executes for
+                // this shape (binary search / sweep / decision tree) plus the
+                // geometric-skip draw per emitted sample.
+                let work = sampling::interval_bounds_work(source.len(), windows.len())
+                    .and(Work::scan(keys.len()));
+                ((keys, sample.into_spans()), work.and(source.take_disk_work()))
+            });
+            let (per_rank_samples, spans): (Vec<Vec<K>>, Vec<Vec<WindowSpan>>) =
+                sampled.into_iter().unzip();
 
             // Gather the sample at the central processor and sort it there.
             // The root's sort of the gathered sample is part of the *sampling*
@@ -556,7 +624,8 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for HssRounds<'_, K> {
             // Broadcast the probes, compute local histograms (exact or from the
             // representative samples), reduce.
             machine.broadcast(Phase::Histogramming, &probes);
-            let ranks = ranked(machine, sources, &rank_oracle, &probes, total_keys);
+            let ranks =
+                ranked(machine, sources, &rank_oracle, &probes, &windows, &spans, total_keys);
             intervals.update(&probes, &ranks);
 
             let open_after =

@@ -52,7 +52,6 @@
 //! only waited for at the next [`Machine::wait_for_disk`] barrier —
 //! mirroring how the real overlapped tier hides I/O behind compute.
 
-use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -62,7 +61,7 @@ use hss_extsort::{
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::{
-    add_rank_differences, drain_source_below, drain_source_rest, kway_merge_slices, ProbeIndex,
+    drain_source_below, drain_source_rest, kway_merge_slices, ProbeIndex, WindowSample, WindowSpan,
 };
 use hss_sim::{Machine, Work};
 
@@ -126,28 +125,35 @@ impl<T: PlainRecord + RadixSortable + Keyed> SortedSource<T::K> for SpilledStore
         self.total
     }
 
-    fn sample_in_intervals(
+    fn sample_windows(
         &mut self,
-        intervals: &[(T::K, T::K)],
-        draw: &mut dyn FnMut(Range<u64>) -> Vec<u64>,
+        windows: &[(T::K, T::K)],
+        sample: &mut WindowSample<'_>,
     ) -> Vec<T::K> {
-        let mut sample = Vec::new();
-        for &(lo, hi) in intervals {
+        let mut keys = Vec::new();
+        for (window, &(lo, hi)) in windows.iter().enumerate() {
             let (start, end) = self.probe(|reader| reader.interval_bounds(lo, hi));
-            let positions = draw(start..end);
-            // Fence-bracket selection answers each sampled position from a
-            // few in-memory fence searches plus one short span read per
-            // run — not a scan of the interval.
-            sample.extend(self.probe(|reader| reader.keys_at_ranks(&positions)));
+            let positions = sample.window(window, start as usize, end as usize);
+            // A window's keys are read right after its bounds, while the
+            // readers' cached blocks still hold it.  Fence-bracket selection
+            // answers each position from a few in-memory fence searches plus
+            // one short span read per run — not a scan of the window.
+            keys.extend(self.probe(|reader| reader.keys_at_ranks(positions)));
         }
-        sample
+        keys
     }
 
-    fn add_bucket_counts(&mut self, probes: &ProbeIndex<'_, T::K>, counts: &mut [u64]) {
-        // Rank queries are what the fence-indexed run files answer; their
-        // differences are the bucket counts.
+    fn add_window_counts(
+        &mut self,
+        probes: &ProbeIndex<'_, T::K>,
+        spans: &[WindowSpan],
+        counts: &mut [u64],
+    ) {
+        // Rank queries are what the fence-indexed run files answer: every
+        // probe's, the same reads whatever the windows, and a window's
+        // in-window ranks are their differences from its start.
         let ranks = self.probe(|reader| reader.local_ranks(probes.probes()));
-        add_rank_differences(ranks, self.total as u64, counts);
+        probes.add_window_ranks(spans, &ranks, counts);
     }
 
     fn keys_at(&mut self, positions: &[u64]) -> Vec<T::K> {
@@ -317,7 +323,7 @@ impl<P> HssSorter<P> {
 mod tests {
     use super::*;
     use crate::config::{ExtSortPolicy, HssConfig};
-    use crate::multi_round::ranked;
+    use crate::multi_round::exact_ranks;
     use hss_extsort::IoMode;
     use hss_keygen::KeyDistribution;
     use hss_sim::{Phase, SyncModel};
@@ -460,12 +466,87 @@ mod tests {
         let mut m_ref = Machine::flat(4);
         let expected = hss_partition::global_ranks(&mut m_ref, &sorted, &probes, phase);
         let mut m = Machine::flat(4);
-        let total = sizes.iter().sum();
-        assert_eq!(ranked(&mut m, &mut stores, &None, &probes, total), expected);
+        assert_eq!(exact_ranks(&mut m, &mut stores, &probes), expected);
         let (got, want) = (m.metrics().phase(phase), m_ref.metrics().phase(phase));
         assert_eq!(got.compute_ops, want.compute_ops);
         assert_eq!((got.messages, got.comm_words), (want.messages, want.comm_words));
         assert!(got.disk_words > 0 && want.disk_words == 0, "probe reads ride the disk channel");
+    }
+
+    #[test]
+    fn windowed_rounds_over_spilled_and_in_memory_ranks_rank_exactly() {
+        // A warm-started probe round (the one-window case), then windowed
+        // sampling and histogramming rounds, over two spilled and two
+        // in-memory ranks: every round's ranks are the summed per-rank
+        // `local_ranks`, and probes, splitters, report and compute charges
+        // are those of the same rounds over in-memory slices.
+        let sizes = [1200u64, 60, 900, 10];
+        let sorted: Vec<Vec<u64>> = sizes
+            .iter()
+            .map(|&n| {
+                let mut v: Vec<u64> = (0..n).map(|i| (i * 7919 + n) % 4001).collect();
+                v.sort_unstable();
+                v
+            })
+            .collect();
+        let policy = ExtSortPolicy::new(400 * std::mem::size_of::<u64>(), run_dir());
+        let ext = ExternalSorter::new(policy.to_ext_config(LocalSortAlgo::Radix));
+        let spills = Mutex::default();
+        let mut stores: Vec<RankStore<'_, u64>> = sorted
+            .iter()
+            .map(|local| -> RankStore<'_, u64> {
+                if local.len() <= 400 {
+                    return Box::new(local.as_slice());
+                }
+                let runs = ext.form_runs_only(local.clone()).expect("run formation");
+                Box::new(SpilledStore::new(runs, &spills))
+            })
+            .collect();
+        let mut stores: Vec<_> = stores.iter_mut().map(|store| &mut **store).collect();
+
+        let config = HssConfig {
+            epsilon: 0.02,
+            schedule: crate::RoundSchedule::ConstantOversampling {
+                oversampling: 4.0,
+                max_rounds: 32,
+            },
+            ..HssConfig::default()
+        };
+        let warm = crate::WarmStart::from_probes(vec![500, 1500, 3000]);
+        let policy = crate::multi_round::HssRounds { config: &config, warm: Some(&warm) };
+        let mut rounds = Vec::new();
+        let mut m = Machine::flat(4);
+        let (splitters, report) = policy.splitters(&mut m, &mut stores, 4, |_, progress| {
+            rounds.push((progress.probes.to_vec(), progress.ranks.to_vec()));
+        });
+        assert!(rounds.len() >= 3, "warm round plus windowed rounds: {}", rounds.len());
+        for (probes, ranks) in &rounds {
+            let mut expect = vec![0u64; probes.len()];
+            for local in &sorted {
+                let local = hss_partition::local_ranks(local, probes);
+                expect.iter_mut().zip(local).for_each(|(sum, rank)| *sum += rank);
+            }
+            assert_eq!(ranks, &expect);
+        }
+
+        let mut resident_rounds = Vec::new();
+        let mut m_ref = Machine::flat(4);
+        let (ref_splitters, ref_report) = crate::determine_splitters_seeded(
+            &mut m_ref,
+            &sorted,
+            4,
+            &config,
+            Some(&warm),
+            |_, progress| resident_rounds.push((progress.probes.to_vec(), progress.ranks.to_vec())),
+        );
+        assert_eq!(rounds, resident_rounds);
+        assert_eq!(splitters.keys(), ref_splitters.keys());
+        assert_eq!(report, ref_report);
+        for phase in [Phase::Sampling, Phase::Histogramming] {
+            let (got, want) = (m.metrics().phase(phase), m_ref.metrics().phase(phase));
+            assert_eq!(got.compute_ops, want.compute_ops, "{phase:?}");
+            assert!(got.disk_words > 0, "{phase:?}: the spilled ranks read their runs");
+        }
     }
 
     #[test]

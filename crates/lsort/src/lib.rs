@@ -68,10 +68,12 @@
 //! through steps 1–5.  A run of tags whose prefixes tie is then put in the
 //! records' full [`Ord`]: a short run by comparing the records it indexes,
 //! a long one by re-tagging it with the next eight digits and going round
-//! again.  Only then do the records move, exactly twice and streaming on
-//! one side each time: a gather through the sorted tags into a spill
-//! buffer, and one `copy_from_slice` back.  A sort allocates the tags (16 B
-//! per record) and that one spill, whatever the depth.
+//! again.  Only then do the records move, streaming on one side: a gather
+//! through the sorted tags into a spill buffer.  [`radix_sort_vec`] (the
+//! rank's local sort) hands that buffer back as the sorted vector, so the
+//! records move once; [`radix_sort`] over a borrowed slice copies it back.
+//! A sort allocates the tags (16 B per record) and that one spill,
+//! whatever the depth.
 //!
 //! [`par_radix_sort`] parallelises the recursion on the vendored rayon
 //! pool: the top-level pass runs sequentially (its single trailing write
@@ -200,6 +202,15 @@ impl LocalSortAlgo {
             LocalSortAlgo::Radix => radix_sort(data),
         }
     }
+
+    /// [`sort_slice`](Self::sort_slice) of a whole vector, which the radix
+    /// sort may replace rather than fill ([`radix_sort_vec`]).
+    pub fn sort_vec<T: RadixSortable>(self, data: &mut Vec<T>) {
+        match self {
+            LocalSortAlgo::Comparison => data.sort_unstable(),
+            LocalSortAlgo::Radix => radix_sort_vec(data),
+        }
+    }
 }
 
 impl std::fmt::Display for LocalSortAlgo {
@@ -311,11 +322,9 @@ pub fn radix_sort<T: RadixSortable>(data: &mut [T]) {
     // length: up to `COMPARISON_CUTOFF` the tags' own base case comparison-
     // sorts 16-byte tags where this one would shuffle whole records.
     if is_wide::<T>() && data.len() > INSERTION_CUTOFF {
-        let Some(mut tags) = tag_records(data) else { return };
-        radix_sort(&mut tags);
-        order_equal_prefixes(&mut tags, data, 0);
-        let spill: Vec<T> = tags.iter().map(|t| data[t.index as usize]).collect();
-        data.copy_from_slice(&spill);
+        if let Some(sorted) = gather_wide(data) {
+            data.copy_from_slice(&sorted);
+        }
         return;
     }
     // Small inputs (notably the splitter machinery's sample sorts) take
@@ -325,6 +334,29 @@ pub fn radix_sort<T: RadixSortable>(data: &mut [T]) {
     }
     let mut scratch = alloc_scratch(data);
     sort_rec(data, 0, &mut scratch);
+}
+
+/// [`radix_sort`] of a whole vector: a wide vector is replaced by the
+/// gathered copy instead of having it copied back, so its records move
+/// once (a `copy_from_slice` of 100-byte records cost ~9 ns a record).
+pub fn radix_sort_vec<T: RadixSortable>(data: &mut Vec<T>) {
+    if is_wide::<T>() && data.len() > INSERTION_CUTOFF {
+        if let Some(sorted) = gather_wide(data) {
+            *data = sorted;
+        }
+        return;
+    }
+    radix_sort(data);
+}
+
+/// Sort a wide slice's tags and gather its records in order into a new
+/// vector — `None` if tagging found the slice in order (or reversed it in
+/// place), with nothing left to move.
+fn gather_wide<T: RadixSortable>(data: &mut [T]) -> Option<Vec<T>> {
+    let mut tags = tag_records(data)?;
+    radix_sort(&mut tags);
+    order_equal_prefixes(&mut tags, data, 0);
+    Some(tags.iter().map(|t| data[t.index as usize]).collect())
 }
 
 /// The scratch of a sort of `data`: the write buffers of the block
@@ -1027,6 +1059,9 @@ mod tests {
                 let mut got = v.clone();
                 radix_sort(&mut got);
                 assert_eq!(got, reference_sorted(&v), "n = {n}, distinct = {distinct}");
+                let mut replaced = v.clone();
+                radix_sort_vec(&mut replaced);
+                assert_eq!(replaced, got, "vector sort, n = {n}, distinct = {distinct}");
             }
         }
     }

@@ -52,7 +52,7 @@ pub fn owner_plan<T>(bounds: &[usize], owner: &[usize], peers: usize) -> Exchang
 /// baseline's task queues).
 ///
 /// Every key is classified **once** with a branch-free decision-tree
-/// descend (four keys in flight); the per-bucket counts are assembled into
+/// descend (eight keys in flight); the per-bucket counts are assembled into
 /// an [`ExchangePlan`] whose exact capacities are reserved before routing,
 /// so no bucket `Vec` ever reallocates.  The historical implementation ran
 /// one binary search per element *and* push-grew every bucket

@@ -14,7 +14,7 @@
 //!   (Eytzinger order) padded to a power of two with `MAX_KEY` sentinels,
 //!   so a descend step is `node = 2*node + (tree[node] <= key)` — index
 //!   arithmetic plus one flag, **no branch**;
-//! * the unrolled drivers keep **four keys in flight**, so the four
+//! * the unrolled drivers keep **eight keys in flight**, so the eight
 //!   independent descends pipeline and the tree's top levels stay in L1.
 //!
 //! The module also owns [`ClassifyStrategy`]: the shared three-way heuristic
@@ -63,7 +63,7 @@ pub enum ClassifyStrategy {
     /// (`O(n + m)`) — best when both sides are dense and comparable in
     /// size.
     MergeSweep,
-    /// Branch-free decision-tree descends, four keys in flight
+    /// Branch-free decision-tree descends, eight keys in flight
     /// (`O(m + n log m)` with a much smaller per-step constant) — best in
     /// the dense-probe large-`p` histogramming regime (`m >> n`) and the
     /// only option on unsorted data.
@@ -99,21 +99,25 @@ pub fn classify_strategy(n: usize, m: usize) -> ClassifyStrategy {
 /// One step of a [`ClassifyStrategy::MergeSweep`]: from position `i`, skip
 /// the keys of `sorted` that `before` accepts and return the first one it
 /// rejects.  `before` must hold on a prefix of the sorted keys (`key < s`,
-/// `key <= hi`).  It looks at eight keys at a time: if it accepts the
-/// eighth it accepts the block, else the step ends inside the block, by the
-/// count of the seven keys before it that it accepts.  The only branch asks
+/// `key <= hi`).  It looks at four keys at a time: if it accepts the
+/// fourth it accepts the block, else the step ends inside the block, by the
+/// count of the three keys before it that it accepts.  The only branch asks
 /// whether a whole block was skipped — predictable whether the sweep moves
 /// a key or a thousand per query, where a per-key loop mispredicts once per
-/// query.  (Counting all eight and testing the count for eight measured
-/// 2x slower than the per-key loop: the compiler gathers the eight flags
-/// into a vector mask first.)
+/// query.  In the dense sweeps of the paper's regime a query moves about a
+/// key, so a step rarely needs more than the first block: four keys a
+/// block measured 7.3–7.5 → 5.3–5.6 ms over eight for all 1024 ranks'
+/// interval bounds at `p = 1024` (`local_phases/interval_bounds`), and
+/// 4.5–4.6 → 3.4–3.6 ms for their bucket boundaries.  (Counting all of a
+/// block and testing the count measured 2x slower than the per-key loop:
+/// the compiler gathers the flags into a vector mask first.)
 #[inline]
 pub(crate) fn sweep_past<T: Keyed>(
     sorted: &[T],
     mut i: usize,
     before: impl Fn(T::K) -> bool,
 ) -> usize {
-    const BLOCK: usize = 8;
+    const BLOCK: usize = 4;
     while let Some(block) = sorted.get(i..i + BLOCK) {
         if before(block[BLOCK - 1].key()) {
             i += BLOCK;
@@ -140,6 +144,13 @@ pub fn classify_work(n: usize, m: usize) -> Work {
         ClassifyStrategy::DecisionTree => Work::classify(n, tree_height(m)).and(Work::scan(2 * m)),
     }
 }
+
+/// Keys a [`DecisionTree`] descends at once.  Eight in flight took the
+/// first histogramming round at `p = 1024` (1024 ranks × 1024 keys against
+/// ~5120 probes) from 12–14 to 8–10 ms on one thread; on two threads of the
+/// 2-core host `local_phases/histogram_round/1024x1024-m5120-powerlaw`
+/// read 7.2–10.5 → 5.8–7.4 ms, flat on its quieter runs.
+const LANES: usize = 8;
 
 /// An implicit-heap decision tree over `m` sorted splitters, classifying
 /// keys into `m + 1` buckets branch-free.
@@ -264,8 +275,8 @@ impl<K: Key> DecisionTree<K> {
         self.descend::<false>(key)
     }
 
-    /// The unrolled driver: classify every item, four keys in flight, and
-    /// feed each bucket index (in **input order**) to `f`.
+    /// The unrolled driver: classify every item, [`LANES`] keys in flight,
+    /// and feed each bucket index (in **input order**) to `f`.
     #[inline]
     fn for_each_bucket<T: Keyed<K = K>, const LE: bool>(
         &self,
@@ -278,23 +289,21 @@ impl<K: Key> DecisionTree<K> {
             }
             return;
         }
-        let mut chunks = data.chunks_exact(4);
+        let mut chunks = data.chunks_exact(LANES);
         for c in &mut chunks {
-            let (k0, k1, k2, k3) = (c[0].key(), c[1].key(), c[2].key(), c[3].key());
-            let (mut n0, mut n1, mut n2, mut n3) = (1usize, 1usize, 1usize, 1usize);
-            // Four independent descends per iteration: no step depends on
+            let keys: [K; LANES] = std::array::from_fn(|lane| c[lane].key());
+            let mut nodes = [1usize; LANES];
+            // Eight independent descends per iteration: no step depends on
             // another key's outcome, so the loads and flag updates
-            // pipeline across the four lanes.
+            // pipeline across the lanes.
             for _ in 0..self.height {
-                n0 = self.step::<LE>(n0, k0);
-                n1 = self.step::<LE>(n1, k1);
-                n2 = self.step::<LE>(n2, k2);
-                n3 = self.step::<LE>(n3, k3);
+                for (node, &key) in nodes.iter_mut().zip(&keys) {
+                    *node = self.step::<LE>(*node, key);
+                }
             }
-            f(self.leaf_bucket(n0));
-            f(self.leaf_bucket(n1));
-            f(self.leaf_bucket(n2));
-            f(self.leaf_bucket(n3));
+            for node in nodes {
+                f(self.leaf_bucket(node));
+            }
         }
         for x in chunks.remainder() {
             f(self.descend::<LE>(x.key()));
@@ -365,7 +374,7 @@ fn prefix_ranks(hist: &[u64], m: usize) -> Vec<u64> {
 }
 
 /// The shapes the sweep tests cover: every count up to 17 (around the
-/// eight-key block and its tail) and 63–65.
+/// sweep's blocks, the tree's lanes and their tails) and 63–65.
 #[cfg(test)]
 pub(crate) const SWEEP_SIZES: [usize; 21] =
     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 64, 65];
@@ -478,10 +487,10 @@ mod tests {
 
     #[test]
     fn four_wide_driver_agrees_with_scalar_descends() {
-        // Lengths around the chunks_exact(4) boundaries.
+        // Lengths around the boundaries of the lane chunks.
         let splitters: Vec<u64> = (1..30).map(|i| i * 13).collect();
         let tree = DecisionTree::from_splitters(&splitters);
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 100] {
+        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100] {
             let data: Vec<u64> = (0..len as u64).map(|i| (i * 97) % 401).collect();
             let ids = tree.bucket_indices(&data);
             let expect: Vec<u32> =

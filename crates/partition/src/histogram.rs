@@ -11,18 +11,32 @@
 //! host validates and indexes the probes once ([`ProbeIndex`]) and every
 //! rank adds its bucket counts into a shared accumulator
 //! ([`hss_sim::Machine::histogram_phase`]) instead of building its own index
-//! and returning its own rank vector.  The simulated charge is unchanged: a
-//! real rank would still build its own tree and ship its own vector, so
-//! [`local_ranks_work`] and the reduction keep charging exactly that.
-//! [`local_ranks`] stays the per-rank reference the fused round is tested
-//! against.
+//! and returning its own rank vector.
+//!
+//! After HSS's first round every probe lies in one of the round's
+//! [`Windows`] (the open splitter intervals), whose lower bound's global
+//! rank is known, so a rank counts only its keys inside the windows
+//! ([`ProbeIndex::add_window_counts`]) — a few hundred of its 1024 keys in
+//! round 2 at `p = 1024`, a few dozen in round 3.  Ranking arbitrary
+//! probes is the one-window case ([`ProbeIndex::new`]).
+//!
+//! The simulated charge is unchanged: a real rank would still build its
+//! own tree and ship its own vector, so [`local_ranks_work`] over the
+//! rank's whole data and the round's probes, and the reduction, keep
+//! charging exactly that.  Re-deriving what a windowed rank costs belongs
+//! to the model's calibration.  [`local_ranks`] stays the per-rank
+//! reference the fused round is tested against.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use hss_keygen::{Key, Keyed};
 use hss_sim::{Machine, Phase, Work};
 
-use crate::classify::{classify_strategy, classify_work, ClassifyStrategy, DecisionTree};
+use crate::classify::{
+    classify_strategy, classify_work, sweep_past, ClassifyStrategy, DecisionTree,
+};
+use crate::intervals::Windows;
 
 /// Number of local keys strictly less than each probe.
 ///
@@ -34,7 +48,7 @@ use crate::classify::{classify_strategy, classify_work, ClassifyStrategy, Decisi
 /// when there are few probes, a linear merge sweep
 /// (`O(|probes| + |local|)`) when both sides are dense and comparable, and
 /// branch-free decision-tree classification of the *data* against the
-/// probes (`O(|probes| + |local| log |probes|)`, four keys in flight) when
+/// probes (`O(|probes| + |local| log |probes|)`, eight keys in flight) when
 /// the probe set dwarfs the local data — the situation in large-`p`
 /// histogramming rounds where the probe count (`~5p`) dwarfs the per-rank
 /// key count.  All three return identical results.
@@ -81,32 +95,119 @@ pub fn local_ranks_work(n: usize, m: usize) -> Work {
 /// three-way strategy ([`local_ranks_work`] is the cost of either call).
 pub fn local_ranks_le<T: Keyed>(sorted_local: &[T], probes: &[T::K]) -> Vec<u64> {
     debug_assert!(probes.windows(2).all(|w| w[0] <= w[1]), "probes must be sorted");
-    ProbeIndex { probes, tree: OnceLock::new() }.local_ranks_le(sorted_local)
+    let index = ProbeIndex {
+        probes,
+        cuts: vec![0, probes.len()],
+        ranks_below: vec![0],
+        trees: vec![OnceLock::new()],
+    };
+    index.local_ranks_le(sorted_local)
+}
+
+/// The most probes a window's tree arm counts by comparing each key with
+/// every probe instead of descending a tree.
+const LINEAR_PROBES: usize = 16;
+
+/// The most keys a window of at most [`LINEAR_PROBES`] probes counts by
+/// comparing, whichever arm [`classify_strategy`] names for it.
+const LINEAR_KEYS: usize = 8;
+
+/// Whether [`ProbeIndex::add_window_counts`] counts a window of `n` keys
+/// and `m` probes by comparing every key with every probe.  Every arm
+/// counts the same; comparing is the tree arm of a window whose tree would
+/// be a few leaves, and the cheapest way to count a handful of keys — the
+/// typical window of a later round at large `p` holds a key or two of a
+/// rank and a few probes.
+fn compares_every_pair(n: usize, m: usize) -> bool {
+    m <= LINEAR_PROBES
+        && (n <= LINEAR_KEYS || classify_strategy(n, m) == ClassifyStrategy::DecisionTree)
+}
+
+/// The keys one rank holds inside one window of a histogramming round: the
+/// window's index in the round's [`Windows`] and the index range
+/// `start..end` (non-empty) of those keys in the rank's sorted data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WindowSpan {
+    /// The window's index in the round's window list.
+    pub window: usize,
+    /// The window's first key in the rank's sorted data.
+    pub start: usize,
+    /// One past the window's last key.
+    pub end: usize,
+}
+
+impl WindowSpan {
+    /// A rank of `len` keys in the one window of [`Windows::whole`]: the
+    /// span of all its keys, if it has any.
+    pub fn whole(len: usize) -> Option<Self> {
+        (len > 0).then_some(Self { window: 0, start: 0, end: len })
+    }
 }
 
 /// One histogramming round's probe set, checked and indexed **once** on the
 /// host and shared by reference by every rank of the round.
 ///
-/// [`ProbeIndex::new`] is the one release-mode sortedness check of a round
-/// (`O(m)`, where per-rank checks would be `O(p·m)` and the binary-search
-/// and merge-sweep arms would otherwise silently clamp out-of-order
-/// probes); the decision tree over the probes is built lazily, by the first
-/// rank whose shape picks the tree arm, and never more than once.
+/// The probes are indexed by window ([`ProbeIndex::windowed`]): window `w`
+/// owns the probes inside its key range, and a rank adds, for each window
+/// it holds keys in, the counts of those keys between the window's probes
+/// ([`ProbeIndex::add_window_counts`]).  After the reduction a probe's
+/// global rank is its window's rank-below plus the window's prefix
+/// ([`ProbeIndex::ranks_from_prefix`]).  [`ProbeIndex::new`] is the
+/// one-window case that ranks arbitrary probes against whole ranks.
+///
+/// [`ProbeIndex::windowed`] is the one release-mode check of a round: the
+/// probes are sorted (`O(m)`, where per-rank checks would be `O(p·m)` and
+/// the binary-search and merge-sweep arms would otherwise silently clamp
+/// out-of-order probes) and every probe lies in a window.  A window's
+/// decision tree is built lazily, by the first rank whose shape picks the
+/// tree arm there, and never more than once.
 #[derive(Debug)]
 pub struct ProbeIndex<'a, K: Key> {
     probes: &'a [K],
-    tree: OnceLock<DecisionTree<K>>,
+    /// Window `w` owns `probes[cuts[w]..cuts[w + 1]]`.
+    cuts: Vec<usize>,
+    /// The global number of keys strictly below each window.
+    ranks_below: Vec<u64>,
+    trees: Vec<OnceLock<DecisionTree<K>>>,
 }
 
 impl<'a, K: Key> ProbeIndex<'a, K> {
-    /// Index a sorted probe set (duplicates allowed).
+    /// Index a sorted probe set (duplicates allowed) as one window over the
+    /// whole key space.
     ///
     /// # Panics
     ///
     /// Panics if the probes are not in non-decreasing order.
     pub fn new(probes: &'a [K]) -> Self {
+        Self::windowed(probes, &Windows::whole())
+    }
+
+    /// Index a sorted probe set by the round's `windows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the probes are not in non-decreasing order, or if a probe
+    /// lies outside every window.
+    pub fn windowed(probes: &'a [K], windows: &Windows<K>) -> Self {
         assert!(probes.windows(2).all(|w| w[0] <= w[1]), "probes must be sorted");
-        Self { probes, tree: OnceLock::new() }
+        let mut cuts = Vec::with_capacity(windows.len() + 1);
+        cuts.push(0);
+        for &(lo, hi) in &windows.bounds {
+            let first = probes.partition_point(|p| *p < lo);
+            assert_eq!(
+                first,
+                *cuts.last().expect("starts at 0"),
+                "a probe lies outside the windows"
+            );
+            cuts.push(probes.partition_point(|p| *p <= hi));
+        }
+        assert_eq!(
+            *cuts.last().expect("starts at 0"),
+            probes.len(),
+            "a probe lies outside the windows"
+        );
+        let trees = windows.bounds.iter().map(|_| OnceLock::new()).collect();
+        Self { probes, cuts, ranks_below: windows.ranks_below.clone(), trees }
     }
 
     /// The indexed probes `m`; bucket-count accumulators have `m + 1` slots.
@@ -114,42 +215,125 @@ impl<'a, K: Key> ProbeIndex<'a, K> {
         self.probes
     }
 
-    fn tree(&self) -> &DecisionTree<K> {
-        self.tree.get_or_init(|| DecisionTree::from_splitters(self.probes))
+    /// Window `w`'s probes: the accumulator slots `cuts[w]..cuts[w + 1]`.
+    fn window_probes(&self, window: usize) -> Range<usize> {
+        self.cuts[window]..self.cuts[window + 1]
     }
 
-    /// Add one rank's bucket counts to `counts` (`m + 1` slots):
-    /// `counts[j]` gains the number of keys of `sorted_local` in
-    /// `[probes[j-1], probes[j])`, so the prefix sums of the slots are
-    /// [`local_ranks`] — the accumulate form of it, with the same
-    /// per-shape [`classify_strategy`] arm but without a per-rank tree or
-    /// result vector.
-    pub fn add_bucket_counts<T: Keyed<K = K>>(&self, sorted_local: &[T], counts: &mut [u64]) {
-        debug_assert!(is_sorted_by_key(sorted_local), "local data must be sorted");
-        let n = sorted_local.len();
-        match classify_strategy(n, self.probes.len()) {
-            ClassifyStrategy::BinarySearch => add_rank_differences(
-                self.probes.iter().map(|p| sorted_local.partition_point(|x| x.key() < *p) as u64),
-                n as u64,
-                counts,
-            ),
-            ClassifyStrategy::MergeSweep => {
-                let mut i = 0usize;
-                let ranks = self.probes.iter().map(|p| {
-                    while i < n && sorted_local[i].key() < *p {
-                        i += 1;
-                    }
-                    i as u64
-                });
-                add_rank_differences(ranks, n as u64, counts)
-            }
-            ClassifyStrategy::DecisionTree => self.tree().add_histogram(sorted_local, counts),
+    fn tree(&self, window: usize) -> &DecisionTree<K> {
+        self.trees[window]
+            .get_or_init(|| DecisionTree::from_splitters(&self.probes[self.window_probes(window)]))
+    }
+
+    /// Run `add` on window `window`'s slots of `counts` plus the slot after
+    /// them, which gains the keys at or above every window probe.  That
+    /// slot is the next window's first, so it is put back unless it is the
+    /// accumulator's spare last slot.
+    fn with_window_slots(&self, window: usize, counts: &mut [u64], add: impl FnOnce(&mut [u64])) {
+        let slots = self.window_probes(window);
+        let (end, spare) = (slots.end, slots.end == self.probes.len());
+        let window_counts = &mut counts[slots.start..=end];
+        let after = window_counts[end - slots.start];
+        add(window_counts);
+        if !spare {
+            window_counts[end - slots.start] = after;
         }
+    }
+
+    /// Add one rank's in-window bucket counts to `counts` (`m + 1` slots):
+    /// for every window the rank holds keys in (`spans`, ascending), slot
+    /// `j` of the window gains the number of its keys in
+    /// `[probes[j-1], probes[j])`.  So the prefix sums over a window's slots
+    /// are [`local_ranks`] of its keys — the accumulate form of it.  Each
+    /// window takes the [`classify_strategy`] arm of its own shape (its keys
+    /// against its probes), without a per-rank tree or result vector; a
+    /// window of at most 16 probes and 8 keys, or a tree-arm window of at
+    /// most 16 probes, compares every key with every probe instead.
+    pub fn add_window_counts<T: Keyed<K = K>>(
+        &self,
+        sorted_local: &[T],
+        spans: &[WindowSpan],
+        counts: &mut [u64],
+    ) {
+        debug_assert!(is_sorted_by_key(sorted_local), "local data must be sorted");
+        for span in spans {
+            let keys = &sorted_local[span.start..span.end];
+            let probes = &self.probes[self.window_probes(span.window)];
+            let n = keys.len() as u64;
+            self.with_window_slots(span.window, counts, |counts| {
+                if compares_every_pair(keys.len(), probes.len()) {
+                    // Count the probes at or below each key, branch-free.
+                    for key in keys {
+                        let key = key.key();
+                        let bucket: usize = probes.iter().map(|p| usize::from(*p <= key)).sum();
+                        counts[bucket] += 1;
+                    }
+                    return;
+                }
+                match classify_strategy(keys.len(), probes.len()) {
+                    ClassifyStrategy::BinarySearch => add_rank_differences(
+                        probes.iter().map(|p| keys.partition_point(|x| x.key() < *p) as u64),
+                        n,
+                        counts,
+                    ),
+                    ClassifyStrategy::MergeSweep => {
+                        let mut i = 0usize;
+                        let ranks = probes.iter().map(|&p| {
+                            i = sweep_past(keys, i, |k| k < p);
+                            i as u64
+                        });
+                        add_rank_differences(ranks, n, counts)
+                    }
+                    ClassifyStrategy::DecisionTree => {
+                        self.tree(span.window).add_histogram(keys, counts)
+                    }
+                }
+            });
+        }
+    }
+
+    /// [`add_window_counts`](Self::add_window_counts) for a source that
+    /// answers rank queries instead of holding a slice (spilled run files):
+    /// `ranks` are the rank's local ranks of every probe, so a window's
+    /// in-window ranks are those less the span's start.
+    pub fn add_window_ranks(&self, spans: &[WindowSpan], ranks: &[u64], counts: &mut [u64]) {
+        assert_eq!(ranks.len(), self.probes.len(), "one rank per probe");
+        for span in spans {
+            let start = span.start as u64;
+            let in_window = ranks[self.window_probes(span.window)].iter().map(|r| r - start);
+            let n = (span.end - span.start) as u64;
+            self.with_window_slots(span.window, counts, |counts| {
+                add_rank_differences(in_window, n, counts)
+            });
+        }
+    }
+
+    /// The global ranks of the probes, from the reduced prefix sums of the
+    /// ranks' window counts (`prefix[j]` = slots `0..=j` summed over
+    /// ranks): a probe's window's rank-below plus the prefix within its
+    /// window.
+    pub fn ranks_from_prefix(&self, mut prefix: Vec<u64>) -> Vec<u64> {
+        assert_eq!(prefix.len(), self.probes.len(), "one prefix sum per probe");
+        let mut before = 0u64;
+        for (window, &below) in self.ranks_below.iter().enumerate() {
+            let slots = self.window_probes(window);
+            let Some(&last) = prefix[slots.clone()].last() else { continue };
+            for rank in &mut prefix[slots] {
+                *rank = *rank - before + below;
+            }
+            before = last;
+        }
+        prefix
     }
 
     /// [`local_ranks_le`] against the indexed probes, sharing the index's
     /// tree across ranks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the index is one window ([`ProbeIndex::new`]).
     pub fn local_ranks_le<T: Keyed<K = K>>(&self, sorted_local: &[T]) -> Vec<u64> {
+        assert_eq!(self.trees.len(), 1, "ranks over every probe need the one-window index");
         debug_assert!(is_sorted_by_key(sorted_local), "local data must be sorted");
         let n = sorted_local.len();
         let probes = self.probes;
@@ -169,7 +353,7 @@ impl<'a, K: Key> ProbeIndex<'a, K> {
                 }
                 out
             }
-            ClassifyStrategy::DecisionTree => self.tree().ranks_le(sorted_local),
+            ClassifyStrategy::DecisionTree => self.tree(0).ranks_le(sorted_local),
         }
     }
 }
@@ -223,10 +407,12 @@ pub fn global_ranks<T: Keyed>(
     phase: Phase,
 ) -> Vec<u64> {
     let index = ProbeIndex::new(probes);
-    machine.histogram_phase(phase, per_rank_sorted, probes.len(), |_rank, data, counts| {
-        index.add_bucket_counts(data, counts);
-        local_ranks_work(data.len(), probes.len())
-    })
+    let prefix =
+        machine.histogram_phase(phase, per_rank_sorted, probes.len(), |_rank, data, counts| {
+            index.add_window_counts(data, WindowSpan::whole(data.len()).as_slice(), counts);
+            local_ranks_work(data.len(), probes.len())
+        });
+    index.ranks_from_prefix(prefix)
 }
 
 /// Whether a slice is sorted by key (used in debug assertions).
@@ -420,8 +606,9 @@ mod tests {
             arms.push(classify_strategy(data.len(), probes.len()));
             // Counting twice into one accumulator doubles every rank.
             let mut counts = vec![0u64; probes.len() + 1];
-            index.add_bucket_counts(&data, &mut counts);
-            index.add_bucket_counts(&data, &mut counts);
+            let whole = WindowSpan::whole(data.len());
+            index.add_window_counts(&data, whole.as_slice(), &mut counts);
+            index.add_window_counts(&data, whole.as_slice(), &mut counts);
             assert_eq!(counts.iter().sum::<u64>(), 2 * data.len() as u64, "n = {n}");
             let mut below = 0u64;
             let ranks: Vec<u64> = counts[..probes.len()]
@@ -441,6 +628,115 @@ mod tests {
         ] {
             assert!(arms.contains(&arm), "{arm:?} not exercised: {arms:?}");
         }
+    }
+
+    /// Windowed counting ranks every probe as per-rank [`local_ranks`] over
+    /// whole ranks does: keys on a window's `lo`/`hi`, windows a rank holds
+    /// no key in or no probe in, probes on the endpoints, the
+    /// `MIN_KEY`/`MAX_KEY` sentinels and a rank with no key inside any
+    /// window — through the slice kernel, in every arm, and through the
+    /// rank-query form spilled sources use.
+    #[test]
+    fn windowed_ranks_equal_local_ranks_in_every_arm() {
+        use crate::classify::{sweep_data, sweep_key, xorshift};
+        use crate::sampling::interval_bounds;
+        let mut state = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut arms = Vec::new();
+        for case in 0..60u64 {
+            // Keys come from the pool 0..=top, whose top is `MAX_KEY`.
+            let top = 30 + 5 * case;
+            let mut bounds = Vec::new();
+            let mut next = xorshift(&mut state) % 2;
+            while next <= top {
+                let hi = (next + xorshift(&mut state) % 6).min(top);
+                bounds.push((next, hi));
+                next = hi + 1 + xorshift(&mut state) % 3;
+            }
+            let inside = |x: u64| bounds.iter().any(|&(lo, hi)| (lo..=hi).contains(&x));
+            let outside: Vec<u64> = (0..=top).filter(|&x| !inside(x)).collect();
+            let mut ranks: Vec<Vec<u64>> = [0usize, 7, 300, 3000]
+                .iter()
+                .map(|&n| sweep_data(n >> (case % 3), top, &mut state))
+                .collect();
+            let mut strays: Vec<u64> = (0..outside.len() * 3)
+                .map(|_| sweep_key(outside[xorshift(&mut state) as usize % outside.len()], top))
+                .collect();
+            strays.sort_unstable();
+            ranks.push(strays);
+            // Probes: both endpoints of most windows, and one to
+            // sixty-four values inside (with repeats), by the case.
+            let per_window = [1u64, 16, 64][(case % 3) as usize];
+            let mut probes = Vec::new();
+            for &(lo, hi) in &bounds {
+                match xorshift(&mut state) % 4 {
+                    0 => continue,
+                    1 => {}
+                    _ => probes.extend([lo, hi]),
+                }
+                let count = 1 + xorshift(&mut state) % per_window;
+                probes.extend((0..count).map(|_| lo + xorshift(&mut state) % (hi - lo + 1)));
+            }
+            let mut probes: Vec<u64> = probes.into_iter().map(|x| sweep_key(x, top)).collect();
+            probes.sort_unstable();
+            let bounds: Vec<(u64, u64)> =
+                bounds.iter().map(|&(lo, hi)| (sweep_key(lo, top), sweep_key(hi, top))).collect();
+            let below = |key: u64| -> u64 {
+                ranks.iter().map(|r| r.partition_point(|&k| k < key) as u64).sum()
+            };
+            let windows =
+                Windows { ranks_below: bounds.iter().map(|&(lo, _)| below(lo)).collect(), bounds };
+
+            let index = ProbeIndex::windowed(&probes, &windows);
+            let m = probes.len();
+            let (mut counts, mut by_ranks) = (vec![0u64; m + 1], vec![0u64; m + 1]);
+            let mut expect = vec![0u64; m];
+            for (r, data) in ranks.iter().enumerate() {
+                let spans: Vec<WindowSpan> = interval_bounds(data, &windows.bounds)
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, (start, end))| start < end)
+                    .map(|(window, (start, end))| WindowSpan { window, start, end })
+                    .collect();
+                if r == ranks.len() - 1 {
+                    assert!(spans.is_empty(), "case {case}: the strays hit a window");
+                }
+                for span in &spans {
+                    let (n, m) = (span.end - span.start, index.window_probes(span.window).len());
+                    arms.push((classify_strategy(n, m), compares_every_pair(n, m)));
+                }
+                let local = local_ranks(data, &probes);
+                index.add_window_counts(data, &spans, &mut counts);
+                index.add_window_ranks(&spans, &local, &mut by_ranks);
+                expect.iter_mut().zip(&local).for_each(|(sum, rank)| *sum += rank);
+            }
+            let prefix_sums = |counts: &[u64]| -> Vec<u64> {
+                let running = counts[..m].iter().scan(0, |sum, count| {
+                    *sum += count;
+                    Some(*sum)
+                });
+                running.collect()
+            };
+            assert_eq!(index.ranks_from_prefix(prefix_sums(&counts)), expect, "case {case}");
+            assert_eq!(index.ranks_from_prefix(prefix_sums(&by_ranks)), expect, "case {case}");
+        }
+        // Every arm, and the comparing count, in place of the tree and of
+        // another arm.
+        for arm in [
+            ClassifyStrategy::BinarySearch,
+            ClassifyStrategy::MergeSweep,
+            ClassifyStrategy::DecisionTree,
+        ] {
+            assert!(arms.contains(&(arm, false)), "no window took {arm:?}");
+        }
+        assert!(arms.contains(&(ClassifyStrategy::DecisionTree, true)));
+        assert!(arms.contains(&(ClassifyStrategy::BinarySearch, true)));
+    }
+
+    #[test]
+    #[should_panic(expected = "a probe lies outside the windows")]
+    fn a_probe_outside_every_window_panics() {
+        let windows = Windows { bounds: vec![(10u64, 20), (30, 40)], ranks_below: vec![0, 5] };
+        let _ = ProbeIndex::windowed(&[15, 25, 35], &windows);
     }
 
     #[test]

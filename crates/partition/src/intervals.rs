@@ -12,9 +12,17 @@
 //! from these intervals (Figure 3.1 illustrates the shrinkage).  A splitter
 //! is *finalized* once some seen key's rank is within the allowed tolerance
 //! `εN/(2p)` of `t_i` (the conservative condition of §2.1).
+//!
+//! The merged open intervals are a round's [`Windows`]: the next round
+//! samples only their keys, and — since every probe it draws lies in one
+//! and each lower bound's rank is already known — histograms only their
+//! keys too.
 
 use hss_keygen::Key;
+use hss_lsort::{LocalSortAlgo, RadixSortable};
 use serde::{Deserialize, Serialize};
+
+use crate::sampling::merge_key_intervals_with;
 
 /// One bound (rank and the key that achieves it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,6 +31,40 @@ pub struct Bound<K: Key> {
     pub rank: u64,
     /// The probe key achieving this rank.
     pub key: K,
+}
+
+/// The windows of one HSS round: disjoint, sorted, inclusive key ranges
+/// (the merged open splitter intervals, or the whole key space) and, for
+/// each, the global number of keys strictly below its `lo`.
+///
+/// A round samples only keys inside its windows, so every probe lies in
+/// one, and a probe's global rank is its window's `ranks_below` plus the
+/// window's keys below it.  A rank therefore counts only its keys inside
+/// the windows ([`crate::ProbeIndex::windowed`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Windows<K: Key> {
+    /// The inclusive key ranges `[lo, hi]`, disjoint and ascending.
+    pub bounds: Vec<(K, K)>,
+    /// The global number of keys strictly below each window's `lo`.
+    pub ranks_below: Vec<u64>,
+}
+
+impl<K: Key> Windows<K> {
+    /// One window over the whole key space, with no key below it — the
+    /// first round's, and the one that ranks arbitrary probes.
+    pub fn whole() -> Self {
+        Self { bounds: vec![(K::MIN_KEY, K::MAX_KEY)], ranks_below: vec![0] }
+    }
+
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.bounds.len()
+    }
+
+    /// Whether there is no window (nothing left open).
+    pub fn is_empty(&self) -> bool {
+        self.bounds.is_empty()
+    }
 }
 
 /// Bracketing state for all `buckets - 1` splitters.
@@ -186,6 +228,29 @@ impl<K: Key> SplitterIntervals<K> {
             .filter(|&i| !self.is_finalized(i, tol))
             .map(|i| (self.lower[i].key, self.upper[i].key))
             .collect()
+    }
+
+    /// The next round's [`Windows`]: the open key intervals merged into
+    /// disjoint ranges (sorted with `algo`, like
+    /// [`merge_key_intervals_with`]), each with the rank of its `lo`.  A
+    /// merged `lo` is the lower bound of some open interval, and that
+    /// bound's rank is the number of keys strictly below it (exact as long
+    /// as the histograms are).
+    pub fn open_windows(&self, tol: u64, algo: LocalSortAlgo) -> Windows<K>
+    where
+        K: RadixSortable,
+    {
+        let bounds = merge_key_intervals_with(self.open_key_intervals(tol), algo);
+        let mut lows: Vec<(K, u64)> = (0..self.splitter_count())
+            .filter(|&i| !self.is_finalized(i, tol))
+            .map(|i| (self.lower[i].key, self.lower[i].rank))
+            .collect();
+        lows.sort_unstable();
+        let ranks_below = bounds
+            .iter()
+            .map(|&(lo, _)| lows[lows.partition_point(|&(key, _)| key < lo)].1)
+            .collect();
+        Windows { bounds, ranks_below }
     }
 
     /// Rank-space width `U_j(i) − L_j(i)` of every splitter interval — the
@@ -356,6 +421,23 @@ mod tests {
         // Splitter 2's interval is [30, MAX].
         assert_eq!(open[0].0, 30);
         assert_eq!(open[0].1, u64::MAX_KEY);
+    }
+
+    #[test]
+    fn open_windows_merge_intervals_and_carry_their_lower_ranks() {
+        let mut iv: SplitterIntervals<u64> = SplitterIntervals::new(1000, 5);
+        let whole = iv.open_windows(0, LocalSortAlgo::Radix);
+        assert_eq!(whole, Windows::whole());
+        // Targets 200, 400, 600, 800: brackets (10 @ 150, 20 @ 300),
+        // (20 @ 300, 30 @ 450), (50 @ 590, 60 @ 640) and (70 @ 750, MAX).
+        iv.update(&[10u64, 20, 30, 50, 60, 70], &[150, 300, 450, 590, 640, 750]);
+        let windows = iv.open_windows(0, LocalSortAlgo::Radix);
+        assert_eq!(windows.bounds, vec![(10, 30), (50, 60), (70, u64::MAX)]);
+        assert_eq!(windows.ranks_below, vec![150, 590, 750]);
+        // A finalized splitter's interval leaves the windows.
+        let windows = iv.open_windows(10, LocalSortAlgo::Comparison);
+        assert_eq!(windows.bounds, vec![(10, 30), (70, u64::MAX)]);
+        assert_eq!(windows.ranks_below, vec![150, 750]);
     }
 
     #[test]

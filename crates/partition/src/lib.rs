@@ -48,9 +48,9 @@ pub use classify::{classify_strategy, classify_work, tree_height, ClassifyStrate
 pub use exchange::{exchange, merge_received, ExchangeEngine, Received};
 pub use histogram::{
     add_rank_differences, global_ranks, is_sorted_by_key, local_range_counts, local_ranks,
-    local_ranks_le, local_ranks_work, ProbeIndex,
+    local_ranks_le, local_ranks_work, ProbeIndex, WindowSpan,
 };
-pub use intervals::{Bound, SplitterIntervals};
+pub use intervals::{Bound, SplitterIntervals, Windows};
 pub use merge::{
     concat_sort_merge, drain_source_below, drain_source_rest, finish_arm, kway_merge,
     kway_merge_slices, runs_for, FinishArm, RunSource, SliceSource, SourceLoserTree,
@@ -59,6 +59,7 @@ pub use sampling::{
     bernoulli_sample, bernoulli_sample_in_intervals, bernoulli_sample_positions,
     bernoulli_sample_range, count_in_intervals, interval_bounds, interval_bounds_work,
     merge_key_intervals, merge_key_intervals_with, regular_sample, uniform_sample_discarding,
+    BernoulliDraw, WindowSample,
 };
 pub use select::{exact_rank, exact_splitters, global_sorted, verify_global_sort};
 pub use splitters::SplitterSet;

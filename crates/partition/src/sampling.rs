@@ -10,7 +10,9 @@
 //!   so most draws only end their interval; such a draw is recognised from
 //!   `u < q^left` without the logarithm.  That is exact, not a
 //!   re-baselining: the same draws give the same positions and leave the
-//!   RNG in the same state ([`bernoulli_sample_positions`] has the proof).
+//!   RNG in the same state ([`BernoulliDraw`] has the proof).  An HSS round
+//!   sets up one [`BernoulliDraw`] and draws every rank's windows through a
+//!   [`WindowSample`].
 //! * **Regular sampling** (§4.1.2): `s` evenly spaced keys from the sorted
 //!   local data.
 //! * **Random block sampling** (Blelloch et al., §4.1.1 / §3.4): the sorted
@@ -23,8 +25,10 @@ use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_sim::Work;
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 
 use crate::classify::{classify_strategy, sweep_past, ClassifyStrategy, DecisionTree};
+use crate::histogram::WindowSpan;
 
 /// The *positions* a Bernoulli sample of `range` selects: each index is
 /// included independently with probability `prob`, generated by geometric
@@ -36,24 +40,42 @@ use crate::classify::{classify_strategy, sweep_past, ClassifyStrategy, DecisionT
 /// out-of-core tier sampling spilled run files by merged rank) can consume
 /// the *same* RNG draw sequence: the draws depend only on `range` and
 /// `prob`, never on the data, so an in-memory rank and a spilled rank
-/// holding the same keys select identical sample positions.
+/// holding the same keys select identical sample positions.  A caller
+/// drawing many ranges at one probability sets up one [`BernoulliDraw`].
+pub fn bernoulli_sample_positions<R: Rng>(range: Range<u64>, prob: f64, rng: &mut R) -> Vec<u64> {
+    let mut out = Vec::new();
+    BernoulliDraw::new(prob).extend_positions(range, rng, &mut out);
+    out
+}
+
+/// Remainders `BernoulliDraw` keeps the threshold `q^left` for; longer
+/// ones compute it with `powi`.
+const THRESHOLD_TABLE: usize = 16;
+
+/// The longest remainder the threshold is computed for; see the proof on
+/// [`BernoulliDraw`].
+const MAX_SHORTCUT_LEFT: u64 = 1 << 20;
+
+/// Geometric-skip Bernoulli draws at one probability, set up once: `ln q`
+/// (`q = 1 − prob`) and the thresholds `q^left · (1 − 10⁻⁹)` of the short
+/// remainders, so an HSS round pays for them once, not once per window.
 ///
 /// # The draw that lands past the range
 ///
-/// Each draw `u` is turned into the gap `⌊ln u / ln q⌋` (`q = 1 − prob`),
-/// and the sample ends once the gap reaches the `left` indices still
-/// ahead.  At large `p` most open intervals hold a key or two, so most
-/// draws end their interval, and the logarithm was most of the cost.  A
-/// draw with `u < q^left · (1 − 10⁻⁹)` ends it without the logarithm, and
-/// that is exact, not approximate — the same `u` is consumed either way,
-/// so positions and RNG state are identical:
+/// Each draw `u` is turned into the gap `⌊ln u / ln q⌋`, and the sample
+/// ends once the gap reaches the `left` indices still ahead.  At large `p`
+/// most open intervals hold a key or two, so most draws end their
+/// interval, and the logarithm was most of the cost.  A draw with
+/// `u < q^left · (1 − 10⁻⁹)` ends it without the logarithm, and that is
+/// exact, not approximate — the same `u` is consumed either way, so
+/// positions and RNG state are identical:
 ///
-/// * `q^left` is `powi`'s product of `left ≤ 2²⁰` factors, all at least
-///   `q^left`.  While that is a normal number (a subnormal or zero
-///   threshold never admits a `u ≥ f64::MIN_POSITIVE`), the product is
-///   within a relative `2²⁰ · 2⁻⁵³ < 1.2·10⁻¹⁰` of the true power, so the
-///   rounded threshold is below `q^left · (1 − 8·10⁻¹⁰)`, and
-///   `ln u < left · ln q − 8·10⁻¹⁰`.
+/// * `q^left` is a product of `left ≤ 2²⁰` factors (`powi`'s, or the
+///   table's running product), all at least `q^left`.  While that is a
+///   normal number (a subnormal or zero threshold never admits a
+///   `u ≥ f64::MIN_POSITIVE`), the product is within a relative
+///   `2²⁰ · 2⁻⁵³ < 1.2·10⁻¹⁰` of the true power, so the rounded threshold
+///   is below `q^left · (1 − 8·10⁻¹⁰)`, and `ln u < left · ln q − 8·10⁻¹⁰`.
 /// * `ln u`, `ln q` and their quotient each round within an ulp, which
 ///   shrinks the quotient by a relative `< 6·10⁻¹⁶` at most.  A normal
 ///   threshold needs `left·|ln q| < 709`, so the shrinkage takes off less
@@ -61,42 +83,138 @@ use crate::classify::{classify_strategy, sweep_past, ClassifyStrategy, DecisionT
 ///   margin added: the computed quotient is still `≥ left`, and so is its
 ///   floor.
 ///
-/// `q` must be below one for the division to mean anything (`prob` under
-/// `2⁻⁵³` rounds it to one), and that case keeps the logarithm.
-pub fn bernoulli_sample_positions<R: Rng>(range: Range<u64>, prob: f64, rng: &mut R) -> Vec<u64> {
-    /// The longest remainder the threshold is computed for; see the proof.
-    const MAX_SHORTCUT_LEFT: u64 = 1 << 20;
-    assert!((0.0..=1.0).contains(&prob), "probability must be in [0, 1]");
-    let mut out = Vec::new();
-    if prob == 0.0 || range.is_empty() {
-        return out;
-    }
-    if prob >= 1.0 {
-        out.extend(range);
-        return out;
-    }
-    let q = 1.0 - prob;
-    let log_q = q.ln();
-    let mut idx = range.start;
-    loop {
-        // Geometric(prob) gap: number of failures before the next success.
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let left = range.end - idx;
-        if left <= MAX_SHORTCUT_LEFT && log_q < 0.0 && u < q.powi(left as i32) * (1.0 - 1e-9) {
-            break;
+/// # Probabilities below `2⁻⁵³`
+///
+/// There `1 − prob` rounds to one and `ln q` would be zero, which turns
+/// every gap into `⌊−∞⌋ = 0` and takes every index.  Such a draw takes
+/// `ln q` as `ln_1p(−prob)` instead, and skips the shortcut (its threshold
+/// would be one).  Every larger probability keeps `ln(1 − prob)`, so its
+/// draws are unchanged.
+#[derive(Debug, Clone)]
+pub struct BernoulliDraw {
+    prob: f64,
+    log_q: f64,
+    q: f64,
+    /// Whether `u < q^left · (1 − 10⁻⁹)` may end a range (`q < 1`).
+    shortcut: bool,
+    /// `q^left · (1 − 10⁻⁹)` for `left < THRESHOLD_TABLE`.
+    thresholds: [f64; THRESHOLD_TABLE],
+}
+
+impl BernoulliDraw {
+    /// Set up draws that take each index with probability `prob`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `prob` is in `[0, 1]`.
+    pub fn new(prob: f64) -> Self {
+        assert!((0.0..=1.0).contains(&prob), "probability must be in [0, 1]");
+        let q = 1.0 - prob;
+        let shortcut = q < 1.0;
+        let log_q = if shortcut { q.ln() } else { (-prob).ln_1p() };
+        let mut thresholds = [0.0; THRESHOLD_TABLE];
+        let mut power = 1.0f64;
+        for threshold in &mut thresholds {
+            *threshold = power * (1.0 - 1e-9);
+            power *= q;
         }
-        let gap = (u.ln() / log_q).floor() as u64;
-        idx = match idx.checked_add(gap) {
-            Some(i) => i,
-            None => break,
+        Self { prob, log_q, q, shortcut, thresholds }
+    }
+
+    /// Whether draw `u` certainly lands at least `left` indices ahead.
+    #[inline]
+    fn lands_past(&self, u: f64, left: u64) -> bool {
+        if !self.shortcut || left > MAX_SHORTCUT_LEFT {
+            return false;
+        }
+        let threshold = match self.thresholds.get(left as usize) {
+            Some(&threshold) => threshold,
+            None => self.q.powi(left as i32) * (1.0 - 1e-9),
         };
-        if idx >= range.end {
-            break;
-        }
-        out.push(idx);
-        idx += 1;
+        u < threshold
     }
-    out
+
+    /// Append the positions a Bernoulli sample of `range` selects to `out`
+    /// ([`bernoulli_sample_positions`]).  An empty range, or probability
+    /// zero or one, consumes no randomness.
+    #[inline]
+    pub fn extend_positions<R: Rng>(&self, range: Range<u64>, rng: &mut R, out: &mut Vec<u64>) {
+        if self.prob == 0.0 || range.is_empty() {
+            return;
+        }
+        if self.prob >= 1.0 {
+            out.extend(range);
+            return;
+        }
+        let mut idx = range.start;
+        loop {
+            // Geometric(prob) gap: number of failures before the next success.
+            let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            if self.lands_past(u, range.end - idx) {
+                break;
+            }
+            let gap = (u.ln() / self.log_q).floor() as u64;
+            idx = match idx.checked_add(gap) {
+                Some(i) => i,
+                None => break,
+            };
+            if idx >= range.end {
+                break;
+            }
+            out.push(idx);
+            idx += 1;
+        }
+    }
+}
+
+/// One rank's Bernoulli sample of a round's windows, drawn window by window
+/// in order: the positions a [`BernoulliDraw`] picks in each window's index
+/// range, and a [`WindowSpan`] for every window the rank holds keys in —
+/// what the round's histogram then counts over.  A source feeds it each
+/// window's bounds as it finds them, so a spilled rank reads a window's
+/// sampled keys while its run blocks for that window are still cached.
+#[derive(Debug)]
+pub struct WindowSample<'a> {
+    draw: &'a BernoulliDraw,
+    rng: ChaCha8Rng,
+    positions: Vec<u64>,
+    spans: Vec<WindowSpan>,
+}
+
+impl<'a> WindowSample<'a> {
+    /// Start a rank's sample, drawing from `rng`, with room for the spans
+    /// of `windows` windows up front: a rank holds keys in at most its key
+    /// count of the round's windows, and one allocation per rank keeps the
+    /// superstep off the allocator's shared arena lock, where growing the
+    /// span list by doubling measured a slower sampling phase than the
+    /// per-window draws it replaced.
+    pub fn new(draw: &'a BernoulliDraw, rng: ChaCha8Rng, windows: usize) -> Self {
+        Self { draw, rng, positions: Vec::new(), spans: Vec::with_capacity(windows) }
+    }
+
+    /// Draw window `window`, whose keys sit at `start..end` of the rank's
+    /// sorted data, and return the positions it drew.  Windows come in
+    /// order; an empty one draws nothing and consumes no randomness.
+    #[inline]
+    pub fn window(&mut self, window: usize, start: usize, end: usize) -> &[u64] {
+        let drawn = self.positions.len();
+        if start < end {
+            let range = start as u64..end as u64;
+            self.draw.extend_positions(range, &mut self.rng, &mut self.positions);
+            self.spans.push(WindowSpan { window, start, end });
+        }
+        &self.positions[drawn..]
+    }
+
+    /// Every position drawn so far, ascending.
+    pub fn positions(&self) -> &[u64] {
+        &self.positions
+    }
+
+    /// The spans of the windows the rank holds keys in, in window order.
+    pub fn into_spans(self) -> Vec<WindowSpan> {
+        self.spans
+    }
 }
 
 /// Bernoulli-sample the keys of `sorted[range]`: each key is included
@@ -162,7 +280,7 @@ pub fn merge_key_intervals_with<K: Ord + Copy + RadixSortable>(
 ///   sorted and disjoint, so each search runs on the still-open suffix
 ///   instead of the whole slice;
 /// * **merge sweep** — one linear pass over data and interval endpoints,
-///   eight keys a step (`sweep_past`), so a step costs no mispredict;
+///   four keys a step (`sweep_past`), so a step costs no mispredict;
 /// * **decision tree** — branch-free classification of the data against
 ///   the interval endpoints (one tree over the `lo`s for the starts, one
 ///   over the `hi`s for the ends), the dense-interval large-`p` regime.
@@ -589,7 +707,7 @@ mod tests {
 
     #[test]
     fn skipping_the_log_repeats_the_positions_and_the_rng_stream() {
-        for prob in [1e-12, 0.0144, 0.085, 0.5, 1.0 - 1e-9] {
+        for prob in [f64::EPSILON, 1e-12, 0.0144, 0.085, 0.5, 1.0 - 1e-9] {
             for len in 1..=200u64 {
                 for seed in 0..4 {
                     let start = seed * 1_000_003;
@@ -605,5 +723,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn probabilities_below_the_rounding_of_one_take_nothing() {
+        // `1 − 1e-17` rounds to one: a zero `ln q` would take every index.
+        for prob in [1e-17, 1e-30, f64::MIN_POSITIVE] {
+            for seed in 0..8 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let taken = bernoulli_sample_positions(0..1_000_000, prob, &mut rng);
+                assert!(taken.is_empty(), "prob {prob}, seed {seed}: took {}", taken.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_sample_is_the_per_window_draws_in_order() {
+        let draw = BernoulliDraw::new(0.3);
+        let bounds = [(0usize, 5usize), (5, 5), (9, 40), (40, 41), (70, 70), (80, 200)];
+        let mut sample = WindowSample::new(&draw, ChaCha8Rng::seed_from_u64(3), bounds.len());
+        let mut reference = ChaCha8Rng::seed_from_u64(3);
+        let mut expect = Vec::new();
+        for (window, &(start, end)) in bounds.iter().enumerate() {
+            let range = start as u64..end as u64;
+            let want = bernoulli_sample_positions(range, 0.3, &mut reference);
+            assert_eq!(sample.window(window, start, end), want.as_slice(), "window {window}");
+            expect.extend(want);
+        }
+        assert_eq!(sample.positions(), expect.as_slice());
+        let spans: Vec<(usize, usize, usize)> =
+            sample.into_spans().iter().map(|s| (s.window, s.start, s.end)).collect();
+        assert_eq!(spans, vec![(0, 0, 5), (2, 9, 40), (3, 40, 41), (5, 80, 200)]);
     }
 }
