@@ -1,8 +1,8 @@
 //! Criterion micro-benchmark of the local building blocks: histogram rank
 //! queries (binary search vs merge sweep regimes), bucket partitioning,
-//! k-way merging, one whole histogramming round (whole ranks, and the
-//! windowed rounds after HSS's first), and the three host passes
-//! of the paper's regime that walk `p` intervals or peers per rank (the
+//! k-way merging and the whole finish superstep, one whole histogramming
+//! round (whole ranks, and the windowed rounds after HSS's first), and the
+//! three host passes of the paper's regime that walk `p` intervals or peers per rank (the
 //! dense interval and bucket sweeps, the node-combined exchange
 //! accounting) — the kernels whose costs Table 5.1 composes.
 
@@ -10,10 +10,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hss_keygen::{generate_tera_records_per_rank, KeyDistribution, Record, TeraRecord};
 use hss_lsort::RadixSortable;
 use hss_partition::{
-    global_ranks, interval_bounds, kway_merge_slices, local_ranks, local_ranks_work,
-    partition_sorted, ProbeIndex, SplitterSet, WindowSpan, Windows,
+    exchange, global_ranks, interval_bounds, kway_merge_slices, local_ranks, local_ranks_work,
+    merge_received, partition_sorted, resort_owners, ProbeIndex, SplitterSet, WindowSpan, Windows,
 };
-use hss_sim::{CostModel, ExchangePlan, Machine, Phase, Topology};
+use hss_sim::{CostModel, ExchangePlan, Machine, Phase, Topology, Work};
 
 fn sorted_keys(n: usize, seed: u64) -> Vec<u64> {
     let mut v = KeyDistribution::Uniform.generate_rank(0, 1, n, seed);
@@ -75,6 +75,19 @@ fn bench_kway_merge(c: &mut Criterion) {
 
     let tiny_runs: Vec<Vec<u64>> = (0..650).map(|r| sorted_keys(2, r)).collect();
     bench_merge_shape(c, "650x2-u64", &tiny_runs);
+
+    // One owner past the re-sort's 16 384 items: `finish_arm` merges it,
+    // and the `resort_owners` row times the arm it turned down.
+    let crumb_runs: Vec<Vec<u64>> = (0..650).map(|r| sorted_keys(40, r)).collect();
+    bench_merge_shape(c, "650x40-u64", &crumb_runs);
+    let slices: Vec<&[u64]> = crumb_runs.iter().map(Vec::as_slice).collect();
+    let total = slices.iter().map(|r| r.len()).sum();
+    let mut group = c.benchmark_group("local_phases");
+    group.sample_size(20).throughput(Throughput::Elements(total as u64));
+    group.bench_function(BenchmarkId::new("resort_owners", "650x40-u64"), |b| {
+        b.iter(|| resort_owners(slices.iter().copied(), &[total]))
+    });
+    group.finish();
 
     // Four distinct keys: every comparison ties on the cached key prefix
     // and falls through to the full record comparison.
@@ -243,10 +256,36 @@ fn bench_wide_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
+/// The whole finish superstep at `u64-wide-skew`'s shape: 1024 owners,
+/// each re-sorting ~1024 keys from the ~650 senders that hold some, out of
+/// a rank-level exchange planned outside the timing.
+fn bench_merge_received(c: &mut Criterion) {
+    let (data, all) = wide_skew_input();
+    let p = data.len();
+    let splitters = SplitterSet::new((1..p).map(|i| all[i * all.len() / p]).collect());
+    let owner: Vec<usize> = (0..p).collect();
+    let received = exchange(&mut Machine::flat(p), &data, &splitters, &owner);
+    let mut group = c.benchmark_group("local_phases");
+    group.sample_size(20).throughput(Throughput::Elements(all.len() as u64));
+    group.bench_function(BenchmarkId::new("merge_received", "1024x1024-powerlaw"), |b| {
+        b.iter(|| {
+            merge_received(
+                &mut Machine::flat(p),
+                &data,
+                &received,
+                |_| true,
+                |runs| (kway_merge_slices(runs), Work::none()),
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_local_phases,
     bench_kway_merge,
+    bench_merge_received,
     bench_histogram_round,
     bench_wide_sweeps
 );

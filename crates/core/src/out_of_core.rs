@@ -252,6 +252,10 @@ where
         (Some(Box::new(SpilledStore::new(runs, &self.spills))), work)
     }
 
+    fn in_memory(&self, items: usize) -> bool {
+        !self.over_cap::<T>(items)
+    }
+
     fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work) {
         if !self.over_cap::<T>(runs.iter().map(|r| r.len()).sum()) {
             return (kway_merge_slices(runs), Work::none());
@@ -586,6 +590,73 @@ mod tests {
             m_ref.metrics().deterministic_signature()
         );
         assert_eq!(outcome.report.total_keys, 800);
+    }
+
+    #[test]
+    fn an_owner_over_the_cap_spills_beside_resorting_neighbours() {
+        // No rank holds more than 100 keys, under a cap of 150, but every
+        // rank holds 40 copies of one key, so that key's owner receives
+        // over 640.  It alone spills, with the report and disk charges of
+        // merging its runs through disk; the neighbours, each handed crumbs
+        // from many senders, re-sort in memory.
+        let p = 16;
+        let input: Vec<Vec<u64>> = KeyDistribution::Uniform
+            .generate_per_rank(p, 60, 29)
+            .into_iter()
+            .map(|mut rank| {
+                rank.extend([u64::MAX / 3; 40]);
+                rank
+            })
+            .collect();
+        let mut m_ref = Machine::flat(p);
+        let reference = HssSorter::default().sort(&mut m_ref, input.clone());
+
+        let policy = ExtSortPolicy::new(150 * std::mem::size_of::<u64>(), run_dir());
+        let config = HssConfig::default().with_ext_sort(policy.clone());
+        let mut m = Machine::flat(p);
+        let (outcome, ext) = HssSorter::new(config.clone()).sort_out_of_core(&mut m, input.clone());
+        assert_eq!(outcome.data, reference.data);
+
+        let over: Vec<usize> = (0..p).filter(|&o| outcome.data[o].len() > 150).collect();
+        assert_eq!(over.len(), 1, "one owner over the cap");
+        let (lo, hi) = {
+            let own = &outcome.data[over[0]];
+            (own[0], own[own.len() - 1])
+        };
+        let mut sorted = input;
+        sorted.iter_mut().for_each(|rank| rank.sort_unstable());
+        let runs: Vec<&[u64]> = sorted
+            .iter()
+            .map(|rank| {
+                let from = rank.partition_point(|&x| x < lo);
+                &rank[from..rank.partition_point(|&x| x <= hi)]
+            })
+            .collect();
+        let ext_sorter = ExternalSorter::new(policy.to_ext_config(config.local_sort));
+        let (merged, spill) = ext_sorter.merge_spilled(&runs).expect("reference spill");
+        assert_eq!(merged, outcome.data[over[0]]);
+        let timeless =
+            |r: &ExtSortReport| ExtSortReport { io_wait_seconds: 0.0, wall_seconds: 0.0, ..*r };
+        assert_eq!(timeless(&ext), timeless(&spill), "only the owner's merge spilled");
+        let disk = Work::disk_bytes(spill.disk_bytes(), spill.disk_transfers()).disk_words;
+        assert_eq!(m.metrics().phase(Phase::Merge).disk_words, disk);
+        assert_eq!(m.metrics().total_disk_words(), disk);
+        let (got, want) = (m.metrics().phase(Phase::Merge), m_ref.metrics().phase(Phase::Merge));
+        assert_eq!(got.compute_ops, want.compute_ops, "every owner's merge charge");
+
+        let resorting = (0..p).filter(|&o| {
+            let pieces = runs_into(&sorted, &outcome.data[o]);
+            o != over[0]
+                && hss_partition::finish_arm::<u64>(pieces, outcome.data[o].len())
+                    == hss_partition::FinishArm::Resort
+        });
+        assert!(resorting.count() >= p / 2, "most neighbours re-sort");
+    }
+
+    /// How many of the ranks in `sorted` hold a key of the owner's `own`.
+    fn runs_into(sorted: &[Vec<u64>], own: &[u64]) -> usize {
+        let Some((&lo, &hi)) = own.first().zip(own.last()) else { return 0 };
+        sorted.iter().filter(|rank| rank.iter().any(|&x| lo <= x && x <= hi)).count()
     }
 
     #[test]

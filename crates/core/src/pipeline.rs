@@ -120,6 +120,11 @@ pub(crate) trait Residency<T: Keyed>: Sync {
     /// received.  The work is what the merge cost *beyond* its comparisons:
     /// the disk traffic of an owner that could not hold its runs.
     fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work);
+
+    /// Whether an owner of `items` received records finishes in memory —
+    /// where [`merge`](Self::merge) is `kway_merge_slices` at no extra
+    /// cost, so the rank-level finish may re-sort it beside its neighbours.
+    fn in_memory(&self, items: usize) -> bool;
 }
 
 /// The residency of [`HssSorter::sort`](crate::HssSorter::sort): every rank
@@ -133,6 +138,10 @@ impl<T: Keyed + RadixSortable> Residency<T> for InMemory {
 
     fn merge(&self, runs: &[&[T]]) -> (Vec<T>, Work) {
         (kway_merge_slices(runs), Work::none())
+    }
+
+    fn in_memory(&self, _items: usize) -> bool {
+        true
     }
 }
 
@@ -192,7 +201,8 @@ where
     let out = if within_node {
         finish_within_nodes(machine, &received, config, residency)
     } else {
-        merge_received(machine, &data, &received, |runs| residency.merge(runs))
+        let in_memory = |items| residency.in_memory(items);
+        merge_received(machine, &data, &received, in_memory, |runs| residency.merge(runs))
     };
     machine.wait_for_disk();
     (out, report)

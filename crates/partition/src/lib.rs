@@ -53,7 +53,7 @@ pub use histogram::{
 pub use intervals::{Bound, SplitterIntervals, Windows};
 pub use merge::{
     concat_sort_merge, drain_source_below, drain_source_rest, finish_arm, kway_merge,
-    kway_merge_slices, runs_for, FinishArm, RunSource, SliceSource, SourceLoserTree,
+    kway_merge_slices, resort_owners, runs_for, FinishArm, RunSource, SliceSource, SourceLoserTree,
 };
 pub use sampling::{
     bernoulli_sample, bernoulli_sample_in_intervals, bernoulli_sample_positions,

@@ -30,6 +30,18 @@
 //! the contract on purpose to observe the tournament's run-index
 //! tie-break, and compares the re-sort by `Ord` only.)
 //!
+//! The re-sort ([`resort_owners`]) also finishes a *block* of neighbouring
+//! owners at once, which is how the rank-level finish
+//! ([`merge_received`](crate::exchange::merge_received)) runs it.  Owners
+//! partition the key space in order, so each sender holds one contiguous
+//! sorted span for the whole block, and at ~1.6 keys a run the per-owner
+//! gather would copy 650 crumbs an owner.  Gathering one span per sender,
+//! sorting the block once and cutting it at the owners' totals gives each
+//! owner exactly its own items, sorted: every item of an owner sorts before
+//! every item of the next, so the cuts fall where the owners' outputs meet,
+//! and within an owner the contract above makes the sort's order the
+//! merge's.
+//!
 //! # The tournament
 //!
 //! The merge kernel is a *key-caching loser tree* (`Tournament`).
@@ -241,7 +253,6 @@ pub fn finish_arm<T>(k: usize, total: usize) -> FinishArm {
 /// order among them is invisible.
 pub fn kway_merge_slices<T: RadixSortable>(runs: &[&[T]]) -> Vec<T> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out = Vec::with_capacity(total);
     // Pre-sized at the run count: `filter` erases the size hint, so a bare
     // `collect` here would grow-by-push on the merge hot path.  Dropping
     // empty runs keeps the tree small and cannot change the tie-break
@@ -249,20 +260,55 @@ pub fn kway_merge_slices<T: RadixSortable>(runs: &[&[T]]) -> Vec<T> {
     let mut live: Vec<&[T]> = Vec::with_capacity(runs.len());
     live.extend(runs.iter().copied().filter(|r| !r.is_empty()));
     if let [only] = live[..] {
-        out.extend_from_slice(only);
-        return out;
+        return only.to_vec();
     }
     match finish_arm::<T>(live.len(), total) {
-        FinishArm::Resort => {
-            live.iter().for_each(|run| out.extend_from_slice(run));
-            radix_sort(&mut out);
-        }
+        FinishArm::Resort => resort_owners(live, &[total]).swap_remove(0),
         FinishArm::Merge => {
+            let mut out = Vec::with_capacity(total);
             let mut tree = SourceLoserTree::new(live.into_iter().map(SliceSource::new).collect());
             drain_source_rest(&mut tree, &mut out);
+            out
         }
     }
-    out
+}
+
+/// The re-sort arm, for one owner or for a block of neighbouring owners:
+/// gather `runs`, [`radix_sort`] them, and cut the result into one vector
+/// per owner of `totals` items.
+///
+/// The owners must partition the key space in order — every item of an
+/// owner sorts before every item of the next — and `runs` must hold
+/// exactly their items, in any grouping: one run per sender and owner, or
+/// one span per sender covering the whole block.  Each owner's vector is
+/// then its own items sorted, which by the [`RadixSortable`] contract is
+/// what merging its runs gives, bit for bit.  One owner's vector is the
+/// gather itself; a block's are copied out of it.
+///
+/// # Panics
+///
+/// If the runs do not hold `totals`' sum of items.
+pub fn resort_owners<'a, T: RadixSortable + 'a>(
+    runs: impl IntoIterator<Item = &'a [T]>,
+    totals: &[usize],
+) -> Vec<Vec<T>> {
+    let total = totals.iter().sum();
+    let mut all = Vec::with_capacity(total);
+    runs.into_iter().for_each(|run| all.extend_from_slice(run));
+    assert_eq!(all.len(), total, "the runs hold exactly the owners' items");
+    radix_sort(&mut all);
+    if let [_] = totals {
+        return vec![all];
+    }
+    let mut rest = all.as_slice();
+    totals
+        .iter()
+        .map(|&n| {
+            let (own, tail) = rest.split_at(n);
+            rest = tail;
+            own.to_vec()
+        })
+        .collect()
 }
 
 /// A pull-based producer of one sorted run, consumed by
