@@ -62,9 +62,9 @@ fn bench_merge_shape<T: RadixSortable>(c: &mut Criterion, shape: &str, runs: &[V
     group.finish();
 }
 
-/// The k-way merge at the benchmark's three regimes: `u64-fat`'s and
-/// `tera-fat`'s 16 long runs per receiver, and `u64-wide-skew`'s ~650
-/// runs of a record or two.
+/// The k-way merge at the benchmark's three regimes: `u64-fat`'s 16 long
+/// runs per receiver (the pairwise arm) and `tera-fat`'s (the tournament),
+/// and `u64-wide-skew`'s ~650 runs of a record or two (the re-sort).
 fn bench_kway_merge(c: &mut Criterion) {
     let u64_runs: Vec<Vec<u64>> = (0..16).map(|r| sorted_keys(32_768, r)).collect();
     bench_merge_shape(c, "16x32768-u64", &u64_runs);
@@ -76,8 +76,9 @@ fn bench_kway_merge(c: &mut Criterion) {
     let tiny_runs: Vec<Vec<u64>> = (0..650).map(|r| sorted_keys(2, r)).collect();
     bench_merge_shape(c, "650x2-u64", &tiny_runs);
 
-    // One owner past the re-sort's 16 384 items: `finish_arm` merges it,
-    // and the `resort_owners` row times the arm it turned down.
+    // One owner past the re-sort's 16 384 items: `finish_arm` merges it
+    // pairwise, and the `resort_owners` row times the re-sort it turned
+    // down.
     let crumb_runs: Vec<Vec<u64>> = (0..650).map(|r| sorted_keys(40, r)).collect();
     bench_merge_shape(c, "650x40-u64", &crumb_runs);
     let slices: Vec<&[u64]> = crumb_runs.iter().map(Vec::as_slice).collect();
@@ -89,8 +90,9 @@ fn bench_kway_merge(c: &mut Criterion) {
     });
     group.finish();
 
-    // Four distinct keys: every comparison ties on the cached key prefix
-    // and falls through to the full record comparison.
+    // Four distinct keys: every comparison of the tournament (records are
+    // two words) ties on the cached key prefix and falls through to the
+    // full record comparison.
     let dup_runs: Vec<Vec<Record>> = (0..16)
         .map(|r| {
             let mut run: Vec<Record> = sorted_keys(32_768, r)

@@ -7,28 +7,39 @@
 //! Table 5.1, and the one [`Work::merge`](hss_sim::Work::merge) charges
 //! whichever way the host finishes the runs.
 //!
-//! # Two arms
+//! # Three arms
 //!
-//! [`kway_merge_slices`] (every in-memory finish) takes one of two arms,
+//! [`kway_merge_slices`] (every in-memory finish) takes one of three arms,
 //! picked by [`finish_arm`] from `(k, total, size_of::<T>())` with one
-//! integer cost comparison, the way `classify_strategy` picks a histogram
-//! arm:
+//! integer cost comparison and a width test, the way `classify_strategy`
+//! picks a histogram arm:
 //!
-//! * **The tournament**, for long runs and wide records: a loser tree whose
-//!   replay costs `⌈log₂ k⌉` steps an item (below).  At fan-in 16 it emits
-//!   a `u64` in a few nanoseconds and moves a 100-byte record once.
 //! * **The re-sort**, for crumbs: the paper's regime (large `p`, small
 //!   `N/p`) hands each rank ~650 runs of a key or two, where every emission
 //!   climbs ten levels and loads a head from another sender's buffer.
 //!   Gathering the runs and [`radix_sort`]ing them moves each key three
 //!   times in cache instead.  Only an owner whose items fit the radix
 //!   sort's cache-resident scratch re-sorts.
+//! * **The pairwise merge**, for the other owners of one-word items (fan-in
+//!   16's long runs, or crumbs past the scratch): adjacent runs merge two
+//!   at a time, level by level, between the output and one scratch buffer.
+//!   Each two-way merge runs from both ends at once, so a step carries two
+//!   independent chains of one compare and two selects.  The tournament's
+//!   replay is one chain of `⌈log₂ k⌉` dependent node loads, so moving a
+//!   word `⌈log₂ k⌉` times costs less (at 16 × 32 768 `u64`, about 9
+//!   against 20 ns a key on one thread).
+//! * **The tournament**, for wider items: a loser tree whose replay costs
+//!   `⌈log₂ k⌉` steps an item (below) and moves a 100-byte record once.
 //!
-//! The arms give the same bits because of the [`RadixSortable`] contract:
-//! Ord-equal items are identical, so a stable merge and an unstable sort
-//! of the same multiset cannot differ.  (The tests' `Stamped` key breaks
-//! the contract on purpose to observe the tournament's run-index
-//! tie-break, and compares the re-sort by `Ord` only.)
+//! The pairwise merge gives the tournament's bits outright.  Each two-way
+//! merge is stable (the left run's item first among equals), and merging
+//! adjacent runs stably, level by level, orders equal items by run index —
+//! the tournament's tie-break.  This holds even for a key that breaks the
+//! [`RadixSortable`] contract (the tests' `Stamped` key).
+//!
+//! The re-sort gives the same bits because of that contract: Ord-equal
+//! items are identical, so a stable merge and an unstable sort of the same
+//! multiset cannot differ.  (The tests compare the re-sort by `Ord` only.)
 //!
 //! The re-sort ([`resort_owners`]) also finishes a *block* of neighbouring
 //! owners at once, which is how the rank-level finish
@@ -64,11 +75,12 @@
 //! The tournament owns no run; [`SourceLoserTree`] drives it over
 //! [`RunSource`]s — leaves that know their head and how to advance past it.
 //! The out-of-core tier implements the trait with bounded disk windows and
-//! always merges (its runs are on disk); [`kway_merge_slices`]' tournament
-//! arm wraps each slice in a [`SliceSource`] cursor, so both tiers run the
-//! same loop and emit in bitwise identical order.  (A driver specialised to
-//! slice cursors measured 3 % faster on the merge alone — under 1.5 % of a
-//! sort — and was not kept.)
+//! always merges by the tournament (its runs are on disk);
+//! [`kway_merge_slices`]' tournament arm wraps each slice in a
+//! [`SliceSource`] cursor, so both tiers run the same loop and emit in
+//! bitwise identical order.  (A driver specialised to slice cursors
+//! measured 3 % faster on the merge alone — under 1.5 % of a sort — and was
+//! not kept.)
 
 use hss_keygen::Keyed;
 use hss_lsort::{radix_sort, RadixSortable};
@@ -215,12 +227,16 @@ impl Tournament {
 pub enum FinishArm {
     /// The key-caching loser tree.
     Merge,
+    /// Merge adjacent runs pairwise, level by level, each two-way merge
+    /// running from both ends at once.
+    Pairwise,
     /// Gather the runs and [`radix_sort`] them.
     Resort,
 }
 
 /// The arm that finishes `k` non-empty runs of `total` items of `T`: one
-/// integer comparison of the per-item costs, in tournament replay steps.
+/// integer comparison of the per-item costs, in tournament replay steps,
+/// then a width test.
 ///
 /// * The tournament pays `2 + ⌈log₂ k⌉` steps an item (the replay, plus
 ///   the emission and the head load of a run that is elsewhere in memory).
@@ -230,16 +246,24 @@ pub enum FinishArm {
 ///
 /// Only a `total` that fits the radix sort's cache-resident scratch
 /// (`256 *` [`BLOCK`](hss_lsort::BLOCK) items) re-sorts: that is where the
-/// two arms were measured against each other.  Anything larger merges.
+/// two were measured against each other.  Anything larger merges, and so
+/// do ties.
 ///
-/// Ties go to the tournament.  So a thousand keys from fan-in 650 (the
-/// paper's regime) re-sort, half a million from fan-in 16 merge, and a
-/// 100-byte record (13 words) always merges: the tournament moves it once.
+/// A merge of at least two runs of one-word items is pairwise: moving a
+/// word `⌈log₂ k⌉` times costs less than the tournament's chain of
+/// dependent replay steps.  Wider items go to the tournament, which moves
+/// each item once.
+///
+/// So a thousand keys from fan-in 650 (the paper's regime) re-sort; half a
+/// million keys from fan-in 16, or 26 000 from fan-in 650, merge pairwise;
+/// and a 100-byte record (13 words) always goes to the tournament.
 pub fn finish_arm<T>(k: usize, total: usize) -> FinishArm {
     let words = std::mem::size_of::<T>().div_ceil(8);
     let merge_steps = 2 + crate::classify::ceil_log2(k);
     if total <= 256 * hss_lsort::BLOCK && 3 * words < merge_steps {
         FinishArm::Resort
+    } else if k >= 2 && std::mem::size_of::<T>() <= 8 {
+        FinishArm::Pairwise
     } else {
         FinishArm::Merge
     }
@@ -248,9 +272,10 @@ pub fn finish_arm<T>(k: usize, total: usize) -> FinishArm {
 /// Merge already-sorted runs, given as slices, into one sorted vector.
 /// Equal elements are emitted in run-index order.
 ///
-/// The arm is [`finish_arm`]'s.  The re-sort is the same output bit for bit:
-/// by the [`RadixSortable`] contract, Ord-equal items are identical, so the
-/// order among them is invisible.
+/// The arm is [`finish_arm`]'s.  The pairwise merge keeps the run-index
+/// tie-break itself.  The re-sort is the same output bit for bit by the
+/// [`RadixSortable`] contract: Ord-equal items are identical, so the order
+/// among them is invisible.
 pub fn kway_merge_slices<T: RadixSortable>(runs: &[&[T]]) -> Vec<T> {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     // Pre-sized at the run count: `filter` erases the size hint, so a bare
@@ -264,12 +289,116 @@ pub fn kway_merge_slices<T: RadixSortable>(runs: &[&[T]]) -> Vec<T> {
     }
     match finish_arm::<T>(live.len(), total) {
         FinishArm::Resort => resort_owners(live, &[total]).swap_remove(0),
+        FinishArm::Pairwise => pairwise_merge(&live, total),
         FinishArm::Merge => {
             let mut out = Vec::with_capacity(total);
             let mut tree = SourceLoserTree::new(live.into_iter().map(SliceSource::new).collect());
             drain_source_rest(&mut tree, &mut out);
             out
         }
+    }
+}
+
+/// The pairwise arm: merge adjacent runs, (0, 1), (2, 3) and so on, level
+/// by level until one run is left; an odd last run is carried to the next
+/// level as it is.  Levels alternate between the output and one scratch
+/// buffer of `total` items, starting where the last level lands in the
+/// output.
+fn pairwise_merge<T: Ord + Copy>(runs: &[&[T]], total: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(total);
+    let mut scratch = Vec::with_capacity(total);
+    let (mut dst, mut src) = if crate::classify::ceil_log2(runs.len()) % 2 == 1 {
+        (&mut out, &mut scratch)
+    } else {
+        (&mut scratch, &mut out)
+    };
+    let mut lens = merge_level(runs, dst);
+    while lens.len() > 1 {
+        std::mem::swap(&mut dst, &mut src);
+        let mut rest = src.as_slice();
+        let runs: Vec<&[T]> = lens
+            .iter()
+            .map(|&n| {
+                let (run, tail) = rest.split_at(n);
+                rest = tail;
+                run
+            })
+            .collect();
+        lens = merge_level(&runs, dst);
+    }
+    out
+}
+
+/// One level of [`pairwise_merge`]: `dst` becomes `runs` merged in adjacent
+/// pairs, back to back (an odd last run merges with nothing, which copies
+/// it).  Returns the merged runs' lengths.
+fn merge_level<T: Ord + Copy>(runs: &[&[T]], dst: &mut Vec<T>) -> Vec<usize> {
+    dst.clear();
+    runs.chunks(2)
+        .map(|pair| {
+            let (a, b) = (pair[0], pair.get(1).copied().unwrap_or_default());
+            let (at, n) = (dst.len(), a.len() + b.len());
+            merge_two(a, b, &mut dst.spare_capacity_mut()[..n]);
+            // SAFETY: `merge_two` wrote all `n` slots past the first `at`.
+            unsafe { dst.set_len(at + n) };
+            n
+        })
+        .collect()
+}
+
+/// Merge sorted `a` and `b` stably (`a`'s item first among equals) into
+/// `dst`, which has a slot for each item, from both ends at once.  The
+/// front takes `a`'s head unless `b`'s is smaller, the back takes `b`'s
+/// tail unless `a`'s is larger, and both ends run `min(|a|, |b|)` steps:
+/// two independent chains of branch-free selects.  The front's `t` items
+/// are the stable merge's first `t` and the back's its last `t`, so they
+/// never overlap; an end may compare an item the other end already took,
+/// but never emits one.  A plain stable merge then fills the middle from
+/// what is left.  Writes every slot of `dst`.
+fn merge_two<T: Ord + Copy>(a: &[T], b: &[T], dst: &mut [std::mem::MaybeUninit<T>]) {
+    assert_eq!(dst.len(), a.len() + b.len(), "one slot per item");
+    let (mut front_a, mut front_b, mut front) = (0, 0, 0);
+    let (mut back_a, mut back_b, mut back) = (a.len(), b.len(), dst.len());
+    for _ in 0..a.len().min(b.len()) {
+        // SAFETY: the loop bound and the assert above prove every index.
+        // At step `t < min(|a|, |b|)` each end has taken `t` items, so
+        // `front_a, front_b ≤ t` index inside `a` and `b`, and
+        // `back_a ≥ |a| − t ≥ 1`, `back_b ≥ |b| − t ≥ 1` leave
+        // `back_a − 1`, `back_b − 1` inside too.  The slots `front = t` and
+        // `back − 1 = |dst| − 1 − t` are in `dst` (`|dst| = |a| + |b|`) and
+        // distinct (`2t < |a| + |b|`).  None of this needs `Ord` to be a
+        // total order: a broken one at worst makes the middle's slicing
+        // below panic.  Unchecked, the loop takes 1.95 rather than 2.3 ns
+        // an item on 2 × 262 144 `u64`.
+        unsafe {
+            let (x, y) = (*a.get_unchecked(front_a), *b.get_unchecked(front_b));
+            let take_b = y < x;
+            dst.get_unchecked_mut(front).write(if take_b { y } else { x });
+            front_a += usize::from(!take_b);
+            front_b += usize::from(take_b);
+            front += 1;
+
+            let (x, y) = (*a.get_unchecked(back_a - 1), *b.get_unchecked(back_b - 1));
+            let take_a = y < x;
+            back -= 1;
+            dst.get_unchecked_mut(back).write(if take_a { x } else { y });
+            back_a -= usize::from(take_a);
+            back_b -= usize::from(!take_a);
+        }
+    }
+    let (mut a, mut b) = (&a[front_a..back_a], &b[front_b..back_b]);
+    let mut middle = dst[front..back].iter_mut();
+    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        let take_b = y < x;
+        middle.next().expect("a slot per item").write(if take_b { y } else { x });
+        if take_b {
+            b = &b[1..];
+        } else {
+            a = &a[1..];
+        }
+    }
+    for (slot, &x) in middle.zip(a.iter().chain(b)) {
+        slot.write(x);
     }
 }
 
@@ -752,6 +881,95 @@ mod tests {
         }
     }
 
+    /// The pairwise arm of `kway_merge_slices` against a drained
+    /// `SourceLoserTree`, compared through `view`, over fan-ins with carried
+    /// odd runs and run shapes that load either the two-ended steps or the
+    /// middle merge.  Every case holds more than the re-sort's 16 384 items,
+    /// so fan-ins of three and more reach the arm.  `make(run, x)` turns a
+    /// pseudo-random `x` into an item of `run`.
+    fn assert_pairwise_matches_tree<T, V>(
+        case: &str,
+        make: impl Fn(usize, u64) -> T,
+        view: impl Fn(&T) -> V,
+    ) where
+        T: RadixSortable,
+        V: PartialEq + std::fmt::Debug,
+    {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut parities = [false; 2];
+        for k in [2usize, 3, 5, 16, 17, 33, 650] {
+            let base = 256 * hss_lsort::BLOCK / k + 1;
+            let long = (150_000 / k).min(30_000);
+            let shapes: [(&str, Vec<usize>); 3] = [
+                ("equal", vec![base; k]),
+                ("staggered", (0..k).map(|r| base + r % 3).collect()),
+                // 1-item runs beside long ones: the middle merges carry
+                // almost every item.
+                ("lopsided", (0..k).map(|r| if r % 2 == 0 { 1 } else { long }).collect()),
+            ];
+            for (shape, lens) in shapes {
+                let runs: Vec<Vec<T>> = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(run, &len)| {
+                        let mut v: Vec<T> = (0..len)
+                            .map(|_| {
+                                state = state
+                                    .wrapping_mul(6364136223846793005)
+                                    .wrapping_add(1442695040888963407);
+                                make(run, state ^ state >> 29)
+                            })
+                            .collect();
+                        v.sort();
+                        v
+                    })
+                    .collect();
+                let slices: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+                let total: usize = lens.iter().sum();
+                parities[total % 2] = true;
+                let at = format!("{case}: k = {k}, {shape} runs, {total} items");
+                assert_eq!(finish_arm::<T>(k, total), FinishArm::Pairwise, "{at}");
+
+                let merged = kway_merge_slices(&slices);
+                let mut tree =
+                    SourceLoserTree::new(slices.iter().map(|s| SliceSource::new(s)).collect());
+                let mut want = Vec::new();
+                drain_source_rest(&mut tree, &mut want);
+                assert_eq!(merged.len(), total, "{at}");
+                let first_miss =
+                    merged.iter().zip(&want).position(|(got, want)| view(got) != view(want));
+                if let Some(i) = first_miss {
+                    panic!("{at}: item {i} is {:?}, not {:?}", view(&merged[i]), view(&want[i]));
+                }
+            }
+        }
+        assert_eq!(parities, [true; 2], "{case}: odd and even totals");
+    }
+
+    #[test]
+    fn pairwise_arm_matches_the_tournament_tie_for_tie() {
+        // A one-word key (6 key bytes and a 2-byte stamp) that carries its
+        // run: the arm must keep the tournament's run-index tie-break, not
+        // only its multiset.
+        type Key = Stamped<6>;
+        let stamped = |key: [u8; 6], run: usize| Key { key, run: run as u16 };
+        let bytes = |x: u64| -> [u8; 6] { x.to_be_bytes()[..6].try_into().expect("6 bytes") };
+        let by_stamp = |x: &Key| (x.key, x.run);
+        assert_pairwise_matches_tree("distinct keys", |run, x| stamped(bytes(x), run), by_stamp);
+        let five = [[0; 6], [1; 6], [0x80; 6], [0xFE; 6], [0xFF; 6]];
+        assert_pairwise_matches_tree(
+            "five keys, with 0 and all-0xFF",
+            |run, x| stamped(five[x as usize % 5], run),
+            by_stamp,
+        );
+        assert_pairwise_matches_tree("all equal", |run, _| stamped([7; 6], run), by_stamp);
+        assert_pairwise_matches_tree(
+            "u64 around 0 and MAX",
+            |_, x| [0, 1, x, u64::MAX - 1, u64::MAX][x as usize % 5],
+            |x| *x,
+        );
+    }
+
     fn pick<T: Copy>(pool: &[T]) -> impl Fn(usize, usize) -> T + '_ {
         |_run, i| pool[i % pool.len()]
     }
@@ -856,25 +1074,30 @@ mod tests {
     #[test]
     fn finish_arm_resorts_crumbs_and_merges_long_or_wide_runs() {
         use hss_keygen::{Record, TeraRecord};
-        use FinishArm::{Merge, Resort};
+        use FinishArm::{Merge, Pairwise, Resort};
         // The benchmark's receivers: u64-wide-skew, u64-fat, tera-fat and a
-        // u64-spill owner.
+        // u64-spill owner (which spills over the cap).
         assert_eq!(finish_arm::<u64>(650, 1024), Resort);
-        assert_eq!(finish_arm::<u64>(16, 524_288), Merge);
+        assert_eq!(finish_arm::<u64>(16, 524_288), Pairwise);
         assert_eq!(finish_arm::<TeraRecord>(16, 160_000), Merge);
         assert_eq!(finish_arm::<TeraRecord>(1024, 1024), Merge);
-        assert_eq!(finish_arm::<u64>(8, 500_000), Merge);
-        // The cost comparison's edges: ties merge, one run is copied.
+        assert_eq!(finish_arm::<u64>(8, 500_000), Pairwise);
+        // The cost comparison's edges: ties do not re-sort, one run is
+        // copied.
         assert_eq!(finish_arm::<u64>(0, 0), Merge);
         assert_eq!(finish_arm::<u64>(1, 5), Merge);
-        assert_eq!(finish_arm::<u64>(2, 10), Merge);
+        assert_eq!(finish_arm::<u64>(2, 10), Pairwise);
         assert_eq!(finish_arm::<u64>(3, 10), Resort);
-        // Past the radix sort's cache-resident scratch, always merge.
+        // Past the radix sort's cache-resident scratch, one word merges
+        // pairwise.
         assert_eq!(finish_arm::<u64>(1024, 256 * hss_lsort::BLOCK), Resort);
-        assert_eq!(finish_arm::<u64>(1024, 256 * hss_lsort::BLOCK + 1), Merge);
-        assert_eq!(finish_arm::<u64>(32, 1 << 20), Merge);
+        assert_eq!(finish_arm::<u64>(1024, 256 * hss_lsort::BLOCK + 1), Pairwise);
+        assert_eq!(finish_arm::<u64>(650, 26_000), Pairwise);
+        assert_eq!(finish_arm::<u64>(32, 1 << 20), Pairwise);
+        // Wider items that do not re-sort stay on the tournament.
         assert_eq!(finish_arm::<Record>(16, 1000), Merge);
         assert_eq!(finish_arm::<Record>(32, 1000), Resort);
+        assert_eq!(finish_arm::<Record>(1024, 1 << 20), Merge);
     }
 
     #[test]

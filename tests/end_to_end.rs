@@ -44,6 +44,33 @@ fn hss_sorts_and_balances_every_distribution() {
     }
 }
 
+/// Fat ranks: each owner receives up to 16 runs, ~32 768 keys in all, past
+/// the re-sort's scratch, so the finish merges them pairwise (`u64-fat`'s
+/// shape at a sixteenth of its size).  The cells above re-sort every owner.
+#[test]
+fn hss_sorts_and_balances_fat_ranks() {
+    const FAT_KEYS_PER_RANK: usize = 32_768;
+    let sorter = HssSorter::new(HssConfig { epsilon: EPS, ..HssConfig::default() });
+    for dist in distributions() {
+        let input = dist.generate_per_rank(P, FAT_KEYS_PER_RANK, 23);
+        let outcome = sorter.sort(&mut Machine::flat(P), input.clone());
+        verify_global_sort(&input, &outcome.data)
+            .unwrap_or_else(|e| panic!("HSS on fat {}: {e}", dist.name()));
+        assert!(
+            outcome.report.satisfies(EPS),
+            "HSS on fat {}: imbalance {}",
+            dist.name(),
+            outcome.report.imbalance()
+        );
+    }
+    // Many ties across runs; few distinct keys are exempt from the balance
+    // bound, as in the pipeline product table.
+    let input =
+        KeyDistribution::FewDistinct { distinct: 64 }.generate_per_rank(P, FAT_KEYS_PER_RANK, 23);
+    let outcome = sorter.sort(&mut Machine::flat(P), input.clone());
+    verify_global_sort(&input, &outcome.data).unwrap_or_else(|e| panic!("HSS on fat ties: {e}"));
+}
+
 #[test]
 fn hss_one_and_two_round_schedules_sort_correctly() {
     for rounds in [1usize, 2, 3] {
