@@ -70,8 +70,8 @@ fn compare_split_step<T: Keyed + Ord + RadixSortable>(
         .collect();
 
     // Merge own block with the partner's and keep the appropriate half.
-    let own: Vec<Vec<T>> = std::mem::take(data);
-    let merged: Vec<Vec<T>> = machine.transform_phase(Phase::Merge, own, |rank, local| {
+    let merged: Vec<Vec<T>> = machine.map_phase_mut(Phase::Merge, data, |rank, local| {
+        let local = std::mem::take(local);
         let partner = rank ^ (1usize << step);
         let keep = local.len();
         let other: &[T] = &partner_blocks[rank];

@@ -74,9 +74,11 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for OverPartitioningConfig {
         });
         let mut sample = machine.gather_to_root(Phase::Sampling, samples);
         let sample_size = sample.len();
-        machine
-            .charge_modelled_compute(Phase::Histogramming, CostModel::sort_ops(sample_size as u64));
-        self.local_sort.sort_slice(&mut sample);
+        let ops = CostModel::sort_ops(sample_size as u64);
+        machine.modelled_step(Phase::Histogramming, std::slice::from_mut(&mut sample), |_, s| {
+            self.local_sort.sort_slice(s);
+            ((), ops)
+        });
 
         // Over-decomposition: buckets * k candidate buckets.
         let candidates = SplitterSet::from_sorted_sample(&sample, buckets * self.ratio);

@@ -42,7 +42,7 @@ impl RadixConfig {
 pub fn radix_partition_sort<T: Keyed + Ord + RadixSortable>(
     machine: &mut Machine,
     config: &RadixConfig,
-    input: Vec<Vec<T>>,
+    mut input: Vec<Vec<T>>,
 ) -> (Vec<Vec<T>>, SortReport) {
     let p = machine.ranks();
     assert_eq!(input.len(), p, "one input vector per rank");
@@ -81,7 +81,8 @@ pub fn radix_partition_sort<T: Keyed + Ord + RadixSortable>(
             ExchangePlan::from_counts(counts)
         })
         .collect();
-    let bufs: Vec<Vec<T>> = machine.transform_phase(Phase::DataExchange, input, |r, mut local| {
+    let bufs: Vec<Vec<T>> = machine.map_phase_mut(Phase::DataExchange, &mut input, |r, local| {
+        let mut local = std::mem::take(local);
         let n = local.len();
         // dest[i]: final position of local[i] (grouped by destination
         // rank, stable within each group).
@@ -102,8 +103,9 @@ pub fn radix_partition_sort<T: Keyed + Ord + RadixSortable>(
         (local, Work::scan(n))
     });
     let received = machine.all_to_allv_flat(Phase::DataExchange, &bufs, &plans);
-    let datas: Vec<Vec<T>> = received.into_iter().map(|fr| fr.data).collect();
-    let mut output = machine.transform_phase(Phase::Merge, datas, |_r, data| {
+    let mut datas: Vec<Vec<T>> = received.into_iter().map(|fr| fr.data).collect();
+    let mut output = machine.map_phase_mut(Phase::Merge, &mut datas, |_r, data| {
+        let data = std::mem::take(data);
         let total = data.len();
         (data, Work::scan(total))
     });

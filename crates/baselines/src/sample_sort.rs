@@ -119,12 +119,11 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for SampleSortConfig {
         let mut sample = machine.gather_to_root(Phase::Sampling, per_rank_samples);
         // The central processor sorts the overall sample (p pieces, merge
         // sort): O(S log p) comparisons per §5.1.1.
-        let p = machine.ranks().max(2) as u64;
-        machine.charge_modelled_compute(
-            Phase::Histogramming,
-            CostModel::merge_ops(sample.len() as u64, p),
-        );
-        self.local_sort.sort_slice(&mut sample);
+        let ops = CostModel::merge_ops(sample.len() as u64, machine.ranks().max(2) as u64);
+        machine.modelled_step(Phase::Histogramming, std::slice::from_mut(&mut sample), |_, s| {
+            self.local_sort.sort_slice(s);
+            ((), ops)
+        });
         let splitters = SplitterSet::from_sorted_sample(&sample, buckets);
         let tolerance = rank_tolerance(total_keys, buckets, self.epsilon);
         broadcast_one_shot(machine, splitters, total_keys, tolerance, sample.len())

@@ -14,10 +14,9 @@ use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::sampling::random_block_sample_positions;
 use hss_partition::{local_ranks_work, ProbeIndex};
-use hss_sim::{Machine, Phase};
-use rayon::prelude::*;
+use hss_sim::{Machine, Phase, Work};
 
-use crate::multi_round::{sample_at, SortedSource};
+use crate::multi_round::SortedSource;
 
 use serde::{Deserialize, Serialize};
 
@@ -121,19 +120,16 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
     where
         K: RadixSortable,
     {
-        let lens: Vec<usize> = sources.iter().map(|source| source.len()).collect();
-        let samples = sample_at(machine, sources, |rank, len| {
+        // `sample_at`'s superstep, with each rank's sample sorted in it.
+        let per_rank = machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
+            let local_len = source.len();
             let mut rng = hss_keygen::rank_rng(seed ^ 0x5A5A, rank);
-            random_block_sample_positions(len, sample_size, &mut rng)
+            let positions = random_block_sample_positions(local_len, sample_size, &mut rng);
+            let mut samples = source.keys_at(&positions);
+            local_sort.sort_slice(&mut samples);
+            let work = Work::scan(samples.len()).and(source.take_disk_work());
+            (RepresentativeSample { samples, local_len }, work)
         });
-        let per_rank = samples
-            .into_par_iter()
-            .zip(lens)
-            .map(|(mut samples, local_len)| {
-                local_sort.sort_slice(&mut samples);
-                RepresentativeSample { samples, local_len }
-            })
-            .collect();
         Self { per_rank }
     }
 

@@ -82,10 +82,10 @@ where
 
 /// Tag every item of every rank with its `(PE, index)` origin.  Charged as a
 /// linear scan.
-pub fn tag_per_rank<T: Keyed>(machine: &mut Machine, data: Vec<Vec<T>>) -> Vec<Vec<Tagged<T>>> {
-    machine.transform_phase(Phase::Other, data, |rank, local| {
+pub fn tag_per_rank<T: Keyed>(machine: &mut Machine, mut data: Vec<Vec<T>>) -> Vec<Vec<Tagged<T>>> {
+    machine.map_phase_mut(Phase::Other, &mut data, |rank, local| {
         let n = local.len();
-        let tagged = local
+        let tagged = std::mem::take(local)
             .into_iter()
             .enumerate()
             .map(|(i, item)| Tagged { item, pe: rank as u32, index: i as u32 })
@@ -95,10 +95,13 @@ pub fn tag_per_rank<T: Keyed>(machine: &mut Machine, data: Vec<Vec<T>>) -> Vec<V
 }
 
 /// Strip the tags, keeping the (tag-ordered) item order.
-pub fn untag_per_rank<T: Keyed>(machine: &mut Machine, data: Vec<Vec<Tagged<T>>>) -> Vec<Vec<T>> {
-    machine.transform_phase(Phase::Other, data, |_rank, local| {
+pub fn untag_per_rank<T: Keyed>(
+    machine: &mut Machine,
+    mut data: Vec<Vec<Tagged<T>>>,
+) -> Vec<Vec<T>> {
+    machine.map_phase_mut(Phase::Other, &mut data, |_rank, local| {
         let n = local.len();
-        (local.into_iter().map(|t| t.item).collect(), Work::scan(n))
+        (std::mem::take(local).into_iter().map(|t| t.item).collect(), Work::scan(n))
     })
 }
 

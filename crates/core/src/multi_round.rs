@@ -614,10 +614,16 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for HssRounds<'_, K> {
             // tiny (see the cost convention in `crate::local_sort`).
             let mut probes: Vec<K> = machine.gather_to_root(Phase::Sampling, per_rank_samples);
             let sample_size = probes.len();
-            machine
-                .charge_modelled_compute(Phase::Sampling, CostModel::sort_ops(sample_size as u64));
-            config.local_sort.sort_slice(&mut probes);
-            probes.dedup();
+            let ops = CostModel::sort_ops(sample_size as u64);
+            machine.modelled_step(
+                Phase::Sampling,
+                std::slice::from_mut(&mut probes),
+                |_, probes| {
+                    config.local_sort.sort_slice(probes);
+                    probes.dedup();
+                    ((), ops)
+                },
+            );
             let probe_count = probes.len();
 
             // --- Histogramming phase --------------------------------------------

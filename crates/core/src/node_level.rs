@@ -22,8 +22,6 @@
 //! leader's received runs as slices — no per-run clones anywhere on the
 //! path.
 
-use rayon::prelude::*;
-
 use hss_keygen::Keyed;
 use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::{regular_sample, Received, SplitterSet};
@@ -49,32 +47,28 @@ where
     let topo = machine.topology();
     let within_eps = config.within_node_epsilon;
     let local_sort = config.local_sort;
-    let per_node: Vec<_> = (0..topo.nodes())
-        .into_par_iter()
-        .map(|node| {
-            let mut runs = received.runs_at(topo.leader_of(node));
-            runs.retain(|r| !r.is_empty());
-            let cores = topo.node_size(node);
-            let total: usize = runs.iter().map(|r| r.len()).sum();
-            let (chunks, ops) = split_within_node(&runs, cores, within_eps, local_sort, residency);
-            let ops = ops + CostModel::merge_ops(total as u64, cores.max(1) as u64);
-            (node, chunks, ops)
-        })
-        .collect();
+    // Each node leader re-splits its runs; the slowest node's work is the
+    // charge.
+    let nodes = &mut vec![(); topo.nodes()];
+    let per_node = machine.modelled_step(Phase::NodeLocalSort, nodes, |node, _| {
+        let mut runs = received.runs_at(topo.leader_of(node));
+        runs.retain(|r| !r.is_empty());
+        let cores = topo.node_size(node);
+        let total: usize = runs.iter().map(|r| r.len()).sum();
+        let (chunks, ops) = split_within_node(&runs, cores, within_eps, local_sort, residency);
+        (chunks, ops + CostModel::merge_ops(total as u64, cores.max(1) as u64))
+    });
 
-    // Assemble the per-rank output and charge the slowest node's work.
+    // Assemble the per-rank output.
     let mut output: Vec<Vec<T>> = (0..topo.ranks()).map(|_| Vec::new()).collect();
     let mut spills = vec![Work::none(); topo.ranks()];
-    let mut max_ops = 0u64;
-    for (node, chunks, ops) in per_node {
-        max_ops = max_ops.max(ops);
+    for (node, chunks) in per_node.into_iter().enumerate() {
         for (core_idx, (chunk, spill)) in chunks.into_iter().enumerate() {
             let rank = topo.ranks_of(node).start + core_idx;
             output[rank] = chunk;
             spills[rank] = spill;
         }
     }
-    machine.charge_modelled_compute(Phase::NodeLocalSort, max_ops);
     if spills.iter().any(|&spill| spill != Work::none()) {
         let _: Vec<()> =
             machine.map_phase_mut(Phase::NodeLocalSort, &mut spills, |_rank, spill| ((), *spill));

@@ -134,9 +134,12 @@ where
     let mut probes = machine.gather_to_root(Phase::Sampling, per_rank_samples);
     let sample_size = probes.len();
     // The root's sort of the gathered sample is part of the sampling step.
-    machine.charge_modelled_compute(Phase::Sampling, CostModel::sort_ops(sample_size as u64));
-    local_sort.sort_slice(&mut probes);
-    probes.dedup();
+    let ops = CostModel::sort_ops(sample_size as u64);
+    machine.modelled_step(Phase::Sampling, std::slice::from_mut(&mut probes), |_, probes| {
+        local_sort.sort_slice(probes);
+        probes.dedup();
+        ((), ops)
+    });
     let probe_count = probes.len();
 
     machine.broadcast(Phase::Histogramming, &probes);

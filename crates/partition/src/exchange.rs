@@ -147,9 +147,9 @@ pub fn merge_received<T: RadixSortable + Send + Sync>(
         (merged, Work::merge(total, pieces.max(1)).and(beyond))
     };
     match received {
-        Received::InPlace { bufs, plans } => machine.map_phase_with(
+        Received::InPlace { bufs, plans } => machine.superstep(
             Phase::Merge,
-            per_rank_sorted,
+            &mut vec![(); per_rank_sorted.len()],
             |owners| OwnerChunk::read(bufs, plans, owners, &in_memory),
             |chunk, dst, _| chunk.finish(dst, finish),
         ),

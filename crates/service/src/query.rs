@@ -41,11 +41,11 @@ impl<K: Key> QueryIndex<K> {
             })
             .collect();
         let mut pairs = machine.gather_to_root(phase, per_rank);
-        machine.charge_modelled_compute(
-            phase,
-            hss_sim::CostModel::merge_ops(pairs.len() as u64, oracle.ranks().max(2) as u64),
-        );
-        pairs.sort_unstable_by_key(|&(k, _)| k);
+        let ops = hss_sim::CostModel::merge_ops(pairs.len() as u64, oracle.ranks().max(2) as u64);
+        machine.modelled_step(phase, std::slice::from_mut(&mut pairs), |_, pairs| {
+            pairs.sort_unstable_by_key(|&(k, _)| k);
+            ((), ops)
+        });
         let mut keys = Vec::with_capacity(pairs.len());
         let mut prefix = Vec::with_capacity(pairs.len());
         let mut acc = 0.0;

@@ -21,10 +21,8 @@
 //! non-empty peers — the BSP superstep is held up by the busiest rank, not
 //! by the global message count.
 
-use rayon::prelude::*;
-
 use crate::cost::CollectiveAlgo;
-use crate::machine::{words_of, words_of_width, ClockAdvance, Machine, Parallelism};
+use crate::machine::{words_of, words_of_width, ClockAdvance, Machine};
 use crate::metrics::{Phase, PhaseMetrics};
 use crate::plan::{ExchangePlan, ExchangeStage, FlatRecv};
 
@@ -301,8 +299,9 @@ impl Machine {
     /// The data movement of a flat exchange (no accounting): concatenate,
     /// for each destination, every source's run in source-rank order.  Each
     /// destination's buffer is assembled independently, so the copies run
-    /// on the rayon pool (mirroring each simulated rank draining its own
-    /// receive buffer); results are bitwise mode-independent.
+    /// through the superstep dispatcher (mirroring each simulated rank
+    /// draining its own receive buffer); results are bitwise
+    /// mode-independent.
     fn scatter_flat<U: Clone + Send + Sync>(
         &self,
         send_bufs: &[Vec<U>],
@@ -318,12 +317,11 @@ impl Machine {
             }
             FlatRecv { data, plan }
         };
-        match self.parallelism() {
-            Parallelism::Rayon => {
-                (0..p).collect::<Vec<_>>().into_par_iter().map(assemble).collect()
-            }
-            Parallelism::Sequential => (0..p).map(assemble).collect(),
-        }
+        self.dispatch(&mut vec![(); p], |_| (), |_, dst, _| assemble(dst))
+            .0
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Node-granularity volume bookkeeping of the node-combined exchange.

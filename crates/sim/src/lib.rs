@@ -11,10 +11,10 @@
 //! Algorithms keep their data as `Vec<Vec<T>>` — one vector per simulated
 //! rank — and drive it through:
 //!
-//! * local phases ([`Machine::local_phase`], [`Machine::map_phase`],
-//!   [`Machine::transform_phase`]) which execute for real, in parallel
-//!   across ranks via rayon, and are charged `max` over ranks of the
-//!   reported [`Work`];
+//! * supersteps ([`Machine::superstep`] and its views such as
+//!   [`Machine::local_phase`] and [`Machine::map_phase`]) which execute for
+//!   real, in parallel across ranks via rayon, and are charged `max` over
+//!   ranks of the reported [`Work`];
 //! * collectives ([`Machine::gather_to_root`], [`Machine::broadcast`],
 //!   [`Machine::reduce_sum`], [`Machine::all_to_allv_flat`] and its
 //!   node-combined and staged forms) which move the data and charge the

@@ -42,17 +42,28 @@
 //! sum of charges); under `Overlapped` the makespan is smaller whenever
 //! overlap hides communication.
 //!
-//! # Execution model
+//! # Execution model: one superstep and its views
 //!
-//! Local phases execute for real, in parallel across ranks using the
-//! vendored rayon thread pool (each simulated rank's closure runs on some
-//! worker OS thread), so all data movement and all results are exact; only
-//! *time* is modelled.  [`Parallelism::Sequential`] runs the same closures
-//! on the calling thread and is the determinism oracle: for every
-//! algorithm, both modes must produce bitwise-identical data and identical
-//! simulated costs (see `tests/parallel_differential.rs`), while the
-//! metrics record the real host-thread count separately so reports can
-//! distinguish host concurrency from simulated `p`-rank concurrency.
+//! Every piece of host work runs in one superstep body,
+//! [`Machine::superstep`]: the ranks' closures run for real, in contiguous
+//! chunks of ranks on the vendored rayon pool (each chunk threading an
+//! optional host-side context), so all data movement and all results are
+//! exact; only *time* is modelled.  The body times the host work once,
+//! charges `max` over ranks of the reported [`Work`] and records one
+//! superstep.  [`Machine::local_phase`], [`Machine::map_phase`],
+//! [`Machine::map_phase_mut`] and the fused histogramming round
+//! ([`Machine::histogram_phase`], [`Machine::histogram_phase_mut`]) are
+//! views over it.  Work whose charge is modelled rather than reported per
+//! rank — the root's sort of a gathered sample, the node leaders'
+//! shared-memory finish — runs through the same dispatcher in
+//! [`Machine::modelled_step`], so its host wall time is recorded too.
+//!
+//! [`Parallelism::Sequential`] runs the same chunks on the calling thread
+//! and is the determinism oracle: for every algorithm, both modes must
+//! produce bitwise-identical data and identical simulated costs (see
+//! `tests/parallel_differential.rs`), while the metrics record the real
+//! host-thread count separately so reports can distinguish host
+//! concurrency from simulated `p`-rank concurrency.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -179,30 +190,18 @@ pub struct Machine {
     superstep: u64,
 }
 
-/// A contiguous chunk of ranks counting into one accumulator during a
-/// fused histogramming superstep (internal).
-struct CountingChunk<'a, S> {
-    first_rank: RankId,
-    ranks: &'a mut [S],
-    works: &'a mut [Work],
-    counts: Vec<u64>,
-}
-
 /// How one recorded superstep advances the [`Timeline`] (internal).
 pub(crate) enum ClockAdvance {
-    /// A local phase: rank `r` advances by its own `per_rank[r]` seconds;
-    /// under [`SyncModel::Bsp`] a barrier follows.
-    PerRank(Vec<f64>),
-    /// A local phase with disk traffic: rank `r` computes for
-    /// `per_rank[r].0` seconds and occupies its disk for `per_rank[r].1`
-    /// seconds.  Under [`SyncModel::Bsp`] the two serialize (synchronous
+    /// A local phase: rank `r` computes for `per_rank[r].0` seconds and
+    /// occupies its disk for `per_rank[r].1` seconds (zero without disk
+    /// traffic).  Under [`SyncModel::Bsp`] the two serialize (synchronous
     /// read-then-compute-then-write I/O) and a barrier follows; under
     /// [`SyncModel::Overlapped`] the disk reservation runs concurrently
     /// with the compute and stays outstanding like a NIC injection —
     /// consumers drain it via [`Machine::wait_for_disk`], the makespan
     /// always covers it.  The overlapped-I/O model of the out-of-core
     /// tier.
-    PerRankDisk(Vec<(f64, f64)>),
+    PerRank(Vec<(f64, f64)>),
     /// A synchronizing collective: all ranks wait for the slowest, then
     /// advance together by the charged seconds (both sync models).
     Sync,
@@ -286,12 +285,6 @@ impl Machine {
         &self.metrics
     }
 
-    /// Mutable access to the metrics, for algorithms that need to charge
-    /// custom costs (e.g. analytical projections).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// The superstep trace (empty unless tracing was enabled).
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -368,19 +361,6 @@ impl Machine {
         let mut bottleneck = None;
         let done = match advance {
             ClockAdvance::PerRank(per_rank) => {
-                assert_eq!(per_rank.len(), self.ranks(), "one duration per rank");
-                for (r, &dt) in per_rank.iter().enumerate() {
-                    let (start, end) = self.timeline.advance(r, dt);
-                    if tracing {
-                        spans.push(Span { rank: r, start, end });
-                    }
-                }
-                match self.sync {
-                    SyncModel::Bsp => self.timeline.barrier(),
-                    SyncModel::Overlapped => self.timeline.max_clock(),
-                }
-            }
-            ClockAdvance::PerRankDisk(per_rank) => {
                 assert_eq!(per_rank.len(), self.ranks(), "one duration pair per rank");
                 for (r, &(compute, disk)) in per_rank.iter().enumerate() {
                     let (start, end) = match self.sync {
@@ -410,7 +390,15 @@ impl Machine {
                     SyncModel::Overlapped => self.timeline.max_clock(),
                 }
             }
-            ClockAdvance::Sync => {
+            ClockAdvance::AsyncStage { senders } if self.sync == SyncModel::Overlapped => {
+                let (start, end) = self.timeline.async_stage(&senders, metrics.simulated_seconds);
+                if tracing {
+                    spans = senders.iter().map(|&(r, _)| Span { rank: r, start, end }).collect();
+                }
+                end
+            }
+            // A stage degrades to a synchronizing collective under Bsp.
+            ClockAdvance::Sync | ClockAdvance::AsyncStage { .. } => {
                 bottleneck = Some(self.timeline.bottleneck_rank());
                 let (start, end) = self.timeline.sync_advance(metrics.simulated_seconds);
                 if tracing {
@@ -418,25 +406,6 @@ impl Machine {
                 }
                 end
             }
-            ClockAdvance::AsyncStage { senders } => match self.sync {
-                SyncModel::Bsp => {
-                    bottleneck = Some(self.timeline.bottleneck_rank());
-                    let (start, end) = self.timeline.sync_advance(metrics.simulated_seconds);
-                    if tracing {
-                        spans = (0..self.ranks()).map(|r| Span { rank: r, start, end }).collect();
-                    }
-                    end
-                }
-                SyncModel::Overlapped => {
-                    let (start, end) =
-                        self.timeline.async_stage(&senders, metrics.simulated_seconds);
-                    if tracing {
-                        spans =
-                            senders.iter().map(|&(r, _)| Span { rank: r, start, end }).collect();
-                    }
-                    end
-                }
-            },
         };
         self.trace.push(TraceEvent {
             superstep: step,
@@ -464,48 +433,27 @@ impl Machine {
     }
 
     /// Build the metrics and clock advance for one local superstep from the
-    /// per-rank [`Work`] reports.  Pure-compute phases take the historical
-    /// [`ClockAdvance::PerRank`] path (bitwise-identical accounting);
-    /// phases that report disk traffic charge `max` over ranks of
-    /// `compute + disk` — the synchronous-I/O serial cost, which keeps the
-    /// registry sync-model-neutral — and advance the timeline through
-    /// [`ClockAdvance::PerRankDisk`], where the sync model decides whether
-    /// the disk time hides under the compute.
-    fn phase_charge(&self, works: &[Work], wall: f64) -> (PhaseMetrics, ClockAdvance) {
-        let total_ops = works.iter().map(|w| w.ops).sum();
-        let any_disk = works.iter().any(|w| w.disk_words > 0 || w.disk_transfers > 0);
-        if !any_disk {
-            let max_ops = works.iter().map(|w| w.ops).max().unwrap_or(0);
-            let per_rank = works.iter().map(|w| self.cost.compute(w.ops)).collect();
-            let metrics = PhaseMetrics {
-                simulated_seconds: self.cost.compute(max_ops),
-                wall_seconds: wall,
-                compute_ops: total_ops,
-                supersteps: 1,
-                ..Default::default()
-            };
-            (metrics, ClockAdvance::PerRank(per_rank))
-        } else {
-            let per_rank: Vec<(f64, f64)> = works
-                .iter()
-                .map(|w| {
-                    (
-                        self.cost.compute(w.ops),
-                        self.cost.disk_transfer(w.disk_words, w.disk_transfers),
-                    )
-                })
-                .collect();
-            let max_seconds = per_rank.iter().map(|&(c, d)| c + d).fold(0.0, f64::max);
-            let metrics = PhaseMetrics {
-                simulated_seconds: max_seconds,
-                wall_seconds: wall,
-                compute_ops: total_ops,
-                disk_words: works.iter().map(|w| w.disk_words).sum(),
-                supersteps: 1,
-                ..Default::default()
-            };
-            (metrics, ClockAdvance::PerRankDisk(per_rank))
+    /// per-rank [`Work`] reports: `max` over ranks of `compute + disk` —
+    /// the synchronous-I/O serial cost, which keeps the registry
+    /// sync-model-neutral (without disk traffic, the slowest rank's compute
+    /// exactly) — and a [`ClockAdvance::PerRank`] advance, where the sync
+    /// model decides whether the disk time hides under the compute.
+    fn phase_charge<'w>(
+        &self,
+        works: impl Iterator<Item = &'w Work>,
+        wall: f64,
+    ) -> (PhaseMetrics, ClockAdvance) {
+        let mut metrics = PhaseMetrics { wall_seconds: wall, supersteps: 1, ..Default::default() };
+        let mut per_rank = Vec::with_capacity(self.ranks());
+        for w in works {
+            let compute = self.cost.compute(w.ops);
+            let disk = self.cost.disk_transfer(w.disk_words, w.disk_transfers);
+            metrics.simulated_seconds = metrics.simulated_seconds.max(compute + disk);
+            metrics.compute_ops += w.ops;
+            metrics.disk_words += w.disk_words;
+            per_rank.push((compute, disk));
         }
+        (metrics, ClockAdvance::PerRank(per_rank))
     }
 
     /// Drain the disk channel: every rank's compute clock is raised to its
@@ -515,131 +463,139 @@ impl Machine {
         self.timeline.drain_disk();
     }
 
-    /// Run one BSP superstep of purely local work: `f(rank, &mut data[rank])`
-    /// for every rank, in parallel, mutating the per-rank data in place.
+    /// Run `f(&mut context, i, &mut items[i])` for every item on the host:
+    /// the items run in `4 × host_threads` contiguous chunks (the pool's own
+    /// split), in order within a chunk, each chunk threading one
+    /// `init(chunk's indices)` context through its items.  Returns each
+    /// chunk's results (in item order), the contexts in chunk order and the
+    /// host wall seconds.  The one place a superstep's host work is
+    /// dispatched.
+    pub(crate) fn dispatch<S, C, R, I, F>(
+        &self,
+        items: &mut [S],
+        init: I,
+        f: F,
+    ) -> (Vec<Vec<R>>, Vec<C>, f64)
+    where
+        S: Send,
+        C: Send,
+        R: Send,
+        I: Fn(Range<usize>) -> C + Sync,
+        F: Fn(&mut C, usize, &mut S) -> R + Sync,
+    {
+        let start = Instant::now();
+        let chunk_len = items.len().div_ceil(4 * self.host_threads() as usize).max(1);
+        let chunks: Vec<&mut [S]> = items.chunks_mut(chunk_len).collect();
+        let run_chunk = |(chunk, items): (usize, &mut [S])| {
+            let first = chunk * chunk_len;
+            let mut context = init(first..first + items.len());
+            let per_item = items.iter_mut().enumerate();
+            let results: Vec<R> =
+                per_item.map(|(i, item)| f(&mut context, first + i, item)).collect();
+            (results, context)
+        };
+        let done: Vec<(Vec<R>, C)> = match self.parallelism {
+            Parallelism::Rayon => chunks.into_par_iter().enumerate().map(run_chunk).collect(),
+            Parallelism::Sequential => chunks.into_iter().enumerate().map(run_chunk).collect(),
+        };
+        let wall = start.elapsed().as_secs_f64();
+        let (results, contexts) = done.into_iter().unzip();
+        (results, contexts, wall)
+    }
+
+    /// Run one BSP superstep of local work over per-rank `state`:
+    /// `f(&mut context, rank, &mut state[rank]) -> (R, Work)` for every
+    /// rank, run in `4 × host_threads` contiguous chunks of ranks (the
+    /// pool's own split) that each thread one `init(chunk's ranks)` context
+    /// through their ranks, in rank order.  What a rank returns must not
+    /// depend on the context — it is a cache, such as a block of
+    /// neighbouring owners' runs read out of the exchange plans in one pass
+    /// — so results and charges do not depend on the chunking.  Returns the
+    /// per-rank results in rank order.
     ///
-    /// The closure returns the [`Work`] it performed; the superstep is
-    /// charged `max` over ranks of that work (the BSP rule: the slowest rank
-    /// holds up the barrier).
+    /// The superstep is charged `max` over ranks of the reported [`Work`]
+    /// (the BSP rule: the slowest rank holds up the barrier); disk-bearing
+    /// work goes through the disk channel, where the sync model decides
+    /// whether the I/O hides under compute.  The host wall time of the
+    /// whole superstep is recorded next to the charge.
+    pub fn superstep<S, C, R, I, F>(
+        &mut self,
+        phase: Phase,
+        state: &mut [S],
+        init: I,
+        f: F,
+    ) -> Vec<R>
+    where
+        S: Send,
+        C: Send,
+        R: Send,
+        I: Fn(Range<RankId>) -> C + Sync,
+        F: Fn(&mut C, RankId, &mut S) -> (R, Work) + Sync,
+    {
+        self.labelled_superstep(phase, "superstep", state, init, f).0
+    }
+
+    /// [`superstep`](Self::superstep) recorded under `label`, also handing
+    /// back the chunks' contexts.
+    fn labelled_superstep<S, C, R, I, F>(
+        &mut self,
+        phase: Phase,
+        label: &'static str,
+        state: &mut [S],
+        init: I,
+        f: F,
+    ) -> (Vec<R>, Vec<C>)
+    where
+        S: Send,
+        C: Send,
+        R: Send,
+        I: Fn(Range<RankId>) -> C + Sync,
+        F: Fn(&mut C, RankId, &mut S) -> (R, Work) + Sync,
+    {
+        assert_eq!(state.len(), self.ranks(), "per-rank state must have one entry per rank");
+        let (results, contexts, wall) = self.dispatch(state, init, f);
+        let (metrics, advance) = self.phase_charge(results.iter().flatten().map(|(_, w)| w), wall);
+        self.record(phase, label, metrics, advance);
+        let mut values = Vec::with_capacity(self.ranks());
+        values.extend(results.into_iter().flatten().map(|(r, _)| r));
+        (values, contexts)
+    }
+
+    /// A [`superstep`](Self::superstep) that mutates per-rank data in
+    /// place: `f(rank, &mut data[rank]) -> Work`.
     pub fn local_phase<T, F>(&mut self, phase: Phase, data: &mut [Vec<T>], f: F)
     where
         T: Send,
         F: Fn(RankId, &mut Vec<T>) -> Work + Sync,
     {
-        assert_eq!(data.len(), self.ranks(), "per-rank data must have one entry per rank");
-        let start = Instant::now();
-        let works: Vec<Work> = match self.parallelism {
-            Parallelism::Rayon => {
-                data.par_iter_mut().enumerate().map(|(rank, local)| f(rank, local)).collect()
-            }
-            Parallelism::Sequential => {
-                data.iter_mut().enumerate().map(|(rank, local)| f(rank, local)).collect()
-            }
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let (metrics, advance) = self.phase_charge(&works, wall);
-        self.record(phase, "local_phase", metrics, advance);
+        self.labelled_superstep(phase, "local_phase", data, |_| (), |_, r, d| ((), f(r, d)));
     }
 
-    /// Run one BSP superstep of local work that *produces* a per-rank value
+    /// A [`superstep`](Self::superstep) that produces a per-rank value
     /// without mutating the input: `f(rank, &data[rank]) -> (R, Work)`.
-    /// Returns the per-rank results in rank order.
     pub fn map_phase<T, R, F>(&mut self, phase: Phase, data: &[Vec<T>], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(RankId, &[T]) -> (R, Work) + Sync,
     {
-        assert_eq!(data.len(), self.ranks(), "per-rank data must have one entry per rank");
-        let start = Instant::now();
-        let results: Vec<(R, Work)> = match self.parallelism {
-            Parallelism::Rayon => {
-                data.par_iter().enumerate().map(|(rank, local)| f(rank, local.as_slice())).collect()
-            }
-            Parallelism::Sequential => {
-                data.iter().enumerate().map(|(rank, local)| f(rank, local.as_slice())).collect()
-            }
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let works: Vec<Work> = results.iter().map(|(_, w)| *w).collect();
-        let (metrics, advance) = self.phase_charge(&works, wall);
-        self.record(phase, "map_phase", metrics, advance);
-        results.into_iter().map(|(r, _)| r).collect()
+        let mut data: Vec<&[T]> = data.iter().map(Vec::as_slice).collect();
+        self.labelled_superstep(phase, "map_phase", &mut data, |_| (), |_, r, d| f(r, d)).0
     }
 
-    /// [`map_phase`](Self::map_phase) with host-side context shared by
-    /// neighbouring ranks.  Where `map_phase` schedules every rank on its
-    /// own, here the ranks run in a few contiguous chunks per host thread,
-    /// in rank order within a chunk, and each chunk threads one
-    /// `init(chunk's ranks)` through its ranks' calls `f(&mut context, rank,
-    /// &data[rank])`.  What a rank returns must not depend on the context —
-    /// it is a cache, such as a block of neighbouring owners' runs read out
-    /// of the exchange plans in one pass — so results and charges are
-    /// exactly `map_phase`'s at every chunking.
-    pub fn map_phase_with<T, C, R, I, F>(
-        &mut self,
-        phase: Phase,
-        data: &[Vec<T>],
-        init: I,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn(Range<RankId>) -> C + Sync,
-        F: Fn(&mut C, RankId, &[T]) -> (R, Work) + Sync,
-    {
-        assert_eq!(data.len(), self.ranks(), "per-rank data must have one entry per rank");
-        let start = Instant::now();
-        let chunk_len = data.len().div_ceil(4 * self.host_threads() as usize).max(1);
-        let chunks: Vec<&[Vec<T>]> = data.chunks(chunk_len).collect();
-        let run_chunk = |(chunk, ranks): (usize, &[Vec<T>])| {
-            let first = chunk * chunk_len;
-            let mut context = init(first..first + ranks.len());
-            let per_rank = ranks.iter().enumerate();
-            per_rank.map(|(i, local)| f(&mut context, first + i, local)).collect::<Vec<_>>()
-        };
-        let results: Vec<Vec<(R, Work)>> = match self.parallelism {
-            Parallelism::Rayon => chunks.into_par_iter().enumerate().map(run_chunk).collect(),
-            Parallelism::Sequential => chunks.into_iter().enumerate().map(run_chunk).collect(),
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let works: Vec<Work> = results.iter().flatten().map(|(_, w)| *w).collect();
-        let (metrics, advance) = self.phase_charge(&works, wall);
-        self.record(phase, "map_phase", metrics, advance);
-        results.into_iter().flatten().map(|(r, _)| r).collect()
-    }
-
-    /// Run one BSP superstep over arbitrary per-rank *state* (not
-    /// necessarily `Vec<T>`), mutating it in place and producing a per-rank
-    /// value: `f(rank, &mut state[rank]) -> (R, Work)`.  This is what lets
-    /// a phase advance a stateful handle per rank — e.g. the out-of-core
-    /// tier's draining merge cursor, whose bounded-window reads must be
-    /// charged to whichever phase performs them.  Charged exactly like
-    /// [`map_phase`](Self::map_phase): pure-compute phases advance per
-    /// rank, disk-bearing phases go through the disk channel so the sync
-    /// model decides whether the I/O hides under compute.
+    /// A [`superstep`](Self::superstep) over arbitrary per-rank state (not
+    /// necessarily `Vec<T>`), without a chunk context: `f(rank, &mut
+    /// state[rank]) -> (R, Work)`.  This is what lets a phase advance a
+    /// stateful handle per rank — e.g. the out-of-core tier's draining merge
+    /// cursor, whose bounded-window reads are charged to whichever phase
+    /// performs them — or consume per-rank data (`std::mem::take`).
     pub fn map_phase_mut<S, R, F>(&mut self, phase: Phase, state: &mut [S], f: F) -> Vec<R>
     where
         S: Send,
         R: Send,
         F: Fn(RankId, &mut S) -> (R, Work) + Sync,
     {
-        assert_eq!(state.len(), self.ranks(), "per-rank state must have one entry per rank");
-        let start = Instant::now();
-        let results: Vec<(R, Work)> = match self.parallelism {
-            Parallelism::Rayon => {
-                state.par_iter_mut().enumerate().map(|(rank, local)| f(rank, local)).collect()
-            }
-            Parallelism::Sequential => {
-                state.iter_mut().enumerate().map(|(rank, local)| f(rank, local)).collect()
-            }
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let works: Vec<Work> = results.iter().map(|(_, w)| *w).collect();
-        let (metrics, advance) = self.phase_charge(&works, wall);
-        self.record(phase, "map_phase_mut", metrics, advance);
-        results.into_iter().map(|(r, _)| r).collect()
+        self.labelled_superstep(phase, "map_phase_mut", state, |_| (), |_, r, s| f(r, s)).0
     }
 
     /// One histogramming round as a fused superstep pair: every rank counts
@@ -654,9 +610,9 @@ impl Machine {
     /// returning one `probes`-long rank vector per rank followed by
     /// [`reduce_sum`](Self::reduce_sum) records — same per-rank charges,
     /// same reduction charge, same labels, two supersteps — but the host
-    /// never materializes the `p` vectors: ranks are split into one
-    /// contiguous chunk per host thread, each chunk counts into one
-    /// accumulator, and the accumulators are summed and prefix-summed once.
+    /// never materializes the `p` vectors: each chunk of the
+    /// [superstep](Self::superstep) counts into one accumulator (its
+    /// context), and the accumulators are summed and prefix-summed once.
     /// `u64` addition is exact, so the result does not depend on the
     /// chunking (or on [`Parallelism`]).
     pub fn histogram_phase<S, F>(
@@ -706,90 +662,44 @@ impl Machine {
         S: Send,
         F: Fn(RankId, &mut S, &mut [u64]) -> Work + Sync,
     {
-        assert_eq!(state.len(), self.ranks(), "per-rank state must have one entry per rank");
-        let start = Instant::now();
-        let chunk_len = state.len().div_ceil(self.host_threads() as usize).max(1);
-        let mut works = vec![Work::none(); state.len()];
-        let mut chunks: Vec<CountingChunk<'_, S>> = state
-            .chunks_mut(chunk_len)
-            .zip(works.chunks_mut(chunk_len))
-            .enumerate()
-            .map(|(chunk, (ranks, works))| CountingChunk {
-                first_rank: chunk * chunk_len,
-                ranks,
-                works,
-                counts: vec![0u64; probes + 1],
+        let count = |acc: &mut Vec<u64>, rank, local: &mut S| ((), f(rank, local, acc));
+        let (_, accs) =
+            self.labelled_superstep(phase, label, state, |_| vec![0u64; probes + 1], count);
+        let mut below = 0u64;
+        let ranks = (0..probes)
+            .map(|j| {
+                below += accs.iter().map(|acc| acc[j]).sum::<u64>();
+                below
             })
             .collect();
-        let count = |chunk: &mut CountingChunk<'_, S>| {
-            let per_rank = chunk.ranks.iter_mut().zip(chunk.works.iter_mut());
-            for (i, (local, work)) in per_rank.enumerate() {
-                *work = f(chunk.first_rank + i, local, &mut chunk.counts);
-            }
-        };
-        match self.parallelism {
-            Parallelism::Rayon => chunks.par_iter_mut().for_each(count),
-            Parallelism::Sequential => chunks.iter_mut().for_each(count),
-        }
-        let wall = start.elapsed().as_secs_f64();
-
-        let mut counts = chunks.into_iter().map(|chunk| chunk.counts);
-        let mut ranks = counts.next().expect("a machine has at least one rank");
-        for chunk_counts in counts {
-            for (sum, x) in ranks.iter_mut().zip(chunk_counts) {
-                *sum += x;
-            }
-        }
-        ranks.truncate(probes);
-        let mut below = 0u64;
-        for r in &mut ranks {
-            below += *r;
-            *r = below;
-        }
-
-        let (metrics, advance) = self.phase_charge(&works, wall);
-        self.record(phase, label, metrics, advance);
         self.charge_reduce_sum(phase, probes);
         ranks
     }
 
-    /// Run a per-rank transformation that consumes the old per-rank data and
-    /// produces new per-rank data (e.g. replacing raw keys by tagged keys).
-    pub fn transform_phase<T, U, F>(&mut self, phase: Phase, data: Vec<Vec<T>>, f: F) -> Vec<Vec<U>>
+    /// Run host work whose cost is modelled rather than reported per rank —
+    /// the root's sort of a gathered sample (one item), or the node leaders'
+    /// shared-memory finish (one item per node): `f(i, &mut items[i]) ->
+    /// (R, ops)`, run in chunks like a [superstep](Self::superstep).  Charged as
+    /// one synchronizing superstep of `max` ops (every rank waits for the
+    /// slowest item), with the host wall time of the work.  Returns the
+    /// results in item order.
+    pub fn modelled_step<S, R, F>(&mut self, phase: Phase, items: &mut [S], f: F) -> Vec<R>
     where
-        T: Send,
-        U: Send,
-        F: Fn(RankId, Vec<T>) -> (Vec<U>, Work) + Sync,
+        S: Send,
+        R: Send,
+        F: Fn(usize, &mut S) -> (R, u64) + Sync,
     {
-        assert_eq!(data.len(), self.ranks(), "per-rank data must have one entry per rank");
-        let start = Instant::now();
-        let results: Vec<(Vec<U>, Work)> = match self.parallelism {
-            Parallelism::Rayon => {
-                data.into_par_iter().enumerate().map(|(rank, local)| f(rank, local)).collect()
-            }
-            Parallelism::Sequential => {
-                data.into_iter().enumerate().map(|(rank, local)| f(rank, local)).collect()
-            }
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let works: Vec<Work> = results.iter().map(|(_, w)| *w).collect();
-        let (metrics, advance) = self.phase_charge(&works, wall);
-        self.record(phase, "transform_phase", metrics, advance);
-        results.into_iter().map(|(r, _)| r).collect()
-    }
-
-    /// Charge a purely analytical amount of local compute (no real execution)
-    /// — used when projecting costs at scales that are not executed, e.g.
-    /// the modelled series of Figure 6.1.  Advances the timeline like a
-    /// synchronizing superstep (the charge bounds every rank).
-    pub fn charge_modelled_compute(&mut self, phase: Phase, max_ops_per_rank: u64) {
+        let (results, _, wall) = self.dispatch(items, |_| (), |_, i, item| f(i, item));
+        let max_ops = results.iter().flatten().map(|&(_, ops)| ops).max().unwrap_or(0);
         let metrics = PhaseMetrics {
-            simulated_seconds: self.cost.compute(max_ops_per_rank),
-            compute_ops: max_ops_per_rank,
+            simulated_seconds: self.cost.compute(max_ops),
+            wall_seconds: wall,
+            compute_ops: max_ops,
             supersteps: 1,
             ..Default::default()
         };
         self.record(phase, "modelled_compute", metrics, ClockAdvance::Sync);
+        results.into_iter().flatten().map(|(r, _)| r).collect()
     }
 
     /// Charge a purely analytical point-to-point exchange: `messages`
@@ -861,19 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn transform_phase_changes_element_type() {
-        let mut m = Machine::flat(3).with_parallelism(Parallelism::Sequential);
-        let data: Vec<Vec<u16>> = vec![vec![1, 2], vec![3], vec![]];
-        let out: Vec<Vec<String>> = m.transform_phase(Phase::Other, data, |rank, local| {
-            let n = local.len();
-            (local.into_iter().map(|x| format!("{rank}:{x}")).collect(), Work::scan(n))
-        });
-        assert_eq!(out[0], vec!["0:1".to_string(), "0:2".to_string()]);
-        assert_eq!(out[1], vec!["1:3".to_string()]);
-        assert!(out[2].is_empty());
-    }
-
-    #[test]
     fn sequential_and_rayon_give_identical_results() {
         use std::collections::HashSet;
         use std::sync::Mutex;
@@ -941,6 +838,36 @@ mod tests {
     }
 
     #[test]
+    fn sequential_views_run_on_the_calling_thread() {
+        use std::sync::Mutex;
+        use std::thread::{self, ThreadId};
+
+        // A 3-thread pool is installed, but Sequential must not use it:
+        // every view's closure runs on the thread that called the view.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().expect("test pool");
+        let seen: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        let note = || {
+            seen.lock().unwrap().push(thread::current().id());
+            Work::none()
+        };
+        let caller = pool.install(|| {
+            let mut m = Machine::flat(8).with_parallelism(Parallelism::Sequential);
+            let mut data: Vec<Vec<u64>> = (0..8).map(|r| vec![r as u64; 4]).collect();
+            m.local_phase(Phase::Other, &mut data, |_, _| note());
+            m.map_phase(Phase::Other, &data, |_, _| ((), note()));
+            m.map_phase_mut(Phase::Other, &mut data, |_, _| ((), note()));
+            m.superstep(Phase::Other, &mut data, |_| note(), |_, _, _| ((), note()));
+            m.histogram_phase(Phase::Other, &data, 2, |_, _, _| note());
+            m.histogram_phase_mut(Phase::Other, &mut data, 2, |_, _, _| note());
+            m.modelled_step(Phase::Other, &mut data[..2], |_, _| (note(), 0));
+            thread::current().id()
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 6 * 8 + 4 + 2, "every closure (and chunk init) ran");
+        assert!(seen.iter().all(|&id| id == caller));
+    }
+
+    #[test]
     #[should_panic(expected = "one entry per rank")]
     fn wrong_rank_count_panics() {
         let mut m = Machine::flat(4);
@@ -981,10 +908,29 @@ mod tests {
     }
 
     #[test]
-    fn modelled_compute_charges_without_execution() {
-        let mut m = Machine::flat(2);
-        m.charge_modelled_compute(Phase::LocalSort, 1_000_000);
-        assert!(m.metrics().phase(Phase::LocalSort).simulated_seconds > 0.0);
+    fn modelled_step_runs_its_work_and_charges_the_slowest_item() {
+        let mut m = Machine::flat(2).with_tracing().with_sync_model(SyncModel::Overlapped);
+        let mut data = vec![vec![0u8], vec![0u8]];
+        m.local_phase(Phase::Other, &mut data, |rank, _| Work::ops((rank as u64 + 1) * 1000));
+        let mut items: Vec<Vec<u64>> = vec![vec![3, 1, 2], vec![9, 8]];
+        let lens = m.modelled_step(Phase::LocalSort, &mut items, |i, item| {
+            item.sort_unstable();
+            (item.len(), 1_000_000 * (i as u64 + 1))
+        });
+        assert_eq!(lens, vec![3, 2]);
+        assert_eq!(items, vec![vec![1, 2, 3], vec![8, 9]]);
+        let ls = m.metrics().phase(Phase::LocalSort);
+        let charge = m.cost_model().compute(2_000_000);
+        assert_eq!(ls.simulated_seconds.to_bits(), charge.to_bits());
+        assert_eq!((ls.compute_ops, ls.supersteps), (2_000_000, 1));
+        assert!(ls.wall_seconds > 0.0, "the charge carries the work's host wall");
+        // A synchronizing advance: every rank waits for the slowest clock,
+        // then all advance together by the charge.
+        let event = &m.trace().events()[1];
+        assert_eq!(event.bottleneck, Some(1));
+        let slowest = m.cost_model().compute(2000);
+        assert_eq!(m.timeline().clock(0), m.timeline().clock(1));
+        assert!((m.timeline().clock(0) - (slowest + charge)).abs() < 1e-15);
     }
 
     #[test]

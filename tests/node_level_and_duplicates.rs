@@ -29,6 +29,20 @@ fn node_level_and_flat_produce_the_same_sorted_sequence() {
 }
 
 #[test]
+fn node_level_finish_is_timed() {
+    // The node leaders' shared-memory re-split runs inside the charge that
+    // models it, so its phase carries host wall time.
+    let input = KeyDistribution::Uniform.generate_per_rank(8, 1_000, 5);
+    let mut machine = Machine::new(Topology::new(8, 4), CostModel::bluegene_like());
+    let node = HssSorter::new(HssConfig { epsilon: EPS, ..HssConfig::default() }.with_node_level())
+        .sort(&mut machine, input.clone());
+    verify_global_sort(&input, &node.data).unwrap();
+    let finish = node.report.metrics.phase(SimPhase::NodeLocalSort);
+    assert!(finish.compute_ops > 0);
+    assert!(finish.wall_seconds > 0.0, "node finish wall {}", finish.wall_seconds);
+}
+
+#[test]
 fn node_level_reduces_messages_and_histogram_volume() {
     let p = 64;
     let cores = 16;

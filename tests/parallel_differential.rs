@@ -11,7 +11,9 @@
 //!
 //! Matrix: every sorter (HSS, sample sort ×2 sampling methods, classic
 //! histogram sort, radix, bitonic, over-partitioning) × 3 key
-//! distributions (uniform, power-law skew, duplicate-heavy) × 2 seeds.
+//! distributions (uniform, power-law skew, duplicate-heavy) × 2 seeds, on
+//! a flat machine; plus node-level HSS on 2 nodes × 4 cores under both sync
+//! models, so the node finish's shared-memory re-split is on the oracle too.
 
 use std::sync::OnceLock;
 
@@ -45,24 +47,34 @@ fn distributions() -> Vec<KeyDistribution> {
     ]
 }
 
-/// Run `sort` under Sequential and under Rayon (on a ≥2-thread pool) for
-/// the full distribution × seed matrix and assert bitwise-identical
-/// per-rank outputs and identical simulated-cost signatures.
+/// [`assert_differential_on`] a flat machine.
 fn assert_differential<F>(name: &str, sort: F)
 where
+    F: Fn(&mut Machine, u64, Vec<Vec<u64>>) -> Vec<Vec<u64>> + Send + Sync,
+{
+    assert_differential_on(name, || Machine::flat(RANKS), sort);
+}
+
+/// Run `sort` on `machine()` under Sequential and under Rayon (on a
+/// ≥2-thread pool) for the full distribution × seed matrix and assert
+/// bitwise-identical per-rank outputs and identical simulated-cost
+/// signatures.
+fn assert_differential_on<M, F>(name: &str, machine: M, sort: F)
+where
+    M: Fn() -> Machine + Send + Sync,
     F: Fn(&mut Machine, u64, Vec<Vec<u64>>) -> Vec<Vec<u64>> + Send + Sync,
 {
     for dist in distributions() {
         for seed in SEEDS {
             let input = dist.generate_per_rank(RANKS, KEYS_PER_RANK, seed);
 
-            let mut seq_machine = Machine::flat(RANKS).with_parallelism(Parallelism::Sequential);
+            let mut seq_machine = machine().with_parallelism(Parallelism::Sequential);
             let seq_out = sort(&mut seq_machine, seed, input.clone());
             let seq_sig = seq_machine.metrics().deterministic_signature();
 
             let (par_out, par_sig, host_threads) = pool().install(|| {
                 // `Machine::new`/`flat` default to Parallelism::Rayon.
-                let mut par_machine = Machine::flat(RANKS);
+                let mut par_machine = machine();
                 let out = sort(&mut par_machine, seed, input.clone());
                 let sig = par_machine.metrics().deterministic_signature();
                 let threads = par_machine.metrics().host_threads();
@@ -94,6 +106,20 @@ fn hss_differential() {
             .with_duplicate_tagging();
         HssSorter::new(config).sort(machine, input).data
     });
+}
+
+#[test]
+fn hss_node_level_differential() {
+    for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
+        let machine =
+            || Machine::new(Topology::new(RANKS, 4), CostModel::default()).with_sync_model(sync);
+        assert_differential_on(&format!("hss-node-level {sync:?}"), machine, |m, seed, input| {
+            let config = HssConfig { epsilon: 0.2, ..HssConfig::default() }
+                .with_seed(seed)
+                .with_node_level();
+            HssSorter::new(config).sort(m, input).data
+        });
+    }
 }
 
 #[test]
