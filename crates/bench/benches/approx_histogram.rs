@@ -3,7 +3,7 @@
 //! (approximate histogramming).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hss_core::{ApproxHistogrammer, LocalSortAlgo};
+use hss_core::ApproxHistogrammer;
 use hss_keygen::KeyDistribution;
 use hss_partition::global_ranks;
 use hss_sim::{Machine, Phase};
@@ -41,8 +41,7 @@ fn bench_approx_histogram(c: &mut Criterion) {
     // the intended use case) and benchmark the query phase.
     let mut machine = Machine::flat(P);
     let sample_size = ApproxHistogrammer::<u64>::prescribed_sample_size(P, 0.05);
-    let oracle =
-        ApproxHistogrammer::build(&mut machine, &data, sample_size, 9, LocalSortAlgo::default());
+    let oracle = ApproxHistogrammer::build(&mut machine, &data, sample_size, 9);
     group.bench_function(BenchmarkId::new("histogram", "approximate_sample"), |b| {
         b.iter(|| {
             let mut machine = Machine::flat(P);

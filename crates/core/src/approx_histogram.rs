@@ -11,7 +11,6 @@
 //! interest for answering general \[rank\] queries".
 
 use hss_keygen::Keyed;
-use hss_lsort::{LocalSortAlgo, RadixSortable};
 use hss_partition::sampling::random_block_sample_positions;
 use hss_partition::{local_ranks_work, ProbeIndex};
 use hss_sim::{Machine, Phase, Work};
@@ -90,21 +89,17 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
 
     /// Build the representative samples: each rank divides its sorted local
     /// data into `sample_size` equal blocks and keeps one uniformly random
-    /// key per block, sorting its sample with the configured local-sort
-    /// algorithm.  Charged to [`Phase::Sampling`].
+    /// key per block.  The blocks are drawn in order from sorted data, so
+    /// the sample comes out sorted.  Charged to [`Phase::Sampling`].
     pub fn build<T: Keyed<K = K>>(
         machine: &mut Machine,
         per_rank_sorted: &[Vec<T>],
         sample_size: usize,
         seed: u64,
-        local_sort: LocalSortAlgo,
-    ) -> Self
-    where
-        K: RadixSortable,
-    {
+    ) -> Self {
         let mut sources: Vec<&[T]> = per_rank_sorted.iter().map(Vec::as_slice).collect();
         let mut sources: Vec<&mut &[T]> = sources.iter_mut().collect();
-        Self::build_from(machine, &mut sources, sample_size, seed, local_sort)
+        Self::build_from(machine, &mut sources, sample_size, seed)
     }
 
     /// [`Self::build`] over any per-rank [`SortedSource`]: the block
@@ -115,18 +110,15 @@ impl<K: hss_keygen::Key> ApproxHistogrammer<K> {
         sources: &mut [&mut S],
         sample_size: usize,
         seed: u64,
-        local_sort: LocalSortAlgo,
-    ) -> Self
-    where
-        K: RadixSortable,
-    {
-        // `sample_at`'s superstep, with each rank's sample sorted in it.
+    ) -> Self {
+        // `sample_at`'s superstep: ascending positions of a sorted source
+        // read ascending keys.
         let per_rank = machine.map_phase_mut(Phase::Sampling, sources, |rank, source| {
             let local_len = source.len();
             let mut rng = hss_keygen::rank_rng(seed ^ 0x5A5A, rank);
             let positions = random_block_sample_positions(local_len, sample_size, &mut rng);
-            let mut samples = source.keys_at(&positions);
-            local_sort.sort_slice(&mut samples);
+            let samples = source.keys_at(&positions);
+            debug_assert!(samples.windows(2).all(|w| w[0] <= w[1]));
             let work = Work::scan(samples.len()).and(source.take_disk_work());
             (RepresentativeSample { samples, local_len }, work)
         });
@@ -274,7 +266,7 @@ mod tests {
         let total = (p * n) as u64;
         let mut machine = Machine::flat(p);
         let s = ApproxHistogrammer::<u64>::prescribed_sample_size(p, eps);
-        let oracle = ApproxHistogrammer::build(&mut machine, &data, s, 99, LocalSortAlgo::Radix);
+        let oracle = ApproxHistogrammer::build(&mut machine, &data, s, 99);
         assert_eq!(oracle.ranks(), p);
 
         let queries: Vec<u64> = (1..8).map(|i| i * (u64::MAX / 8)).collect();
@@ -295,7 +287,7 @@ mod tests {
         let n = 5_000;
         let data = sorted_input(p, n, 23);
         let mut machine = Machine::flat(p);
-        let oracle = ApproxHistogrammer::build(&mut machine, &data, 50, 1, LocalSortAlgo::Radix);
+        let oracle = ApproxHistogrammer::build(&mut machine, &data, 50, 1);
         assert_eq!(oracle.total_sample_size(), p * 50);
         assert!(oracle.total_sample_size() < p * n / 10);
     }

@@ -166,11 +166,10 @@ pub struct HssConfig {
     /// Use node-level data partitioning and message combining (§6.1): the
     /// histogram determines `n − 1` node splitters, the exchange combines
     /// messages per node pair, and data is re-split among the cores of each
-    /// node afterwards with regular-sampling sample sort.
+    /// node afterwards.  The paper re-split by regular-sampling sample sort
+    /// to within 5 %; shared memory lets this repository cut each node
+    /// exactly, so a node's cores differ by at most one item.
     pub node_level: bool,
-    /// Load-imbalance threshold used for the within-node split when
-    /// `node_level` is set (the paper uses 5% within nodes, 2% across).
-    pub within_node_epsilon: f64,
     /// Break ties among duplicate keys by implicitly tagging every key with
     /// `(PE, local index)` (§4.3).  Required for the load-balance guarantee
     /// on duplicate-heavy inputs.  HSS-only: a sorter of another splitter
@@ -221,7 +220,6 @@ impl Default for HssConfig {
             schedule: RoundSchedule::default(),
             splitter_rule: SplitterRule::ClosestRank,
             node_level: false,
-            within_node_epsilon: 0.05,
             tag_duplicates: false,
             approximate_histograms: false,
             local_sort: LocalSortAlgo::default(),
@@ -234,16 +232,16 @@ impl Default for HssConfig {
 
 impl HssConfig {
     /// A configuration matching the paper's cluster experiments (§6.1.2):
-    /// 2% load-balance threshold across nodes, 5% within nodes, constant
-    /// oversampling of 5 keys per processor per round, node-level
-    /// partitioning enabled.
+    /// 2% load-balance threshold across nodes, constant oversampling of 5
+    /// keys per processor per round, node-level partitioning enabled.  The
+    /// paper re-split each node by sample sort to within 5 %; here the
+    /// within-node cut is exact (see [`Self::node_level`]).
     pub fn paper_cluster() -> Self {
         Self {
             epsilon: 0.02,
             schedule: RoundSchedule::ConstantOversampling { oversampling: 5.0, max_rounds: 64 },
             splitter_rule: SplitterRule::ClosestRank,
             node_level: true,
-            within_node_epsilon: 0.05,
             tag_duplicates: false,
             approximate_histograms: false,
             local_sort: LocalSortAlgo::default(),
@@ -279,12 +277,6 @@ impl HssConfig {
     /// Set the splitter-finalization rule.
     pub fn with_splitter_rule(mut self, rule: SplitterRule) -> Self {
         self.splitter_rule = rule;
-        self
-    }
-
-    /// Set the within-node load-imbalance threshold (node-level mode).
-    pub fn with_within_node_epsilon(mut self, epsilon: f64) -> Self {
-        self.within_node_epsilon = epsilon;
         self
     }
 
@@ -344,9 +336,6 @@ impl HssConfig {
     pub fn validate(&self) -> Result<(), String> {
         if !self.epsilon.is_finite() || self.epsilon <= 0.0 {
             return Err(format!("epsilon must be positive (got {})", self.epsilon));
-        }
-        if !self.within_node_epsilon.is_finite() || self.within_node_epsilon <= 0.0 {
-            return Err("within_node_epsilon must be positive".to_string());
         }
         if !self.min_stage_fraction.is_finite() || !(0.0..=1.0).contains(&self.min_stage_fraction) {
             return Err(format!(
@@ -429,19 +418,16 @@ mod tests {
         let c = c
             .with_epsilon(0.07)
             .with_schedule(RoundSchedule::Theoretical { rounds: 3 })
-            .with_splitter_rule(SplitterRule::Scanning)
-            .with_within_node_epsilon(0.2);
+            .with_splitter_rule(SplitterRule::Scanning);
         assert_eq!(c.epsilon, 0.07);
         assert_eq!(c.schedule, RoundSchedule::Theoretical { rounds: 3 });
         assert_eq!(c.splitter_rule, SplitterRule::Scanning);
-        assert_eq!(c.within_node_epsilon, 0.2);
     }
 
     #[test]
     fn paper_cluster_matches_section_6() {
         let c = HssConfig::paper_cluster();
         assert_eq!(c.epsilon, 0.02);
-        assert_eq!(c.within_node_epsilon, 0.05);
         assert!(c.node_level);
         match c.schedule {
             RoundSchedule::ConstantOversampling { oversampling, .. } => {

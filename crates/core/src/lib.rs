@@ -21,7 +21,7 @@
 //!   sorts, classic histogram sort or over-partitioning.  Its other three
 //!   axes are derived, never set: the bucket *granularity* from the
 //!   topology and [`HssConfig::node_level`] (rank buckets merged at the
-//!   rank, or §6.1 node buckets re-split at the node leader —
+//!   rank, or §6.1 node buckets cut exactly among the node's cores —
 //!   [`node_level`]); the *residency* of every rank's sorted data from
 //!   what the local sort left behind (a slice in memory, or run files on
 //!   disk — [`out_of_core`]); and the exchange *schedule* from the

@@ -524,13 +524,7 @@ impl<K: Key + RadixSortable> SplitterPolicy<K> for HssRounds<'_, K> {
                 machine.ranks().max(2),
                 config.epsilon,
             );
-            ApproxHistogrammer::build_from(
-                machine,
-                sources,
-                sample_size,
-                config.seed ^ 0xA44A_1970,
-                config.local_sort,
-            )
+            ApproxHistogrammer::build_from(machine, sources, sample_size, config.seed ^ 0xA44A_1970)
         });
 
         // Keep the probes of the last round around for the scanning rule.

@@ -7,9 +7,8 @@
 //! * **Granularity** — from `(machine.topology(), config.node_level)`: one
 //!   bucket per rank, owned by that rank and finished by a k-way merge; or,
 //!   with node-level partitioning on a multi-core topology (§6.1), one
-//!   bucket per physical node, owned by the node's leader and finished by
-//!   the shared-memory re-split among the node's cores
-//!   ([`crate::node_level`]).
+//!   bucket per physical node, owned by the node's leader and cut exactly
+//!   among the node's cores in shared memory ([`crate::node_level`]).
 //! * **Residency** — from what the [`Residency`] policy's local sort left
 //!   behind: every rank's sorted data *resident* (a slice in memory), or
 //!   some rank's *spilled* to run files ([`crate::out_of_core`]).  The same
@@ -199,7 +198,7 @@ where
         }
     };
     let out = if within_node {
-        finish_within_nodes(machine, &received, config, residency)
+        finish_within_nodes(machine, &received, residency)
     } else {
         let in_memory = |items| residency.in_memory(items);
         merge_received(machine, &data, &received, in_memory, |runs| residency.merge(runs))

@@ -1,7 +1,7 @@
 //! `hss-lsort` — the in-place MSD radix local-sort subsystem.
 //!
 //! Every local hot path of the reproduction (the initial per-rank sort, the
-//! root's sample sorts, the within-node re-split) historically funnelled
+//! root's sample sorts) historically funnelled
 //! through `slice::sort_unstable()`.  The HSS cost model treats the local
 //! sort as a fixed `O((N/p) log(N/p))` term, but once the exchange went flat
 //! (PR 3) and overlapped (PR 4) the local phase dominates end-to-end wall

@@ -52,13 +52,12 @@ pub use histogram::{
 };
 pub use intervals::{Bound, SplitterIntervals, Windows};
 pub use merge::{
-    concat_sort_merge, drain_source_below, drain_source_rest, finish_arm, kway_merge,
+    concat_sort_merge, cut_runs, drain_source_below, drain_source_rest, finish_arm, kway_merge,
     kway_merge_slices, resort_owners, runs_for, FinishArm, RunSource, SliceSource, SourceLoserTree,
 };
 pub use sampling::{
-    bernoulli_sample, bernoulli_sample_in_intervals, bernoulli_sample_positions,
-    bernoulli_sample_range, count_in_intervals, interval_bounds, interval_bounds_work,
-    merge_key_intervals, merge_key_intervals_with, regular_sample, uniform_sample_discarding,
+    bernoulli_sample, bernoulli_sample_positions, bernoulli_sample_range, count_in_intervals,
+    interval_bounds, interval_bounds_work, merge_key_intervals, merge_key_intervals_with,
     BernoulliDraw, WindowSample,
 };
 pub use select::{exact_rank, exact_splitters, global_sorted, verify_global_sort};

@@ -440,6 +440,102 @@ pub fn resort_owners<'a, T: RadixSortable + 'a>(
         .collect()
 }
 
+/// The merging alternative to [`resort_owners`] for owners that share
+/// sorted `runs` (a node's cores): cut the runs exactly at the owners'
+/// `totals`, so that owner `o` gets ranks `[Σ totals[..o], Σ totals[..=o])`
+/// of their merge, as its non-empty pieces of the runs in run order.
+/// Merging an owner's pieces gives what [`resort_owners`] gives it, bit for
+/// bit: the cuts order equal items by run index, and where a cut falls
+/// inside a run of Ord-equal items the [`RadixSortable`] contract makes the
+/// choice invisible.
+///
+/// Each cut is an exact multi-sequence selection over `k` runs: `O(log n)`
+/// rounds of a weighted median of one pick per run and `k` binary
+/// searches.  A cut's search starts from the previous one's positions.
+///
+/// # Panics
+///
+/// If the runs do not hold `totals`' sum of items.
+pub fn cut_runs<'a, T: Ord>(runs: &[&'a [T]], totals: &[usize]) -> Vec<Vec<&'a [T]>> {
+    assert_eq!(runs.iter().map(|r| r.len()).sum::<usize>(), totals.iter().sum(), "owners' items");
+    let mut from = vec![0; runs.len()];
+    let mut rank = 0;
+    totals
+        .iter()
+        .map(|&n| {
+            rank += n;
+            let to = co_rank(runs, rank, &from);
+            let pieces = runs
+                .iter()
+                .zip(from.iter().zip(&to))
+                .map(|(run, (&a, &b))| &run[a..b])
+                .filter(|piece| !piece.is_empty())
+                .collect();
+            from = to;
+            pieces
+        })
+        .collect()
+}
+
+/// How many items of each sorted run lie among the `rank` smallest of all
+/// of them, with equal items ordered by run index and then by position (a
+/// stable merge's order).  `from` is the answer for a rank no larger.
+///
+/// Each run keeps a window between what is known to lie below the cut
+/// (before `lo`) and what is known not to (from `hi`); no window is longer
+/// than the `need` items still below the cut.  Each window offers its item
+/// at the fraction `need / width` of its length, and the pivot is the
+/// median of these picks weighted by window length.  One binary search a
+/// window counts the items before the pivot, and the side the cut does not
+/// fall in is discarded: each round at least halves `need` or
+/// `width − need`.
+fn co_rank<T: Ord>(runs: &[&[T]], rank: usize, from: &[usize]) -> Vec<usize> {
+    let mut lo = from.to_vec();
+    let mut hi: Vec<usize> = runs.iter().map(|run| run.len()).collect();
+    let mut need = rank - lo.iter().sum::<usize>();
+    let (mut picks, mut below) = (Vec::with_capacity(runs.len()), vec![0; runs.len()]);
+    while need > 0 {
+        // No run holds more than `need` of the items still below the cut.
+        hi.iter_mut().zip(&lo).for_each(|(h, &l)| *h = (*h).min(l + need));
+        let width: usize = lo.iter().zip(&hi).map(|(l, h)| h - l).sum();
+        if need == width {
+            return hi;
+        }
+        let pick =
+            |i: usize| lo[i] + ((hi[i] - lo[i]) as u128 * need as u128 / width as u128) as usize;
+        picks.clear();
+        picks.extend((0..runs.len()).filter(|&i| lo[i] < hi[i]).map(|i| (i, pick(i))));
+        picks.sort_unstable_by(|&(i, p), &(j, q)| runs[i][p].cmp(&runs[j][q]).then(i.cmp(&j)));
+        let mut seen = 0;
+        let &(j, p) = picks
+            .iter()
+            .find(|&&(i, _)| {
+                seen += hi[i] - lo[i];
+                2 * seen >= width
+            })
+            .expect("the windows hold more than the cut needs");
+        let pivot = &runs[j][p];
+        for (i, count) in below.iter_mut().enumerate() {
+            let window = &runs[i][lo[i]..hi[i]];
+            *count = match i.cmp(&j) {
+                std::cmp::Ordering::Less => window.partition_point(|x| x <= pivot),
+                std::cmp::Ordering::Equal => p - lo[i],
+                std::cmp::Ordering::Greater => window.partition_point(|x| x < pivot),
+            };
+        }
+        let before: usize = below.iter().sum();
+        if need > before {
+            // The pivot and everything before it lie below the cut.
+            lo.iter_mut().zip(&below).for_each(|(l, &b)| *l += b);
+            lo[j] += 1;
+            need -= before + 1;
+        } else {
+            hi.iter_mut().zip(lo.iter().zip(&below)).for_each(|(h, (&l, &b))| *h = l + b);
+        }
+    }
+    lo
+}
+
 /// A pull-based producer of one sorted run, consumed by
 /// [`SourceLoserTree`].  The run's elements need not be resident in memory:
 /// the out-of-core tier (`hss-extsort`) implements this trait with a
@@ -1098,6 +1194,40 @@ mod tests {
         assert_eq!(finish_arm::<Record>(16, 1000), Merge);
         assert_eq!(finish_arm::<Record>(32, 1000), Resort);
         assert_eq!(finish_arm::<Record>(1024, 1 << 20), Merge);
+    }
+
+    #[test]
+    fn cut_runs_splits_a_stable_merge_exactly_at_the_totals() {
+        // Stamped keys with five values: most cuts fall inside a run of
+        // equal keys, and the pieces must carry them in run order.
+        type Key = Stamped<2>;
+        let make = |run: usize, x: usize| Key { key: [(x % 5) as u8; 2], run: run as u16 };
+        for k in [0usize, 1, 2, 3, 5, 8, 13, 650] {
+            for empties in [false, true] {
+                let runs = irregular_runs(k, empties, make);
+                let slices: Vec<&[Key]> = runs.iter().map(Vec::as_slice).collect();
+                let mut stable = runs.concat();
+                stable.sort();
+                let want: Vec<(u8, u16)> = stable.iter().map(|x| (x.key[0], x.run)).collect();
+                let total = stable.len();
+                for owners in [1usize, 2, 3, 7, 16, total + 2] {
+                    let totals: Vec<usize> = (0..owners)
+                        .map(|o| (o + 1) * total / owners - o * total / owners)
+                        .collect();
+                    let pieces = cut_runs(&slices, &totals);
+                    let mut got = Vec::new();
+                    for (pieces, &n) in pieces.iter().zip(&totals) {
+                        assert!(pieces.iter().all(|piece| !piece.is_empty()));
+                        let mut tree = SourceLoserTree::new(
+                            pieces.iter().map(|s| SliceSource::new(s)).collect(),
+                        );
+                        assert_eq!(drain_source_rest(&mut tree, &mut got), n);
+                    }
+                    let got: Vec<(u8, u16)> = got.iter().map(|x| (x.key[0], x.run)).collect();
+                    assert_eq!(got, want, "k = {k}, empties = {empties}, {owners} owners");
+                }
+            }
+        }
     }
 
     #[test]

@@ -336,88 +336,22 @@ pub fn interval_bounds_work(n: usize, c: usize) -> Work {
     }
 }
 
-/// Bernoulli-sample only the keys that fall inside one of the (disjoint,
-/// sorted) inclusive key `intervals` — the restricted sampling of §3.3
-/// step 4.  `sorted` must be sorted by key.  Keys equal to an interval
-/// endpoint are eligible (see [`interval_bounds`]).
-pub fn bernoulli_sample_in_intervals<T: Keyed, R: Rng>(
-    sorted: &[T],
-    intervals: &[(T::K, T::K)],
-    prob: f64,
-    rng: &mut R,
-) -> Vec<T::K> {
-    let mut out = Vec::new();
-    for (start, end) in interval_bounds(sorted, intervals) {
-        out.extend(bernoulli_sample_range(sorted, start..end, prob, rng));
-    }
-    out
-}
-
 /// Number of local keys falling inside the (disjoint, sorted) intervals.
 pub fn count_in_intervals<T: Keyed>(sorted: &[T], intervals: &[(T::K, T::K)]) -> usize {
     interval_bounds(sorted, intervals).into_iter().map(|(s, e)| e - s).sum()
 }
 
-/// Draw `count` keys uniformly at random (with replacement) from the whole
-/// local data, keeping only those inside the intervals — the paper's
-/// implementation trick (§6.1.2): pick `5/δ` keys from the entire input and
-/// discard the ones that miss the splitter intervals.
-///
-/// Boundary semantics (audited against `estimated_local_rank_le`'s
-/// `<=`-convention): the membership probe below maps `k == lo` and
-/// `k == hi` to `Equal`, so keys **exactly on an interval endpoint are
-/// kept** — the same closed-interval rule as [`interval_bounds`], whose
-/// `end` bound uses `key <= hi`.  A key landing in the gap between two
-/// intervals reports `Err` and is discarded (tested, including duplicate
-/// endpoint keys).
-pub fn uniform_sample_discarding<T: Keyed, R: Rng>(
-    sorted: &[T],
-    intervals: &[(T::K, T::K)],
-    count: usize,
-    rng: &mut R,
-) -> Vec<T::K> {
-    if sorted.is_empty() {
-        return Vec::new();
-    }
-    (0..count)
-        .filter_map(|_| {
-            let k = sorted[rng.gen_range(0..sorted.len())].key();
-            let inside = intervals
-                .binary_search_by(|&(lo, hi)| {
-                    if k < lo {
-                        std::cmp::Ordering::Greater
-                    } else if k > hi {
-                        std::cmp::Ordering::Less
-                    } else {
-                        std::cmp::Ordering::Equal
-                    }
-                })
-                .is_ok();
-            inside.then_some(k)
-        })
-        .collect()
-}
-
-/// The *positions* a regular sample of `n` sorted keys selects: the last
-/// index of each of `s` equal blocks, `n/s·j − 1` for `j = 1..=s`.
-/// Split out of [`regular_sample`] like [`random_block_sample_positions`],
-/// so a spilled rank samples the keys a resident one would.
+/// Regular sampling (§4.1.2): the *positions* of `s` evenly spaced keys
+/// of `n` sorted keys, the last index of each of `s` equal blocks,
+/// `n/s·j − 1` for `j = 1..=s`.  Positions, like
+/// [`random_block_sample_positions`], so a spilled rank samples the keys a
+/// resident one would.
 pub fn regular_sample_positions(n: usize, s: usize) -> Vec<u64> {
     if n == 0 || s == 0 {
         return Vec::new();
     }
     let s = s.min(n);
     (1..=s).map(|j| ((j * n / s).max(1) - 1) as u64).collect()
-}
-
-/// `s` evenly spaced keys from the sorted local data — regular sampling
-/// (§4.1.2).  Picks the largest key of each of `s` equal blocks, i.e. keys
-/// at positions `N/(ps)·j − 1` for `j = 1..=s`.
-pub fn regular_sample<T: Keyed>(sorted: &[T], s: usize) -> Vec<T::K> {
-    regular_sample_positions(sorted.len(), s)
-        .into_iter()
-        .map(|i| sorted[i as usize].key())
-        .collect()
 }
 
 /// Random block sampling (Blelloch et al., §4.1.1), also the
@@ -501,15 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_sampling_only_returns_keys_inside() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let intervals = vec![(100u64, 200), (5_000, 5_100)];
-        let s = bernoulli_sample_in_intervals(&data, &intervals, 0.5, &mut rng());
-        assert!(!s.is_empty());
-        assert!(s.iter().all(|&k| (100..=200).contains(&k) || (5_000..=5_100).contains(&k)));
-    }
-
-    #[test]
     fn count_in_intervals_is_exact() {
         let data: Vec<u64> = (0..1000).collect();
         assert_eq!(count_in_intervals(&data, &[(100, 199), (500, 500)]), 101);
@@ -557,21 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_sample_discarding_keeps_endpoint_keys() {
-        // Every key equals an interval endpoint: nothing may be discarded.
-        let data: Vec<u64> = vec![10; 50];
-        let s = uniform_sample_discarding(&data, &[(10u64, 10)], 200, &mut rng());
-        assert_eq!(s.len(), 200);
-        assert!(s.iter().all(|&k| k == 10));
-        // Keys in the gap between intervals are discarded; keys exactly on
-        // the surrounding endpoints are kept.
-        let data: Vec<u64> = vec![10, 15, 20];
-        let s = uniform_sample_discarding(&data, &[(0u64, 10), (20, 30)], 300, &mut rng());
-        assert!(!s.is_empty());
-        assert!(s.iter().all(|&k| k == 10 || k == 20), "gap key 15 must be discarded");
-    }
-
-    #[test]
     fn interval_bounds_work_tracks_strategy() {
         use crate::classify::{classify_strategy, ClassifyStrategy};
         use hss_sim::Work;
@@ -588,29 +498,15 @@ mod tests {
     }
 
     #[test]
-    fn uniform_sample_discarding_respects_intervals() {
-        let data: Vec<u64> = (0..1000).collect();
-        let intervals = vec![(0u64, 99)];
-        let s = uniform_sample_discarding(&data, &intervals, 1000, &mut rng());
-        // Roughly 10% of draws survive the discarding.
-        assert!(s.len() > 40 && s.len() < 250, "kept {}", s.len());
-        assert!(s.iter().all(|&k| k < 100));
-    }
-
-    #[test]
     fn regular_sample_is_evenly_spaced() {
-        let data: Vec<u64> = (1..=100).collect();
-        let s = regular_sample(&data, 4);
-        assert_eq!(s, vec![25, 50, 75, 100]);
-        assert_eq!(regular_sample(&data, 0), Vec::<u64>::new());
-        let all = regular_sample(&data, 100);
-        assert_eq!(all.len(), 100);
+        assert_eq!(regular_sample_positions(100, 4), vec![24, 49, 74, 99]);
+        assert_eq!(regular_sample_positions(100, 0), Vec::<u64>::new());
+        assert_eq!(regular_sample_positions(100, 100), (0..100).collect::<Vec<u64>>());
     }
 
     #[test]
     fn regular_sample_caps_at_data_len() {
-        let data: Vec<u64> = vec![1, 2, 3];
-        assert_eq!(regular_sample(&data, 10).len(), 3);
+        assert_eq!(regular_sample_positions(3, 10), vec![0, 1, 2]);
     }
 
     #[test]
@@ -629,9 +525,8 @@ mod tests {
     fn samplers_handle_empty_data() {
         let data: Vec<u64> = vec![];
         assert!(bernoulli_sample(&data, 0.5, &mut rng()).is_empty());
-        assert!(regular_sample(&data, 5).is_empty());
+        assert!(regular_sample_positions(data.len(), 5).is_empty());
         assert!(random_block_sample_positions(data.len(), 5, &mut rng()).is_empty());
-        assert!(uniform_sample_discarding(&data, &[(0, 10)], 5, &mut rng()).is_empty());
     }
 
     #[test]

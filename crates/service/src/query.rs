@@ -95,7 +95,6 @@ impl<K: Key> QueryIndex<K> {
 mod tests {
     use super::*;
     use hss_core::ApproxHistogrammer;
-    use hss_lsort::LocalSortAlgo;
 
     #[test]
     fn percentile_index_tracks_uniform_keyspace() {
@@ -105,7 +104,7 @@ mod tests {
         let data: Vec<Vec<u64>> =
             (0..p).map(|r| ((r * n) as u64..((r + 1) * n) as u64).collect()).collect();
         let mut machine = Machine::flat(p);
-        let oracle = ApproxHistogrammer::build(&mut machine, &data, 200, 5, LocalSortAlgo::Radix);
+        let oracle = ApproxHistogrammer::build(&mut machine, &data, 200, 5);
         let index = QueryIndex::build(&mut machine, &oracle, Phase::Query);
         assert_eq!(index.len(), p * 200);
         let total = (p * n) as f64;
@@ -121,7 +120,7 @@ mod tests {
     fn empty_index_answers_min_key() {
         let data: Vec<Vec<u64>> = vec![vec![]; 4];
         let mut machine = Machine::flat(4);
-        let oracle = ApproxHistogrammer::build(&mut machine, &data, 10, 1, LocalSortAlgo::Radix);
+        let oracle = ApproxHistogrammer::build(&mut machine, &data, 10, 1);
         let index = QueryIndex::build(&mut machine, &oracle, Phase::Query);
         assert!(index.is_empty());
         assert_eq!(index.key_at_fraction(0.5), 0);
@@ -131,7 +130,7 @@ mod tests {
     fn duplicate_samples_collapse_with_combined_weight() {
         let data: Vec<Vec<u64>> = vec![vec![7; 100], vec![7; 100]];
         let mut machine = Machine::flat(2);
-        let oracle = ApproxHistogrammer::build(&mut machine, &data, 10, 3, LocalSortAlgo::Radix);
+        let oracle = ApproxHistogrammer::build(&mut machine, &data, 10, 3);
         let index = QueryIndex::build(&mut machine, &oracle, Phase::Query);
         assert_eq!(index.len(), 1);
         assert!((index.total_keys() - 200.0).abs() < 1e-9);

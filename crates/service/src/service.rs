@@ -253,7 +253,6 @@ where
             &self.keyspace,
             sample_size,
             self.config.hss.seed ^ (epoch as u64).wrapping_mul(0x9E37),
-            self.config.hss.local_sort,
         );
         self.index = Some(QueryIndex::build(&mut self.machine, &oracle, Phase::Query));
         self.oracle = Some(oracle);

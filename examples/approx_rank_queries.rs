@@ -10,7 +10,7 @@
 //! cargo run --release --example approx_rank_queries
 //! ```
 
-use hss_core::{ApproxHistogrammer, LocalSortAlgo};
+use hss_core::ApproxHistogrammer;
 use hss_partition::exact_rank;
 use hss_repro::prelude::*;
 
@@ -32,8 +32,7 @@ fn main() {
 
     let mut machine = Machine::flat(RANKS);
     let sample_size = ApproxHistogrammer::<u64>::prescribed_sample_size(RANKS, EPSILON);
-    let oracle =
-        ApproxHistogrammer::build(&mut machine, &data, sample_size, 1, LocalSortAlgo::default());
+    let oracle = ApproxHistogrammer::build(&mut machine, &data, sample_size, 1);
     println!(
         "representative sample: {} keys/rank ({} total) for {} input keys ({:.4}% of the data)",
         sample_size,

@@ -7,6 +7,14 @@ use hss_repro::sim::Phase as SimPhase;
 
 const EPS: f64 = 0.05;
 
+/// The within-node cut is exact: a node's cores differ by at most one item.
+fn assert_exact_within_nodes<T>(cores_per_node: usize, data: &[Vec<T>]) {
+    for node in data.chunks(cores_per_node) {
+        let counts: Vec<usize> = node.iter().map(Vec::len).collect();
+        assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1, "{counts:?}");
+    }
+}
+
 #[test]
 fn node_level_and_flat_produce_the_same_sorted_sequence() {
     let p = 32;
@@ -85,10 +93,12 @@ fn node_level_respects_combined_balance_bounds() {
     let p = 64;
     let input = KeyDistribution::PowerLaw { gamma: 3.0 }.generate_per_rank(p, 1_500, 17);
     let mut machine = Machine::new(Topology::new(p, 16), CostModel::bluegene_like());
-    let outcome = HssSorter::new(HssConfig::paper_cluster()).sort(&mut machine, input.clone());
+    let config = HssConfig::paper_cluster();
+    let outcome = HssSorter::new(config.clone()).sort(&mut machine, input.clone());
     verify_global_sort(&input, &outcome.data).unwrap();
-    // 2% across nodes combined with 5% within nodes: comfortably under 10%.
-    assert!(outcome.report.satisfies(0.10), "imbalance {}", outcome.report.imbalance());
+    // The node splitters' 2% is the whole slack: each node is cut exactly.
+    assert_exact_within_nodes(16, &outcome.data);
+    assert!(outcome.report.satisfies(config.epsilon), "imbalance {}", outcome.report.imbalance());
 }
 
 #[test]
@@ -135,7 +145,8 @@ fn tagging_and_node_level_compose() {
     )
     .sort(&mut machine, input.clone());
     verify_global_sort(&input, &outcome.data).unwrap();
-    assert!(outcome.report.satisfies(0.15), "imbalance {}", outcome.report.imbalance());
+    assert_exact_within_nodes(8, &outcome.data);
+    assert!(outcome.report.satisfies(EPS), "imbalance {}", outcome.report.imbalance());
 }
 
 #[test]

@@ -357,14 +357,10 @@ fn observe_with<P: SplitterPolicy<u64> + Sync>(
             Some(_) => sorter.sort_out_of_core(&mut machine, input.to_vec()),
             None => (sorter.sort(&mut machine, input.to_vec()), ExtSortReport::default()),
         };
-        // Across-node and within-node slack compose for node buckets.
-        let slack = if config.node_level && machine.topology().cores_per_node() > 1 {
-            (1.0 + config.epsilon) * (1.0 + config.within_node_epsilon) - 1.0
-        } else {
-            config.epsilon
-        };
+        // Node buckets are cut exactly among their cores, so the node
+        // splitters' ε is the whole sort's slack.
         Observed {
-            imbalance_ok: outcome.report.satisfies(slack),
+            imbalance_ok: outcome.report.satisfies(config.epsilon),
             data: outcome.data,
             signature: machine.metrics().deterministic_signature(),
             ext,

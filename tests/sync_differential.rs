@@ -192,10 +192,10 @@ fn overlapped_hss_sorts_correctly_and_never_slower_than_bsp() {
             assert_eq!(ovl_out.report.algorithm, algorithm);
             assert!(ovl.metrics().phase(Phase::DataExchange).messages > 0, "{label}: no stage");
             // Frozen splitters are within the finalization tolerance, so the
-            // (1 + ε) guarantee carries over to the staged partition — plus
-            // the within-node ε for node buckets.  (Duplicate-heavy inputs
-            // cannot balance untagged.)
-            let slack = cfg.epsilon + if cfg.node_level { cfg.within_node_epsilon } else { 0.0 };
+            // (1 + ε) guarantee carries over to the staged partition; node
+            // buckets are cut exactly among their cores.  (Duplicate-heavy
+            // inputs cannot balance untagged.)
+            let slack = cfg.epsilon;
             if dist.name() != "few_distinct" {
                 assert!(ovl_out.report.splitters.as_ref().unwrap().all_finalized, "{label}");
                 let imbalance = ovl_out.report.imbalance();

@@ -155,13 +155,7 @@ fn theorem_3_4_1_approximate_rank_error_bound() {
         let data = sorted_input(KeyDistribution::PowerLaw { gamma: 3.0 }, p, n, 400 + t);
         let mut machine = Machine::flat(p);
         let s = ApproxHistogrammer::<u64>::prescribed_sample_size(p, eps);
-        let oracle = ApproxHistogrammer::build(
-            &mut machine,
-            &data,
-            s,
-            t,
-            hss_repro::core::LocalSortAlgo::Radix,
-        );
+        let oracle = ApproxHistogrammer::build(&mut machine, &data, s, t);
         let queries: Vec<u64> = (1..16).map(|i| i * (u64::MAX / 16)).collect();
         let estimates = oracle.estimated_global_ranks(&mut machine, &queries);
         for (q, est) in queries.iter().zip(estimates.iter()) {
@@ -185,7 +179,7 @@ fn theorem_3_4_1_approximate_rank_error_bound() {
 /// deterministically.
 #[test]
 fn theorem_4_1_2_regular_sampling_rank_bound() {
-    use hss_repro::partition::regular_sample;
+    use hss_repro::partition::sampling::regular_sample_positions;
     let p = 16;
     let n = 2_000;
     let eps = 0.2;
@@ -194,10 +188,11 @@ fn theorem_4_1_2_regular_sampling_rank_bound() {
     let s = ((p as f64) / eps).ceil() as usize;
     // Gather the regular sample from every rank and pick splitters exactly
     // as in the theorem statement: S_i = λ_{s·i − p/2} from the combined
-    // sorted sample λ_0..λ_{ps−1}.
+    // sorted sample λ_0..λ_{ps−1}.  Each rank samples the positions regular
+    // sample sort's splitter policy reads.
     let mut sample: Vec<u64> = Vec::new();
     for local in &data {
-        sample.extend(regular_sample(local, s));
+        sample.extend(regular_sample_positions(local.len(), s).iter().map(|&i| local[i as usize]));
     }
     sample.sort_unstable();
     assert_eq!(sample.len(), p * s);
