@@ -1,17 +1,175 @@
 //! Executable reproductions of every table and figure in the paper's
-//! evaluation.  Each function returns structured rows; the `src/bin/*`
-//! binaries print and persist them.
+//! evaluation, and the one list of them, [`EXPERIMENTS`].  Each `*_rows`
+//! function returns structured rows; the `hss-bench` command prints and
+//! persists them.
 
 use hss_analysis::{table_5_1_costs, Algorithm};
 use hss_baselines::HistogramSortConfig;
-use hss_core::{determine_splitters, theory, HssConfig, HssSorter, RoundSchedule, Sorter};
+use hss_core::{
+    determine_splitters, theory, HssConfig, HssSorter, RoundSchedule, Sorter, SplitterRule,
+};
 use hss_keygen::{ChangaDataset, KeyDistribution, Record};
 use hss_partition::{exact_splitters, tree_height, DecisionTree};
 use hss_sim::{CostModel, Machine, Phase, Topology};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::model::{modelled_figure_6_1_series, ModelledBreakdown};
 use crate::scale::Scale;
+
+// ---------------------------------------------------------------------------
+// The registry
+// ---------------------------------------------------------------------------
+
+/// What an experiment's rows depend on besides the scale and the seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Clock {
+    /// Every field is simulated or analytic, so the rows are a function of
+    /// the scale and the seed alone, at any host thread count: CI
+    /// regenerates the committed default-scale file and fails on any byte
+    /// of drift.
+    Simulated,
+    /// The rows carry host wall-clock measurements.
+    WallClock,
+}
+
+/// One experiment: a question, the rows that answer it and the file they
+/// go to.
+#[derive(Debug)]
+pub struct Experiment {
+    /// Command-line name; the rows are written to `<name>.json`.
+    pub name: &'static str,
+    /// The paper artifact (or host question) the rows reproduce.
+    pub artifact: &'static str,
+    /// The claim the rows are read against.
+    pub claim: &'static str,
+    /// Whether the rows are byte-reproducible.
+    pub clock: Clock,
+    /// The rows at a scale and seed.
+    pub run: fn(Scale, u64) -> Value,
+}
+
+/// Every experiment, in the order `hss-bench all` runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "table_5_1",
+        artifact: "Table 5.1 — overall sample size and cost at p = 1e5, eps = 5%, N/p = 1e6 \
+                   (8-byte keys)",
+        claim: "the paper: regular sampling 1600 GB, random sampling 8.1 GB, HSS-1 184 MB, \
+                HSS-2 24 MB, HSS with log log rounds 10 MB of sample.",
+        clock: Clock::Simulated,
+        run: |_, _| table_5_1_rows().to_value(),
+    },
+    Experiment {
+        name: "figure_4_1",
+        artifact: "Figure 4.1 — sample size (keys) vs processor count for 5% load imbalance",
+        claim: "the paper: both sample-sort variants blow up with p; HSS stays orders of \
+                magnitude below.",
+        clock: Clock::Simulated,
+        run: |_, _| figure_4_1_rows().to_value(),
+    },
+    Experiment {
+        name: "table_6_1",
+        artifact: "Table 6.1 — histogramming rounds, eps = 0.02, 5 samples/processor/round, \
+                   no shared-memory optimisation",
+        claim: "the paper: 4 rounds observed (bound 8) at p = 4K, 8K, 16K and 32K \
+                (HSS_EXPERIMENT_SCALE=full runs those sizes).",
+        clock: Clock::Simulated,
+        run: |scale, seed| table_6_1_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "figure_3_1",
+        artifact: "Figure 3.1 — splitter-interval shrinkage per histogramming round",
+        claim: "the paper: the splitter intervals, and with them the sampled subset, shrink \
+                every round.",
+        clock: Clock::Simulated,
+        run: |scale, seed| figure_3_1_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "figure_6_1",
+        artifact: "Figure 6.1 — HSS weak scaling, per-phase simulated seconds \
+                   (node-level partitioning, 16 cores/node)",
+        claim: "the paper: histogramming is a small fraction of the total at every scale; \
+                the data exchange dominates and grows with p; local sort is flat under weak \
+                scaling.",
+        clock: Clock::Simulated,
+        run: |scale, seed| figure_6_1_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "figure_6_2",
+        artifact: "Figure 6.2 — ChaNGa-like sorting: HSS vs classic Histogram sort (\"Old\")",
+        claim: "the paper: on clustered particle keys HSS needs fewer histogramming rounds \
+                than the old histogram sort and determines splitters faster, the more so the \
+                more buckets (processors).",
+        clock: Clock::Simulated,
+        run: |scale, seed| figure_6_2_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "self_speedup",
+        artifact: "Self-speedup — end-to-end wall clock vs host threads of the real pool",
+        claim: "no paper claim: host threads shorten the wall clock as far as the host's \
+                cores allow and never change the simulated seconds.",
+        clock: Clock::WallClock,
+        run: |scale, seed| self_speedup_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "overlap_speedup",
+        artifact: "Overlap speedup — Bsp vs Overlapped sync model (simulated makespan)",
+        claim: "section 4: pipelining splitter determination with a staged all-to-allv \
+                shortens the makespan; the rows cover p >= 32 on uniform and skewed inputs.",
+        clock: Clock::Simulated,
+        run: |scale, seed| overlap_speedup_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "local_sort_scaling",
+        artifact: "Local-sort scaling — in-place radix vs sort_unstable over \
+                   N x distribution x threads",
+        claim: "no paper claim: the sequential radix sort beats the comparison sort at \
+                N >= 1e6; the parallel rows can beat it only with as many host CPUs as threads.",
+        clock: Clock::WallClock,
+        run: |scale, seed| local_sort_scaling_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "epoch_service",
+        artifact: "Epoch service — warm-started vs cold splitter determination per epoch",
+        claim: "no paper claim (section 3.3 across epochs): on a stationary stream the warm \
+                start saves histogramming rounds and never samples more keys; rank queries \
+                stay within the Theorem 3.4.1 allowance.",
+        clock: Clock::Simulated,
+        run: |scale, seed| epoch_service_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "classify_scaling",
+        artifact: "Classify scaling — decision tree vs per-element binary search",
+        claim: "no paper claim: both strategies route every key to the same bucket; the \
+                branchless tree is the faster one at p >= 32.",
+        clock: Clock::WallClock,
+        run: |scale, seed| classify_scaling_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "record_scaling",
+        artifact: "Record scaling — u64 keys vs 100-byte terasort records (matched bytes)",
+        claim: "no paper claim: per record, the byte-based exchange charge of a 100-byte \
+                record is ~12.5x the words of a u64 key.",
+        clock: Clock::WallClock,
+        run: |scale, seed| record_scaling_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "extsort_scaling",
+        artifact: "External-sort scaling — N x cap x record type, sync vs overlapped I/O",
+        claim: "no paper claim: overlapped I/O hides device time behind sorting and \
+                merging; every row's output is verified against an in-memory sort.",
+        clock: Clock::WallClock,
+        run: |scale, seed| extsort_scaling_rows(scale, seed).to_value(),
+    },
+    Experiment {
+        name: "ablation",
+        artifact: "Ablation — HSS design choices on a skewed 64-rank workload (eps = 5%)",
+        claim: "no paper claim: what each design choice costs in rounds, sample keys, \
+                simulated seconds, imbalance and messages on one input (the scale is ignored).",
+        clock: Clock::Simulated,
+        run: |_, seed| ablation_rows(seed).to_value(),
+    },
+];
 
 // ---------------------------------------------------------------------------
 // Table 5.1 — analytic sample sizes and cost expressions
@@ -241,8 +399,6 @@ pub struct Figure61Row {
     pub imbalance: f64,
     /// Histogramming rounds executed.
     pub rounds: usize,
-    /// Host wall-clock seconds for the whole sort (informational).
-    pub wall_seconds: f64,
 }
 
 impl Figure61Row {
@@ -274,7 +430,6 @@ pub fn figure_6_1_rows(scale: Scale, seed: u64) -> Vec<Figure61Row> {
             data_exchange: groups.get("data exchange").copied().unwrap_or(0.0),
             imbalance: outcome.report.imbalance(),
             rounds: outcome.report.splitters.as_ref().map(|s| s.rounds_executed()).unwrap_or(0),
-            wall_seconds: outcome.report.metrics.total_wall_seconds(),
         });
     }
     for m in modelled_figure_6_1_series(&CostModel::bluegene_like()) {
@@ -293,7 +448,6 @@ fn figure_6_1_row_from_model(m: &ModelledBreakdown) -> Figure61Row {
         data_exchange: m.data_exchange,
         imbalance: 1.0 + 0.02,
         rounds: 4,
-        wall_seconds: 0.0,
     }
 }
 
@@ -1263,9 +1417,111 @@ pub fn extsort_scaling_rows(scale: Scale, seed: u64) -> Vec<ExtSortScalingRow> {
     rows
 }
 
+// ---------------------------------------------------------------------------
+// Ablation — HSS design choices on one skewed workload
+// ---------------------------------------------------------------------------
+
+/// One variant of the ablation sweep.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct AblationRow {
+    /// The design choice this run changes from the base configuration.
+    pub variant: String,
+    /// Histogramming rounds executed.
+    pub rounds: usize,
+    /// Overall sample gathered over all rounds.
+    pub total_sample: usize,
+    /// Simulated seconds of the whole sort.
+    pub simulated_seconds: f64,
+    /// Achieved load imbalance.
+    pub imbalance: f64,
+    /// Messages sent over the whole sort.
+    pub messages: u64,
+}
+
+/// Sort one input, one rank per slice and 16 cores per node, under
+/// `config`.
+fn ablation_row(variant: &str, config: HssConfig, input: &[Vec<u64>]) -> AblationRow {
+    let mut machine = Machine::new(Topology::new(input.len(), 16), CostModel::bluegene_like());
+    let outcome = HssSorter::new(config).sort(&mut machine, input.to_vec());
+    let splitters = outcome.report.splitters.as_ref();
+    AblationRow {
+        variant: variant.to_string(),
+        rounds: splitters.map(|s| s.rounds_executed()).unwrap_or(0),
+        total_sample: splitters.map(|s| s.total_sample_size).unwrap_or(0),
+        simulated_seconds: outcome.report.simulated_seconds(),
+        imbalance: outcome.report.imbalance(),
+        messages: outcome.report.metrics.total_messages(),
+    }
+}
+
+/// The HSS design choices one at a time, on 64 ranks of 20 000 power-law
+/// keys at ε = 5 %: round schedule (1 / 2 / 3 theoretical rounds, constant
+/// oversampling with 2 / 5 / 10 samples per processor per round), the
+/// scanning splitter rule with one round, node-level partitioning,
+/// approximate (§3.4) histogramming, and duplicate tagging on a
+/// duplicate-heavy input.  The sweep has one size, so it takes no scale.
+pub fn ablation_rows(seed: u64) -> Vec<AblationRow> {
+    const P: usize = 64;
+    const KEYS_PER_RANK: usize = 20_000;
+    let input = KeyDistribution::PowerLaw { gamma: 3.0 }.generate_per_rank(P, KEYS_PER_RANK, seed);
+    let base =
+        HssConfig { epsilon: 0.05, node_level: false, ..HssConfig::default() }.with_seed(seed);
+
+    let mut rows = Vec::new();
+    for k in [1usize, 2, 3] {
+        let cfg = HssConfig { schedule: RoundSchedule::Theoretical { rounds: k }, ..base.clone() };
+        rows.push(ablation_row(&format!("theoretical k={k}"), cfg, &input));
+    }
+    for f in [2.0f64, 5.0, 10.0] {
+        let cfg = HssConfig {
+            schedule: RoundSchedule::ConstantOversampling { oversampling: f, max_rounds: 64 },
+            ..base.clone()
+        };
+        rows.push(ablation_row(&format!("constant oversampling f={f}"), cfg, &input));
+    }
+    let cfg = HssConfig {
+        schedule: RoundSchedule::Theoretical { rounds: 1 },
+        splitter_rule: SplitterRule::Scanning,
+        ..base.clone()
+    };
+    rows.push(ablation_row("scanning rule (1 round)", cfg, &input));
+    rows.push(ablation_row("node-level partitioning", base.clone().with_node_level(), &input));
+    rows.push(ablation_row(
+        "approximate histograms (sec 3.4)",
+        base.clone().with_approximate_histograms(),
+        &input,
+    ));
+
+    let dup_input =
+        KeyDistribution::FewDistinct { distinct: 16 }.generate_per_rank(P, KEYS_PER_RANK, seed);
+    rows.push(ablation_row("duplicates, no tagging", base.clone(), &dup_input));
+    rows.push(ablation_row("duplicates, tagged", base.with_duplicate_tagging(), &dup_input));
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn registry_names_are_unique_and_simulated_entries_ignore_host_threads() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        // The byte guard regenerates the Simulated files on whatever pool
+        // CI has: their rows must not depend on the host thread count.
+        let on_threads = |threads: usize, e: &Experiment| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("registry test pool");
+            pool.install(|| (e.run)(Scale::Smoke, 0x5EED_2019))
+        };
+        for e in EXPERIMENTS.iter().filter(|e| e.clock == Clock::Simulated) {
+            assert_eq!(on_threads(1, e), on_threads(2, e), "{} depends on host threads", e.name);
+        }
+    }
 
     #[test]
     fn classify_scaling_rows_pair_identical_routings() {

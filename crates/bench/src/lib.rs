@@ -1,20 +1,20 @@
 //! `hss-bench` — the experiment harness that regenerates every table and
 //! figure of the paper's evaluation.
 //!
-//! | Paper artifact | Binary | Library entry point |
-//! |---|---|---|
-//! | Table 5.1 (sample sizes & complexity) | `table_5_1` | [`experiments::table_5_1_rows`] |
-//! | Table 6.1 (histogramming rounds) | `table_6_1` | [`experiments::table_6_1_rows`] |
-//! | Figure 3.1 (interval shrinkage) | `figure_3_1` | [`experiments::figure_3_1_rows`] |
-//! | Figure 4.1 (sample size vs p) | `figure_4_1` | [`experiments::figure_4_1_rows`] |
-//! | Figure 6.1 (weak scaling breakdown) | `figure_6_1` | [`experiments::figure_6_1_rows`] |
-//! | Figure 6.2 (ChaNGa, HSS vs old) | `figure_6_2` | [`experiments::figure_6_2_rows`] |
+//! [`experiments::EXPERIMENTS`] is the one list of experiments: each entry
+//! names a paper artifact, the claim its rows are read against, whether the
+//! rows are [`experiments::Clock::Simulated`] (byte-reproducible, guarded by
+//! CI) or carry wall-clock fields, and the `*_rows` function that produces
+//! them.  The package's one binary runs entries by name:
 //!
-//! Each binary prints an ASCII table and writes a JSON file under
-//! `results/` (override with `HSS_RESULTS_DIR`).  The executed experiment
-//! sizes are controlled by `HSS_EXPERIMENT_SCALE` (`smoke` / `default` /
-//! `full`, see [`scale::Scale`]).  Criterion micro-benchmarks live under
-//! `benches/`.
+//! ```sh
+//! cargo run --release -p hss-bench -- <name>... | simulated | all
+//! ```
+//!
+//! Each run prints a table and writes `<name>.json` under `results/`
+//! (override with `HSS_RESULTS_DIR`).  The executed experiment sizes are
+//! controlled by `HSS_EXPERIMENT_SCALE` (`smoke` / `default` / `full`, see
+//! [`scale::Scale`]).  Criterion micro-benchmarks live under `benches/`.
 
 #![warn(missing_docs)]
 
@@ -26,7 +26,7 @@ pub mod scale;
 
 pub use scale::Scale;
 
-/// Seed used by all experiment binaries (override with `HSS_SEED`).
+/// Seed used by every experiment (override with `HSS_SEED`).
 pub fn experiment_seed() -> u64 {
     std::env::var("HSS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5EED_2019)
 }

@@ -1,10 +1,11 @@
-//! Plain-text table output and JSON result persistence for the experiment
-//! binaries.
+//! Plain-text table output and JSON result persistence for the
+//! `hss-bench` command.
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Directory experiment results are written to (`HSS_RESULTS_DIR`, default
 /// `results/`).
@@ -13,30 +14,19 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(dir)
 }
 
-/// Serialise `value` as pretty JSON under the results directory.
-/// Errors are reported but not fatal (the console output is the primary
-/// artifact).
-pub fn save_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: could not create {}: {e}", dir.display());
-        return;
-    }
+/// Serialise `value` as pretty JSON to `dir/name`, creating `dir` if
+/// needed, and return the path written.  A failed write is an error: the
+/// committed results must never pass for freshly regenerated ones.
+pub fn save_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Result<PathBuf> {
+    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialise {name}: {e}"),
-    }
+    fs::write(&path, json)?;
+    Ok(path)
 }
 
 /// Render an ASCII table with a header row.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -66,72 +56,48 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Print an ASCII table with a caption.
-pub fn print_table(caption: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {caption} ==");
-    print!("{}", render_table(headers, rows));
+/// Render `rows`, an array of flat objects as every experiment returns, as
+/// an ASCII table: one column per field, headed by the field name.
+pub fn render_rows(rows: &Value) -> String {
+    let rows = match rows {
+        Value::Array(rows) => rows.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    let headers: Vec<&str> = match rows.first() {
+        Some(Value::Object(fields)) => fields.iter().map(|(name, _)| name.as_str()).collect(),
+        _ => Vec::new(),
+    };
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| match row {
+            Value::Object(fields) => fields.iter().map(|(_, v)| cell(v)).collect(),
+            scalar => vec![cell(scalar)],
+        })
+        .collect();
+    render_table(&headers, &cells)
 }
 
-/// Human-readable byte count (KB/MB/GB with binary prefixes).
-pub fn human_bytes(bytes: f64) -> String {
-    const UNITS: [&str; 5] = ["B", "KB", "MB", "GB", "TB"];
-    let mut value = bytes;
-    let mut unit = 0;
-    while value >= 1024.0 && unit + 1 < UNITS.len() {
-        value /= 1024.0;
-        unit += 1;
-    }
-    if unit == 0 {
-        format!("{value:.0} {}", UNITS[unit])
-    } else {
-        format!("{value:.1} {}", UNITS[unit])
-    }
-}
-
-/// Format seconds with adaptive precision.
-pub fn format_seconds(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.3} s")
-    } else if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else {
-        format!("{:.3} us", s * 1e6)
-    }
-}
-
-/// Write `path` (relative to the results dir) with plain text content.
-pub fn save_text(name: &str, content: &str) {
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let path: PathBuf = dir.join(name);
-        if fs::write(&path, content).is_ok() {
-            println!("[saved {}]", path.display());
+/// One table cell: strings bare, floats to four significant digits (fixed
+/// notation in `[10⁻³, 10⁶)`, scientific outside), everything else as JSON.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::String(s) => s.clone(),
+        Value::Float(x) if x.is_finite() && *x != 0.0 => {
+            let magnitude = x.abs();
+            if (1e-3..1e6).contains(&magnitude) {
+                let decimals = (3 - magnitude.log10().floor() as i32).max(0) as usize;
+                format!("{x:.decimals$}")
+            } else {
+                format!("{x:.3e}")
+            }
         }
+        other => serde_json::to_string(other).expect("the JSON printer is total"),
     }
-}
-
-/// Whether a results file already exists (used by `run_all` to report).
-pub fn result_exists(name: &str) -> bool {
-    Path::new(&results_dir()).join(name).exists()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn human_bytes_picks_sensible_units() {
-        assert_eq!(human_bytes(512.0), "512 B");
-        assert_eq!(human_bytes(2048.0), "2.0 KB");
-        assert!(human_bytes(655.0 * 1024.0 * 1024.0 * 1024.0).ends_with("GB"));
-    }
-
-    #[test]
-    fn format_seconds_adapts_units() {
-        assert!(format_seconds(2.5).ends_with(" s"));
-        assert!(format_seconds(0.002).ends_with(" ms"));
-        assert!(format_seconds(2e-6).ends_with(" us"));
-    }
 
     #[test]
     fn render_table_aligns_columns() {
@@ -144,5 +110,30 @@ mod tests {
         );
         assert!(s.contains("p      rounds"));
         assert!(s.lines().count() >= 4);
+    }
+
+    #[test]
+    fn render_rows_heads_columns_with_field_names() {
+        let row = |p: u64, s: f64| {
+            Value::Object(vec![
+                ("p".to_string(), Value::UInt(p)),
+                ("seconds".to_string(), Value::Float(s)),
+                ("ok".to_string(), Value::Bool(true)),
+            ])
+        };
+        let s = render_rows(&Value::Array(vec![row(4, 0.25), row(32768, 1.6e12)]));
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[0].split_whitespace().collect::<Vec<_>>(), ["p", "seconds", "ok"]);
+        assert_eq!(lines[2].split_whitespace().collect::<Vec<_>>(), ["4", "0.2500", "true"]);
+        assert_eq!(lines[3].split_whitespace().collect::<Vec<_>>(), ["32768", "1.600e12", "true"]);
+    }
+
+    #[test]
+    fn save_json_fails_when_the_results_dir_is_a_file() {
+        let file = std::env::temp_dir().join(format!("hss-bench-not-a-dir-{}", std::process::id()));
+        fs::write(&file, b"x").expect("create the blocking file");
+        let result = save_json(&file, "rows.json", &vec![1u64, 2]);
+        fs::remove_file(&file).expect("remove the blocking file");
+        assert!(result.is_err(), "writing under a regular file must fail");
     }
 }

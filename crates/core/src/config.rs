@@ -256,12 +256,6 @@ impl HssConfig {
         Self { epsilon, schedule: RoundSchedule::Theoretical { rounds: 1 }, ..Self::default() }
     }
 
-    /// HSS with exactly two histogramming rounds (the "HSS with two rounds"
-    /// row of Table 5.1).
-    pub fn two_rounds(epsilon: f64) -> Self {
-        Self { epsilon, schedule: RoundSchedule::Theoretical { rounds: 2 }, ..Self::default() }
-    }
-
     /// Set the load-imbalance threshold ε.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
         self.epsilon = epsilon;
@@ -271,12 +265,6 @@ impl HssConfig {
     /// Set the sampling/round schedule.
     pub fn with_schedule(mut self, schedule: RoundSchedule) -> Self {
         self.schedule = schedule;
-        self
-    }
-
-    /// Set the splitter-finalization rule.
-    pub fn with_splitter_rule(mut self, rule: SplitterRule) -> Self {
-        self.splitter_rule = rule;
         self
     }
 
@@ -373,7 +361,6 @@ mod tests {
         assert!(HssConfig::default().validate().is_ok());
         assert!(HssConfig::paper_cluster().validate().is_ok());
         assert!(HssConfig::one_round(0.05).validate().is_ok());
-        assert!(HssConfig::two_rounds(0.1).validate().is_ok());
     }
 
     #[test]
@@ -415,13 +402,9 @@ mod tests {
         assert!(c.node_level);
         let c = c.with_local_sort(LocalSortAlgo::Comparison);
         assert_eq!(c.local_sort, LocalSortAlgo::Comparison);
-        let c = c
-            .with_epsilon(0.07)
-            .with_schedule(RoundSchedule::Theoretical { rounds: 3 })
-            .with_splitter_rule(SplitterRule::Scanning);
+        let c = c.with_epsilon(0.07).with_schedule(RoundSchedule::Theoretical { rounds: 3 });
         assert_eq!(c.epsilon, 0.07);
         assert_eq!(c.schedule, RoundSchedule::Theoretical { rounds: 3 });
-        assert_eq!(c.splitter_rule, SplitterRule::Scanning);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! * [`multi_round::determine_splitters`] — the splitter-determination
 //!   kernel on its own, reporting per-round sample sizes and splitter
 //!   interval shrinkage (the Table 6.1 / Figure 3.1 quantities);
-//! * [`scanning`] — the one-round scanning splitter selection of Axtmann et
-//!   al. (§3.2, Theorem 3.2.1);
+//! * [`scanning`] — the greedy scan of Axtmann et al. (§3.2, Theorem 3.2.1),
+//!   the finalization of [`SplitterRule::Scanning`];
 //! * [`approx_histogram`] — the representative-sample rank oracle of §3.4
 //!   (Theorem 3.4.1);
 //! * [`theory`] — the sampling-ratio schedules and round-count bounds used
@@ -91,5 +91,5 @@ pub use multi_round::{
 };
 pub use report::{RoundStats, SortReport, SplitterReport};
 pub use request::{SortRequest, Sorter};
-pub use scanning::{scanning_splitters, scanning_splitters_with, splitters_from_histogram};
+pub use scanning::splitters_from_histogram;
 pub use sorter::{Hss, HssSorter, SortOutcome};

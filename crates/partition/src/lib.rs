@@ -56,9 +56,9 @@ pub use merge::{
     kway_merge_slices, resort_owners, runs_for, FinishArm, RunSource, SliceSource, SourceLoserTree,
 };
 pub use sampling::{
-    bernoulli_sample, bernoulli_sample_positions, bernoulli_sample_range, count_in_intervals,
-    interval_bounds, interval_bounds_work, merge_key_intervals, merge_key_intervals_with,
-    BernoulliDraw, WindowSample,
+    bernoulli_sample_positions, bernoulli_sample_range, count_in_intervals, interval_bounds,
+    interval_bounds_work, merge_key_intervals, merge_key_intervals_with, BernoulliDraw,
+    WindowSample,
 };
 pub use select::{exact_rank, exact_splitters, global_sorted, verify_global_sort};
 pub use splitters::SplitterSet;

@@ -232,11 +232,6 @@ pub fn bernoulli_sample_range<T: Keyed, R: Rng>(
         .collect()
 }
 
-/// Bernoulli-sample a whole sorted slice.
-pub fn bernoulli_sample<T: Keyed, R: Rng>(sorted: &[T], prob: f64, rng: &mut R) -> Vec<T::K> {
-    bernoulli_sample_range(sorted, 0..sorted.len(), prob, rng)
-}
-
 /// Merge possibly-overlapping inclusive key intervals into a minimal sorted
 /// set of disjoint intervals.  Used before interval-restricted sampling so
 /// keys covered by several splitter intervals are not sampled twice.
@@ -387,21 +382,21 @@ mod tests {
     #[test]
     fn bernoulli_sample_prob_one_takes_everything() {
         let data: Vec<u64> = (0..100).collect();
-        let s = bernoulli_sample(&data, 1.0, &mut rng());
+        let s = bernoulli_sample_range(&data, 0..data.len(), 1.0, &mut rng());
         assert_eq!(s, data);
     }
 
     #[test]
     fn bernoulli_sample_prob_zero_takes_nothing() {
         let data: Vec<u64> = (0..100).collect();
-        assert!(bernoulli_sample(&data, 0.0, &mut rng()).is_empty());
+        assert!(bernoulli_sample_range(&data, 0..data.len(), 0.0, &mut rng()).is_empty());
     }
 
     #[test]
     fn bernoulli_sample_size_close_to_expectation() {
         let data: Vec<u64> = (0..200_000).collect();
         let prob = 0.01;
-        let s = bernoulli_sample(&data, prob, &mut rng());
+        let s = bernoulli_sample_range(&data, 0..data.len(), prob, &mut rng());
         let expected = 2000.0;
         assert!(
             (s.len() as f64) > expected * 0.7 && (s.len() as f64) < expected * 1.3,
@@ -524,7 +519,7 @@ mod tests {
     #[test]
     fn samplers_handle_empty_data() {
         let data: Vec<u64> = vec![];
-        assert!(bernoulli_sample(&data, 0.5, &mut rng()).is_empty());
+        assert!(bernoulli_sample_range(&data, 0..0, 0.5, &mut rng()).is_empty());
         assert!(regular_sample_positions(data.len(), 5).is_empty());
         assert!(random_block_sample_positions(data.len(), 5, &mut rng()).is_empty());
     }

@@ -14,11 +14,10 @@ use crate::query::QueryIndex;
 /// Configuration of a [`SortService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// The HSS configuration every epoch sorts with.
+    /// The HSS configuration every epoch sorts with.  Its `ε` also sizes
+    /// the between-epoch query oracle (Theorem 3.4.1 sample size
+    /// `√(2 p ln p)/ε` per rank).
     pub hss: HssConfig,
-    /// `ε` for the between-epoch query oracle (Theorem 3.4.1 sample size
-    /// `√(2 p ln p)/ε` per rank).  Defaults to `hss.epsilon`.
-    pub query_epsilon: f64,
     /// Cap on the number of probe keys carried from one epoch into the
     /// next warm start (the carried set is evenly thinned above the cap, so
     /// cross-epoch state stays bounded).  `usize::MAX` = uncapped.
@@ -42,15 +41,7 @@ impl ServiceConfig {
         if hss.tag_duplicates {
             return Err("the epoch service does not support duplicate tagging".into());
         }
-        let query_epsilon = hss.epsilon;
-        Ok(Self { hss, query_epsilon, max_carried_probes: usize::MAX, warm_start: true })
-    }
-
-    /// Use a different `ε` for the query oracle than for sorting.
-    pub fn with_query_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0, "query epsilon must be positive");
-        self.query_epsilon = epsilon;
-        self
+        Ok(Self { hss, max_carried_probes: usize::MAX, warm_start: true })
     }
 
     /// Cap the probes carried between epochs.
@@ -177,11 +168,6 @@ where
         self.keyspace.iter().map(|v| v.len() as u64).sum()
     }
 
-    /// Number of epochs sealed so far.
-    pub fn epochs_sealed(&self) -> usize {
-        self.history.len()
-    }
-
     /// Reports of every sealed epoch, oldest first.
     pub fn history(&self) -> &[EpochReport] {
         &self.history
@@ -247,7 +233,7 @@ where
         //    keyspace (charged to Sampling / Query phases, after the
         //    sort's report was taken).
         let sample_size =
-            ApproxHistogrammer::<T::K>::prescribed_sample_size(p.max(2), self.config.query_epsilon);
+            ApproxHistogrammer::<T::K>::prescribed_sample_size(p.max(2), self.config.hss.epsilon);
         let oracle = ApproxHistogrammer::build(
             &mut self.machine,
             &self.keyspace,

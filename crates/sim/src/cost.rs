@@ -83,19 +83,6 @@ impl CostModel {
         }
     }
 
-    /// A parameter set with relatively expensive communication, useful for
-    /// ablations that exaggerate the cost of data movement.
-    pub fn network_bound() -> Self {
-        Self {
-            unit_compute: 1.0e-9,
-            unit_comm: 4.0e-8,
-            latency: 1.0e-5,
-            unit_disk: 1.6e-8,
-            disk_latency: 1.0e-4,
-            collective: CollectiveAlgo::Pipelined,
-        }
-    }
-
     /// A cost model that charges nothing; useful in unit tests that only
     /// care about data movement correctness.
     pub fn free() -> Self {

@@ -141,15 +141,6 @@ impl Work {
         Self::ops(n as u64)
     }
 
-    /// Work of moving `n` records of `record_width` bytes each through
-    /// memory (one read + one write per 8-byte word): `2·n·⌈width/8⌉` ops.
-    /// The byte-based sibling of [`Work::scan`] for wide-record phases,
-    /// where "one op per item" would undercharge a 100-byte record by an
-    /// order of magnitude.
-    pub fn move_records(n: usize, record_width: usize) -> Self {
-        Self::ops(2 * (n as u64) * (record_width as u64).div_ceil(8))
-    }
-
     /// Work of branch-free decision-tree classification of `n` keys into
     /// buckets via an implicit splitter tree of height `log_buckets`
     /// (`n·log_buckets` descend steps, floored at one op per key).

@@ -6,7 +6,7 @@
 
 use hss_repro::core::theory;
 use hss_repro::core::{
-    determine_splitters, scanning_splitters, ApproxHistogrammer, HssConfig, RoundSchedule,
+    determine_splitters, ApproxHistogrammer, HssConfig, RoundSchedule, SplitterRule,
 };
 use hss_repro::partition::{bucket_counts, exact_rank, LoadBalance};
 use hss_repro::prelude::*;
@@ -31,18 +31,29 @@ fn global_bucket_counts(data: &[Vec<u64>], splitters: &SplitterSet<u64>) -> Vec<
 
 /// Theorem 3.2.1 / scanning algorithm: with sampling ratio 2/ε the last
 /// processor's load stays within N(1+ε)/p — check the empirical failure
-/// rate over many trials.
+/// rate over many trials.  Scanning is the one pipeline's one round at 2/ε
+/// samples per processor, finalized by the greedy scan.
 #[test]
 fn theorem_3_2_1_scanning_last_processor_bound() {
     let p = 32;
     let n = 1_000;
     let eps = 0.2;
     let trials = 20;
+    let config = HssConfig {
+        epsilon: eps,
+        schedule: RoundSchedule::ConstantOversampling { oversampling: 2.0 / eps, max_rounds: 1 },
+        splitter_rule: SplitterRule::Scanning,
+        ..HssConfig::default()
+    };
     let mut failures = 0;
     for t in 0..trials {
         let data = sorted_input(KeyDistribution::Uniform, p, n, 100 + t);
         let mut machine = Machine::flat(p);
-        let (splitters, _rep) = scanning_splitters(&mut machine, &data, p, eps, 7_000 + t);
+        let (splitters, rep) =
+            determine_splitters(&mut machine, &data, p, &config.clone().with_seed(7_000 + t));
+        // The sample is about 2p/ε keys (Theorem 3.2.1), far smaller than
+        // regular sampling's p²/ε.
+        assert!(rep.total_sample_size < 4 * ((2.0 * p as f64 / eps) as usize));
         let lb = LoadBalance::from_counts(&global_bucket_counts(&data, &splitters));
         if !lb.satisfies(eps) {
             failures += 1;
