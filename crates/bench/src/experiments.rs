@@ -99,7 +99,11 @@ pub const EXPERIMENTS: &[Experiment] = &[
         artifact: "Figure 6.2 — ChaNGa-like sorting: HSS vs classic Histogram sort (\"Old\")",
         claim: "the paper: on clustered particle keys HSS needs fewer histogramming rounds \
                 than the old histogram sort and determines splitters faster, the more so the \
-                more buckets (processors).",
+                more buckets (processors). The rows: HSS runs 3-4 rounds against the classic \
+                sort's 19-35 at every p, but its simulated splitter seconds are lower only up \
+                to p = 1024; at p = 2048 they are higher (lambb-like 2.341 vs 1.848 ms, \
+                dwarf-like 2.418 vs 1.937 ms). Suspected cause: the simulated charge of \
+                HSS's O(m)-word probe broadcast and histogram reduction (ROADMAP item 3).",
         clock: Clock::Simulated,
         run: |scale, seed| figure_6_2_rows(scale, seed).to_value(),
     },
@@ -152,14 +156,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
                 record is ~12.5x the words of a u64 key.",
         clock: Clock::WallClock,
         run: |scale, seed| record_scaling_rows(scale, seed).to_value(),
-    },
-    Experiment {
-        name: "extsort_scaling",
-        artifact: "External-sort scaling — N x cap x record type, sync vs overlapped I/O",
-        claim: "no paper claim: overlapped I/O hides device time behind sorting and \
-                merging; every row's output is verified against an in-memory sort.",
-        clock: Clock::WallClock,
-        run: |scale, seed| extsort_scaling_rows(scale, seed).to_value(),
     },
     Experiment {
         name: "ablation",
@@ -1161,263 +1157,6 @@ pub fn epoch_service_rows(scale: Scale, seed: u64) -> Vec<EpochServiceRow> {
 }
 
 // ---------------------------------------------------------------------------
-// External-sort scaling — bounded-memory disk sort, sync vs overlapped I/O
-// ---------------------------------------------------------------------------
-
-/// One cell of the `extsort_scaling` matrix — volume × memory cap ×
-/// record type — sorted entirely through the out-of-core tier, once per
-/// I/O-scheduling arm, with an in-memory reference sort of the same data
-/// timed for comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtSortScalingRow {
-    /// `"u64"` or `"tera100"` (100-byte `TeraRecord`, matched volume).
-    pub record_type: String,
-    /// Bytes per record.
-    pub record_bytes: usize,
-    /// Elements in the dataset.
-    pub elements: usize,
-    /// Dataset volume in bytes (`elements * record_bytes`).
-    pub total_bytes: u64,
-    /// Record-buffer budget the sorter ran under, in bytes.
-    pub memory_cap_bytes: u64,
-    /// `memory_cap_bytes / total_bytes` (committed rows keep this ≤ 1/8).
-    pub cap_fraction: f64,
-    /// Merge fan-in.
-    pub fan_in: usize,
-    /// Sorted runs formed during run formation.
-    pub runs_formed: u64,
-    /// Merge passes over the data (1 = single final pass).
-    pub merge_passes: u64,
-    /// Scratch bytes written per sort (runs + intermediate + final file).
-    pub bytes_written: u64,
-    /// Scratch bytes read per sort.
-    pub bytes_read: u64,
-    /// Timed repetitions per arm (minimum reported, one untimed warmup).
-    pub reps: usize,
-    /// Wall seconds for a plain in-memory sort of the same data (radix
-    /// for u64, `sort_unstable` for records) — what the cap costs.
-    pub in_memory_wall_seconds: f64,
-    /// Best wall seconds for the synchronous (strictly buffered) arm.
-    pub sync_wall_seconds: f64,
-    /// Seconds the synchronous arm's sorting thread spent blocked on disk.
-    pub sync_io_wait_seconds: f64,
-    /// `sync_io_wait_seconds / sync_wall_seconds`.
-    pub sync_io_wait_fraction: f64,
-    /// Best wall seconds for the overlapped (prefetch/writeback) arm.
-    pub overlapped_wall_seconds: f64,
-    /// Seconds the overlapped arm's sorting thread waited on its I/O
-    /// threads (the residual the double-buffering could not hide).
-    pub overlapped_io_wait_seconds: f64,
-    /// `overlapped_io_wait_seconds / overlapped_wall_seconds`.
-    pub overlapped_io_wait_fraction: f64,
-    /// `sync_wall_seconds / overlapped_wall_seconds` (> 1 = overlap won).
-    pub speedup: f64,
-    /// Overlapped-arm sort throughput in input MB/s.
-    pub overlapped_mb_per_second: f64,
-    /// Output verified against an in-memory reference sort: full-stream
-    /// sortedness+checksum plus bitwise-compared sampled windows.
-    pub verified: bool,
-}
-
-/// Subsampled differential verification of an on-disk sorted file against
-/// the in-memory reference: bitwise-compare `windows` windows of
-/// `window_elems` elements at deterministically scattered offsets
-/// (always including both ends).
-fn verify_sorted_file_subsampled<T: hss_extsort::PlainRecord + PartialEq>(
-    out: &hss_extsort::SortedRunFile<T>,
-    reference: &[T],
-    windows: usize,
-    window_elems: usize,
-    seed: u64,
-) -> bool {
-    use rand::{Rng, SeedableRng};
-    assert_eq!(out.len(), reference.len() as u64);
-    let n = reference.len();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let mut offsets: Vec<usize> = vec![0, n.saturating_sub(window_elems)];
-    offsets.extend((0..windows).map(|_| rng.gen_range(0..n.max(1))));
-    offsets.iter().all(|&off| {
-        let got = out.read_range(off as u64, window_elems).expect("read sorted output window");
-        got == reference[off..(off + window_elems).min(n)]
-    })
-}
-
-/// Run one matrix cell: external-sort `input` under `cap` once per I/O
-/// arm (alternating within each repetition, rep 0 an untimed warmup) and
-/// differentially verify both arms' on-disk output against `reference`.
-#[allow(clippy::too_many_arguments)]
-fn extsort_point<T>(
-    record_type: &str,
-    input: &[T],
-    reference: &[T],
-    in_memory_wall: f64,
-    cap: usize,
-    fan_in: usize,
-    reps: usize,
-    run_dir: &std::path::Path,
-    seed: u64,
-) -> ExtSortScalingRow
-where
-    T: hss_extsort::PlainRecord + hss_lsort::RadixSortable + PartialEq,
-{
-    use hss_extsort::{ExtSortConfig, ExternalSorter, IoMode};
-    let total_bytes = std::mem::size_of_val(input) as u64;
-    let arms = [IoMode::Synchronous, IoMode::Overlapped];
-    let sorters: Vec<ExternalSorter> = arms
-        .iter()
-        .map(|&mode| {
-            ExternalSorter::new(
-                ExtSortConfig::new(cap, run_dir).with_fan_in(fan_in).with_io_mode(mode),
-            )
-        })
-        .collect();
-    // best[arm] = (wall, report, verified) of the fastest timed rep.
-    let mut best: [Option<(f64, hss_extsort::ExtSortReport, bool)>; 2] = [None, None];
-    for rep in 0..=reps {
-        for (i, sorter) in sorters.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let (out, rep_stats) =
-                sorter.sort_to_file(input.iter().copied()).expect("external sort");
-            let wall = start.elapsed().as_secs_f64();
-            if rep == 0 {
-                continue; // untimed warmup (page cache, allocator, scratch dir)
-            }
-            if best[i].as_ref().map_or(true, |(w, _, _)| wall < *w) {
-                let ok = verify_sorted_file_subsampled(&out, reference, 64, 4096, seed);
-                best[i] = Some((wall, rep_stats, ok));
-            }
-        }
-    }
-    let (sync_wall, sync_rep, sync_ok) = best[0].expect("timed sync rep");
-    let (ovl_wall, ovl_rep, ovl_ok) = best[1].expect("timed overlapped rep");
-    // Both arms must agree on the sort's shape — same runs, same passes,
-    // same bytes moved; only the scheduling may differ.  The byte counters
-    // must also match the pass geometry exactly: every run is written
-    // once, and each merge pass (including the final one) reads and
-    // rewrites the full volume.
-    assert_eq!(sync_rep.runs_formed, ovl_rep.runs_formed);
-    assert_eq!(sync_rep.merge_passes, ovl_rep.merge_passes);
-    assert_eq!(sync_rep.bytes_written, ovl_rep.bytes_written);
-    assert_eq!(sync_rep.bytes_read, ovl_rep.bytes_read);
-    assert_eq!(sync_rep.bytes_written, (1 + sync_rep.merge_passes) * total_bytes);
-    assert_eq!(sync_rep.bytes_read, sync_rep.merge_passes * total_bytes);
-    ExtSortScalingRow {
-        record_type: record_type.to_string(),
-        record_bytes: std::mem::size_of::<T>(),
-        elements: input.len(),
-        total_bytes,
-        memory_cap_bytes: cap as u64,
-        cap_fraction: cap as f64 / total_bytes as f64,
-        fan_in,
-        runs_formed: ovl_rep.runs_formed,
-        merge_passes: ovl_rep.merge_passes,
-        bytes_written: ovl_rep.bytes_written,
-        bytes_read: ovl_rep.bytes_read,
-        reps,
-        in_memory_wall_seconds: in_memory_wall,
-        sync_wall_seconds: sync_wall,
-        sync_io_wait_seconds: sync_rep.io_wait_seconds,
-        sync_io_wait_fraction: sync_rep.io_wait_fraction(),
-        overlapped_wall_seconds: ovl_wall,
-        overlapped_io_wait_seconds: ovl_rep.io_wait_seconds,
-        overlapped_io_wait_fraction: ovl_rep.io_wait_fraction(),
-        speedup: if ovl_wall > 0.0 { sync_wall / ovl_wall } else { 0.0 },
-        overlapped_mb_per_second: if ovl_wall > 0.0 {
-            total_bytes as f64 / ovl_wall / 1e6
-        } else {
-            0.0
-        },
-        verified: sync_ok && ovl_ok,
-    }
-}
-
-/// Volumes up to this many bytes run the full matrix (caps {1/8, 1/16}
-/// × records {u64, TeraRecord}); larger volumes run only the headline
-/// (1/16-cap, u64) cell so the default-scale run stays bounded — the
-/// 10⁸-key point alone moves multiple GB through `fdatasync`.
-const EXTSORT_FULL_MATRIX_MAX_BYTES: u64 = 1 << 27;
-
-/// Memory cap yielding exactly `2 * d` sorted runs for `n` records of
-/// `rec_bytes` each (run-formation chunks are `cap / 2`): `d = 8` ⇒ 16
-/// runs, one merge pass at fan-in 16; `d = 16` ⇒ 32 runs, multi-pass.
-/// Deriving the cap from the element count (rather than flooring
-/// `volume / d` to a record multiple) avoids a near-empty straggler run
-/// that would tip the geometry into a spurious extra full-volume pass.
-fn extsort_cap_for(n: usize, rec_bytes: usize, d: usize) -> usize {
-    2 * n.div_ceil(2 * d) * rec_bytes
-}
-
-/// Sort uniform datasets fully out of core across an N × memory-cap ×
-/// record-type matrix, alternating the synchronous and overlapped I/O
-/// arms within each repetition, timing an in-memory sort of the same
-/// data for comparison, and differentially verifying both arms' on-disk
-/// output against that in-memory reference.
-///
-/// Cap divisors are {8, 16}: at fan-in 16 a 1/8 cap forms 16 runs
-/// (single merge pass) while a 1/16 cap forms 32 runs and exercises the
-/// multi-pass merge. `TeraRecord` cells match the u64 cell's byte
-/// volume, not its element count.
-pub fn extsort_scaling_rows(scale: Scale, seed: u64) -> Vec<ExtSortScalingRow> {
-    use hss_keygen::generate_tera_records_per_rank;
-    let reps = scale.extsort_scaling_reps();
-    let fan_in = 16;
-    let run_dir = std::env::temp_dir().join("hss-extsort-scaling");
-    let mut rows = Vec::new();
-    for n in scale.extsort_scaling_elements() {
-        let vol_bytes = (n * 8) as u64;
-        let full_matrix = vol_bytes <= EXTSORT_FULL_MATRIX_MAX_BYTES;
-        let divisors: &[usize] = if full_matrix { &[8, 16] } else { &[16] };
-
-        let input: Vec<u64> = KeyDistribution::Uniform.generate_per_rank(1, n, seed).remove(0);
-        let mut reference = input.clone();
-        let start = std::time::Instant::now();
-        hss_lsort::radix_sort(&mut reference);
-        let in_memory_wall = start.elapsed().as_secs_f64();
-        for &d in divisors {
-            let cap = extsort_cap_for(n, 8, d);
-            rows.push(extsort_point(
-                "u64",
-                &input,
-                &reference,
-                in_memory_wall,
-                cap,
-                fan_in,
-                reps,
-                &run_dir,
-                seed,
-            ));
-        }
-        drop((input, reference));
-
-        if full_matrix {
-            // Matched byte volume, not matched element count: 100-byte
-            // TeraRecords stress the payload-bandwidth side of the tier.
-            let n_tera = (vol_bytes / 100).max(2) as usize;
-            let input = generate_tera_records_per_rank(1, n_tera, seed ^ 0x7e5a).remove(0);
-            let mut reference = input.clone();
-            let start = std::time::Instant::now();
-            reference.sort_unstable();
-            let in_memory_wall = start.elapsed().as_secs_f64();
-            for &d in divisors {
-                let cap = extsort_cap_for(n_tera, 100, d);
-                rows.push(extsort_point(
-                    "tera100",
-                    &input,
-                    &reference,
-                    in_memory_wall,
-                    cap,
-                    fan_in,
-                    reps,
-                    &run_dir,
-                    seed,
-                ));
-            }
-        }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // Ablation — HSS design choices on one skewed workload
 // ---------------------------------------------------------------------------
 
@@ -1541,34 +1280,6 @@ mod tests {
             // The tree's wall-clock win itself is asserted on the committed
             // default-scale rows, not at smoke sizes on a noisy CI host.
         }
-    }
-
-    #[test]
-    fn extsort_scaling_rows_verify_and_spill() {
-        let rows = extsort_scaling_rows(Scale::Smoke, 13);
-        // Smoke volumes are all small enough for the full matrix:
-        // caps {1/8, 1/16} × records {u64, tera100} per volume.
-        assert_eq!(rows.len(), Scale::Smoke.extsort_scaling_elements().len() * 4);
-        for row in &rows {
-            assert!(row.verified, "subsampled differential verification must pass");
-            assert!(row.cap_fraction <= 0.126, "cap must stay at or below ~1/8 the volume");
-            assert!(row.runs_formed >= 8, "the cap must force many runs");
-            // Every byte is written once as a run, then read and rewritten
-            // by each merge pass (including the final one).
-            assert_eq!(row.bytes_written, (1 + row.merge_passes) * row.total_bytes);
-            assert_eq!(row.bytes_read, row.merge_passes * row.total_bytes);
-            assert!(row.sync_wall_seconds > 0.0 && row.overlapped_wall_seconds > 0.0);
-            assert!(row.in_memory_wall_seconds > 0.0, "reference sort must be timed");
-            assert!(row.sync_io_wait_seconds > 0.0, "fsync'd writes must cost the sync arm");
-            // The overlapped *win* itself is asserted on the committed
-            // default-scale rows, not at smoke sizes on a noisy CI host.
-        }
-        // The matrix must cover both record widths and, through the 1/16
-        // cap, the multi-pass merge (> fan-in runs).
-        assert!(rows.iter().any(|r| r.record_type == "u64"));
-        assert!(rows.iter().any(|r| r.record_type == "tera100" && r.record_bytes == 100));
-        assert!(rows.iter().any(|r| r.merge_passes == 1));
-        assert!(rows.iter().any(|r| r.merge_passes >= 2));
     }
 
     #[test]
@@ -1801,6 +1512,52 @@ mod tests {
             assert!(row.imbalance < 1.2, "imbalance {}", row.imbalance);
         }
         assert!(rows.iter().any(|r| r.mode == "modelled"));
+    }
+
+    /// The flat objects of a pretty-printed JSON array of rows, each as
+    /// its `(field, raw value)` pairs with string quotes stripped.  Enough
+    /// for the committed row files, whose values hold no `{`, `}` or `,`.
+    fn flat_json_rows(text: &str) -> Vec<Vec<(String, String)>> {
+        text.split('{')
+            .skip(1)
+            .map(|object| {
+                let body = object.split('}').next().unwrap_or_default();
+                body.split(',')
+                    .filter_map(|field| field.split_once(':'))
+                    .map(|(k, v)| {
+                        (k.trim().trim_matches('"').into(), v.trim().trim_matches('"').into())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn committed_figure_6_2_rows_give_hss_fewer_rounds_at_every_p() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/figure_6_2.json");
+        let text = std::fs::read_to_string(path).expect("committed results/figure_6_2.json");
+        // (dataset, processors) -> rounds of (hss, histogram-sort-classic).
+        let mut rounds: std::collections::BTreeMap<(String, String), [Option<u64>; 2]> =
+            Default::default();
+        for row in flat_json_rows(&text) {
+            let field = |name: &str| {
+                let hit = row.iter().find(|(k, _)| k == name);
+                hit.unwrap_or_else(|| panic!("row without {name}: {row:?}")).1.clone()
+            };
+            let arm = match field("algorithm").as_str() {
+                "hss" => 0,
+                "histogram-sort-classic" => 1,
+                other => panic!("unexpected algorithm {other}"),
+            };
+            let slot = &mut rounds.entry((field("dataset"), field("processors"))).or_default()[arm];
+            assert!(slot.is_none(), "duplicate row {row:?}");
+            *slot = Some(field("rounds").parse().expect("integer rounds"));
+        }
+        assert_eq!(rounds.len(), 8, "two datasets at four processor counts");
+        for ((dataset, p), pair) in &rounds {
+            let [Some(hss), Some(old)] = *pair else { panic!("{dataset} p={p}: unpaired row") };
+            assert!(hss < old, "{dataset} p={p}: HSS {hss} rounds vs classic {old}");
+        }
     }
 
     #[test]

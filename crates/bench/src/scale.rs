@@ -259,31 +259,6 @@ impl Scale {
             Scale::Full => 64,
         }
     }
-
-    /// `u64` element counts for the `extsort_scaling` experiment.  Every
-    /// point runs under memory caps of at most 1/8 the dataset volume, so
-    /// even the smoke point exercises multi-run formation and a real disk
-    /// merge; the default scale's largest point is the 10⁸-key (800 MB)
-    /// out-of-core headline.  Volumes within the full-matrix bound also
-    /// run the 1/16 cap and the matched-volume `TeraRecord` cells.
-    pub fn extsort_scaling_elements(&self) -> Vec<usize> {
-        match self {
-            Scale::Smoke => vec![1 << 16],
-            Scale::Default => vec![1 << 24, 100_000_000],
-            Scale::Full => vec![1 << 24, 100_000_000, 200_000_000],
-        }
-    }
-
-    /// Timed repetitions per `extsort_scaling` arm (the minimum wall time
-    /// is reported, after one untimed warmup; the two I/O-mode arms
-    /// alternate within each repetition so background drift hits both).
-    pub fn extsort_scaling_reps(&self) -> usize {
-        match self {
-            Scale::Smoke => 2,
-            Scale::Default => 2,
-            Scale::Full => 2,
-        }
-    }
 }
 
 impl fmt::Display for Scale {

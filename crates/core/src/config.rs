@@ -64,28 +64,15 @@ pub struct ExtSortPolicy {
     /// so the config stays serde-able).
     pub run_dir: String,
     /// Merge fan-in (≥ 2); more runs than this forces multi-pass merging.
+    /// Each spilled rank widens it to cover its runs in one pass when the
+    /// cap allows ([`hss_extsort::choose_fan_in`]).
     pub fan_in: usize,
-    /// Synchronous vs. overlapped disk scheduling.
-    pub io_mode: IoMode,
-    /// Fixed prefetch depth (blocks in flight per run) for the overlapped
-    /// merge, pinning the merge geometry as configured; `None` keeps the
-    /// double buffer and lets each spilled rank widen `fan_in` to cover its
-    /// runs in one pass when the cap allows
-    /// ([`hss_extsort::choose_fan_in`]).
-    pub prefetch_depth: Option<usize>,
 }
 
 impl ExtSortPolicy {
-    /// A policy with the given budget and scratch root, fan-in 16,
-    /// overlapped I/O, unpinned prefetch depth.
+    /// A policy with the given budget and scratch root and fan-in 16.
     pub fn new(memory_cap_bytes: usize, run_dir: impl Into<String>) -> Self {
-        Self {
-            memory_cap_bytes,
-            run_dir: run_dir.into(),
-            fan_in: 16,
-            io_mode: IoMode::default(),
-            prefetch_depth: None,
-        }
+        Self { memory_cap_bytes, run_dir: run_dir.into(), fan_in: 16 }
     }
 
     /// Set the merge fan-in.
@@ -94,9 +81,13 @@ impl ExtSortPolicy {
         self
     }
 
-    /// Set the I/O scheduling mode.
-    pub fn with_io_mode(mut self, io_mode: IoMode) -> Self {
-        self.io_mode = io_mode;
+    /// Identity.  The out-of-core tier has one disk schedule — the
+    /// overlapped one this used to select — but `benchmark/src/workload.rs`
+    /// still calls it and `benchmark/` was frozen in the PR that removed
+    /// the other arm; the next benchmark PR drops that call, this method
+    /// and `IoMode`.
+    #[doc(hidden)]
+    pub fn with_io_mode(self, _io_mode: IoMode) -> Self {
         self
     }
 
@@ -109,25 +100,13 @@ impl ExtSortPolicy {
         self
     }
 
-    /// Pin the overlapped merge's prefetch depth (and with it the
-    /// configured fan-in).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = Some(depth);
-        self
-    }
-
     /// The [`ExtSortConfig`] this policy denotes, with the sorter's
     /// local-sort algorithm carried over so external runs are sorted by
     /// the same code as in-memory partitions.
     pub fn to_ext_config(&self, local_sort: LocalSortAlgo) -> ExtSortConfig {
-        let cfg = ExtSortConfig::new(self.memory_cap_bytes, self.run_dir.as_str())
+        ExtSortConfig::new(self.memory_cap_bytes, self.run_dir.as_str())
             .with_fan_in(self.fan_in)
-            .with_io_mode(self.io_mode)
-            .with_local_sort(local_sort);
-        match self.prefetch_depth {
-            Some(depth) => cfg.with_prefetch_depth(depth),
-            None => cfg,
-        }
+            .with_local_sort(local_sort)
     }
 
     fn validate(&self) -> Result<(), String> {
@@ -139,11 +118,6 @@ impl ExtSortPolicy {
         }
         if self.run_dir.is_empty() {
             return Err("ext_sort.run_dir must not be empty".to_string());
-        }
-        if let Some(depth) = self.prefetch_depth {
-            if depth < 2 {
-                return Err(format!("ext_sort.prefetch_depth must be at least 2 (got {depth})"));
-            }
         }
         Ok(())
     }

@@ -203,7 +203,7 @@ impl<T: PlainRecord + RadixSortable + Keyed> SortedSource<T::K> for SpilledStore
         if bound.is_none() {
             // The last bucket: the cursor's report carries formation,
             // reduction and every block the drain pulled (plus prefetch
-            // io-wait under the overlapped mode).
+            // io-wait).
             let (cursor, _) = self.draining.take().expect("checked above");
             report(self.spills, &cursor.finish().expect("drain: cursor shutdown failed"));
         }
@@ -237,15 +237,13 @@ where
             return (None, charged_local_sort(self.algo, local));
         }
         // Form sorted runs and STOP: no merge-back, no materialized file.
-        // Unless the policy pins the merge geometry, the rank widens its
-        // fan-in to cover its runs in one pass when the cap allows.
+        // The rank widens its fan-in to cover its runs in one pass when the
+        // cap allows.
         let mut runs = self
             .ext
             .form_runs_only(std::mem::take(local))
             .expect("run formation: scratch I/O failed");
-        if self.policy.prefetch_depth.is_none() {
-            runs.tune();
-        }
+        runs.tune();
         let formed = runs.report();
         let work = local_sort_work::<T>(self.algo, n)
             .and(Work::disk_bytes(formed.disk_bytes(), formed.disk_transfers()));
@@ -328,7 +326,6 @@ mod tests {
     use super::*;
     use crate::config::{ExtSortPolicy, HssConfig};
     use crate::multi_round::exact_ranks;
-    use hss_extsort::IoMode;
     use hss_keygen::KeyDistribution;
     use hss_sim::{Phase, SyncModel};
 
@@ -353,22 +350,19 @@ mod tests {
         let mut m_ref = Machine::flat(p);
         let reference = HssSorter::default().sort(&mut m_ref, input.clone());
 
-        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            // Cap = 1/4 of a rank's bytes -> every rank spills in both the
-            // local sort and (typically) the exchange merge.
-            let policy =
-                forcing_policy::<u64>(n, 4, &run_dir()).with_fan_in(2).with_io_mode(io_mode);
-            let cfg = HssConfig::default().with_ext_sort(policy);
-            let mut m = Machine::flat(p);
-            let (outcome, ext) = HssSorter::new(cfg).sort_out_of_core(&mut m, input.clone());
-            assert_eq!(outcome.data, reference.data, "{}", io_mode.name());
-            assert!(ext.runs_formed > 0, "cap must force spills");
-            assert!(ext.bytes_written > 0 && ext.bytes_read > 0);
-            assert_eq!(outcome.report.algorithm, "hss-extsort");
-            // Disk traffic must show up in the modelled phase metrics.
-            assert!(m.metrics().total_disk_words() > 0);
-            assert!(outcome.report.makespan_seconds > reference.report.makespan_seconds);
-        }
+        // Cap = 1/4 of a rank's bytes -> every rank spills in both the
+        // local sort and (typically) the exchange merge.
+        let policy = forcing_policy::<u64>(n, 4, &run_dir()).with_fan_in(2);
+        let cfg = HssConfig::default().with_ext_sort(policy);
+        let mut m = Machine::flat(p);
+        let (outcome, ext) = HssSorter::new(cfg).sort_out_of_core(&mut m, input);
+        assert_eq!(outcome.data, reference.data);
+        assert!(ext.runs_formed > 0, "cap must force spills");
+        assert!(ext.bytes_written > 0 && ext.bytes_read > 0);
+        assert_eq!(outcome.report.algorithm, "hss-extsort");
+        // Disk traffic must show up in the modelled phase metrics.
+        assert!(m.metrics().total_disk_words() > 0);
+        assert!(outcome.report.makespan_seconds > reference.report.makespan_seconds);
     }
 
     #[test]
@@ -379,21 +373,18 @@ mod tests {
         let p = 4;
         let n = 2_000;
         let input = KeyDistribution::Uniform.generate_per_rank(p, n, 5);
-        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            let policy = forcing_policy::<u64>(n, 4, &run_dir()).with_io_mode(io_mode);
-            let cfg = HssConfig::default().with_ext_sort(policy);
-            let mut m = Machine::flat(p);
-            let (_, ext) = HssSorter::new(cfg).sort_out_of_core(&mut m, input.clone());
-            assert!(ext.io_wait_seconds > 0.0, "{}: spills must wait on disk", io_mode.name());
-            assert!(
-                ext.io_wait_seconds <= ext.wall_seconds,
-                "{}: io-wait {} exceeds wall {}",
-                io_mode.name(),
-                ext.io_wait_seconds,
-                ext.wall_seconds
-            );
-            assert!((0.0..=1.0).contains(&ext.io_wait_fraction()));
-        }
+        let policy = forcing_policy::<u64>(n, 4, &run_dir());
+        let cfg = HssConfig::default().with_ext_sort(policy);
+        let mut m = Machine::flat(p);
+        let (_, ext) = HssSorter::new(cfg).sort_out_of_core(&mut m, input);
+        assert!(ext.io_wait_seconds > 0.0, "spills must wait on disk");
+        assert!(
+            ext.io_wait_seconds <= ext.wall_seconds,
+            "io-wait {} exceeds wall {}",
+            ext.io_wait_seconds,
+            ext.wall_seconds
+        );
+        assert!((0.0..=1.0).contains(&ext.io_wait_fraction()));
     }
 
     #[test]
@@ -419,8 +410,7 @@ mod tests {
         let reference = HssSorter::default().sort(&mut m_ref, input.clone());
 
         let cap = 400 * std::mem::size_of::<u64>(); // only the two big ranks spill
-        let policy =
-            ExtSortPolicy::new(cap, run_dir()).with_fan_in(2).with_io_mode(IoMode::Overlapped);
+        let policy = ExtSortPolicy::new(cap, run_dir()).with_fan_in(2);
         let cfg = HssConfig::default().with_ext_sort(policy);
         let mut m = Machine::flat(p);
         let (outcome, ext) = HssSorter::new(cfg).sort_out_of_core(&mut m, input);
@@ -550,24 +540,6 @@ mod tests {
             let (got, want) = (m.metrics().phase(phase), m_ref.metrics().phase(phase));
             assert_eq!(got.compute_ops, want.compute_ops, "{phase:?}");
             assert!(got.disk_words > 0, "{phase:?}: the spilled ranks read their runs");
-        }
-    }
-
-    #[test]
-    fn respects_pinned_prefetch_depth() {
-        let p = 4;
-        let n = 600;
-        let input = KeyDistribution::Uniform.generate_per_rank(p, n, 7);
-        let mut m_ref = Machine::flat(p);
-        let reference = HssSorter::default().sort(&mut m_ref, input.clone());
-        for depth in [2usize, 8] {
-            let policy = forcing_policy::<u64>(n, 4, &run_dir())
-                .with_io_mode(IoMode::Overlapped)
-                .with_prefetch_depth(depth);
-            let cfg = HssConfig::default().with_ext_sort(policy);
-            let mut m = Machine::flat(p);
-            let (outcome, _) = HssSorter::new(cfg).sort_out_of_core(&mut m, input.clone());
-            assert_eq!(outcome.data, reference.data, "depth {depth}");
         }
     }
 

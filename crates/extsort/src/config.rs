@@ -4,27 +4,15 @@ use std::path::PathBuf;
 
 use hss_lsort::LocalSortAlgo;
 
-/// How the sorter schedules its disk traffic relative to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+/// The out-of-core tier's one disk schedule: dedicated prefetch and
+/// writeback threads keep double-buffered block windows in flight.  Kept
+/// only so existing `ExtSortPolicy::with_io_mode` callers still compile;
+/// there is nothing to choose.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoMode {
-    /// Read–compute–write strictly in sequence on one thread.  The baseline
-    /// arm: every byte of I/O shows up as wall-clock the sorter cannot use.
-    Synchronous,
-    /// Dedicated prefetch and writeback threads keep double-buffered block
-    /// windows in flight, so the merge/sort thread only waits when it
-    /// outruns the disk.
     #[default]
     Overlapped,
-}
-
-impl IoMode {
-    /// Stable name for reports and JSON rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            IoMode::Synchronous => "synchronous",
-            IoMode::Overlapped => "overlapped",
-        }
-    }
 }
 
 /// Configuration for [`ExternalSorter`](crate::ExternalSorter).
@@ -44,29 +32,19 @@ pub struct ExtSortConfig {
     /// Maximum runs merged per pass; more runs than this forces multi-pass
     /// merging.  Must be at least 2.
     pub fan_in: usize,
-    /// Synchronous vs. overlapped I/O scheduling.
-    pub io_mode: IoMode,
     /// In-memory algorithm used to sort each run before it is written.
     pub local_sort: LocalSortAlgo,
-    /// Blocks kept in flight per merge input window under
-    /// [`IoMode::Overlapped`]: 2 is the classic double buffer; deeper
-    /// queues hide more per-transfer latency at the price of smaller
-    /// blocks (the cap is fixed, so depth and block size trade off).
-    /// Clamped to at least 2.  Ignored by [`IoMode::Synchronous`].
-    pub prefetch_depth: usize,
 }
 
 impl ExtSortConfig {
-    /// A config with the given budget and scratch root; fan-in 16,
-    /// overlapped I/O, and the default (radix) local sort.
+    /// A config with the given budget and scratch root; fan-in 16 and the
+    /// default (radix) local sort.
     pub fn new(memory_cap_bytes: usize, run_dir: impl Into<PathBuf>) -> Self {
         Self {
             memory_cap_bytes,
             run_dir: run_dir.into(),
             fan_in: 16,
-            io_mode: IoMode::default(),
             local_sort: LocalSortAlgo::default(),
-            prefetch_depth: 2,
         }
     }
 
@@ -77,61 +55,35 @@ impl ExtSortConfig {
         self
     }
 
-    /// Set the I/O scheduling mode.
-    pub fn with_io_mode(mut self, io_mode: IoMode) -> Self {
-        self.io_mode = io_mode;
-        self
-    }
-
     /// Set the in-memory sort used during run formation.
     pub fn with_local_sort(mut self, local_sort: LocalSortAlgo) -> Self {
         self.local_sort = local_sort;
         self
     }
 
-    /// Set the overlapped-merge prefetch depth (clamped up to 2 — one
-    /// block in the merge's hands plus at least one in flight is the
-    /// minimum for any overlap at all).
-    pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
-        self.prefetch_depth = depth.max(2);
-        self
-    }
-
     /// Elements per formation chunk (= per sorted run, except the last).
     ///
-    /// Half the cap, so the overlapped mode's two chunk buffers together
-    /// stay within budget; the synchronous mode uses the same size so both
-    /// arms form *identical* runs and differ only in scheduling.
+    /// Half the cap, so the two chunk buffers — one being sorted while the
+    /// writeback thread writes the other — together stay within budget.
     pub fn chunk_elems<T>(&self) -> usize {
         (self.memory_cap_bytes / 2 / std::mem::size_of::<T>()).max(1)
     }
 
     /// Elements per merge-time I/O block.
     ///
-    /// A pass holds `fan_in` input windows with `prefetch_depth` blocks in
-    /// flight each, plus one double-buffered output stream:
-    /// `prefetch_depth * fan_in + 2` blocks within the cap.  At the default
-    /// depth of 2 this is the classic `2 * (fan_in + 1)` split.
+    /// A pass holds `fan_in` double-buffered input windows (one block being
+    /// merged, one in flight) plus a double-buffered output stream: the
+    /// classic `2 * (fan_in + 1)` blocks within the cap.
     pub fn block_elems<T>(&self) -> usize {
-        let blocks = self.prefetch_depth.max(2) * self.fan_in + 2;
+        let blocks = 2 * (self.fan_in + 1);
         (self.memory_cap_bytes / blocks / std::mem::size_of::<T>()).max(1)
     }
 
-    /// Retune the overlapped arm for a known run count: widens `fan_in` via
-    /// [`choose_fan_in`] so a single merge pass covers all runs when the cap
-    /// allows it.  The prefetch depth is left alone — the double buffer
-    /// unless the caller pinned another depth.  Synchronous configs are
-    /// returned unchanged — there is no queue whose blocks would shrink.
+    /// Retune for a known run count: widens `fan_in` via [`choose_fan_in`]
+    /// so a single merge pass covers all runs when the cap allows it.
     pub fn tuned_for<T>(mut self, runs: usize) -> Self {
-        if self.io_mode == IoMode::Overlapped {
-            self.fan_in = choose_fan_in(
-                self.memory_cap_bytes,
-                std::mem::size_of::<T>(),
-                self.fan_in,
-                self.prefetch_depth,
-                runs,
-            );
-        }
+        self.fan_in =
+            choose_fan_in(self.memory_cap_bytes, std::mem::size_of::<T>(), self.fan_in, runs);
         self
     }
 
@@ -162,13 +114,12 @@ pub fn choose_fan_in(
     memory_cap_bytes: usize,
     record_bytes: usize,
     fan_in: usize,
-    prefetch_depth: usize,
     runs: usize,
 ) -> usize {
     if runs <= fan_in {
         return fan_in;
     }
-    let block_bytes = memory_cap_bytes / (prefetch_depth * runs + 2);
+    let block_bytes = memory_cap_bytes / (2 * (runs + 1));
     if block_bytes >= MIN_TUNED_BLOCK_BYTES.max(record_bytes) {
         runs
     } else {
@@ -217,39 +168,32 @@ mod tests {
 
     #[test]
     fn default_depth_reproduces_the_classic_double_buffer_split() {
+        // Every input window and the output stream hold two blocks:
+        // 2*(8+1) blocks at fan-in 8, within the cap at any fan-in.
         let cfg = ExtSortConfig::new(1 << 20, "/tmp/x").with_fan_in(8);
-        assert_eq!(cfg.prefetch_depth, 2);
-        // depth 2: 2*8 + 2 = 2*(8+1) blocks — the historical formula.
         assert_eq!(cfg.block_elems::<u64>(), (1 << 20) / (2 * 9) / 8);
-        let deep = cfg.clone().with_prefetch_depth(4);
-        assert_eq!(deep.block_elems::<u64>(), (1 << 20) / (4 * 8 + 2) / 8);
-        // Depth is clamped up to 2.
-        assert_eq!(ExtSortConfig::new(1024, "/tmp/x").with_prefetch_depth(0).prefetch_depth, 2);
-        // All depths keep the budget: depth*fan_in+2 blocks within the cap.
-        for d in [2usize, 4, 8] {
-            let c = cfg.clone().with_prefetch_depth(d);
-            assert!((d * c.fan_in + 2) * c.block_elems::<u64>() * 8 <= c.memory_cap_bytes);
+        for fan_in in [2usize, 16, 100] {
+            let c = cfg.clone().with_fan_in(fan_in);
+            assert!(2 * (fan_in + 1) * c.block_elems::<u64>() * 8 <= c.memory_cap_bytes);
         }
     }
 
     #[test]
     fn fan_in_chooser_only_widens_when_blocks_stay_sane() {
         // 24 runs, roomy cap: one pass, fan-in widened to cover all runs.
-        assert_eq!(choose_fan_in(1 << 22, 8, 16, 2, 24), 24);
+        assert_eq!(choose_fan_in(1 << 22, 8, 16, 24), 24);
         // Tiny cap: widening would shatter the blocks — keep the default.
-        assert_eq!(choose_fan_in(1 << 14, 8, 16, 2, 24), 16);
+        assert_eq!(choose_fan_in(1 << 14, 8, 16, 24), 16);
         // Already covered: unchanged.
-        assert_eq!(choose_fan_in(1 << 22, 8, 16, 2, 10), 16);
+        assert_eq!(choose_fan_in(1 << 22, 8, 16, 10), 16);
     }
 
     #[test]
-    fn tuned_for_leaves_synchronous_configs_alone() {
-        let cfg =
-            ExtSortConfig::new(1 << 20, "/tmp/x").with_io_mode(IoMode::Synchronous).with_fan_in(16);
-        let tuned = cfg.clone().tuned_for::<u64>(24);
-        assert_eq!(tuned, cfg);
-        let ovl = cfg.with_io_mode(IoMode::Overlapped).tuned_for::<u64>(24);
-        assert_eq!(ovl.fan_in, 24, "one pass should cover all runs");
-        assert_eq!(ovl.prefetch_depth, 2, "tuning keeps the double buffer");
+    fn tuned_for_widens_fan_in_to_cover_the_runs() {
+        let cfg = ExtSortConfig::new(1 << 20, "/tmp/x").with_fan_in(16);
+        assert_eq!(cfg.clone().tuned_for::<u64>(24).fan_in, 24, "one pass covers all runs");
+        assert_eq!(cfg.clone().tuned_for::<u64>(10), cfg, "already covered: unchanged");
+        // 1000 runs would leave ~500-byte blocks: the configured fan-in stays.
+        assert_eq!(cfg.clone().tuned_for::<u64>(1000), cfg);
     }
 }

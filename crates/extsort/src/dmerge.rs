@@ -9,22 +9,24 @@
 //! groups runs in order, the multi-pass result is bitwise identical to a
 //! single giant merge.
 //!
-//! In [`IoMode::Overlapped`] a single prefetch thread services all runs
+//! Every merge reads through one prefetch thread that services all runs
 //! (double-buffered per run: one window being consumed, one block in
-//! flight) and a writeback thread drains a double-buffered output stream,
-//! so the merge thread only ever blocks when it outruns the disk.
+//! flight), and an intermediate pass's output drains through a writeback
+//! thread fed a double-buffered stream, so the merge thread only ever
+//! blocks when it outruns the disk.
 
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hss_lsort::RadixSortable;
 use hss_partition::{RunSource, SourceLoserTree};
 
-use crate::config::{ExtSortConfig, IoMode};
+use crate::config::ExtSortConfig;
 use crate::plain::{bytes_of, bytes_of_mut, PlainRecord};
 use crate::report::ExtSortReport;
 use crate::runs::RunFile;
@@ -71,76 +73,10 @@ impl<T: PlainRecord> BlockReader<T> {
     }
 }
 
-/// Windowed run reader with inline (blocking) refills.
-pub(crate) struct SyncDiskSource<T: PlainRecord> {
-    reader: BlockReader<T>,
-    window: Vec<T>,
-    pos: usize,
-    block_elems: usize,
-    io_wait: f64,
-    bytes_read: u64,
-    transfers: u64,
-    /// First refill error, surfaced after the pass (the trait's `pop`
-    /// cannot return it); the source then reads as exhausted.
-    error: Option<io::Error>,
-}
-
-impl<T: PlainRecord> SyncDiskSource<T> {
-    fn new(run: &RunFile, block_elems: usize) -> io::Result<Self> {
-        let mut src = Self {
-            reader: BlockReader::open(run)?,
-            window: alloc_zeroed(block_elems),
-            pos: 0,
-            block_elems,
-            io_wait: 0.0,
-            bytes_read: 0,
-            transfers: 0,
-            error: None,
-        };
-        src.refill();
-        Ok(src)
-    }
-
-    fn refill(&mut self) {
-        let t = Instant::now();
-        match self.reader.next_block(&mut self.window, self.block_elems) {
-            Ok(()) => {
-                if !self.window.is_empty() {
-                    self.bytes_read += std::mem::size_of_val(self.window.as_slice()) as u64;
-                    self.transfers += 1;
-                }
-            }
-            Err(e) => {
-                self.error.get_or_insert(e);
-                self.window.clear();
-            }
-        }
-        self.io_wait += t.elapsed().as_secs_f64();
-        self.pos = 0;
-    }
-}
-
-impl<T: PlainRecord + RadixSortable> RunSource for SyncDiskSource<T> {
-    type Item = T;
-
-    fn peek(&self) -> Option<&T> {
-        self.window.get(self.pos)
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        let item = *self.window.get(self.pos)?;
-        self.pos += 1;
-        if self.pos == self.window.len() {
-            self.refill();
-        }
-        Some(item)
-    }
-}
-
 /// Windowed run reader fed by the shared prefetch thread.  Holds one window
 /// while the prefetcher fills the run's second buffer; exhausting the
 /// window swaps them (a recv that only blocks if the disk fell behind).
-pub(crate) struct AsyncDiskSource<T: PlainRecord> {
+struct AsyncDiskSource<T: PlainRecord> {
     run_idx: usize,
     data_rx: mpsc::Receiver<Vec<T>>,
     req_tx: mpsc::Sender<(usize, Vec<T>)>,
@@ -244,60 +180,82 @@ fn prefetch_loop<T: PlainRecord>(
     (bytes, transfers, error)
 }
 
-/// Block-buffered, `sync_data`-per-block writer used by the synchronous
-/// arm's file output.
-struct SyncBlockWriter<T: PlainRecord> {
-    file: File,
-    buf: Vec<T>,
-    block_elems: usize,
-    io_wait: f64,
-    bytes: u64,
-    transfers: u64,
+/// What the prefetch thread returns: `(bytes_read, read_transfers,
+/// first_error)`.
+type PrefetchTotals = (u64, u64, Option<io::Error>);
+
+/// The read side of one merge over a run set: a loser tree of
+/// [`AsyncDiskSource`]s, one per run, all fed by a single prefetch thread.
+/// Every merge pass and every [`MergeCursor`] reads its runs through one of
+/// these.  The thread is a plain `std::thread` that owns its readers and
+/// channels, so a cursor can outlive the call that opened it; dropping the
+/// merge disconnects the sources and joins the thread, so it never touches
+/// a scratch file after its `RunDirGuard` is gone.
+struct RunMerge<T: PlainRecord + RadixSortable> {
+    /// Taken only by [`finish`](Self::finish) and drop.
+    tree: Option<SourceLoserTree<AsyncDiskSource<T>>>,
+    prefetcher: Option<JoinHandle<PrefetchTotals>>,
 }
 
-impl<T: PlainRecord> SyncBlockWriter<T> {
-    fn create(path: &Path, block_elems: usize) -> io::Result<Self> {
-        Ok(Self {
-            file: File::create(path)?,
-            buf: Vec::with_capacity(block_elems),
-            block_elems,
-            io_wait: 0.0,
-            bytes: 0,
-            transfers: 0,
-        })
-    }
-
-    fn push(&mut self, x: T) -> io::Result<()> {
-        self.buf.push(x);
-        if self.buf.len() == self.block_elems {
-            self.flush_block()?;
+impl<T: PlainRecord + RadixSortable> RunMerge<T> {
+    fn open(runs: &[RunFile], block_elems: usize) -> io::Result<Self> {
+        let readers =
+            runs.iter().map(BlockReader::open).collect::<io::Result<Vec<BlockReader<T>>>>()?;
+        let (req_tx, req_rx) = mpsc::channel::<(usize, Vec<T>)>();
+        let (data_txs, data_rxs): (Vec<_>, Vec<_>) =
+            runs.iter().map(|_| mpsc::channel::<Vec<T>>()).unzip();
+        let prefetcher =
+            std::thread::spawn(move || prefetch_loop(readers, req_rx, data_txs, block_elems));
+        // Two buffers per run, both starting as queued requests, so every
+        // source has a block read (or in flight) before the merge starts;
+        // each drained window re-queues itself — the double buffer.
+        for idx in 0..runs.len() {
+            for _ in 0..2 {
+                req_tx.send((idx, alloc_zeroed::<T>(block_elems))).expect("prefetcher alive");
+            }
         }
-        Ok(())
+        let sources: Vec<AsyncDiskSource<T>> = data_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(idx, rx)| AsyncDiskSource::new(idx, rx, req_tx.clone()))
+            .collect();
+        Ok(Self { tree: Some(SourceLoserTree::new(sources)), prefetcher: Some(prefetcher) })
     }
 
-    fn flush_block(&mut self) -> io::Result<()> {
-        let t = Instant::now();
-        self.file.write_all(bytes_of(&self.buf))?;
-        self.file.sync_data()?;
-        self.io_wait += t.elapsed().as_secs_f64();
-        self.bytes += std::mem::size_of_val(self.buf.as_slice()) as u64;
-        self.transfers += 1;
-        self.buf.clear();
-        Ok(())
+    fn tree(&mut self) -> &mut SourceLoserTree<AsyncDiskSource<T>> {
+        self.tree.as_mut().expect("the merge is open until finished")
     }
 
-    /// Flush the tail block and return `(io_wait, bytes, transfers)`.
-    fn finish(mut self) -> io::Result<(f64, u64, u64)> {
-        if !self.buf.is_empty() {
-            self.flush_block()?;
+    /// Stop reading: add the sources' io-wait and the prefetch thread's
+    /// byte and transfer counts to `report`, and return the first read
+    /// error.  A failed read makes its source read as exhausted, so the
+    /// error — not a silently short stream — is the caller's signal.
+    fn finish(mut self, report: &mut ExtSortReport) -> io::Result<()> {
+        // Dropping the sources disconnects the request channel, which ends
+        // the prefetch loop.
+        for src in self.tree.take().expect("finished once").into_sources() {
+            report.io_wait_seconds += src.io_wait;
         }
-        Ok((self.io_wait, self.bytes, self.transfers))
+        let prefetcher = self.prefetcher.take().expect("finished once");
+        let (bytes, transfers, error) = prefetcher.join().expect("prefetch thread does not panic");
+        report.bytes_read += bytes;
+        report.read_transfers += transfers;
+        error.map_or(Ok(()), Err)
     }
 }
 
-/// The writeback thread: drains full output blocks to the file (with the
-/// same per-block `sync_data` the synchronous arm pays inline) and recycles
-/// them.  Returns `(bytes_written, write_transfers)`.
+impl<T: PlainRecord + RadixSortable> Drop for RunMerge<T> {
+    fn drop(&mut self) {
+        self.tree.take();
+        if let Some(handle) = self.prefetcher.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The writeback thread: drains full output blocks to the file (each
+/// `sync_data`ed, as run formation's runs are) and recycles them.  Returns
+/// `(bytes_written, write_transfers)`.
 fn writeback_loop<T: PlainRecord>(
     path: &Path,
     full_rx: mpsc::Receiver<Vec<T>>,
@@ -318,24 +276,77 @@ fn writeback_loop<T: PlainRecord>(
 
 /// Where a merge pass delivers its output.
 pub(crate) enum PassOutput<'a, T> {
-    /// Append to an in-memory vector (the final pass of `sort_to_vec`).
+    /// Append to an in-memory vector (the final pass).
     Vec(&'a mut Vec<T>),
-    /// Write a new run file (intermediate passes and `sort_to_file`).
+    /// Write a new run file (an intermediate pass).
     File(&'a Path),
 }
 
 /// Pull every record out of `tree` through `emit`; returns the count.
-fn drive<T, S, F>(tree: &mut SourceLoserTree<S>, mut emit: F) -> io::Result<u64>
+fn drive<T, S, F>(tree: &mut SourceLoserTree<S>, mut emit: F) -> u64
 where
     S: RunSource<Item = T>,
-    F: FnMut(T) -> io::Result<()>,
+    F: FnMut(T),
 {
     let mut n = 0u64;
     while let Some(x) = tree.next() {
-        emit(x)?;
+        emit(x);
         n += 1;
     }
-    Ok(n)
+    n
+}
+
+/// Drain `tree` to the file at `path` in `block_elems` blocks through a
+/// writeback thread, accumulating the write accounting into `report`.
+/// Returns the record count.
+fn drive_to_file<T, S>(
+    tree: &mut SourceLoserTree<S>,
+    path: &Path,
+    block_elems: usize,
+    report: &mut ExtSortReport,
+) -> io::Result<u64>
+where
+    T: PlainRecord,
+    S: RunSource<Item = T>,
+{
+    std::thread::scope(|s| {
+        let (full_tx, full_rx) = mpsc::channel::<Vec<T>>();
+        let (free_tx, free_rx) = mpsc::channel::<Vec<T>>();
+        let writer = s.spawn(move || writeback_loop(path, full_rx, free_tx));
+        let mut out_buf: Vec<T> = Vec::with_capacity(block_elems);
+        let mut spare: Option<Vec<T>> = Some(Vec::with_capacity(block_elems));
+        let mut wait = 0.0f64;
+        let n = drive(tree, |x| {
+            out_buf.push(x);
+            if out_buf.len() == block_elems {
+                let t = Instant::now();
+                let full = std::mem::replace(
+                    &mut out_buf,
+                    match spare.take() {
+                        Some(b) => b,
+                        // Blocks only while the writeback thread is still
+                        // syncing the previous block.
+                        None => free_rx.recv().unwrap_or_default(),
+                    },
+                );
+                // A disconnect means the writer died on an I/O error,
+                // surfaced at the join below.
+                let _ = full_tx.send(full);
+                wait += t.elapsed().as_secs_f64();
+            }
+        });
+        if !out_buf.is_empty() {
+            let _ = full_tx.send(out_buf);
+        }
+        drop(full_tx);
+        let t = Instant::now();
+        let (bytes, transfers) = writer.join().expect("writeback thread does not panic")?;
+        wait += t.elapsed().as_secs_f64();
+        report.io_wait_seconds += wait;
+        report.bytes_written += bytes;
+        report.write_transfers += transfers;
+        Ok(n)
+    })
 }
 
 /// Merge `runs` (each individually sorted) into `out` in one pass,
@@ -349,150 +360,14 @@ pub(crate) fn merge_pass<T>(
 where
     T: PlainRecord + RadixSortable,
 {
-    match cfg.io_mode {
-        IoMode::Synchronous => merge_pass_sync(runs, cfg, out, report),
-        IoMode::Overlapped => merge_pass_overlapped(runs, cfg, out, report),
-    }
-}
-
-fn merge_pass_sync<T>(
-    runs: &[RunFile],
-    cfg: &ExtSortConfig,
-    out: PassOutput<'_, T>,
-    report: &mut ExtSortReport,
-) -> io::Result<u64>
-where
-    T: PlainRecord + RadixSortable,
-{
     let block_elems = cfg.block_elems::<T>();
-    let sources =
-        runs.iter().map(|r| SyncDiskSource::new(r, block_elems)).collect::<io::Result<Vec<_>>>()?;
-    let mut tree = SourceLoserTree::new(sources);
+    let mut merge = RunMerge::open(runs, block_elems)?;
     let emitted = match out {
-        PassOutput::Vec(dst) => drive(&mut tree, |x| {
-            dst.push(x);
-            Ok(())
-        })?,
-        PassOutput::File(path) => {
-            let mut writer = SyncBlockWriter::create(path, block_elems)?;
-            let n = drive(&mut tree, |x| writer.push(x))?;
-            let (io_wait, bytes, transfers) = writer.finish()?;
-            report.io_wait_seconds += io_wait;
-            report.bytes_written += bytes;
-            report.write_transfers += transfers;
-            n
-        }
+        PassOutput::Vec(dst) => drive(merge.tree(), |x| dst.push(x)),
+        PassOutput::File(path) => drive_to_file(merge.tree(), path, block_elems, report)?,
     };
-    for mut src in tree.into_sources() {
-        report.io_wait_seconds += src.io_wait;
-        report.bytes_read += src.bytes_read;
-        report.read_transfers += src.transfers;
-        if let Some(e) = src.error.take() {
-            return Err(e);
-        }
-    }
+    merge.finish(report)?;
     Ok(emitted)
-}
-
-fn merge_pass_overlapped<T>(
-    runs: &[RunFile],
-    cfg: &ExtSortConfig,
-    out: PassOutput<'_, T>,
-    report: &mut ExtSortReport,
-) -> io::Result<u64>
-where
-    T: PlainRecord + RadixSortable,
-{
-    let block_elems = cfg.block_elems::<T>();
-    let readers =
-        runs.iter().map(BlockReader::open).collect::<io::Result<Vec<BlockReader<T>>>>()?;
-    let (req_tx, req_rx) = mpsc::channel::<(usize, Vec<T>)>();
-    let mut data_txs = Vec::with_capacity(runs.len());
-    let mut data_rxs = Vec::with_capacity(runs.len());
-    for _ in runs {
-        let (tx, rx) = mpsc::channel::<Vec<T>>();
-        data_txs.push(tx);
-        data_rxs.push(rx);
-    }
-
-    std::thread::scope(|s| -> io::Result<u64> {
-        let prefetcher = s.spawn(move || prefetch_loop(readers, req_rx, data_txs, block_elems));
-        // `prefetch_depth` buffers per run, all starting as queued requests,
-        // so every source has that many blocks read (or in flight) before
-        // the merge starts; each drained window re-queues itself, keeping
-        // the depth constant.  Depth 2 is the classic double buffer.
-        for idx in 0..runs.len() {
-            for _ in 0..cfg.prefetch_depth.max(2) {
-                req_tx.send((idx, alloc_zeroed::<T>(block_elems))).expect("prefetcher alive");
-            }
-        }
-        let sources: Vec<AsyncDiskSource<T>> = data_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, rx)| AsyncDiskSource::new(idx, rx, req_tx.clone()))
-            .collect();
-        drop(req_tx);
-        let mut tree = SourceLoserTree::new(sources);
-
-        let emitted = match out {
-            PassOutput::Vec(dst) => drive(&mut tree, |x| {
-                dst.push(x);
-                Ok(())
-            })?,
-            PassOutput::File(path) => {
-                let (wfull_tx, wfull_rx) = mpsc::channel::<Vec<T>>();
-                let (wfree_tx, wfree_rx) = mpsc::channel::<Vec<T>>();
-                let writer = s.spawn(move || writeback_loop(path, wfull_rx, wfree_tx));
-                let mut out_buf: Vec<T> = Vec::with_capacity(block_elems);
-                let mut spare: Option<Vec<T>> = Some(Vec::with_capacity(block_elems));
-                let mut wait = 0.0f64;
-                let n = drive(&mut tree, |x| {
-                    out_buf.push(x);
-                    if out_buf.len() == block_elems {
-                        let t = Instant::now();
-                        let full = std::mem::replace(
-                            &mut out_buf,
-                            match spare.take() {
-                                Some(b) => b,
-                                // Blocks only while the writeback thread is
-                                // still syncing the previous block.
-                                None => wfree_rx.recv().unwrap_or_default(),
-                            },
-                        );
-                        // A disconnect means the writer died on an I/O
-                        // error, surfaced at the join below.
-                        let _ = wfull_tx.send(full);
-                        wait += t.elapsed().as_secs_f64();
-                    }
-                    Ok(())
-                })?;
-                if !out_buf.is_empty() {
-                    let _ = wfull_tx.send(out_buf);
-                }
-                drop(wfull_tx);
-                let t = Instant::now();
-                let (bytes, transfers) = writer.join().expect("writeback thread does not panic")?;
-                wait += t.elapsed().as_secs_f64();
-                report.io_wait_seconds += wait;
-                report.bytes_written += bytes;
-                report.write_transfers += transfers;
-                n
-            }
-        };
-
-        // Dropping the sources disconnects the request channel, which ends
-        // the prefetch loop.
-        for src in tree.into_sources() {
-            report.io_wait_seconds += src.io_wait;
-        }
-        let (bytes, transfers, error) = prefetcher.join().expect("prefetch thread does not panic");
-        report.bytes_read += bytes;
-        report.read_transfers += transfers;
-        match error {
-            Some(e) => Err(e),
-            None => Ok(emitted),
-        }
-    })
 }
 
 /// Run intermediate `fan_in`-way passes until at most `fan_in` runs remain
@@ -527,14 +402,14 @@ where
     Ok(runs)
 }
 
-/// Merge an arbitrary number of runs down to `out`, running as many
+/// Merge an arbitrary number of runs into `out`, running as many
 /// intermediate `fan_in`-way passes as needed.  Returns the total record
 /// count delivered.
 pub(crate) fn merge_all<T>(
     runs: Vec<RunFile>,
     cfg: &ExtSortConfig,
     dir: &Path,
-    out: PassOutput<'_, T>,
+    out: &mut Vec<T>,
     report: &mut ExtSortReport,
 ) -> io::Result<u64>
 where
@@ -542,51 +417,26 @@ where
 {
     let runs = reduce_to_fan_in::<T>(runs, cfg, dir, report)?;
     report.merge_passes += 1;
-    merge_pass(&runs, cfg, out, report)
-}
-
-/// Either arm's windowed source behind one type, so a [`MergeCursor`]'s
-/// tree is monomorphic over the I/O mode chosen at open time.
-pub(crate) enum CursorSource<T: PlainRecord> {
-    Sync(SyncDiskSource<T>),
-    Async(AsyncDiskSource<T>),
-}
-
-impl<T: PlainRecord + RadixSortable> RunSource for CursorSource<T> {
-    type Item = T;
-
-    fn peek(&self) -> Option<&T> {
-        match self {
-            CursorSource::Sync(s) => s.peek(),
-            CursorSource::Async(s) => s.peek(),
-        }
-    }
-
-    fn pop(&mut self) -> Option<T> {
-        match self {
-            CursorSource::Sync(s) => s.pop(),
-            CursorSource::Async(s) => s.pop(),
-        }
-    }
+    merge_pass(&runs, cfg, PassOutput::Vec(out), report)
 }
 
 /// A pull-based draining merge over at most `fan_in` sorted runs: the final
 /// merge pass of the external sort exposed as a cursor instead of a written
 /// output file.  `peek`/`next` emit the sorted stream block-by-block under
-/// the memory cap — the same loser tree, block windows, and tie-break as
-/// `merge_pass`, so the emission order is bitwise identical to
+/// the memory cap — the same loser tree, block windows, prefetch thread and
+/// tie-break as `merge_pass`, so the emission order is bitwise identical to
 /// `sort_to_vec` of the same input — while the consumer classifies and
 /// ships each record without it ever touching disk again.
 ///
-/// Under [`IoMode::Overlapped`] a dedicated prefetch thread (plain
-/// `std::thread`, never rayon) keeps `prefetch_depth` blocks in flight per
-/// run for the cursor's whole lifetime; [`finish`](Self::finish) joins it
-/// and returns the accumulated I/O accounting.  Dropping the cursor early
-/// also joins the thread (via channel disconnect), so no scratch file
-/// outlives its `RunDirGuard`.
+/// The prefetch thread (plain `std::thread`, never rayon) keeps a block in
+/// flight per run for the cursor's whole lifetime; [`finish`](Self::finish)
+/// joins it and returns the accumulated I/O accounting.  Dropping the
+/// cursor early also joins the thread (via channel disconnect), so no
+/// scratch file outlives its `RunDirGuard`.
 pub struct MergeCursor<T: PlainRecord + RadixSortable> {
-    tree: Option<SourceLoserTree<CursorSource<T>>>,
-    prefetcher: Option<std::thread::JoinHandle<(u64, u64, Option<io::Error>)>>,
+    /// Declared before `_guard`, so it is dropped — and its prefetch
+    /// thread joined — before the scratch directory goes.
+    merge: RunMerge<T>,
     report: ExtSortReport,
     /// When the drain began (before any fan-in reduction pass): every
     /// second of io-wait the cursor accrues falls between this instant and
@@ -612,65 +462,13 @@ impl<T: PlainRecord + RadixSortable> MergeCursor<T> {
         debug_assert!(runs.len() <= cfg.fan_in, "reduce_to_fan_in must run first");
         report.merge_passes += 1;
         let total: u64 = runs.iter().map(|r| r.elems).sum();
-        let block_elems = cfg.block_elems::<T>();
-        let (sources, prefetcher) = match cfg.io_mode {
-            IoMode::Synchronous => {
-                let sources = runs
-                    .iter()
-                    .map(|r| SyncDiskSource::new(r, block_elems).map(CursorSource::Sync))
-                    .collect::<io::Result<Vec<_>>>()?;
-                (sources, None)
-            }
-            IoMode::Overlapped => {
-                let readers = runs
-                    .iter()
-                    .map(BlockReader::open)
-                    .collect::<io::Result<Vec<BlockReader<T>>>>()?;
-                let (req_tx, req_rx) = mpsc::channel::<(usize, Vec<T>)>();
-                let mut data_txs = Vec::with_capacity(runs.len());
-                let mut data_rxs = Vec::with_capacity(runs.len());
-                for _ in &runs {
-                    let (tx, rx) = mpsc::channel::<Vec<T>>();
-                    data_txs.push(tx);
-                    data_rxs.push(rx);
-                }
-                // Non-scoped: the cursor outlives this function, so the
-                // prefetcher owns its readers and channels outright.
-                let handle = std::thread::spawn(move || {
-                    prefetch_loop(readers, req_rx, data_txs, block_elems)
-                });
-                for idx in 0..runs.len() {
-                    for _ in 0..cfg.prefetch_depth.max(2) {
-                        req_tx
-                            .send((idx, alloc_zeroed::<T>(block_elems)))
-                            .expect("prefetcher alive");
-                    }
-                }
-                let sources: Vec<CursorSource<T>> = data_rxs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(idx, rx)| {
-                        CursorSource::Async(AsyncDiskSource::new(idx, rx, req_tx.clone()))
-                    })
-                    .collect();
-                drop(req_tx);
-                (sources, Some(handle))
-            }
-        };
-        Ok(Self {
-            tree: Some(SourceLoserTree::new(sources)),
-            prefetcher,
-            report,
-            started,
-            emitted: 0,
-            total,
-            _guard: guard,
-        })
+        let merge = RunMerge::open(&runs, cfg.block_elems::<T>())?;
+        Ok(Self { merge, report, started, emitted: 0, total, _guard: guard })
     }
 
     /// The head of the merged stream without consuming it.
     pub fn peek(&self) -> Option<&T> {
-        self.tree.as_ref().and_then(|t| t.peek())
+        self.merge.tree.as_ref().and_then(|t| t.peek())
     }
 
     /// Pop the next record of the merged stream.
@@ -699,11 +497,11 @@ impl<T: PlainRecord + RadixSortable> MergeCursor<T> {
     /// Number of runs the draining loser tree merges (≤ the configured
     /// fan-in).
     pub fn source_count(&self) -> usize {
-        self.tree.as_ref().map_or(0, |t| t.len())
+        self.merge.tree.as_ref().map_or(0, |t| t.len())
     }
 
     /// Close the cursor: collect per-source I/O accounting, join the
-    /// prefetch thread, and surface the first I/O error (a failed refill
+    /// prefetch thread, and surface the first I/O error (a failed read
     /// makes a source read as exhausted, so the error — not a silently
     /// short stream — is the caller's signal).
     ///
@@ -712,38 +510,12 @@ impl<T: PlainRecord + RadixSortable> MergeCursor<T> {
     /// alone: timing each `next` would cost more than the merge step it
     /// measures.  The io-wait the drain added is therefore never larger
     /// than the wall it added.
-    pub fn finish(mut self) -> io::Result<ExtSortReport> {
-        let mut report = std::mem::take(&mut self.report);
-        report.elements = self.emitted;
-        let mut first_err: Option<io::Error> = None;
-        if let Some(tree) = self.tree.take() {
-            for src in tree.into_sources() {
-                match src {
-                    CursorSource::Sync(mut s) => {
-                        report.io_wait_seconds += s.io_wait;
-                        report.bytes_read += s.bytes_read;
-                        report.read_transfers += s.transfers;
-                        if let Some(e) = s.error.take() {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                    CursorSource::Async(s) => report.io_wait_seconds += s.io_wait,
-                }
-            }
-        }
-        if let Some(handle) = self.prefetcher.take() {
-            let (bytes, transfers, err) = handle.join().expect("prefetch thread does not panic");
-            report.bytes_read += bytes;
-            report.read_transfers += transfers;
-            if let Some(e) = err {
-                first_err.get_or_insert(e);
-            }
-        }
-        report.wall_seconds += self.started.elapsed().as_secs_f64();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+    pub fn finish(self) -> io::Result<ExtSortReport> {
+        let MergeCursor { merge, mut report, started, emitted, .. } = self;
+        report.elements = emitted;
+        let read = merge.finish(&mut report);
+        report.wall_seconds += started.elapsed().as_secs_f64();
+        read.map(|()| report)
     }
 }
 
@@ -759,21 +531,9 @@ impl<T: PlainRecord + RadixSortable> RunSource for MergeCursor<T> {
     }
 
     fn pop_if(&mut self, pred: impl FnOnce(&T) -> bool) -> Option<T> {
-        let item = self.tree.as_mut()?.next_if(pred)?;
+        let item = self.merge.tree.as_mut()?.next_if(pred)?;
         self.emitted += 1;
         Some(item)
-    }
-}
-
-impl<T: PlainRecord + RadixSortable> Drop for MergeCursor<T> {
-    fn drop(&mut self) {
-        // Dropping the sources disconnects the request channel, which ends
-        // the prefetch loop; joining keeps the thread from touching scratch
-        // files after the guard below removes the directory.
-        self.tree.take();
-        if let Some(handle) = self.prefetcher.take() {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -783,5 +543,65 @@ impl<T: PlainRecord + RadixSortable> std::fmt::Debug for MergeCursor<T> {
             .field("emitted", &self.emitted)
             .field("total", &self.total)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runs::{form_runs, RunDirGuard};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+
+    /// Run `body` on its own thread and fail if it has not returned within
+    /// a minute: a merge waiting on a prefetcher that stopped answering
+    /// would block forever.
+    fn within_a_minute(body: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            body();
+            let _ = tx.send(());
+        });
+        if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(60)) {
+            panic!("the merge hung");
+        }
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    #[test]
+    fn a_truncated_run_fails_the_merge_pass_and_the_cursor() {
+        within_a_minute(|| {
+            // 8 runs of 500 records, read in blocks of 55.
+            let base = std::env::temp_dir().join("hss-extsort-dmerge-test");
+            let cfg = ExtSortConfig::new(2 * 500 * 8, base).with_fan_in(8);
+            let guard = RunDirGuard::new(&cfg.run_dir).unwrap();
+            let dir = guard.path().to_path_buf();
+            let mut report = ExtSortReport::default();
+            let input = (0..4000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let runs = form_runs(input, &cfg, &dir, &mut report).unwrap();
+            assert_eq!(runs.len(), 8);
+            // Run 3 loses half its records: its fifth block read hits EOF.
+            File::options().write(true).open(&runs[3].path).unwrap().set_len(250 * 8).unwrap();
+
+            let mut out: Vec<u64> = Vec::new();
+            let err = merge_pass(&runs, &cfg, PassOutput::Vec(&mut out), &mut report).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert!(out.len() < 4000, "the pass stopped short, and said so");
+            let to_file = PassOutput::File(&dir.join("merge.bin"));
+            assert!(merge_pass::<u64>(&runs, &cfg, to_file, &mut report).is_err());
+
+            let mut cursor = MergeCursor::<u64>::open(runs, &cfg, guard, report, Instant::now())
+                .expect("the run files open");
+            let mut drained = 0;
+            while cursor.next().is_some() {
+                drained += 1;
+            }
+            assert!(drained < cursor.total(), "the cursor stopped early");
+            let err = cursor.finish().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert!(!dir.exists(), "the scratch directory went with the cursor's guard");
+        });
     }
 }

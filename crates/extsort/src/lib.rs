@@ -14,27 +14,24 @@
 //!    — the same tournament (and tie-break) as the in-memory merge.  More
 //!    than `fan_in` runs triggers stable multi-pass merging.
 //!
-//! Both phases come in two I/O schedules ([`IoMode`]): `Synchronous`
-//! (read–compute–write in sequence; the baseline arm) and `Overlapped`
-//! (dedicated prefetch + writeback threads with double-buffered windows, so
-//! the sort thread only blocks when it outruns the disk).  The two arms
-//! move identical bytes through identical block boundaries and differ only
-//! in scheduling — which is exactly what [`ExtSortReport::io_wait_seconds`]
-//! measures.
+//! Both phases overlap disk with compute on dedicated threads: a
+//! writeback thread writes each sorted chunk while the next one is being
+//! sorted, and one prefetch thread keeps a block in flight per run while
+//! the loser tree consumes the other, so the sort thread only blocks when
+//! it outruns the disk — which is exactly what
+//! [`ExtSortReport::io_wait_seconds`] measures.
 //!
-//! Every written block is `fdatasync`ed in *both* arms: a run the OS still
-//! holds dirty in the page cache would make the "memory cap" fiction, and
-//! it would let the synchronous arm hide its write cost in the background
-//! flusher.  The overlapped arm wins by hiding the cost behind compute,
-//! never by skipping it.
+//! Every written block is `fdatasync`ed: a run the OS still holds dirty in
+//! the page cache would make the "memory cap" fiction.  The threads win by
+//! hiding the write cost behind compute, never by skipping it.
 //!
-//! I/O threads are plain `std::thread::scope` threads, *not* rayon tasks:
+//! I/O threads are plain `std::thread`s, *not* rayon tasks:
 //! they block on disk for their whole lifetime, which would deadlock a
 //! 1-worker rayon pool (and the CI matrix pins `RAYON_NUM_THREADS=1`).
 
 use std::io;
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use hss_lsort::RadixSortable;
@@ -53,7 +50,7 @@ pub use query::{RunReader, RunSetReader};
 pub use report::ExtSortReport;
 pub use runs::RunDirGuard;
 
-use dmerge::{merge_all, reduce_to_fan_in, PassOutput};
+use dmerge::{merge_all, reduce_to_fan_in};
 use runs::{form_runs, RunFile};
 
 /// A bounded-memory external sorter: at any instant its record buffers
@@ -91,47 +88,11 @@ impl ExternalSorter {
         report.runs_formed = runs.len() as u64;
         let total: u64 = runs.iter().map(|r| r.elems).sum();
         let mut out = Vec::with_capacity(total as usize);
-        let n = merge_all(runs, &self.cfg, guard.path(), PassOutput::Vec(&mut out), &mut report)?;
+        let n = merge_all(runs, &self.cfg, guard.path(), &mut out, &mut report)?;
         debug_assert_eq!(n, total);
         report.elements = n;
         report.wall_seconds = wall.elapsed().as_secs_f64();
         Ok((out, report))
-    }
-
-    /// Sort `input` under the memory cap with the result left **on disk**
-    /// — the fully out-of-core variant for data that never fits.  The
-    /// returned handle keeps the scratch directory alive; reading is
-    /// random-access by record range (e.g. for subsampled verification).
-    pub fn sort_to_file<T, I>(&self, input: I) -> io::Result<(SortedRunFile<T>, ExtSortReport)>
-    where
-        T: PlainRecord + RadixSortable,
-        I: IntoIterator<Item = T>,
-    {
-        let wall = Instant::now();
-        let mut report = ExtSortReport::default();
-        let guard = RunDirGuard::new(&self.cfg.run_dir)?;
-        let runs = form_runs(input.into_iter(), &self.cfg, guard.path(), &mut report)?;
-        report.runs_formed = runs.len() as u64;
-        let out_path = guard.path().join("sorted.bin");
-        let n = merge_all(
-            runs,
-            &self.cfg,
-            guard.path(),
-            PassOutput::<T>::File(&out_path),
-            &mut report,
-        )?;
-        report.elements = n;
-        report.wall_seconds = wall.elapsed().as_secs_f64();
-        Ok((
-            SortedRunFile {
-                path: out_path,
-                elems: n,
-                handle: std::sync::Mutex::new(None),
-                _guard: guard,
-                _marker: PhantomData,
-            },
-            report,
-        ))
     }
 
     /// Run formation **only**: stream `input` into sorted runs on disk and
@@ -180,7 +141,7 @@ impl ExternalSorter {
         report.runs_formed = runs.len() as u64;
         let total: u64 = runs.iter().map(|r| r.elems).sum();
         let mut out = Vec::with_capacity(total as usize);
-        let n = merge_all(runs, &self.cfg, guard.path(), PassOutput::Vec(&mut out), &mut report)?;
+        let n = merge_all(runs, &self.cfg, guard.path(), &mut out, &mut report)?;
         debug_assert_eq!(n, total);
         report.elements = n;
         report.wall_seconds = wall.elapsed().as_secs_f64();
@@ -246,7 +207,7 @@ impl<T: PlainRecord> SpilledRuns<T> {
     }
 
     /// Retune the merge for this run count (see
-    /// [`ExtSortConfig::tuned_for`]).  No-op for synchronous I/O.
+    /// [`ExtSortConfig::tuned_for`]).
     pub fn tune(&mut self) {
         self.cfg = self.cfg.clone().tuned_for::<T>(self.runs.len());
     }
@@ -277,84 +238,12 @@ impl<T: PlainRecord> SpilledRuns<T> {
     }
 }
 
-/// A sorted dataset living on disk, produced by
-/// [`ExternalSorter::sort_to_file`].  Dropping it removes the backing
-/// scratch directory.
-#[derive(Debug)]
-pub struct SortedRunFile<T: PlainRecord> {
-    path: PathBuf,
-    elems: u64,
-    /// Cached read handle: `read_range` used to re-open (and re-seek) the
-    /// file on every call, which thrashed file handles under repeated
-    /// windowed reads; the first read now opens once and later calls only
-    /// seek.
-    handle: std::sync::Mutex<Option<std::fs::File>>,
-    _guard: RunDirGuard,
-    _marker: PhantomData<T>,
-}
-
-impl<T: PlainRecord> SortedRunFile<T> {
-    /// Number of records in the file.
-    pub fn len(&self) -> u64 {
-        self.elems
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.elems == 0
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Read `count` records starting at record index `start` (clamped to
-    /// the file's end).  This is the subsampled-verification primitive: it
-    /// touches `O(count)` bytes regardless of file size, through a handle
-    /// opened once and cached across calls.
-    pub fn read_range(&self, start: u64, count: usize) -> io::Result<Vec<T>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let start = start.min(self.elems);
-        let avail = (self.elems - start) as usize;
-        let k = count.min(avail);
-        let mut out: Vec<T> = vec_zeroed(k);
-        if k > 0 {
-            let mut cached = self.handle.lock().expect("no panics while holding the handle");
-            let file = match cached.as_mut() {
-                Some(f) => f,
-                None => cached.insert(std::fs::File::open(&self.path)?),
-            };
-            file.seek(SeekFrom::Start(start * std::mem::size_of::<T>() as u64))?;
-            file.read_exact(bytes_of_mut(&mut out))?;
-        }
-        Ok(out)
-    }
-
-    /// A cached-handle windowed reader over the sorted file — the
-    /// random-access interface for sampling-style consumers that probe many
-    /// nearby positions (see [`RunReader`]).
-    pub fn reader(&self) -> io::Result<RunReader<T>> {
-        RunReader::open(&self.path, self.elems)
-    }
-}
-
-/// `vec![T::zeroed(); n]` for any `PlainRecord` (zero bytes are valid).
-fn vec_zeroed<T: PlainRecord>(n: usize) -> Vec<T> {
-    let mut v: Vec<T> = Vec::with_capacity(n);
-    // SAFETY: allocation holds `n` elements; all-zero bytes are a valid `T`
-    // by the `PlainRecord` contract.
-    unsafe {
-        std::ptr::write_bytes(v.as_mut_ptr(), 0, n);
-        v.set_len(n);
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hss_keygen::{ByteKey, TeraRecord};
 
-    fn tmp() -> PathBuf {
+    fn tmp() -> std::path::PathBuf {
         std::env::temp_dir().join("hss-extsort-lib-test")
     }
 
@@ -364,22 +253,29 @@ mod tests {
 
     #[test]
     fn sorts_like_the_in_memory_reference_in_both_modes() {
+        // Both output modes: materialized (`sort_to_vec`) and drained
+        // (`form_runs_only` + `into_cursor`), with the same accounting.
         let n = 10_000u64;
         let mut expect: Vec<u64> = pseudo_u64s(n).collect();
         expect.sort_unstable();
-        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            // 1/8th of the data volume -> 16 runs, fan_in 4 -> 2 passes.
-            let cfg = ExtSortConfig::new((n as usize) * 8 / 8, tmp())
-                .with_fan_in(4)
-                .with_io_mode(io_mode);
-            let sorter = ExternalSorter::new(cfg);
-            let (got, report) = sorter.sort_to_vec(pseudo_u64s(n)).unwrap();
-            assert_eq!(got, expect, "{}", io_mode.name());
-            assert_eq!(report.elements, n);
-            assert_eq!(report.runs_formed, 16);
-            assert_eq!(report.merge_passes, 2);
-            assert!(report.bytes_written > 0 && report.bytes_read >= report.bytes_written);
-        }
+        // 1/8th of the data volume -> 16 runs, fan_in 4 -> 2 passes.
+        let sorter =
+            ExternalSorter::new(ExtSortConfig::new((n as usize) * 8 / 8, tmp()).with_fan_in(4));
+        let (got, report) = sorter.sort_to_vec(pseudo_u64s(n)).unwrap();
+        assert_eq!(got, expect);
+        assert_eq!(report.elements, n);
+        assert_eq!(report.runs_formed, 16);
+        assert_eq!(report.merge_passes, 2);
+        assert!(report.bytes_written > 0 && report.bytes_read >= report.bytes_written);
+
+        let mut cursor = sorter.form_runs_only(pseudo_u64s(n)).unwrap().into_cursor().unwrap();
+        let drained: Vec<u64> = std::iter::from_fn(|| cursor.next()).collect();
+        assert_eq!(drained, expect);
+        let streamed = cursor.finish().unwrap();
+        let counts = |r: &ExtSortReport| {
+            (r.elements, r.runs_formed, r.merge_passes, r.bytes_written, r.bytes_read)
+        };
+        assert_eq!(counts(&streamed), counts(&report));
     }
 
     #[test]
@@ -401,27 +297,25 @@ mod tests {
             ExternalSorter::new(cfg.clone()).sort_to_vec(std::iter::empty::<u64>()).unwrap();
         assert!(got.is_empty());
         assert_eq!(report.runs_formed, 0);
-        let (file, _) = ExternalSorter::new(cfg).sort_to_file(std::iter::empty::<u64>()).unwrap();
-        assert!(file.is_empty());
-        assert!(file.read_range(0, 10).unwrap().is_empty());
+        let runs = ExternalSorter::new(cfg).form_runs_only(std::iter::empty::<u64>()).unwrap();
+        let mut cursor = runs.into_cursor().unwrap();
+        assert!(cursor.next().is_none());
+        assert_eq!(cursor.finish().unwrap().elements, 0);
     }
 
     #[test]
-    fn sort_to_file_round_trips_and_cleans_up() {
+    fn multi_pass_sort_round_trips_and_cleans_up() {
         let n = 5_000u64;
-        let cfg = ExtSortConfig::new(4096, tmp()).with_fan_in(3);
-        let (file, report) = ExternalSorter::new(cfg).sort_to_file(pseudo_u64s(n)).unwrap();
-        assert_eq!(file.len(), n);
+        let base = std::env::temp_dir().join("hss-extsort-lib-cleanup-test");
+        let _ = std::fs::remove_dir_all(&base);
+        let cfg = ExtSortConfig::new(4096, &base).with_fan_in(3);
+        let (got, report) = ExternalSorter::new(cfg).sort_to_vec(pseudo_u64s(n)).unwrap();
         assert!(report.merge_passes > 1, "fan_in 3 with many runs must multi-pass");
         let mut expect: Vec<u64> = pseudo_u64s(n).collect();
         expect.sort_unstable();
-        // Full read equals reference; subsampled ranges match too.
-        assert_eq!(file.read_range(0, n as usize).unwrap(), expect);
-        assert_eq!(file.read_range(n - 7, 100).unwrap(), expect[(n - 7) as usize..]);
-        let path = file.path().to_path_buf();
-        assert!(path.exists());
-        drop(file);
-        assert!(!path.exists(), "scratch must be removed on drop");
+        assert_eq!(got, expect);
+        let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().flatten().collect();
+        assert!(leftovers.is_empty(), "scratch must be removed: {leftovers:?}");
     }
 
     #[test]
@@ -431,38 +325,33 @@ mod tests {
         let c: Vec<u64> = (0..400).map(|i| i * 4).collect();
         let mut expect: Vec<u64> = [&a[..], &b[..], &c[..]].concat();
         expect.sort_unstable();
-        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            let cfg = ExtSortConfig::new(1024, tmp()).with_io_mode(io_mode).with_fan_in(2);
-            let (got, report) =
-                ExternalSorter::new(cfg).merge_spilled(&[&a[..], &b[..], &c[..]]).unwrap();
-            assert_eq!(got, expect, "{}", io_mode.name());
-            assert_eq!(report.runs_formed, 3);
-            assert_eq!(report.merge_passes, 2, "fan_in 2 over 3 runs is two passes");
-        }
+        let cfg = ExtSortConfig::new(1024, tmp()).with_fan_in(2);
+        let (got, report) =
+            ExternalSorter::new(cfg).merge_spilled(&[&a[..], &b[..], &c[..]]).unwrap();
+        assert_eq!(got, expect);
+        assert_eq!(report.runs_formed, 3);
+        assert_eq!(report.merge_passes, 2, "fan_in 2 over 3 runs is two passes");
     }
 
     #[test]
     fn formation_and_cursor_stamp_wall_around_their_io_wait() {
         let n = 20_000u64;
-        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            // 16 runs at fan-in 4: the cursor opens after a reduction pass.
-            let cfg = ExtSortConfig::new(n as usize, tmp()).with_fan_in(4).with_io_mode(io_mode);
-            let runs = ExternalSorter::new(cfg).form_runs_only(pseudo_u64s(n)).unwrap();
-            let formed = *runs.report();
-            assert!(formed.io_wait_seconds > 0.0, "{}: runs are synced", io_mode.name());
-            assert!(formed.io_wait_seconds <= formed.wall_seconds, "{}", io_mode.name());
-            let mut cursor = runs.into_cursor().unwrap();
-            while cursor.next().is_some() {}
-            let drained = cursor.finish().unwrap();
-            assert!(drained.io_wait_seconds > formed.io_wait_seconds);
-            assert!(
-                drained.io_wait_seconds - formed.io_wait_seconds
-                    <= drained.wall_seconds - formed.wall_seconds,
-                "{}: the drain's io-wait must fit in the wall it stamped",
-                io_mode.name()
-            );
-            assert!((0.0..=1.0).contains(&drained.io_wait_fraction()));
-        }
+        // 16 runs at fan-in 4: the cursor opens after a reduction pass.
+        let cfg = ExtSortConfig::new(n as usize, tmp()).with_fan_in(4);
+        let runs = ExternalSorter::new(cfg).form_runs_only(pseudo_u64s(n)).unwrap();
+        let formed = *runs.report();
+        assert!(formed.io_wait_seconds > 0.0, "runs are synced");
+        assert!(formed.io_wait_seconds <= formed.wall_seconds);
+        let mut cursor = runs.into_cursor().unwrap();
+        while cursor.next().is_some() {}
+        let drained = cursor.finish().unwrap();
+        assert!(drained.io_wait_seconds > formed.io_wait_seconds);
+        assert!(
+            drained.io_wait_seconds - formed.io_wait_seconds
+                <= drained.wall_seconds - formed.wall_seconds,
+            "the drain's io-wait must fit in the wall it stamped"
+        );
+        assert!((0.0..=1.0).contains(&drained.io_wait_fraction()));
     }
 
     #[test]

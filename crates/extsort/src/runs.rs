@@ -1,12 +1,10 @@
 //! Run formation: stream the input through fixed-budget chunks, sort each
 //! chunk in memory, and write it out as a sorted run file.
 //!
-//! In [`IoMode::Overlapped`] the writes ride a dedicated writeback thread:
-//! while chunk `i` is being written (and `fdatasync`ed) the sorting thread
-//! is already filling and sorting chunk `i+1` from a recycled buffer, so
-//! run formation's wall-clock approaches `max(sort, write)` instead of
-//! their sum.  Both modes cut chunks at identical boundaries, so they form
-//! byte-identical runs and differ only in scheduling.
+//! The writes ride a dedicated writeback thread: while chunk `i` is being
+//! written (and `fdatasync`ed) the sorting thread is already filling and
+//! sorting chunk `i+1` from a recycled buffer, so run formation's
+//! wall-clock approaches `max(sort, write)` instead of their sum.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -17,7 +15,7 @@ use std::time::Instant;
 
 use hss_lsort::RadixSortable;
 
-use crate::config::{ExtSortConfig, IoMode};
+use crate::config::ExtSortConfig;
 use crate::plain::{bytes_of, PlainRecord};
 use crate::report::ExtSortReport;
 
@@ -87,9 +85,8 @@ fn capture_fences<T: PlainRecord>(sorted: &[T]) -> Vec<u8> {
 /// Write one sorted chunk as a run file and force it to the device.
 ///
 /// The `sync_data` is part of the tier's memory contract — a run the OS is
-/// still holding dirty in the page cache is not "out of core" — and it is
-/// charged identically in both I/O modes (inline here, on the writeback
-/// thread there), so the overlapped arm wins by hiding the cost, never by
+/// still holding dirty in the page cache is not "out of core" — so the
+/// writeback thread wins by hiding the cost behind sorting, never by
 /// skipping it.
 fn write_run<T: PlainRecord>(dir: &Path, idx: u64, sorted: &[T]) -> io::Result<RunFile> {
     let path = dir.join(format!("run-{idx:06}.bin"));
@@ -97,68 +94,6 @@ fn write_run<T: PlainRecord>(dir: &Path, idx: u64, sorted: &[T]) -> io::Result<R
     file.write_all(bytes_of(sorted))?;
     file.sync_data()?;
     Ok(RunFile { path, elems: sorted.len() as u64, fences: capture_fences(sorted) })
-}
-
-/// Consume `input`, producing sorted runs of `cfg.chunk_elems::<T>()`
-/// records each (the final run may be short).  Fills `report`'s formation
-/// counters and returns the runs in formation order.
-pub(crate) fn form_runs<T, I>(
-    input: I,
-    cfg: &ExtSortConfig,
-    dir: &Path,
-    report: &mut ExtSortReport,
-) -> io::Result<Vec<RunFile>>
-where
-    T: PlainRecord + RadixSortable,
-    I: Iterator<Item = T>,
-{
-    match cfg.io_mode {
-        IoMode::Synchronous => form_runs_sync(input, cfg, dir, report),
-        IoMode::Overlapped => form_runs_overlapped(input, cfg, dir, report),
-    }
-}
-
-fn form_runs_sync<T, I>(
-    input: I,
-    cfg: &ExtSortConfig,
-    dir: &Path,
-    report: &mut ExtSortReport,
-) -> io::Result<Vec<RunFile>>
-where
-    T: PlainRecord + RadixSortable,
-    I: Iterator<Item = T>,
-{
-    let chunk_elems = cfg.chunk_elems::<T>();
-    let mut runs = Vec::new();
-    let mut buf: Vec<T> = Vec::with_capacity(chunk_elems);
-    for item in input {
-        buf.push(item);
-        if buf.len() == chunk_elems {
-            flush_chunk_sync(&mut buf, cfg, dir, &mut runs, report)?;
-        }
-    }
-    if !buf.is_empty() {
-        flush_chunk_sync(&mut buf, cfg, dir, &mut runs, report)?;
-    }
-    Ok(runs)
-}
-
-fn flush_chunk_sync<T: PlainRecord + RadixSortable>(
-    buf: &mut Vec<T>,
-    cfg: &ExtSortConfig,
-    dir: &Path,
-    runs: &mut Vec<RunFile>,
-    report: &mut ExtSortReport,
-) -> io::Result<()> {
-    cfg.local_sort.sort_slice(buf);
-    let t = Instant::now();
-    let run = write_run(dir, runs.len() as u64, buf)?;
-    report.io_wait_seconds += t.elapsed().as_secs_f64();
-    report.bytes_written += std::mem::size_of_val(buf.as_slice()) as u64;
-    report.write_transfers += 1;
-    runs.push(run);
-    buf.clear();
-    Ok(())
 }
 
 /// Sort the filled chunk and hand it to the writeback thread, taking a
@@ -187,7 +122,10 @@ fn hand_off_chunk<T: PlainRecord + RadixSortable>(
     report.io_wait_seconds += t.elapsed().as_secs_f64();
 }
 
-fn form_runs_overlapped<T, I>(
+/// Consume `input`, producing sorted runs of `cfg.chunk_elems::<T>()`
+/// records each (the final run may be short).  Fills `report`'s formation
+/// counters and returns the runs in formation order.
+pub(crate) fn form_runs<T, I>(
     input: I,
     cfg: &ExtSortConfig,
     dir: &Path,
@@ -271,25 +209,21 @@ mod tests {
     }
 
     #[test]
-    fn both_io_modes_form_identical_runs() {
+    fn runs_are_sorted_chunks_of_half_the_cap() {
         let input: Vec<u64> = (0..1000u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-        let cfg_base = ExtSortConfig::new(300 * 8 * 2, tmp_base()); // 300-elem chunks
-        let mut all = Vec::new();
-        for io_mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            let cfg = cfg_base.clone().with_io_mode(io_mode);
-            let guard = RunDirGuard::new(&cfg.run_dir).unwrap();
-            let mut report = ExtSortReport::default();
-            let runs = form_runs(input.iter().copied(), &cfg, guard.path(), &mut report).unwrap();
-            assert_eq!(runs.len(), 4, "{}", io_mode.name()); // 300+300+300+100
-            assert_eq!(report.write_transfers, 4);
-            assert_eq!(report.bytes_written, 1000 * 8);
-            let contents: Vec<Vec<u64>> = runs.iter().map(read_run).collect();
-            for c in &contents {
-                assert!(c.windows(2).all(|w| w[0] <= w[1]));
-            }
-            all.push(contents);
+        let cfg = ExtSortConfig::new(300 * 8 * 2, tmp_base()); // 300-elem chunks
+        let guard = RunDirGuard::new(&cfg.run_dir).unwrap();
+        let mut report = ExtSortReport::default();
+        let runs = form_runs(input.iter().copied(), &cfg, guard.path(), &mut report).unwrap();
+        assert_eq!(runs.len(), 4); // 300+300+300+100
+        assert_eq!(report.write_transfers, 4);
+        assert_eq!(report.bytes_written, 1000 * 8);
+        let contents: Vec<Vec<u64>> = runs.iter().map(read_run).collect();
+        for (c, chunk) in contents.iter().zip(input.chunks(300)) {
+            let mut expect = chunk.to_vec();
+            expect.sort_unstable();
+            assert_eq!(c, &expect, "run i is chunk i of the input, sorted");
         }
-        assert_eq!(all[0], all[1], "sync and overlapped runs must be byte-identical");
     }
 
     #[test]

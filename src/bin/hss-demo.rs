@@ -56,11 +56,6 @@ OPTIONS:
                                                           [default: 1048576]
     --run-dir <PATH>       scratch root for run files (cleaned up on exit)
                                                           [default: temp dir]
-    --io-mode <NAME>       sync | overlapped — external-sort I/O scheduling
-                                                          [default: overlapped]
-    --prefetch-depth <N>   pin the overlapped merge's per-run prefetch depth
-                           (>= 2; default: the double buffer, fan-in widened
-                           to cover a rank's runs in one pass)
     --seed <N>             RNG seed                               [default: 2019]
     --verify               verify the output is a correct global sort
     --help                 print this help
@@ -85,8 +80,6 @@ struct Args {
     extsort: bool,
     memory_cap: usize,
     run_dir: Option<String>,
-    io_mode: IoMode,
-    prefetch_depth: Option<usize>,
     seed: u64,
     verify: bool,
 }
@@ -111,8 +104,6 @@ impl Default for Args {
             extsort: false,
             memory_cap: 1 << 20,
             run_dir: None,
-            io_mode: IoMode::Overlapped,
-            prefetch_depth: None,
             seed: 2019,
             verify: false,
         }
@@ -165,21 +156,6 @@ fn parse_args() -> Args {
                     value("--memory-cap").parse().expect("--memory-cap must be an integer")
             }
             "--run-dir" => args.run_dir = Some(value("--run-dir")),
-            "--io-mode" => {
-                args.io_mode = match value("--io-mode").as_str() {
-                    "sync" | "synchronous" => IoMode::Synchronous,
-                    "overlapped" => IoMode::Overlapped,
-                    other => {
-                        eprintln!("--io-mode must be 'sync' or 'overlapped' (got {other})");
-                        exit(2);
-                    }
-                }
-            }
-            "--prefetch-depth" => {
-                args.prefetch_depth = Some(
-                    value("--prefetch-depth").parse().expect("--prefetch-depth must be an integer"),
-                )
-            }
             "--verify" => args.verify = true,
             "--help" | "-h" => {
                 print!("{HELP}");
@@ -275,11 +251,7 @@ fn run(
         let run_dir = args.run_dir.clone().unwrap_or_else(|| {
             std::env::temp_dir().join("hss-demo").to_string_lossy().into_owned()
         });
-        let mut policy = ExtSortPolicy::new(args.memory_cap, run_dir).with_io_mode(args.io_mode);
-        if let Some(depth) = args.prefetch_depth {
-            policy = policy.with_prefetch_depth(depth);
-        }
-        config = config.with_ext_sort(policy);
+        config = config.with_ext_sort(ExtSortPolicy::new(args.memory_cap, run_dir));
     }
     let (eps, local_sort) = (args.epsilon, args.local_sort);
     let (outcome, ext_report) = match args.algorithm.as_str() {
@@ -377,14 +349,6 @@ fn main() {
         );
         exit(2);
     }
-    if args.prefetch_depth.is_some() && !args.extsort {
-        eprintln!("--prefetch-depth requires --extsort");
-        exit(2);
-    }
-    if args.prefetch_depth.is_some_and(|d| d < 2) {
-        eprintln!("--prefetch-depth must be at least 2 (double buffering)");
-        exit(2);
-    }
     if let Some(threads) = args.threads {
         // Must happen before anything touches the pool (key generation
         // below already runs on it).
@@ -422,11 +386,7 @@ fn main() {
     }
     println!("messages         : {}", report.metrics.total_messages());
     if let Some(ext) = &ext_report {
-        println!(
-            "\nout-of-core tier ({} I/O, cap {} bytes/rank):",
-            args.io_mode.name(),
-            args.memory_cap
-        );
+        println!("\nout-of-core tier (cap {} bytes/rank):", args.memory_cap);
         println!("  spilled elems  : {}", ext.elements);
         println!("  runs formed    : {}", ext.runs_formed);
         println!("  merge passes   : {}", ext.merge_passes);

@@ -45,7 +45,7 @@ pub mod prelude {
         ExtSortPolicy, HssConfig, HssSorter, LocalSortAlgo, RoundSchedule, SortOutcome,
         SortRequest, Sorter, SplitterRule, WarmStart,
     };
-    pub use hss_extsort::{ExtSortConfig, ExtSortReport, ExternalSorter, IoMode};
+    pub use hss_extsort::{ExtSortConfig, ExtSortReport, ExternalSorter};
     pub use hss_keygen::{ChangaDataset, Key, KeyDistribution, Keyed, Record, TaggedKey};
     pub use hss_partition::{LoadBalance, SplitterSet};
     pub use hss_service::{DriftingWorkload, EpochReport, ServiceConfig, SortService};

@@ -5,8 +5,9 @@
 //! * **Sorter level** — `ExternalSorter::sort_to_vec` vs an in-memory sort
 //!   of the same input, across key distributions × memory caps chosen to
 //!   hit the interesting run-count regimes (single run, a run boundary one
-//!   element wide, runs ≫ fan-in forcing multi-pass merges) × both I/O
-//!   modes × `u64` and 100-byte `TeraRecord` payloads.
+//!   element wide, runs ≫ fan-in forcing multi-pass merges) × `u64` and
+//!   100-byte `TeraRecord` payloads, every report's passes and bytes exactly
+//!   those of its run count.
 //! * **Distributed level** — `HssSorter::sort_out_of_core` vs
 //!   `HssSorter::sort` on identical inputs and machines: same per-rank
 //!   output, and a deterministic simulator signature that is identical at
@@ -16,7 +17,7 @@
 //!   vs arbitrary tiny cap) and duplicate-heavy inputs against
 //!   `sort_unstable`.
 
-use hss_repro::extsort::{ExtSortConfig, ExternalSorter, IoMode};
+use hss_repro::extsort::{ExtSortConfig, ExtSortReport, ExternalSorter};
 use hss_repro::keygen::{generate_tera_records_per_rank, TeraRecord};
 use hss_repro::lsort::radix_sort;
 use hss_repro::prelude::*;
@@ -30,8 +31,20 @@ fn scratch_root() -> std::path::PathBuf {
     std::env::temp_dir().join("hss-extsort-differential")
 }
 
-fn cfg(cap: usize, fan_in: usize, mode: IoMode) -> ExtSortConfig {
-    ExtSortConfig::new(cap, scratch_root()).with_fan_in(fan_in).with_io_mode(mode)
+fn cfg(cap: usize, fan_in: usize) -> ExtSortConfig {
+    ExtSortConfig::new(cap, scratch_root()).with_fan_in(fan_in)
+}
+
+/// The byte accounting of a `sort_to_vec` of `n` records of `T` under
+/// `cfg`: the passes are the depth of the `fan_in`-ary reduction over the
+/// runs formed, and each pass reads the whole volume once and writes it
+/// once — run formation the first write, the final pass into memory no
+/// write.
+fn assert_pass_accounting<T>(label: &str, cfg: &ExtSortConfig, n: usize, rep: &ExtSortReport) {
+    let volume = (n * std::mem::size_of::<T>()) as u64;
+    assert_eq!(rep.merge_passes, cfg.merge_passes_for(rep.runs_formed as usize), "{label}");
+    assert_eq!(rep.bytes_written, rep.merge_passes * volume, "{label}: bytes written");
+    assert_eq!(rep.bytes_read, rep.merge_passes * volume, "{label}: bytes read");
 }
 
 /// Memory caps that exercise the run-count regimes for `n` elements of
@@ -64,20 +77,14 @@ fn external_sort_matches_in_memory_across_dists_caps_and_modes() {
         let mut expected = input.clone();
         radix_sort(&mut expected);
         for (cap, fan_in) in interesting_caps(n, std::mem::size_of::<u64>()) {
-            for mode in [IoMode::Synchronous, IoMode::Overlapped] {
-                let sorter = ExternalSorter::new(cfg(cap, fan_in, mode));
-                let (got, rep) = sorter.sort_to_vec(input.iter().copied()).unwrap();
-                assert_eq!(
-                    got,
-                    expected,
-                    "{} cap={cap} fan_in={fan_in} mode={}",
-                    dist.name(),
-                    mode.name()
-                );
-                assert_eq!(rep.elements, n as u64);
-                let expected_runs = n.div_ceil(cfg(cap, fan_in, mode).chunk_elems::<u64>());
-                assert_eq!(rep.runs_formed, expected_runs as u64);
-            }
+            let label = format!("{} cap={cap} fan_in={fan_in}", dist.name());
+            let sorter = ExternalSorter::new(cfg(cap, fan_in));
+            let (got, rep) = sorter.sort_to_vec(input.iter().copied()).unwrap();
+            assert_eq!(got, expected, "{label}");
+            assert_eq!(rep.elements, n as u64);
+            let expected_runs = n.div_ceil(sorter.config().chunk_elems::<u64>());
+            assert_eq!(rep.runs_formed, expected_runs as u64);
+            assert_pass_accounting::<u64>(&label, sorter.config(), n, &rep);
         }
     }
 }
@@ -92,35 +99,13 @@ fn external_sort_matches_in_memory_for_tera_records() {
     let mut expected = input.clone();
     expected.sort_unstable();
     for (cap, fan_in) in interesting_caps(n, s) {
-        for mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            let sorter = ExternalSorter::new(cfg(cap, fan_in, mode));
-            let (got, rep) = sorter.sort_to_vec(input.iter().copied()).unwrap();
-            assert_eq!(got, expected, "cap={cap} fan_in={fan_in} mode={}", mode.name());
-            // 100-byte records: byte accounting must match exactly.
-            assert!(rep.bytes_written >= (n * s) as u64);
-            assert_eq!(rep.bytes_written, rep.bytes_read);
-        }
+        let label = format!("cap={cap} fan_in={fan_in}");
+        let sorter = ExternalSorter::new(cfg(cap, fan_in));
+        let (got, rep) = sorter.sort_to_vec(input.iter().copied()).unwrap();
+        assert_eq!(got, expected, "{label}");
+        // 100-byte records: byte accounting must match exactly.
+        assert_pass_accounting::<TeraRecord>(&label, sorter.config(), n, &rep);
     }
-}
-
-#[test]
-fn both_io_modes_report_identical_shapes() {
-    // Same input, same cap: the two arms must form the same runs, do the
-    // same merge passes and move the same bytes — only scheduling differs.
-    let input: Vec<u64> = KeyDistribution::Uniform.generate_per_rank(1, 5_000, 7).remove(0);
-    let cap = 2 * 400 * 8; // 400-element chunks -> 13 runs -> 2 passes at fan-in 4
-    let sync = ExternalSorter::new(cfg(cap, 4, IoMode::Synchronous));
-    let over = ExternalSorter::new(cfg(cap, 4, IoMode::Overlapped));
-    let (a, ra) = sync.sort_to_vec(input.iter().copied()).unwrap();
-    let (b, rb) = over.sort_to_vec(input.iter().copied()).unwrap();
-    assert_eq!(a, b);
-    assert_eq!(ra.runs_formed, rb.runs_formed);
-    assert_eq!(ra.merge_passes, rb.merge_passes);
-    assert!(ra.merge_passes == 2, "13 runs at fan-in 4 is a 2-pass merge");
-    assert_eq!(ra.bytes_written, rb.bytes_written);
-    assert_eq!(ra.bytes_read, rb.bytes_read);
-    assert_eq!(ra.write_transfers, rb.write_transfers);
-    assert_eq!(ra.read_transfers, rb.read_transfers);
 }
 
 /// One row of [`hss_sim::PhaseMetrics::deterministic_signature`].
@@ -154,20 +139,14 @@ fn distributed_out_of_core_is_bitwise_identical_and_thread_invariant() {
         let reference = HssSorter::default().sort(&mut m_ref, input.clone());
 
         // Cap = 1/4 of a rank's bytes: every rank spills its local sort.
-        let policy = |mode: IoMode| {
-            ExtSortPolicy::new(n * 8 / 4, scratch_root().to_string_lossy().into_owned())
-                .with_fan_in(2)
-                .with_io_mode(mode)
-        };
-        let (d1, s1, mk1) = distributed_run(&input, policy(IoMode::Overlapped), 1);
-        let (d4, s4, mk4) = distributed_run(&input, policy(IoMode::Overlapped), 4);
-        let (ds, ss, _) = distributed_run(&input, policy(IoMode::Synchronous), 1);
+        let policy = ExtSortPolicy::new(n * 8 / 4, scratch_root().to_string_lossy().into_owned())
+            .with_fan_in(2);
+        let (d1, s1, mk1) = distributed_run(&input, policy.clone(), 1);
+        let (d4, s4, mk4) = distributed_run(&input, policy, 4);
 
         assert_eq!(d1, reference.data, "{} vs in-memory", dist.name());
         assert_eq!(d1, d4, "{}: thread-count must not change output", dist.name());
-        assert_eq!(d1, ds, "{}: I/O mode must not change output", dist.name());
         assert_eq!(s1, s4, "{}: signature must be thread-invariant", dist.name());
-        assert_eq!(s1, ss, "{}: host I/O scheduling must not change modelled cost", dist.name());
         assert_eq!(mk1, mk4);
         verify_global_sort_ok(&input, &d1);
     }
@@ -201,12 +180,10 @@ proptest! {
         let cap = 2 * chunk_elems * std::mem::size_of::<u64>();
         let mut expected = input.clone();
         expected.sort_unstable();
-        for mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            let sorter = ExternalSorter::new(cfg(cap, fan_in, mode));
-            let (got, rep) = sorter.sort_to_vec(input.iter().copied()).unwrap();
-            prop_assert_eq!(&got, &expected, "mode={}", mode.name());
-            prop_assert_eq!(rep.elements as usize, input.len());
-        }
+        let sorter = ExternalSorter::new(cfg(cap, fan_in));
+        let (got, rep) = sorter.sort_to_vec(input.iter().copied()).unwrap();
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(rep.elements as usize, input.len());
     }
 
     /// Duplicate-heavy keys (8 distinct values): run boundaries land
@@ -220,7 +197,7 @@ proptest! {
         let cap = 2 * chunk_elems * std::mem::size_of::<u64>();
         let mut expected = input.clone();
         expected.sort_unstable();
-        let sorter = ExternalSorter::new(cfg(cap, 2, IoMode::Overlapped));
+        let sorter = ExternalSorter::new(cfg(cap, 2));
         let (got, _) = sorter.sort_to_vec(input.iter().copied()).unwrap();
         prop_assert_eq!(got, expected);
     }

@@ -8,8 +8,8 @@
 //!   across key distributions × memory caps × sync models × 1 and 4 rayon
 //!   threads × `u64` and 100-byte `TeraRecord` payloads × exact and
 //!   approximate (§3.4) histograms.  Identical per-rank output everywhere;
-//!   deterministic simulator signature invariant to thread count and host
-//!   I/O mode; measured scratch bytes and modelled disk words within the
+//!   deterministic simulator signature invariant to thread count; measured
+//!   scratch bytes and modelled disk words within the
 //!   single-pass budget; scratch directory empty afterwards.
 //! * **The pipeline's full product** — granularity × schedule × residency ×
 //!   distribution in one table, plus the degenerate shapes (empty ranks,
@@ -24,7 +24,7 @@
 
 use hss_repro::baselines::{HistogramSortConfig, OverPartitioningConfig, SampleSortConfig};
 use hss_repro::core::SplitterPolicy;
-use hss_repro::extsort::{ExtSortConfig, ExtSortReport, ExternalSorter, IoMode, PlainRecord};
+use hss_repro::extsort::{ExtSortConfig, ExtSortReport, ExternalSorter, PlainRecord};
 use hss_repro::keygen::{generate_tera_records_per_rank, Keyed, TeraRecord};
 use hss_repro::lsort::RadixSortable;
 use hss_repro::partition::{drain_source_below, drain_source_rest};
@@ -39,8 +39,8 @@ fn scratch_root() -> String {
     std::env::temp_dir().join("hss-pipeline-differential").to_string_lossy().into_owned()
 }
 
-fn policy(cap: usize, mode: IoMode) -> ExtSortPolicy {
-    ExtSortPolicy::new(cap, scratch_root()).with_fan_in(2).with_io_mode(mode)
+fn policy(cap: usize) -> ExtSortPolicy {
+    ExtSortPolicy::new(cap, scratch_root()).with_fan_in(2)
 }
 
 fn distributions() -> [KeyDistribution; 4] {
@@ -117,7 +117,7 @@ fn spilled_sort_matches_in_memory_across_dists_caps_models_and_threads() {
             let cap = (n * std::mem::size_of::<u64>() / cap_div).max(std::mem::size_of::<u64>());
             for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
                 let label = format!("{} cap_div={cap_div} sync={}", dist.name(), sync.name());
-                let run = run_ooc(&input, policy(cap, IoMode::Overlapped), sync, 1);
+                let run = run_ooc(&input, policy(cap), sync, 1);
                 assert_eq!(run.data, reference.data, "{label}: out-of-core vs in-memory");
                 assert_eq!(run.algorithm, "hss-extsort");
                 // Traffic bounds are asserted at realistic sizes in
@@ -127,21 +127,13 @@ fn spilled_sort_matches_in_memory_across_dists_caps_models_and_threads() {
             }
         }
 
-        // Thread-count and host I/O-mode invariance (Overlapped sync, the
-        // arm with the most asynchrony to get wrong).
+        // Thread-count invariance (Overlapped sync, the arm with the most
+        // asynchrony to get wrong).
         let cap = n * std::mem::size_of::<u64>() / 4;
-        let p1 = run_ooc(&input, policy(cap, IoMode::Overlapped), SyncModel::Overlapped, 1);
-        let p4 = run_ooc(&input, policy(cap, IoMode::Overlapped), SyncModel::Overlapped, 4);
-        let ps = run_ooc(&input, policy(cap, IoMode::Synchronous), SyncModel::Overlapped, 1);
+        let p1 = run_ooc(&input, policy(cap), SyncModel::Overlapped, 1);
+        let p4 = run_ooc(&input, policy(cap), SyncModel::Overlapped, 4);
         assert_eq!(p1.data, p4.data, "{}: thread-count must not change output", dist.name());
-        assert_eq!(p1.data, ps.data, "{}: host I/O mode must not change output", dist.name());
         assert_eq!(p1.signature, p4.signature, "{}: signature thread-invariant", dist.name());
-        assert_eq!(
-            p1.signature,
-            ps.signature,
-            "{}: host I/O scheduling must not change modelled cost",
-            dist.name()
-        );
         hss_repro::partition::verify_global_sort(&input, &p1.data).expect("global sort");
     }
 }
@@ -158,7 +150,7 @@ fn spilled_sort_matches_in_memory_for_tera_records() {
 
     let cap = n * s / 4;
     for sync in [SyncModel::Bsp, SyncModel::Overlapped] {
-        let run = run_ooc(&input, policy(cap, IoMode::Overlapped), sync, 1);
+        let run = run_ooc(&input, policy(cap), sync, 1);
         assert_eq!(run.data, reference.data, "{}", sync.name());
     }
 }
@@ -240,9 +232,7 @@ fn spilled_sort_makes_no_second_disk_round_trip() {
 fn approximate_histograms_match_in_memory_when_ranks_spill() {
     let scratch = std::env::temp_dir().join("hss-pipeline-differential-approx");
     let _ = std::fs::remove_dir_all(&scratch);
-    let policy = |cap: usize| {
-        ExtSortPolicy::new(cap, scratch.to_string_lossy()).with_io_mode(IoMode::Overlapped)
-    };
+    let policy = |cap: usize| ExtSortPolicy::new(cap, scratch.to_string_lossy());
     let config = || HssConfig::default().with_seed(SEED).with_approximate_histograms();
 
     let uniform = KeyDistribution::Uniform.generate_per_rank(8, 3_000, SEED);
@@ -265,24 +255,6 @@ fn approximate_histograms_match_in_memory_when_ranks_spill() {
         let leftovers: Vec<_> =
             std::fs::read_dir(&scratch).expect("scratch root exists").flatten().collect();
         assert!(leftovers.is_empty(), "{label}: scratch not cleaned: {leftovers:?}");
-    }
-}
-
-#[test]
-fn spilled_sort_auto_tuned_and_pinned_prefetch_depths_agree_bitwise() {
-    let p = 4;
-    let n = 500;
-    let input = KeyDistribution::PowerLaw { gamma: 4.0 }.generate_per_rank(p, n, SEED);
-    let cap = n * std::mem::size_of::<u64>() / 6;
-    let auto = run_ooc(&input, policy(cap, IoMode::Overlapped), SyncModel::Overlapped, 1);
-    for depth in [2usize, 4, 16] {
-        let pinned = run_ooc(
-            &input,
-            policy(cap, IoMode::Overlapped).with_prefetch_depth(depth),
-            SyncModel::Overlapped,
-            1,
-        );
-        assert_eq!(auto.data, pinned.data, "depth {depth} must not change output");
     }
 }
 
@@ -438,10 +410,9 @@ fn every_granularity_schedule_and_residency_is_one_pipeline() {
                             selected.contains(&spilled_ranks),
                             "{label}: {spilled_ranks} spill"
                         );
-                        let capped = config.clone().with_ext_sort(
-                            ExtSortPolicy::new(cap, scratch.to_string_lossy())
-                                .with_io_mode(IoMode::Overlapped),
-                        );
+                        let capped = config
+                            .clone()
+                            .with_ext_sort(ExtSortPolicy::new(cap, scratch.to_string_lossy()));
                         let run = observe(&input, splitters, &capped, machine(sync), 1);
                         hss_repro::partition::verify_global_sort(&input, &run.data)
                             .unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -559,32 +530,24 @@ proptest! {
     /// The pull-based cursor, drained to exhaustion, must emit exactly the
     /// sequence the file-based merge (`sort_to_vec`) materializes — over
     /// arbitrary chunk geometry (empty input, one run, runs ≫ fan-in
-    /// forcing reduction passes) and both I/O modes.
+    /// forcing reduction passes).
     #[test]
     fn cursor_drain_matches_file_merge_oracle(
         input in vec(any::<u64>(), 0..400),
         chunk_elems in 1usize..48,
         fan_in in 2usize..6,
-        depth in 2usize..5,
     ) {
-        let oracle = ExternalSorter::new(ext_cfg(chunk_elems, fan_in))
-            .sort_to_vec(input.iter().copied())
-            .unwrap()
-            .0;
-        for mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            let sorter = ExternalSorter::new(
-                ext_cfg(chunk_elems, fan_in).with_io_mode(mode).with_prefetch_depth(depth),
-            );
-            let runs = sorter.form_runs_only(input.iter().copied()).unwrap();
-            let mut cursor = runs.into_cursor().unwrap();
-            let mut got = Vec::with_capacity(input.len());
-            while let Some(x) = cursor.next() {
-                got.push(x);
-            }
-            prop_assert_eq!(&got, &oracle, "mode={}", mode.name());
-            prop_assert_eq!(cursor.emitted() as usize, input.len());
-            cursor.finish().unwrap();
+        let sorter = ExternalSorter::new(ext_cfg(chunk_elems, fan_in));
+        let oracle = sorter.sort_to_vec(input.iter().copied()).unwrap().0;
+        let runs = sorter.form_runs_only(input.iter().copied()).unwrap();
+        let mut cursor = runs.into_cursor().unwrap();
+        let mut got = Vec::with_capacity(input.len());
+        while let Some(x) = cursor.next() {
+            got.push(x);
         }
+        prop_assert_eq!(got, oracle);
+        prop_assert_eq!(cursor.emitted() as usize, input.len());
+        cursor.finish().unwrap();
     }
 
     /// Duplicate-heavy keys: run boundaries land inside giant equal
