@@ -2,13 +2,15 @@
 //! figure of the paper's evaluation.
 //!
 //! [`experiments::EXPERIMENTS`] is the one list of experiments: each entry
-//! names a paper artifact, the claim its rows are read against, whether the
-//! rows are [`experiments::Clock::Simulated`] (byte-reproducible, guarded by
-//! CI) or carry wall-clock fields, and the `*_rows` function that produces
-//! them.  The package's one binary runs entries by name:
+//! names a paper artifact, the claim its rows are read against and the
+//! `*_rows` function that produces them.  Every row field is simulated or
+//! analytic, so the rows are a function of the scale and the seed alone,
+//! at any host thread count: CI regenerates the committed default-scale
+//! files and fails on any byte of drift.  The package's one binary runs
+//! entries by name:
 //!
 //! ```sh
-//! cargo run --release -p hss-bench -- <name>... | simulated | all
+//! cargo run --release -p hss-bench -- <name>... | all
 //! ```
 //!
 //! Each run prints a table and writes `<name>.json` under `results/`

@@ -4,16 +4,15 @@
 //! `<results dir>/<name>.json`.
 //!
 //! ```sh
-//! cargo run --release -p hss-bench -- <name>... | simulated | all
+//! cargo run --release -p hss-bench -- <name>... | all
 //! ```
 //!
-//! `simulated` selects every byte-reproducible entry, `all` every entry.
-//! An unknown name, or a results file that cannot be written, exits
-//! non-zero.
+//! `all` selects every entry.  An unknown name, or a results file that
+//! cannot be written, exits non-zero.
 
 use std::process::ExitCode;
 
-use hss_bench::experiments::{Clock, Experiment, EXPERIMENTS};
+use hss_bench::experiments::{Experiment, EXPERIMENTS};
 use hss_bench::output::{render_rows, results_dir, save_json};
 use hss_bench::Scale;
 
@@ -24,7 +23,7 @@ fn main() -> ExitCode {
         Err(message) => {
             let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
             eprintln!("error: {message}");
-            eprintln!("usage: hss-bench <name>... | simulated | all");
+            eprintln!("usage: hss-bench <name>... | all");
             eprintln!("names: {}", names.join(" "));
             return ExitCode::from(2);
         }
@@ -51,18 +50,12 @@ fn main() -> ExitCode {
 }
 
 /// The experiments `args` name, in registry order within `all` and
-/// `simulated` and otherwise in the order given, each once.
+/// otherwise in the order given, each once.
 fn select(args: &[String]) -> Result<Vec<&'static Experiment>, String> {
     let mut selected: Vec<&'static Experiment> = Vec::new();
     for arg in args {
-        let matched: Vec<&'static Experiment> = EXPERIMENTS
-            .iter()
-            .filter(|e| match arg.as_str() {
-                "all" => true,
-                "simulated" => e.clock == Clock::Simulated,
-                name => e.name == name,
-            })
-            .collect();
+        let matched: Vec<&'static Experiment> =
+            EXPERIMENTS.iter().filter(|e| arg == "all" || e.name == arg).collect();
         if matched.is_empty() {
             return Err(format!("unknown experiment `{arg}`"));
         }

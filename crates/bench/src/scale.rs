@@ -116,109 +116,6 @@ impl Scale {
         }
     }
 
-    /// Array sizes for the `local_sort_scaling` experiment (radix vs
-    /// comparison local sort).  At `default` scale and above the sweep
-    /// includes N ≥ 10⁶, the regime the radix win is asserted in.
-    pub fn local_sort_scaling_sizes(&self) -> Vec<usize> {
-        match self {
-            Scale::Smoke => vec![60_000],
-            // 10⁵ documents the small-N regime and 524 288 is the rank the
-            // benchmark's `u64-fat` workload sorts; the N ≥ 10⁶ points sit
-            // above the last-level cache.
-            Scale::Default => vec![100_000, 524_288, 8_000_000, 16_000_000],
-            Scale::Full => vec![1_000_000, 16_000_000, 32_000_000],
-        }
-    }
-
-    /// Pool thread counts for the parallel radix driver in
-    /// `local_sort_scaling` (1 = the sequential sorters).
-    pub fn local_sort_scaling_threads(&self) -> Vec<usize> {
-        match self {
-            Scale::Smoke => vec![2],
-            Scale::Default => vec![2, 4, 8],
-            Scale::Full => vec![2, 4, 8, 16],
-        }
-    }
-
-    /// Timed repetitions per `local_sort_scaling` configuration (the
-    /// minimum wall time is reported, after one untimed warmup).
-    pub fn local_sort_scaling_reps(&self) -> usize {
-        match self {
-            Scale::Smoke => 2,
-            Scale::Default | Scale::Full => 9,
-        }
-    }
-
-    /// `(buckets p, keys classified)` points for the `classify_scaling`
-    /// experiment (branchless decision tree vs per-element binary search
-    /// over the splitter array, on unsorted data).  Every point has
-    /// `p >= 32`, the regime where the tree's win is asserted on the
-    /// committed default-scale rows.
-    pub fn classify_scaling_points(&self) -> Vec<(usize, usize)> {
-        match self {
-            Scale::Smoke => vec![(32, 20_000), (64, 10_000)],
-            Scale::Default => {
-                vec![(32, 400_000), (64, 400_000), (256, 200_000), (1024, 200_000), (4096, 100_000)]
-            }
-            Scale::Full => vec![
-                (32, 1_000_000),
-                (64, 1_000_000),
-                (256, 500_000),
-                (1024, 500_000),
-                (4096, 250_000),
-            ],
-        }
-    }
-
-    /// Timed repetitions per `classify_scaling` configuration (the minimum
-    /// wall time is reported, after one untimed warmup).
-    pub fn classify_scaling_reps(&self) -> usize {
-        match self {
-            Scale::Smoke => 3,
-            Scale::Default | Scale::Full => 15,
-        }
-    }
-
-    /// `(ranks, u64 keys per rank)` points for the `record_scaling`
-    /// experiment (u64 keys vs 100-byte `TeraRecord`s at matched byte
-    /// volume: the terasort arm carries `keys_per_rank / 12.5` records per
-    /// rank so both arms move the same number of bytes).
-    pub fn record_scaling_points(&self) -> Vec<(usize, usize)> {
-        match self {
-            Scale::Smoke => vec![(16, 4_000), (32, 2_000)],
-            Scale::Default => vec![(32, 25_000), (64, 25_000), (128, 12_500)],
-            Scale::Full => vec![(32, 50_000), (64, 50_000), (128, 25_000), (256, 12_500)],
-        }
-    }
-
-    /// Timed repetitions per `record_scaling` configuration (the minimum
-    /// wall time is reported, after one untimed warmup).
-    pub fn record_scaling_reps(&self) -> usize {
-        match self {
-            Scale::Smoke => 2,
-            Scale::Default | Scale::Full => 9,
-        }
-    }
-
-    /// Host thread counts swept by the self-speedup experiment (real
-    /// parallelism of the vendored rayon pool, not simulated ranks).
-    pub fn self_speedup_threads(&self) -> Vec<usize> {
-        match self {
-            Scale::Smoke => vec![1, 2],
-            Scale::Default => vec![1, 2, 4, 8],
-            Scale::Full => vec![1, 2, 4, 8, 16],
-        }
-    }
-
-    /// `(simulated ranks, keys per rank)` for the self-speedup experiment.
-    pub fn self_speedup_size(&self) -> (usize, usize) {
-        match self {
-            Scale::Smoke => (32, 2_000),
-            Scale::Default => (64, 20_000),
-            Scale::Full => (128, 50_000),
-        }
-    }
-
     /// `(simulated ranks, ingested keys per rank per epoch)` for the epoch
     /// service experiment.  The per-epoch batch must be large enough that
     /// the binomial rank noise of one fresh batch (`~√(N_batch)/2`) stays

@@ -90,8 +90,8 @@ pub struct RoundProgress<'a, K: Key> {
 /// Carry-over splitter state from a previous sort of a near-identical
 /// keyspace, used to *warm-start* splitter determination.
 ///
-/// The epoch service builds one of these from each epoch's final
-/// [`SplitterIntervals`] and feeds it to the next epoch's
+/// The epoch service builds one of these from every probe an epoch ranked
+/// ([`WarmStart::from_probes`]) and feeds it to the next epoch's
 /// [`determine_splitters_seeded`] call.  The carried keys are re-ranked
 /// against the new keyspace in a probe-only first round (no sampling, so
 /// `RoundStats::sample_size` is 0 for that round); when the distribution is
@@ -104,12 +104,6 @@ pub struct WarmStart<K: Key> {
 }
 
 impl<K: Key> WarmStart<K> {
-    /// Build from a previous run's interval bookkeeping: carries every
-    /// non-sentinel bound key (see [`SplitterIntervals::carryover_keys`]).
-    pub fn from_intervals(intervals: &SplitterIntervals<K>) -> Self {
-        Self { probes: intervals.carryover_keys() }
-    }
-
     /// Build from an explicit probe set (sorted and deduplicated here).
     pub fn from_probes(mut probes: Vec<K>) -> Self {
         probes.sort_unstable();
@@ -1071,7 +1065,7 @@ mod tests {
         // intervals must re-finalize every splitter from the probe-only
         // round alone: the carried bound keys re-rank to exactly their old
         // ranks, so the brackets (and their finalization) are reproduced.
-        let warm = WarmStart::from_intervals(saved.as_ref().unwrap());
+        let warm = WarmStart::from_probes(saved.as_ref().unwrap().carryover_keys());
         assert!(!warm.is_empty());
         let mut warm_machine = Machine::flat(p);
         let (warm_splitters, warm_report) = determine_splitters_seeded(

@@ -63,11 +63,6 @@ impl SplitterReport {
         self.rounds.len()
     }
 
-    /// Largest per-round sample size.
-    pub fn max_round_sample(&self) -> usize {
-        self.rounds.iter().map(|r| r.sample_size).max().unwrap_or(0)
-    }
-
     /// Append the [`RoundStats`] of histogramming round `round` — which
     /// gathered `sample_size` keys, ranked `probe_count` probes and found
     /// `open_before` splitters open — read off the `intervals` after its
@@ -204,7 +199,6 @@ mod tests {
             all_finalized: true,
         };
         assert_eq!(rep.rounds_executed(), 2);
-        assert_eq!(rep.max_round_sample(), 40);
     }
 
     #[test]
@@ -218,6 +212,5 @@ mod tests {
             all_finalized: true,
         };
         assert_eq!(rep.rounds_executed(), 0);
-        assert_eq!(rep.max_round_sample(), 0);
     }
 }

@@ -55,11 +55,6 @@ impl<T> SortRequest<T> {
     pub fn input(&self) -> &[Vec<T>] {
         &self.input
     }
-
-    /// Whether output verification was requested.
-    pub fn is_verified(&self) -> bool {
-        self.verify
-    }
 }
 
 /// A distributed sorter that can serve a [`SortRequest`]: implemented by
@@ -122,8 +117,8 @@ mod tests {
     fn request_builder_records_settings() {
         let req = SortRequest::new(vec![vec![3u64, 1], vec![2, 4]]);
         assert_eq!(req.input().len(), 2);
-        assert!(!req.is_verified());
-        assert!(req.verified().is_verified());
+        assert!(!req.verify);
+        assert!(req.verified().verify);
     }
 
     #[test]

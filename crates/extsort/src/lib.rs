@@ -46,7 +46,7 @@ mod runs;
 pub use config::{choose_fan_in, ExtSortConfig, IoMode};
 pub use dmerge::MergeCursor;
 pub use plain::{bytes_of, bytes_of_mut, PlainRecord};
-pub use query::{RunReader, RunSetReader};
+pub use query::RunSetReader;
 pub use report::ExtSortReport;
 pub use runs::RunDirGuard;
 

@@ -74,11 +74,6 @@ pub struct RunReader<T: PlainRecord> {
 }
 
 impl<T: PlainRecord> RunReader<T> {
-    /// Open a reader over `elems` records stored at `path`.
-    pub fn open(path: &Path, elems: u64) -> io::Result<Self> {
-        Self::open_with_fences(path, elems, Vec::new())
-    }
-
     /// Open a reader with the fence records captured when the run was
     /// written (one record per fence stride; see `fence_stride_elems`).
     pub fn open_with_fences(path: &Path, elems: u64, fences: Vec<T>) -> io::Result<Self> {
@@ -492,7 +487,8 @@ mod tests {
         let data: Vec<u64> = (0..2000u64).map(|i| i * 3).collect();
         let (guard, files) = setup(std::slice::from_ref(&data));
         let _ = &guard;
-        let mut r = RunReader::<u64>::open(&files[0].path, files[0].elems).unwrap();
+        let mut r =
+            RunReader::<u64>::open_with_fences(&files[0].path, files[0].elems, Vec::new()).unwrap();
         assert_eq!(r.get(0).unwrap(), 0);
         assert_eq!(r.get(1999).unwrap(), 1999 * 3);
         assert_eq!(r.get(777).unwrap(), 777 * 3);
@@ -626,7 +622,8 @@ mod tests {
         let stride = fence_stride_elems::<u64>();
         let fences: Vec<u64> = sorted.iter().step_by(stride).copied().collect();
 
-        let mut plain = RunReader::<u64>::open(&file.path, file.elems).unwrap();
+        let mut plain =
+            RunReader::<u64>::open_with_fences(&file.path, file.elems, Vec::new()).unwrap();
         let mut fenced =
             RunReader::<u64>::open_with_fences(&file.path, file.elems, fences).unwrap();
         for probe in [0u64, 1, 777, 32_768, 65_535, 70_000] {

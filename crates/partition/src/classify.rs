@@ -71,9 +71,11 @@ pub enum ClassifyStrategy {
 }
 
 /// Pipeline penalty applied to the branchy strategies when comparing
-/// against the branch-free tree descend: a mispredicted-branch search step
-/// costs roughly four times a branchless in-flight descend step (measured
-/// by the `classify_scaling` experiment; see its committed results).
+/// against the branch-free tree descend.  On unsorted uniform keys a
+/// per-key binary-search step measured 1.4–1.8× a tree descend step over
+/// 32 to 4096 buckets; the penalty sits above that, at 4, so the sparse-
+/// and balanced-probe shapes keep their historical arm and the tree takes
+/// only the dense-probe shapes.
 const BRANCH_PENALTY: usize = 4;
 
 /// Pick the cheapest strategy for `m` sorted probes against `n` sorted
@@ -266,15 +268,6 @@ impl<K: Key> DecisionTree<K> {
         self.descend::<true>(key)
     }
 
-    /// The number of splitters strictly `< key` (the `<=`-rank flavour's
-    /// dual, used to compute `local_ranks_le`).
-    pub fn bucket_of_lt(&self, key: K) -> usize {
-        if self.splitters == 0 {
-            return 0;
-        }
-        self.descend::<false>(key)
-    }
-
     /// The unrolled driver: classify every item, [`LANES`] keys in flight,
     /// and feed each bucket index (in **input order**) to `f`.
     #[inline]
@@ -421,6 +414,11 @@ mod tests {
         splitters.partition_point(|s| *s < key)
     }
 
+    /// The strict-`<` bucket of one key, read off a one-key histogram.
+    fn bucket_lt(tree: &DecisionTree<u64>, key: u64) -> usize {
+        tree.histogram_lt(&[key]).iter().position(|&c| c == 1).expect("one key, one bucket")
+    }
+
     #[test]
     fn bucket_of_matches_partition_point_exhaustively() {
         // Every splitter count from 0 to 40 (crossing several power-of-two
@@ -432,14 +430,14 @@ mod tests {
             for key in 0..=(2 * m as u64 + 2) {
                 assert_eq!(tree.bucket_of(key), oracle_bucket(&splitters, key), "m={m} key={key}");
                 assert_eq!(
-                    tree.bucket_of_lt(key),
+                    bucket_lt(&tree, key),
                     oracle_bucket_lt(&splitters, key),
                     "m={m} key={key}"
                 );
             }
             assert_eq!(tree.bucket_of(u64::MIN), 0);
             assert_eq!(tree.bucket_of(u64::MAX), m, "MAX_KEY must land in the last bucket");
-            assert_eq!(tree.bucket_of_lt(u64::MAX), m);
+            assert_eq!(bucket_lt(&tree, u64::MAX), m);
         }
     }
 
@@ -449,11 +447,11 @@ mod tests {
         let tree = DecisionTree::from_splitters(&splitters);
         for key in [0u64, 9, 10, 11, 19, 20, 21, u64::MAX] {
             assert_eq!(tree.bucket_of(key), oracle_bucket(&splitters, key), "key {key}");
-            assert_eq!(tree.bucket_of_lt(key), oracle_bucket_lt(&splitters, key), "key {key}");
+            assert_eq!(bucket_lt(&tree, key), oracle_bucket_lt(&splitters, key), "key {key}");
         }
         // A key equal to a run of duplicates hops over the whole run.
         assert_eq!(tree.bucket_of(10), 3);
-        assert_eq!(tree.bucket_of_lt(10), 0);
+        assert_eq!(bucket_lt(&tree, 10), 0);
     }
 
     #[test]
@@ -464,7 +462,7 @@ mod tests {
         let tree = DecisionTree::from_splitters(&splitters);
         for key in [u64::MIN, 1, 5, 6, u64::MAX - 1, u64::MAX] {
             assert_eq!(tree.bucket_of(key), oracle_bucket(&splitters, key), "key {key}");
-            assert_eq!(tree.bucket_of_lt(key), oracle_bucket_lt(&splitters, key), "key {key}");
+            assert_eq!(bucket_lt(&tree, key), oracle_bucket_lt(&splitters, key), "key {key}");
         }
     }
 

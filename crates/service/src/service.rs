@@ -44,12 +44,6 @@ impl ServiceConfig {
         Ok(Self { hss, max_carried_probes: usize::MAX, warm_start: true })
     }
 
-    /// Cap the probes carried between epochs.
-    pub fn with_max_carried_probes(mut self, cap: usize) -> Self {
-        self.max_carried_probes = cap;
-        self
-    }
-
     /// Disable warm starts (every epoch sorts cold).
     pub fn without_warm_start(mut self) -> Self {
         self.warm_start = false;
@@ -415,9 +409,10 @@ mod tests {
     #[test]
     fn carried_probes_respect_the_cap() {
         let p = 16;
-        let config = ServiceConfig::new(HssConfig::default().with_seed(7))
-            .unwrap()
-            .with_max_carried_probes(10);
+        let config = ServiceConfig {
+            max_carried_probes: 10,
+            ..ServiceConfig::new(HssConfig::default().with_seed(7)).unwrap()
+        };
         let mut service = SortService::new(p, config);
         service.ingest_per_rank(uniform(p, 1_000, 1));
         service.seal_epoch();

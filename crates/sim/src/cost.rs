@@ -103,12 +103,6 @@ impl CostModel {
         self
     }
 
-    /// Use binomial collectives instead of pipelined ones.
-    pub fn with_collective(mut self, algo: CollectiveAlgo) -> Self {
-        self.collective = algo;
-        self
-    }
-
     /// Simulated time for `ops` units of local computation.
     pub fn compute(&self, ops: u64) -> f64 {
         self.unit_compute * ops as f64
@@ -278,8 +272,8 @@ mod tests {
     fn pipelined_broadcast_beats_binomial_for_large_messages() {
         let p = 4096;
         let words = 1 << 22;
-        let pipe = CostModel::bluegene_like().with_collective(CollectiveAlgo::Pipelined);
-        let bino = CostModel::bluegene_like().with_collective(CollectiveAlgo::Binomial);
+        let pipe = CostModel::bluegene_like();
+        let bino = CostModel { collective: CollectiveAlgo::Binomial, ..CostModel::bluegene_like() };
         assert!(pipe.broadcast(words, p) < bino.broadcast(words, p));
     }
 
@@ -287,8 +281,8 @@ mod tests {
     fn binomial_and_pipelined_agree_for_two_ranks() {
         // With p = 2 there is a single round, so both formulas coincide.
         let words = 1234;
-        let pipe = CostModel::bluegene_like().with_collective(CollectiveAlgo::Pipelined);
-        let bino = CostModel::bluegene_like().with_collective(CollectiveAlgo::Binomial);
+        let pipe = CostModel::bluegene_like();
+        let bino = CostModel { collective: CollectiveAlgo::Binomial, ..CostModel::bluegene_like() };
         assert!((pipe.broadcast(words, 2) - bino.broadcast(words, 2)).abs() < 1e-12);
     }
 

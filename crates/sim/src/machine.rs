@@ -312,11 +312,6 @@ impl Machine {
         self.superstep = 0;
     }
 
-    /// Index of the BSP superstep about to execute.
-    pub fn current_superstep(&self) -> u64 {
-        self.superstep
-    }
-
     fn next_superstep(&mut self) -> u64 {
         let s = self.superstep;
         self.superstep += 1;
@@ -879,12 +874,12 @@ mod tests {
     #[test]
     fn superstep_counter_advances() {
         let mut m = Machine::flat(2);
-        assert_eq!(m.current_superstep(), 0);
+        assert_eq!(m.superstep, 0);
         let mut data = vec![vec![0u8], vec![1u8]];
         m.local_phase(Phase::Other, &mut data, |_, _| Work::none());
-        assert_eq!(m.current_superstep(), 1);
+        assert_eq!(m.superstep, 1);
         m.local_phase(Phase::Other, &mut data, |_, _| Work::none());
-        assert_eq!(m.current_superstep(), 2);
+        assert_eq!(m.superstep, 2);
     }
 
     #[test]
@@ -895,7 +890,7 @@ mod tests {
         assert!(m.metrics().total_simulated_seconds() > 0.0);
         m.reset_accounting();
         assert_eq!(m.metrics().total_simulated_seconds(), 0.0);
-        assert_eq!(m.current_superstep(), 0);
+        assert_eq!(m.superstep, 0);
     }
 
     #[test]

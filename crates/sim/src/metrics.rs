@@ -146,34 +146,6 @@ impl MetricsRegistry {
         self.phases.entry(phase).or_default().merge(&metrics);
     }
 
-    /// Convenience: charge only simulated + wall time and ops.
-    pub fn charge_compute(&mut self, phase: Phase, simulated: f64, wall: f64, ops: u64) {
-        self.charge(
-            phase,
-            PhaseMetrics {
-                simulated_seconds: simulated,
-                wall_seconds: wall,
-                compute_ops: ops,
-                supersteps: 1,
-                ..Default::default()
-            },
-        );
-    }
-
-    /// Convenience: charge only communication.
-    pub fn charge_comm(&mut self, phase: Phase, simulated: f64, messages: u64, words: u64) {
-        self.charge(
-            phase,
-            PhaseMetrics {
-                simulated_seconds: simulated,
-                messages,
-                comm_words: words,
-                supersteps: 1,
-                ..Default::default()
-            },
-        );
-    }
-
     /// Record that `threads` host OS threads were available for execution
     /// (keeps the maximum seen; the machine calls this on every superstep).
     pub fn note_host_threads(&mut self, threads: u64) {
@@ -254,14 +226,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Merge another registry into this one (e.g. a nested sub-algorithm).
-    pub fn absorb(&mut self, other: &MetricsRegistry) {
-        for (phase, m) in other.iter() {
-            self.charge(phase, *m);
-        }
-        self.note_host_threads(other.host_threads);
-    }
 }
 
 impl fmt::Display for MetricsRegistry {
@@ -307,12 +271,34 @@ impl fmt::Display for MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// One superstep's compute charge: simulated and wall seconds and ops.
+    fn compute(simulated: f64, wall: f64, ops: u64) -> PhaseMetrics {
+        PhaseMetrics {
+            simulated_seconds: simulated,
+            wall_seconds: wall,
+            compute_ops: ops,
+            supersteps: 1,
+            ..Default::default()
+        }
+    }
+
+    /// One superstep's communication charge.
+    fn comm(simulated: f64, messages: u64, words: u64) -> PhaseMetrics {
+        PhaseMetrics {
+            simulated_seconds: simulated,
+            messages,
+            comm_words: words,
+            supersteps: 1,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn charging_accumulates() {
         let mut reg = MetricsRegistry::new();
-        reg.charge_compute(Phase::LocalSort, 1.0, 0.5, 100);
-        reg.charge_compute(Phase::LocalSort, 2.0, 0.25, 50);
-        reg.charge_comm(Phase::DataExchange, 3.0, 7, 1000);
+        reg.charge(Phase::LocalSort, compute(1.0, 0.5, 100));
+        reg.charge(Phase::LocalSort, compute(2.0, 0.25, 50));
+        reg.charge(Phase::DataExchange, comm(3.0, 7, 1000));
         let ls = reg.phase(Phase::LocalSort);
         assert_eq!(ls.simulated_seconds, 3.0);
         assert_eq!(ls.wall_seconds, 0.75);
@@ -333,11 +319,11 @@ mod tests {
     #[test]
     fn figure_breakdown_groups_phases() {
         let mut reg = MetricsRegistry::new();
-        reg.charge_compute(Phase::Sampling, 1.0, 0.0, 0);
-        reg.charge_compute(Phase::Histogramming, 2.0, 0.0, 0);
-        reg.charge_compute(Phase::SplitterBroadcast, 4.0, 0.0, 0);
-        reg.charge_compute(Phase::DataExchange, 8.0, 0.0, 0);
-        reg.charge_compute(Phase::Merge, 16.0, 0.0, 0);
+        reg.charge(Phase::Sampling, compute(1.0, 0.0, 0));
+        reg.charge(Phase::Histogramming, compute(2.0, 0.0, 0));
+        reg.charge(Phase::SplitterBroadcast, compute(4.0, 0.0, 0));
+        reg.charge(Phase::DataExchange, compute(8.0, 0.0, 0));
+        reg.charge(Phase::Merge, compute(16.0, 0.0, 0));
         let groups = reg.figure_6_1_breakdown();
         assert_eq!(groups["histogramming"], 7.0);
         assert_eq!(groups["data exchange"], 24.0);
@@ -345,41 +331,25 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_registries() {
-        let mut a = MetricsRegistry::new();
-        a.charge_compute(Phase::LocalSort, 1.0, 0.0, 10);
-        let mut b = MetricsRegistry::new();
-        b.charge_compute(Phase::LocalSort, 2.0, 0.0, 20);
-        b.charge_comm(Phase::Merge, 1.0, 1, 5);
-        a.absorb(&b);
-        assert_eq!(a.phase(Phase::LocalSort).compute_ops, 30);
-        assert_eq!(a.phase(Phase::Merge).messages, 1);
-    }
-
-    #[test]
-    fn host_threads_keeps_maximum_and_survives_absorb() {
+    fn host_threads_keeps_maximum() {
         let mut a = MetricsRegistry::new();
         assert_eq!(a.host_threads(), 0);
         a.note_host_threads(2);
         a.note_host_threads(1);
         assert_eq!(a.host_threads(), 2);
-        let mut b = MetricsRegistry::new();
-        b.note_host_threads(4);
-        a.absorb(&b);
-        assert_eq!(a.host_threads(), 4);
     }
 
     #[test]
     fn deterministic_signature_ignores_wall_time_and_host_threads() {
         let mut a = MetricsRegistry::new();
-        a.charge_compute(Phase::LocalSort, 1.5, 0.25, 100);
+        a.charge(Phase::LocalSort, compute(1.5, 0.25, 100));
         a.note_host_threads(1);
         let mut b = MetricsRegistry::new();
-        b.charge_compute(Phase::LocalSort, 1.5, 99.0, 100);
+        b.charge(Phase::LocalSort, compute(1.5, 99.0, 100));
         b.note_host_threads(8);
         assert_eq!(a.deterministic_signature(), b.deterministic_signature());
         // ... but any simulated quantity difference shows up.
-        b.charge_comm(Phase::Merge, 0.1, 1, 1);
+        b.charge(Phase::Merge, comm(0.1, 1, 1));
         assert_ne!(a.deterministic_signature(), b.deterministic_signature());
     }
 
@@ -388,11 +358,11 @@ mod tests {
         // The signature is keyed per phase (BTreeMap order), so the order
         // in which phases were charged must not matter — only totals do.
         let mut a = MetricsRegistry::new();
-        a.charge_compute(Phase::Merge, 2.0, 0.0, 20);
-        a.charge_comm(Phase::LocalSort, 1.0, 3, 30);
+        a.charge(Phase::Merge, compute(2.0, 0.0, 20));
+        a.charge(Phase::LocalSort, comm(1.0, 3, 30));
         let mut b = MetricsRegistry::new();
-        b.charge_comm(Phase::LocalSort, 1.0, 3, 30);
-        b.charge_compute(Phase::Merge, 2.0, 0.0, 20);
+        b.charge(Phase::LocalSort, comm(1.0, 3, 30));
+        b.charge(Phase::Merge, compute(2.0, 0.0, 20));
         assert_eq!(a.deterministic_signature(), b.deterministic_signature());
         // Phase names appear in reporting order, once each.
         let names: Vec<&str> = a.deterministic_signature().iter().map(|s| s.0).collect();
@@ -400,31 +370,9 @@ mod tests {
     }
 
     #[test]
-    fn absorb_preserves_signature_of_the_union() {
-        // Absorbing a registry must yield the same signature as charging
-        // everything into one registry directly.
-        let mut left = MetricsRegistry::new();
-        left.charge_compute(Phase::LocalSort, 1.5, 0.1, 10);
-        left.charge_comm(Phase::DataExchange, 0.5, 2, 200);
-        let mut right = MetricsRegistry::new();
-        right.charge_compute(Phase::LocalSort, 2.5, 0.2, 30);
-        right.charge_comm(Phase::Merge, 0.25, 1, 50);
-
-        let mut combined = MetricsRegistry::new();
-        combined.charge_compute(Phase::LocalSort, 1.5, 0.1, 10);
-        combined.charge_comm(Phase::DataExchange, 0.5, 2, 200);
-        combined.charge_compute(Phase::LocalSort, 2.5, 0.2, 30);
-        combined.charge_comm(Phase::Merge, 0.25, 1, 50);
-
-        left.absorb(&right);
-        assert_eq!(left.deterministic_signature(), combined.deterministic_signature());
-        assert_eq!(left.phase(Phase::LocalSort).supersteps, 2);
-    }
-
-    #[test]
     fn display_contains_phase_names() {
         let mut reg = MetricsRegistry::new();
-        reg.charge_compute(Phase::LocalSort, 1.0, 0.0, 10);
+        reg.charge(Phase::LocalSort, compute(1.0, 0.0, 10));
         let s = format!("{reg}");
         assert!(s.contains("local_sort"));
         assert!(s.contains("TOTAL"));

@@ -87,11 +87,6 @@ impl Topology {
         node * self.cores_per_node
     }
 
-    /// Whether `rank` is the leader of its node.
-    pub fn is_leader(&self, rank: RankId) -> bool {
-        rank % self.cores_per_node == 0
-    }
-
     /// Number of ranks on `node` (the last node may be partially filled).
     pub fn node_size(&self, node: NodeId) -> usize {
         self.ranks_of(node).len()
@@ -106,19 +101,6 @@ impl Topology {
     pub fn iter_nodes(&self) -> std::ops::Range<NodeId> {
         0..self.nodes()
     }
-
-    /// Number of point-to-point messages a naive (rank-level) all-to-all
-    /// exchange injects into the network: `p (p - 1)`.
-    pub fn rank_level_message_count(&self) -> usize {
-        self.ranks * (self.ranks - 1)
-    }
-
-    /// Number of messages a node-combined all-to-all injects: `n (n - 1)`.
-    /// The §6.1.1 example: 50 cores/node gives ~2500x fewer messages.
-    pub fn node_level_message_count(&self) -> usize {
-        let n = self.nodes();
-        n * (n - 1)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +114,7 @@ mod tests {
         assert_eq!(t.nodes(), 8);
         for r in t.iter_ranks() {
             assert_eq!(t.node_of(r), r);
-            assert!(t.is_leader(r));
+            assert_eq!(t.leader_of(r), r);
             assert_eq!(t.ranks_of(r), r..r + 1);
         }
     }
@@ -148,8 +130,7 @@ mod tests {
         assert_eq!(t.node_of(63), 3);
         assert_eq!(t.ranks_of(1), 16..32);
         assert_eq!(t.leader_of(2), 32);
-        assert!(t.is_leader(48));
-        assert!(!t.is_leader(49));
+        assert_eq!(t.leader_of(t.node_of(49)), 48);
     }
 
     #[test]
@@ -159,16 +140,6 @@ mod tests {
         assert_eq!(t.node_size(0), 4);
         assert_eq!(t.node_size(2), 2);
         assert_eq!(t.ranks_of(2), 8..10);
-    }
-
-    #[test]
-    fn message_count_reduction_matches_paper_example() {
-        // §6.1.1: "if the number of cores on one node of a machine is 50,
-        // then combining node level messages results in ~2500x fewer
-        // messages".
-        let t = Topology::new(50 * 100, 50);
-        let ratio = t.rank_level_message_count() as f64 / t.node_level_message_count() as f64;
-        assert!(ratio > 2000.0 && ratio < 3000.0, "ratio = {ratio}");
     }
 
     #[test]

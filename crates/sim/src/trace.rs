@@ -121,11 +121,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Events belonging to one phase.
-    pub fn phase_events(&self, phase: Phase) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.phase == phase)
-    }
-
     /// Total simulated time across recorded events.
     pub fn total_simulated_seconds(&self) -> f64 {
         self.events.iter().map(|e| e.simulated_seconds).sum()
@@ -258,7 +253,6 @@ mod tests {
         t.push(event(2, Phase::Sampling, 3.0));
         assert_eq!(t.len(), 3);
         assert_eq!(t.events()[1].phase, Phase::Histogramming);
-        assert_eq!(t.phase_events(Phase::Sampling).count(), 2);
         assert_eq!(t.total_simulated_seconds(), 6.0);
     }
 

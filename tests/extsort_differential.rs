@@ -108,7 +108,7 @@ fn external_sort_matches_in_memory_for_tera_records() {
     }
 }
 
-/// One row of [`hss_sim::PhaseMetrics::deterministic_signature`].
+/// One row of [`hss_sim::MetricsRegistry::deterministic_signature`].
 type SignatureRow = (&'static str, u64, u64, u64, u64, u64, u64);
 
 /// Run `sort_out_of_core` on a pool with `threads` rayon threads and

@@ -52,7 +52,7 @@ fn distributions() -> [KeyDistribution; 4] {
     ]
 }
 
-/// One row of [`hss_sim::PhaseMetrics::deterministic_signature`].
+/// One row of [`hss_sim::MetricsRegistry::deterministic_signature`].
 type SignatureRow = (&'static str, u64, u64, u64, u64, u64, u64);
 
 struct RunResult<T> {
